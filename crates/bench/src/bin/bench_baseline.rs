@@ -19,13 +19,9 @@
 //! than 3× (the ISSUE-3 floor; the committed baseline records well above),
 //! if `decide_cells` — the exact decider against stepping — falls below
 //! 0.66× (the ISSUE-6 floor for the orbit-quotiented, memoized rebuild),
-//! if `ensemble_cells` — the k-lane timeline merge against k-lane
+//! or if `ensemble_cells` — the k-lane timeline merge against k-lane
 //! stepping on the 3-agent gathering grid — falls below 1× (the ISSUE-10
-//! floor: the merge reuses solo recordings and must keep pace), or if
-//! any `planner_cells` section — `Executor::Auto` against the best
-//! fixed executor on the same grid — falls below the 0.95× floor (the
-//! ISSUE-9 gate: the cost-model planner must never lose more than 5% to
-//! the executor it should have picked).
+//! floor: the merge reuses solo recordings and must keep pace).
 //!
 //! Usage: `bench_baseline [OUT.json]` (default `BENCH_sweep.json`);
 //! `just bench-baseline` and CI's bench-smoke call this.
@@ -46,14 +42,12 @@ fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (u128, T) {
     (best, out.expect("reps >= 1"))
 }
 
-/// Serializes rows with the per-executor annotations cleared — `certified`
-/// (the exact decider's flag) and `planned` (the Auto planner's record),
-/// the only fields executors are *allowed* to differ on.
+/// Serializes rows with the `certified` flag cleared — the exact
+/// decider's flag, the only field executors are *allowed* to differ on.
 fn rows_modulo_certification(rows: &[sweep::SweepRow]) -> String {
     let mut rows = rows.to_vec();
     for r in &mut rows {
         r.certified = false;
-        r.planned = None;
     }
     serde_json::to_string(&rows).expect("serialize")
 }
@@ -120,85 +114,6 @@ fn measure_pair(
     (record, speedup)
 }
 
-/// The hard floor on every `planner_cells` section: `Executor::Auto` must
-/// stay within 5% of the *best* fixed executor on that grid (and is
-/// expected to beat it where the batch kernel applies).
-const PLANNER_FLOOR: f64 = 0.95;
-
-/// Measures one grid under `Executor::Auto` against every fixed executor
-/// and returns the section's JSON record plus `best_fixed_ns / auto_ns`
-/// (≥ 1 means the planner won outright; the gate holds it to
-/// [`PLANNER_FLOOR`]). Row streams are asserted identical modulo the
-/// `certified`/`planned` annotations before any number is written.
-fn measure_planner(name: &str, spec: &SweepSpec, reps: usize) -> (serde_json::Value, f64) {
-    let cells = sweep::cells(spec).len();
-    let mut auto_spec = spec.clone();
-    auto_spec.executor = Executor::Auto;
-    let (auto_ns, auto_report) = time_best(reps, || sweep::run(&auto_spec));
-
-    let mut fixed_legs = Vec::new();
-    let mut best: Option<(&str, u128)> = None;
-    for (label, executor) in [
-        ("stepping", Executor::DynStepping),
-        ("replay", Executor::TraceReplay),
-        ("decide", Executor::ExactDecide),
-    ] {
-        let mut fixed_spec = spec.clone();
-        fixed_spec.executor = executor;
-        let (ns, report) = time_best(reps, || sweep::run(&fixed_spec));
-        assert_eq!(
-            rows_modulo_certification(&auto_report.rows),
-            rows_modulo_certification(&report.rows),
-            "{name}: auto diverged from {label}"
-        );
-        fixed_legs.push(serde_json::json!({
-            "executor": label,
-            "total_ns": ns as u64,
-            "ns_per_cell": (ns / cells as u128) as u64
-        }));
-        if best.is_none_or(|(_, b)| ns < b) {
-            best = Some((label, ns));
-        }
-    }
-    let (best_label, best_ns) = best.expect("at least one fixed executor");
-    let ratio = best_ns as f64 / auto_ns as f64;
-
-    // The planner's routing census — which executors the cost model
-    // actually picked on this grid.
-    let mut choices: Vec<(String, u64)> = Vec::new();
-    for row in &auto_report.rows {
-        let choice = row.planned.as_ref().expect("auto rows are annotated").choice.clone();
-        match choices.iter_mut().find(|(c, _)| *c == choice) {
-            Some((_, count)) => *count += 1,
-            None => choices.push((choice, 1)),
-        }
-    }
-    let routed: Vec<serde_json::Value> = choices
-        .iter()
-        .map(|(choice, count)| serde_json::json!({"choice": choice.clone(), "cells": *count}))
-        .collect();
-
-    println!(
-        "{name}: {cells} cells, auto {:.2} ms vs best fixed ({best_label}) {:.2} ms, \
-         ratio {ratio:.2}x",
-        auto_ns as f64 / 1e6,
-        best_ns as f64 / 1e6
-    );
-    let record = serde_json::json!({
-        "benchmark": name,
-        "cells": cells,
-        "reps": reps,
-        "auto_total_ns": auto_ns as u64,
-        "auto_ns_per_cell": (auto_ns / cells as u128) as u64,
-        "fixed": fixed_legs,
-        "best_fixed": best_label,
-        "ratio_vs_best_fixed": (ratio * 100.0).round() / 100.0,
-        "floor": PLANNER_FLOOR,
-        "routed": routed
-    });
-    (record, ratio)
-}
-
 fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_sweep.json".into());
     let reps = 5;
@@ -228,25 +143,13 @@ fn main() {
     // stepping; the 1x floor below pins that.
     let (ensemble, ensemble_speedup) =
         measure_pair("ensemble_cells", &sweep::perf_grid_ensemble(), reps, STEPPING, REPLAY);
-    // The planner sections: Auto against the best fixed executor on both
-    // standard grids (schema v4; the bench-smoke job gates the floor).
-    // Extra reps here: the 0.95× floor compares legs within ~5% of each
-    // other (on the variants grid the best fixed leg runs the *identical*
-    // replay path Auto routes to), so the best-of-N needs to converge
-    // tighter than the per-rep noise on sub-millisecond grids.
-    let planner_reps = 3 * reps;
-    let (planner_fsa, fsa_ratio) =
-        measure_planner("planner_cells_fsa_scan", &sweep::perf_grid_fsa_scan(), planner_reps);
-    let (planner_variants, variants_ratio) =
-        measure_planner("planner_cells_variants", &sweep::perf_grid_variants(), planner_reps);
     let payload = serde_json::json!({
-        "schema": "rvz-bench-sweep/v5",
+        "schema": "rvz-bench-sweep/v6",
         "n": 200,
         "sweep_cells": primary,
         "sweep_cells_variants": secondary,
         "decide_cells": decide,
-        "ensemble_cells": ensemble,
-        "planner_cells": vec![planner_fsa, planner_variants]
+        "ensemble_cells": ensemble
     });
     let body = serde_json::to_string_pretty(&payload).expect("serialize");
     rvz_bench::wire::atomic_write(std::path::Path::new(&out_path), format!("{body}\n").as_bytes())
@@ -272,16 +175,5 @@ fn main() {
              (the k-lane timeline merge must keep pace with k-lane stepping)"
         );
         std::process::exit(1);
-    }
-    for (name, ratio) in
-        [("planner_cells_fsa_scan", fsa_ratio), ("planner_cells_variants", variants_ratio)]
-    {
-        if ratio < PLANNER_FLOOR {
-            eprintln!(
-                "error: {name} ratio {ratio:.2}x is below the {PLANNER_FLOOR}x floor \
-                 (the cost-model planner must stay within 5% of the best fixed executor)"
-            );
-            std::process::exit(1);
-        }
     }
 }

@@ -173,21 +173,6 @@ fn opt_nodes(fields: &[(String, Value)], key: &str) -> Option<Option<Vec<u32>>> 
     }
 }
 
-/// The optional `planned` annotation ([`crate::sweep::Planned`]): absent
-/// or `null` → `None` (fixed-executor rows), a well-formed object →
-/// `Some`, anything else → parse failure.
-fn opt_planned(fields: &[(String, Value)], key: &str) -> Option<Option<crate::sweep::Planned>> {
-    match get(fields, key) {
-        None | Some(Value::Null) => Some(None),
-        Some(Value::Object(f)) => Some(Some(crate::sweep::Planned {
-            choice: req_str(f, "choice")?,
-            predicted: req_u64(f, "predicted")?,
-            actual: req_u64(f, "actual")?,
-        })),
-        Some(_) => None,
-    }
-}
-
 /// Rebuilds a [`SweepRow`] from its serialized JSON object; `None` on any
 /// missing or mistyped field (the caller drops the record).
 pub fn row_from_value(v: &Value) -> Option<SweepRow> {
@@ -215,7 +200,7 @@ pub fn row_from_value(v: &Value) -> Option<SweepRow> {
         certified: req_bool(f, "certified")?,
         timed_out: opt_bool(f, "timed_out")?,
         poisoned: opt_bool(f, "poisoned")?,
-        planned: opt_planned(f, "planned")?,
+        planned: None,
         agents: opt_usize(f, "agents")?,
         start_rest: opt_nodes(f, "start_rest")?,
     })

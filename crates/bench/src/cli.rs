@@ -7,16 +7,16 @@
 //! ```text
 //! experiments --experiment e6 [--json out.json] [--threads N]
 //!             [--sizes 16,32,64] [--pairs K] [--seed S]
-//!             [--executor replay|stepping|decide|auto]
+//!             [--executor replay|stepping|decide]
 //!             [--certificates certs.json] [--workers N] [--agents K]
 //! ```
 //!
 //! Emits the rendered table plus, with `--json FILE.json`, the raw
 //! [`crate::sweep::SweepRow`] records, and with `--certificates`, the
 //! exact decider's lasso certificates. Output is byte-identical for every
-//! `--threads` value (deterministic per-cell seeding). `e9` (the
-//! exhaustive certification sweep) defaults to `--executor decide` and
-//! prints the per-size summary table instead of its thousands of rows.
+//! `--threads` value (deterministic per-cell seeding). `e9`/`e10`/`e11`
+//! (the exhaustive certification sweeps) default to `--executor decide`
+//! and print their summary tables instead of their thousands of rows.
 //!
 //! **Classic mode** — regenerates the per-experiment paper tables (kept
 //! for continuity with the seed repo):
@@ -208,11 +208,9 @@ fn resolve_sweep(args: &[String], ids: &str) -> (u64, Vec<(String, Vec<usize>, s
         Some("replay") => Some(sweep::Executor::TraceReplay),
         Some("stepping") => Some(sweep::Executor::DynStepping),
         Some("decide") => Some(sweep::Executor::ExactDecide),
-        Some("auto") => Some(sweep::Executor::Auto),
         Some(other) => {
             eprintln!(
-                "error: bad --executor `{other}` (expected `replay`, `stepping`, `decide` or \
-                 `auto`)"
+                "error: bad --executor `{other}` (expected `replay`, `stepping` or `decide`)"
             );
             exit(2);
         }
@@ -508,15 +506,13 @@ fn run_sweep_mode(args: &[String], ids: &str, json: Option<String>) {
 /// so legacy payloads stay byte-identical (see docs/schemas.md):
 /// `rvz-sweep/v7` once any row has the optional `agents` field (an
 /// ensemble sweep ran with `--agents` k > 2 — checked first, so an
-/// ensemble payload is v7 whatever executor produced it),
-/// `rvz-sweep/v6` once any row has the optional `planned` field (the
-/// `--executor auto` planner ran), `rvz-sweep/v5` once any row has the
-/// optional `poisoned` field (a `--workers` shard hit the attempt cap),
-/// `rvz-sweep/v4` once any row has the optional `timed_out` field (the
-/// `--cell-timeout` watchdog fired), `rvz-sweep/v3` once any row has the
-/// optional `schedule` field, the legacy `rvz-sweep/v2` otherwise.
+/// ensemble payload is v7 whatever else it carries), `rvz-sweep/v5` once
+/// any row has the optional `poisoned` field (a `--workers` shard hit the
+/// attempt cap), `rvz-sweep/v4` once any row has the optional `timed_out`
+/// field (the `--cell-timeout` watchdog fired), `rvz-sweep/v3` once any
+/// row has the optional `schedule` field, the legacy `rvz-sweep/v2`
+/// otherwise. (v6 is retired: no row carries its `planned` field.)
 fn sweep_schema<'a, I: IntoIterator<Item = &'a sweep::SweepRow>>(rows: I) -> &'static str {
-    let mut has_planned = false;
     let mut has_poisoned = false;
     let mut has_timed_out = false;
     let mut has_schedule = false;
@@ -524,14 +520,11 @@ fn sweep_schema<'a, I: IntoIterator<Item = &'a sweep::SweepRow>>(rows: I) -> &'s
         if r.agents.is_some() {
             return "rvz-sweep/v7";
         }
-        has_planned |= r.planned.is_some();
         has_poisoned |= r.poisoned.is_some();
         has_timed_out |= r.timed_out.is_some();
         has_schedule |= r.schedule.is_some();
     }
-    if has_planned {
-        "rvz-sweep/v6"
-    } else if has_poisoned {
+    if has_poisoned {
         "rvz-sweep/v5"
     } else if has_timed_out {
         "rvz-sweep/v4"
@@ -670,13 +663,11 @@ Sweep mode (parallel batch engine):
                     rows; K > 2 bumps the row schema to rvz-sweep/v7
                     with `agents`/`start_rest` fields; e11 defaults to 3)
     --seed S        base seed (default 0x5EED2010)
-    --executor X    replay (trace-record/replay, default), stepping
-                    (dyn run_pair per cell), decide (exact decider,
-                    budget-free, certifies never-meets; default for
-                    e9/e10), or auto (per-cell cost-model planner +
-                    batched SoA kernel; rows gain a `planned` field) —
-                    rows are byte-identical across executors except for
-                    decide's `certified` flag and auto's `planned`
+    --executor X    replay (trace-record/replay; default for e1..e8),
+                    stepping (dyn run_pair per cell), or decide (exact
+                    decider, budget-free, certifies never-meets; default
+                    for e9/e10/e11) — rows are byte-identical across
+                    executors except for decide's `certified` flag
     --checkpoint F  append-only crash-safe journal of completed cells
                     (length-prefixed, per-record checksummed)
     --resume        skip cells already journaled in --checkpoint F; the

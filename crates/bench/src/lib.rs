@@ -42,8 +42,6 @@
 //! assert!(report.rows.iter().all(|row| row.certified));
 //! ```
 
-mod batch_cache;
-mod cache_cap;
 pub mod checkpoint;
 pub mod cli;
 pub mod e1;
@@ -59,7 +57,6 @@ pub mod e8;
 pub mod e9;
 pub mod faults;
 pub mod instances;
-pub mod planner;
 mod solo_cache;
 pub mod stats;
 pub mod stores;

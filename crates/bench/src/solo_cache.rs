@@ -22,9 +22,8 @@
 //! for never holding the store lock across a tabulation.
 //!
 //! **Bounds / eviction.** The store holds at most [`MAX_STORE_KEYS`]
-//! lassos (tunable via `RVZ_CACHE_CAP_SOLO`, see [`crate::cache_cap`]; a
-//! lasso is `O(stem + period)` = `O(Δ·n)` node ids, a few KiB at sweep
-//! sizes). A full store evicts *per key*, and only keys no worker
+//! lassos (a lasso is `O(stem + period)` = `O(Δ·n)` node ids, a few KiB
+//! at sweep sizes). A full store evicts *per key*, and only keys no worker
 //! currently holds (slot `Arc` strong count 1), mirroring the trace
 //! store's policy: a held `Arc` keeps naming its lasso, so eviction can
 //! never invalidate a decision in flight — at worst a re-tabulation later.
@@ -35,15 +34,8 @@ use rvz_trees::NodeId;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Default store capacity in lassos; a full store evicts idle keys only.
-/// Overridable via `RVZ_CACHE_CAP_SOLO` ([`crate::cache_cap`]).
+/// Store capacity in lassos; a full store evicts idle keys only.
 const MAX_STORE_KEYS: usize = 2048;
-
-/// The effective store capacity, read from the environment once.
-fn store_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| crate::cache_cap::cache_cap("RVZ_CACHE_CAP_SOLO", MAX_STORE_KEYS))
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct StoreKey {
@@ -76,14 +68,13 @@ pub(crate) fn lasso(
     }
     let built = Arc::new(SoloLasso::tabulate(&inst.tree, inst.basic_walk_fsa(), start));
     let mut map = store.lock().expect("solo store lock");
-    let cap = store_cap();
-    if map.len() >= cap && !map.contains_key(&key) {
+    if map.len() >= MAX_STORE_KEYS && !map.contains_key(&key) {
         // Per-key eviction: drop only idle lassos (strong count 1 ⇒ the
         // map holds the sole reference), just enough to admit the new key.
         // If every slot is in use the store briefly exceeds the cap;
         // admitting the key is strictly better than re-tabulating it on
         // the next cell.
-        let need = map.len() + 1 - cap;
+        let need = map.len() + 1 - MAX_STORE_KEYS;
         let idle: Vec<StoreKey> = map
             .iter()
             .filter(|(_, slot)| Arc::strong_count(slot) == 1)
@@ -126,7 +117,7 @@ pub(crate) fn install_restored(
 ) -> bool {
     let key = StoreKey { family, n, tree_seed, start, variant };
     let mut map = STORE.get_or_init(Mutex::default).lock().expect("solo store lock");
-    if map.len() >= store_cap() || map.contains_key(&key) {
+    if map.len() >= MAX_STORE_KEYS || map.contains_key(&key) {
         return false;
     }
     map.insert(key, Arc::new(lasso));

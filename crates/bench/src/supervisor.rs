@@ -48,10 +48,9 @@
 //! failure matrix.
 
 use crate::checkpoint::{self, CellRecord, Journal};
-use crate::planner::{self, Planner};
 use crate::sweep::{
-    self, cells, poisoned_row, run_cell_watchdogged, run_cell_with_executor, Cell, Executor,
-    Family, RunOptions, SweepInstance, SweepReport, SweepSpec,
+    self, cells, dispatch_cell, poisoned_row, Cell, Family, RunOptions, SweepInstance, SweepReport,
+    SweepSpec,
 };
 use crate::{faults, wire};
 use serde_json::Value;
@@ -63,31 +62,6 @@ use std::time::{Duration, Instant};
 
 /// Shard-plan format version (the `plan` file's `version` field).
 pub const PLAN_VERSION: u64 = 1;
-
-/// One-cell dispatch, the same four-way split as
-/// [`sweep::run_with_options`]: the [`Executor::Auto`] planner (a pure
-/// function of the spec, so supervisor and workers price cells
-/// identically) or the spec's fixed executor, optionally under the
-/// per-cell watchdog.
-fn dispatch_cell(
-    cell: &Cell,
-    inst: &Arc<SweepInstance>,
-    spec: &SweepSpec,
-    auto: Option<&Planner>,
-    timeout: Option<Duration>,
-) -> (Option<sweep::SweepRow>, Option<sweep::Certificate>) {
-    match (auto, timeout) {
-        (Some(p), Some(t)) => planner::run_cell_auto_watchdogged(cell, inst, p, t),
-        (Some(p), None) => planner::run_cell_auto(cell, inst, p),
-        (None, Some(t)) => run_cell_watchdogged(cell, inst, spec.executor, t),
-        (None, None) => run_cell_with_executor(cell, inst, spec.executor),
-    }
-}
-
-/// The Auto planner for a spec, `None` under the fixed executors.
-fn auto_planner(spec: &SweepSpec) -> Option<Planner> {
-    (spec.executor == Executor::Auto).then(|| Planner::from_spec(spec))
-}
 
 /// Shards per requested worker: small enough that claims are rare events,
 /// large enough that a crashed worker forfeits only a fraction of its
@@ -663,7 +637,6 @@ pub fn run_supervised(
     // poisoned rows; any other hole (shouldn't happen: every shard ends
     // Done or Poisoned) is computed in-process as a safety net.
     let mut instances = InstanceCache::new();
-    let auto = auto_planner(spec);
     let mut rows = Vec::with_capacity(grid.len());
     let mut certificates = Vec::new();
     let shard_of = |idx: usize| shards.iter().find(|sh| sh.range.lo <= idx && idx < sh.range.hi);
@@ -692,7 +665,7 @@ pub fn run_supervised(
                 );
             }
             let inst = instances.get(cell);
-            let out = dispatch_cell(cell, &inst, spec, auto.as_ref(), opts.cell_timeout);
+            let out = dispatch_cell(cell, &inst, spec.executor, opts.cell_timeout);
             if let Some(journal) = opts.journal {
                 journal.record(&CellRecord {
                     cell_seed: seed,
@@ -881,7 +854,6 @@ fn run_shard(
     };
 
     let timeout = plan.cell_timeout_ms.map(Duration::from_millis);
-    let auto = auto_planner(spec);
     for cell in &grid[range.lo..range.hi] {
         let seed = cell.cell_seed();
         if journaled.contains(&seed) || seg.lookup(seed).is_some() {
@@ -899,7 +871,7 @@ fn run_shard(
             return Err(format!("lease for shard {s} was stolen (injected)"));
         }
         let inst = instances.get(cell);
-        let out = dispatch_cell(cell, &inst, spec, auto.as_ref(), timeout);
+        let out = dispatch_cell(cell, &inst, spec.executor, timeout);
         seg.record(&CellRecord { cell_seed: seed, row: out.0, certificate: out.1 });
     }
     seg.sync();

@@ -449,14 +449,6 @@ pub enum Executor {
     /// [`Executor::TraceReplay`]. Rows are byte-identical to the other
     /// executors except for the `certified` flag (by test).
     ExactDecide,
-    /// Route every cell through the per-cell cost-model planner
-    /// ([`crate::planner`]): each cell goes to decide, replay, stepping or
-    /// the batched SoA kernel ([`rvz_sim::batch`]) by predicted cost, and
-    /// the row records the choice in the optional `planned` annotation.
-    /// Rows are byte-identical to the fixed executors modulo `planned`
-    /// (and `certified` on decide-routed cells) — by test and by the CI
-    /// `planner-differential` job.
-    Auto,
 }
 
 /// A full grid specification; [`run`] executes it.
@@ -568,19 +560,14 @@ pub struct SweepRow {
     /// field; see docs/schemas.md and docs/distributed.md).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub poisoned: Option<bool>,
-    /// The planner's per-cell record under [`Executor::Auto`]: which
-    /// executor the cost model chose and its predicted/actual cost in
-    /// deterministic work units (agent activations — never wall clock, so
-    /// rows stay pure functions of the cell coordinates). Absent — not
-    /// `null` — under every fixed executor, so their rows keep their exact
-    /// serialized shape (schema `rvz-sweep/v6` = v5 plus this optional
-    /// field; see docs/schemas.md).
+    /// Always `None` (the retired `rvz-sweep/v6` annotation); kept
+    /// because `perfbench/trace` reads it.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub planned: Option<Planned>,
     /// Ensemble width for `--agents k > 2` cells; `met` then means all
     /// `k` copies gathered on one node simultaneously. Absent — not
     /// `null` — on every pair cell, so legacy rows keep their exact
-    /// serialized shape (schema `rvz-sweep/v7` = v6 plus this and
+    /// serialized shape (schema `rvz-sweep/v7` = v5 plus this and
     /// `start_rest`; see docs/schemas.md and docs/gathering.md).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub agents: Option<usize>,
@@ -590,10 +577,8 @@ pub struct SweepRow {
     pub start_rest: Option<Vec<NodeId>>,
 }
 
-/// The planner's decision record, embedded in [`SweepRow::planned`]. All
-/// three fields are deterministic: `choice` and `predicted` are pure
-/// functions of the spec and the cell coordinates, `actual` re-prices the
-/// row's outcome under the same model (see [`crate::planner`]).
+/// The shape of the retired [`SweepRow::planned`] annotation; no executor
+/// builds one.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Planned {
     /// `"batch"` / `"replay"` / `"stepping"` / `"decide"`.
@@ -1906,12 +1891,21 @@ pub fn run_cell_with_executor(
         Executor::TraceReplay => (run_cell_replay(cell, inst), None),
         Executor::DynStepping => (run_cell_on(cell, inst), None),
         Executor::ExactDecide => decide_certified(),
-        // The planner owns Auto routing end to end
-        // ([`crate::planner::run_cell_auto`]): a fall-through here would
-        // have to invent a spec-less cost model whose `planned` bytes
-        // diverge from the real planner's, silently breaking
-        // thread-count byte-identity.
-        Executor::Auto => unreachable!("Executor::Auto is routed through crate::planner"),
+    }
+}
+
+/// One cell under `executor`, on the per-cell watchdog when `timeout` is
+/// set — the dispatch [`run_with_options`] and the `--workers` supervisor
+/// share.
+pub(crate) fn dispatch_cell(
+    cell: &Cell,
+    inst: &Arc<SweepInstance>,
+    executor: Executor,
+    timeout: Option<std::time::Duration>,
+) -> (Option<SweepRow>, Option<Certificate>) {
+    match timeout {
+        Some(timeout) => run_cell_watchdogged(cell, inst, executor, timeout),
+        None => run_cell_with_executor(cell, inst, executor),
     }
 }
 
@@ -1927,9 +1921,6 @@ fn downgrade_chain(executor: Executor) -> &'static [Executor] {
         }
         Executor::TraceReplay => &[Executor::TraceReplay, Executor::DynStepping],
         Executor::DynStepping => &[Executor::DynStepping],
-        // The planner maps its choice to a fixed executor before entering
-        // the watchdog ([`crate::planner::run_cell_auto_watchdogged`]).
-        Executor::Auto => unreachable!("Executor::Auto is routed through crate::planner"),
     }
 }
 
@@ -2025,7 +2016,7 @@ pub(crate) fn poisoned_row(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow
 /// quarantined as an explicit [`timed_out_row`]. Adversarial cells get a
 /// single attempt: every executor routes them through the same quantifier
 /// layer, so a "downgrade" would re-run the identical computation.
-pub(crate) fn run_cell_watchdogged(
+fn run_cell_watchdogged(
     cell: &Cell,
     inst: &Arc<SweepInstance>,
     executor: Executor,
@@ -2130,11 +2121,6 @@ pub fn run_with_options(spec: &SweepSpec, opts: &RunOptions<'_>) -> SweepReport 
             reps.push(cell);
         }
     }
-    // Built once per run so every worker prices cells against the same
-    // axes; the planner is a pure function of the spec, which is what
-    // keeps `planned` bytes identical across `--threads` and `--workers`.
-    let planner =
-        (spec.executor == Executor::Auto).then(|| crate::planner::Planner::from_spec(spec));
     let run_one = |c: &Cell, inst: &Arc<SweepInstance>| {
         let cell_seed = c.cell_seed();
         if let Some(journal) = opts.journal {
@@ -2142,14 +2128,7 @@ pub fn run_with_options(spec: &SweepSpec, opts: &RunOptions<'_>) -> SweepReport 
                 return (rec.row.clone(), rec.certificate.clone());
             }
         }
-        let out = match (&planner, opts.cell_timeout) {
-            (Some(p), Some(timeout)) => {
-                crate::planner::run_cell_auto_watchdogged(c, inst, p, timeout)
-            }
-            (Some(p), None) => crate::planner::run_cell_auto(c, inst, p),
-            (None, Some(timeout)) => run_cell_watchdogged(c, inst, spec.executor, timeout),
-            (None, None) => run_cell_with_executor(c, inst, spec.executor),
-        };
+        let out = dispatch_cell(c, inst, spec.executor, opts.cell_timeout);
         if let Some(journal) = opts.journal {
             journal.record(&crate::checkpoint::CellRecord {
                 cell_seed,
@@ -2789,124 +2768,6 @@ mod tests {
         assert!(replayed.certificates.is_empty());
         for cert in &decided.certificates {
             assert_eq!(cert.verified, cert.lasso_stem.is_some().then_some(true), "{cert:?}");
-        }
-    }
-
-    /// Serializes rows with the per-executor annotations (`certified`,
-    /// `planned`) cleared — the canonical cross-executor comparison (the
-    /// CI planner-differential job does the same with `jq del(…)`).
-    fn strip_annotations(rows: &[SweepRow]) -> String {
-        let mut rows = rows.to_vec();
-        for r in &mut rows {
-            r.certified = false;
-            r.planned = None;
-        }
-        serde_json::to_string(&rows).unwrap()
-    }
-
-    #[test]
-    fn auto_executor_matches_every_fixed_executor_modulo_annotations() {
-        // The planner must be a pure routing layer: whatever it picks per
-        // cell, the row stream is the fixed executors' stream plus the
-        // `planned` annotation (and `certified` where it chose decide).
-        let mut spec = small_spec(2);
-        spec.executor = Executor::Auto;
-        let auto = run(&spec);
-        assert!(!auto.rows.is_empty());
-        for fixed in [Executor::TraceReplay, Executor::DynStepping, Executor::ExactDecide] {
-            spec.executor = fixed;
-            let reference = run(&spec);
-            assert_eq!(
-                strip_annotations(&auto.rows),
-                strip_annotations(&reference.rows),
-                "auto must match {fixed:?} modulo certified/planned"
-            );
-        }
-        for row in &auto.rows {
-            let planned = row.planned.as_ref().expect("every auto row carries the annotation");
-            assert!(
-                ["batch", "replay", "stepping", "decide"].contains(&planned.choice.as_str()),
-                "{planned:?}"
-            );
-            assert_eq!(row.certified, planned.choice == "decide", "{row:?}");
-            assert!(planned.predicted > 0 && planned.actual > 0, "{planned:?}");
-        }
-        // This grid has small-θ bw cells (batch territory) and procedural
-        // cells (replay territory) — the planner must actually route, not
-        // collapse onto one executor.
-        let choices: std::collections::HashSet<String> =
-            auto.rows.iter().filter_map(|r| r.planned.as_ref().map(|p| p.choice.clone())).collect();
-        assert!(choices.contains("batch"), "bw θ cells should hit the kernel: {choices:?}");
-        assert!(choices.contains("replay"), "procedural cells should replay: {choices:?}");
-    }
-
-    #[test]
-    fn auto_executor_is_byte_identical_across_thread_counts() {
-        // Full-byte comparison, `planned` included: the annotation must be
-        // a pure function of the spec and the coordinates, never of which
-        // thread warmed which cache first.
-        let mut spec1 = small_spec(1);
-        spec1.executor = Executor::Auto;
-        let mut spec4 = small_spec(4);
-        spec4.executor = Executor::Auto;
-        let report1 = run(&spec1);
-        let report4 = run(&spec4);
-        assert!(!report1.rows.is_empty());
-        assert_eq!(
-            serde_json::to_string(&report1.rows).unwrap(),
-            serde_json::to_string(&report4.rows).unwrap(),
-            "auto rows (planned annotation included) must not depend on thread count"
-        );
-    }
-
-    #[test]
-    fn auto_executor_matches_fixed_executors_on_scheduled_and_adversarial_cells() {
-        // The planner's other two route families: genuine schedules (the
-        // scheduled batch kernel / scheduled decider) and the universal
-        // delay quantifier (forced decide).
-        let spec = |executor| SweepSpec {
-            experiment: "auto-sched".into(),
-            families: vec![Family::Line, Family::Random],
-            sizes: vec![8],
-            delays: vec![
-                Delay::Schedule(ScheduleSpec::Intermittent { period: 2, phase: 0 }),
-                Delay::Schedule(ScheduleSpec::Lockstep { period: 2 }),
-                Delay::Adversarial,
-            ],
-            variants: vec![Variant::BasicWalkFsa, Variant::DelayRobust],
-            pairs_per_cell: 2,
-            seed: 0xA07_05C4ED,
-            threads: 2,
-            executor,
-            agents: 2,
-        };
-        let auto = run(&spec(Executor::Auto));
-        let replayed = run(&spec(Executor::TraceReplay));
-        assert!(!auto.rows.is_empty());
-        assert_eq!(strip_annotations(&auto.rows), strip_annotations(&replayed.rows));
-        // Adversarial cells carry certificates under every executor —
-        // routing through the planner must not drop the evidence: the
-        // universal-verdict subsets must agree exactly. Decide-routed
-        // scheduled cells may *add* never-meets lassos on top — certified
-        // evidence the bounded executors cannot produce.
-        let universal = |certs: &[Certificate]| {
-            let subset: Vec<&Certificate> = certs
-                .iter()
-                .filter(|c| matches!(c.verdict.as_str(), "all-delays-meet" | "delay-defeats"))
-                .collect();
-            serde_json::to_string(&subset).expect("serialize")
-        };
-        assert_eq!(universal(&auto.certificates), universal(&replayed.certificates));
-        assert!(auto.certificates.len() >= replayed.certificates.len());
-        for cert in &auto.certificates {
-            assert_ne!(cert.verified, Some(false), "{cert:?}");
-        }
-        for row in &auto.rows {
-            let planned = row.planned.as_ref().expect("annotated");
-            if row.schedule.is_none() {
-                // The only θ-less rows in this grid are adversarial cells.
-                assert_eq!(planned.choice, "decide", "{row:?}");
-            }
         }
     }
 

@@ -17,8 +17,7 @@
 //! that stay undecided there fall back to the dyn-stepping path — in
 //! practice only adversarial timeout cells with multi-billion-round
 //! budgets and no fixed-point tail), and the store holds at most
-//! [`MAX_STORE_KEYS`] trajectories (tunable via `RVZ_CACHE_CAP_TRACE`,
-//! see [`crate::cache_cap`]). A full store evicts *per key*, and
+//! [`MAX_STORE_KEYS`] trajectories. A full store evicts *per key*, and
 //! only keys no worker currently holds (slot `Arc` strong count 1): the
 //! old wholesale `clear()` could drop a slot another thread was
 //! mid-extend on, so the extension work was lost and a second recorder
@@ -42,15 +41,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// (stay-heavy schedules compress to a handful of runs per period).
 pub(crate) const MAX_RECORD_ROUNDS: u64 = 1 << 23;
 
-/// Default store capacity in trajectories; a full store evicts idle keys
-/// only. Overridable via `RVZ_CACHE_CAP_TRACE` ([`crate::cache_cap`]).
+/// Store capacity in trajectories; a full store evicts idle keys only.
 const MAX_STORE_KEYS: usize = 1024;
-
-/// The effective store capacity, read from the environment once.
-fn store_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| crate::cache_cap::cache_cap("RVZ_CACHE_CAP_TRACE", MAX_STORE_KEYS))
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct StoreKey {
@@ -173,14 +165,13 @@ pub(crate) fn slot(
 ) -> Slot {
     let key = StoreKey { family, n, tree_seed: inst.tree_seed, start, variant };
     let mut map = STORE.get_or_init(Mutex::default).lock().expect("trace store lock");
-    let cap = store_cap();
-    if map.len() >= cap && !map.contains_key(&key) {
+    if map.len() >= MAX_STORE_KEYS && !map.contains_key(&key) {
         // Per-key eviction: drop only idle recordings (strong count 1 ⇒
         // the map holds the sole reference, no worker is extending it),
         // oldest-irrelevant — just enough to admit the new key. In-use
         // slots are never dropped, so a held `Arc` keeps naming the
         // stored recording and extensions are never silently orphaned.
-        let need = map.len() + 1 - cap;
+        let need = map.len() + 1 - MAX_STORE_KEYS;
         let idle: Vec<StoreKey> = map
             .iter()
             .filter(|(_, slot)| Arc::strong_count(slot) == 1)
@@ -242,7 +233,7 @@ pub(crate) fn install_restored(
 ) -> bool {
     let key = StoreKey { family, n, tree_seed, start, variant };
     let mut map = STORE.get_or_init(Mutex::default).lock().expect("trace store lock");
-    if map.len() >= store_cap() || map.contains_key(&key) {
+    if map.len() >= MAX_STORE_KEYS || map.contains_key(&key) {
         return false;
     }
     map.insert(key, Arc::new(Mutex::new(VariantRecorder::Restored { variant, start, traj })));

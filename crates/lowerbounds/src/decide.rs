@@ -486,25 +486,6 @@ pub fn decide_from(t: &Tree, fsa: &Fsa, solo: &SoloLasso, b: NodeId, delay: u64)
     decide_from_lassos(solo, &SoloLasso::tabulate(t, fsa, b), delay)
 }
 
-/// Work-unit bound on the cost of *deciding* one pair on an `n`-node tree
-/// — the config-graph size formula the sweep planner uses as its
-/// decide-cost feature (`crates/bench/src/planner.rs`).
-///
-/// Fixed-delay decisions scan the joint product lasso, whose length is
-/// bounded by the solo configuration space `|C| = `[`Fsa::num_configs`]
-/// `(n)` per agent plus one round of slack; scheduled decisions walk
-/// `(cfg_a, cfg_b, cycle position)` tuples and terminate within
-/// `cycle · (|C| + 1)` rounds past the prefix ([`decide_pair_scheduled`]).
-/// Pass `cycle_len = 1` for the delay axis. The bound is a *deterministic
-/// pure function* of `(automaton, n, cycle_len)` — no clocks, no cache
-/// state — which is what lets the planner record it in reproducible
-/// output. Saturating: the formula is a routing weight, not an allocation
-/// size.
-pub fn decide_cost_bound(fsa: &Fsa, n: usize, cycle_len: u64) -> u64 {
-    let configs = fsa.num_configs(n) as u64;
-    cycle_len.max(1).saturating_mul(configs.saturating_add(1))
-}
-
 /// The product-lasso core (module docs, "The product-lasso closed form"):
 /// decides a `(pair, delay)` instance from the two solo lassos alone.
 /// Both lassos must come from the same tree and automaton; `solo_a` is the
@@ -1515,22 +1496,6 @@ pub fn verify_ensemble_lasso(
     at_stem.as_deref() == Some(&lasso.at_cycle) && cfgs == lasso.at_cycle
 }
 
-/// [`decide_cost_bound`]'s k-lane sibling — the work-unit bound the
-/// planner uses to price a k-lane decide cell honestly: the product walk
-/// explores at most `cycle · (|C| + 1)^(k−1)` *joint* steps per lane-0
-/// configuration, i.e. the `(|C| + 1)^k` blow-up normalized so that
-/// `lanes = 2` reproduces [`decide_cost_bound`] exactly (the pair
-/// formula's single factor). Saturating, never panicking: it is a routing
-/// weight, not an allocation size.
-pub fn ensemble_decide_cost_bound(fsa: &Fsa, n: usize, lanes: usize, cycle_len: u64) -> u64 {
-    let configs = (fsa.num_configs(n) as u64).saturating_add(1);
-    let mut acc = cycle_len.max(1);
-    for _ in 1..lanes.max(2) {
-        acc = acc.saturating_mul(configs);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1563,26 +1528,6 @@ mod tests {
             run.crossings,
             "crossing count diverged: a={a} b={b} θ={delay}"
         );
-    }
-
-    #[test]
-    fn decide_cost_bound_is_the_config_graph_formula() {
-        // The planner's decide-cost feature: |C| + 1 per cycle slot, with
-        // |C| = k · n · (Δ + 1) for the basic-walk automaton.
-        let t = spider(3, 4);
-        let fsa = bw(&t);
-        let n = t.num_nodes();
-        let configs = fsa.num_configs(n) as u64;
-        assert_eq!(decide_cost_bound(&fsa, n, 1), configs + 1);
-        assert_eq!(decide_cost_bound(&fsa, n, 6), 6 * (configs + 1));
-        // `cycle_len = 0` (a prefix-only schedule) still weighs one slot.
-        assert_eq!(decide_cost_bound(&fsa, n, 0), configs + 1);
-        // The bound genuinely scans the lasso the decider walks: every
-        // solo lasso fits under it.
-        let solo = SoloLasso::tabulate(&t, &fsa, 0);
-        assert!(solo.stem + solo.period <= decide_cost_bound(&fsa, n, 1));
-        // Saturates instead of overflowing on adversarially huge cycles.
-        assert_eq!(decide_cost_bound(&fsa, n, u64::MAX), u64::MAX);
     }
 
     #[test]
@@ -2289,28 +2234,6 @@ mod tests {
             let direct = decide_ensemble(&t, &fsa, &rotated, &sym);
             assert_eq!(d.relabel(None, Some(&perm)), direct, "perm {starts:?}");
         }
-    }
-
-    #[test]
-    fn ensemble_cost_bound_extends_the_pair_formula() {
-        let t = spider(3, 4);
-        let fsa = bw(&t);
-        let n = t.num_nodes();
-        // lanes = 2 reproduces the pair feature exactly…
-        for cycle in [0u64, 1, 6] {
-            assert_eq!(
-                ensemble_decide_cost_bound(&fsa, n, 2, cycle),
-                decide_cost_bound(&fsa, n, cycle)
-            );
-        }
-        // …and each extra lane multiplies by |C| + 1.
-        let configs = fsa.num_configs(n) as u64 + 1;
-        assert_eq!(
-            ensemble_decide_cost_bound(&fsa, n, 3, 6),
-            decide_cost_bound(&fsa, n, 6).saturating_mul(configs)
-        );
-        // Saturates instead of overflowing on absurd lane counts.
-        assert_eq!(ensemble_decide_cost_bound(&fsa, n, 64, u64::MAX), u64::MAX);
     }
 
     #[test]

@@ -52,11 +52,10 @@ pub mod side_trees;
 pub mod sync_attack;
 
 pub use decide::{
-    decide_cost_bound, decide_ensemble, decide_ensemble_from_lassos, decide_pair,
-    decide_pair_scheduled, ensemble_decide_cost_bound, verify_ensemble_lasso, verify_lasso,
-    verify_schedule_lasso, worst_case_delay, worst_case_schedule, Decision, EnsembleDecision,
-    EnsembleLasso, EnsembleVerdict, Lasso, ScheduleDecision, ScheduleLasso, ScheduleVerdict,
-    ScheduleWorstCase, Verdict, WorstCase,
+    decide_ensemble, decide_ensemble_from_lassos, decide_pair, decide_pair_scheduled,
+    verify_ensemble_lasso, verify_lasso, verify_schedule_lasso, worst_case_delay,
+    worst_case_schedule, Decision, EnsembleDecision, EnsembleLasso, EnsembleVerdict, Lasso,
+    ScheduleDecision, ScheduleLasso, ScheduleVerdict, ScheduleWorstCase, Verdict, WorstCase,
 };
 pub use delay_attack::{delay_attack, Attack, AttackError, AttackKind};
 pub use side_trees::{side_tree_attack, SideTreeAttack, SideTreeError};

@@ -27,16 +27,11 @@
 //! assert!(!theta.lane_symmetric());
 //! ```
 
-pub mod batch;
 pub mod cancel;
 pub mod runner;
 pub mod schedule;
 pub mod trace;
 
-pub use batch::{
-    run_batch_fsa, run_batch_fsa_ensemble, run_batch_fsa_scheduled, BatchLane, EnsembleBatchLane,
-    LaneOutcome,
-};
 pub use runner::{
     pair_index, run_ensemble, run_ensemble_fsa, run_ensemble_with, run_pair, run_pair_fsa,
     run_pair_scheduled, run_pair_scheduled_fsa, run_single, Cursor, EnsembleRun, Outcome,

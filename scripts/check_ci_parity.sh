@@ -26,7 +26,6 @@ declare -A JOB_TARGETS=(
     [build-test]="build test"
     [lint]="fmt-check clippy docs doctest docs-check ci-parity-check"
     [differential]="differential"
-    [planner-differential]="planner-differential"
     [crash-resume]="crash-test worker-crash-test"
     [bench-smoke]="bench-json-check bench-smoke"
 )
@@ -81,7 +80,7 @@ for targets in "${JOB_TARGETS[@]}"; do
 done
 
 echo "== helper scripts used by CI are shared with just =="
-ci_scripts=$(grep -oE 'scripts/[a-z_]+\.sh' "$workflow" | sort -u)
+ci_scripts=$(grep -oE 'scripts/[a-z_]+\.sh\b' "$workflow" | sort -u)
 while read -r s; do
     [[ -f "$s" ]] || { echo "error: CI invokes $s but it does not exist"; status=1; continue; }
     [[ -x "$s" ]] || { echo "error: $s is not executable"; status=1; }

@@ -611,25 +611,23 @@ proptest! {
 }
 
 proptest! {
-    // Each case runs four full sweeps (auto + the three fixed executors),
-    // so the case count stays small; the grid axes still cover every
-    // variant, four tree families and five delay-axis shapes.
+    // Each case runs three full sweeps (one per executor), so the case
+    // count stays small; the grid axes still cover every variant, four
+    // tree families and five delay-axis shapes.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn auto_planner_matches_every_fixed_executor_on_random_grids(
+    fn fixed_executors_agree_on_random_grids(
         family in 0usize..4,
         size in 4usize..9,
         delay_shape in 0usize..5,
         param in 0u64..4,
         seed in any::<u64>(),
     ) {
-        // ISSUE 9 differential: `Executor::Auto` is a pure re-routing
-        // layer. On random small grids — tree family × size × delay axis
-        // (θ, linear, schedules, the ∀-delay quantifier) × every agent
-        // variant — its rows must match each fixed executor's modulo the
-        // per-executor annotations (`certified`, `planned`), and every
-        // auto row must carry the planner's record.
+        // On random small grids — tree family × size × delay axis (θ,
+        // linear, schedules, the ∀-delay quantifier) × every agent variant
+        // — replay, stepping and decide must emit the same rows, modulo
+        // the decider's `certified` flag.
         use rvz_bench::sweep::{self, Delay, Executor, Family, ScheduleSpec, Variant};
 
         let family =
@@ -651,7 +649,7 @@ proptest! {
             _ => vec![Delay::Adversarial, Delay::Zero],
         };
         let spec = |executor| sweep::SweepSpec {
-            experiment: "auto-prop".into(),
+            experiment: "executor-prop".into(),
             families: vec![family],
             sizes: vec![size],
             delays: delays.clone(),
@@ -671,23 +669,19 @@ proptest! {
             let mut rows = rows.to_vec();
             for r in &mut rows {
                 r.certified = false;
-                r.planned = None;
             }
             serde_json::to_string(&rows).expect("serialize")
         };
 
-        let auto = sweep::run(&spec(Executor::Auto));
-        prop_assert!(!auto.rows.is_empty(), "the grid filter emptied the spec");
-        for row in &auto.rows {
-            prop_assert!(row.planned.is_some(), "unannotated auto row");
-        }
-        let reference = strip(&auto.rows);
-        for executor in [Executor::TraceReplay, Executor::DynStepping, Executor::ExactDecide] {
-            let fixed = sweep::run(&spec(executor));
+        let replay = sweep::run(&spec(Executor::TraceReplay));
+        prop_assert!(!replay.rows.is_empty(), "the grid filter emptied the spec");
+        let reference = strip(&replay.rows);
+        for executor in [Executor::DynStepping, Executor::ExactDecide] {
+            let other = sweep::run(&spec(executor));
             prop_assert_eq!(
                 &reference,
-                &strip(&fixed.rows),
-                "auto diverged from {:?}",
+                &strip(&other.rows),
+                "{:?} diverged from replay",
                 executor
             );
         }
