@@ -151,9 +151,11 @@ fn main() {
         "decide_cells": decide,
         "ensemble_cells": ensemble
     });
-    let body = serde_json::to_string_pretty(&payload).expect("serialize");
-    rvz_bench::wire::atomic_write(std::path::Path::new(&out_path), format!("{body}\n").as_bytes())
-        .expect("write BENCH_sweep.json");
+    rvz_bench::wire::atomic_write_with(std::path::Path::new(&out_path), |f| {
+        serde_json::to_writer_pretty(&mut *f, &payload).map_err(std::io::Error::other)?;
+        std::io::Write::write_all(f, b"\n")
+    })
+    .expect("write BENCH_sweep.json");
     println!("  (written to {out_path})");
     if variants_speedup < 3.0 {
         eprintln!(

@@ -29,6 +29,7 @@
 
 use crate::sweep::{Certificate, SweepRow};
 use crate::{faults, wire};
+use serde::JsonWriter;
 use serde_json::Value;
 use std::collections::HashMap;
 use std::io::Write;
@@ -231,25 +232,29 @@ pub fn certificate_from_value(v: &Value) -> Option<Certificate> {
     })
 }
 
-/// The JSON body of one cell record.
+/// The compact JSON body of one cell record.
 fn record_body(rec: &CellRecord) -> Vec<u8> {
-    let mut fields: Vec<(String, Value)> = vec![("cell".into(), Value::UInt(rec.cell_seed))];
+    let mut w = JsonWriter::new(false);
+    w.begin_object();
+    w.field("cell", &rec.cell_seed);
     if let Some(row) = &rec.row {
-        fields.push(("row".into(), serde_json::to_value(row)));
+        w.field("row", row);
     }
     if let Some(cert) = &rec.certificate {
-        fields.push(("certificate".into(), serde_json::to_value(cert)));
+        w.field("certificate", cert);
     }
-    serde_json::to_string(&Value::Object(fields)).expect("serialize record").into_bytes()
+    w.end_object();
+    w.into_bytes()
 }
 
 fn header_body(fingerprint: u64) -> Vec<u8> {
-    let header = Value::Object(vec![
-        ("kind".into(), Value::Str("rvz-journal".into())),
-        ("version".into(), Value::UInt(JOURNAL_VERSION)),
-        ("fingerprint".into(), Value::UInt(fingerprint)),
-    ]);
-    serde_json::to_string(&header).expect("serialize header").into_bytes()
+    let mut w = JsonWriter::new(false);
+    w.begin_object();
+    w.field("kind", "rvz-journal");
+    w.field("version", &JOURNAL_VERSION);
+    w.field("fingerprint", &fingerprint);
+    w.end_object();
+    w.into_bytes()
 }
 
 /// Serializes a whole journal (header + records) — the compaction writer,

@@ -28,6 +28,8 @@
 use crate::{
     checkpoint, e1, e10, e11, e2, e3, e4, e5, e6, e7, e8, e9, stores, supervisor, sweep, Table,
 };
+use serde::JsonWriter;
+use std::io::Write;
 use std::process::exit;
 
 struct Cfg {
@@ -347,7 +349,7 @@ fn run_sweep_mode(args: &[String], ids: &str, json: Option<String>) {
     // `--workers N`, plus `--worker DIR`), so they re-resolve the same
     // specs; the shard plan's fingerprint check catches any drift.
     let worker_args = args_without_flag(args, "--workers");
-    let mut reports: Vec<(String, Vec<usize>, sweep::SweepReport)> = Vec::new();
+    let mut reports: Vec<Finished> = Vec::new();
     for (id, sizes, spec) in planned {
         let opts = sweep::RunOptions { journal: journal.as_ref(), cell_timeout };
         let report = if workers > 0 {
@@ -364,21 +366,25 @@ fn run_sweep_mode(args: &[String], ids: &str, json: Option<String>) {
         } else {
             sweep::run_with_options(&spec, &opts)
         };
-        if id == "e9" {
-            // Thousands of exhaustive rows: print the per-size certified
-            // summary instead of the raw row table (the rows still go to
-            // --json, the certificates to --certificates).
-            let (_, table) = e9::summarize(&report);
-            println!("{}", table.render());
-        } else if id == "e10" {
-            let (_, table) = e10::summarize(&report);
-            println!("{}", table.render());
-        } else if id == "e11" {
-            let (_, table) = e11::summarize(&report);
-            println!("{}", table.render());
-        } else {
-            println!("{}", sweep::to_table(&id, &report).render());
-        }
+        // The exhaustive sweeps print their summary instead of their
+        // thousands of raw rows (the rows still go to --json); the same
+        // summary goes into the --certificates file, under `key`.
+        let (table, summary) = match id.as_str() {
+            "e9" => {
+                let (sizes, table) = e9::summarize(&report);
+                (table, Some(Summary { key: "sizes", rows: Box::new(sizes) }))
+            }
+            "e10" => {
+                let (schedules, table) = e10::summarize(&report);
+                (table, Some(Summary { key: "schedules", rows: Box::new(schedules) }))
+            }
+            "e11" => {
+                let (schedules, table) = e11::summarize(&report);
+                (table, Some(Summary { key: "schedules", rows: Box::new(schedules) }))
+            }
+            _ => (sweep::to_table(&id, &report), None),
+        };
+        println!("{}", table.render());
         if report.dropped_cells > 0 {
             eprintln!(
                 "warning: {id}: {} of {} planned cells dropped (fewer feasible start pairs \
@@ -407,7 +413,7 @@ fn run_sweep_mode(args: &[String], ids: &str, json: Option<String>) {
                 report.append_failures
             );
         }
-        reports.push((id, sizes, report));
+        reports.push(Finished { id, sizes, report, summary });
     }
 
     if let Some(dir) = &store_dir {
@@ -420,39 +426,38 @@ fn run_sweep_mode(args: &[String], ids: &str, json: Option<String>) {
         }
     }
 
+    let ids: Vec<&str> = reports.iter().map(|f| f.id.as_str()).collect();
     if let Some(path) = json {
         if path.ends_with(".json") {
             // Single file: all requested experiments' rows, flattened.
             // Deliberately excludes --threads so outputs are comparable
             // byte-for-byte across thread counts.
             let all_rows: Vec<&sweep::SweepRow> =
-                reports.iter().flat_map(|(_, _, report)| &report.rows).collect();
+                reports.iter().flat_map(|f| &f.report.rows).collect();
             let mut all_sizes: Vec<usize> =
-                reports.iter().flat_map(|(_, sizes, _)| sizes.iter().copied()).collect();
+                reports.iter().flat_map(|f| f.sizes.iter().copied()).collect();
             all_sizes.sort_unstable();
             all_sizes.dedup();
-            let payload = serde_json::json!({
-                "schema": sweep_schema(all_rows.iter().copied()),
-                "experiments": reports.iter().map(|(id, _, _)| id.clone()).collect::<Vec<_>>(),
-                "seed": seed,
-                "sizes": all_sizes,
-                "rows": all_rows
+            write_json(&path, |w| {
+                w.field("schema", sweep_schema(all_rows.iter().copied()));
+                w.field("experiments", &ids);
+                w.field("seed", &seed);
+                w.field("sizes", &all_sizes);
+                w.field("rows", &all_rows);
             });
-            write_json(&path, &payload);
             println!("  (raw rows written to {path})");
         } else {
             // Directory: one file per experiment, like classic mode.
-            std::fs::create_dir_all(&path).expect("create json dir");
-            for (id, sizes, report) in &reports {
-                let file = format!("{path}/{id}.json");
-                let payload = serde_json::json!({
-                    "schema": sweep_schema(report.rows.iter()),
-                    "experiments": vec![id.clone()],
-                    "seed": seed,
-                    "sizes": sizes.clone(),
-                    "rows": report.rows
+            create_dir(std::path::Path::new(&path));
+            for f in &reports {
+                let file = format!("{path}/{}.json", f.id);
+                write_json(&file, |w| {
+                    w.field("schema", sweep_schema(&f.report.rows));
+                    w.field("experiments", &[&f.id]);
+                    w.field("seed", &seed);
+                    w.field("sizes", &f.sizes);
+                    w.field("rows", &f.report.rows);
                 });
-                write_json(&file, &payload);
                 println!("  (raw rows written to {file})");
             }
         }
@@ -461,24 +466,9 @@ fn run_sweep_mode(args: &[String], ids: &str, json: Option<String>) {
     if let Some(path) = certificates_path {
         // The exact decider's machine-checkable evidence: lasso
         // certificates for every never-meets verdict plus the universal
-        // (∀-delay) verdicts, and the exhaustive summaries for e9/e10.
+        // (∀-delay) verdicts, and the exhaustive summaries for e9/e10/e11.
         let all_certs: Vec<&sweep::Certificate> =
-            reports.iter().flat_map(|(_, _, report)| &report.certificates).collect();
-        let summaries: Vec<serde_json::Value> = reports
-            .iter()
-            .filter_map(|(id, _, report)| match id.as_str() {
-                "e9" => {
-                    Some(serde_json::json!({"experiment": id, "sizes": e9::summarize(report).0}))
-                }
-                "e10" => Some(
-                    serde_json::json!({"experiment": id, "schedules": e10::summarize(report).0}),
-                ),
-                "e11" => Some(
-                    serde_json::json!({"experiment": id, "schedules": e11::summarize(report).0}),
-                ),
-                _ => None,
-            })
-            .collect();
+            reports.iter().flat_map(|f| &f.report.certificates).collect();
         // Same gating as the row schema: v3 = v2 plus the optional
         // per-certificate `agents`/`start_rest` fields (ensemble
         // never-gathers lassos — checked first), v2 = v1 plus the
@@ -490,16 +480,41 @@ fn run_sweep_mode(args: &[String], ids: &str, json: Option<String>) {
         } else {
             "rvz-certificates/v1"
         };
-        let payload = serde_json::json!({
-            "schema": schema,
-            "experiments": reports.iter().map(|(id, _, _)| id.clone()).collect::<Vec<_>>(),
-            "seed": seed,
-            "summary": summaries,
-            "certificates": all_certs
+        write_json(&path, |w| {
+            w.field("schema", schema);
+            w.field("experiments", &ids);
+            w.field("seed", &seed);
+            w.key("summary");
+            w.begin_array();
+            for f in &reports {
+                if let Some(summary) = &f.summary {
+                    w.element();
+                    w.begin_object();
+                    w.field("experiment", &f.id);
+                    w.field(summary.key, summary.rows.as_ref());
+                    w.end_object();
+                }
+            }
+            w.end_array();
+            w.field("certificates", &all_certs);
         });
-        write_json(&path, &payload);
         println!("  (certificates written to {path})");
     }
+}
+
+/// One experiment's finished sweep, as the output files need it.
+struct Finished {
+    id: String,
+    sizes: Vec<usize>,
+    report: sweep::SweepReport,
+    summary: Option<Summary>,
+}
+
+/// The `summary` entry an exhaustive sweep (e9/e10/e11) contributes to
+/// the --certificates file: its summary rows under `key`.
+struct Summary {
+    key: &'static str,
+    rows: Box<dyn serde::Serialize>,
 }
 
 /// Schema tag of a sweep payload, gated on what the rows actually carry
@@ -535,23 +550,36 @@ fn sweep_schema<'a, I: IntoIterator<Item = &'a sweep::SweepRow>>(rows: I) -> &'s
     }
 }
 
-/// Writes a report file atomically ([`crate::wire::atomic_write`]: temp
-/// sibling → fsync → rename), so a kill mid-write can never leave a torn
-/// half-payload under the real name. Byte-compatible with the old
-/// `writeln!` path: pretty-printed JSON plus a trailing newline.
-fn write_json<T: serde::Serialize>(path: &str, payload: &T) {
+/// Writes a report file: one pretty-printed JSON object whose members
+/// `fields` writes, plus a trailing newline. The object streams into the
+/// temp sibling of [`crate::wire::atomic_write_with`] (→ fsync → rename),
+/// so the report is never held whole in memory, and a kill mid-write can
+/// never leave a torn half-payload under the real name.
+fn write_json(path: &str, fields: impl FnOnce(&mut JsonWriter<'_>)) {
     if let Some(parent) = std::path::Path::new(path).parent() {
         if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).unwrap_or_else(|e| {
-                eprintln!("error: cannot create `{}`: {e}", parent.display());
-                exit(2);
-            });
+            create_dir(parent);
         }
     }
-    let mut text = serde_json::to_string_pretty(payload).expect("serialize");
-    text.push('\n');
-    crate::wire::atomic_write(std::path::Path::new(path), text.as_bytes()).unwrap_or_else(|e| {
+    crate::wire::atomic_write_with(std::path::Path::new(path), |file| {
+        let mut w = JsonWriter::with_sink(file, true);
+        w.begin_object();
+        fields(&mut w);
+        w.end_object();
+        w.finish()?;
+        file.write_all(b"\n")
+    })
+    .unwrap_or_else(|e| {
         eprintln!("error: cannot write `{path}`: {e}");
+        exit(2);
+    });
+}
+
+/// `create_dir_all`, or the CLI's exit-2 error when the directory cannot
+/// be created (e.g. a path component is a regular file).
+fn create_dir(dir: &std::path::Path) {
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| {
+        eprintln!("error: cannot create `{}`: {e}", dir.display());
         exit(2);
     });
 }
@@ -631,13 +659,12 @@ fn run_classic_mode(args: &[String], json_dir: Option<String>) {
 fn emit<R: serde::Serialize>(cfg: &Cfg, id: &str, table: &Table, rows: &R) {
     println!("{}", table.render());
     if let Some(dir) = &cfg.json {
-        std::fs::create_dir_all(dir).expect("create json dir");
+        create_dir(std::path::Path::new(dir));
         let path = format!("{dir}/{id}.json");
-        let payload = serde_json::json!({
-            "table": table,
-            "rows": rows
+        write_json(&path, |w| {
+            w.field("table", table);
+            w.field("rows", rows);
         });
-        write_json(&path, &payload);
         println!("  (raw rows written to {path})\n");
     }
 }

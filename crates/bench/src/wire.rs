@@ -13,10 +13,11 @@
 //! record, and detected corruption degrades to recomputation, never to a
 //! wrong value ("degrade, never lie"; see docs/persistence.md).
 //!
-//! [`atomic_write`] is the other half: report files (`--json`,
-//! `--certificates`, `BENCH_sweep.json`) and store snapshots are written to
-//! a temporary sibling, fsynced, and renamed into place, so a kill during
-//! a write can never leave a half-written file under the real name.
+//! [`atomic_write`] / [`atomic_write_with`] are the other half: report
+//! files (`--json`, `--certificates`, `BENCH_sweep.json`) and store
+//! snapshots are written (or streamed) to a temporary sibling, fsynced,
+//! and renamed into place, so a kill during a write can never leave a
+//! half-written file under the real name.
 
 use std::fs::File;
 use std::io::{self, Write};
@@ -87,12 +88,21 @@ pub fn read_records(bytes: &[u8]) -> (Vec<&[u8]>, bool) {
     (records, true)
 }
 
-/// Writes `bytes` to `path` atomically: temp sibling → flush → fsync →
-/// rename (then a best-effort directory fsync, so the rename itself is
-/// durable). A kill at any point leaves either the old file or the new
-/// one under `path`, never a torn mix; at worst a stale `.tmp` sibling
-/// survives, which the next write truncates.
+/// Writes `bytes` to `path` atomically (see [`atomic_write_with`]).
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    atomic_write_with(path, |f| f.write_all(bytes))
+}
+
+/// Replaces `path` atomically with what `write` streams into a temp
+/// sibling: temp sibling → write → flush → fsync → rename (then a
+/// best-effort directory fsync, so the rename itself is durable). A kill
+/// at any point leaves either the old file or the new one under `path`,
+/// never a torn mix; at worst a stale `.tmp` sibling survives, which the
+/// next write truncates. An error from `write` leaves `path` untouched.
+pub fn atomic_write_with(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> io::Result<()>,
+) -> io::Result<()> {
     let dir = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
         _ => std::path::PathBuf::from("."),
@@ -104,7 +114,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     tmp_name.push(".tmp");
     let tmp = dir.join(tmp_name);
     let mut f = File::create(&tmp)?;
-    f.write_all(bytes)?;
+    write(&mut f)?;
     f.flush()?;
     f.sync_all()?;
     drop(f);
@@ -215,6 +225,13 @@ mod tests {
         atomic_write(&path, b"one").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"one");
         atomic_write(&path, b"two").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"two");
+        // A stream that fails halfway never reaches the real name.
+        let failed = atomic_write_with(&path, |f| {
+            f.write_all(b"half a rep")?;
+            Err(io::Error::other("encoder failed"))
+        });
+        assert!(failed.is_err());
         assert_eq!(std::fs::read(&path).unwrap(), b"two");
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -44,7 +44,8 @@ docs-check:
 # three-executor + thread gates on the schedule grid), the e11 3-agent
 # ensemble leg (same gates on rvz-sweep/v7 triple rows, zero uncertified
 # cells), the e10 grid at --agents 3 (intermittent schedules at k = 3),
-# then the golden SHA-256 sums of every raw output the legs wrote.
+# the classic e1–e8 tables and a one-thread e10 journal (golden bytes
+# only), then the golden SHA-256 sums of every raw output the legs wrote.
 differential:
     mkdir -p differential
     for ex in replay stepping decide; do \
@@ -113,6 +114,10 @@ differential:
     cmp differential/e10k3-replay-stripped.json differential/e10k3-decide-stripped.json
     jq -e '.schema == "rvz-sweep/v7"' differential/e10k3-decide.json > /dev/null
     jq -e '[.rows[] | select(.certified | not)] | length == 0' differential/e10k3-decide.json > /dev/null
+    cargo run --release --bin experiments -- all --json differential/classic
+    cargo run --release --bin experiments -- \
+      --experiment e10 --sizes 5,6 --threads 1 \
+      --checkpoint differential/e10-journal-t1.ckpt
     sha256sum -c scripts/differential.sha256
 
 # CI's crash-resume job: fault-injected + kill -9 legs on a journaled e9,
@@ -169,7 +174,9 @@ bench-json-check:
     jq -e '.sweep_cells.speedup and .sweep_cells_variants.speedup and .decide_cells.speedup and .ensemble_cells.speedup' BENCH_sweep.json > /dev/null
 
 # Compile benches, run each once (`--test` mode), emit BENCH_sweep.json,
-# plus the tiny deterministic sweep CI runs.
+# plus the tiny deterministic sweep CI runs and the output-overhead gate
+# (e9 writing --json and --certificates within 2x the CPU of writing
+# nothing).
 bench-smoke:
     cargo bench --workspace --no-run
     cargo bench --workspace -- --test
@@ -180,6 +187,7 @@ bench-smoke:
     cmp bench-smoke/e6.json bench-smoke/e6-t1.json
     cargo run --release --bin experiments -- --experiment e6 --sizes 8,16 --threads 2 --executor stepping --json bench-smoke/e6-stepping.json
     cmp bench-smoke/e6.json bench-smoke/e6-stepping.json
+    scripts/output_overhead.sh bench-smoke
 
 # Full-scale parallel sweep of every experiment grid.
 sweep:

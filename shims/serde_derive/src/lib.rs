@@ -1,7 +1,8 @@
 //! Offline shim for `serde_derive` (see `shims/README.md`).
 //!
 //! Hand-rolled token parsing (no `syn`/`quote` available offline): supports
-//! `#[derive(Serialize)]` on non-generic structs with named fields, plus
+//! `#[derive(Serialize)]` on non-generic structs with named fields (both
+//! `Serialize` methods, `to_json_value` and `write_json`), plus
 //! the field attribute `#[serde(skip_serializing_if = "path")]` (the one
 //! knob the workspace uses to add optional fields without disturbing the
 //! serialized shape of existing rows). Anything else is a compile error
@@ -54,26 +55,36 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     }
     let fields = fields.expect("serde shim: expected named-field struct body");
 
-    let entries: String = fields
-        .iter()
-        .map(|(f, skip_if)| {
-            let push = format!(
-                "fields.push((::std::string::String::from(\"{f}\"), \
-                 ::serde::Serialize::to_json_value(&self.{f})));"
-            );
-            match skip_if {
-                None => push,
-                Some(pred) => format!("if !{pred}(&self.{f}) {{ {push} }}"),
-            }
-        })
-        .collect();
+    // Both methods emit the fields in declaration order and skip the same
+    // ones, so they produce the same JSON.
+    let each_field = |emit: &dyn Fn(&str) -> String| -> String {
+        fields
+            .iter()
+            .map(|(f, skip_if)| match skip_if {
+                None => emit(f),
+                Some(pred) => format!("if !{pred}(&self.{f}) {{ {} }}", emit(f)),
+            })
+            .collect()
+    };
+    let value_entries = each_field(&|f| {
+        format!(
+            "fields.push((::std::string::String::from(\"{f}\"), \
+             ::serde::Serialize::to_json_value(&self.{f})));"
+        )
+    });
+    let writer_entries = each_field(&|f| format!("w.field(\"{f}\", &self.{f});"));
     let out = format!(
         "impl ::serde::Serialize for {name} {{\n\
              fn to_json_value(&self) -> ::serde::Value {{\n\
                  let mut fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
                      ::std::vec::Vec::new();\n\
-                 {entries}\n\
+                 {value_entries}\n\
                  ::serde::Value::Object(fields)\n\
+             }}\n\
+             fn write_json(&self, w: &mut ::serde::JsonWriter<'_>) {{\n\
+                 w.begin_object();\n\
+                 {writer_entries}\n\
+                 w.end_object();\n\
              }}\n\
          }}"
     );

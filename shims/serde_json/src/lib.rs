@@ -1,30 +1,36 @@
 //! Offline API-subset shim for `serde_json` (see `shims/README.md`).
 //!
 //! Renders and parses the [`serde::Value`] model: `to_value`, `to_string`,
-//! `to_string_pretty`, `from_str`, and a `json!` macro for flat object /
-//! array literals (nested literals must themselves be wrapped in `json!`).
+//! `to_string_pretty`, `to_writer_pretty`, `from_str`, and a `json!` macro
+//! for flat object / array literals (nested literals must themselves be
+//! wrapped in `json!`). Rendering streams through
+//! [`serde::Serialize::write_json`], so typed input never builds a
+//! [`Value`].
 
-use serde::Serialize;
 pub use serde::Value;
+use serde::{JsonWriter, Serialize};
 use std::fmt;
 
 /// Parse / serialize error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error {
     msg: String,
-    /// Byte offset of a parse error, when applicable.
-    pub offset: usize,
+    /// Byte offset of a parse error (`None` for a write error).
+    pub offset: Option<usize>,
 }
 
 impl Error {
     fn new(msg: impl Into<String>, offset: usize) -> Self {
-        Error { msg: msg.into(), offset }
+        Error { msg: msg.into(), offset: Some(offset) }
     }
 }
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} at byte {}", self.msg, self.offset)
+        match self.offset {
+            Some(offset) => write!(f, "{} at byte {offset}", self.msg),
+            None => f.write_str(&self.msg),
+        }
     }
 }
 
@@ -37,18 +43,30 @@ pub fn to_value<T: Serialize + ?Sized>(v: &T) -> Value {
     v.to_json_value()
 }
 
+fn render<T: Serialize + ?Sized>(v: &T, pretty: bool) -> Result<String> {
+    let mut w = JsonWriter::new(pretty);
+    v.write_json(&mut w);
+    Ok(String::from_utf8(w.into_bytes()).expect("the writer emits UTF-8"))
+}
+
 /// Compact JSON text.
 pub fn to_string<T: Serialize + ?Sized>(v: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &v.to_json_value(), None, 0);
-    Ok(out)
+    render(v, false)
 }
 
 /// Two-space-indented JSON text (serde_json's pretty style).
 pub fn to_string_pretty<T: Serialize + ?Sized>(v: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &v.to_json_value(), Some(2), 0);
-    Ok(out)
+    render(v, true)
+}
+
+/// Streams two-space-indented JSON into `writer`, about 64 KiB at a time.
+pub fn to_writer_pretty<W: std::io::Write, T: Serialize + ?Sized>(
+    mut writer: W,
+    v: &T,
+) -> Result<()> {
+    let mut w = JsonWriter::with_sink(&mut writer, true);
+    v.write_json(&mut w);
+    w.finish().map_err(|e| Error { msg: e.to_string(), offset: None })
 }
 
 /// Parses JSON text into a [`Value`].
@@ -80,86 +98,6 @@ macro_rules! json {
         ])
     };
     ($other:expr) => { $crate::to_value(&$other) };
-}
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Int(n) => out.push_str(&n.to_string()),
-        Value::UInt(n) => out.push_str(&n.to_string()),
-        Value::Float(x) => {
-            if x.is_finite() {
-                // `{:?}` prints the shortest round-trippable form, always
-                // with a decimal point or exponent (e.g. `1.0`).
-                out.push_str(&format!("{x:?}"));
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, val)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_string(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, val, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(w) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(w * depth));
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {
@@ -394,5 +332,13 @@ mod tests {
     fn pretty_style_matches_serde_json() {
         let v = json!({ "a": 1u64 });
         assert_eq!(to_string_pretty(&v).unwrap(), "{\n  \"a\": 1\n}");
+    }
+
+    #[test]
+    fn to_writer_pretty_streams_the_pretty_text() {
+        let v = json!({ "rows": vec![1u64, 2], "name": "x" });
+        let mut out = Vec::new();
+        to_writer_pretty(&mut out, &v).unwrap();
+        assert_eq!(out, to_string_pretty(&v).unwrap().into_bytes());
     }
 }

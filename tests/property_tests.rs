@@ -5,7 +5,8 @@
 //! * walks: the basic-walk period, Explo-bis reconstruction == ground
 //!   truth;
 //! * the Parity Lemma (4.4) on random automata;
-//! * Lemma 4.1 feasibility ⇒ meeting for the prime protocol.
+//! * Lemma 4.1 feasibility ⇒ meeting for the prime protocol;
+//! * output: streamed row/certificate JSON equals its `Value` rendering.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -685,6 +686,95 @@ proptest! {
                 executor
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn streamed_rows_and_certificates_match_their_value_tree(
+        mask in any::<u16>(),
+        seed in any::<u64>(),
+    ) {
+        // The derive's direct `write_json` and the `Value` tree its
+        // `to_json_value` builds must render to the same bytes, with
+        // every optional field present or absent (one mask bit each) and
+        // labels that need escaping.
+        use rand::{Rng, RngCore};
+        use rvz_bench::sweep::{Certificate, Planned, SweepRow};
+        use serde_json::{to_string, to_string_pretty, to_value};
+
+        const LABELS: [&str; 5] =
+            ["line", "intermittent(2,0)", "quote\" back\\slash", "tab\tnl\n\u{1}", "θ ∀ é 😀"];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut label = || LABELS[rng.gen_range(0..LABELS.len())].to_string();
+        let bit = |i: u32| mask >> i & 1 == 1;
+        let mut rng = StdRng::seed_from_u64(!seed);
+        let mut num = || rng.next_u64() >> rng.gen_range(0..64u32);
+        let row = SweepRow {
+            experiment: label().as_str().into(),
+            family: label(),
+            size: num() as usize,
+            n: num() as usize,
+            leaves: num() as usize,
+            variant: label(),
+            delay: num(),
+            schedule: bit(0).then(&mut label),
+            start_a: num() as u32,
+            start_b: num() as u32,
+            met: bit(1),
+            rounds: bit(2).then(&mut num),
+            crossings: num(),
+            budget: num(),
+            provisioned_bits: num(),
+            measured_bits: num(),
+            tree_seed: num(),
+            pairs_seed: num(),
+            cell_seed: u64::MAX,
+            certified: bit(3),
+            timed_out: bit(4).then_some(bit(5)),
+            poisoned: bit(6).then_some(bit(7)),
+            planned: bit(8).then(|| Planned { choice: label(), predicted: num(), actual: 0 }),
+            agents: bit(9).then(|| num() as usize),
+            start_rest: bit(10).then(|| (0..num() % 4).map(|v| v as u32).collect()),
+        };
+        let certificate = Certificate {
+            experiment: row.experiment.clone(),
+            family: row.family.clone(),
+            size: row.size,
+            n: row.n,
+            tree_seed: row.tree_seed,
+            variant: row.variant.clone(),
+            start_a: row.start_a,
+            start_b: row.start_b,
+            verdict: row.family.clone(),
+            schedule: row.schedule.clone(),
+            delay: row.delay,
+            round: row.rounds,
+            delays_checked: bit(11).then_some(row.crossings),
+            lasso_stem: bit(12).then_some(row.budget),
+            lasso_period: bit(13).then_some(row.pairs_seed),
+            verified: bit(14).then_some(bit(15)),
+            agents: row.agents,
+            start_rest: row.start_rest.clone(),
+        };
+        prop_assert_eq!(to_string(&row).unwrap(), to_string(&to_value(&row)).unwrap());
+        prop_assert_eq!(
+            to_string(&certificate).unwrap(),
+            to_string(&to_value(&certificate)).unwrap()
+        );
+        // Pretty output nested one level down, as in the report files.
+        let rows = [&row, &row];
+        prop_assert_eq!(
+            to_string_pretty(&rows).unwrap(),
+            to_string_pretty(&to_value(&rows)).unwrap()
+        );
+        let certificates = [&certificate];
+        prop_assert_eq!(
+            to_string_pretty(&certificates).unwrap(),
+            to_string_pretty(&to_value(&certificates)).unwrap()
+        );
     }
 }
 
