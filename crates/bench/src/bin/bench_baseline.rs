@@ -7,7 +7,7 @@
 //! one shared `Arc<SweepInstance>` per (family, size), both agents stepped
 //! through dyn `run_pair` in every cell. **after** is the trace-replay
 //! executor ([`Executor::TraceReplay`]): each `(family, n, start, variant)`
-//! trajectory is recorded once into the process-wide trace store and every
+//! trajectory is recorded once into its instance's memo and every
 //! cell is decided by timeline merge — the best-of-`reps` timing therefore
 //! reports the warm steady state, which is what repeated sweeps, delay
 //! columns and overlapping grids actually pay. Both legs produce the

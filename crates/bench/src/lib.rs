@@ -57,13 +57,12 @@ pub mod e8;
 pub mod e9;
 pub mod faults;
 pub mod instances;
-mod solo_cache;
+mod memo;
 pub mod stats;
 pub mod stores;
 pub mod supervisor;
 pub mod sweep;
 pub mod table;
-mod trace_cache;
 pub mod wire;
 
 pub use sweep::{Executor, SweepRow, SweepSpec};

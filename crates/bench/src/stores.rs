@@ -1,17 +1,18 @@
-//! Persistent on-disk form of the two process-wide caches — the
-//! trajectory store behind the trace-replay executor (`trace_cache`)
-//! and the solo-lasso store behind the exact
-//! decider (`solo_cache`) — so a resumed or repeated sweep warms
-//! up from disk instead of re-stepping agents (`experiments --store DIR`).
+//! Persistent on-disk form of the per-instance memos (`memo`): the solo
+//! trajectories behind the trace-replay executor and the solo lassos
+//! behind the exact decider, so a resumed or repeated sweep warms up from
+//! disk instead of re-stepping agents (`experiments --store DIR`).
 //!
 //! **Format.** One file per store (`trace.store` / `solo.store`), built
 //! from the shared [`crate::wire`] frames (`len | crc32 | body`). The
 //! first record is a magic + version header; every other record is a key
 //! (family name, variant name, `n`, tree seed, start node) followed by
 //! the entry's own versioned wire form ([`Trajectory::to_bytes`] /
-//! [`SoloLasso::to_bytes`]). Snapshots are written in canonical key order
-//! through [`wire::atomic_write`], so equal contents give byte-identical
-//! files and a kill mid-flush leaves the previous store intact.
+//! [`SoloLasso::to_bytes`]). A snapshot holds every entry the process
+//! has, in canonical key order, written through [`wire::atomic_write`]:
+//! equal contents give byte-identical files, whatever the thread count or
+//! the order entries were made in, and a kill mid-flush leaves the
+//! previous store intact.
 //!
 //! **Degrade, never lie.** Loading validates everything before trusting
 //! anything: frame checksums, the header, key decode, the entry's
@@ -30,7 +31,7 @@
 //! a corrupt one merely stops saving work.
 
 use crate::sweep::{Family, Variant};
-use crate::{faults, solo_cache, trace_cache, wire};
+use crate::{faults, memo, wire};
 use rvz_lowerbounds::decide::SoloLasso;
 use rvz_sim::Trajectory;
 use rvz_trees::{NodeId, Tree};
@@ -103,14 +104,12 @@ fn decode_key(body: &[u8]) -> Option<(Family, usize, u64, NodeId, Variant, &[u8]
     Some((family, n, tree_seed, start, variant, &body[pos..]))
 }
 
-/// Serializes the in-memory trace store; returns the file bytes plus the
-/// entry count.
-pub fn encode_trace_store() -> (Vec<u8>, usize) {
-    let entries = trace_cache::export();
+/// Frames a store file: the header, then one record per entry.
+fn encode_store(magic: &[u8], entries: &[memo::Entry]) -> (Vec<u8>, usize) {
     let mut out = Vec::new();
-    wire::frame_record(&mut out, &header(TRACE_MAGIC));
+    wire::frame_record(&mut out, &header(magic));
     let mut count = 0usize;
-    for (family, n, tree_seed, start, variant, payload) in &entries {
+    for (family, n, tree_seed, start, variant, payload) in entries {
         let mut body = Vec::with_capacity(40 + payload.len());
         encode_key(&mut body, *family, *n, *tree_seed, *start, *variant);
         body.extend_from_slice(payload);
@@ -122,23 +121,16 @@ pub fn encode_trace_store() -> (Vec<u8>, usize) {
     (out, count)
 }
 
-/// Serializes the in-memory solo store; returns the file bytes plus the
+/// Serializes every in-memory trajectory; returns the file bytes plus the
+/// entry count.
+pub fn encode_trace_store() -> (Vec<u8>, usize) {
+    encode_store(TRACE_MAGIC, &memo::export_recordings())
+}
+
+/// Serializes every in-memory solo lasso; returns the file bytes plus the
 /// entry count.
 pub fn encode_solo_store() -> (Vec<u8>, usize) {
-    let entries = solo_cache::export();
-    let mut out = Vec::new();
-    wire::frame_record(&mut out, &header(SOLO_MAGIC));
-    let mut count = 0usize;
-    for (family, n, tree_seed, start, variant, payload) in &entries {
-        let mut body = Vec::with_capacity(40 + payload.len());
-        encode_key(&mut body, *family, *n, *tree_seed, *start, *variant);
-        body.extend_from_slice(payload);
-        if body.len() <= wire::MAX_RECORD_BYTES {
-            wire::frame_record(&mut out, &body);
-            count += 1;
-        }
-    }
-    (out, count)
+    encode_store(SOLO_MAGIC, &memo::export_lassos())
 }
 
 /// What one store load recovered.
@@ -148,7 +140,7 @@ pub struct LoadStats {
     pub loaded: usize,
     /// Entries rejected by any validation or verification step.
     pub dropped: usize,
-    /// Valid entries not installed (key already live, or store full).
+    /// Valid entries not installed (key already live).
     pub skipped: usize,
 }
 
@@ -186,7 +178,7 @@ fn verify_trajectory(tree: &Tree, variant: Variant, start: NodeId, traj: &Trajec
         return false;
     }
     let spot = traj.rounds().min(SPOT_ROUNDS);
-    let mut probe = trace_cache::VariantRecorder::rebuild(variant, start, tree);
+    let mut probe = memo::VariantRecorder::rebuild(variant, start, tree);
     probe.record_to(tree, spot);
     let fresh = probe.trajectory();
     (0..=spot).all(|r| fresh.position(r) == traj.position(r))
@@ -225,7 +217,7 @@ pub fn load_trace_store_bytes(bytes: &[u8]) -> LoadStats {
             stats.dropped += 1;
             continue;
         }
-        if trace_cache::install_restored(family, n, tree_seed, start, variant, traj) {
+        if memo::install_recording(family, n, tree_seed, tree, start, variant, traj) {
             stats.loaded += 1;
         } else {
             stats.skipped += 1;
@@ -270,7 +262,7 @@ pub fn load_solo_store_bytes(bytes: &[u8]) -> LoadStats {
             stats.dropped += 1;
             continue;
         }
-        if solo_cache::install_restored(family, n, tree_seed, start, variant, lasso) {
+        if memo::install_lasso(family, n, tree_seed, tree, start, lasso) {
             stats.loaded += 1;
         } else {
             stats.skipped += 1;
@@ -354,8 +346,8 @@ fn write_store(path: &Path, mut bytes: Vec<u8>) -> io::Result<()> {
     }
 }
 
-/// Flushes both in-memory stores to `DIR` atomically; returns the entry
-/// counts `(trace, solo)`.
+/// Flushes every in-memory trajectory and lasso to `DIR` atomically;
+/// returns the entry counts `(trace, solo)`.
 pub fn save_all(dir: &Path) -> io::Result<(usize, usize)> {
     std::fs::create_dir_all(dir)?;
     let (trace_bytes, trace_count) = encode_trace_store();
@@ -433,6 +425,47 @@ mod tests {
                 bad[bit / 8] ^= 1 << (bit % 8);
                 let _ = load(&bad);
             }
+        }
+    }
+
+    #[test]
+    fn every_lasso_is_flushed() {
+        // Distinct base seeds mint distinct tree seeds, hence distinct
+        // keys, on the same line family: warm more lassos than the old
+        // 2,048-entry cap kept, and find every one in the flush.
+        let mut warmed = Vec::new();
+        for seed in 0..260u64 {
+            let cell = sweep::Cell {
+                experiment: "stores-flush-test".into(),
+                family: Family::Line,
+                n: 8,
+                delay: Delay::Zero,
+                variant: Variant::BasicWalkFsa,
+                pair_index: 0,
+                pairs_total: 1,
+                base_seed: 0xF1A5_0000 + seed,
+                tree_index: None,
+                agents: 2,
+            };
+            let inst = sweep::SweepInstance::for_cell(&cell);
+            for start in 0..8 {
+                let _ = inst.solo_lasso(start);
+                warmed.push((inst.tree_seed, start));
+            }
+        }
+        assert!(warmed.len() > 2048);
+        let (bytes, count) = encode_solo_store();
+        let (records, clean) = wire::read_records(&bytes);
+        assert!(clean);
+        assert_eq!(records.len(), count + 1, "a header, then one record per lasso");
+        let saved: std::collections::HashSet<(u64, NodeId)> = records[1..]
+            .iter()
+            .filter_map(|body| decode_key(body))
+            .filter(|&(family, n, ..)| family == Family::Line && n == 8)
+            .map(|(_, _, tree_seed, start, ..)| (tree_seed, start))
+            .collect();
+        for key in &warmed {
+            assert!(saved.contains(key), "lasso {key:?} missing from the flush");
         }
     }
 

@@ -16,8 +16,8 @@
 //!    does exactly that.
 //! 4. **Trace-replay execution.** The paper's agents are deterministic and
 //!    oblivious, so by default ([`Executor::TraceReplay`]) the executor
-//!    records each `(family, n, start, variant)` trajectory once — in a
-//!    process-wide store layered on the shared [`SweepInstance`]s — and
+//!    records each `(family, n, start, variant)` trajectory once — in the
+//!    per-instance memo its shared [`SweepInstance`]s carry — and
 //!    answers every `(delay, pair)` cell by timeline merge
 //!    (`rvz_sim::trace`), falling back to per-cell stepping
 //!    ([`Executor::DynStepping`], still available behind the flag) only
@@ -29,9 +29,8 @@
 //! instance pool of [`crate::instances`].
 
 use crate::instances;
-use crate::solo_cache;
+use crate::memo::{self, InstanceMemo, VariantRecorder};
 use crate::table::Table;
-use crate::trace_cache;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -369,6 +368,10 @@ pub enum Variant {
 }
 
 impl Variant {
+    /// Every variant.
+    pub(crate) const ALL: [Variant; 4] =
+        [Variant::TreeRvz, Variant::DelayRobust, Variant::PrimePath, Variant::BasicWalkFsa];
+
     pub fn name(self) -> &'static str {
         match self {
             Variant::TreeRvz => "tree-rvz",
@@ -381,9 +384,7 @@ impl Variant {
     /// Inverse of [`Variant::name`] — how the persistent stores decode
     /// their on-disk keys ([`crate::stores`]).
     pub fn from_name(name: &str) -> Option<Variant> {
-        const ALL: [Variant; 4] =
-            [Variant::TreeRvz, Variant::DelayRobust, Variant::PrimePath, Variant::BasicWalkFsa];
-        ALL.into_iter().find(|v| v.name() == name)
+        Variant::ALL.into_iter().find(|v| v.name() == name)
     }
 
     /// Grid filter: only combinations the algorithm is specified for.
@@ -432,7 +433,7 @@ pub fn schedule_budget_for(n: usize, schedule: &Schedule) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Executor {
     /// Record each `(family, n, start, variant)` trajectory once in the
-    /// process-wide trace store and decide every cell by timeline merge
+    /// per-instance memo and decide every cell by timeline merge
     /// (`rvz_sim::trace`) — no agent stepping on cache hits.
     #[default]
     TraceReplay,
@@ -849,13 +850,18 @@ pub struct SweepInstance {
     /// the rest of the orbit. The per-key `OnceLock` makes racing orbit
     /// members block on (rather than duplicate) the one decision.
     decide_memo: Mutex<HashMap<(u64, usize), Arc<OnceLock<RepDecision>>>>,
+    /// Solo recordings and lassos, fetched once from the process-wide
+    /// registry and shared with every instance built at the same
+    /// `(family, n, tree_seed)` (see [`crate::memo`]).
+    pub(crate) memo: Arc<InstanceMemo>,
 }
 
 impl Clone for SweepInstance {
     /// Clones the instance *data* plus whatever the pure-function caches
-    /// (`bw_fsa`, `flip`, `orbit_lookups`) already hold; the decision memo
-    /// starts cold (every cache here is a pure function of the data, so
-    /// nothing observable changes either way).
+    /// (`bw_fsa`, `flip`, `orbit_lookups`) already hold, and shares the
+    /// registry memo; the decision memo starts cold (every cache here is a
+    /// pure function of the data, so nothing observable changes either
+    /// way).
     fn clone(&self) -> Self {
         SweepInstance {
             tree: self.tree.clone(),
@@ -867,6 +873,7 @@ impl Clone for SweepInstance {
             flip: self.flip.clone(),
             orbit_lookups: self.orbit_lookups.clone(),
             decide_memo: Mutex::default(),
+            memo: Arc::clone(&self.memo),
         }
     }
 }
@@ -925,6 +932,7 @@ impl SweepInstance {
         } else {
             (instances::feasible_pairs(&tree, cell.pairs_total, pairs_seed), Vec::new())
         };
+        let memo = memo::memo(cell.family, cell.n, tree_seed, tree.num_nodes());
         SweepInstance {
             tree,
             pairs,
@@ -935,6 +943,7 @@ impl SweepInstance {
             flip: OnceLock::new(),
             orbit_lookups: [OnceLock::new(), OnceLock::new()],
             decide_memo: Mutex::default(),
+            memo,
         }
     }
 
@@ -942,6 +951,16 @@ impl SweepInstance {
     /// every `bw-fsa` cell on the instance borrows the same table.
     pub fn basic_walk_fsa(&self) -> &rvz_agent::Fsa {
         self.bw_fsa.get_or_init(|| rvz_agent::Fsa::basic_walk(self.tree.max_degree().max(1)))
+    }
+
+    /// The shared solo recording of `variant` from `start`.
+    pub(crate) fn lane(&self, variant: Variant, start: NodeId) -> &memo::Lane {
+        self.memo.lane(variant, start, || VariantRecorder::new(variant, start, self))
+    }
+
+    /// The basic-walk solo lasso from `start`, tabulated on first use.
+    pub(crate) fn solo_lasso(&self, start: NodeId) -> &SoloLasso {
+        self.memo.lasso(start, || SoloLasso::tabulate(&self.tree, self.basic_walk_fsa(), start))
     }
 
     /// The tree's port-preserving flip, as a node-image table.
@@ -1229,13 +1248,13 @@ fn run_cell_ensemble_stepping(cell: &Cell, inst: &SweepInstance) -> Option<Sweep
 }
 
 /// Executes one `--agents k > 2` cell from recorded solo trajectories
-/// (the k-lane [`Executor::TraceReplay`] path): all `k` timelines come
-/// from the *same* process-wide per-agent trace store the pair executor
-/// uses — a solo trajectory is a pure function of activation count, so
-/// the store needs no ensemble axis — and the cell is decided by
-/// [`rvz_sim::replay_ensemble`]'s k-cursor merge. Rows are bit-for-bit
-/// [`run_cell_ensemble_stepping`]'s; cells needing recordings past the
-/// cap fall back to it.
+/// (the k-lane [`Executor::TraceReplay`] path): all `k` timelines are the
+/// instance memo's lanes, the *same* recordings the pair executor uses (a
+/// solo trajectory is a pure function of activation count, so the memo
+/// needs no ensemble axis), and the cell is decided by
+/// [`rvz_sim::replay_ensemble`]'s k-cursor merge under shared read locks.
+/// Rows are bit-for-bit [`run_cell_ensemble_stepping`]'s; cells needing
+/// recordings past the cap fall back to it.
 fn run_cell_ensemble_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
     let tree = &inst.tree;
     let n = tree.num_nodes();
@@ -1245,24 +1264,17 @@ fn run_cell_ensemble_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRo
     let (budget, provisioned_bits) =
         ensemble_budget_and_provisioned(cell, inst, n, leaves, &esched);
 
-    let slots: Vec<trace_cache::Slot> = starts
-        .iter()
-        .map(|&s| trace_cache::slot(inst, cell.family, cell.n, cell.variant, s))
-        .collect();
-    fn enter(slot: &trace_cache::Slot) -> std::sync::MutexGuard<'_, trace_cache::VariantRecorder> {
-        slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-    // Feasible tuples have pairwise-distinct starts, so the slots differ;
-    // lock them in ascending start order so cells sharing endpoints cannot
-    // deadlock (the k-lane form of the pair executor's two-lock protocol).
+    let lanes: Vec<&memo::Lane> = starts.iter().map(|&s| inst.lane(cell.variant, s)).collect();
+    // Feasible tuples have pairwise-distinct starts, so the lanes differ;
+    // read-lock them in ascending start order (see [`crate::memo`]).
     let mut order: Vec<usize> = (0..starts.len()).collect();
     order.sort_by_key(|&i| starts[i]);
     loop {
         rvz_sim::cancel::checkpoint();
-        let mut guards: Vec<Option<std::sync::MutexGuard<'_, trace_cache::VariantRecorder>>> =
+        let mut guards: Vec<Option<std::sync::RwLockReadGuard<'_, VariantRecorder>>> =
             (0..starts.len()).map(|_| None).collect();
         for &i in &order {
-            guards[i] = Some(enter(&slots[i]));
+            guards[i] = Some(memo::read(lanes[i]));
         }
         let trajs: Vec<&rvz_sim::Trajectory> =
             guards.iter().map(|g| g.as_ref().expect("locked above").trajectory()).collect();
@@ -1271,11 +1283,10 @@ fn run_cell_ensemble_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRo
                 // Meters read at each lane's activation count by the final
                 // round, exactly as the stepping bank reports them.
                 let end = run.outcome.round().unwrap_or(budget);
-                let measured_bits = (0..starts.len())
-                    .map(|i| {
-                        let acts = esched.index(i).acts_at(end);
-                        guards[i].as_ref().expect("locked above").trajectory().bits_at(acts)
-                    })
+                let measured_bits = trajs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, traj)| traj.bits_at(esched.index(i).acts_at(end)))
                     .max()
                     .unwrap_or(0);
                 return Some(stamp_ensemble(
@@ -1296,18 +1307,23 @@ fn run_cell_ensemble_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRo
                 ));
             }
             EnsembleReplay::NeedMore { rounds } => {
-                if rounds.iter().any(|&need| need > trace_cache::MAX_RECORD_ROUNDS) {
+                if rounds.iter().any(|&need| need > memo::MAX_RECORD_ROUNDS) {
                     drop(guards);
                     return run_cell_ensemble_stepping(cell, inst);
                 }
                 // Grow only the lanes the verdict flagged (0 / already
-                // decided = long enough) — warm recordings are never
-                // re-stepped because a partner lane was short.
-                for (i, &need) in rounds.iter().enumerate() {
-                    let g = guards[i].as_mut().expect("locked above");
-                    if need > 0 && !g.trajectory().decided_to(need) {
-                        let target = grow_target(g.trajectory().rounds(), need, budget);
-                        g.record_to(tree, target);
+                // decided = long enough): a warm recording is never
+                // write-locked, let alone re-stepped, because a partner
+                // lane was short.
+                let short: Vec<bool> = rounds
+                    .iter()
+                    .zip(&trajs)
+                    .map(|(&need, traj)| need > 0 && !traj.decided_to(need))
+                    .collect();
+                drop(guards);
+                for ((lane, &need), short) in lanes.iter().zip(&rounds).zip(short) {
+                    if short {
+                        memo::grow(lane, tree, need, budget);
                     }
                 }
             }
@@ -1318,8 +1334,8 @@ fn run_cell_ensemble_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRo
 /// Executes one `--agents k > 2` cell through the exact ensemble decider
 /// ([`rvz_lowerbounds::decide::decide_ensemble`]) — no round budget,
 /// never-*gathers* certified by a joint lasso re-verified by independent
-/// k-lane stepping. Start-delay-shaped cells reuse the process-wide solo
-/// -lasso store lane by lane (the k-lane closed form); genuine schedules
+/// k-lane stepping. Start-delay-shaped cells reuse the instance memo's
+/// solo lassos lane by lane (the k-lane closed form); genuine schedules
 /// walk the product configuration graph. Exact for the automaton variant
 /// only — procedural cells fall back to ensemble replay, exactly like the
 /// pair decide path. No orbit quotient at `k > 2`: the ensemble grids are
@@ -1342,16 +1358,12 @@ fn run_cell_ensemble_decide(
 
     let decision: EnsembleDecision = match esched.as_start_delays() {
         Some(delays) => {
-            // The per-lane solo lassos come from the same persistent store
-            // the pair decide path reads — the tabulation is shared across
+            // The per-lane solo lassos come from the instance memo the
+            // pair decide path reads: the tabulation is shared across
             // every tuple, delay class, and sweep repetition touching the
             // start.
-            let lassos: Vec<solo_cache::Slot> = starts
-                .iter()
-                .map(|&s| solo_cache::lasso(inst, cell.family, cell.n, cell.variant, s))
-                .collect();
-            let refs: Vec<&SoloLasso> = lassos.iter().map(|l| l.as_ref()).collect();
-            decide_ensemble_from_lassos(&refs, &delays)
+            let lassos: Vec<&SoloLasso> = starts.iter().map(|&s| inst.solo_lasso(s)).collect();
+            decide_ensemble_from_lassos(&lassos, &delays)
         }
         None => decide_ensemble(tree, fsa, starts, &esched),
     };
@@ -1501,24 +1513,12 @@ pub fn run_cell_on(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
     ))
 }
 
-/// Demand-driven recording growth: at least `need`, at least double the
-/// current horizon (so a cell retries O(log) times, not per round), never
-/// past the budget or the hard cap.
-fn grow_target(current: u64, need: u64, budget: u64) -> u64 {
-    need.max(current.saturating_mul(2))
-        .max(1 << 12)
-        .min(budget)
-        .min(trace_cache::MAX_RECORD_ROUNDS)
-        .max(need)
-}
-
 /// Executes one cell from recorded trajectories (the
-/// [`Executor::TraceReplay`] path): both timelines come from the
-/// process-wide trace store keyed `(family, n, tree_seed, start,
-/// variant)`, are extended on demand, and the cell is decided by
-/// `rvz_sim::trace::replay_pair` — no agent stepping on warm keys. Rows
-/// are byte-identical to [`run_cell_on`]; cells that would need recordings
-/// past the cap fall back to it.
+/// [`Executor::TraceReplay`] path): both timelines are lanes of the
+/// instance's memo, read under shared locks and grown on demand, and the
+/// cell is decided by `rvz_sim::trace::replay_pair` — no agent stepping
+/// on warm lanes. Rows are byte-identical to [`run_cell_on`]; cells that
+/// would need recordings past the cap fall back to it.
 pub fn run_cell_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
     if cell.agents > 2 {
         return run_cell_ensemble_replay(cell, inst);
@@ -1533,7 +1533,7 @@ pub fn run_cell_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
     let &(start_a, start_b) = inst.pairs.get(cell.pair_index)?;
 
     // Genuinely scheduled cells replay against the *same* recordings as
-    // every θ cell (the trace store key has no schedule axis): the frozen
+    // every θ cell (a lane has no schedule axis): the frozen
     // semantics makes a solo trajectory a pure function of activation
     // count, so the schedule only re-times the merge. The θ-equivalent
     // metadata below mirrors the mode split of [`run_cell_on`].
@@ -1545,25 +1545,19 @@ pub fn run_cell_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
         budget_and_provisioned(cell, inst, n, leaves, delay, sched.as_ref().map(|(_, s)| s));
     let cfg = PairConfig::delayed(delay, budget);
 
-    let slot_a = trace_cache::slot(inst, cell.family, cell.n, cell.variant, start_a);
-    let slot_b = trace_cache::slot(inst, cell.family, cell.n, cell.variant, start_b);
-    // A slot poisoned by a cancelled attempt is safe to re-enter: the
-    // cancellation checkpoints sit at round boundaries, so a recording
-    // interrupted mid-growth is a shorter but *consistent* prefix.
-    fn enter(slot: &trace_cache::Slot) -> std::sync::MutexGuard<'_, trace_cache::VariantRecorder> {
-        slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
+    let lane_a = inst.lane(cell.variant, start_a);
+    let lane_b = inst.lane(cell.variant, start_b);
     loop {
         rvz_sim::cancel::checkpoint();
-        // Feasible pairs have distinct starts, so the slots differ; lock
-        // them in start order so cells sharing an endpoint cannot deadlock.
-        let (mut ga, mut gb);
+        // Feasible pairs have distinct starts, so the lanes differ;
+        // read-lock them in start order (see [`crate::memo`]).
+        let (ga, gb);
         if start_a <= start_b {
-            ga = enter(&slot_a);
-            gb = enter(&slot_b);
+            ga = memo::read(lane_a);
+            gb = memo::read(lane_b);
         } else {
-            gb = enter(&slot_b);
-            ga = enter(&slot_a);
+            gb = memo::read(lane_b);
+            ga = memo::read(lane_a);
         }
         let verdict = match &sched {
             None => replay_pair(tree, ga.trajectory(), gb.trajectory(), cfg),
@@ -1600,25 +1594,25 @@ pub fn run_cell_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
                 ));
             }
             Replay::NeedMore { a_rounds, b_rounds } => {
-                if a_rounds > trace_cache::MAX_RECORD_ROUNDS
-                    || b_rounds > trace_cache::MAX_RECORD_ROUNDS
-                {
+                if a_rounds > memo::MAX_RECORD_ROUNDS || b_rounds > memo::MAX_RECORD_ROUNDS {
                     drop(ga);
                     drop(gb);
                     return run_cell_on(cell, inst);
                 }
                 // Grow only the lane(s) the verdict flagged (`0` / already
-                // decided means "long enough") — a warm recording must not
-                // be re-stepped just because its partner was short. Both
-                // verdict flavors report *solo recording rounds*, i.e.
-                // activation counts.
-                if !ga.trajectory().decided_to(a_rounds) {
-                    let target = grow_target(ga.trajectory().rounds(), a_rounds, budget);
-                    ga.record_to(tree, target);
+                // decided means "long enough"): a warm recording is never
+                // write-locked, let alone re-stepped, because its partner
+                // was short. Both verdict flavors report *solo recording
+                // rounds*, i.e. activation counts.
+                let short_a = !ga.trajectory().decided_to(a_rounds);
+                let short_b = !gb.trajectory().decided_to(b_rounds);
+                drop(ga);
+                drop(gb);
+                if short_a {
+                    memo::grow(lane_a, tree, a_rounds, budget);
                 }
-                if !gb.trajectory().decided_to(b_rounds) {
-                    let target = grow_target(gb.trajectory().rounds(), b_rounds, budget);
-                    gb.record_to(tree, target);
+                if short_b {
+                    memo::grow(lane_b, tree, b_rounds, budget);
                 }
             }
         }
@@ -1719,7 +1713,7 @@ pub fn run_cell_decide_certified(
     // The orbit quotient: classify the cell's delay axis, pick the orbit
     // table whose group is sound for it, decide the orbit representative
     // once per `(instance, delay class)` — both solo halves from the
-    // process-wide store — and replicate the relabeled verdict to the
+    // instance memo — and replicate the relabeled verdict to the
     // rest of the orbit. Replication is exact (see
     // [`rvz_lowerbounds::decide::Decision::relabel`]): the row below is
     // byte-identical to deciding the pair directly, and the certificate
@@ -1753,16 +1747,14 @@ pub fn run_cell_decide_certified(
     };
     let (rep, action) = inst.orbit_lookup(allow_swap)[cell.pair_index];
     let (rep_a, rep_b) = inst.pairs[rep];
-    let solo = |start| solo_cache::lasso(inst, cell.family, cell.n, cell.variant, start);
+    let solo = |start| inst.solo_lasso(start);
     let slot = inst.rep_decision((cell.delay.code(), rep), || match &path {
         Path::Fixed(delay) => {
             // Feasible pairs have distinct starts, so the precomputed-
             // lasso entry points apply.
-            RepDecision::Fixed(decide_from_lassos(&solo(rep_a), &solo(rep_b), *delay))
+            RepDecision::Fixed(decide_from_lassos(solo(rep_a), solo(rep_b), *delay))
         }
-        Path::Universal => {
-            RepDecision::Universal(worst_case_from_lassos(&solo(rep_a), &solo(rep_b)))
-        }
+        Path::Universal => RepDecision::Universal(worst_case_from_lassos(solo(rep_a), solo(rep_b))),
         Path::Scheduled(_, sched) => {
             RepDecision::Scheduled(decide_pair_scheduled(tree, fsa, rep_a, rep_b, sched))
         }

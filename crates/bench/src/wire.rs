@@ -3,8 +3,7 @@
 //!
 //! Both persistence layers — the checkpoint journal ([`crate::checkpoint`])
 //! and the on-disk trajectory/lasso stores ([`crate::stores`], fed by
-//! the private `trace_cache`/`solo_cache`) — frame their records the
-//! same way: a
+//! the private per-instance `memo`) — frame their records the same way: a
 //! little-endian length, a CRC-32 over the body, then the body. A reader
 //! accepts the longest *clean prefix* of a file: the first record whose
 //! frame is truncated, whose length is implausible, or whose checksum

@@ -40,12 +40,14 @@ docs-check:
 # CI's differential job: three-executor agreement on e8 (replay ==
 # stepping to the byte; decide == replay modulo the `certified` flag),
 # the e9 exhaustive certification with thread-invariance and certificate
-# re-verification gates, the e10 activation-schedule smoke (same
-# three-executor + thread gates on the schedule grid), the e11 3-agent
-# ensemble leg (same gates on rvz-sweep/v7 triple rows, zero uncertified
-# cells), the e10 grid at --agents 3 (intermittent schedules at k = 3),
-# the classic e1–e8 tables and a one-thread e10 journal (golden bytes
-# only), then the golden SHA-256 sums of every raw output the legs wrote.
+# re-verification gates, the e9 n ≤ 11 lasso store flushed byte-identically
+# at --threads 1 and 2 with all 4391 lassos, the e10 activation-schedule
+# smoke (same three-executor + thread gates on the schedule grid), the e11
+# 3-agent ensemble leg (same gates on rvz-sweep/v7 triple rows for the
+# decider and the replayer, zero uncertified cells), the e10 grid at
+# --agents 3 (intermittent schedules at k = 3), the classic e1–e8 tables
+# and a one-thread e10 journal (golden bytes only), then the golden
+# SHA-256 sums of every raw output the legs wrote.
 differential:
     mkdir -p differential
     for ex in replay stepping decide; do \
@@ -70,6 +72,15 @@ differential:
     cp differential/e9-certificates-t1.json differential/e9-certificates.json
     jq -e '[.rows[] | select(.certified | not)] | length == 0' differential/e9.json > /dev/null
     jq -e '[.certificates[] | select(.verified == false)] | length == 0' differential/e9-certificates.json > /dev/null
+    for t in 1 2; do \
+      rm -rf "differential/e9-store-t$t"; \
+      cargo run --release --bin experiments -- \
+        --experiment e9 --executor decide --sizes 2,3,4,5,6,7,8,9,10,11 --threads "$t" \
+        --store "differential/e9-store-t$t" > /dev/null 2> "differential/e9-store-t$t.log"; \
+    done
+    cmp differential/e9-store-t1/solo.store differential/e9-store-t2/solo.store
+    grep -q ' 4391 lassos flushed' differential/e9-store-t1.log
+    grep -q ' 4391 lassos flushed' differential/e9-store-t2.log
     for ex in replay stepping decide; do \
       cargo run --release --bin experiments -- \
         --experiment e10 --sizes 5,6,7 --threads 2 \
@@ -100,6 +111,13 @@ differential:
     done
     cmp differential/e11-decide.json differential/e11-t1.json
     cmp differential/e11-decide.json differential/e11-t8.json
+    for t in 1 8; do \
+      cargo run --release --bin experiments -- \
+        --experiment e11 --sizes 5,6,7 --threads "$t" \
+        --executor replay --json "differential/e11-replay-t$t.json"; \
+    done
+    cmp differential/e11-replay.json differential/e11-replay-t1.json
+    cmp differential/e11-replay.json differential/e11-replay-t8.json
     jq -e '.schema == "rvz-sweep/v7"' differential/e11-decide.json > /dev/null
     jq -e '[.rows[] | select(.agents != 3)] | length == 0' differential/e11-decide.json > /dev/null
     jq -e '[.rows[] | select(.certified | not)] | length == 0' differential/e11-decide.json > /dev/null
@@ -174,9 +192,10 @@ bench-json-check:
     jq -e '.sweep_cells.speedup and .sweep_cells_variants.speedup and .decide_cells.speedup and .ensemble_cells.speedup' BENCH_sweep.json > /dev/null
 
 # Compile benches, run each once (`--test` mode), emit BENCH_sweep.json,
-# plus the tiny deterministic sweep CI runs and the output-overhead gate
+# plus the tiny deterministic sweep CI runs, the output-overhead gate
 # (e9 writing --json and --certificates within 2x the CPU of writing
-# nothing).
+# nothing) and the thread-scaling gate (e11 replay at nproc threads no
+# slower than at one).
 bench-smoke:
     cargo bench --workspace --no-run
     cargo bench --workspace -- --test
@@ -188,6 +207,7 @@ bench-smoke:
     cargo run --release --bin experiments -- --experiment e6 --sizes 8,16 --threads 2 --executor stepping --json bench-smoke/e6-stepping.json
     cmp bench-smoke/e6.json bench-smoke/e6-stepping.json
     scripts/output_overhead.sh bench-smoke
+    scripts/thread_scaling.sh bench-smoke
 
 # Full-scale parallel sweep of every experiment grid.
 sweep:

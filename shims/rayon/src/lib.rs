@@ -1,17 +1,25 @@
 //! Offline API-subset shim for `rayon` (see `shims/README.md`).
 //!
-//! Fans work across `std::thread::scope` workers pulling indices from a
-//! shared atomic counter. Results are reassembled in input order, so
+//! Fans work across `std::thread::scope` workers that claim fixed-size
+//! chunks of indices from a shared atomic counter and write each result
+//! straight into its slot of the pre-sized output, so
 //! `par_iter().map(f).collect::<Vec<_>>()` is ordered exactly like the
 //! sequential map regardless of scheduling — the property the sweep
-//! engine's determinism guarantee rests on.
+//! engine's determinism guarantee rests on. Workers report the size of
+//! the pool that spawned them, and a map nested inside a worker runs
+//! inline on that worker, so a pool never runs more compute threads than
+//! its size.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 thread_local! {
-    /// Thread count override installed by [`ThreadPool::install`].
+    /// Thread count installed by [`ThreadPool::install`], or inherited by
+    /// a worker from the map that spawned it.
     static POOL_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
+    /// Set on the workers of a parallel map: a map nested inside one runs
+    /// inline instead of spawning a second fan-out.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Number of worker threads a parallel iterator will use here and now.
@@ -79,33 +87,74 @@ impl ThreadPool {
     }
 }
 
+/// Indices a worker claims at a time: enough that claiming costs nothing
+/// next to a sweep cell, few enough that short maps (the sweep's instance
+/// builds, the decider's delay chunks) still spread over every thread.
+const CHUNK: usize = 8;
+
+/// The output buffer's base pointer, shared by the workers of one map.
+struct Slots<R>(*mut R);
+
+// SAFETY: the one field is the output's base pointer. Workers write
+// disjoint slots through it (see `Slots::write`) and the caller reads them
+// only after joining every worker, so sharing it is sound whenever the
+// results may move between threads (`R: Send`).
+unsafe impl<R: Send> Sync for Slots<R> {}
+
+impl<R> Slots<R> {
+    /// Moves `value` into slot `i`.
+    ///
+    /// # Safety
+    /// `i` must be below the buffer's capacity and written by no one else.
+    unsafe fn write(&self, i: usize, value: R) {
+        // SAFETY: upheld by the caller.
+        unsafe { self.0.add(i).write(value) }
+    }
+}
+
 /// Ordered parallel map over a slice: the engine under every iterator here.
 fn par_map_slice<'a, T: Sync, R: Send>(items: &'a [T], f: impl Fn(&'a T) -> R + Sync) -> Vec<R> {
-    let threads = current_num_threads().min(items.len().max(1));
-    if threads <= 1 {
+    let len = items.len();
+    let pool = current_num_threads();
+    let threads = pool.min(len.div_ceil(CHUNK));
+    if threads <= 1 || IN_WORKER.with(Cell::get) {
         return items.iter().map(f).collect();
     }
+    let mut out: Vec<R> = Vec::with_capacity(len);
+    let slots = Slots(out.as_mut_ptr());
     let next = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, R)> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut local = Vec::new();
+                    POOL_THREADS.with(|c| c.set(Some(pool)));
+                    IN_WORKER.with(|c| c.set(true));
                     loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
+                        // Relaxed: the counter only hands out indices; the
+                        // joins below publish the written slots.
+                        let lo = next.fetch_add(CHUNK, Ordering::Relaxed);
+                        if lo >= len {
                             break;
                         }
-                        local.push((i, f(&items[i])));
+                        for i in lo..(lo + CHUNK).min(len) {
+                            let value = f(&items[i]);
+                            // SAFETY: `i < len <= capacity`, and the
+                            // counter hands every chunk to one worker.
+                            unsafe { slots.write(i, value) };
+                        }
                     }
-                    local
                 })
             })
             .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("rayon shim: worker panicked")).collect()
+        for h in handles {
+            h.join().expect("rayon shim: worker panicked");
+        }
     });
-    tagged.sort_by_key(|(i, _)| *i);
-    tagged.into_iter().map(|(_, v)| v).collect()
+    // SAFETY: every worker ran until the counter passed `len` and returned
+    // normally (a panic re-raises above, leaking the written slots), so
+    // each of the `len` slots was written exactly once.
+    unsafe { out.set_len(len) };
+    out
 }
 
 /// `par_iter()` entry point for `&Vec<T>` / `&[T]`.
@@ -207,6 +256,67 @@ mod tests {
         let out: Vec<usize> =
             pool.install(|| (0..16).collect::<Vec<usize>>().par_iter().map(|&i| i + 1).collect());
         assert_eq!(out, (1..17).collect::<Vec<usize>>());
+    }
+
+    #[test]
+    fn chunked_collect_matches_sequential_at_every_boundary() {
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        for len in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 5 * CHUNK + 3, 1000] {
+            let xs: Vec<u64> = (0..len as u64).collect();
+            let seq: Vec<String> = xs.iter().map(|x| format!("{}", x * 3)).collect();
+            let par: Vec<String> =
+                pool.install(|| xs.par_iter().map(|x| format!("{}", x * 3)).collect());
+            assert_eq!(seq, par, "length {len}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_closure_panics_the_caller() {
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let xs: Vec<u64> = (0..200).collect();
+        let outcome = std::panic::catch_unwind(|| {
+            pool.install(|| {
+                xs.par_iter()
+                    .map(|&x| if x == 137 { panic!("boom") } else { x.to_string() })
+                    .collect::<Vec<String>>()
+            })
+        });
+        assert!(outcome.is_err(), "a worker's panic must reach the caller");
+    }
+
+    #[test]
+    fn workers_report_the_installing_pool_size() {
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let xs: Vec<usize> = (0..64).collect();
+        let seen: Vec<usize> =
+            pool.install(|| xs.par_iter().map(|_| current_num_threads()).collect());
+        assert!(seen.iter().all(|&n| n == 3), "workers saw {seen:?}");
+    }
+
+    #[test]
+    fn nested_maps_stay_within_the_pool() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let ids = Mutex::new(HashSet::new());
+        let xs: Vec<usize> = (0..64).collect();
+        let sums: Vec<usize> = pool.install(|| {
+            xs.par_iter()
+                .map(|&x| {
+                    let inner: Vec<usize> = xs
+                        .par_iter()
+                        .map(|&y| {
+                            ids.lock().unwrap().insert(std::thread::current().id());
+                            x + y
+                        })
+                        .collect();
+                    inner.into_iter().sum()
+                })
+                .collect()
+        });
+        assert_eq!(sums, xs.iter().map(|&x| 64 * x + 2016).collect::<Vec<_>>());
+        let threads = ids.into_inner().unwrap().len();
+        assert!((1..=3).contains(&threads), "nested maps ran on {threads} threads");
     }
 
     #[test]
