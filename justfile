@@ -45,9 +45,11 @@ docs-check:
 # smoke (same three-executor + thread gates on the schedule grid), the e11
 # 3-agent ensemble leg (same gates on rvz-sweep/v7 triple rows for the
 # decider and the replayer, zero uncertified cells), the e10 grid at
-# --agents 3 (intermittent schedules at k = 3), the classic e1–e8 tables
-# and a one-thread e10 journal (golden bytes only), then the golden
-# SHA-256 sums of every raw output the legs wrote.
+# --agents 3 (intermittent schedules at k = 3), the e1–e8 sweep grids on
+# the stepping executor, the classic e1–e8 tables and a one-thread e10
+# journal (golden bytes only), then the golden SHA-256 sums of every raw
+# output the legs wrote (the e10, e11 and e10k3 decide legs also write
+# their certificates).
 differential:
     mkdir -p differential
     for ex in replay stepping decide; do \
@@ -84,7 +86,8 @@ differential:
     for ex in replay stepping decide; do \
       cargo run --release --bin experiments -- \
         --experiment e10 --sizes 5,6,7 --threads 2 \
-        --executor "$ex" --json "differential/e10-$ex.json"; \
+        --executor "$ex" --json "differential/e10-$ex.json" \
+        $(if [ "$ex" = decide ]; then echo --certificates differential/e10-certificates.json; fi); \
     done
     cmp differential/e10-replay.json differential/e10-stepping.json
     jq 'del(.rows[].certified)' differential/e10-replay.json > differential/e10-replay-stripped.json
@@ -98,7 +101,8 @@ differential:
     for ex in replay stepping decide; do \
       cargo run --release --bin experiments -- \
         --experiment e11 --sizes 5,6,7 --threads 2 \
-        --executor "$ex" --json "differential/e11-$ex.json"; \
+        --executor "$ex" --json "differential/e11-$ex.json" \
+        $(if [ "$ex" = decide ]; then echo --certificates differential/e11-certificates.json; fi); \
     done
     cmp differential/e11-replay.json differential/e11-stepping.json
     jq 'del(.rows[].certified)' differential/e11-replay.json > differential/e11-replay-stripped.json
@@ -124,7 +128,8 @@ differential:
     for ex in replay stepping decide; do \
       cargo run --release --bin experiments -- \
         --experiment e10 --sizes 5,6 --agents 3 --threads 2 \
-        --executor "$ex" --json "differential/e10k3-$ex.json"; \
+        --executor "$ex" --json "differential/e10k3-$ex.json" \
+        $(if [ "$ex" = decide ]; then echo --certificates differential/e10k3-certificates.json; fi); \
     done
     cmp differential/e10k3-replay.json differential/e10k3-stepping.json
     jq 'del(.rows[].certified)' differential/e10k3-replay.json > differential/e10k3-replay-stripped.json
@@ -132,6 +137,9 @@ differential:
     cmp differential/e10k3-replay-stripped.json differential/e10k3-decide-stripped.json
     jq -e '.schema == "rvz-sweep/v7"' differential/e10k3-decide.json > /dev/null
     jq -e '[.rows[] | select(.certified | not)] | length == 0' differential/e10k3-decide.json > /dev/null
+    cargo run --release --bin experiments -- \
+      --experiment e1,e2,e3,e4,e5,e6,e7,e8 --executor stepping --threads 2 \
+      --json differential/e1-e8-stepping.json
     cargo run --release --bin experiments -- all --json differential/classic
     cargo run --release --bin experiments -- \
       --experiment e10 --sizes 5,6 --threads 1 \
