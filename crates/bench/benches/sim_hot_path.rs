@@ -2,12 +2,12 @@
 //! lookups + dense FSA transition tables driving the round loop, zero-cost
 //! runner spawning (borrow, not clone), and static vs dyn pair dispatch.
 //!
-//! `pair_rounds/static` vs `pair_rounds/dyn` isolates the monomorphic
-//! [`run_pair_fsa`] instantiation against the dyn-compatible [`run_pair`]
-//! wrapper on the identical workload: two basic-walk automata launched at
-//! odd distance on a line cross forever and never meet, so every run costs
-//! exactly the full round budget. The sweep executor's dispatch choice
-//! (currently dyn everywhere — measured faster) is guided by this number;
+//! `pair_rounds/static` vs `pair_rounds/dyn` isolates a monomorphic
+//! two-lane [`run_ensemble_fsa`] instantiation against the dyn-dispatched
+//! [`run_pair`] on the identical workload: two basic-walk automata
+//! launched at odd distance on a line cross forever and never meet, so
+//! every run costs exactly the full round budget. The sweep executor's
+//! dispatch choice (dyn for every lane count) is guided by this number;
 //! rerun it when changing targets or toolchains.
 //!
 //! `trace_replay/{record,replay_pair,run_pair}` prices the trace kernel on
@@ -20,7 +20,10 @@ use rand::SeedableRng;
 use rvz_agent::fsa::Fsa;
 use rvz_agent::model::Agent;
 use rvz_sim::trace::Replay;
-use rvz_sim::{replay_pair, run_pair, run_pair_fsa, run_single, PairConfig, TraceRecorder};
+use rvz_sim::{
+    replay_pair, run_ensemble_fsa, run_pair, run_single, EnsembleSchedule, PairConfig,
+    TraceRecorder,
+};
 use rvz_trees::generators::{line, random_bounded_degree_tree};
 use std::hint::black_box;
 
@@ -45,12 +48,12 @@ fn bench_pair_dispatch(c: &mut Criterion) {
         let fsa = Fsa::basic_walk(2);
         let rounds = 8 * n as u64;
         let cfg = PairConfig::simultaneous(rounds);
+        let both = EnsembleSchedule::simultaneous(2);
         group.throughput(Throughput::Elements(rounds));
         group.bench_with_input(BenchmarkId::new("static", n), &t, |b, t| {
             b.iter(|| {
-                let mut a = fsa.runner();
-                let mut bb = fsa.runner();
-                black_box(run_pair_fsa(t, 0, 1, &mut a, &mut bb, cfg).crossings)
+                let mut agents = [fsa.runner(), fsa.runner()];
+                black_box(run_ensemble_fsa(t, &[0, 1], &mut agents, &both, rounds, false).crossings)
             })
         });
         group.bench_with_input(BenchmarkId::new("dyn", n), &t, |b, t| {

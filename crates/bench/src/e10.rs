@@ -7,10 +7,10 @@
 //! column — the legacy scenarios (simultaneous start, θ = 1) beside
 //! genuine per-round delay faults (`intermittent(2)`, `intermittent(3)`
 //! duty cycles and a crash after ⌈n/2⌉ rounds). Under the decide executor
-//! (the default) every cell is answered by the cycle-position product
-//! construction ([`rvz_lowerbounds::decide::decide_pair_scheduled`]), so
-//! `met == false` is always a certified never-meets with a verified
-//! schedule lasso, never a timeout.
+//! (the default) every genuine schedule cell is answered by the
+//! cycle-position product construction over two lanes
+//! ([`rvz_lowerbounds::decide::decide_ensemble`]), so `met == false` is
+//! always a certified never-meets with a verified lasso, never a timeout.
 //!
 //! The read-out extends the e9 story: θ = 1 already defeats the
 //! memoryless walk on every feasible pair, and the schedule columns show

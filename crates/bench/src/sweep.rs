@@ -34,19 +34,19 @@ use crate::table::Table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
+use rvz_agent::model::Agent;
 use rvz_core::prime_path::PrimePathAgent;
 use rvz_core::primes::{next_prime, primorial_index_bound};
 use rvz_core::{DelayRobustAgent, TreeRendezvousAgent};
 use rvz_lowerbounds::decide::{
-    decide_ensemble, decide_ensemble_from_lassos, decide_from_lassos, decide_pair_scheduled,
-    verify_ensemble_lasso, verify_lasso, verify_schedule_lasso, worst_case_from_lassos, Decision,
-    EnsembleDecision, ScheduleDecision, SoloLasso, WorstCase,
+    decide_ensemble, decide_ensemble_from_lassos, decide_from_lassos,
+    verify_delayed_ensemble_lasso, verify_ensemble_lasso, verify_lasso, worst_case_from_lassos,
+    Decision, EnsembleDecision, SoloLasso, WorstCase,
 };
 use rvz_sim::trace::Replay;
 use rvz_sim::{
-    replay_ensemble, replay_pair, replay_pair_scheduled, run_ensemble_fsa, run_pair,
-    run_pair_scheduled, EnsembleReplay, EnsembleRun, EnsembleSchedule, PairConfig, PairRun,
-    Schedule,
+    replay_ensemble, replay_pair, replay_pair_scheduled, run_ensemble_with, EnsembleReplay,
+    EnsembleRun, EnsembleSchedule, Outcome, PairConfig,
 };
 use rvz_trees::symmetry::{pair_orbits, OrbitAction};
 use rvz_trees::{NodeId, Tree};
@@ -129,8 +129,8 @@ impl Family {
 }
 
 /// Compact, `Copy` description of an activation schedule — the sweep-axis
-/// form of [`rvz_sim::Schedule`], resolved per instance size by
-/// [`ScheduleSpec::resolve`]. A spec that is *exactly* the legacy
+/// form of [`rvz_sim::EnsembleSchedule`], resolved per instance size and
+/// lane count by [`ScheduleSpec::resolve_ensemble`]. A spec that is *exactly* the legacy
 /// start-delay scenario ([`ScheduleSpec::as_start_delay`]) is routed
 /// through the θ-indexed executors and emits the identical row (no
 /// `schedule` field, same seeds) — `Schedule(StartDelay(θ))` cells are
@@ -144,7 +144,7 @@ pub enum ScheduleSpec {
     /// A every round; B once per `period` rounds, at `phase`.
     Intermittent { period: u64, phase: u64 },
     /// Both agents for the given number of rounds, then B crashes. The
-    /// round count is capped at `Schedule::MAX_MATERIALIZED_PREFIX`
+    /// round count is capped at `EnsembleSchedule::MAX_MATERIALIZED_PREFIX`
     /// (2²²) — `resolve` panics loudly beyond it rather than
     /// materializing a multi-gigabyte prefix (a crash later than any
     /// decision horizon is indistinguishable from no crash).
@@ -161,8 +161,9 @@ pub enum ScheduleSpec {
     /// scenario's never-meets pairs into the genuinely-scheduled machinery
     /// (parity lassos survive dilation, unlike under intermittence).
     Lockstep { period: u64 },
-    /// A seeded draw from [`Schedule::adversarial`] (prefix ≤ 8 rounds,
-    /// cycle ≤ 6 — small enough that the bw decision horizon stays tight).
+    /// A seeded draw from [`EnsembleSchedule::adversarial`] (prefix ≤ 8
+    /// rounds, cycle ≤ 6 — small enough that the bw decision horizon stays
+    /// tight). A pair axis: the sampler draws two-lane rows.
     Adversarial { seed: u64 },
 }
 
@@ -171,38 +172,15 @@ impl ScheduleSpec {
     const ADV_MAX_PREFIX: usize = 8;
     const ADV_MAX_CYCLE: usize = 6;
 
-    /// The concrete schedule at instance size `n`.
-    pub fn resolve(self, n: usize) -> Schedule {
-        match self {
-            ScheduleSpec::Simultaneous => Schedule::simultaneous(),
-            ScheduleSpec::StartDelay(theta) => Schedule::start_delay(theta),
-            ScheduleSpec::Intermittent { period, phase } => Schedule::intermittent(period, phase),
-            ScheduleSpec::CrashAfter(rounds) => Schedule::crash_after(rounds),
-            ScheduleSpec::CrashAfterHalfN => Schedule::crash_after(n.div_ceil(2) as u64),
-            ScheduleSpec::Lockstep { period } => {
-                assert!(period >= 1, "lockstep period must be at least 1");
-                Schedule::new(
-                    Vec::new(),
-                    (0..period)
-                        .map(|i| {
-                            let on = i == 0;
-                            (on, on)
-                        })
-                        .collect(),
-                )
-            }
-            ScheduleSpec::Adversarial { seed } => {
-                Schedule::adversarial(seed, Self::ADV_MAX_PREFIX, Self::ADV_MAX_CYCLE)
-            }
-        }
+    /// The concrete two-lane schedule at instance size `n`.
+    pub fn resolve(self, n: usize) -> EnsembleSchedule {
+        self.resolve_ensemble(n, 2)
     }
 
-    /// The concrete `lanes`-lane ensemble schedule at instance size `n` —
-    /// the k-agent generalization of [`ScheduleSpec::resolve`], lane-for-
-    /// lane identical to it at `lanes = 2` (the lane-asymmetric specs put
-    /// their faulty lane *last*, matching the pair convention of faulting
-    /// agent B). [`ScheduleSpec::Adversarial`] has no ensemble form — the
-    /// grid filter keeps it off `--agents k > 2` sweeps.
+    /// The concrete `lanes`-lane schedule at instance size `n`. The
+    /// lane-asymmetric specs fault the *last* lane (agent B of a pair).
+    /// [`ScheduleSpec::Adversarial`] draws two lanes only — the grid
+    /// filter keeps it off `--agents k > 2` sweeps.
     pub fn resolve_ensemble(self, n: usize, lanes: usize) -> EnsembleSchedule {
         match self {
             ScheduleSpec::Simultaneous => EnsembleSchedule::simultaneous(lanes),
@@ -226,8 +204,9 @@ impl ScheduleSpec {
                     (0..period).map(|i| vec![i == 0; lanes]).collect(),
                 )
             }
-            ScheduleSpec::Adversarial { .. } => {
-                unreachable!("adversarial schedules are a pair axis (grid-filtered at k > 2)")
+            ScheduleSpec::Adversarial { seed } => {
+                assert_eq!(lanes, 2, "adversarial schedules are a pair axis");
+                EnsembleSchedule::adversarial(seed, Self::ADV_MAX_PREFIX, Self::ADV_MAX_CYCLE)
             }
         }
     }
@@ -422,8 +401,11 @@ pub(crate) fn basic_walk_two_periods(n: usize) -> u64 {
 /// joint state `(position_a, position_b, cycle index)` repeats within
 /// `cycle · 2(n−1)` rounds; `prefix + cycle · (4(n−1) + 2)` covers two
 /// such joint periods. For `start_delay(θ)` this is exactly
-/// [`basic_walk_budget_for`]`(n, θ)` — prefix θ, cycle 1.
-pub fn schedule_budget_for(n: usize, schedule: &Schedule) -> u64 {
+/// [`basic_walk_budget_for`]`(n, θ)` — prefix θ, cycle 1. Every lane's
+/// solo trajectory is purely periodic with period `2(n−1)` activations and
+/// gains a fixed activation count per cycle, so the bound holds for any
+/// lane count.
+pub fn schedule_budget_for(n: usize, schedule: &EnsembleSchedule) -> u64 {
     schedule
         .prefix_len()
         .saturating_add(schedule.cycle_len().saturating_mul(basic_walk_two_periods(n)))
@@ -437,8 +419,9 @@ pub enum Executor {
     /// (`rvz_sim::trace`) — no agent stepping on cache hits.
     #[default]
     TraceReplay,
-    /// Step both agents per cell through dyn [`run_pair`] (the pre-trace
-    /// executor). Kept behind this flag for differential testing; it is
+    /// Step every agent per cell through the k-lane round loop
+    /// ([`rvz_sim::run_ensemble_with`]; the pre-trace executor). Kept
+    /// behind this flag for differential testing; it is
     /// also the replay path's fallback for cells whose trajectories would
     /// exceed the recording cap. Output is byte-identical to
     /// [`Executor::TraceReplay`] by construction (and by test).
@@ -821,7 +804,7 @@ pub fn prime_budget_for(m: usize) -> u64 {
 #[derive(Debug)]
 pub struct SweepInstance {
     pub tree: Tree,
-    pub pairs: Vec<(NodeId, NodeId)>,
+    pub pairs: Vec<[NodeId; 2]>,
     /// Feasible start `k`-tuples for `--agents k > 2` cells (empty on
     /// pair instances; `pairs` is empty in turn on ensemble instances).
     /// Drawn from the same `pairs_seed` stream, exhaustive for the
@@ -878,14 +861,16 @@ impl Clone for SweepInstance {
     }
 }
 
-/// A decided orbit representative, one flavor per delay-axis class. The
-/// memo key includes [`Delay::code`], which separates the flavors, so a
-/// lookup always finds its own kind.
+/// A decided cell, one flavor per delay-axis class: the fixed-delay
+/// closed form and the ∀θ quantifier (pairs only), or an ensemble decision
+/// (every schedule, and every delay at `k > 2`). For pairs it is an orbit
+/// representative's decision: the memo key includes [`Delay::code`], which
+/// separates the flavors, so a lookup always finds its own kind.
 #[derive(Debug, Clone)]
 enum RepDecision {
     Fixed(Decision),
     Universal(WorstCase),
-    Scheduled(ScheduleDecision),
+    Scheduled(EnsembleDecision),
 }
 
 impl RepDecision {
@@ -901,7 +886,9 @@ impl RepDecision {
                 debug_assert!(!action.swap, "the ∀-delay quantifier never admits the swap");
                 RepDecision::Universal(wc.relabel(map))
             }
-            RepDecision::Scheduled(d) => RepDecision::Scheduled(d.relabel(map, action.swap)),
+            RepDecision::Scheduled(d) => {
+                RepDecision::Scheduled(d.relabel(map, action.swap.then_some(&[1, 0][..])))
+            }
         }
     }
 }
@@ -927,10 +914,13 @@ impl SweepInstance {
                 instances::feasible_tuples(&tree, cell.agents, cell.pairs_total, pairs_seed)
             };
             (Vec::new(), tuples)
-        } else if cell.tree_index.is_some() {
-            (instances::exhaustive_feasible_pairs(&tree), Vec::new())
         } else {
-            (instances::feasible_pairs(&tree, cell.pairs_total, pairs_seed), Vec::new())
+            let pairs = if cell.tree_index.is_some() {
+                instances::exhaustive_feasible_pairs(&tree)
+            } else {
+                instances::feasible_pairs(&tree, cell.pairs_total, pairs_seed)
+            };
+            (pairs.into_iter().map(|(a, b)| [a, b]).collect(), Vec::new())
         };
         let memo = memo::memo(cell.family, cell.n, tree_seed, tree.num_nodes());
         SweepInstance {
@@ -944,6 +934,16 @@ impl SweepInstance {
             orbit_lookups: [OnceLock::new(), OnceLock::new()],
             decide_memo: Mutex::default(),
             memo,
+        }
+    }
+
+    /// The cell's start nodes, one per lane: its pair, or its tuple at
+    /// `--agents k > 2`. `None` past the end of the pool (a dropped cell).
+    pub(crate) fn starts(&self, cell: &Cell) -> Option<&[NodeId]> {
+        if cell.agents > 2 {
+            self.tuples.get(cell.pair_index).map(Vec::as_slice)
+        } else {
+            self.pairs.get(cell.pair_index).map(|pair| &pair[..])
         }
     }
 
@@ -974,8 +974,9 @@ impl SweepInstance {
         self.orbit_lookups[allow_swap as usize].get_or_init(|| {
             // Force the flip first so both caches agree on it.
             let _ = self.flip_map();
-            let mut lookup = vec![(0, OrbitAction::IDENTITY); self.pairs.len()];
-            for orbit in pair_orbits(&self.tree, &self.pairs, allow_swap) {
+            let pairs: Vec<(NodeId, NodeId)> = self.pairs.iter().map(|&[a, b]| (a, b)).collect();
+            let mut lookup = vec![(0, OrbitAction::IDENTITY); pairs.len()];
+            for orbit in pair_orbits(&self.tree, &pairs, allow_swap) {
                 for (index, action) in orbit.members {
                     lookup[index] = (orbit.rep, action);
                 }
@@ -1011,13 +1012,42 @@ pub fn run_cell(cell: &Cell) -> Option<SweepRow> {
     run_cell_on(cell, &SweepInstance::for_cell(cell))
 }
 
-/// How a cell's delay axis executes at a resolved instance size: either
-/// the legacy θ-indexed path (every delay flavor, including
-/// start-delay-shaped schedule specs — which thereby emit byte-identical
-/// legacy rows), or the genuinely scheduled path.
+/// How a cell's delay axis executes at a resolved instance size. A start
+/// delay θ — every delay flavor, including start-delay-shaped schedule
+/// specs, which thereby emit byte-identical legacy rows — freezes the last
+/// lane (agent B of a pair) through round θ and stays an integer, so the
+/// stepping and decide paths run any θ without materializing prefix rows.
+/// A genuine schedule is resolved at the cell's lane count.
 pub(crate) enum CellMode {
     Delay(u64),
-    Scheduled(ScheduleSpec),
+    Scheduled(ScheduleSpec, EnsembleSchedule),
+}
+
+impl CellMode {
+    /// The row's delay-axis fields: θ (0 for a genuine schedule) and the
+    /// schedule label (genuine schedules only).
+    fn row_fields(&self, n: usize) -> (u64, Option<String>) {
+        match self {
+            CellMode::Delay(theta) => (*theta, None),
+            CellMode::Scheduled(spec, _) => (0, Some(spec.label(n))),
+        }
+    }
+
+    /// The exact basic-walk decision horizon ([`schedule_budget_for`],
+    /// which is [`basic_walk_budget_for`] on a start delay).
+    fn bw_budget(&self, n: usize) -> u64 {
+        match self {
+            CellMode::Delay(theta) => basic_walk_budget_for(n, *theta),
+            CellMode::Scheduled(_, sched) => schedule_budget_for(n, sched),
+        }
+    }
+}
+
+/// Per-lane start delays of a θ cell: the last lane is delayed.
+fn lane_delays(theta: u64, lanes: usize) -> Vec<u64> {
+    let mut delays = vec![0; lanes];
+    delays[lanes - 1] = theta;
+    delays
 }
 
 impl Cell {
@@ -1027,75 +1057,23 @@ impl Cell {
         match self.delay {
             Delay::Schedule(spec) => match spec.as_start_delay() {
                 Some(theta) => CellMode::Delay(theta),
-                None => CellMode::Scheduled(spec),
+                None => CellMode::Scheduled(spec, spec.resolve_ensemble(n, self.agents)),
             },
             delay => CellMode::Delay(delay.resolve(n)),
-        }
-    }
-
-    /// The k-lane execution mode at instance size `n`: the row metadata
-    /// (θ-equivalent delay, optional schedule label — exactly the pair
-    /// split of [`Cell::mode`]) plus the resolved [`EnsembleSchedule`].
-    /// θ-shaped cells delay the *last* lane, matching the pair convention
-    /// of delaying agent B.
-    pub(crate) fn ensemble_mode(&self, n: usize) -> ((u64, Option<String>), EnsembleSchedule) {
-        match self.mode(n) {
-            CellMode::Delay(theta) => {
-                let mut delays = vec![0; self.agents];
-                delays[self.agents - 1] = theta;
-                ((theta, None), EnsembleSchedule::start_delays(&delays))
-            }
-            CellMode::Scheduled(spec) => {
-                ((0, Some(spec.label(n))), spec.resolve_ensemble(n, self.agents))
-            }
-        }
-    }
-}
-
-/// Round budget and provisioned automaton size for a `--agents k > 2`
-/// cell — the ensemble twin of [`budget_and_provisioned`]. Procedural
-/// budgets are per-instance and lane-count-free (the provisioning
-/// argument bounds *each* copy); the basic-walk horizon generalizes
-/// [`schedule_budget_for`] verbatim: every lane's solo trajectory is
-/// purely periodic with period `2(n−1)` activations, each lane gains a
-/// fixed activation count per schedule cycle, and the per-lane repeat
-/// times all divide `2(n−1)` cycles — so the *joint* state repeats
-/// within `cycle · 2(n−1)` rounds past the prefix, the same bound as the
-/// pair (for θ-shapes this is exactly [`basic_walk_budget_for`]).
-pub(crate) fn ensemble_budget_and_provisioned(
-    cell: &Cell,
-    inst: &SweepInstance,
-    n: usize,
-    leaves: usize,
-    esched: &EnsembleSchedule,
-) -> (u64, u64) {
-    match cell.variant {
-        Variant::TreeRvz => {
-            (budget_for(n), TreeRendezvousAgent::provisioned_bits(n as u64, leaves as u64))
-        }
-        Variant::DelayRobust => (budget_for(n), DelayRobustAgent::provisioned_bits(n as u64)),
-        Variant::PrimePath => (prime_budget_for(n), 0),
-        Variant::BasicWalkFsa => {
-            let fsa = inst.basic_walk_fsa();
-            let budget = esched
-                .prefix_len()
-                .saturating_add(esched.cycle_len().saturating_mul(basic_walk_two_periods(n)));
-            (budget, fsa.memory_bits())
         }
     }
 }
 
 /// Round budget and provisioned automaton size for a cell's variant at
-/// this instance (shared by the stepping and replay executors). `sched`
-/// is the resolved schedule for genuinely scheduled cells (`delay` is
-/// then the θ-equivalent and only the schedule shapes the bw horizon).
+/// this instance (shared by every executor). Procedural budgets are
+/// per-instance and lane-count-free (the provisioning argument bounds
+/// *each* copy); the basic-walk budget is the mode's exact horizon.
 pub(crate) fn budget_and_provisioned(
     cell: &Cell,
     inst: &SweepInstance,
     n: usize,
     leaves: usize,
-    delay: u64,
-    sched: Option<&Schedule>,
+    mode: &CellMode,
 ) -> (u64, u64) {
     match cell.variant {
         Variant::TreeRvz => {
@@ -1103,22 +1081,17 @@ pub(crate) fn budget_and_provisioned(
         }
         Variant::DelayRobust => (budget_for(n), DelayRobustAgent::provisioned_bits(n as u64)),
         Variant::PrimePath => (prime_budget_for(n), 0),
-        Variant::BasicWalkFsa => {
-            let fsa = inst.basic_walk_fsa();
-            let budget = match sched {
-                Some(s) => schedule_budget_for(n, s),
-                None => basic_walk_budget_for(n, delay),
-            };
-            (budget, fsa.memory_bits())
-        }
+        Variant::BasicWalkFsa => (mode.bw_budget(n), inst.basic_walk_fsa().memory_bits()),
     }
 }
 
-/// Assembles the result row — the single place the 20-field row shape
-/// lives, shared by all three executors (stepping and replay pass the
-/// bounded run's outcome with `certified: false`; the decide path passes
-/// its exact verdict with `certified: true`). Byte-identity across
-/// executors is maintained here, not per call site.
+/// Assembles the result row — the single place the row shape lives,
+/// shared by all three executors (stepping and replay pass the bounded
+/// run's outcome with `certified: false`; the decide path passes its exact
+/// verdict with `certified: true`). Byte-identity across executors is
+/// maintained here, not per call site. Lanes 0/1 land in
+/// `start_a`/`start_b`; a `k > 2` row also carries `agents` and lanes 2..
+/// in `start_rest`, so every pair row keeps its exact serialized shape.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn make_row(
     cell: &Cell,
@@ -1130,9 +1103,10 @@ pub(crate) fn make_row(
     budget: u64,
     provisioned_bits: u64,
     measured_bits: u64,
-    starts: (NodeId, NodeId),
+    starts: &[NodeId],
     certified: bool,
 ) -> SweepRow {
+    let ensemble = starts.len() > 2;
     SweepRow {
         experiment: cell.experiment.clone(),
         family: cell.family.name().to_string(),
@@ -1142,8 +1116,8 @@ pub(crate) fn make_row(
         variant: cell.variant.name().to_string(),
         delay,
         schedule,
-        start_a: starts.0,
-        start_b: starts.1,
+        start_a: starts[0],
+        start_b: starts[1],
         met,
         rounds,
         crossings,
@@ -1157,275 +1131,65 @@ pub(crate) fn make_row(
         timed_out: None,
         poisoned: None,
         planned: None,
-        agents: None,
-        start_rest: None,
+        agents: ensemble.then_some(starts.len()),
+        start_rest: ensemble.then(|| starts[2..].to_vec()),
     }
 }
 
-/// Stamps the ensemble fields onto a pair-shaped row: lanes 0/1 stay in
-/// `start_a`/`start_b` (so every pair-keyed consumer keeps working) and
-/// lanes 2.. land in `start_rest`. The single place rows learn they are
-/// k-lane — keeping [`make_row`] untouched is what keeps `--agents 2`
-/// byte-identical.
-fn stamp_ensemble(mut row: SweepRow, starts: &[NodeId]) -> SweepRow {
-    row.agents = Some(starts.len());
-    row.start_rest = Some(starts[2..].to_vec());
-    row
+/// The `(met, rounds, crossings)` triple of a bounded run, as [`make_row`]
+/// consumes it — `met` is *gathering* at `k > 2`: all copies on one node
+/// at a round boundary.
+fn bounded_outcome(outcome: Outcome, crossings: u64) -> (bool, Option<u64>, u64) {
+    (outcome.met(), outcome.round(), crossings)
 }
 
-/// The `(met, rounds, crossings)` triple of a bounded run, as
-/// [`make_row`] consumes it.
-fn bounded_outcome(run: &PairRun) -> (bool, Option<u64>, u64) {
-    (run.outcome.met(), run.outcome.round(), run.crossings)
-}
-
-/// The `(met, rounds, crossings)` triple of a bounded k-lane run — `met`
-/// is *gathering*: all `k` copies on one node at a round boundary.
-fn ensemble_outcome(run: &EnsembleRun) -> (bool, Option<u64>, u64) {
-    (run.outcome.met(), run.outcome.round(), run.crossings)
-}
-
-/// Executes one `--agents k > 2` cell by *stepping* all `k` lanes through
-/// the ensemble round loop ([`rvz_sim::run_ensemble_fsa`]) — the k-lane
-/// [`Executor::DynStepping`] path, also the ensemble replay fallback.
-/// Each variant runs a homogeneous concrete bank (rather than boxing into
-/// dyn agents) so the per-variant measured-bits meters stay readable,
-/// exactly as [`run_cell_on`] reads them.
-fn run_cell_ensemble_stepping(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
-    let tree = &inst.tree;
-    let n = tree.num_nodes();
-    let leaves = tree.num_leaves();
-    let starts = inst.tuples.get(cell.pair_index)?.as_slice();
-    let ((delay, schedule), esched) = cell.ensemble_mode(n);
-    let (budget, provisioned_bits) =
-        ensemble_budget_and_provisioned(cell, inst, n, leaves, &esched);
-
-    let (run, measured_bits) = match cell.variant {
-        Variant::TreeRvz => {
-            let mut bank: Vec<TreeRendezvousAgent> =
-                (0..cell.agents).map(|_| TreeRendezvousAgent::new()).collect();
-            let run = run_ensemble_fsa(tree, starts, &mut bank, &esched, budget, false);
-            (run, bank.iter().map(|a| a.memory_bits_measured()).max().unwrap_or(0))
+/// Steps a bank of fresh agents, one per start built by `spawn`, through
+/// the k-lane round loop; returns the run and the largest `meter` reading
+/// after it. The agents go through `dyn Agent`: timed on e7 (pairs of
+/// tree-rvz agents) the dyn loop ran about 12% faster than a per-type
+/// loop, and on e11 (triples of automata) the two were within noise.
+fn step_bank<A: Agent>(
+    tree: &Tree,
+    starts: &[NodeId],
+    (mode, budget): (&CellMode, u64),
+    spawn: impl Fn() -> A,
+    meter: impl Fn(&A) -> u64,
+) -> (EnsembleRun, u64) {
+    let mut bank: Vec<A> = starts.iter().map(|_| spawn()).collect();
+    let mut lanes: Vec<&mut dyn Agent> = bank.iter_mut().map(|a| a as &mut dyn Agent).collect();
+    let act = |lane: usize, obs| lanes[lane].act(obs);
+    let k = starts.len();
+    // One loop per activation rule, so no round pays a branch on the mode.
+    // A delayed pair steps on a two-element array: once the loop is
+    // inlined its lane count is a constant and the per-round lane-pair
+    // scans unroll, which e7 needs to stay as fast as the dedicated pair
+    // loop it replaced.
+    let run = match (mode, starts) {
+        (CellMode::Delay(theta), &[a, b]) => {
+            run_ensemble_with(tree, &[a, b], act, |r, lane| lane == 0 || r > *theta, budget, false)
         }
-        Variant::DelayRobust => {
-            let mut bank: Vec<DelayRobustAgent> =
-                (0..cell.agents).map(|_| DelayRobustAgent::new()).collect();
-            let run = run_ensemble_fsa(tree, starts, &mut bank, &esched, budget, false);
-            (run, bank.iter().map(|a| a.memory_bits_measured()).max().unwrap_or(0))
-        }
-        Variant::PrimePath => {
-            let mut bank: Vec<PrimePathAgent> =
-                (0..cell.agents).map(|_| PrimePathAgent::unbounded()).collect();
-            let run = run_ensemble_fsa(tree, starts, &mut bank, &esched, budget, false);
-            use rvz_agent::model::Agent;
-            (run, bank.iter().map(|a| a.memory_bits()).max().unwrap_or(0))
-        }
-        Variant::BasicWalkFsa => {
-            let fsa = inst.basic_walk_fsa();
-            let mut bank: Vec<_> = (0..cell.agents).map(|_| fsa.runner()).collect();
-            let run = run_ensemble_fsa(tree, starts, &mut bank, &esched, budget, false);
-            use rvz_agent::model::Agent;
-            (run, bank.iter().map(|a| a.memory_bits()).max().unwrap_or(0))
-        }
-    };
-
-    Some(stamp_ensemble(
-        make_row(
-            cell,
-            inst,
-            n,
-            leaves,
-            (delay, schedule),
-            ensemble_outcome(&run),
+        (CellMode::Delay(theta), _) => run_ensemble_with(
+            tree,
+            starts,
+            act,
+            |r, lane| lane + 1 < k || r > *theta,
             budget,
-            provisioned_bits,
-            measured_bits,
-            (starts[0], starts[1]),
             false,
         ),
-        starts,
-    ))
-}
-
-/// Executes one `--agents k > 2` cell from recorded solo trajectories
-/// (the k-lane [`Executor::TraceReplay`] path): all `k` timelines are the
-/// instance memo's lanes, the *same* recordings the pair executor uses (a
-/// solo trajectory is a pure function of activation count, so the memo
-/// needs no ensemble axis), and the cell is decided by
-/// [`rvz_sim::replay_ensemble`]'s k-cursor merge under shared read locks.
-/// Rows are bit-for-bit [`run_cell_ensemble_stepping`]'s; cells needing
-/// recordings past the cap fall back to it.
-fn run_cell_ensemble_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
-    let tree = &inst.tree;
-    let n = tree.num_nodes();
-    let leaves = tree.num_leaves();
-    let starts = inst.tuples.get(cell.pair_index)?.as_slice();
-    let ((delay, schedule), esched) = cell.ensemble_mode(n);
-    let (budget, provisioned_bits) =
-        ensemble_budget_and_provisioned(cell, inst, n, leaves, &esched);
-
-    let lanes: Vec<&memo::Lane> = starts.iter().map(|&s| inst.lane(cell.variant, s)).collect();
-    // Feasible tuples have pairwise-distinct starts, so the lanes differ;
-    // read-lock them in ascending start order (see [`crate::memo`]).
-    let mut order: Vec<usize> = (0..starts.len()).collect();
-    order.sort_by_key(|&i| starts[i]);
-    loop {
-        rvz_sim::cancel::checkpoint();
-        let mut guards: Vec<Option<std::sync::RwLockReadGuard<'_, VariantRecorder>>> =
-            (0..starts.len()).map(|_| None).collect();
-        for &i in &order {
-            guards[i] = Some(memo::read(lanes[i]));
+        (CellMode::Scheduled(_, sched), _) => {
+            run_ensemble_with(tree, starts, act, |r, lane| sched.active(r)[lane], budget, false)
         }
-        let trajs: Vec<&rvz_sim::Trajectory> =
-            guards.iter().map(|g| g.as_ref().expect("locked above").trajectory()).collect();
-        match replay_ensemble(tree, &trajs, &esched, budget, false) {
-            EnsembleReplay::Decided(run) => {
-                // Meters read at each lane's activation count by the final
-                // round, exactly as the stepping bank reports them.
-                let end = run.outcome.round().unwrap_or(budget);
-                let measured_bits = trajs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, traj)| traj.bits_at(esched.index(i).acts_at(end)))
-                    .max()
-                    .unwrap_or(0);
-                return Some(stamp_ensemble(
-                    make_row(
-                        cell,
-                        inst,
-                        n,
-                        leaves,
-                        (delay, schedule),
-                        ensemble_outcome(&run),
-                        budget,
-                        provisioned_bits,
-                        measured_bits,
-                        (starts[0], starts[1]),
-                        false,
-                    ),
-                    starts,
-                ));
-            }
-            EnsembleReplay::NeedMore { rounds } => {
-                if rounds.iter().any(|&need| need > memo::MAX_RECORD_ROUNDS) {
-                    drop(guards);
-                    return run_cell_ensemble_stepping(cell, inst);
-                }
-                // Grow only the lanes the verdict flagged (0 / already
-                // decided = long enough): a warm recording is never
-                // write-locked, let alone re-stepped, because a partner
-                // lane was short.
-                let short: Vec<bool> = rounds
-                    .iter()
-                    .zip(&trajs)
-                    .map(|(&need, traj)| need > 0 && !traj.decided_to(need))
-                    .collect();
-                drop(guards);
-                for ((lane, &need), short) in lanes.iter().zip(&rounds).zip(short) {
-                    if short {
-                        memo::grow(lane, tree, need, budget);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Executes one `--agents k > 2` cell through the exact ensemble decider
-/// ([`rvz_lowerbounds::decide::decide_ensemble`]) — no round budget,
-/// never-*gathers* certified by a joint lasso re-verified by independent
-/// k-lane stepping. Start-delay-shaped cells reuse the instance memo's
-/// solo lassos lane by lane (the k-lane closed form); genuine schedules
-/// walk the product configuration graph. Exact for the automaton variant
-/// only — procedural cells fall back to ensemble replay, exactly like the
-/// pair decide path. No orbit quotient at `k > 2`: the ensemble grids are
-/// capped at `n ≤ 7`, where deciding every tuple directly is affordable.
-fn run_cell_ensemble_decide(
-    cell: &Cell,
-    inst: &SweepInstance,
-) -> Option<(SweepRow, Option<Certificate>)> {
-    if cell.variant != Variant::BasicWalkFsa {
-        return run_cell_ensemble_replay(cell, inst).map(|row| (row, None));
-    }
-    let tree = &inst.tree;
-    let n = tree.num_nodes();
-    let leaves = tree.num_leaves();
-    let starts = inst.tuples.get(cell.pair_index)?.as_slice();
-    let fsa = inst.basic_walk_fsa();
-    let ((delay, schedule), esched) = cell.ensemble_mode(n);
-    let (budget, provisioned_bits) =
-        ensemble_budget_and_provisioned(cell, inst, n, leaves, &esched);
-
-    let decision: EnsembleDecision = match esched.as_start_delays() {
-        Some(delays) => {
-            // The per-lane solo lassos come from the instance memo the
-            // pair decide path reads: the tabulation is shared across
-            // every tuple, delay class, and sweep repetition touching the
-            // start.
-            let lassos: Vec<&SoloLasso> = starts.iter().map(|&s| inst.solo_lasso(s)).collect();
-            decide_ensemble_from_lassos(&lassos, &delays)
-        }
-        None => decide_ensemble(tree, fsa, starts, &esched),
     };
-
-    let row = |outcome: (bool, Option<u64>, u64)| {
-        stamp_ensemble(
-            make_row(
-                cell,
-                inst,
-                n,
-                leaves,
-                (delay, schedule.clone()),
-                outcome,
-                budget,
-                provisioned_bits,
-                fsa.memory_bits(),
-                (starts[0], starts[1]),
-                true,
-            ),
-            starts,
-        )
-    };
-    Some(match decision.round() {
-        Some(round) => (row((true, Some(round), decision.crossings_within(round))), None),
-        None => {
-            let lasso = decision.lasso().expect("no round means a lasso");
-            let cert = Certificate {
-                experiment: cell.experiment.clone(),
-                family: cell.family.name().to_string(),
-                size: cell.n,
-                n,
-                tree_seed: inst.tree_seed,
-                variant: cell.variant.name().to_string(),
-                start_a: starts[0],
-                start_b: starts[1],
-                verdict: "never-gathers".to_string(),
-                schedule: schedule.clone(),
-                delay,
-                round: None,
-                delays_checked: None,
-                lasso_stem: Some(lasso.stem),
-                lasso_period: Some(lasso.period),
-                verified: Some(verify_ensemble_lasso(tree, fsa, starts, &esched, lasso)),
-                agents: Some(starts.len()),
-                start_rest: Some(starts[2..].to_vec()),
-            };
-            (row((false, None, decision.crossings_within(budget))), Some(cert))
-        }
-    })
+    (run, bank.iter().map(meter).max().unwrap_or(0))
 }
 
-/// Executes one cell on a prebuilt instance by *stepping* both agents
-/// (the [`Executor::DynStepping`] path; also the replay fallback). `inst`
-/// must be (equal to) `SweepInstance::for_cell(cell)` — the executor
-/// guarantees this by keying instances on `(family, n, tree_index)`
-/// within one spec (the enumerated family keys each tree individually).
+/// Executes one cell on a prebuilt instance by *stepping* every agent
+/// (the [`Executor::DynStepping`] path; also the replay fallback), for
+/// any lane count. `inst` must be (equal to) `SweepInstance::for_cell(cell)`
+/// — the executor guarantees this by keying instances on
+/// `(family, n, tree_index)` within one spec (the enumerated family keys
+/// each tree individually).
 pub fn run_cell_on(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
-    if cell.agents > 2 {
-        // The k-lane grid admits no adversarial axis (grid-filtered), so
-        // the ensemble stepping path answers every cell.
-        return run_cell_ensemble_stepping(cell, inst);
-    }
     if cell.delay == Delay::Adversarial {
         // Only the quantifier layer can answer "every delay".
         return run_cell_decide(cell, inst);
@@ -1433,68 +1197,33 @@ pub fn run_cell_on(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
     let tree = &inst.tree;
     let n = tree.num_nodes();
     let leaves = tree.num_leaves();
-    let &(start_a, start_b) = inst.pairs.get(cell.pair_index)?;
+    let starts = inst.starts(cell)?;
+    let mode = cell.mode(n);
+    let (budget, provisioned_bits) = budget_and_provisioned(cell, inst, n, leaves, &mode);
 
-    // One generic runner per activation mode: the θ path steps through the
-    // dyn-compatible `run_pair` wrapper exactly as before (measured-fastest
-    // — monomorphizing the round loop benched slower, see the
-    // `sim_hot_path/pair_rounds` static-vs-dyn comparison); genuinely
-    // scheduled cells step the same agents under `run_pair_scheduled`.
-    let (delay, schedule, budget, provisioned_bits, stepper): (
-        u64,
-        Option<String>,
-        u64,
-        u64,
-        Box<dyn Fn(&mut dyn rvz_agent::model::Agent, &mut dyn rvz_agent::model::Agent) -> PairRun>,
-    ) = match cell.mode(n) {
-        CellMode::Delay(delay) => {
-            let (budget, provisioned) = budget_and_provisioned(cell, inst, n, leaves, delay, None);
-            let cfg = PairConfig::delayed(delay, budget);
-            let step = move |x: &mut dyn rvz_agent::model::Agent,
-                             y: &mut dyn rvz_agent::model::Agent| {
-                run_pair(tree, start_a, start_b, x, y, cfg)
-            };
-            (delay, None, budget, provisioned, Box::new(step))
-        }
-        CellMode::Scheduled(spec) => {
-            let sched = spec.resolve(n);
-            let (budget, provisioned) =
-                budget_and_provisioned(cell, inst, n, leaves, 0, Some(&sched));
-            let step = move |x: &mut dyn rvz_agent::model::Agent,
-                             y: &mut dyn rvz_agent::model::Agent| {
-                run_pair_scheduled(tree, start_a, start_b, x, y, &sched, budget, false)
-            };
-            (0, Some(spec.label(n)), budget, provisioned, Box::new(step))
-        }
-    };
-
+    // One concrete bank per variant, so each variant's meter stays readable.
+    let step = (&mode, budget);
     let (run, measured_bits) = match cell.variant {
-        Variant::TreeRvz => {
-            let mut x = TreeRendezvousAgent::new();
-            let mut y = TreeRendezvousAgent::new();
-            let run = stepper(&mut x, &mut y);
-            (run, x.memory_bits_measured().max(y.memory_bits_measured()))
-        }
-        Variant::DelayRobust => {
-            let mut x = DelayRobustAgent::new();
-            let mut y = DelayRobustAgent::new();
-            let run = stepper(&mut x, &mut y);
-            (run, x.memory_bits_measured().max(y.memory_bits_measured()))
-        }
+        Variant::TreeRvz => step_bank(
+            tree,
+            starts,
+            step,
+            TreeRendezvousAgent::new,
+            TreeRendezvousAgent::memory_bits_measured,
+        ),
+        Variant::DelayRobust => step_bank(
+            tree,
+            starts,
+            step,
+            DelayRobustAgent::new,
+            DelayRobustAgent::memory_bits_measured,
+        ),
         Variant::PrimePath => {
-            let mut x = PrimePathAgent::unbounded();
-            let mut y = PrimePathAgent::unbounded();
-            let run = stepper(&mut x, &mut y);
-            use rvz_agent::model::Agent;
-            (run, x.memory_bits().max(y.memory_bits()))
+            step_bank(tree, starts, step, PrimePathAgent::unbounded, Agent::memory_bits)
         }
         Variant::BasicWalkFsa => {
             let fsa = inst.basic_walk_fsa();
-            let mut x = fsa.runner();
-            let mut y = fsa.runner();
-            let run = stepper(&mut x, &mut y);
-            use rvz_agent::model::Agent;
-            (run, x.memory_bits().max(y.memory_bits()))
+            step_bank(tree, starts, step, || fsa.runner(), Agent::memory_bits)
         }
     };
 
@@ -1503,12 +1232,12 @@ pub fn run_cell_on(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
         inst,
         n,
         leaves,
-        (delay, schedule),
-        bounded_outcome(&run),
+        mode.row_fields(n),
+        bounded_outcome(run.outcome, run.crossings),
         budget,
         provisioned_bits,
         measured_bits,
-        (start_a, start_b),
+        starts,
         false,
     ))
 }
@@ -1530,20 +1259,15 @@ pub fn run_cell_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
     let tree = &inst.tree;
     let n = tree.num_nodes();
     let leaves = tree.num_leaves();
-    let &(start_a, start_b) = inst.pairs.get(cell.pair_index)?;
+    let starts = inst.starts(cell)?;
+    let (start_a, start_b) = (starts[0], starts[1]);
 
     // Genuinely scheduled cells replay against the *same* recordings as
-    // every θ cell (a lane has no schedule axis): the frozen
-    // semantics makes a solo trajectory a pure function of activation
-    // count, so the schedule only re-times the merge. The θ-equivalent
-    // metadata below mirrors the mode split of [`run_cell_on`].
-    let (delay, sched): (u64, Option<(ScheduleSpec, Schedule)>) = match cell.mode(n) {
-        CellMode::Delay(delay) => (delay, None),
-        CellMode::Scheduled(spec) => (0, Some((spec, spec.resolve(n)))),
-    };
-    let (budget, provisioned_bits) =
-        budget_and_provisioned(cell, inst, n, leaves, delay, sched.as_ref().map(|(_, s)| s));
-    let cfg = PairConfig::delayed(delay, budget);
+    // every θ cell (a lane has no schedule axis): the frozen semantics
+    // makes a solo trajectory a pure function of activation count, so the
+    // schedule only re-times the merge.
+    let mode = cell.mode(n);
+    let (budget, provisioned_bits) = budget_and_provisioned(cell, inst, n, leaves, &mode);
 
     let lane_a = inst.lane(cell.variant, start_a);
     let lane_b = inst.lane(cell.variant, start_b);
@@ -1559,10 +1283,13 @@ pub fn run_cell_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
             gb = memo::read(lane_b);
             ga = memo::read(lane_a);
         }
-        let verdict = match &sched {
-            None => replay_pair(tree, ga.trajectory(), gb.trajectory(), cfg),
-            Some((_, s)) => {
-                replay_pair_scheduled(tree, ga.trajectory(), gb.trajectory(), s, budget, false)
+        let (ta, tb) = (ga.trajectory(), gb.trajectory());
+        let verdict = match &mode {
+            CellMode::Delay(theta) => {
+                replay_pair(tree, ta, tb, PairConfig::delayed(*theta, budget))
+            }
+            CellMode::Scheduled(_, sched) => {
+                replay_pair_scheduled(tree, ta, tb, sched, budget, false)
             }
         };
         match verdict {
@@ -1573,23 +1300,24 @@ pub fn run_cell_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
                 // θ path's counts are `round` and `round − θ`, the
                 // scheduled path's come from the activation index).
                 let end = run.outcome.round().unwrap_or(budget);
-                let (acts_a, acts_b) = match &sched {
-                    None => (end, end.saturating_sub(delay)),
-                    Some((_, s)) => (s.index_a().acts_at(end), s.index_b().acts_at(end)),
+                let (acts_a, acts_b) = match &mode {
+                    CellMode::Delay(theta) => (end, end.saturating_sub(*theta)),
+                    CellMode::Scheduled(_, sched) => {
+                        (sched.index(0).acts_at(end), sched.index(1).acts_at(end))
+                    }
                 };
-                let measured_bits =
-                    ga.trajectory().bits_at(acts_a).max(gb.trajectory().bits_at(acts_b));
+                let measured_bits = ta.bits_at(acts_a).max(tb.bits_at(acts_b));
                 return Some(make_row(
                     cell,
                     inst,
                     n,
                     leaves,
-                    (delay, sched.map(|(spec, _)| spec.label(n))),
-                    bounded_outcome(&run),
+                    mode.row_fields(n),
+                    bounded_outcome(run.outcome, run.crossings),
                     budget,
                     provisioned_bits,
                     measured_bits,
-                    (start_a, start_b),
+                    starts,
                     false,
                 ));
             }
@@ -1604,8 +1332,8 @@ pub fn run_cell_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
                 // write-locked, let alone re-stepped, because its partner
                 // was short. Both verdict flavors report *solo recording
                 // rounds*, i.e. activation counts.
-                let short_a = !ga.trajectory().decided_to(a_rounds);
-                let short_b = !gb.trajectory().decided_to(b_rounds);
+                let short_a = !ta.decided_to(a_rounds);
+                let short_b = !tb.decided_to(b_rounds);
                 drop(ga);
                 drop(gb);
                 if short_a {
@@ -1613,6 +1341,95 @@ pub fn run_cell_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
                 }
                 if short_b {
                     memo::grow(lane_b, tree, b_rounds, budget);
+                }
+            }
+        }
+    }
+}
+
+/// Executes one `--agents k > 2` cell from recorded solo trajectories
+/// (the k-lane [`Executor::TraceReplay`] path): all `k` timelines are the
+/// instance memo's lanes, the *same* recordings the pair executor uses (a
+/// solo trajectory is a pure function of activation count, so the memo
+/// needs no ensemble axis), and the cell is decided by
+/// [`rvz_sim::replay_ensemble`]'s k-cursor merge under shared read locks.
+/// Rows are bit-for-bit [`run_cell_on`]'s; cells needing recordings past
+/// the cap fall back to it. The merge runs on a materialized schedule, so
+/// θ cells here are capped at [`EnsembleSchedule::MAX_MATERIALIZED_PREFIX`].
+fn run_cell_ensemble_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
+    let tree = &inst.tree;
+    let n = tree.num_nodes();
+    let leaves = tree.num_leaves();
+    let starts = inst.starts(cell)?;
+    let mode = cell.mode(n);
+    let (budget, provisioned_bits) = budget_and_provisioned(cell, inst, n, leaves, &mode);
+    let delayed;
+    let esched = match &mode {
+        CellMode::Delay(theta) => {
+            delayed = EnsembleSchedule::start_delays(&lane_delays(*theta, starts.len()));
+            &delayed
+        }
+        CellMode::Scheduled(_, sched) => sched,
+    };
+
+    let lanes: Vec<&memo::Lane> = starts.iter().map(|&s| inst.lane(cell.variant, s)).collect();
+    // Feasible tuples have pairwise-distinct starts, so the lanes differ;
+    // read-lock them in ascending start order (see [`crate::memo`]).
+    let mut order: Vec<usize> = (0..starts.len()).collect();
+    order.sort_by_key(|&i| starts[i]);
+    loop {
+        rvz_sim::cancel::checkpoint();
+        let mut guards: Vec<Option<std::sync::RwLockReadGuard<'_, VariantRecorder>>> =
+            (0..starts.len()).map(|_| None).collect();
+        for &i in &order {
+            guards[i] = Some(memo::read(lanes[i]));
+        }
+        let trajs: Vec<&rvz_sim::Trajectory> =
+            guards.iter().map(|g| g.as_ref().expect("locked above").trajectory()).collect();
+        match replay_ensemble(tree, &trajs, esched, budget, false) {
+            EnsembleReplay::Decided(run) => {
+                // Meters read at each lane's activation count by the final
+                // round, exactly as the stepping bank reports them.
+                let end = run.outcome.round().unwrap_or(budget);
+                let measured_bits = trajs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, traj)| traj.bits_at(esched.index(i).acts_at(end)))
+                    .max()
+                    .unwrap_or(0);
+                return Some(make_row(
+                    cell,
+                    inst,
+                    n,
+                    leaves,
+                    mode.row_fields(n),
+                    bounded_outcome(run.outcome, run.crossings),
+                    budget,
+                    provisioned_bits,
+                    measured_bits,
+                    starts,
+                    false,
+                ));
+            }
+            EnsembleReplay::NeedMore { rounds } => {
+                if rounds.iter().any(|&need| need > memo::MAX_RECORD_ROUNDS) {
+                    drop(guards);
+                    return run_cell_on(cell, inst);
+                }
+                // Grow only the lanes the verdict flagged (0 / already
+                // decided = long enough): a warm recording is never
+                // write-locked, let alone re-stepped, because a partner
+                // lane was short.
+                let short: Vec<bool> = rounds
+                    .iter()
+                    .zip(&trajs)
+                    .map(|(&need, traj)| need > 0 && !traj.decided_to(need))
+                    .collect();
+                drop(guards);
+                for ((lane, &need), short) in lanes.iter().zip(&rounds).zip(short) {
+                    if short {
+                        memo::grow(lane, tree, need, budget);
+                    }
                 }
             }
         }
@@ -1627,21 +1444,25 @@ pub fn run_cell_decide(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
 }
 
 /// Executes one cell by reachability over the joint configuration graph
-/// ([`rvz_lowerbounds::decide`]) — no round budget. Exact for the
-/// automaton variant; procedural-agent cells fall back to the replay
-/// executor (their configuration spaces are not exported). Fixed-delay
-/// rows are byte-identical to the bounded executors' except for
+/// ([`rvz_lowerbounds::decide`]) — no round budget, for any lane count.
+/// Exact for the automaton variant; procedural-agent cells fall back to
+/// the replay executor (their configuration spaces are not exported).
+/// Rows are byte-identical to the bounded executors' except for
 /// `certified: true`: the meeting round, the crossing count *at the
 /// bounded executors' budget* (closed-form along the certified cycle) and
 /// every provenance field coincide. Returns the row plus a
-/// [`Certificate`] for never-meets and universal-delay cells.
+/// [`Certificate`] for never-meets (never-gathers) and universal-delay
+/// cells; every lasso is re-verified by independent stepping.
+///
+/// Pairs keep two special cases, both pair-only by nature: the θ axis runs
+/// on the fixed-delay closed form, which the ∀θ quantifier folds over
+/// every delay, and pair cells are answered through the orbit quotient.
+/// At `k > 2` every cell is decided directly (the ensemble grids are
+/// capped at `n ≤ 7`, where deciding every tuple is affordable).
 pub fn run_cell_decide_certified(
     cell: &Cell,
     inst: &SweepInstance,
 ) -> Option<(SweepRow, Option<Certificate>)> {
-    if cell.agents > 2 {
-        return run_cell_ensemble_decide(cell, inst);
-    }
     if cell.variant != Variant::BasicWalkFsa {
         // The grid filter keeps adversarial delays off procedural agents;
         // guard against hand-built cells re-entering the replay path.
@@ -1651,10 +1472,10 @@ pub fn run_cell_decide_certified(
     let tree = &inst.tree;
     let n = tree.num_nodes();
     let leaves = tree.num_leaves();
-    let &(start_a, start_b) = inst.pairs.get(cell.pair_index)?;
+    let starts = inst.starts(cell)?;
     let fsa = inst.basic_walk_fsa();
-    let provisioned_bits = fsa.memory_bits();
-    let measured_bits = fsa.memory_bits();
+    let bits = fsa.memory_bits();
+    let ensemble = starts.len() > 2;
 
     let base_certificate = |verdict: &str, delay: u64| Certificate {
         experiment: cell.experiment.clone(),
@@ -1663,8 +1484,8 @@ pub fn run_cell_decide_certified(
         n,
         tree_seed: inst.tree_seed,
         variant: cell.variant.name().to_string(),
-        start_a,
-        start_b,
+        start_a: starts[0],
+        start_b: starts[1],
         verdict: verdict.to_string(),
         schedule: None,
         delay,
@@ -1673,8 +1494,8 @@ pub fn run_cell_decide_certified(
         lasso_stem: None,
         lasso_period: None,
         verified: None,
-        agents: None,
-        start_rest: None,
+        agents: ensemble.then_some(starts.len()),
+        start_rest: ensemble.then(|| starts[2..].to_vec()),
     };
     let certificate = |verdict: &str,
                        delay: u64,
@@ -1686,114 +1507,72 @@ pub fn run_cell_decide_certified(
             delays_checked,
             lasso_stem: lasso.map(|l| l.stem),
             lasso_period: lasso.map(|l| l.period),
-            verified: lasso.map(|l| verify_lasso(tree, fsa, start_a, start_b, delay, l)),
+            verified: lasso.map(|l| verify_lasso(tree, fsa, starts[0], starts[1], delay, l)),
             ..base_certificate(verdict, delay)
         }
     };
     // The one certified-row assembler: shares [`make_row`] with the
-    // bounded executors, so the 20-field row shape lives in one place.
-    let row = |(delay, schedule): (u64, Option<String>),
-               outcome: (bool, Option<u64>, u64),
-               budget: u64| {
-        make_row(
-            cell,
-            inst,
-            n,
-            leaves,
-            (delay, schedule),
-            outcome,
-            budget,
-            provisioned_bits,
-            measured_bits,
-            (start_a, start_b),
-            true,
-        )
+    // bounded executors, so the row shape lives in one place.
+    let row = |fields: (u64, Option<String>), outcome: (bool, Option<u64>, u64), budget: u64| {
+        make_row(cell, inst, n, leaves, fields, outcome, budget, bits, bits, starts, true)
     };
 
-    // The orbit quotient: classify the cell's delay axis, pick the orbit
-    // table whose group is sound for it, decide the orbit representative
-    // once per `(instance, delay class)` — both solo halves from the
-    // instance memo — and replicate the relabeled verdict to the
-    // rest of the orbit. Replication is exact (see
+    // `None` is the ∀θ quantifier (pair cells only — the ensemble grid
+    // filters it out).
+    let mode = (cell.delay != Delay::Adversarial).then(|| cell.mode(n));
+    let solo = |start| inst.solo_lasso(start);
+    let decide = |starts: &[NodeId]| match &mode {
+        None => RepDecision::Universal(worst_case_from_lassos(solo(starts[0]), solo(starts[1]))),
+        // Feasible pairs have distinct starts, so the precomputed-lasso
+        // entry points apply; the per-lane solo lassos come from the
+        // instance memo, shared across every start tuple and delay class.
+        Some(CellMode::Delay(theta)) if starts.len() == 2 => {
+            RepDecision::Fixed(decide_from_lassos(solo(starts[0]), solo(starts[1]), *theta))
+        }
+        Some(CellMode::Delay(theta)) => {
+            let lassos: Vec<&SoloLasso> = starts.iter().map(|&s| solo(s)).collect();
+            let delays = lane_delays(*theta, starts.len());
+            RepDecision::Scheduled(decide_ensemble_from_lassos(&lassos, &delays))
+        }
+        Some(CellMode::Scheduled(_, sched)) => {
+            RepDecision::Scheduled(decide_ensemble(tree, fsa, starts, sched))
+        }
+    };
+
+    // The orbit quotient (pairs): pick the orbit table whose group is
+    // sound for the cell's delay class, decide the orbit representative
+    // once per `(instance, delay class)` and replicate the relabeled
+    // verdict to the rest of the orbit. Replication is exact (see
     // [`rvz_lowerbounds::decide::Decision::relabel`]): the row below is
     // byte-identical to deciding the pair directly, and the certificate
-    // is re-verified against *this* pair's starts.
-    enum Path {
-        Fixed(u64),
-        Universal,
-        Scheduled(ScheduleSpec, Schedule),
-    }
-    let path = match cell.delay {
-        Delay::Adversarial => Path::Universal,
-        // Genuinely scheduled cells take the cycle-position product
-        // construction; start-delay-shaped specs fall through to the
-        // θ-indexed decider and emit byte-identical legacy rows.
-        Delay::Schedule(spec) if spec.as_start_delay().is_none() => {
-            Path::Scheduled(spec, spec.resolve(n))
-        }
-        _ => match cell.mode(n) {
-            CellMode::Delay(delay) => Path::Fixed(delay),
-            CellMode::Scheduled(_) => unreachable!("genuine schedules matched above"),
-        },
-    };
-    // The flip acts on space and is sound under every activation pattern;
-    // the swap exchanges the agents and is sound only when the schedule
-    // treats the lanes identically (θ = 0 / lane-symmetric schedules —
-    // never the ∀-delay quantifier, whose θ axis is lane-asymmetric).
-    let allow_swap = match &path {
-        Path::Fixed(delay) => *delay == 0,
-        Path::Universal => false,
-        Path::Scheduled(_, sched) => sched.lane_symmetric(),
-    };
-    let (rep, action) = inst.orbit_lookup(allow_swap)[cell.pair_index];
-    let (rep_a, rep_b) = inst.pairs[rep];
-    let solo = |start| inst.solo_lasso(start);
-    let slot = inst.rep_decision((cell.delay.code(), rep), || match &path {
-        Path::Fixed(delay) => {
-            // Feasible pairs have distinct starts, so the precomputed-
-            // lasso entry points apply.
-            RepDecision::Fixed(decide_from_lassos(solo(rep_a), solo(rep_b), *delay))
-        }
-        Path::Universal => RepDecision::Universal(worst_case_from_lassos(solo(rep_a), solo(rep_b))),
-        Path::Scheduled(_, sched) => {
-            RepDecision::Scheduled(decide_pair_scheduled(tree, fsa, rep_a, rep_b, sched))
-        }
-    });
-    let rep_decision = slot.get().expect("representative decided above");
-    let relabeled;
-    let decided: &RepDecision = if action == OrbitAction::IDENTITY {
-        rep_decision
+    // is re-verified against *this* pair's starts. The flip acts on space
+    // and is sound under every activation pattern; the swap exchanges the
+    // agents and is sound only when the schedule treats the lanes
+    // identically (θ = 0 / lane-symmetric schedules — never the ∀θ
+    // quantifier, whose θ axis is lane-asymmetric).
+    let (slot, relabeled, direct);
+    let decided: &RepDecision = if ensemble {
+        direct = decide(starts);
+        &direct
     } else {
-        relabeled = rep_decision.relabel(action, inst.flip_map());
-        &relabeled
+        let allow_swap = match &mode {
+            None => false,
+            Some(CellMode::Delay(theta)) => *theta == 0,
+            Some(CellMode::Scheduled(_, sched)) => sched.lane_symmetric(),
+        };
+        let (rep, action) = inst.orbit_lookup(allow_swap)[cell.pair_index];
+        slot = inst.rep_decision((cell.delay.code(), rep), || decide(&inst.pairs[rep]));
+        let rep_decision = slot.get().expect("representative decided above");
+        if action == OrbitAction::IDENTITY {
+            rep_decision
+        } else {
+            relabeled = rep_decision.relabel(action, inst.flip_map());
+            &relabeled
+        }
     };
 
-    Some(match (&path, decided) {
-        (Path::Scheduled(spec, sched), RepDecision::Scheduled(decision)) => {
-            let budget = schedule_budget_for(n, sched);
-            let label = spec.label(n);
-            match decision.round() {
-                Some(round) => {
-                    let crossings = decision.crossings_within(round);
-                    (row((0, Some(label)), (true, Some(round), crossings), budget), None)
-                }
-                None => {
-                    let lasso = decision.lasso().expect("no round means a lasso");
-                    let cert = Certificate {
-                        schedule: Some(label.clone()),
-                        lasso_stem: Some(lasso.stem),
-                        lasso_period: Some(lasso.period),
-                        verified: Some(verify_schedule_lasso(
-                            tree, fsa, start_a, start_b, sched, lasso,
-                        )),
-                        ..base_certificate("never-meets", 0)
-                    };
-                    let crossings = decision.crossings_within(budget);
-                    (row((0, Some(label)), (false, None, crossings), budget), Some(cert))
-                }
-            }
-        }
-        (Path::Universal, RepDecision::Universal(wc)) => match wc {
+    Some(match (&mode, decided) {
+        (None, RepDecision::Universal(wc)) => match wc {
             WorstCase::AllMeet { worst_delay, worst_round, delays_checked, decision } => {
                 let budget = basic_walk_budget_for(n, *worst_delay);
                 let crossings = decision.crossings_within(*worst_round);
@@ -1820,23 +1599,44 @@ pub fn run_cell_decide_certified(
                 )
             }
         },
-        (Path::Fixed(delay), RepDecision::Fixed(decision)) => {
-            let delay = *delay;
-            let budget = basic_walk_budget_for(n, delay);
-            match decision.round() {
-                Some(round) => {
-                    // `crossings_within(round)` == the simulator's count:
-                    // it stops counting at the meeting round too.
-                    let crossings = decision.crossings_within(round);
-                    (row((delay, None), (true, Some(round), crossings), budget), None)
+        (Some(mode), decided) => {
+            let budget = mode.bw_budget(n);
+            let fields = mode.row_fields(n);
+            let verdict = if ensemble { "never-gathers" } else { "never-meets" };
+            let (round, crossings, cert) = match decided {
+                RepDecision::Fixed(d) => {
+                    let cert =
+                        d.lasso().map(|l| certificate(verdict, fields.0, None, None, Some(l)));
+                    (d.round(), d.crossings_within(d.round().unwrap_or(budget)), cert)
                 }
-                None => {
-                    let lasso = decision.lasso().expect("no round means a lasso");
-                    let cert = certificate("never-meets", delay, None, None, Some(lasso));
-                    let crossings = decision.crossings_within(budget);
-                    (row((delay, None), (false, None, crossings), budget), Some(cert))
+                RepDecision::Scheduled(d) => {
+                    let cert = d.lasso().map(|lasso| {
+                        let verified = match mode {
+                            CellMode::Delay(theta) => {
+                                let delays = lane_delays(*theta, starts.len());
+                                verify_delayed_ensemble_lasso(tree, fsa, starts, &delays, lasso)
+                            }
+                            CellMode::Scheduled(_, sched) => {
+                                verify_ensemble_lasso(tree, fsa, starts, sched, lasso)
+                            }
+                        };
+                        Certificate {
+                            schedule: fields.1.clone(),
+                            lasso_stem: Some(lasso.stem),
+                            lasso_period: Some(lasso.period),
+                            verified: Some(verified),
+                            ..base_certificate(verdict, fields.0)
+                        }
+                    });
+                    (d.round(), d.crossings_within(d.round().unwrap_or(budget)), cert)
                 }
-            }
+                RepDecision::Universal(_) => {
+                    unreachable!("the memo key separates decision flavors")
+                }
+            };
+            // `crossings_within(round)` == the simulator's count: it stops
+            // counting at the meeting round too.
+            (row(fields, (round.is_some(), round, crossings), budget), cert)
         }
         _ => unreachable!("the memo key separates decision flavors"),
     })
@@ -1926,48 +1726,22 @@ fn quarantine_row(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
     let tree = &inst.tree;
     let n = tree.num_nodes();
     let leaves = tree.num_leaves();
-    if cell.agents > 2 {
-        let starts = inst.tuples.get(cell.pair_index)?.as_slice();
-        let ((delay, schedule), esched) = cell.ensemble_mode(n);
-        let (budget, provisioned_bits) =
-            ensemble_budget_and_provisioned(cell, inst, n, leaves, &esched);
-        return Some(stamp_ensemble(
-            make_row(
-                cell,
-                inst,
-                n,
-                leaves,
-                (delay, schedule),
-                (false, None, 0),
-                budget,
-                provisioned_bits,
-                0,
-                (starts[0], starts[1]),
-                false,
-            ),
-            starts,
-        ));
-    }
-    let &starts = inst.pairs.get(cell.pair_index)?;
-    let (mode, budget, provisioned_bits) = if cell.delay == Delay::Adversarial {
+    let starts = inst.starts(cell)?;
+    let (fields, budget, provisioned_bits) = if cell.delay == Delay::Adversarial {
         // The quantifier never reached a decisive delay; there is no θ or
         // budget to report, only the provisioned automaton size.
-        ((0u64, None), 0u64, inst.basic_walk_fsa().memory_bits())
+        ((0, None), 0, inst.basic_walk_fsa().memory_bits())
     } else {
-        let (delay, schedule, sched) = match cell.mode(n) {
-            CellMode::Delay(delay) => (delay, None, None),
-            CellMode::Scheduled(spec) => (0, Some(spec.label(n)), Some(spec.resolve(n))),
-        };
-        let (budget, provisioned) =
-            budget_and_provisioned(cell, inst, n, leaves, delay, sched.as_ref());
-        ((delay, schedule), budget, provisioned)
+        let mode = cell.mode(n);
+        let (budget, provisioned) = budget_and_provisioned(cell, inst, n, leaves, &mode);
+        (mode.row_fields(n), budget, provisioned)
     };
     Some(make_row(
         cell,
         inst,
         n,
         leaves,
-        mode,
+        fields,
         (false, None, 0),
         budget,
         provisioned_bits,
@@ -2405,7 +2179,7 @@ pub fn perf_grid_ensemble() -> SweepSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rvz_sim::run_pair_fsa;
+    use rvz_sim::run_pair;
 
     fn small_spec(threads: usize) -> SweepSpec {
         SweepSpec {
@@ -2454,7 +2228,7 @@ mod tests {
             let fsa = rvz_agent::Fsa::basic_walk(tree.max_degree().max(1));
             let mut x = fsa.runner();
             let mut y = fsa.runner();
-            let rerun = run_pair_fsa(
+            let rerun = run_pair(
                 &tree,
                 row.start_a,
                 row.start_b,
@@ -2645,7 +2419,7 @@ mod tests {
                 replicated += 1;
             }
             let fsa = inst.basic_walk_fsa();
-            let (a, b) = inst.pairs[cell.pair_index];
+            let [a, b] = inst.pairs[cell.pair_index];
             match cell.delay {
                 Delay::Adversarial => match worst_case_delay(&inst.tree, fsa, a, b) {
                     rvz_lowerbounds::decide::WorstCase::AllMeet {
@@ -2712,8 +2486,8 @@ mod tests {
                 let theta = if allow_swap { 0 } else { 3 };
                 let lookup = inst.orbit_lookup(allow_swap).to_vec();
                 for (index, &(rep, action)) in lookup.iter().enumerate() {
-                    let (ra, rb) = inst.pairs[rep];
-                    let (a, b) = inst.pairs[index];
+                    let [ra, rb] = inst.pairs[rep];
+                    let [a, b] = inst.pairs[index];
                     let rep_dec = decide_pair(&inst.tree, fsa, ra, rb, theta);
                     let direct = decide_pair(&inst.tree, fsa, a, b, theta);
                     let map = action.flip.then(|| inst.flip_map().expect("flip map"));
@@ -2808,7 +2582,7 @@ mod tests {
         // schedules (prefix θ, cycle 1).
         for (n, theta) in [(2usize, 0u64), (9, 1), (16, 7), (40, 1000)] {
             assert_eq!(
-                schedule_budget_for(n, &Schedule::start_delay(theta)),
+                schedule_budget_for(n, &EnsembleSchedule::start_delays(&[0, theta])),
                 basic_walk_budget_for(n, theta),
                 "n={n} θ={theta}"
             );
@@ -2837,6 +2611,44 @@ mod tests {
                 serde_json::to_string(&scheduled_rows).unwrap(),
                 "start-delay schedules must emit the legacy rows ({executor:?})"
             );
+        }
+    }
+
+    #[test]
+    fn delays_past_the_schedule_cap_step_and_decide_at_every_width() {
+        // θ is an integer on the stepping and decide paths: a delay just
+        // past the materialization cap runs at k = 2 and k = 3 alike, and
+        // the two executors agree on every field but `certified`.
+        let theta = EnsembleSchedule::MAX_MATERIALIZED_PREFIX + 1;
+        for agents in [2usize, 3] {
+            let spec = |executor| SweepSpec {
+                experiment: "huge-theta".into(),
+                families: vec![Family::Line],
+                sizes: vec![6],
+                delays: vec![Delay::Fixed(theta)],
+                variants: vec![Variant::BasicWalkFsa],
+                pairs_per_cell: 2,
+                seed: 0x7E7A,
+                threads: 1,
+                executor,
+                agents,
+            };
+            let stepped = run(&spec(Executor::DynStepping));
+            let decided = run(&spec(Executor::ExactDecide));
+            assert_eq!(stepped.rows.len(), 2, "k = {agents}");
+            assert!(stepped.rows.iter().all(|r| r.delay == theta && !r.certified));
+            let strip = |rows: &[SweepRow]| {
+                let mut rows = rows.to_vec();
+                for r in &mut rows {
+                    r.certified = false;
+                }
+                serde_json::to_string(&rows).unwrap()
+            };
+            assert_eq!(strip(&decided.rows), strip(&stepped.rows), "k = {agents}");
+            assert!(decided.rows.iter().all(|r| r.certified), "k = {agents}");
+            for cert in &decided.certificates {
+                assert_eq!(cert.verified, Some(true), "{cert:?}");
+            }
         }
     }
 

@@ -39,9 +39,17 @@
 //! tree via the caller's memo — plus one allocation-free scan.
 //!
 //! Activation *schedules* (the general adversary) do interleave agent
-//! wake-ups, so [`decide_pair_scheduled`] still walks the product graph;
-//! its visited set is a compact open-addressed table of packed `u128`
-//! configuration keys rather than a `HashMap` of tuples.
+//! wake-ups, so [`decide_ensemble`] walks the product graph of `k` lanes
+//! (a pair is `k = 2`, [`decide_pair_scheduled`]); its visited set is a
+//! compact open-addressed table of packed `u128` configuration keys rather
+//! than a `HashMap` of tuples.
+//!
+//! The start delay θ keeps its own two-lane family — [`Decision`],
+//! [`Lasso`], [`decide_from_lassos`], the ∀θ quantifier
+//! [`worst_case_delay`] and [`verify_lasso`]. It is the one place a pair is
+//! not the `k = 2` case of the ensemble code: θ delays one of two lanes,
+//! the quantifier folds every θ onto finitely many residue classes, and the
+//! exhaustive e9 grid runs on this two-array scan.
 //!
 //! The adversary's start delay θ splits a run into two regions:
 //!
@@ -68,7 +76,7 @@
 use rvz_agent::fsa::Fsa;
 use rvz_agent::line_fsa::StateId;
 use rvz_agent::model::{Action, Obs};
-use rvz_sim::{pair_index, EnsembleSchedule, Schedule};
+use rvz_sim::{pair_index, EnsembleSchedule};
 use rvz_trees::{NodeId, Port, Tree};
 
 /// One agent's situation between rounds: the automaton state that emitted
@@ -88,25 +96,6 @@ impl AgentCfg {
     /// preserved by definition of port-preserving.
     fn relabel(self, map: &[NodeId]) -> AgentCfg {
         AgentCfg { node: map[self.node as usize], ..self }
-    }
-}
-
-/// Applies an orbit action to a joint configuration pair: map both nodes
-/// through the flip (if any), then exchange the lanes (if `swap`).
-fn relabel_pair<T: Copy>(
-    (a, b): (T, T),
-    map: Option<&[NodeId]>,
-    swap: bool,
-    f: impl Fn(T, &[NodeId]) -> T,
-) -> (T, T) {
-    let (a, b) = match map {
-        Some(m) => (f(a, m), f(b, m)),
-        None => (a, b),
-    };
-    if swap {
-        (b, a)
-    } else {
-        (a, b)
     }
 }
 
@@ -428,7 +417,11 @@ impl Decision {
         let verdict = match self.verdict {
             Verdict::Meets { round } => Verdict::Meets { round },
             Verdict::NeverMeets { lasso } => {
-                let at_cycle = relabel_pair(lasso.at_cycle, map, swap, AgentCfg::relabel);
+                let (a, b) = match map {
+                    Some(m) => (lasso.at_cycle.0.relabel(m), lasso.at_cycle.1.relabel(m)),
+                    None => lasso.at_cycle,
+                };
+                let at_cycle = if swap { (b, a) } else { (a, b) };
                 Verdict::NeverMeets { lasso: Lasso { at_cycle, ..lasso } }
             }
         };
@@ -711,97 +704,6 @@ pub fn worst_case_from_lassos(solo_a: &SoloLasso, solo_b: &SoloLasso) -> WorstCa
     WorstCase::AllMeet { worst_delay, worst_round, delays_checked: checked, decision }
 }
 
-/// A machine-checkable "never meets under this schedule" certificate —
-/// the scheduled sibling of [`Lasso`]. The recurring joint state is the
-/// pair of per-agent configurations (`None` = not yet activated; an agent
-/// the schedule never wakes recurs as `None` forever) *at equal cycle
-/// positions*: the product construction extends the configuration with
-/// the schedule's cycle index, so configs are effectively
-/// `(state_a, state_b, nodes, entries, cycle_idx)` and a repeat implies
-/// the whole future repeats with period [`ScheduleLasso::period`] (a
-/// multiple of the cycle length, which [`verify_schedule_lasso`] checks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduleLasso {
-    /// Global round after which the certified cycle is entered (always
-    /// past the schedule's prefix — prefix positions cannot recur).
-    pub stem: u64,
-    /// Cycle length in rounds; a multiple of the schedule's cycle length.
-    pub period: u64,
-    /// The recurring joint configuration (A, B) after round `stem`.
-    pub at_cycle: (Option<AgentCfg>, Option<AgentCfg>),
-}
-
-/// The scheduled decider's verdict — no timeout arm, as with [`Verdict`]:
-/// the product of two finite configuration spaces (plus the "unstarted"
-/// state each) and the finitely many cycle positions is finite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScheduleVerdict {
-    /// First co-location at the end of `round` (0 = same start).
-    Meets { round: u64 },
-    /// Certified: no round ever co-locates the agents under the schedule.
-    NeverMeets { lasso: ScheduleLasso },
-}
-
-/// A decided `(pair, schedule)` instance, with the crossing bookkeeping
-/// needed to reproduce the bounded simulator's row at any budget —
-/// the scheduled sibling of [`Decision`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScheduleDecision {
-    pub verdict: ScheduleVerdict,
-    /// Global rounds with an edge crossing over the explored horizon.
-    crossing_rounds: Vec<u64>,
-}
-
-impl ScheduleDecision {
-    pub fn met(&self) -> bool {
-        matches!(self.verdict, ScheduleVerdict::Meets { .. })
-    }
-
-    /// Meeting round, `None` for certified never-meets.
-    pub fn round(&self) -> Option<u64> {
-        match self.verdict {
-            ScheduleVerdict::Meets { round } => Some(round),
-            ScheduleVerdict::NeverMeets { .. } => None,
-        }
-    }
-
-    pub fn lasso(&self) -> Option<&ScheduleLasso> {
-        match &self.verdict {
-            ScheduleVerdict::Meets { .. } => None,
-            ScheduleVerdict::NeverMeets { lasso } => Some(lasso),
-        }
-    }
-
-    /// Crossings in rounds `1..=budget` — what
-    /// [`rvz_sim::run_pair_scheduled`] counts with that budget (for
-    /// budgets that do not truncate a meeting); closed-form along a
-    /// certified cycle exactly as [`Decision::crossings_within`].
-    pub fn crossings_within(&self, budget: u64) -> u64 {
-        match self.verdict {
-            ScheduleVerdict::Meets { .. } => crossings_upto(&self.crossing_rounds, budget),
-            ScheduleVerdict::NeverMeets { lasso } => {
-                crossings_closed_form(&self.crossing_rounds, lasso.stem, lasso.period, budget)
-            }
-        }
-    }
-
-    /// The scheduled decision for the image pair — the scheduled sibling
-    /// of [`Decision::relabel`]. `swap` is sound only for
-    /// [`rvz_sim::Schedule::lane_symmetric`] schedules; the caller
-    /// guarantees it.
-    pub fn relabel(&self, map: Option<&[NodeId]>, swap: bool) -> ScheduleDecision {
-        let verdict = match self.verdict {
-            ScheduleVerdict::Meets { round } => ScheduleVerdict::Meets { round },
-            ScheduleVerdict::NeverMeets { lasso } => {
-                let at_cycle =
-                    relabel_pair(lasso.at_cycle, map, swap, |cfg, m| cfg.map(|c| c.relabel(m)));
-                ScheduleVerdict::NeverMeets { lasso: ScheduleLasso { at_cycle, ..lasso } }
-            }
-        };
-        ScheduleDecision { verdict, crossing_rounds: self.crossing_rounds.clone() }
-    }
-}
-
 /// One scheduled activation step of one agent: `None` configurations are
 /// agents that have not acted yet (first activation runs `step_first`).
 #[inline]
@@ -877,84 +779,16 @@ impl ProbeTable {
 }
 
 /// Decides one `(tree, pair, automaton, schedule)` instance exactly, with
-/// **no round budget**: walks the joint trajectory under the schedule's
-/// activation flags and detects a repeat of the product configuration
-/// `(cfg_a, cfg_b, cycle position)` once past the prefix. Terminates
-/// within `prefix + (num_configs + 1)² · cycle` rounds; in practice the
-/// joint walk closes orders of magnitude earlier (for the basic walk,
-/// within two Euler periods per cycle slot).
+/// **no round budget** — [`decide_ensemble`] at `k = 2` (lane 0 is A,
+/// lane 1 is B).
 pub fn decide_pair_scheduled(
     t: &Tree,
     fsa: &Fsa,
     a: NodeId,
     b: NodeId,
-    sched: &Schedule,
-) -> ScheduleDecision {
-    if a == b {
-        return ScheduleDecision {
-            verdict: ScheduleVerdict::Meets { round: 0 },
-            crossing_rounds: Vec::new(),
-        };
-    }
-    let p = sched.prefix_len();
-    let c = sched.cycle_len();
-    // Packed product-configuration key: `None` (not yet activated) is 0,
-    // any real configuration is `1 + config_index`.
-    let n = t.num_nodes();
-    let stride = fsa.num_configs(n) as u128 + 1;
-    let opt_index = |cfg: Option<AgentCfg>| -> u128 {
-        match cfg {
-            None => 0,
-            Some(cfg) => 1 + fsa.config_index(cfg.state, cfg.node, cfg.entry, n) as u128,
-        }
-    };
-    let mut cfg_a: Option<AgentCfg> = None;
-    let mut cfg_b: Option<AgentCfg> = None;
-    let (mut pos_a, mut pos_b) = (a, b);
-    let mut crossing_rounds = Vec::new();
-    let mut seen = ProbeTable::new();
-    let mut round = 0u64;
-    loop {
-        round += 1;
-        if round & 0xFFF == 0 {
-            rvz_sim::cancel::checkpoint();
-        }
-        let (on_a, on_b) = sched.active(round);
-        let (prev_a, prev_b) = (pos_a, pos_b);
-        if on_a {
-            let next = step_opt(t, fsa, a, cfg_a);
-            cfg_a = Some(next);
-            pos_a = next.node;
-        }
-        if on_b {
-            let next = step_opt(t, fsa, b, cfg_b);
-            cfg_b = Some(next);
-            pos_b = next.node;
-        }
-        if pos_a == prev_b && pos_b == prev_a && pos_a != pos_b {
-            crossing_rounds.push(round);
-        }
-        if pos_a == pos_b {
-            return ScheduleDecision { verdict: ScheduleVerdict::Meets { round }, crossing_rounds };
-        }
-        if round > p {
-            let cycle_idx = (round - 1 - p) % c;
-            let key =
-                (opt_index(cfg_a) * stride + opt_index(cfg_b)) * c as u128 + cycle_idx as u128;
-            if let Some(entry_round) = seen.get_or_insert(key, round) {
-                let lasso = ScheduleLasso {
-                    stem: entry_round,
-                    period: round - entry_round,
-                    at_cycle: (cfg_a, cfg_b),
-                };
-                crossing_rounds.retain(|&r| r <= lasso.stem + lasso.period);
-                return ScheduleDecision {
-                    verdict: ScheduleVerdict::NeverMeets { lasso },
-                    crossing_rounds,
-                };
-            }
-        }
-    }
+    sched: &EnsembleSchedule,
+) -> EnsembleDecision {
+    decide_ensemble(t, fsa, &[a, b], sched)
 }
 
 /// The universal verdict over a finite *class* of schedules — the
@@ -968,10 +802,10 @@ pub enum ScheduleWorstCase {
     /// Rendezvous under every schedule in the class; `worst_index` /
     /// `worst_round` locate the slowest one (its full decision carried
     /// for crossing bookkeeping).
-    AllMeet { worst_index: usize, worst_round: u64, decision: ScheduleDecision },
+    AllMeet { worst_index: usize, worst_round: u64, decision: EnsembleDecision },
     /// `class[index]` defeats the pair; `decision` carries the
     /// certificate for the first defeating schedule.
-    Defeated { index: usize, decision: ScheduleDecision },
+    Defeated { index: usize, decision: EnsembleDecision },
 }
 
 impl ScheduleWorstCase {
@@ -988,82 +822,47 @@ pub fn worst_case_schedule(
     fsa: &Fsa,
     a: NodeId,
     b: NodeId,
-    class: &[Schedule],
+    class: &[EnsembleSchedule],
 ) -> ScheduleWorstCase {
     assert!(!class.is_empty(), "schedule class must be non-empty");
-    let mut worst: Option<(u64, usize, ScheduleDecision)> = None;
+    let mut worst: Option<(u64, usize, EnsembleDecision)> = None;
     for (index, sched) in class.iter().enumerate() {
         let decision = decide_pair_scheduled(t, fsa, a, b, sched);
-        match decision.verdict {
-            ScheduleVerdict::Meets { round } => {
+        match decision.round() {
+            Some(round) => {
                 if worst.as_ref().is_none_or(|(r, _, _)| round > *r) {
                     worst = Some((round, index, decision));
                 }
             }
-            ScheduleVerdict::NeverMeets { .. } => {
-                return ScheduleWorstCase::Defeated { index, decision };
-            }
+            None => return ScheduleWorstCase::Defeated { index, decision },
         }
     }
     let (worst_round, worst_index, decision) = worst.expect("non-empty class");
     ScheduleWorstCase::AllMeet { worst_index, worst_round, decision }
 }
 
-/// Independently re-checks a [`ScheduleLasso`] certificate by naive
-/// scheduled stepping: simulates `stem + period` rounds under the
-/// schedule, asserting (1) the structural claims — the stem lies past the
-/// prefix and the period is a multiple of the cycle length, without which
-/// a recurrence would prove nothing; (2) no co-location at any round
-/// `0..=stem + period`; (3) the joint configuration after round `stem`
-/// equals `at_cycle` and recurs after round `stem + period`.
+/// Independently re-checks a pair's never-meets certificate under a
+/// two-lane schedule — [`verify_ensemble_lasso`] at `k = 2`.
 pub fn verify_schedule_lasso(
     t: &Tree,
     fsa: &Fsa,
     a: NodeId,
     b: NodeId,
-    sched: &Schedule,
-    lasso: &ScheduleLasso,
+    sched: &EnsembleSchedule,
+    lasso: &EnsembleLasso,
 ) -> bool {
-    if a == b || lasso.period == 0 {
-        return false;
-    }
-    if lasso.stem <= sched.prefix_len() || !lasso.period.is_multiple_of(sched.cycle_len()) {
-        return false;
-    }
-    let mut cfg_a: Option<AgentCfg> = None;
-    let mut cfg_b: Option<AgentCfg> = None;
-    let (mut pos_a, mut pos_b) = (a, b);
-    let mut at_stem: Option<(Option<AgentCfg>, Option<AgentCfg>)> = None;
-    for round in 1..=lasso.stem + lasso.period {
-        let (on_a, on_b) = sched.active(round);
-        if on_a {
-            let next = step_opt(t, fsa, a, cfg_a);
-            cfg_a = Some(next);
-            pos_a = next.node;
-        }
-        if on_b {
-            let next = step_opt(t, fsa, b, cfg_b);
-            cfg_b = Some(next);
-            pos_b = next.node;
-        }
-        if pos_a == pos_b {
-            return false; // they meet — the certificate is bogus
-        }
-        if round == lasso.stem {
-            at_stem = Some((cfg_a, cfg_b));
-        }
-    }
-    at_stem == Some(lasso.at_cycle) && (cfg_a, cfg_b) == lasso.at_cycle
+    verify_ensemble_lasso(t, fsa, &[a, b], sched, lasso)
 }
 
 /// Independently re-checks a [`Lasso`] certificate by naive stepping:
 /// simulates `stem + period` rounds under start delay `delay`, asserting
 /// (1) no co-location at any round `0..=stem + period`, (2) the joint
 /// configuration after round `stem` equals `at_cycle`, and (3) it recurs
-/// after round `stem + period`. Linear in `stem + period` — meant for
+/// after round `stem + period`, with `period ≥ 1` (a zero period claims
+/// no recurrence at all). Linear in `stem + period` — meant for
 /// certificates over the moderate absolute rounds the grids produce.
 pub fn verify_lasso(t: &Tree, fsa: &Fsa, a: NodeId, b: NodeId, delay: u64, lasso: &Lasso) -> bool {
-    if a == b {
+    if a == b || lasso.period == 0 {
         return false;
     }
     let mut cfg_a: Option<AgentCfg> = None;
@@ -1101,13 +900,15 @@ pub fn verify_lasso(t: &Tree, fsa: &Fsa, a: NodeId, b: NodeId, delay: u64, lasso
     at_stem == Some(lasso.at_cycle) && end == lasso.at_cycle
 }
 
-/// A machine-checkable "never gathers" certificate — the k-lane
-/// generalization of [`ScheduleLasso`]. The recurring joint state is the
-/// vector of per-lane configurations (`None` = not yet activated) at equal
-/// cycle positions of the [`EnsembleSchedule`]; a repeat implies the whole
-/// future repeats, so if no round through `stem + period` co-locates *all*
-/// `k` agents, none ever does. [`verify_ensemble_lasso`] re-checks every
-/// claim by independent k-lane stepping.
+/// A machine-checkable "never gathers" certificate — at `k = 2`, "never
+/// meets" under a schedule. The recurring joint state is the vector of
+/// per-lane configurations (`None` = not yet activated; a lane the
+/// schedule never wakes recurs as `None` forever) at equal cycle positions
+/// of the [`EnsembleSchedule`]: the product construction extends the
+/// configuration with the schedule's cycle index, so a repeat implies the
+/// whole future repeats, and if no round through `stem + period`
+/// co-locates *all* `k` agents, none ever does. [`verify_ensemble_lasso`]
+/// re-checks every claim by independent k-lane stepping.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnsembleLasso {
     /// Global round after which the certified cycle is entered (always
@@ -1132,10 +933,10 @@ pub enum EnsembleVerdict {
     NeverMeets { lasso: EnsembleLasso },
 }
 
-/// A decided `(starts, ensemble schedule)` instance — the k-lane sibling
-/// of [`ScheduleDecision`], with the crossing and pairwise-meeting
-/// bookkeeping needed to reproduce [`rvz_sim::run_ensemble`]'s row at any
-/// budget.
+/// A decided `(starts, ensemble schedule)` instance, with the crossing and
+/// pairwise-meeting bookkeeping needed to reproduce
+/// [`rvz_sim::run_ensemble`]'s row at any budget — the schedule-axis
+/// sibling of the fixed-delay [`Decision`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnsembleDecision {
     pub verdict: EnsembleVerdict,
@@ -1191,8 +992,8 @@ impl EnsembleDecision {
 
     /// The decision for the image tuple under a port-preserving tree
     /// automorphism and/or a lane permutation (`perm[i]` = lane that
-    /// receives old lane `i`'s start) — the k-lane sibling of
-    /// [`ScheduleDecision::relabel`]. The permutation is sound only for
+    /// receives old lane `i`'s start; `[1, 0]` swaps a pair) — the
+    /// schedule-axis sibling of [`Decision::relabel`]. The permutation is sound only for
     /// [`EnsembleSchedule::lane_symmetric`] schedules; the caller
     /// guarantees it. Rounds and crossing times are invariant; the
     /// certified configurations and the pairwise-meeting slots move.
@@ -1269,33 +1070,6 @@ fn note_crossings(nodes: &[NodeId], prev: &[NodeId], round: u64, crossing_rounds
     }
 }
 
-/// Decides one `(tree, starts, automaton, ensemble schedule)` instance
-/// exactly, with **no round budget** — the k-lane generalization of
-/// [`decide_pair_scheduled`]. Start-delay schedules
-/// ([`EnsembleSchedule::as_start_delays`]) are routed to the solo-lasso
-/// closed form ([`decide_ensemble_from_lassos`]); every other shape walks
-/// the product configuration graph `([Option<AgentCfg>; k], cycle_idx)`
-/// with packed `u128` keys, terminating within
-/// `prefix + cycle · (|C| + 1)^k` rounds (in practice orders of magnitude
-/// earlier). Callers deciding many tuples per tree should tabulate solo
-/// lassos once and use [`decide_ensemble_from_lassos`] directly for the
-/// delay shapes.
-pub fn decide_ensemble(
-    t: &Tree,
-    fsa: &Fsa,
-    starts: &[NodeId],
-    sched: &EnsembleSchedule,
-) -> EnsembleDecision {
-    assert_eq!(starts.len(), sched.lanes(), "one start per schedule lane");
-    if let Some(delays) = sched.as_start_delays() {
-        let lassos: Vec<SoloLasso> =
-            starts.iter().map(|&s| SoloLasso::tabulate(t, fsa, s)).collect();
-        let refs: Vec<&SoloLasso> = lassos.iter().collect();
-        return decide_ensemble_from_lassos(&refs, &delays);
-    }
-    decide_ensemble_walk(t, fsa, starts, sched)
-}
-
 /// The k-lane product-lasso closed form: decides a `(starts, delays)`
 /// ensemble instance from the per-lane solo lassos alone — the k-lane
 /// sibling of [`decide_from_lassos`], and the entry point through which
@@ -1355,15 +1129,21 @@ pub fn decide_ensemble_from_lassos(lassos: &[&SoloLasso], delays: &[u64]) -> Ens
     }
 }
 
-/// The general-schedule product walk behind [`decide_ensemble`]: joint
-/// configurations `([Option<AgentCfg>; k], cycle_idx)` with a packed
-/// `u128` visited key per round past the prefix.
-fn decide_ensemble_walk(
+/// Decides one `(tree, starts, automaton, ensemble schedule)` instance
+/// exactly, with **no round budget**: walks the product configuration
+/// graph `([Option<AgentCfg>; k], cycle_idx)` with a packed `u128`
+/// visited key per round past the prefix, terminating within
+/// `prefix + cycle · (|C| + 1)^k` rounds (in practice orders of magnitude
+/// earlier). Under pure start delays the solo-lasso closed form
+/// [`decide_ensemble_from_lassos`] returns the same decision without the
+/// visited set, from lassos tabulated once per start.
+pub fn decide_ensemble(
     t: &Tree,
     fsa: &Fsa,
     starts: &[NodeId],
     sched: &EnsembleSchedule,
 ) -> EnsembleDecision {
+    assert_eq!(starts.len(), sched.lanes(), "one start per schedule lane");
     let k = starts.len();
     assert!(k >= 2, "an ensemble has at least two lanes");
     let p = sched.prefix_len();
@@ -1448,10 +1228,9 @@ fn decide_ensemble_walk(
 }
 
 /// Independently re-checks an [`EnsembleLasso`] certificate by naive
-/// k-lane scheduled stepping — the k-lane sibling of
-/// [`verify_schedule_lasso`]: (1) the structural claims (stem past the
-/// prefix, period a multiple of the cycle length); (2) no round in
-/// `0..=stem + period` co-locates *all* `k` agents; (3) the joint
+/// k-lane scheduled stepping: (1) the structural claims (stem past the
+/// prefix, period a positive multiple of the cycle length); (2) no round
+/// in `0..=stem + period` co-locates *all* `k` agents; (3) the joint
 /// configuration after round `stem` equals `at_cycle` and recurs after
 /// round `stem + period`. Never panics on a hostile certificate.
 pub fn verify_ensemble_lasso(
@@ -1461,14 +1240,50 @@ pub fn verify_ensemble_lasso(
     sched: &EnsembleSchedule,
     lasso: &EnsembleLasso,
 ) -> bool {
-    let k = sched.lanes();
-    if starts.len() != k || lasso.at_cycle.len() != k || lasso.period == 0 {
+    starts.len() == sched.lanes()
+        && verify_lanes(
+            t,
+            fsa,
+            starts,
+            |round, lane| sched.active(round)[lane],
+            (sched.prefix_len(), sched.cycle_len()),
+            lasso,
+        )
+}
+
+/// [`verify_ensemble_lasso`] for the start-delay certificates of
+/// [`decide_ensemble_from_lassos`]: lane `i` is frozen through round
+/// `delays[i]`, taken as an integer, so no delay is too large to check.
+pub fn verify_delayed_ensemble_lasso(
+    t: &Tree,
+    fsa: &Fsa,
+    starts: &[NodeId],
+    delays: &[u64],
+    lasso: &EnsembleLasso,
+) -> bool {
+    let prefix = delays.iter().copied().max().unwrap_or(0);
+    starts.len() == delays.len()
+        && verify_lanes(t, fsa, starts, |round, lane| round > delays[lane], (prefix, 1), lasso)
+}
+
+/// The shared re-check: `active(round, lane)` is the activation rule, and
+/// `(prefix, cycle)` its prefix and cycle lengths.
+fn verify_lanes(
+    t: &Tree,
+    fsa: &Fsa,
+    starts: &[NodeId],
+    active: impl Fn(u64, usize) -> bool,
+    (prefix, cycle): (u64, u64),
+    lasso: &EnsembleLasso,
+) -> bool {
+    let k = starts.len();
+    if lasso.at_cycle.len() != k || lasso.period == 0 {
         return false;
     }
     if starts.iter().all(|&s| s == starts[0]) {
         return false; // gathered at round 0 — the certificate is bogus
     }
-    if lasso.stem <= sched.prefix_len() || !lasso.period.is_multiple_of(sched.cycle_len()) {
+    if lasso.stem <= prefix || !lasso.period.is_multiple_of(cycle) {
         return false;
     }
     let mut cfgs: Vec<Option<AgentCfg>> = vec![None; k];
@@ -1478,9 +1293,8 @@ pub fn verify_ensemble_lasso(
         if round & 0xFFF == 0 {
             rvz_sim::cancel::checkpoint();
         }
-        let flags = sched.active(round);
         for i in 0..k {
-            if flags[i] {
+            if active(round, i) {
                 let next = step_opt(t, fsa, starts[i], cfgs[i]);
                 cfgs[i] = Some(next);
                 nodes[i] = next.node;
@@ -1501,7 +1315,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use rvz_sim::{run_pair, Outcome, PairConfig, Schedule};
+    use rvz_sim::{run_ensemble_fsa, run_pair, Outcome, PairConfig};
     use rvz_trees::generators::{colored_line, line, random_tree, spider, star};
 
     fn bw(t: &Tree) -> Fsa {
@@ -1558,6 +1372,20 @@ mod tests {
         // On this symmetric instance the swapped configuration differs.
         assert_ne!(swapped.at_cycle, good.at_cycle);
         assert!(!verify_lasso(&t, &fsa, 0, 1, 0, &swapped));
+        // A zero period claims no recurrence: the configuration at the
+        // stem trivially "recurs" zero rounds later.
+        let mut zero = good;
+        zero.period = 0;
+        assert!(!verify_lasso(&t, &fsa, 0, 1, 0, &zero));
+        // Not even a pair that meets may hide behind one: on line(4) the
+        // walkers from 1 and 3 meet at round 2, but a stem of 1 with no
+        // period stops the re-check before the meeting.
+        let t = line(4);
+        let fsa = bw(&t);
+        assert_eq!(decide_pair(&t, &fsa, 1, 3, 0).round(), Some(2));
+        let at_cycle = (step_first(&t, &fsa, 1), step_first(&t, &fsa, 3));
+        let premature = Lasso { stem: 1, period: 0, at_cycle };
+        assert!(!verify_lasso(&t, &fsa, 1, 3, 0, &premature));
     }
 
     #[test]
@@ -1573,8 +1401,9 @@ mod tests {
             saw_flip |= flip.is_some();
             let fsa = bw(&t);
             let n = t.num_nodes() as NodeId;
-            let lockstep = Schedule::new(Vec::new(), vec![(true, true), (false, false)]);
-            let intermittent = Schedule::intermittent(2, 0);
+            let lockstep =
+                EnsembleSchedule::new(2, Vec::new(), vec![vec![true, true], vec![false, false]]);
+            let intermittent = EnsembleSchedule::intermittent_last(2, 2, 0);
             for a in 0..n {
                 for b in 0..n {
                     if a == b {
@@ -1603,13 +1432,14 @@ mod tests {
                             f[b as usize],
                             &intermittent,
                         );
-                        assert_eq!(sd.relabel(Some(f), false), s_image, "sched flip a={a} b={b}");
+                        assert_eq!(sd.relabel(Some(f), None), s_image, "sched flip a={a} b={b}");
                     }
                     // Lockstep is lane-symmetric, so the swap is sound on
                     // the scheduled decider too.
                     let ld = decide_pair_scheduled(&t, &fsa, a, b, &lockstep);
                     let l_swapped = decide_pair_scheduled(&t, &fsa, b, a, &lockstep);
-                    assert_eq!(ld.relabel(None, true), l_swapped, "sched swap a={a} b={b}");
+                    let swap = Some(&[1, 0][..]);
+                    assert_eq!(ld.relabel(None, swap), l_swapped, "sched swap a={a} b={b}");
                 }
             }
         }
@@ -1723,14 +1553,13 @@ mod tests {
 
     #[test]
     fn scheduled_decider_agrees_with_scheduled_simulation() {
-        use rvz_sim::run_pair_scheduled;
         let schedules = [
-            Schedule::simultaneous(),
-            Schedule::start_delay(2),
-            Schedule::intermittent(2, 0),
-            Schedule::intermittent(3, 1),
-            Schedule::crash_after(3),
-            Schedule::adversarial(0xD0_0D, 5, 4),
+            EnsembleSchedule::simultaneous(2),
+            EnsembleSchedule::start_delays(&[0, 2]),
+            EnsembleSchedule::intermittent_last(2, 2, 0),
+            EnsembleSchedule::intermittent_last(2, 3, 1),
+            EnsembleSchedule::crash_last_after(2, 3),
+            EnsembleSchedule::adversarial(0xD0_0D, 5, 4),
         ];
         let mut rng = StdRng::seed_from_u64(1013);
         for trial in 0..12 {
@@ -1750,10 +1579,8 @@ mod tests {
                             );
                         }
                         let budget = 50_000u64;
-                        let mut x = fsa.runner();
-                        let mut y = fsa.runner();
-                        let run =
-                            run_pair_scheduled(&t, a, b, &mut x, &mut y, sched, budget, false);
+                        let mut agents = [fsa.runner(), fsa.runner()];
+                        let run = run_ensemble_fsa(&t, &[a, b], &mut agents, sched, budget, false);
                         match run.outcome {
                             Outcome::Met { round, .. } => {
                                 assert_eq!(decision.round(), Some(round), "{sched:?} ({a},{b})");
@@ -1787,7 +1614,7 @@ mod tests {
         for delay in [0u64, 1, 4, 11] {
             for b in 1..n {
                 let fixed = decide_pair(&t, &fsa, 0, b, delay);
-                let sched = Schedule::start_delay(delay);
+                let sched = EnsembleSchedule::start_delays(&[0, delay]);
                 let scheduled = decide_pair_scheduled(&t, &fsa, 0, b, &sched);
                 assert_eq!(fixed.round(), scheduled.round(), "θ={delay} b={b}");
                 for budget in [10u64, 100, 1_000_000_007] {
@@ -1810,9 +1637,10 @@ mod tests {
         // round in which only A moves lands it on the frozen B.
         let t = colored_line(2, 0);
         let fsa = bw(&t);
-        let sim = decide_pair_scheduled(&t, &fsa, 0, 1, &Schedule::simultaneous());
+        let sim = decide_pair_scheduled(&t, &fsa, 0, 1, &EnsembleSchedule::simultaneous(2));
         assert!(!sim.met(), "the simultaneous shuttle crosses forever");
-        let half = decide_pair_scheduled(&t, &fsa, 0, 1, &Schedule::intermittent(2, 0));
+        let half =
+            decide_pair_scheduled(&t, &fsa, 0, 1, &EnsembleSchedule::intermittent_last(2, 2, 0));
         assert_eq!(half.round(), Some(2), "A's solo round lands on the frozen B");
     }
 
@@ -1821,25 +1649,25 @@ mod tests {
         let t = colored_line(2, 0);
         let fsa = bw(&t);
         // The real shuttle: a moving never-meets certificate.
-        let sim = Schedule::simultaneous();
+        let sim = EnsembleSchedule::simultaneous(2);
         let d = decide_pair_scheduled(&t, &fsa, 0, 1, &sim);
-        let good = *d.lasso().expect("two walkers on one edge never meet");
+        let good = d.lasso().cloned().expect("two walkers on one edge never meet");
         assert!(verify_schedule_lasso(&t, &fsa, 0, 1, &sim, &good));
-        let mut bad = good;
+        let mut bad = good.clone();
         bad.period += 1; // recurrence no longer holds at the claimed round
         assert!(!verify_schedule_lasso(&t, &fsa, 0, 1, &sim, &bad));
-        let mut shifted = good;
+        let mut shifted = good.clone();
         shifted.stem = 0; // structurally invalid: inside the (empty) prefix
         assert!(!verify_schedule_lasso(&t, &fsa, 0, 1, &sim, &shifted));
-        let mut wrong_cfg = good;
-        wrong_cfg.at_cycle = (None, good.at_cycle.1); // claims A never started
+        let mut wrong_cfg = good.clone();
+        wrong_cfg.at_cycle[0] = None; // claims A never started
         assert!(!verify_schedule_lasso(&t, &fsa, 0, 1, &sim, &wrong_cfg));
         // A frozen 2-cycle: the certified period must stay a multiple of
         // the cycle length, or the cycle-position recurrence proves
         // nothing — the verifier rejects an odd period structurally.
-        let frozen = Schedule::new(Vec::new(), vec![(false, false), (false, false)]);
+        let frozen = EnsembleSchedule::new(2, Vec::new(), vec![vec![false, false]; 2]);
         let d2 = decide_pair_scheduled(&t, &fsa, 0, 1, &frozen);
-        let good2 = *d2.lasso().expect("frozen agents at distinct starts never meet");
+        let good2 = d2.lasso().cloned().expect("frozen agents at distinct starts never meet");
         assert!(good2.period.is_multiple_of(2));
         assert!(verify_schedule_lasso(&t, &fsa, 0, 1, &frozen, &good2));
         let mut odd = good2;
@@ -1853,7 +1681,7 @@ mod tests {
         let fsa = bw(&t);
         // θ = 1 defeats the basic walk on every feasible pair (the e9
         // certified result), so a class containing it is always defeated…
-        let class = [Schedule::simultaneous(), Schedule::start_delay(1)];
+        let class = [EnsembleSchedule::simultaneous(2), EnsembleSchedule::start_delays(&[0, 1])];
         match worst_case_schedule(&t, &fsa, 0, 5, &class) {
             ScheduleWorstCase::Defeated { index, decision } => {
                 assert!(index <= 1);
@@ -1865,7 +1693,7 @@ mod tests {
         // …while a class of meeting scenarios reports the slowest one:
         // with B crashed at its start, A's endpoint walk needs exactly 5
         // rounds to step onto node 5.
-        let class = [Schedule::crash_after(0)];
+        let class = [EnsembleSchedule::crash_last_after(2, 0)];
         match worst_case_schedule(&t, &fsa, 0, 5, &class) {
             ScheduleWorstCase::AllMeet { worst_index, worst_round, ref decision } => {
                 assert_eq!(worst_index, 0);
@@ -2015,9 +1843,10 @@ mod tests {
 
     #[test]
     fn ensemble_decider_at_k2_matches_the_pair_deciders() {
-        // Verdict rounds, crossing counts, and lasso shapes must be
-        // identical to the pair engines on every two-lane instance — the
-        // byte-compatibility contract of the refactor.
+        // Verdict rounds, crossing counts, and lasso shapes of the
+        // two-lane start-delay schedule must be identical to the
+        // fixed-delay decider's — the two families certify the same
+        // instances the same way.
         let mut rng = StdRng::seed_from_u64(0xE11);
         for trial in 0..10 {
             let t = random_tree(3 + (trial % 6), &mut rng);
@@ -2048,21 +1877,6 @@ mod tests {
                         for budget in [3u64, 50, 1_000_000_007] {
                             assert_eq!(ens.crossings_within(budget), pair.crossings_within(budget));
                         }
-                    }
-                }
-                for sched in [
-                    Schedule::intermittent(2, 0),
-                    Schedule::crash_after(2),
-                    Schedule::adversarial(0xBEEF, 4, 3),
-                ] {
-                    let pair = decide_pair_scheduled(&t, &fsa, a, b, &sched);
-                    let ens =
-                        decide_ensemble(&t, &fsa, &[a, b], &EnsembleSchedule::from_pair(&sched));
-                    assert_eq!(ens.round(), pair.round(), "{sched:?} ({a},{b})");
-                    assert_eq!(ens.crossing_rounds, pair.crossing_rounds, "{sched:?} ({a},{b})");
-                    if let (Some(el), Some(pl)) = (ens.lasso(), pair.lasso()) {
-                        assert_eq!((el.stem, el.period), (pl.stem, pl.period));
-                        assert_eq!(el.at_cycle, vec![pl.at_cycle.0, pl.at_cycle.1]);
                     }
                 }
             }
@@ -2140,8 +1954,8 @@ mod tests {
 
     #[test]
     fn ensemble_closed_form_matches_the_product_walk() {
-        // On start-delay shapes both decide_ensemble paths are reachable;
-        // the dispatch must be invisible: full EnsembleDecision equality.
+        // On start-delay shapes the closed form and the product walk must
+        // agree exactly: full EnsembleDecision equality.
         let mut rng = StdRng::seed_from_u64(0xC105);
         for trial in 0..8 {
             let t = random_tree(3 + (trial % 5), &mut rng);
@@ -2154,9 +1968,32 @@ mod tests {
                     starts.iter().map(|&s| SoloLasso::tabulate(&t, &fsa, s)).collect();
                 let refs: Vec<&SoloLasso> = lassos.iter().collect();
                 let closed = decide_ensemble_from_lassos(&refs, &delays);
-                let walked = decide_ensemble_walk(&t, &fsa, &starts, &sched);
+                let walked = decide_ensemble(&t, &fsa, &starts, &sched);
                 assert_eq!(closed, walked, "{delays:?} on {n} nodes");
             }
+        }
+    }
+
+    #[test]
+    fn delayed_ensemble_lassos_verify_without_a_schedule() {
+        // The closed form's certificates check against the integer delays
+        // exactly as against the materialized start-delay schedule.
+        let t = colored_line(2, 0);
+        let fsa = bw(&t);
+        let starts = [0u32, 1, 1];
+        for delays in [[0u64, 0, 0], [0, 0, 2], [0, 2, 0]] {
+            let lassos: Vec<SoloLasso> =
+                starts.iter().map(|&s| SoloLasso::tabulate(&t, &fsa, s)).collect();
+            let refs: Vec<&SoloLasso> = lassos.iter().collect();
+            let d = decide_ensemble_from_lassos(&refs, &delays);
+            let lasso = d.lasso().expect("the antiphase survivors never gather");
+            let sched = EnsembleSchedule::start_delays(&delays);
+            assert!(verify_delayed_ensemble_lasso(&t, &fsa, &starts, &delays, lasso));
+            assert!(verify_ensemble_lasso(&t, &fsa, &starts, &sched, lasso));
+            let mut early = lasso.clone();
+            early.stem = delays.iter().copied().max().unwrap();
+            assert!(!verify_delayed_ensemble_lasso(&t, &fsa, &starts, &delays, &early));
+            assert!(!verify_delayed_ensemble_lasso(&t, &fsa, &starts, &delays[..2], lasso));
         }
     }
 

@@ -20,8 +20,9 @@
 //!   configuration graph: budget-free `Meets`/`NeverMeets` verdicts with
 //!   lasso certificates, the ∀-delay quantifier
 //!   [`decide::worst_case_delay`], and the activation-schedule extension
-//!   ([`decide::decide_pair_scheduled`] — the product configuration grows
-//!   the schedule's cycle position; [`decide::worst_case_schedule`]
+//!   over `k` lanes ([`decide::decide_ensemble`] — the product
+//!   configuration grows the schedule's cycle position; a pair is
+//!   [`decide::decide_pair_scheduled`], and [`decide::worst_case_schedule`]
 //!   quantifies over a schedule class).
 //!
 //! Combined with [`rvz_agent::compile`], the Theorem 3.1 adversary can be
@@ -53,9 +54,9 @@ pub mod sync_attack;
 
 pub use decide::{
     decide_ensemble, decide_ensemble_from_lassos, decide_pair, decide_pair_scheduled,
-    verify_ensemble_lasso, verify_lasso, verify_schedule_lasso, worst_case_delay,
-    worst_case_schedule, Decision, EnsembleDecision, EnsembleLasso, EnsembleVerdict, Lasso,
-    ScheduleDecision, ScheduleLasso, ScheduleVerdict, ScheduleWorstCase, Verdict, WorstCase,
+    verify_delayed_ensemble_lasso, verify_ensemble_lasso, verify_lasso, verify_schedule_lasso,
+    worst_case_delay, worst_case_schedule, Decision, EnsembleDecision, EnsembleLasso,
+    EnsembleVerdict, Lasso, ScheduleWorstCase, Verdict, WorstCase,
 };
 pub use delay_attack::{delay_attack, Attack, AttackError, AttackKind};
 pub use side_trees::{side_tree_attack, SideTreeAttack, SideTreeError};

@@ -1,13 +1,12 @@
-//! Single-agent, two-agent, and k-agent ensemble synchronous execution.
+//! Single-agent and k-agent ensemble synchronous execution.
 //!
-//! Every multi-agent entry point — `run_pair*`, scheduled pairs, and the
-//! k-agent [`run_ensemble`] family — is a thin activation-pattern wrapper
-//! over ONE k-lane round loop (`run_ensemble_core`). The two-agent
-//! functions are the `k = 2` specialization and produce bit-identical
-//! results to the historical pair loop; gathering (all `k` co-located at
-//! a round boundary) degenerates to rendezvous at `k = 2`.
+//! Every multi-agent entry point — the classic [`run_pair`] and the
+//! k-agent [`run_ensemble`] family — is a thin wrapper over ONE k-lane
+//! round loop, [`run_ensemble_with`]. A pair is its `k = 2` case, and
+//! gathering (all `k` co-located at a round boundary) is rendezvous at
+//! `k = 2`.
 
-use crate::schedule::{EnsembleSchedule, Schedule};
+use crate::schedule::EnsembleSchedule;
 use rvz_agent::model::{Action, Agent, Obs};
 use rvz_trees::{NodeId, Port, Tree};
 
@@ -25,11 +24,13 @@ impl Cursor {
     }
 
     /// The observation the agent receives this round.
+    #[inline]
     pub fn obs(&self, t: &Tree) -> Obs {
         Obs { entry: self.entry, degree: t.degree(self.node) }
     }
 
     /// Applies an action; returns `true` if the agent moved.
+    #[inline]
     pub fn apply(&mut self, t: &Tree, action: Action) -> bool {
         match action.port(t.degree(self.node)) {
             None => {
@@ -149,9 +150,11 @@ pub struct PairRun {
 /// runs out. Both agents receive observations and move simultaneously within
 /// a round; meeting is co-location at a round boundary.
 ///
-/// Dyn-dispatch wrapper over [`run_pair_fsa`], kept for heterogeneous
-/// callers; hot loops with concrete agent types should call
-/// [`run_pair_fsa`] directly to get a monomorphized round loop.
+/// The classic two-agent API over the k-lane loop: lane 0 is agent A,
+/// lane 1 is agent B, and B is frozen through round `cfg.delay`. Agents
+/// are stepped through `dyn Agent` — one loop instantiation serves every
+/// agent type, which on basic-walk automata is also the faster dispatch
+/// (see `docs/architecture.md`).
 pub fn run_pair(
     t: &Tree,
     start_a: NodeId,
@@ -160,115 +163,13 @@ pub fn run_pair(
     agent_b: &mut dyn Agent,
     cfg: PairConfig,
 ) -> PairRun {
-    run_pair_fsa(t, start_a, start_b, agent_a, agent_b, cfg)
-}
-
-/// The monomorphic two-agent fast path: generic over the agent types, so
-/// every concrete instantiation compiles to a round loop with static
-/// dispatch and inlined `act`/`apply` calls — no per-round vtable hops.
-/// [`run_pair`] is the dyn-compatible wrapper over this.
-pub fn run_pair_fsa<A: Agent + ?Sized, B: Agent + ?Sized>(
-    t: &Tree,
-    start_a: NodeId,
-    start_b: NodeId,
-    agent_a: &mut A,
-    agent_b: &mut B,
-    cfg: PairConfig,
-) -> PairRun {
-    // The start-delay activation pattern as a closure: A from round 1, B
-    // from round delay+1. Inlines into the shared core loop, compiling to
-    // the same per-round comparison the pre-schedule loop ran.
-    run_pair_core(t, start_a, start_b, agent_a, agent_b, cfg.max_rounds, cfg.record_traces, |r| {
-        (true, r > cfg.delay)
-    })
-}
-
-/// Runs two agents under an arbitrary activation [`Schedule`] until they
-/// meet or the budget runs out. Dyn-dispatch wrapper over
-/// [`run_pair_scheduled_fsa`], mirroring [`run_pair`] over
-/// [`run_pair_fsa`].
-///
-/// Frozen semantics: an agent whose flag is off for a round neither
-/// observes nor acts — its cursor (node *and* entry port) is untouched,
-/// so its k-th activation sees exactly what it would see in an
-/// uninterrupted run. [`Schedule::start_delay`]`(θ)` therefore reproduces
-/// [`run_pair`] with `cfg.delay = θ` bit for bit, and a meeting can
-/// happen in a round in which neither agent was activated only at round 0
-/// (identical starts).
-pub fn run_pair_scheduled(
-    t: &Tree,
-    start_a: NodeId,
-    start_b: NodeId,
-    agent_a: &mut dyn Agent,
-    agent_b: &mut dyn Agent,
-    schedule: &Schedule,
-    max_rounds: u64,
-    record_traces: bool,
-) -> PairRun {
-    run_pair_scheduled_fsa(
-        t,
-        start_a,
-        start_b,
-        agent_a,
-        agent_b,
-        schedule,
-        max_rounds,
-        record_traces,
-    )
-}
-
-/// The monomorphic scheduled fast path; see [`run_pair_scheduled`] for
-/// the activation semantics.
-#[allow(clippy::too_many_arguments)]
-pub fn run_pair_scheduled_fsa<A: Agent + ?Sized, B: Agent + ?Sized>(
-    t: &Tree,
-    start_a: NodeId,
-    start_b: NodeId,
-    agent_a: &mut A,
-    agent_b: &mut B,
-    schedule: &Schedule,
-    max_rounds: u64,
-    record_traces: bool,
-) -> PairRun {
-    run_pair_core(t, start_a, start_b, agent_a, agent_b, max_rounds, record_traces, |r| {
-        schedule.active(r)
-    })
-}
-
-/// The two-agent adapter over the k-lane core: `active(round)` says which
-/// agents are activated in each round (1-based). Every pair entry point
-/// above funnels through this into [`run_ensemble_core`].
-#[allow(clippy::too_many_arguments)]
-fn run_pair_core<A: Agent + ?Sized, B: Agent + ?Sized>(
-    t: &Tree,
-    start_a: NodeId,
-    start_b: NodeId,
-    agent_a: &mut A,
-    agent_b: &mut B,
-    max_rounds: u64,
-    record_traces: bool,
-    mut active: impl FnMut(u64) -> (bool, bool),
-) -> PairRun {
-    let mut run = run_ensemble_core(
+    let mut run = run_ensemble_with(
         t,
         &[start_a, start_b],
-        |lane, obs| {
-            if lane == 0 {
-                agent_a.act(obs)
-            } else {
-                agent_b.act(obs)
-            }
-        },
-        |round, lane| {
-            let (on_a, on_b) = active(round);
-            if lane == 0 {
-                on_a
-            } else {
-                on_b
-            }
-        },
-        max_rounds,
-        record_traces,
+        |lane, obs| if lane == 0 { agent_a.act(obs) } else { agent_b.act(obs) },
+        |round, lane| lane == 0 || round > cfg.delay,
+        cfg.max_rounds,
+        cfg.record_traces,
     );
     let trace_b = run.traces.as_mut().map(|tr| tr.pop().expect("lane B trace"));
     let trace_a = run.traces.as_mut().map(|tr| tr.pop().expect("lane A trace"));
@@ -317,6 +218,12 @@ pub struct EnsembleRun {
 /// Runs `k` boxed agents under an ensemble schedule. Convenience wrapper
 /// over [`run_ensemble_with`] for heterogeneous agent banks.
 ///
+/// Frozen semantics: an agent whose flag is off for a round neither
+/// observes nor acts — its cursor (node *and* entry port) is untouched,
+/// so its k-th activation sees exactly what it would see in an
+/// uninterrupted run. [`EnsembleSchedule::start_delays`]`(&[0, θ])`
+/// therefore reproduces [`run_pair`] with `cfg.delay = θ` bit for bit.
+///
 /// Budget semantics (the one definition every engine shares):
 /// `max_rounds` counts **global rounds**, not activations — a frozen
 /// round burns budget exactly like an active one, and a lane delayed by
@@ -336,14 +243,14 @@ pub fn run_ensemble(
         t,
         starts,
         |lane, obs| agents[lane].act(obs),
-        schedule,
+        activation(schedule, starts.len()),
         max_rounds,
         record_traces,
     )
 }
 
 /// Runs a homogeneous ensemble (`k` agents of one concrete type) under a
-/// schedule — the monomorphized fast path mirroring [`run_pair_fsa`].
+/// schedule — a statically dispatched round loop.
 pub fn run_ensemble_fsa<A: Agent>(
     t: &Tree,
     starts: &[NodeId],
@@ -357,44 +264,31 @@ pub fn run_ensemble_fsa<A: Agent>(
         t,
         starts,
         |lane, obs| agents[lane].act(obs),
-        schedule,
+        activation(schedule, starts.len()),
         max_rounds,
         record_traces,
     )
 }
 
-/// Runs `k` agents given by an `act(lane, obs)` closure under an
-/// ensemble schedule — the fully general entry point; see
-/// [`run_ensemble`] for the budget semantics.
-pub fn run_ensemble_with(
-    t: &Tree,
-    starts: &[NodeId],
-    act: impl FnMut(usize, Obs) -> Action,
-    schedule: &EnsembleSchedule,
-    max_rounds: u64,
-    record_traces: bool,
-) -> EnsembleRun {
-    assert_eq!(
-        schedule.lanes(),
-        starts.len(),
-        "the schedule must cover exactly the ensemble's lanes"
-    );
-    run_ensemble_core(
-        t,
-        starts,
-        act,
-        |round, lane| schedule.active(round)[lane],
-        max_rounds,
-        record_traces,
-    )
+/// The activation rule of `schedule` over exactly `lanes` lanes.
+fn activation(schedule: &EnsembleSchedule, lanes: usize) -> impl Fn(u64, usize) -> bool + '_ {
+    assert_eq!(schedule.lanes(), lanes, "the schedule must cover exactly the ensemble's lanes");
+    move |round, lane| schedule.active(round)[lane]
 }
 
 /// THE k-lane round loop — the only stepping loop in the simulator.
 /// `act(lane, obs)` steps one agent; `active(round, lane)` is the
-/// adversary's activation flag (rounds are 1-based; lanes are queried in
-/// order within a round). Gathering / meeting is co-location at a round
-/// boundary; crossings (edge-endpoint swaps) never count as meetings.
-fn run_ensemble_core(
+/// adversary's activation rule (rounds are 1-based; lanes are queried in
+/// order within a round), so a start delay θ is the rule `round > θ` and
+/// never needs a materialized schedule. Gathering / meeting is
+/// co-location at a round boundary; crossings (edge-endpoint swaps) never
+/// count as meetings. See [`run_ensemble`] for the budget semantics.
+///
+/// Inlined into its caller, so a caller's constants (no traces, a
+/// two-element `starts` array) fold into the loop; instantiated in another
+/// crate without that, the loop ran about a third slower on pairs.
+#[inline]
+pub fn run_ensemble_with(
     t: &Tree,
     starts: &[NodeId],
     mut act: impl FnMut(usize, Obs) -> Action,
@@ -607,29 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn start_delay_schedule_reproduces_the_legacy_delay_path() {
-        let t = line(11);
-        for delay in [0u64, 1, 3, 9] {
-            for (a, b) in [(0u32, 7u32), (2, 10)] {
-                let cfg = PairConfig { delay, max_rounds: 80, record_traces: true };
-                let mut x = BasicWalker;
-                let mut y = BasicWalker;
-                let legacy = run_pair(&t, a, b, &mut x, &mut y, cfg);
-                let sched = Schedule::start_delay(delay);
-                let mut x = BasicWalker;
-                let mut y = BasicWalker;
-                let scheduled = run_pair_scheduled(&t, a, b, &mut x, &mut y, &sched, 80, true);
-                assert_eq!(scheduled.outcome, legacy.outcome, "θ={delay} ({a},{b})");
-                assert_eq!(scheduled.crossings, legacy.crossings);
-                assert_eq!(scheduled.final_a, legacy.final_a);
-                assert_eq!(scheduled.final_b, legacy.final_b);
-                assert_eq!(scheduled.trace_a, legacy.trace_a);
-                assert_eq!(scheduled.trace_b, legacy.trace_b);
-            }
-        }
-    }
-
-    #[test]
     fn frozen_agent_keeps_cursor_and_perceives_nothing() {
         // Under intermittent(2, 1) agent B acts only in even rounds; its
         // activation count after r rounds is ⌊r/2⌋, and each activation
@@ -648,10 +519,17 @@ mod tests {
             }
         }
         let t = line(16);
-        let sched = Schedule::intermittent(2, 1);
+        let sched = EnsembleSchedule::intermittent_last(2, 2, 1);
         let mut a = Sitter;
         let mut b = Probe { seen: Vec::new() };
-        let run = run_pair_scheduled(&t, 0, 15, &mut a, &mut b, &sched, 9, true);
+        let run = run_ensemble_with(
+            &t,
+            &[0, 15],
+            |lane, obs| if lane == 0 { a.act(obs) } else { b.act(obs) },
+            |round, lane| sched.active(round)[lane],
+            9,
+            true,
+        );
         assert!(!run.outcome.met());
         assert_eq!(b.seen.len(), 4, "active in rounds 2, 4, 6, 8");
         // The frozen agent's observations are the uninterrupted walk's.
@@ -659,22 +537,20 @@ mod tests {
         run_single(&t, 15, &mut solo, 4, false);
         assert_eq!(b.seen, solo.seen[..4]);
         // Its trace holds each position for two rounds.
-        let tb = run.trace_b.unwrap();
-        assert_eq!(tb, vec![15, 15, 14, 14, 13, 13, 12, 12, 11, 11]);
+        let tb = &run.traces.as_ref().unwrap()[1];
+        assert_eq!(tb, &vec![15, 15, 14, 14, 13, 13, 12, 12, 11, 11]);
         // Final cursor: last activation (round 8) moved it, so the entry
         // port is the one that activation set, despite round 9 freezing.
-        assert_eq!(run.final_b.node, 11);
-        assert!(run.final_b.entry.is_some(), "frozen cursor keeps its entry port");
+        assert_eq!(run.finals[1].node, 11);
+        assert!(run.finals[1].entry.is_some(), "frozen cursor keeps its entry port");
     }
 
     #[test]
     fn crashed_agent_is_met_where_it_stopped() {
         let t = line(9);
         // B walks 2 rounds toward A, crashes at node 6; A's walk gets there.
-        let sched = Schedule::crash_after(2);
-        let mut a = BasicWalker;
-        let mut b = BasicWalker;
-        let run = run_pair_scheduled(&t, 0, 8, &mut a, &mut b, &sched, 50, false);
+        let sched = EnsembleSchedule::crash_last_after(2, 2);
+        let run = run_ensemble_fsa(&t, &[0, 8], &mut [BasicWalker, BasicWalker], &sched, 50, false);
         assert_eq!(run.outcome, Outcome::Met { round: 6, node: 6 });
     }
 
@@ -713,9 +589,8 @@ mod tests {
     }
 
     // ---- ensemble (k-agent gathering) semantics, ported from the
-    // retired `sim::multi` module and pinned against the pair engines ----
+    // retired `sim::multi` module and pinned against the pair engine ----
 
-    use crate::schedule::EnsembleSchedule;
     use rvz_trees::generators::spider;
 
     fn walkers_and_sitters(walkers: usize, sitters: usize) -> Vec<Box<dyn Agent>> {
@@ -856,32 +731,24 @@ mod tests {
 
     #[test]
     fn ensemble_at_k2_matches_run_pair_bit_for_bit() {
-        // The pair engines are the k = 2 specialization of the ensemble
-        // core — same outcome, crossings, finals and traces for every
-        // schedule class.
+        // `run_pair` is the k = 2 case of the ensemble loop — the start
+        // delay θ as a two-lane schedule gives the same outcome,
+        // crossings, finals and traces.
         let t = line(11);
-        let schedules = [
-            Schedule::simultaneous(),
-            Schedule::start_delay(3),
-            Schedule::intermittent(2, 1),
-            Schedule::crash_after(2),
-            Schedule::adversarial(0x5EED, 5, 4),
-        ];
-        for s in &schedules {
+        for theta in [0u64, 1, 3, 9] {
             for (a, b) in [(0u32, 7u32), (2, 10), (10, 1)] {
-                let mut x = BasicWalker;
-                let mut y = BasicWalker;
-                let pair = run_pair_scheduled(&t, a, b, &mut x, &mut y, s, 60, true);
+                let cfg = PairConfig { delay: theta, max_rounds: 60, record_traces: true };
+                let pair = run_pair(&t, a, b, &mut BasicWalker, &mut BasicWalker, cfg);
                 let mut agents = walkers_and_sitters(2, 0);
                 let ens = run_ensemble(
                     &t,
                     &[a, b],
                     &mut agents,
-                    &EnsembleSchedule::from_pair(s),
+                    &EnsembleSchedule::start_delays(&[0, theta]),
                     60,
                     true,
                 );
-                assert_eq!(ens.outcome, pair.outcome, "{s:?} ({a},{b})");
+                assert_eq!(ens.outcome, pair.outcome, "θ={theta} ({a},{b})");
                 assert_eq!(ens.crossings, pair.crossings);
                 assert_eq!(ens.finals[0], pair.final_a);
                 assert_eq!(ens.finals[1], pair.final_b);
@@ -905,7 +772,6 @@ mod tests {
         let budget = 12u64;
         let theta = 7u64;
         let mut activations = [0u64; 2];
-        let sched = EnsembleSchedule::start_delays(&[0, theta]);
         let mut walker = BasicWalker;
         let run = run_ensemble_with(
             &t,
@@ -918,7 +784,7 @@ mod tests {
                     walker.act(obs)
                 }
             },
-            &sched,
+            |round, lane| lane == 0 || round > theta,
             budget,
             false,
         );

@@ -7,14 +7,15 @@
 //! Spite of Delay Faults*) generalizes the knob to per-round faults: in
 //! every round the adversary decides, per agent, whether that agent is
 //! *activated* (observes and acts) or *frozen* (its cursor — node and
-//! entry port — is untouched and it perceives nothing). A [`Schedule`]
-//! captures the eventually-periodic fragment of that power: explicit
-//! per-round flags for a finite prefix, then a cycle repeated forever.
-//! Eventual periodicity is what keeps every downstream question decidable
-//! — the exact decider extends its product construction by the cycle
-//! position (`rvz_lowerbounds::decide::decide_pair_scheduled`), and the
-//! trace-replay engine answers schedule cells against unchanged solo
-//! recordings ([`crate::trace::replay_pair_scheduled`]).
+//! entry port — is untouched and it perceives nothing). An
+//! [`EnsembleSchedule`] captures the eventually-periodic fragment of that
+//! power over `k` lanes: explicit per-round flags for a finite prefix,
+//! then a cycle repeated forever. A pair is the two-lane case. Eventual
+//! periodicity is what keeps every downstream question decidable — the
+//! exact decider extends its product construction by the cycle position
+//! (`rvz_lowerbounds::decide::decide_ensemble`), and the trace-replay
+//! engine answers schedule cells against unchanged solo recordings
+//! ([`crate::trace::replay_ensemble`]).
 //!
 //! The frozen semantics is chosen so that an agent's trajectory *as a
 //! function of its activation count* is schedule-independent: the k-th
@@ -22,165 +23,21 @@
 //! would see in an uninterrupted solo run. That invariant is what lets
 //! one [`crate::trace::Trajectory`] recording serve every schedule
 //! ([`ActivationIndex`] maps global rounds to activation counts and
-//! back), and it makes [`Schedule::start_delay`] literally the legacy
-//! scenario: a prefix of `(true, false)` rounds, then both agents forever.
+//! back), and it makes [`EnsembleSchedule::start_delays`]`(&[0, θ])`
+//! literally the legacy scenario: a prefix of `[true, false]` rounds, then
+//! both agents forever.
 //!
 //! Round indices are 1-based throughout, matching the simulator: round 0
 //! is the initial placement (before any activation), and
-//! [`Schedule::active`]`(r)` answers for rounds `r ≥ 1`.
+//! [`EnsembleSchedule::active`]`(r)` answers for rounds `r ≥ 1`.
 
-/// An eventually-periodic activation schedule for a two-agent run: which
-/// agents the adversary activates each round. Entry `(a, b)` activates
-/// agent A iff `a` and agent B iff `b`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Schedule {
-    /// Activation flags for rounds `1..=prefix.len()`.
-    pub prefix: Vec<(bool, bool)>,
-    /// Flags repeated forever after the prefix; never empty.
-    pub cycle: Vec<(bool, bool)>,
-}
-
-impl Schedule {
-    /// Materialization cap for the constructors that unroll a round count
-    /// into explicit prefix entries ([`Schedule::start_delay`],
-    /// [`Schedule::crash_after`]). Delays beyond it have no schedule form
-    /// — use the compact `PairConfig::delayed` path, which carries θ as a
-    /// single integer.
-    pub const MAX_MATERIALIZED_PREFIX: u64 = 1 << 22;
-
-    /// A schedule from explicit parts. The cycle must be non-empty (the
-    /// prefix may be).
-    pub fn new(prefix: Vec<(bool, bool)>, cycle: Vec<(bool, bool)>) -> Self {
-        assert!(!cycle.is_empty(), "schedule cycle must be non-empty");
-        Schedule { prefix, cycle }
-    }
-
-    /// Both agents every round — the simultaneous-start scenario.
-    pub fn simultaneous() -> Self {
-        Schedule::new(Vec::new(), vec![(true, true)])
-    }
-
-    /// The legacy start-delay scenario as a schedule: agent A runs from
-    /// round 1, agent B from round `theta + 1`.
-    pub fn start_delay(theta: u64) -> Self {
-        assert!(
-            theta <= Self::MAX_MATERIALIZED_PREFIX,
-            "start_delay({theta}) would materialize a {theta}-entry prefix; \
-             use PairConfig::delayed for delays past MAX_MATERIALIZED_PREFIX"
-        );
-        Schedule::new(vec![(true, false); theta as usize], vec![(true, true)])
-    }
-
-    /// Agent A every round; agent B only in rounds `r` with
-    /// `(r - 1) mod period == phase` — the adversary slows one agent to a
-    /// `1/period` duty cycle. `intermittent(1, 0)` is
-    /// [`Schedule::simultaneous`].
-    pub fn intermittent(period: u64, phase: u64) -> Self {
-        assert!(period >= 1, "intermittent period must be at least 1");
-        assert!(phase < period, "intermittent phase must be below the period");
-        Schedule::new(Vec::new(), (0..period).map(|i| (true, i == phase)).collect())
-    }
-
-    /// Both agents for `rounds` rounds, then agent B crashes (is never
-    /// activated again) while A keeps running — the crash-fault scenario.
-    pub fn crash_after(rounds: u64) -> Self {
-        assert!(
-            rounds <= Self::MAX_MATERIALIZED_PREFIX,
-            "crash_after({rounds}) would materialize a {rounds}-entry prefix"
-        );
-        Schedule::new(vec![(true, true); rounds as usize], vec![(true, false)])
-    }
-
-    /// A seeded adversarial sample: uniformly random flags over a prefix
-    /// of length `≤ max_prefix` and a cycle of length `1..=max_cycle`,
-    /// deterministic in `seed`. A cycle that activates nobody is patched
-    /// to `(true, true)` in its first slot so the sampled run cannot
-    /// freeze forever (the all-frozen tail is a legal but trivial
-    /// adversary — every pair with distinct starts never meets).
-    pub fn adversarial(seed: u64, max_prefix: usize, max_cycle: usize) -> Self {
-        assert!(max_cycle >= 1, "cycle needs at least one slot to sample");
-        let mut state = seed;
-        let mut next = move || {
-            // splitmix64: the same deterministic stream the sweep's
-            // per-cell seeding uses; no RNG dependency.
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let flag = |bits: u64| (bits & 1 != 0, bits & 2 != 0);
-        let p = (next() % (max_prefix as u64 + 1)) as usize;
-        let c = (1 + next() % max_cycle as u64) as usize;
-        let prefix = (0..p).map(|_| flag(next())).collect();
-        let mut cycle: Vec<(bool, bool)> = (0..c).map(|_| flag(next())).collect();
-        if cycle.iter().all(|&(a, b)| !a && !b) {
-            cycle[0] = (true, true);
-        }
-        Schedule::new(prefix, cycle)
-    }
-
-    pub fn prefix_len(&self) -> u64 {
-        self.prefix.len() as u64
-    }
-
-    pub fn cycle_len(&self) -> u64 {
-        self.cycle.len() as u64
-    }
-
-    /// Activation flags for round `round ≥ 1`.
-    #[inline]
-    pub fn active(&self, round: u64) -> (bool, bool) {
-        debug_assert!(round >= 1, "round 0 is the initial placement, nobody acts");
-        let p = self.prefix.len() as u64;
-        if round <= p {
-            self.prefix[(round - 1) as usize]
-        } else {
-            self.cycle[((round - 1 - p) % self.cycle.len() as u64) as usize]
-        }
-    }
-
-    /// `Some(θ)` when this schedule is exactly the legacy start-delay
-    /// scenario (A-only for θ rounds, then both forever) — the special
-    /// case the θ-indexed fast paths answer without a schedule walk.
-    pub fn as_start_delay(&self) -> Option<u64> {
-        (self.cycle == [(true, true)] && self.prefix.iter().all(|&f| f == (true, false)))
-            .then_some(self.prefix.len() as u64)
-    }
-
-    /// `true` when the two lanes see identical activation flags every
-    /// round (simultaneous, lockstep, any global-stall pattern). For such
-    /// schedules swapping the agents merely relabels the lanes, so the
-    /// rendezvous verdict for `(a, b)` equals the verdict for `(b, a)` —
-    /// the swap half of the sweep's start-pair orbit quotient is sound
-    /// exactly on this class.
-    pub fn lane_symmetric(&self) -> bool {
-        self.prefix.iter().chain(&self.cycle).all(|&(a, b)| a == b)
-    }
-
-    /// Activation arithmetic for agent A.
-    pub fn index_a(&self) -> ActivationIndex {
-        ActivationIndex::new(self, false)
-    }
-
-    /// Activation arithmetic for agent B.
-    pub fn index_b(&self) -> ActivationIndex {
-        ActivationIndex::new(self, true)
-    }
-}
-
-/// An eventually-periodic activation schedule over `k` lanes — the
-/// ensemble generalization of the two-agent [`Schedule`]. Each round is
-/// a row of `k` flags; lane `i` of the row says whether agent `i` is
-/// activated that round. The frozen semantics is unchanged: a lane whose
-/// flag is off keeps its cursor (node *and* entry port) and perceives
-/// nothing, so each lane's trajectory as a function of its activation
-/// count is schedule-independent — one solo recording per agent serves
-/// every ensemble schedule.
-///
-/// A two-lane `EnsembleSchedule` is interconvertible with [`Schedule`]
-/// ([`EnsembleSchedule::from_pair`] / [`EnsembleSchedule::pair`]) and
-/// produces identical activation flags round for round.
+/// An eventually-periodic activation schedule over `k` lanes. Each round
+/// is a row of `k` flags; lane `i` of the row says whether agent `i` is
+/// activated that round. A frozen lane keeps its cursor (node *and* entry
+/// port) and perceives nothing, so each lane's trajectory as a function
+/// of its activation count is schedule-independent — one solo recording
+/// per agent serves every schedule. Two-agent runs use two lanes; the
+/// lane-asymmetric constructors fault the *last* lane, agent B of a pair.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EnsembleSchedule {
     /// Lane count `k ≥ 1`; every row below has exactly `k` flags.
@@ -192,6 +49,14 @@ pub struct EnsembleSchedule {
 }
 
 impl EnsembleSchedule {
+    /// Materialization cap for the constructors that unroll a round count
+    /// into explicit prefix rows ([`EnsembleSchedule::start_delays`],
+    /// [`EnsembleSchedule::crash_last_after`]). Delays beyond it have no
+    /// schedule form — the simulator and the decider take θ as an integer
+    /// instead (`PairConfig::delayed`, `run_ensemble_with`'s activation
+    /// rule, `decide_ensemble_from_lassos`).
+    pub const MAX_MATERIALIZED_PREFIX: u64 = 1 << 22;
+
     /// A schedule from explicit rows. The cycle must be non-empty and
     /// every row must have exactly `lanes` flags.
     pub fn new(lanes: usize, prefix: Vec<Vec<bool>>, cycle: Vec<Vec<bool>>) -> Self {
@@ -210,13 +75,12 @@ impl EnsembleSchedule {
 
     /// Per-lane start delays: lane `i` is frozen through round
     /// `delays[i]` and active from round `delays[i] + 1` forever. The
-    /// two-lane form with `delays = [0, θ]` is exactly
-    /// [`Schedule::start_delay`]`(θ)`.
+    /// two-lane form with `delays = [0, θ]` is the paper's start delay θ.
     pub fn start_delays(delays: &[u64]) -> Self {
         let lanes = delays.len();
         let max = delays.iter().copied().max().unwrap_or(0);
         assert!(
-            max <= Schedule::MAX_MATERIALIZED_PREFIX,
+            max <= Self::MAX_MATERIALIZED_PREFIX,
             "start_delays would materialize a {max}-entry prefix"
         );
         let prefix = (1..=max).map(|r| delays.iter().map(|&d| r > d).collect()).collect();
@@ -225,10 +89,10 @@ impl EnsembleSchedule {
 
     /// All lanes for `rounds` rounds, then the last lane crashes (is
     /// never activated again) while the rest keep running — the
-    /// ensemble form of [`Schedule::crash_after`].
+    /// crash-fault scenario.
     pub fn crash_last_after(lanes: usize, rounds: u64) -> Self {
         assert!(
-            rounds <= Schedule::MAX_MATERIALIZED_PREFIX,
+            rounds <= Self::MAX_MATERIALIZED_PREFIX,
             "crash_last_after({rounds}) would materialize a {rounds}-entry prefix"
         );
         let mut survivor_row = vec![true; lanes];
@@ -237,8 +101,9 @@ impl EnsembleSchedule {
     }
 
     /// Lanes `0..k-1` every round; the last lane only in rounds `r` with
-    /// `(r - 1) mod period == phase` — [`Schedule::intermittent`] over
-    /// `k` lanes.
+    /// `(r - 1) mod period == phase` — the adversary slows one agent to a
+    /// `1/period` duty cycle. `intermittent_last(k, 1, 0)` is
+    /// [`EnsembleSchedule::simultaneous`].
     pub fn intermittent_last(lanes: usize, period: u64, phase: u64) -> Self {
         assert!(period >= 1, "intermittent period must be at least 1");
         assert!(phase < period, "intermittent phase must be below the period");
@@ -252,28 +117,33 @@ impl EnsembleSchedule {
         EnsembleSchedule::new(lanes, Vec::new(), cycle)
     }
 
-    /// The two-lane view of a pair [`Schedule`] — flag-for-flag
-    /// identical, so every pair engine and its ensemble generalization
-    /// see the same adversary.
-    pub fn from_pair(s: &Schedule) -> Self {
-        let row = |&(a, b): &(bool, bool)| vec![a, b];
-        EnsembleSchedule::new(
-            2,
-            s.prefix.iter().map(row).collect(),
-            s.cycle.iter().map(row).collect(),
-        )
-    }
-
-    /// The pair [`Schedule`] this two-lane ensemble schedule came from;
-    /// `None` when `lanes != 2`.
-    pub fn pair(&self) -> Option<Schedule> {
-        (self.lanes == 2).then(|| {
-            let pair = |row: &Vec<bool>| (row[0], row[1]);
-            Schedule::new(
-                self.prefix.iter().map(pair).collect(),
-                self.cycle.iter().map(pair).collect(),
-            )
-        })
+    /// A seeded adversarial two-lane sample: uniformly random flags over
+    /// a prefix of length `≤ max_prefix` and a cycle of length
+    /// `1..=max_cycle`, deterministic in `seed`. A cycle that activates
+    /// nobody is patched to both lanes in its first slot so the sampled run
+    /// cannot freeze forever (the all-frozen tail is a legal but trivial
+    /// adversary — every pair with distinct starts never meets).
+    pub fn adversarial(seed: u64, max_prefix: usize, max_cycle: usize) -> Self {
+        assert!(max_cycle >= 1, "cycle needs at least one slot to sample");
+        let mut state = seed;
+        let mut next = move || {
+            // splitmix64: the same deterministic stream the sweep's
+            // per-cell seeding uses; no RNG dependency.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let row = |bits: u64| vec![bits & 1 != 0, bits & 2 != 0];
+        let p = (next() % (max_prefix as u64 + 1)) as usize;
+        let c = (1 + next() % max_cycle as u64) as usize;
+        let prefix = (0..p).map(|_| row(next())).collect();
+        let mut cycle: Vec<Vec<bool>> = (0..c).map(|_| row(next())).collect();
+        if cycle.iter().all(|r| r == &[false, false]) {
+            cycle[0] = vec![true, true];
+        }
+        EnsembleSchedule::new(2, prefix, cycle)
     }
 
     pub fn lanes(&self) -> usize {
@@ -307,32 +177,6 @@ impl EnsembleSchedule {
         self.prefix.iter().chain(&self.cycle).all(|row| row.iter().all(|&f| f == row[0]))
     }
 
-    /// The per-lane start delays, when this schedule is a pure start-delay
-    /// scenario: the cycle is one all-active row and each lane's prefix is
-    /// a (possibly empty) run of frozen rounds followed only by active
-    /// ones. `None` for every other shape. The decider uses this to route
-    /// start-delay ensembles to the solo-lasso closed form instead of the
-    /// product walk.
-    pub fn as_start_delays(&self) -> Option<Vec<u64>> {
-        if self.cycle.len() != 1 || self.cycle[0].iter().any(|&f| !f) {
-            return None;
-        }
-        let mut delays = vec![0u64; self.lanes];
-        for (lane, delay) in delays.iter_mut().enumerate() {
-            let mut started = false;
-            for (r, row) in self.prefix.iter().enumerate() {
-                if row[lane] {
-                    started = true;
-                } else if started {
-                    return None; // frozen again after starting: not a delay
-                } else {
-                    *delay = r as u64 + 1;
-                }
-            }
-        }
-        Some(delays)
-    }
-
     /// Activation arithmetic for lane `lane`.
     pub fn index(&self, lane: usize) -> ActivationIndex {
         assert!(lane < self.lanes, "lane {lane} out of range for {} lanes", self.lanes);
@@ -343,7 +187,7 @@ impl EnsembleSchedule {
     }
 }
 
-/// One agent's activation arithmetic under a [`Schedule`]: cumulative
+/// One lane's activation arithmetic under an [`EnsembleSchedule`]: cumulative
 /// activation counts over the prefix and one cycle, answering both
 /// directions of the round ↔ activation-count correspondence in
 /// O(log(prefix + cycle)). This is the "schedule-aware cursor
@@ -360,14 +204,7 @@ pub struct ActivationIndex {
 }
 
 impl ActivationIndex {
-    fn new(s: &Schedule, second: bool) -> Self {
-        let pick = |f: &(bool, bool)| if second { f.1 } else { f.0 };
-        Self::from_flags(s.prefix.iter().map(pick), s.cycle.iter().map(pick))
-    }
-
-    /// Activation arithmetic from one lane's raw flag streams — the
-    /// lane-agnostic constructor [`EnsembleSchedule::index`] shares with
-    /// the two-agent [`Schedule::index_a`]/[`Schedule::index_b`].
+    /// Activation arithmetic from one lane's raw flag streams.
     fn from_flags(prefix: impl Iterator<Item = bool>, cycle: impl Iterator<Item = bool>) -> Self {
         fn cum(flags: impl Iterator<Item = bool>) -> Vec<u64> {
             let mut v = vec![0u64];
@@ -457,81 +294,94 @@ impl ActivationIndex {
 mod tests {
     use super::*;
 
-    #[test]
-    fn lane_symmetry_matches_the_flag_pattern() {
-        assert!(Schedule::simultaneous().lane_symmetric());
-        assert!(Schedule::new(Vec::new(), vec![(true, true), (false, false)]).lane_symmetric());
-        assert!(!Schedule::start_delay(1).lane_symmetric());
-        assert!(!Schedule::intermittent(2, 0).lane_symmetric());
-        assert!(!Schedule::crash_after(3).lane_symmetric());
-        // θ = 0 start delay has an empty prefix and a both-on cycle.
-        assert!(Schedule::start_delay(0).lane_symmetric());
+    /// Two-lane rows from `"ab"` bit strings (`a` = lane 0, `b` = lane 1).
+    fn rows(bits: &[&str]) -> Vec<Vec<bool>> {
+        bits.iter().map(|r| r.bytes().map(|b| b == b'1').collect()).collect()
     }
 
-    /// Brute-force activation count straight off `Schedule::active`.
-    fn brute_acts(s: &Schedule, second: bool, round: u64) -> u64 {
-        (1..=round)
-            .filter(|&r| {
-                let (a, b) = s.active(r);
-                if second {
-                    b
-                } else {
-                    a
-                }
-            })
-            .count() as u64
+    #[test]
+    fn lane_symmetry_matches_the_flag_pattern() {
+        assert!(EnsembleSchedule::simultaneous(2).lane_symmetric());
+        assert!(EnsembleSchedule::new(2, Vec::new(), rows(&["11", "00"])).lane_symmetric());
+        assert!(!EnsembleSchedule::start_delays(&[0, 1]).lane_symmetric());
+        assert!(!EnsembleSchedule::intermittent_last(2, 2, 0).lane_symmetric());
+        assert!(!EnsembleSchedule::crash_last_after(2, 3).lane_symmetric());
+        assert!(!EnsembleSchedule::crash_last_after(3, 4).lane_symmetric());
+        assert!(EnsembleSchedule::simultaneous(3).lane_symmetric());
+        // θ = 0 start delay has an empty prefix and an all-on cycle.
+        assert!(EnsembleSchedule::start_delays(&[0, 0]).lane_symmetric());
+    }
+
+    /// Brute-force activation count straight off `EnsembleSchedule::active`.
+    fn brute_acts(s: &EnsembleSchedule, lane: usize, round: u64) -> u64 {
+        (1..=round).filter(|&r| s.active(r)[lane]).count() as u64
     }
 
     #[test]
     fn constructors_have_the_advertised_shapes() {
-        assert_eq!(Schedule::simultaneous().as_start_delay(), Some(0));
-        assert_eq!(Schedule::start_delay(0), Schedule::simultaneous());
-        assert_eq!(Schedule::start_delay(3).as_start_delay(), Some(3));
-        assert_eq!(Schedule::intermittent(1, 0), Schedule::simultaneous());
-        assert_eq!(Schedule::intermittent(2, 1).as_start_delay(), None);
-        assert_eq!(Schedule::crash_after(4).as_start_delay(), None);
-        // intermittent activates B exactly once per period, at the phase.
-        let s = Schedule::intermittent(3, 1);
+        let sim = EnsembleSchedule::simultaneous(2);
+        assert_eq!(EnsembleSchedule::start_delays(&[0, 0]), sim);
+        assert_eq!(EnsembleSchedule::intermittent_last(2, 1, 0), sim);
+        // The start delay θ freezes lane 1 for θ rounds, then runs both.
+        let s = EnsembleSchedule::start_delays(&[0, 2]);
+        assert_eq!(s.prefix.len(), 2);
+        assert_eq!(s.active(2), &[true, false]);
+        assert_eq!(s.active(3), &[true, true]);
+        assert_eq!(s.active(1_000), &[true, true]);
+        // intermittent activates the last lane exactly once per period, at
+        // the phase.
+        let s = EnsembleSchedule::intermittent_last(2, 3, 1);
         for r in 1..=12u64 {
-            assert_eq!(s.active(r), (true, (r - 1) % 3 == 1), "round {r}");
+            assert_eq!(s.active(r), &[true, (r - 1) % 3 == 1], "round {r}");
         }
-        // crash_after freezes B from round rounds+1 on.
-        let s = Schedule::crash_after(2);
-        assert_eq!(s.active(2), (true, true));
-        assert_eq!(s.active(3), (true, false));
-        assert_eq!(s.active(1_000_000), (true, false));
+        // crash_last_after freezes the last lane from round rounds+1 on.
+        let s = EnsembleSchedule::crash_last_after(2, 2);
+        assert_eq!(s.active(2), &[true, true]);
+        assert_eq!(s.active(3), &[true, false]);
+        assert_eq!(s.active(1_000_000), &[true, false]);
+        // Three lanes with staggered delays: lane i first acts at round
+        // delays[i] + 1.
+        let e = EnsembleSchedule::start_delays(&[0, 2, 5]);
+        for (lane, delay) in [(0usize, 0u64), (1, 2), (2, 5)] {
+            let idx = e.index(lane);
+            assert_eq!(idx.acts_at(delay), 0, "lane {lane} frozen through its delay");
+            assert_eq!(idx.round_of_act(1), Some(delay + 1), "lane {lane} first activation");
+        }
+        // Crash: the last lane plateaus, the others run forever.
+        let e = EnsembleSchedule::crash_last_after(3, 4);
+        assert_eq!(e.index(2).acts_at(1 << 30), 4);
+        assert_eq!(e.index(0).acts_at(100), 100);
     }
 
     #[test]
     fn active_is_periodic_past_the_prefix() {
-        let s = Schedule::new(
-            vec![(false, true), (true, false)],
-            vec![(true, true), (false, false), (true, false)],
-        );
+        let s = EnsembleSchedule::new(2, rows(&["01", "10"]), rows(&["11", "00", "10"]));
         for r in 3..=40u64 {
             assert_eq!(s.active(r), s.active(r + 3), "round {r}");
         }
-        assert_eq!(s.active(1), (false, true));
-        assert_eq!(s.active(2), (true, false));
+        assert_eq!(s.active(1), &[false, true]);
+        assert_eq!(s.active(2), &[true, false]);
     }
 
     #[test]
     fn activation_index_matches_brute_force_counting() {
         let schedules = [
-            Schedule::simultaneous(),
-            Schedule::start_delay(5),
-            Schedule::intermittent(3, 2),
-            Schedule::crash_after(4),
-            Schedule::new(vec![(false, false); 3], vec![(true, false), (false, true)]),
-            Schedule::adversarial(0xFEED, 6, 5),
+            EnsembleSchedule::simultaneous(2),
+            EnsembleSchedule::start_delays(&[0, 5]),
+            EnsembleSchedule::intermittent_last(2, 3, 2),
+            EnsembleSchedule::crash_last_after(2, 4),
+            EnsembleSchedule::new(2, rows(&["00"; 3]), rows(&["10", "01"])),
+            EnsembleSchedule::adversarial(0xFEED, 6, 5),
+            EnsembleSchedule::start_delays(&[1, 0, 4]),
         ];
         for s in &schedules {
-            for (second, idx) in [(false, s.index_a()), (true, s.index_b())] {
+            for lane in 0..s.lanes() {
+                let idx = s.index(lane);
                 for round in 0..=50u64 {
                     assert_eq!(
                         idx.acts_at(round),
-                        brute_acts(s, second, round),
-                        "{s:?} second={second} round={round}"
+                        brute_acts(s, lane, round),
+                        "{s:?} lane={lane} round={round}"
                     );
                 }
             }
@@ -541,13 +391,13 @@ mod tests {
     #[test]
     fn round_of_act_inverts_acts_at() {
         let schedules = [
-            Schedule::start_delay(4),
-            Schedule::intermittent(4, 1),
-            Schedule::crash_after(3),
-            Schedule::adversarial(7, 5, 4),
+            EnsembleSchedule::start_delays(&[0, 4]),
+            EnsembleSchedule::intermittent_last(2, 4, 1),
+            EnsembleSchedule::crash_last_after(2, 3),
+            EnsembleSchedule::adversarial(7, 5, 4),
         ];
         for s in &schedules {
-            for idx in [s.index_a(), s.index_b()] {
+            for idx in [s.index(0), s.index(1)] {
                 for k in 1..=30u64 {
                     match idx.round_of_act(k) {
                         Some(r) => {
@@ -574,7 +424,7 @@ mod tests {
 
     #[test]
     fn crashed_agent_has_finitely_many_activations() {
-        let idx = Schedule::crash_after(3).index_b();
+        let idx = EnsembleSchedule::crash_last_after(2, 3).index(1);
         assert_eq!(idx.round_of_act(3), Some(3));
         assert_eq!(idx.round_of_act(4), None);
         assert_eq!(idx.frozen_through(3), u64::MAX);
@@ -583,14 +433,14 @@ mod tests {
 
     #[test]
     fn adversarial_sampler_is_deterministic_and_live() {
-        let a = Schedule::adversarial(42, 8, 6);
-        let b = Schedule::adversarial(42, 8, 6);
+        let a = EnsembleSchedule::adversarial(42, 8, 6);
+        let b = EnsembleSchedule::adversarial(42, 8, 6);
         assert_eq!(a, b, "same seed, same schedule");
         for seed in 0..64u64 {
-            let s = Schedule::adversarial(seed, 8, 6);
-            assert!(!s.cycle.is_empty());
+            let s = EnsembleSchedule::adversarial(seed, 8, 6);
+            assert_eq!(s.lanes(), 2);
             assert!(
-                s.cycle.iter().any(|&(a, b)| a || b),
+                s.cycle.iter().any(|row| row.contains(&true)),
                 "sampled cycle must activate someone (seed {seed})"
             );
             assert!(s.prefix.len() <= 8 && s.cycle.len() <= 6);
@@ -598,91 +448,37 @@ mod tests {
     }
 
     #[test]
+    fn adversarial_sampler_replays_its_pinned_stream() {
+        // Draws recorded from the sampler before it moved onto two-lane
+        // rows: the splitmix stream and the all-off patch are part of
+        // every adversarial cell's identity.
+        let pinned: [(u64, usize, usize, &[&str], &[&str]); 6] = [
+            (42, 8, 6, &["01"], &["00", "01"]),
+            (0xE10, 8, 6, &["01", "00", "01"], &["01", "10", "10", "01", "11", "00"]),
+            (7, 5, 4, &["01", "11", "01"], &["10"]),
+            (0, 8, 6, &["11", "00", "11", "01", "10", "00", "11"], &["01"]),
+            (3, 0, 1, &[], &["10"]),
+            // The drawn cycle is `["00"]`: patched to both lanes.
+            (18, 8, 6, &["01"], &["11"]),
+        ];
+        for (seed, max_prefix, max_cycle, prefix, cycle) in pinned {
+            assert_eq!(
+                EnsembleSchedule::adversarial(seed, max_prefix, max_cycle),
+                EnsembleSchedule::new(2, rows(prefix), rows(cycle)),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "cycle must be non-empty")]
     fn empty_cycles_are_rejected() {
-        let _ = Schedule::new(vec![(true, true)], Vec::new());
-    }
-
-    #[test]
-    fn ensemble_round_trip_matches_the_pair_schedule_flag_for_flag() {
-        let schedules = [
-            Schedule::simultaneous(),
-            Schedule::start_delay(4),
-            Schedule::intermittent(3, 1),
-            Schedule::crash_after(2),
-            Schedule::adversarial(0xABCD, 5, 4),
-        ];
-        for s in &schedules {
-            let e = EnsembleSchedule::from_pair(s);
-            assert_eq!(e.lanes(), 2);
-            assert_eq!(e.pair().as_ref(), Some(s), "round trip");
-            assert_eq!(e.lane_symmetric(), s.lane_symmetric());
-            for r in 1..=40u64 {
-                let (a, b) = s.active(r);
-                assert_eq!(e.active(r), &[a, b], "{s:?} round {r}");
-            }
-            for (lane, idx) in [(0, s.index_a()), (1, s.index_b())] {
-                let ei = e.index(lane);
-                for r in 0..=40u64 {
-                    assert_eq!(ei.acts_at(r), idx.acts_at(r), "{s:?} lane {lane} round {r}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ensemble_constructors_generalize_the_pair_shapes() {
-        // start_delays([0, θ]) is the legacy start-delay scenario.
-        for theta in [0u64, 1, 5] {
-            let e = EnsembleSchedule::start_delays(&[0, theta]);
-            assert_eq!(e.pair(), Some(Schedule::start_delay(theta)), "θ={theta}");
-        }
-        // crash_last_after over two lanes is crash_after.
-        assert_eq!(EnsembleSchedule::crash_last_after(2, 3).pair(), Some(Schedule::crash_after(3)));
-        // intermittent_last over two lanes is intermittent.
-        assert_eq!(
-            EnsembleSchedule::intermittent_last(2, 3, 1).pair(),
-            Some(Schedule::intermittent(3, 1))
-        );
-        // Three lanes with staggered delays: lane i first acts at round
-        // delays[i] + 1.
-        let e = EnsembleSchedule::start_delays(&[0, 2, 5]);
-        for (lane, delay) in [(0usize, 0u64), (1, 2), (2, 5)] {
-            let idx = e.index(lane);
-            assert_eq!(idx.acts_at(delay), 0, "lane {lane} frozen through its delay");
-            assert_eq!(idx.round_of_act(1), Some(delay + 1), "lane {lane} first activation");
-        }
-        // Crash: the last lane plateaus, the others run forever.
-        let e = EnsembleSchedule::crash_last_after(3, 4);
-        assert_eq!(e.index(2).acts_at(1 << 30), 4);
-        assert_eq!(e.index(0).acts_at(100), 100);
-        assert!(!e.lane_symmetric());
-        assert!(EnsembleSchedule::simultaneous(3).lane_symmetric());
+        let _ = EnsembleSchedule::new(2, rows(&["11"]), Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "must cover all 3 lanes")]
     fn ragged_ensemble_rows_are_rejected() {
         let _ = EnsembleSchedule::new(3, Vec::new(), vec![vec![true, true]]);
-    }
-
-    #[test]
-    fn start_delay_shapes_round_trip_through_as_start_delays() {
-        for delays in [vec![0u64, 0], vec![0, 3], vec![2, 0, 5], vec![1, 1, 1, 1]] {
-            let e = EnsembleSchedule::start_delays(&delays);
-            assert_eq!(e.as_start_delays(), Some(delays.clone()), "{delays:?}");
-        }
-        assert_eq!(EnsembleSchedule::simultaneous(3).as_start_delays(), Some(vec![0, 0, 0]));
-        // Crashes freeze a lane *after* it started; intermittence has a
-        // non-trivial cycle — neither is a start-delay scenario.
-        assert_eq!(EnsembleSchedule::crash_last_after(3, 2).as_start_delays(), None);
-        assert_eq!(EnsembleSchedule::intermittent_last(3, 2, 0).as_start_delays(), None);
-        // A lane frozen again after acting is not a delay either.
-        let e = EnsembleSchedule::new(
-            2,
-            vec![vec![true, true], vec![true, false]],
-            vec![vec![true, true]],
-        );
-        assert_eq!(e.as_start_delays(), None);
     }
 }

@@ -38,7 +38,7 @@
 //! equivalence across random trees, starts, delays and agent variants.
 
 use crate::runner::{pair_index, Cursor, EnsembleRun, Outcome, PairConfig, PairRun};
-use crate::schedule::{ActivationIndex, EnsembleSchedule, Schedule};
+use crate::schedule::{ActivationIndex, EnsembleSchedule};
 use rvz_agent::model::Agent;
 use rvz_trees::{NodeId, Port, Tree};
 
@@ -545,7 +545,8 @@ pub fn delay_scan(
         .collect()
 }
 
-/// A trajectory viewed through a [`Schedule`]: the recording is indexed
+/// A trajectory viewed through one lane of an [`EnsembleSchedule`]: the
+/// recording is indexed
 /// by *activation count* (the frozen semantics makes an agent's k-th
 /// activation schedule-independent), and the [`ActivationIndex`] converts
 /// the merge's global round clock into local activation counts — the
@@ -662,10 +663,11 @@ fn finish_scheduled(
     }
 }
 
-/// Decides a two-agent run under an arbitrary activation [`Schedule`]
-/// from recorded trajectories alone — no agent is stepped. Returns
-/// exactly what [`crate::run_pair_scheduled`] returns on the same
-/// instance, or [`Replay::NeedMore`] when a recording is too short
+/// Decides a two-agent run under an arbitrary two-lane activation
+/// [`EnsembleSchedule`] from recorded trajectories alone — no agent is
+/// stepped. Returns exactly what stepping the pair under the schedule
+/// returns ([`crate::run_ensemble`] at `k = 2`, lane 0 as A and lane 1 as
+/// B), or [`Replay::NeedMore`] when a recording is too short
 /// (the reported counts are *activation* counts — exactly what
 /// [`TraceRecorder::record_to`] takes, since a solo recording advances
 /// one activation per recorded round).
@@ -679,12 +681,13 @@ pub fn replay_pair_scheduled(
     t: &Tree,
     ta: &Trajectory,
     tb: &Trajectory,
-    schedule: &Schedule,
+    schedule: &EnsembleSchedule,
     max_rounds: u64,
     record_traces: bool,
 ) -> Replay {
-    let idx_a = schedule.index_a();
-    let idx_b = schedule.index_b();
+    assert_eq!(schedule.lanes(), 2, "a pair replays under a two-lane schedule");
+    let idx_a = schedule.index(0);
+    let idx_b = schedule.index(1);
     let idx = (&idx_a, &idx_b);
     if ta.start == tb.start {
         let outcome = Outcome::Met { round: 0, node: ta.start };
@@ -914,7 +917,7 @@ pub fn schedule_scan(
     t: &Tree,
     ta: &Trajectory,
     tb: &Trajectory,
-    columns: &[(Schedule, u64)],
+    columns: &[(EnsembleSchedule, u64)],
 ) -> Vec<Replay> {
     columns
         .iter()
@@ -927,7 +930,7 @@ pub fn schedule_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_pair, run_pair_scheduled};
+    use crate::runner::{run_ensemble_fsa, run_pair};
     use rvz_agent::model::{bw_exit, Action, Obs};
     use rvz_trees::generators::{line, spider, star};
 
@@ -1085,15 +1088,26 @@ mod tests {
         assert_eq!(parked.first_visit(4), None, "a parked agent visits nothing else");
     }
 
+    /// Two basic walkers stepped directly under a two-lane schedule.
+    fn step_pair(
+        t: &Tree,
+        a: NodeId,
+        b: NodeId,
+        sched: &EnsembleSchedule,
+        budget: u64,
+    ) -> EnsembleRun {
+        run_ensemble_fsa(t, &[a, b], &mut [BasicWalker, BasicWalker], sched, budget, true)
+    }
+
     #[test]
     fn scheduled_replay_matches_direct_scheduled_stepping() {
         let schedules = [
-            Schedule::simultaneous(),
-            Schedule::start_delay(3),
-            Schedule::intermittent(2, 0),
-            Schedule::intermittent(3, 1),
-            Schedule::crash_after(2),
-            Schedule::adversarial(0xA11CE, 5, 4),
+            EnsembleSchedule::simultaneous(2),
+            EnsembleSchedule::start_delays(&[0, 3]),
+            EnsembleSchedule::intermittent_last(2, 2, 0),
+            EnsembleSchedule::intermittent_last(2, 3, 1),
+            EnsembleSchedule::crash_last_after(2, 2),
+            EnsembleSchedule::adversarial(0xA11CE, 5, 4),
         ];
         for t in [line(9), spider(3, 3), star(6)] {
             let n = t.num_nodes() as NodeId;
@@ -1110,15 +1124,14 @@ mod tests {
                     else {
                         panic!("a full-budget recording must decide");
                     };
-                    let mut x = BasicWalker;
-                    let mut y = BasicWalker;
-                    let direct = run_pair_scheduled(&t, a, b, &mut x, &mut y, sched, budget, true);
+                    let direct = step_pair(&t, a, b, sched, budget);
+                    let traces = direct.traces.as_ref().expect("recorded");
                     assert_eq!(replayed.outcome, direct.outcome, "{sched:?} ({a},{b})");
                     assert_eq!(replayed.crossings, direct.crossings, "{sched:?} ({a},{b})");
-                    assert_eq!(replayed.final_a, direct.final_a, "{sched:?} ({a},{b})");
-                    assert_eq!(replayed.final_b, direct.final_b, "{sched:?} ({a},{b})");
-                    assert_eq!(replayed.trace_a, direct.trace_a, "{sched:?} ({a},{b})");
-                    assert_eq!(replayed.trace_b, direct.trace_b, "{sched:?} ({a},{b})");
+                    assert_eq!(replayed.final_a, direct.finals[0], "{sched:?} ({a},{b})");
+                    assert_eq!(replayed.final_b, direct.finals[1], "{sched:?} ({a},{b})");
+                    assert_eq!(replayed.trace_a.as_ref(), Some(&traces[0]), "{sched:?} ({a},{b})");
+                    assert_eq!(replayed.trace_b.as_ref(), Some(&traces[1]), "{sched:?} ({a},{b})");
                 }
             }
         }
@@ -1130,7 +1143,7 @@ mod tests {
         // a short B recording must be grown by *activation* count, so the
         // NeedMore figure is about a quarter of the round horizon.
         let t = line(30);
-        let sched = Schedule::intermittent(4, 0);
+        let sched = EnsembleSchedule::intermittent_last(2, 4, 0);
         let ta = record(&t, 0, BasicWalker, 200);
         let tb = record(&t, 29, BasicWalker, 2);
         match replay_pair_scheduled(&t, &ta, &tb, &sched, 200, false) {
@@ -1153,7 +1166,7 @@ mod tests {
         let ta = record(&t, 1, WalkThenHalt { moves: 2 }, 10);
         let tb = record(&t, 9, BasicWalker, 8);
         assert!(ta.is_fixed() && !tb.is_fixed());
-        let sched = Schedule::crash_after(5);
+        let sched = EnsembleSchedule::crash_last_after(2, 5);
         match replay_pair_scheduled(&t, &ta, &tb, &sched, 3_000_000_000, false) {
             Replay::Decided(run) => match run.outcome {
                 Outcome::Met { .. } => {}
@@ -1171,18 +1184,16 @@ mod tests {
         let ta = record(&t, 0, BasicWalker, 120);
         let tb = record(&t, 6, BasicWalker, 120);
         let columns = [
-            (Schedule::simultaneous(), 100u64),
-            (Schedule::start_delay(1), 100),
-            (Schedule::intermittent(2, 0), 100),
-            (Schedule::crash_after(1), 100),
+            (EnsembleSchedule::simultaneous(2), 100u64),
+            (EnsembleSchedule::start_delays(&[0, 1]), 100),
+            (EnsembleSchedule::intermittent_last(2, 2, 0), 100),
+            (EnsembleSchedule::crash_last_after(2, 1), 100),
         ];
         let verdicts = schedule_scan(&t, &ta, &tb, &columns);
         assert_eq!(verdicts.len(), columns.len());
         for (v, (sched, budget)) in verdicts.iter().zip(&columns) {
             let Replay::Decided(run) = v else { panic!("recorded horizon decides") };
-            let mut x = BasicWalker;
-            let mut y = BasicWalker;
-            let direct = run_pair_scheduled(&t, 0, 6, &mut x, &mut y, sched, *budget, false);
+            let direct = step_pair(&t, 0, 6, sched, *budget);
             assert_eq!(run.outcome, direct.outcome, "{sched:?}");
         }
     }
@@ -1247,16 +1258,15 @@ mod tests {
     fn ensemble_replay_at_k2_matches_the_pair_merge() {
         let t = line(11);
         let schedules = [
-            Schedule::simultaneous(),
-            Schedule::start_delay(3),
-            Schedule::intermittent(3, 1),
-            Schedule::crash_after(2),
+            EnsembleSchedule::simultaneous(2),
+            EnsembleSchedule::start_delays(&[0, 3]),
+            EnsembleSchedule::intermittent_last(2, 3, 1),
+            EnsembleSchedule::crash_last_after(2, 2),
         ];
         for sched in &schedules {
             let ta = record(&t, 0, BasicWalker, 80);
             let tb = record(&t, 9, BasicWalker, 80);
-            let ens = EnsembleSchedule::from_pair(sched);
-            let EnsembleReplay::Decided(kr) = replay_ensemble(&t, &[&ta, &tb], &ens, 80, true)
+            let EnsembleReplay::Decided(kr) = replay_ensemble(&t, &[&ta, &tb], sched, 80, true)
             else {
                 panic!("decided");
             };
@@ -1326,12 +1336,12 @@ mod tests {
         for (v, (delays, budget)) in verdicts.iter().zip(&columns) {
             let EnsembleReplay::Decided(run) = v else { panic!("recorded horizon decides") };
             let mut agents = [BasicWalker, BasicWalker, BasicWalker];
-            let sched = EnsembleSchedule::start_delays(delays);
+            // The stepper takes each delay as an integer activation rule.
             let direct = run_ensemble_with(
                 &t,
                 &[0, 4, 8],
                 |lane, obs| agents[lane].act(obs),
-                &sched,
+                |round, lane| round > delays[lane],
                 *budget,
                 false,
             );

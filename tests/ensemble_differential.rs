@@ -1,8 +1,9 @@
 //! Differential tests for the k-agent ensemble engine: the three answer
 //! paths — k-lane stepping ([`run_ensemble_fsa`]), the trace-store merge
 //! ([`replay_ensemble`]) and the exact decider ([`decide_ensemble`]) —
-//! must agree with each other, and at `k = 2` must agree bit-for-bit
-//! with the pair engines they generalize. Property-style: seeded random
+//! must agree with each other, and at `k = 2` under a start delay must
+//! agree bit-for-bit with the classic pair API ([`run_pair`]) and the
+//! fixed-delay decider ([`decide_pair`]). Property-style: seeded random
 //! trees (n ≤ 6) × feasible start tuples × the schedule classes the e11
 //! sweep exercises (simultaneous, start delay, crash, intermittent).
 
@@ -12,8 +13,8 @@ use tree_rendezvous::agent::model::Agent;
 use tree_rendezvous::agent::Fsa;
 use tree_rendezvous::lowerbounds::decide::{decide_ensemble, decide_pair, verify_ensemble_lasso};
 use tree_rendezvous::sim::{
-    replay_ensemble, run_ensemble_fsa, run_pair_fsa, run_pair_scheduled_fsa, EnsembleReplay,
-    EnsembleRun, EnsembleSchedule, PairConfig, Schedule, TraceRecorder,
+    replay_ensemble, run_ensemble_fsa, run_pair, EnsembleReplay, EnsembleRun, EnsembleSchedule,
+    PairConfig, TraceRecorder,
 };
 use tree_rendezvous::trees::generators::{random_relabel, random_tree};
 use tree_rendezvous::trees::{perfectly_symmetrizable, NodeId, Tree};
@@ -106,10 +107,11 @@ fn schedule_classes(k: usize, n: usize) -> Vec<EnsembleSchedule> {
 
 #[test]
 fn two_lane_ensemble_is_bit_for_bit_the_pair_engine() {
-    // k = 2 is not "approximately" the pair engine — the ensemble loop
-    // with two lanes must reproduce the pair runner's outcome, round,
-    // crossing count and final positions exactly, for both θ-shaped and
-    // genuinely scheduled adversaries.
+    // k = 2 is not "approximately" the pair engine — under a start delay
+    // the ensemble loop with two lanes must reproduce the classic pair
+    // runner's outcome, round, crossing count and final positions exactly,
+    // and the ensemble decider the fixed-delay decider's verdict; under a
+    // genuine schedule the three two-lane paths must agree.
     for (ti, t) in trees(0xD1FF, 4, 6).into_iter().enumerate() {
         let fsa = Fsa::basic_walk(t.max_degree().max(1));
         for tuple in feasible_tuples(&t, 2) {
@@ -119,8 +121,7 @@ fn two_lane_ensemble_is_bit_for_bit_the_pair_engine() {
                 let budget = bw_budget(&t, &esched);
                 let ens = step_ensemble(&t, &fsa, &tuple, &esched);
                 let (mut x, mut y) = (fsa.runner_owned(), fsa.runner_owned());
-                let pair =
-                    run_pair_fsa(&t, a, b, &mut x, &mut y, PairConfig::delayed(theta, budget));
+                let pair = run_pair(&t, a, b, &mut x, &mut y, PairConfig::delayed(theta, budget));
                 assert_eq!(ens.outcome, pair.outcome, "tree {ti} ({a},{b}) θ={theta}");
                 assert_eq!(ens.crossings, pair.crossings, "tree {ti} ({a},{b}) θ={theta}");
                 assert_eq!(ens.finals[0].node, pair.final_a.node);
@@ -137,14 +138,22 @@ fn two_lane_ensemble_is_bit_for_bit_the_pair_engine() {
                 assert_eq!(dec.round(), ens.outcome.round());
             }
             // A genuinely scheduled adversary: one lane at half duty.
-            let pair_sched = Schedule::new(vec![], vec![(true, true), (true, false)]);
-            let esched = EnsembleSchedule::from_pair(&pair_sched);
-            let budget = bw_budget(&t, &esched);
+            let esched = EnsembleSchedule::intermittent_last(2, 2, 0);
             let ens = step_ensemble(&t, &fsa, &tuple, &esched);
-            let (mut x, mut y) = (fsa.runner_owned(), fsa.runner_owned());
-            let pair = run_pair_scheduled_fsa(&t, a, b, &mut x, &mut y, &pair_sched, budget, false);
-            assert_eq!(ens.outcome, pair.outcome, "tree {ti} ({a},{b}) intermittent");
-            assert_eq!(ens.crossings, pair.crossings, "tree {ti} ({a},{b}) intermittent");
+            let rep = replay_from_recordings(&t, &fsa, &tuple, &esched);
+            assert_eq!(rep.outcome, ens.outcome, "tree {ti} ({a},{b}) intermittent");
+            assert_eq!(rep.crossings, ens.crossings, "tree {ti} ({a},{b}) intermittent");
+            assert_eq!(rep.finals, ens.finals, "tree {ti} ({a},{b}) intermittent");
+            let dec = decide_ensemble(&t, &fsa, &tuple, &esched);
+            assert_eq!(dec.round(), ens.outcome.round(), "tree {ti} ({a},{b}) intermittent");
+            assert_eq!(
+                dec.crossings_within(dec.round().unwrap_or(bw_budget(&t, &esched))),
+                ens.crossings,
+                "tree {ti} ({a},{b}) intermittent"
+            );
+            if let Some(lasso) = dec.lasso() {
+                assert!(verify_ensemble_lasso(&t, &fsa, &tuple, &esched, lasso));
+            }
         }
     }
 }

@@ -427,37 +427,37 @@ proptest! {
         b in 0u32..12,
         theta in 0u64..40,
     ) {
-        // ISSUE 5 satellite: `Schedule::start_delay(θ)` must reproduce the
-        // compact `PairConfig::delayed(θ)` path bit for bit — stepping,
-        // replay, and the decider.
+        // ISSUE 5 satellite: the two-lane start-delay schedule θ must
+        // reproduce the compact `PairConfig::delayed(θ)` path bit for bit —
+        // stepping, replay, and the decider.
         use tree_rendezvous::agent::Fsa;
         use tree_rendezvous::lowerbounds::decide::{decide_pair, decide_pair_scheduled};
         use tree_rendezvous::sim::trace::Replay;
         use tree_rendezvous::sim::{
-            replay_pair, replay_pair_scheduled, run_pair, run_pair_scheduled, PairConfig,
-            Schedule, TraceRecorder,
+            replay_pair, replay_pair_scheduled, run_ensemble_fsa, run_pair, EnsembleSchedule,
+            PairConfig, TraceRecorder,
         };
 
         let n = t.num_nodes() as u32;
         let (a, b) = (a % n, b % n);
         let fsa = Fsa::basic_walk(t.max_degree().max(1));
         let budget = theta + 8 * n as u64 + 8;
-        let sched = Schedule::start_delay(theta);
+        let sched = EnsembleSchedule::start_delays(&[0, theta]);
         let cfg = PairConfig { delay: theta, max_rounds: budget, record_traces: true };
 
         // Stepping.
         let mut x = fsa.runner();
         let mut y = fsa.runner();
         let legacy = run_pair(&t, a, b, &mut x, &mut y, cfg);
-        let mut x = fsa.runner();
-        let mut y = fsa.runner();
-        let scheduled = run_pair_scheduled(&t, a, b, &mut x, &mut y, &sched, budget, true);
+        let mut agents = [fsa.runner(), fsa.runner()];
+        let scheduled = run_ensemble_fsa(&t, &[a, b], &mut agents, &sched, budget, true);
+        let traces = scheduled.traces.as_ref().expect("recorded");
         prop_assert_eq!(&scheduled.outcome, &legacy.outcome);
         prop_assert_eq!(scheduled.crossings, legacy.crossings);
-        prop_assert_eq!(scheduled.final_a, legacy.final_a);
-        prop_assert_eq!(scheduled.final_b, legacy.final_b);
-        prop_assert_eq!(&scheduled.trace_a, &legacy.trace_a);
-        prop_assert_eq!(&scheduled.trace_b, &legacy.trace_b);
+        prop_assert_eq!(scheduled.finals[0], legacy.final_a);
+        prop_assert_eq!(scheduled.finals[1], legacy.final_b);
+        prop_assert_eq!(Some(&traces[0]), legacy.trace_a.as_ref());
+        prop_assert_eq!(Some(&traces[1]), legacy.trace_b.as_ref());
 
         // Replay over the same recordings.
         let mut rec_a = TraceRecorder::new(a, fsa.runner_owned(), Agent::memory_bits);
@@ -511,28 +511,28 @@ proptest! {
         };
         use tree_rendezvous::sim::trace::Replay;
         use tree_rendezvous::sim::{
-            replay_pair_scheduled, run_pair_scheduled, Schedule, TraceRecorder,
+            replay_pair_scheduled, run_ensemble_fsa, EnsembleSchedule, TraceRecorder,
         };
 
         let n = t.num_nodes() as u32;
         let (a, b) = (a % n, b % n);
         let sched = match shape {
-            0 => Schedule::intermittent(2 + param % 3, param % 2),
-            1 => Schedule::crash_after(param),
-            2 => Schedule::new(
+            0 => EnsembleSchedule::intermittent_last(2, 2 + param % 3, param % 2),
+            1 => EnsembleSchedule::crash_last_after(2, param),
+            2 => EnsembleSchedule::new(
+                2,
                 Vec::new(),
-                (0..=param).map(|i| (i == 0, i == 0)).collect(),
+                (0..=param).map(|i| vec![i == 0; 2]).collect(),
             ),
-            _ => Schedule::adversarial(param, 6, 4),
+            _ => EnsembleSchedule::adversarial(param, 6, 4),
         };
         let fsa = Fsa::basic_walk(t.max_degree().max(1));
         // The exact schedule decision horizon for the basic walk.
         let budget = sched.prefix_len()
             + sched.cycle_len() * (4 * (t.num_nodes() as u64 - 1) + 2);
 
-        let mut x = fsa.runner();
-        let mut y = fsa.runner();
-        let direct = run_pair_scheduled(&t, a, b, &mut x, &mut y, &sched, budget, false);
+        let mut agents = [fsa.runner(), fsa.runner()];
+        let direct = run_ensemble_fsa(&t, &[a, b], &mut agents, &sched, budget, false);
 
         let mut rec_a = TraceRecorder::new(a, fsa.runner_owned(), Agent::memory_bits);
         let mut rec_b = TraceRecorder::new(b, fsa.runner_owned(), Agent::memory_bits);

@@ -1,7 +1,7 @@
 //! End-to-end activation-schedule scenarios across all four execution
-//! layers: the scheduled simulator (`rvz_sim::run_pair_scheduled`), the
-//! schedule-aware trace replay (`rvz_sim::schedule_scan`), the
-//! cycle-position exact decider
+//! layers, on two-lane schedules: the k-lane simulator
+//! (`rvz_sim::run_ensemble`), the schedule-aware trace replay
+//! (`rvz_sim::schedule_scan`), the cycle-position exact decider
 //! (`rvz_lowerbounds::decide_pair_scheduled` / `worst_case_schedule`),
 //! and the sweep engine's `Delay::Schedule` axis (e10).
 
@@ -11,7 +11,7 @@ use tree_rendezvous::lowerbounds::decide::{
     decide_pair_scheduled, verify_schedule_lasso, worst_case_schedule, ScheduleWorstCase,
 };
 use tree_rendezvous::sim::trace::Replay;
-use tree_rendezvous::sim::{schedule_scan, Schedule, TraceRecorder};
+use tree_rendezvous::sim::{run_ensemble_fsa, schedule_scan, EnsembleSchedule, TraceRecorder};
 use tree_rendezvous::trees::generators::line;
 
 /// The basic walk on a 9-line, pair (0, 6): the e9 story told through
@@ -27,11 +27,11 @@ fn schedule_column_is_answered_from_two_recordings() {
     rec_a.record_to(&t, 200);
     rec_b.record_to(&t, 200);
     let columns = [
-        (Schedule::simultaneous(), 200u64),
-        (Schedule::start_delay(1), 200),
-        (Schedule::intermittent(2, 0), 200),
-        (Schedule::intermittent(3, 0), 200),
-        (Schedule::crash_after(0), 200),
+        (EnsembleSchedule::simultaneous(2), 200u64),
+        (EnsembleSchedule::start_delays(&[0, 1]), 200),
+        (EnsembleSchedule::intermittent_last(2, 2, 0), 200),
+        (EnsembleSchedule::intermittent_last(2, 3, 0), 200),
+        (EnsembleSchedule::crash_last_after(2, 0), 200),
     ];
     let verdicts = schedule_scan(&t, rec_a.trajectory(), rec_b.trajectory(), &columns);
     assert_eq!(verdicts.len(), 5);
@@ -39,10 +39,15 @@ fn schedule_column_is_answered_from_two_recordings() {
         let Replay::Decided(run) = verdict else {
             panic!("200 recorded rounds decide every column: {sched:?}")
         };
-        // Replay must agree with the budget-free decider on every column.
+        // Replay must agree with the budget-free decider and with direct
+        // stepping on every column.
         let decision = decide_pair_scheduled(&t, &fsa, 0, 6, sched);
         assert_eq!(run.outcome.round(), decision.round(), "{sched:?}");
         assert_eq!(run.outcome.met(), decision.met(), "{sched:?}");
+        let mut agents = [fsa.runner(), fsa.runner()];
+        let stepped = run_ensemble_fsa(&t, &[0, 6], &mut agents, sched, 200, false);
+        assert_eq!(run.outcome, stepped.outcome, "{sched:?}");
+        assert_eq!(run.crossings, stepped.crossings, "{sched:?}");
     }
     // The crash column: B parked at 6 from the start, A's endpoint walk
     // arrives at round 6.
@@ -55,14 +60,15 @@ fn worst_case_schedule_certifies_class_defeats_end_to_end() {
     let t = line(9);
     let fsa = Fsa::basic_walk(t.max_degree().max(1));
     // A class with only meeting scenarios vs one containing a defeat.
-    let benign = [Schedule::crash_after(0), Schedule::crash_after(1)];
+    let benign =
+        [EnsembleSchedule::crash_last_after(2, 0), EnsembleSchedule::crash_last_after(2, 1)];
     let wc = worst_case_schedule(&t, &fsa, 0, 6, &benign);
     assert!(wc.all_meet(), "a crashed agent is met at home");
     let with_lockstep = [
-        Schedule::crash_after(0),
+        EnsembleSchedule::crash_last_after(2, 0),
         // Global stalls dilate the simultaneous scenario: pair (0, 5) is
         // at odd distance, so the dilated shuttle never meets.
-        Schedule::new(Vec::new(), vec![(true, true), (false, false)]),
+        EnsembleSchedule::new(2, Vec::new(), vec![vec![true, true], vec![false, false]]),
     ];
     match worst_case_schedule(&t, &fsa, 0, 5, &with_lockstep) {
         ScheduleWorstCase::Defeated { index, decision } => {
