@@ -691,7 +691,7 @@ Sweep mode (parallel batch engine):
                     with `agents`/`start_rest` fields; e11 defaults to 3)
     --seed S        base seed (default 0x5EED2010)
     --executor X    replay (trace-record/replay; default for e1..e8),
-                    stepping (dyn run_pair per cell), or decide (exact
+                    stepping (k-lane round loop per cell), or decide (exact
                     decider, budget-free, certifies never-meets; default
                     for e9/e10/e11) — rows are byte-identical across
                     executors except for decide's `certified` flag

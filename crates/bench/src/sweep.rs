@@ -130,9 +130,10 @@ impl Family {
 
 /// Compact, `Copy` description of an activation schedule — the sweep-axis
 /// form of [`rvz_sim::EnsembleSchedule`], resolved per instance size and
-/// lane count by [`ScheduleSpec::resolve_ensemble`]. A spec that is *exactly* the legacy
-/// start-delay scenario ([`ScheduleSpec::as_start_delay`]) is routed
-/// through the θ-indexed executors and emits the identical row (no
+/// lane count by [`ScheduleSpec::resolve_ensemble`]. A spec that is
+/// *exactly* the legacy start-delay scenario
+/// ([`ScheduleSpec::as_start_delay`]) is routed through the θ-indexed
+/// executors and emits the identical row (no
 /// `schedule` field, same seeds) — `Schedule(StartDelay(θ))` cells are
 /// byte-for-byte the `Fixed(θ)` cells, by test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -185,9 +186,7 @@ impl ScheduleSpec {
         match self {
             ScheduleSpec::Simultaneous => EnsembleSchedule::simultaneous(lanes),
             ScheduleSpec::StartDelay(theta) => {
-                let mut delays = vec![0; lanes];
-                delays[lanes - 1] = theta;
-                EnsembleSchedule::start_delays(&delays)
+                EnsembleSchedule::start_delays(&lane_delays(theta, lanes))
             }
             ScheduleSpec::Intermittent { period, phase } => {
                 EnsembleSchedule::intermittent_last(lanes, period, phase)
@@ -452,12 +451,12 @@ pub struct SweepSpec {
     /// Cell execution strategy (replay by default).
     pub executor: Executor,
     /// Ensemble width: how many agent copies run per cell (`--agents k`).
-    /// `2` is the classic pair engine and emits byte-identical legacy rows
-    /// (schema unchanged); `k > 2` switches every cell to the k-lane
-    /// ensemble paths — the start axis becomes feasible *k-tuples*, the
-    /// outcome becomes gathering (all `k` on one node simultaneously), and
-    /// rows/certificates grow the optional `agents`/`start_rest` fields
-    /// (schema `rvz-sweep/v7`; see docs/gathering.md).
+    /// `2` is the classic pair sweep and emits byte-identical legacy rows
+    /// (schema unchanged); at `k > 2` the start axis becomes feasible
+    /// *k-tuples*, the outcome becomes gathering (all `k` on one node
+    /// simultaneously), and rows/certificates grow the optional
+    /// `agents`/`start_rest` fields (schema `rvz-sweep/v7`; see
+    /// docs/gathering.md).
     pub agents: usize,
 }
 
@@ -479,8 +478,8 @@ pub struct Cell {
     /// for [`Family::EnumFree`] cells (`None` for sampled families). When
     /// set, it *is* the tree seed: `(n, index)` names the tree forever.
     pub tree_index: Option<u64>,
-    /// Ensemble width ([`SweepSpec::agents`]). `2` = the pair engine;
-    /// `pair_index` then indexes [`SweepInstance::pairs`], otherwise
+    /// Ensemble width ([`SweepSpec::agents`]). At `2`, `pair_index`
+    /// indexes [`SweepInstance::pairs`], otherwise
     /// [`SweepInstance::tuples`].
     pub agents: usize,
 }
@@ -1162,8 +1161,7 @@ fn step_bank<A: Agent>(
     // One loop per activation rule, so no round pays a branch on the mode.
     // A delayed pair steps on a two-element array: once the loop is
     // inlined its lane count is a constant and the per-round lane-pair
-    // scans unroll, which e7 needs to stay as fast as the dedicated pair
-    // loop it replaced.
+    // scans unroll; with a slice, e7's pairs stepped about 25% slower.
     let run = match (mode, starts) {
         (CellMode::Delay(theta), &[a, b]) => {
             run_ensemble_with(tree, &[a, b], act, |r, lane| lane == 0 || r > *theta, budget, false)
@@ -1349,7 +1347,7 @@ pub fn run_cell_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
 
 /// Executes one `--agents k > 2` cell from recorded solo trajectories
 /// (the k-lane [`Executor::TraceReplay`] path): all `k` timelines are the
-/// instance memo's lanes, the *same* recordings the pair executor uses (a
+/// instance memo's lanes, the *same* recordings pair replay uses (a
 /// solo trajectory is a pure function of activation count, so the memo
 /// needs no ensemble axis), and the cell is decided by
 /// [`rvz_sim::replay_ensemble`]'s k-cursor merge under shared read locks.

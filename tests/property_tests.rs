@@ -427,9 +427,9 @@ proptest! {
         b in 0u32..12,
         theta in 0u64..40,
     ) {
-        // ISSUE 5 satellite: the two-lane start-delay schedule θ must
-        // reproduce the compact `PairConfig::delayed(θ)` path bit for bit —
-        // stepping, replay, and the decider.
+        // The two-lane start-delay schedule θ must reproduce the compact
+        // `PairConfig::delayed(θ)` path bit for bit — stepping, replay, and
+        // the decider.
         use tree_rendezvous::agent::Fsa;
         use tree_rendezvous::lowerbounds::decide::{decide_pair, decide_pair_scheduled};
         use tree_rendezvous::sim::trace::Replay;
