@@ -45,8 +45,8 @@ use rvz_lowerbounds::decide::{
 };
 use rvz_sim::trace::Replay;
 use rvz_sim::{
-    replay_ensemble, replay_pair, replay_pair_scheduled, run_ensemble_with, EnsembleReplay,
-    EnsembleRun, EnsembleSchedule, Outcome, PairConfig,
+    replay_ensemble, replay_pair, replay_pair_scheduled, run_ensemble_with, ActivationIndex,
+    EnsembleReplay, EnsembleRun, EnsembleSchedule, Outcome, PairConfig,
 };
 use rvz_trees::symmetry::{pair_orbits, OrbitAction};
 use rvz_trees::{NodeId, Tree};
@@ -973,9 +973,8 @@ impl SweepInstance {
         self.orbit_lookups[allow_swap as usize].get_or_init(|| {
             // Force the flip first so both caches agree on it.
             let _ = self.flip_map();
-            let pairs: Vec<(NodeId, NodeId)> = self.pairs.iter().map(|&[a, b]| (a, b)).collect();
-            let mut lookup = vec![(0, OrbitAction::IDENTITY); pairs.len()];
-            for orbit in pair_orbits(&self.tree, &pairs, allow_swap) {
+            let mut lookup = vec![(0, OrbitAction::IDENTITY); self.pairs.len()];
+            for orbit in pair_orbits(&self.tree, &self.pairs, allow_swap) {
                 for (index, action) in orbit.members {
                     lookup[index] = (orbit.rep, action);
                 }
@@ -1352,8 +1351,9 @@ pub fn run_cell_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
 /// needs no ensemble axis), and the cell is decided by
 /// [`rvz_sim::replay_ensemble`]'s k-cursor merge under shared read locks.
 /// Rows are bit-for-bit [`run_cell_on`]'s; cells needing recordings past
-/// the cap fall back to it. The merge runs on a materialized schedule, so
-/// θ cells here are capped at [`EnsembleSchedule::MAX_MATERIALIZED_PREFIX`].
+/// the cap fall back to it. The merge runs on per-lane activation
+/// indices, which hold one count per frozen round, so θ cells here are
+/// capped at [`EnsembleSchedule::MAX_MATERIALIZED_PREFIX`].
 fn run_cell_ensemble_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
     let tree = &inst.tree;
     let n = tree.num_nodes();
@@ -1361,13 +1361,14 @@ fn run_cell_ensemble_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRo
     let starts = inst.starts(cell)?;
     let mode = cell.mode(n);
     let (budget, provisioned_bits) = budget_and_provisioned(cell, inst, n, leaves, &mode);
-    let delayed;
-    let esched = match &mode {
-        CellMode::Delay(theta) => {
-            delayed = EnsembleSchedule::start_delays(&lane_delays(*theta, starts.len()));
-            &delayed
-        }
-        CellMode::Scheduled(_, sched) => sched,
+    // Built once per cell for the merge and the meters; a θ cell's lanes
+    // come straight from the integer delays, with no schedule rows.
+    let indices: Vec<ActivationIndex> = match &mode {
+        CellMode::Delay(theta) => lane_delays(*theta, starts.len())
+            .into_iter()
+            .map(ActivationIndex::start_delay)
+            .collect(),
+        CellMode::Scheduled(_, sched) => sched.indices(),
     };
 
     let lanes: Vec<&memo::Lane> = starts.iter().map(|&s| inst.lane(cell.variant, s)).collect();
@@ -1384,15 +1385,15 @@ fn run_cell_ensemble_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRo
         }
         let trajs: Vec<&rvz_sim::Trajectory> =
             guards.iter().map(|g| g.as_ref().expect("locked above").trajectory()).collect();
-        match replay_ensemble(tree, &trajs, esched, budget, false) {
+        match replay_ensemble(tree, &trajs, &indices, budget, false) {
             EnsembleReplay::Decided(run) => {
                 // Meters read at each lane's activation count by the final
                 // round, exactly as the stepping bank reports them.
                 let end = run.outcome.round().unwrap_or(budget);
                 let measured_bits = trajs
                     .iter()
-                    .enumerate()
-                    .map(|(i, traj)| traj.bits_at(esched.index(i).acts_at(end)))
+                    .zip(&indices)
+                    .map(|(traj, idx)| traj.bits_at(idx.acts_at(end)))
                     .max()
                     .unwrap_or(0);
                 return Some(make_row(
@@ -1515,9 +1516,11 @@ pub fn run_cell_decide_certified(
         make_row(cell, inst, n, leaves, fields, outcome, budget, bits, bits, starts, true)
     };
 
-    // `None` is the ∀θ quantifier (pair cells only — the ensemble grid
-    // filters it out).
+    // `None` is the ∀θ quantifier. The grid filter keeps it off ensemble
+    // cells; a hand-built one must fail loudly rather than be answered
+    // from lanes 0 and 1 alone.
     let mode = (cell.delay != Delay::Adversarial).then(|| cell.mode(n));
+    assert!(mode.is_some() || !ensemble, "the ∀θ quantifier is a pair axis");
     let solo = |start| inst.solo_lasso(start);
     let decide = |starts: &[NodeId]| match &mode {
         None => RepDecision::Universal(worst_case_from_lassos(solo(starts[0]), solo(starts[1]))),
@@ -2648,6 +2651,26 @@ mod tests {
                 assert_eq!(cert.verified, Some(true), "{cert:?}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "the ∀θ quantifier is a pair axis")]
+    fn hand_built_ensemble_cells_refuse_the_every_delay_quantifier() {
+        let spec = SweepSpec {
+            experiment: "forall-k3".into(),
+            families: vec![Family::Line],
+            sizes: vec![6],
+            delays: vec![Delay::Zero],
+            variants: vec![Variant::BasicWalkFsa],
+            pairs_per_cell: 1,
+            seed: 0xA11,
+            threads: 1,
+            executor: Executor::ExactDecide,
+            agents: 3,
+        };
+        let mut cell = cells(&spec).remove(0);
+        cell.delay = Delay::Adversarial;
+        let _ = run_cell(&cell);
     }
 
     #[test]

@@ -51,7 +51,8 @@ pub struct EnsembleSchedule {
 impl EnsembleSchedule {
     /// Materialization cap for the constructors that unroll a round count
     /// into explicit prefix rows ([`EnsembleSchedule::start_delays`],
-    /// [`EnsembleSchedule::crash_last_after`]). Delays beyond it have no
+    /// [`EnsembleSchedule::crash_last_after`]) or per-round counts
+    /// ([`ActivationIndex::start_delay`]). Delays beyond it have no
     /// schedule form — the simulator and the decider take θ as an integer
     /// instead (`PairConfig::delayed`, `run_ensemble_with`'s activation
     /// rule, `decide_ensemble_from_lassos`).
@@ -185,6 +186,12 @@ impl EnsembleSchedule {
             self.cycle.iter().map(|row| row[lane]),
         )
     }
+
+    /// Activation arithmetic for every lane, in lane order — what
+    /// [`crate::trace::replay_ensemble`] merges on.
+    pub fn indices(&self) -> Vec<ActivationIndex> {
+        (0..self.lanes).map(|lane| self.index(lane)).collect()
+    }
 }
 
 /// One lane's activation arithmetic under an [`EnsembleSchedule`]: cumulative
@@ -204,6 +211,19 @@ pub struct ActivationIndex {
 }
 
 impl ActivationIndex {
+    /// Activation arithmetic of a lane frozen through round `theta` and
+    /// active every round after: lane `i` of
+    /// [`EnsembleSchedule::start_delays`] with `delays[i] = theta`, built
+    /// without materializing any schedule row. Capped like the schedule
+    /// (one count per frozen round).
+    pub fn start_delay(theta: u64) -> Self {
+        assert!(
+            theta <= EnsembleSchedule::MAX_MATERIALIZED_PREFIX,
+            "start_delay would materialize a {theta}-entry prefix"
+        );
+        ActivationIndex { prefix_cum: vec![0; theta as usize + 1], cycle_cum: vec![0, 1] }
+    }
+
     /// Activation arithmetic from one lane's raw flag streams.
     fn from_flags(prefix: impl Iterator<Item = bool>, cycle: impl Iterator<Item = bool>) -> Self {
         fn cum(flags: impl Iterator<Item = bool>) -> Vec<u64> {
@@ -383,6 +403,24 @@ mod tests {
                         brute_acts(s, lane, round),
                         "{s:?} lane={lane} round={round}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn start_delay_index_matches_the_schedule_lane() {
+        for delays in [[0, 0, 0], [0, 3, 0], [4, 0, 9], [1, 2, 3]] {
+            let s = EnsembleSchedule::start_delays(&delays);
+            for (lane, &theta) in delays.iter().enumerate() {
+                let (direct, via_rows) = (ActivationIndex::start_delay(theta), s.index(lane));
+                assert_eq!(direct.as_pure_shift(), Some(theta));
+                for r in 0..=20u64 {
+                    assert_eq!(direct.acts_at(r), via_rows.acts_at(r), "{delays:?} lane {lane}");
+                }
+                for k in 1..=12u64 {
+                    assert_eq!(direct.round_of_act(k), via_rows.round_of_act(k));
+                    assert_eq!(direct.frozen_through(k - 1), via_rows.frozen_through(k - 1));
                 }
             }
         }

@@ -37,7 +37,7 @@
 //! differential property test in `tests/property_tests.rs` pins this
 //! equivalence across random trees, starts, delays and agent variants.
 
-use crate::runner::{pair_index, Cursor, EnsembleRun, Outcome, PairConfig, PairRun};
+use crate::runner::{Cursor, EnsembleRun, Outcome, PairConfig, PairRun};
 use crate::schedule::{ActivationIndex, EnsembleSchedule};
 use rvz_agent::model::Agent;
 use rvz_trees::{NodeId, Port, Tree};
@@ -759,8 +759,11 @@ pub enum EnsembleReplay {
     NeedMore { rounds: Vec<u64> },
 }
 
-/// Decides a k-agent gathering run under an [`EnsembleSchedule`] from
-/// recorded solo trajectories alone — no agent is stepped. The store
+/// Decides a k-agent gathering run from recorded solo trajectories alone
+/// — no agent is stepped. Lane `i` runs on `indices[i]`, its activation
+/// arithmetic: [`EnsembleSchedule::indices`] for a schedule, or
+/// [`ActivationIndex::start_delay`] per lane for start delays, which
+/// materializes no schedule row. The store
 /// keys stay per-agent: trajectories are pure functions of `(tree,
 /// start, agent)` indexed by activation count, so the same recordings
 /// that answer every two-agent schedule answer every k-lane ensemble —
@@ -777,42 +780,49 @@ pub enum EnsembleReplay {
 pub fn replay_ensemble(
     t: &Tree,
     trajs: &[&Trajectory],
-    schedule: &EnsembleSchedule,
+    indices: &[ActivationIndex],
     max_rounds: u64,
     record_traces: bool,
 ) -> EnsembleReplay {
     let k = trajs.len();
-    assert_eq!(schedule.lanes(), k, "the schedule must cover exactly the ensemble's lanes");
+    assert_eq!(indices.len(), k, "one activation index per lane");
     assert!(k >= 2, "an ensemble needs at least two agents");
-    let indices: Vec<ActivationIndex> = (0..k).map(|lane| schedule.index(lane)).collect();
     let mut pair_meetings: Vec<Option<u64>> = vec![None; k * (k - 1) / 2];
 
-    // Records first co-locations for this round and answers whether the
-    // whole ensemble is gathered — the same rule as the stepping core.
-    let check = |nodes: &[NodeId], round: u64, pair_meetings: &mut [Option<u64>]| {
-        let mut all = true;
+    // One pass over the lane pairs in `pair_index` order, with the
+    // stepping core's rules: counts this round's crossings (two lanes
+    // swapping nodes), records first co-locations, and answers whether the
+    // whole ensemble is gathered.
+    let scan = |nodes: &[NodeId],
+                prev: &[NodeId],
+                round: u64,
+                pair_meetings: &mut [Option<u64>],
+                crossings: &mut u64| {
+        let mut gathered = true;
+        let mut pair = 0;
         for i in 0..k {
             for j in (i + 1)..k {
                 if nodes[i] == nodes[j] {
-                    pair_meetings[pair_index(k, i, j)].get_or_insert(round);
+                    pair_meetings[pair].get_or_insert(round);
                 } else {
-                    all = false;
+                    gathered = false;
+                    if nodes[i] == prev[j] && nodes[j] == prev[i] {
+                        *crossings += 1;
+                    }
                 }
+                pair += 1;
             }
         }
-        all
+        gathered
     };
 
     let finish = |outcome: Outcome, r: u64, crossings: u64, pair_meetings: Vec<Option<u64>>| {
-        let finals = trajs
-            .iter()
-            .zip(&indices)
-            .map(|(tr, idx)| cursor_at_scheduled(t, tr, idx, r))
-            .collect();
+        let finals =
+            trajs.iter().zip(indices).map(|(tr, idx)| cursor_at_scheduled(t, tr, idx, r)).collect();
         let traces = record_traces.then(|| {
             trajs
                 .iter()
-                .zip(&indices)
+                .zip(indices)
                 .map(|(tr, idx)| {
                     (0..=r).map(|g| tr.position(idx.acts_at(g)).expect("decided range")).collect()
                 })
@@ -822,16 +832,16 @@ pub fn replay_ensemble(
     };
 
     let starts: Vec<NodeId> = trajs.iter().map(|tr| tr.start()).collect();
-    if check(&starts, 0, &mut pair_meetings) {
+    let mut crossings = 0u64;
+    if scan(&starts, &starts, 0, &mut pair_meetings, &mut crossings) {
         let node = starts[0];
         return finish(Outcome::Met { round: 0, node }, 0, 0, pair_meetings);
     }
 
     let mut lanes: Vec<MergeLane> =
-        trajs.iter().zip(&indices).map(|(tr, idx)| MergeLane::new(tr, idx)).collect();
+        trajs.iter().zip(indices).map(|(tr, idx)| MergeLane::new(tr, idx)).collect();
     let mut prev = starts.clone();
     let mut nodes: Vec<NodeId> = vec![0; k];
-    let mut crossings = 0u64;
     let mut r = 0u64;
     while r < max_rounds {
         r += 1;
@@ -857,7 +867,7 @@ pub fn replay_ensemble(
         if missing {
             let rounds = trajs
                 .iter()
-                .zip(&indices)
+                .zip(indices)
                 .map(|(tr, idx)| {
                     let l = idx.acts_at(r);
                     if tr.decided_to(l) {
@@ -869,14 +879,7 @@ pub fn replay_ensemble(
                 .collect();
             return EnsembleReplay::NeedMore { rounds };
         }
-        for i in 0..k {
-            for j in (i + 1)..k {
-                if nodes[i] == prev[j] && nodes[j] == prev[i] && nodes[i] != nodes[j] {
-                    crossings += 1;
-                }
-            }
-        }
-        if check(&nodes, r, &mut pair_meetings) {
+        if scan(&nodes, &prev, r, &mut pair_meetings, &mut crossings) {
             let node = nodes[0];
             return finish(Outcome::Met { round: r, node }, r, crossings, pair_meetings);
         }
@@ -903,8 +906,9 @@ pub fn gathering_scan(
         .iter()
         .map(|(delays, max_rounds)| {
             assert_eq!(delays.len(), trajs.len(), "one delay per lane");
-            let schedule = EnsembleSchedule::start_delays(delays);
-            replay_ensemble(t, trajs, &schedule, *max_rounds, false)
+            let indices: Vec<ActivationIndex> =
+                delays.iter().map(|&d| ActivationIndex::start_delay(d)).collect();
+            replay_ensemble(t, trajs, &indices, *max_rounds, false)
         })
         .collect()
 }
@@ -1237,7 +1241,7 @@ mod tests {
                             starts.iter().map(|&s| record(&t, s, BasicWalker, budget)).collect();
                         let refs: Vec<&Trajectory> = recs.iter().collect();
                         let EnsembleReplay::Decided(replayed) =
-                            replay_ensemble(&t, &refs, sched, budget, true)
+                            replay_ensemble(&t, &refs, &sched.indices(), budget, true)
                         else {
                             panic!("a full-budget recording must decide");
                         };
@@ -1266,7 +1270,8 @@ mod tests {
         for sched in &schedules {
             let ta = record(&t, 0, BasicWalker, 80);
             let tb = record(&t, 9, BasicWalker, 80);
-            let EnsembleReplay::Decided(kr) = replay_ensemble(&t, &[&ta, &tb], sched, 80, true)
+            let EnsembleReplay::Decided(kr) =
+                replay_ensemble(&t, &[&ta, &tb], &sched.indices(), 80, true)
             else {
                 panic!("decided");
             };
@@ -1293,7 +1298,7 @@ mod tests {
         let ta = record(&t, 0, BasicWalker, 200);
         let tb = record(&t, 15, BasicWalker, 200);
         let tc = record(&t, 29, BasicWalker, 2);
-        match replay_ensemble(&t, &[&ta, &tb, &tc], &sched, 200, false) {
+        match replay_ensemble(&t, &[&ta, &tb, &tc], &sched.indices(), 200, false) {
             EnsembleReplay::NeedMore { rounds } => {
                 assert_eq!(rounds[0], 0, "lane 0 is long enough");
                 assert_eq!(rounds[1], 0, "lane 1 is long enough");
@@ -1314,7 +1319,7 @@ mod tests {
         let tb = record(&t, 8, WalkThenHalt { moves: 1 }, 10);
         let tc = record(&t, 12, WalkThenHalt { moves: 1 }, 10);
         let sched = EnsembleSchedule::simultaneous(3);
-        match replay_ensemble(&t, &[&ta, &tb, &tc], &sched, 2_000_000_000, false) {
+        match replay_ensemble(&t, &[&ta, &tb, &tc], &sched.indices(), 2_000_000_000, false) {
             EnsembleReplay::Decided(run) => {
                 assert_eq!(run.outcome, Outcome::Timeout { rounds: 2_000_000_000 });
             }

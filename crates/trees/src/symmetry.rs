@@ -310,7 +310,7 @@ pub fn symmetrization_witness(t: &Tree, u: NodeId, v: NodeId) -> Option<(Tree, V
 pub struct OrbitAction {
     /// Map both start nodes through the tree's port-preserving flip.
     pub flip: bool,
-    /// Exchange the two agents: `(a, b) ↦ (b, a)`.
+    /// Exchange the two agents: `[a, b] ↦ [b, a]`.
     pub swap: bool,
 }
 
@@ -320,7 +320,7 @@ impl OrbitAction {
 
     /// Apply this action to an ordered pair. `flip_map` must be `Some` when
     /// `self.flip` is set (it is the table from [`port_preserving_flip`]).
-    pub fn apply(&self, (a, b): (NodeId, NodeId), flip_map: Option<&[NodeId]>) -> (NodeId, NodeId) {
+    pub fn apply(&self, [a, b]: [NodeId; 2], flip_map: Option<&[NodeId]>) -> [NodeId; 2] {
         let (mut a, mut b) = (a, b);
         if self.flip {
             let f = flip_map.expect("flip action requires the flip map");
@@ -328,9 +328,9 @@ impl OrbitAction {
             b = f[b as usize];
         }
         if self.swap {
-            (b, a)
+            [b, a]
         } else {
-            (a, b)
+            [a, b]
         }
     }
 }
@@ -350,7 +350,7 @@ pub struct PairOrbit {
 
 /// Partition ordered start pairs into orbits under the group generated by
 /// the tree's port-preserving flip (when one exists) and — iff `allow_swap`
-/// — the agent exchange `(a, b) ↦ (b, a)`. The group has order at most 4.
+/// — the agent exchange `[a, b] ↦ [b, a]`. The group has order at most 4.
 ///
 /// Soundness: the flip acts on *space* and commutes with any deterministic
 /// agent reading only degrees and ports, so it preserves rendezvous verdicts
@@ -365,7 +365,7 @@ pub struct PairOrbit {
 /// well-defined because "same orbit" remains an equivalence relation on
 /// them. Duplicate input pairs each get their own singleton orbit rather
 /// than aliasing.
-pub fn pair_orbits(t: &Tree, pairs: &[(NodeId, NodeId)], allow_swap: bool) -> Vec<PairOrbit> {
+pub fn pair_orbits(t: &Tree, pairs: &[[NodeId; 2]], allow_swap: bool) -> Vec<PairOrbit> {
     let flip = port_preserving_flip(t);
     let mut index_of = std::collections::HashMap::with_capacity(pairs.len());
     for (i, &p) in pairs.iter().enumerate() {
@@ -589,12 +589,12 @@ mod tests {
 
     /// All ordered pairs of distinct nodes, in lex order (the pair-pool
     /// order `exhaustive_feasible_pairs` uses, minus the feasibility filter).
-    fn all_ordered_pairs(t: &Tree) -> Vec<(NodeId, NodeId)> {
+    fn all_ordered_pairs(t: &Tree) -> Vec<[NodeId; 2]> {
         let n = t.num_nodes() as NodeId;
-        (0..n).flat_map(|a| (0..n).filter(move |&b| b != a).map(move |b| (a, b))).collect()
+        (0..n).flat_map(|a| (0..n).filter(move |&b| b != a).map(move |b| [a, b])).collect()
     }
 
-    fn check_orbit_invariants(t: &Tree, pairs: &[(NodeId, NodeId)], allow_swap: bool) {
+    fn check_orbit_invariants(t: &Tree, pairs: &[[NodeId; 2]], allow_swap: bool) {
         let orbits = pair_orbits(t, pairs, allow_swap);
         let flip = port_preserving_flip(t);
         let mut covered = vec![false; pairs.len()];
@@ -697,7 +697,7 @@ mod tests {
             let t = random_relabel(&random_tree(n, &mut rng), &mut rng);
             let mut pairs = all_ordered_pairs(&t);
             // Drop a pseudo-random subset to simulate a sampled pool.
-            pairs.retain(|&(a, b)| !(a as usize * 31 + b as usize * 17 + round).is_multiple_of(3));
+            pairs.retain(|&[a, b]| !(a as usize * 31 + b as usize * 17 + round).is_multiple_of(3));
             check_orbit_invariants(&t, &pairs, false);
             check_orbit_invariants(&t, &pairs, true);
         }
@@ -714,11 +714,11 @@ mod tests {
             let pairs = all_ordered_pairs(&t);
             for orbit in pair_orbits(&t, &pairs, true) {
                 let rep_feasible = {
-                    let (a, b) = pairs[orbit.rep];
+                    let [a, b] = pairs[orbit.rep];
                     !perfectly_symmetrizable(&t, a, b)
                 };
                 for &(i, _) in &orbit.members {
-                    let (a, b) = pairs[i];
+                    let [a, b] = pairs[i];
                     assert_eq!(!perfectly_symmetrizable(&t, a, b), rep_feasible);
                 }
             }

@@ -80,7 +80,7 @@ fn replay_from_recordings(
     loop {
         let trajs: Vec<_> = recs.iter().map(|r| r.trajectory().clone()).collect();
         let refs: Vec<&_> = trajs.iter().collect();
-        match replay_ensemble(t, &refs, sched, bw_budget(t, sched), false) {
+        match replay_ensemble(t, &refs, &sched.indices(), bw_budget(t, sched), false) {
             EnsembleReplay::Decided(run) => return run,
             EnsembleReplay::NeedMore { rounds } => {
                 for (rec, need) in recs.iter_mut().zip(&rounds) {
