@@ -2656,18 +2656,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "the ∀θ quantifier is a pair axis")]
     fn hand_built_ensemble_cells_refuse_the_every_delay_quantifier() {
-        let spec = SweepSpec {
-            experiment: "forall-k3".into(),
-            families: vec![Family::Line],
-            sizes: vec![6],
-            delays: vec![Delay::Zero],
-            variants: vec![Variant::BasicWalkFsa],
-            pairs_per_cell: 1,
-            seed: 0xA11,
-            threads: 1,
-            executor: Executor::ExactDecide,
-            agents: 3,
-        };
+        let spec = SweepSpec { variants: vec![Variant::BasicWalkFsa], agents: 3, ..small_spec(1) };
         let mut cell = cells(&spec).remove(0);
         cell.delay = Delay::Adversarial;
         let _ = run_cell(&cell);

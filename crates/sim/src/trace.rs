@@ -851,33 +851,24 @@ pub fn replay_ensemble(
         // A lane already decided through round r reports 0 — the caller
         // must not re-step a recording that was long enough.
         let mut span_end = u64::MAX;
-        let mut missing = false;
         for (i, lane) in lanes.iter_mut().enumerate() {
-            match lane.locate(r) {
-                Some((node, end)) => {
-                    nodes[i] = node;
-                    span_end = span_end.min(end);
-                }
-                None => {
-                    missing = true;
-                    break;
-                }
-            }
-        }
-        if missing {
-            let rounds = trajs
-                .iter()
-                .zip(indices)
-                .map(|(tr, idx)| {
-                    let l = idx.acts_at(r);
-                    if tr.decided_to(l) {
-                        0
-                    } else {
-                        l
-                    }
-                })
-                .collect();
-            return EnsembleReplay::NeedMore { rounds };
+            let Some((node, end)) = lane.locate(r) else {
+                let rounds = trajs
+                    .iter()
+                    .zip(indices)
+                    .map(|(tr, idx)| {
+                        let l = idx.acts_at(r);
+                        if tr.decided_to(l) {
+                            0
+                        } else {
+                            l
+                        }
+                    })
+                    .collect();
+                return EnsembleReplay::NeedMore { rounds };
+            };
+            nodes[i] = node;
+            span_end = span_end.min(end);
         }
         if scan(&nodes, &prev, r, &mut pair_meetings, &mut crossings) {
             let node = nodes[0];
