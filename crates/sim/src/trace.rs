@@ -874,7 +874,8 @@ pub fn replay_ensemble(
             let node = nodes[0];
             return finish(Outcome::Met { round: r, node }, r, crossings, pair_meetings);
         }
-        prev.copy_from_slice(&nodes);
+        // Every lane rewrites its slot of `nodes` next round: swap, don't copy.
+        std::mem::swap(&mut prev, &mut nodes);
         // No lane's cursor changes through span_end: no moves, hence no
         // crossing, no new pair co-location, and no gathering — jump.
         r = r.max(span_end.min(max_rounds));
