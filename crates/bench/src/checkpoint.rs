@@ -108,11 +108,11 @@ fn as_u64(v: &Value) -> Option<u64> {
     }
 }
 
-fn req_u64(fields: &[(String, Value)], key: &str) -> Option<u64> {
+pub(crate) fn req_u64(fields: &[(String, Value)], key: &str) -> Option<u64> {
     get(fields, key).and_then(as_u64)
 }
 
-fn req_str(fields: &[(String, Value)], key: &str) -> Option<String> {
+pub(crate) fn req_str(fields: &[(String, Value)], key: &str) -> Option<String> {
     match get(fields, key)? {
         Value::Str(s) => Some(s.clone()),
         _ => None,
@@ -128,7 +128,7 @@ fn req_bool(fields: &[(String, Value)], key: &str) -> Option<bool> {
 
 /// `null` or absent → `None`; present number → `Some` — matching how the
 /// derive serializes `Option<u64>` fields without `skip_serializing_if`.
-fn opt_u64(fields: &[(String, Value)], key: &str) -> Option<Option<u64>> {
+pub(crate) fn opt_u64(fields: &[(String, Value)], key: &str) -> Option<Option<u64>> {
     match get(fields, key) {
         None | Some(Value::Null) => Some(None),
         Some(v) => as_u64(v).map(Some),
@@ -232,8 +232,9 @@ pub fn certificate_from_value(v: &Value) -> Option<Certificate> {
     })
 }
 
-/// The compact JSON body of one cell record.
-fn record_body(rec: &CellRecord) -> Vec<u8> {
+/// The compact JSON body of one cell record: a journal frame's body, and
+/// the body of a `--workers` result frame ([`crate::supervisor`]).
+pub fn record_body(rec: &CellRecord) -> Vec<u8> {
     let mut w = JsonWriter::new(false);
     w.begin_object();
     w.field("cell", &rec.cell_seed);
@@ -259,7 +260,10 @@ fn header_body(fingerprint: u64) -> Vec<u8> {
 
 /// Serializes a whole journal (header + records) — the compaction writer,
 /// also handy for tests that build journals without touching disk.
-pub fn encode_journal(fingerprint: u64, records: &[CellRecord]) -> Vec<u8> {
+pub fn encode_journal<'a>(
+    fingerprint: u64,
+    records: impl IntoIterator<Item = &'a CellRecord>,
+) -> Vec<u8> {
     let mut out = Vec::new();
     wire::frame_record(&mut out, &header_body(fingerprint));
     for rec in records {
@@ -284,53 +288,54 @@ pub struct JournalSnapshot {
     pub torn_tail: bool,
 }
 
+/// A record body parsed as a JSON object, or `None`.
+pub(crate) fn parse_object(body: &[u8]) -> Option<Vec<(String, Value)>> {
+    match serde_json::from_str(std::str::from_utf8(body).ok()?).ok()? {
+        Value::Object(fields) => Some(fields),
+        _ => None,
+    }
+}
+
+/// Decodes one [`record_body`]: `None` on a body that is not a JSON object
+/// or misses or mistypes any field. The journal counts such a record as
+/// bad; the supervisor treats it as its worker's death.
+pub fn decode_record(body: &[u8]) -> Option<CellRecord> {
+    let fields = parse_object(body)?;
+    let cell_seed = req_u64(&fields, "cell")?;
+    let row = match get(&fields, "row") {
+        None => None,
+        Some(v) => Some(row_from_value(v)?),
+    };
+    let certificate = match get(&fields, "certificate") {
+        None => None,
+        Some(v) => Some(certificate_from_value(v)?),
+    };
+    Some(CellRecord { cell_seed, row, certificate })
+}
+
 /// Parses journal bytes into the recovered clean prefix. Never panics:
 /// any truncation or corruption at any byte offset degrades to fewer
 /// recovered cells (the journal-recovery proptests pin this).
 pub fn parse_journal(bytes: &[u8]) -> JournalSnapshot {
     let (records, clean) = wire::read_records(bytes);
     let mut snap = JournalSnapshot { torn_tail: !clean, ..Default::default() };
-    for (index, body) in records.iter().enumerate() {
-        let parsed = std::str::from_utf8(body).ok().and_then(|s| serde_json::from_str(s).ok());
-        let Some(Value::Object(fields)) = parsed else {
-            snap.bad_records += 1;
-            continue;
-        };
-        if index == 0 {
+    let Some((header, records)) = records.split_first() else { return snap };
+    match parse_object(header) {
+        Some(fields)
             if req_str(&fields, "kind").as_deref() == Some("rvz-journal")
-                && req_u64(&fields, "version") == Some(JOURNAL_VERSION)
-            {
-                snap.fingerprint = req_u64(&fields, "fingerprint");
-                continue;
-            }
-            snap.bad_records += 1;
-            continue;
+                && req_u64(&fields, "version") == Some(JOURNAL_VERSION) =>
+        {
+            snap.fingerprint = req_u64(&fields, "fingerprint");
         }
-        let Some(cell_seed) = req_u64(&fields, "cell") else {
-            snap.bad_records += 1;
-            continue;
-        };
-        let row = match get(&fields, "row") {
-            None => None,
-            Some(v) => match row_from_value(v) {
-                Some(row) => Some(row),
-                None => {
-                    snap.bad_records += 1;
-                    continue;
-                }
-            },
-        };
-        let certificate = match get(&fields, "certificate") {
-            None => None,
-            Some(v) => match certificate_from_value(v) {
-                Some(cert) => Some(cert),
-                None => {
-                    snap.bad_records += 1;
-                    continue;
-                }
-            },
-        };
-        snap.cells.insert(cell_seed, CellRecord { cell_seed, row, certificate });
+        _ => snap.bad_records += 1,
+    }
+    for body in records {
+        match decode_record(body) {
+            Some(rec) => {
+                snap.cells.insert(rec.cell_seed, rec);
+            }
+            None => snap.bad_records += 1,
+        }
     }
     snap
 }
@@ -418,12 +423,7 @@ impl Journal {
         // atomically so appends never land after a torn tail.
         let mut records: Vec<&CellRecord> = recovered.values().collect();
         records.sort_by_key(|r| r.cell_seed);
-        let mut bytes = Vec::new();
-        wire::frame_record(&mut bytes, &header_body(fingerprint));
-        for rec in records {
-            wire::frame_record(&mut bytes, &record_body(rec));
-        }
-        wire::atomic_write(path, &bytes)
+        wire::atomic_write(path, &encode_journal(fingerprint, records))
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         let file = std::fs::OpenOptions::new()
             .append(true)

@@ -115,26 +115,6 @@ fn nonnegative_flag(args: &[String], flag: &str, zero_hint: &str) -> Option<u64>
     }
 }
 
-/// `args` minus one `--flag value` pair — how the supervisor builds the
-/// worker command line (its own arguments, minus `--workers N`, plus
-/// `--worker DIR`).
-fn args_without_flag(args: &[String], flag: &str) -> Vec<String> {
-    let mut out = Vec::with_capacity(args.len());
-    let mut skip_next = false;
-    for a in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == flag {
-            skip_next = true;
-            continue;
-        }
-        out.push(a.clone());
-    }
-    out
-}
-
 /// Parses `--sizes`: comma-separated positive integers, sorted and
 /// deduplicated (a duplicated size used to duplicate every cell — and
 /// every JSON row — of that size; now it is collapsed with a warning,
@@ -164,7 +144,7 @@ fn parse_sizes(s: &str) -> Result<(Vec<usize>, usize), String> {
 /// (resuming under a different grid must be a hard error, not a silent
 /// row splice). Shared with worker mode ([`run_worker_mode`]), which must
 /// re-resolve the *identical* specs from the forwarded arguments — the
-/// shard plan's per-spec fingerprint turns any drift into a hard error.
+/// plan's per-spec fingerprint turns any drift into a hard error.
 fn resolve_sweep(args: &[String], ids: &str) -> (u64, Vec<(String, Vec<usize>, sweep::SweepSpec)>) {
     let explicit_sizes = flag_value(args, "--sizes").map(|s| {
         let (sizes, dropped) = parse_sizes(&s).unwrap_or_else(|e| {
@@ -265,29 +245,18 @@ fn resolve_sweep(args: &[String], ids: &str) -> (u64, Vec<(String, Vec<usize>, s
 }
 
 /// Executes a supervised worker subprocess: re-resolves the sweep specs
-/// from the forwarded arguments, picks the one the workdir's shard plan
-/// covers, and hands off to [`supervisor::worker_main`]. Any protocol
-/// violation is a nonzero exit — the supervisor treats it like a worker
-/// death and reassigns the shards.
+/// from the forwarded arguments and hands them to
+/// [`supervisor::worker_main`], which serves the one the workdir's plan
+/// names. Any protocol violation is a nonzero exit — the supervisor
+/// treats it like a worker death and reassigns the shard.
 fn run_worker_mode(args: &[String], dir: &str) {
-    let workdir = std::path::Path::new(dir);
     let Some(ids) = flag_value(args, "--experiment") else {
         eprintln!("error: --worker needs --experiment (the supervisor forwards its arguments)");
         exit(2);
     };
     let (_, planned) = resolve_sweep(args, &ids);
-    let Some(experiment) = supervisor::planned_experiment(workdir) else {
-        eprintln!("error: --worker: no readable shard plan in {dir}");
-        exit(1);
-    };
-    let Some((_, _, spec)) = planned.iter().find(|(id, _, _)| *id == experiment) else {
-        eprintln!(
-            "error: --worker: the shard plan in {dir} is for `{experiment}`, which is not \
-             among this worker's experiments ({ids})"
-        );
-        exit(1);
-    };
-    if let Err(e) = supervisor::worker_main(workdir, spec) {
+    let specs: Vec<&sweep::SweepSpec> = planned.iter().map(|(_, _, s)| s).collect();
+    if let Err(e) = supervisor::worker_main(std::path::Path::new(dir), &specs) {
         eprintln!("error: --worker: {e}");
         exit(1);
     }
@@ -345,21 +314,19 @@ fn run_sweep_mode(args: &[String], ids: &str, json: Option<String>) {
         }
     }
 
-    // Worker subprocesses get the supervisor's own arguments (minus
-    // `--workers N`, plus `--worker DIR`), so they re-resolve the same
-    // specs; the shard plan's fingerprint check catches any drift.
-    let worker_args = args_without_flag(args, "--workers");
     let mut reports: Vec<Finished> = Vec::new();
     for (id, sizes, spec) in planned {
         let opts = sweep::RunOptions { journal: journal.as_ref(), cell_timeout };
         let report = if workers > 0 {
-            let mut cfg = supervisor::SupervisorConfig::new(workers);
-            cfg.resume = resume;
+            let cfg = supervisor::SupervisorConfig::new(workers);
+            // A worker gets the supervisor's own arguments plus `--worker
+            // DIR` (worker mode ignores `--workers`), so it re-resolves the
+            // same specs; the plan's fingerprint check catches any drift.
             let mut spawn = |workdir: &std::path::Path| {
                 let exe = std::env::current_exe()
                     .unwrap_or_else(|_| std::path::PathBuf::from("experiments"));
                 let mut cmd = std::process::Command::new(exe);
-                cmd.args(&worker_args).arg("--worker").arg(workdir);
+                cmd.args(args).arg("--worker").arg(workdir);
                 cmd
             };
             supervisor::run_supervised(&spec, &opts, &cfg, &mut spawn)
@@ -701,18 +668,20 @@ Sweep mode (parallel batch engine):
                     final output is byte-identical to an uninterrupted run
     --store DIR     persistent trajectory/lasso caches: loaded (and
                     re-verified record by record) before the sweep,
-                    flushed atomically after it
+                    flushed atomically after it; does nothing under
+                    --workers (workers neither load nor add to it)
     --cell-timeout MS  per-cell wall budget: a cell exceeding it retries on
                     the next-cheaper executor, then is quarantined as an
                     explicit timed_out row (machine-dependent — breaks
                     cross-run byte-identity, so off by default)
-    --workers N     fork N worker subprocesses that claim grid shards via
-                    on-disk leases; crashed/hung workers are detected by
-                    heartbeat, their shards reassigned with backoff, and a
-                    shard over the attempt cap quarantined as explicit
-                    poisoned rows. 0 (the default) = in-process. Merged
-                    output is byte-identical to the single-process run —
-                    see docs/distributed.md
+    --workers N     fork N worker subprocesses fed grid shards over their
+                    stdin and stdout; crashed/hung workers are detected by
+                    pipe EOF or heartbeat timeout, their cells reassigned
+                    with backoff, and a shard over the attempt cap
+                    quarantined as explicit poisoned rows. 0 (the
+                    default) = in-process. Merged output is
+                    byte-identical to the single-process run — see
+                    docs/distributed.md
     --strict-checkpoint  make a failed --checkpoint journal append a hard
                     error instead of a warning-and-degrade
 

@@ -9,11 +9,10 @@
 //! ```
 //!
 //! `site` is one of the [`Site`] names (`journal-append`, `store-flush`,
-//! `cache-load`, `worker-kill`, `heartbeat-drop`, `lease-steal`),
-//! `action` is `abort`, `short-write`, `enospc` or
-//! `bit-flip`, and `N` means "trigger on the N-th hit of that site"
-//! (1-based; every hit counts down one). Example — kill the process while
-//! appending the 40th journal record:
+//! `cache-load`, `worker-kill`, `heartbeat-drop`), `action` is `abort`,
+//! `short-write`, `enospc` or `bit-flip`, and `N` means "trigger on the
+//! N-th hit of that site" (1-based; every hit counts down one). Example —
+//! kill the process while appending the 40th journal record:
 //!
 //! ```text
 //! RVZ_FAULTS=journal-append=abort@40
@@ -39,14 +38,11 @@ pub enum Site {
     /// worker dies hard (`abort`) before running the cell — the kill -9
     /// simulation of the supervision tests.
     WorkerKill,
-    /// One worker heartbeat tick: the worker's heartbeat thread goes
-    /// silent (stops rewriting its lease) while the worker itself keeps
-    /// running — the "wedged worker" the heartbeat timeout must catch.
+    /// One worker beat: the worker's beat thread goes silent (stops
+    /// sending empty frames) while the worker itself keeps running and
+    /// sending its cells — the "wedged heartbeat" that must not change a
+    /// row while cells keep arriving.
     HeartbeatDrop,
-    /// One worker shard claim: the worker deletes its own lease file
-    /// mid-shard and exits, simulating an external lease steal /
-    /// clobbered workdir.
-    LeaseSteal,
 }
 
 impl Site {
@@ -57,7 +53,6 @@ impl Site {
             Site::CacheLoad => "cache-load",
             Site::WorkerKill => "worker-kill",
             Site::HeartbeatDrop => "heartbeat-drop",
-            Site::LeaseSteal => "lease-steal",
         }
     }
 }
@@ -128,7 +123,6 @@ mod imp {
                 "cache-load" => Site::CacheLoad,
                 "worker-kill" => Site::WorkerKill,
                 "heartbeat-drop" => Site::HeartbeatDrop,
-                "lease-steal" => Site::LeaseSteal,
                 other => panic!("RVZ_FAULTS: unknown site `{other}`"),
             };
             let action = match action {

@@ -5,118 +5,110 @@
 //! **Model.** Every cell's row is a pure function of its coordinates
 //! ([`crate::sweep`]), so *where* a cell is computed cannot change its
 //! bytes — only *whether* it gets computed. The supervisor therefore
-//! plans the grid into contiguous shards, lets workers claim them through
-//! an on-disk lease protocol, collects per-shard segment journals, and
+//! plans the grid into contiguous shards, hands them one at a time to the
+//! workers it spawned, collects the finished cells from their stdout, and
 //! assembles the final report **in grid order** from whatever process
 //! happened to compute each cell. The result is byte-identical to a
 //! single-process run for every `--workers` count and after any worker
 //! death (pinned by `tests/worker_supervision.rs` and the
 //! `scripts/crash_test.sh` worker legs).
 //!
-//! **Files** (all in a per-run workdir, all [`crate::wire`]-framed and
-//! CRC'd, all replaced atomically):
+//! **Protocol.** The workdir holds a single file, `plan` (spec
+//! fingerprint, experiment, cell count, `--cell-timeout`, beat interval),
+//! which a worker reads at startup. Everything else is a
+//! [`crate::wire`] frame on the worker's own pipes:
 //!
-//! | file | written by | meaning |
+//! | pipe | frame body | meaning |
 //! |---|---|---|
-//! | `plan` | supervisor | shard table + spec fingerprint |
-//! | `ready-<s>` | supervisor | shard `s` is claimable |
-//! | `lease-<s>` | worker | shard `s` is owned; body `{pid, beat}` is the heartbeat |
-//! | `seg-<s>.ckpt` | worker | per-shard checkpoint journal of completed cells |
-//! | `done-<s>` | worker | shard `s` finished; `seg-<s>.ckpt` is complete |
+//! | worker stdin | `[lo, hi)` grid-index runs | one shard's cells still missing |
+//! | worker stdout | a [`checkpoint::record_body`] | one finished cell |
+//! | worker stdout | empty | a beat, sent by the worker's beat thread |
 //!
-//! A claim is `rename(ready-<s>, lease-<s>)` — atomic, so exactly one
-//! worker wins a shard. The worker then rewrites the lease every
-//! heartbeat interval; the supervisor watches the beat counter and
-//! expires a lease whose beat has not advanced within the timeout
-//! (wedged worker), whose process has exited (crash, `kill -9`), or
-//! whose file has vanished (lease steal). An expired shard's segment is
-//! partially harvested — completed cells are real results and are kept —
-//! and the shard is reassigned with exponential backoff. A shard that
-//! exceeds the attempt cap is quarantined: its cells become explicit
-//! `poisoned` rows ([`crate::sweep::SweepRow::poisoned`]), never
-//! fabricated measurements, mirroring the `timed_out` discipline. If
-//! workers cannot spawn at all the supervisor degrades to in-process
-//! execution with a warning.
+//! One reader thread per worker decodes its frames into a shared channel.
+//! The supervisor blocks on that channel until the next heartbeat expiry
+//! or backoff end, and appends each record to the `--checkpoint` journal
+//! as it arrives, so a `--resume` after a supervisor kill skips every cell
+//! a worker delivered. Any frame counts as liveness. A worker whose stdout
+//! ends or carries a bad frame is dead; one that stays silent past the
+//! heartbeat timeout is killed. Either way the cells it still owed are
+//! requeued with exponential backoff, and a shard that exceeds the attempt
+//! cap is quarantined: its remaining cells become explicit `poisoned` rows
+//! ([`crate::sweep::SweepRow::poisoned`]), never fabricated measurements,
+//! mirroring the `timed_out` discipline. If workers cannot spawn at all
+//! the supervisor degrades to in-process execution with a warning.
 //!
-//! Workers never touch the shared `--checkpoint` journal — each appends
-//! to its own segment (one writer per file, so the wire framing's
-//! clean-prefix crash model holds) and the supervisor is the sole
-//! appender to the main journal. With `--resume`, segment journals and
-//! `done` markers from an interrupted supervised run are themselves
-//! resumed: a reassigned or restarted shard skips the cells its segment
-//! already holds. See docs/distributed.md for the full protocol and
+//! A worker exits when its stdin ends or a write to its stdout fails, so
+//! it never outlives its supervisor. See docs/distributed.md for the
 //! failure matrix.
 
-use crate::checkpoint::{self, CellRecord, Journal};
+use crate::checkpoint::{self, opt_u64, req_str, req_u64, CellRecord};
 use crate::sweep::{
     self, cells, dispatch_cell, poisoned_row, Cell, Family, RunOptions, SweepInstance, SweepReport,
     SweepSpec,
 };
 use crate::{faults, wire};
-use serde_json::Value;
-use std::collections::HashMap;
+use serde::JsonWriter;
+use std::collections::{HashMap, VecDeque};
+use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command};
-use std::sync::Arc;
+use std::process::{Child, Command, Stdio};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Shard-plan format version (the `plan` file's `version` field).
-pub const PLAN_VERSION: u64 = 1;
+/// Plan-file format version (the `plan` file's `version` field).
+pub const PLAN_VERSION: u64 = 2;
 
-/// Shards per requested worker: small enough that claims are rare events,
-/// large enough that a crashed worker forfeits only a fraction of its
-/// work and stragglers rebalance onto idle workers.
+/// Shards per requested worker: small enough that assignments are rare
+/// events, large enough that a crashed worker forfeits only a fraction of
+/// its work and stragglers rebalance onto idle workers.
 const SHARDS_PER_WORKER: usize = 4;
 
-/// Supervisor poll cadence (lease scans, child reaping).
-const POLL: Duration = Duration::from_millis(25);
+/// Most `[lo, hi)` runs in one assignment. At 16 bytes a run the frame
+/// stays under 2.1 KiB, within the smallest pipe buffer Linux hands out
+/// (one page), so writing it never blocks on a worker that has stopped
+/// reading: a worker only gets a frame after it read the one before. A
+/// shard with more runs is assigned in several pieces.
+const MAX_RUNS: usize = 128;
 
 /// Tuning knobs for [`run_supervised`]. `new` reads the documented
 /// defaults, each overridable through an environment variable so the CI
 /// fault legs can compress minutes of backoff into milliseconds:
-/// `RVZ_HEARTBEAT_INTERVAL_MS`, `RVZ_HEARTBEAT_TIMEOUT_MS`,
-/// `RVZ_WORKER_BACKOFF_MS`, `RVZ_SHARD_ATTEMPTS`.
+/// `RVZ_HEARTBEAT_TIMEOUT_MS`, `RVZ_WORKER_BACKOFF_MS`,
+/// `RVZ_SHARD_ATTEMPTS`.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Worker subprocess count (≥ 1; `--workers 0` never reaches here).
     pub workers: usize,
-    /// How often a worker rewrites its lease heartbeat.
-    pub heartbeat_interval: Duration,
-    /// Lease expiry: a beat that has not advanced for this long means the
-    /// worker is wedged and its shard is reassigned.
+    /// A worker that sends no frame for this long is wedged: it is killed
+    /// and its shard reassigned. Workers beat every twentieth of it.
     pub heartbeat_timeout: Duration,
     /// First reassignment delay; doubles per failed attempt.
     pub backoff_base: Duration,
     /// Attempts before a shard is quarantined as poisoned.
     pub max_shard_attempts: u32,
-    /// `--resume`: keep matching segment journals and done markers from a
-    /// previous supervised run instead of starting the shards over.
-    pub resume: bool,
     /// Explicit workdir (tests); defaults next to the journal, or to a
     /// temp dir without one.
     pub workdir: Option<PathBuf>,
 }
 
-fn env_ms(key: &str, default: Duration) -> Duration {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map_or(default, Duration::from_millis)
+fn env_u64(key: &str) -> Option<u64> {
+    std::env::var(key).ok()?.parse().ok()
 }
 
 impl SupervisorConfig {
     pub fn new(workers: usize) -> SupervisorConfig {
         SupervisorConfig {
             workers: workers.max(1),
-            heartbeat_interval: env_ms("RVZ_HEARTBEAT_INTERVAL_MS", Duration::from_millis(100)),
-            heartbeat_timeout: env_ms("RVZ_HEARTBEAT_TIMEOUT_MS", Duration::from_secs(2)),
-            backoff_base: env_ms("RVZ_WORKER_BACKOFF_MS", Duration::from_millis(250)),
-            max_shard_attempts: std::env::var("RVZ_SHARD_ATTEMPTS")
-                .ok()
-                .and_then(|v| v.parse().ok())
+            // A 0 ms timeout would derive a 0 ms beat; it means the default.
+            heartbeat_timeout: Duration::from_millis(
+                env_u64("RVZ_HEARTBEAT_TIMEOUT_MS").filter(|&ms| ms >= 1).unwrap_or(2000),
+            ),
+            backoff_base: Duration::from_millis(env_u64("RVZ_WORKER_BACKOFF_MS").unwrap_or(250)),
+            max_shard_attempts: env_u64("RVZ_SHARD_ATTEMPTS")
+                .and_then(|n| u32::try_from(n).ok())
                 .filter(|&n| n >= 1)
                 .unwrap_or(3),
-            resume: false,
             workdir: None,
         }
     }
@@ -140,210 +132,222 @@ pub fn plan_shards(total: usize, workers: usize) -> Vec<ShardRange> {
     (0..count).map(|s| ShardRange { lo: s * total / count, hi: (s + 1) * total / count }).collect()
 }
 
-// ---------------------------------------------------------------------------
-// Control-file bodies (compact JSON inside a single wire frame).
-
-fn get<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_u64(fields: &[(String, Value)], key: &str) -> Option<u64> {
-    match get(fields, key)? {
-        Value::Int(i) => u64::try_from(*i).ok(),
-        Value::UInt(u) => Some(*u),
-        _ => None,
-    }
-}
-
-fn get_str(fields: &[(String, Value)], key: &str) -> Option<String> {
-    match get(fields, key)? {
-        Value::Str(s) => Some(s.clone()),
-        _ => None,
-    }
-}
-
-/// The shard plan as both processes see it — everything a worker needs to
-/// name its cells, plus the per-spec fingerprint that proves the worker
-/// resolved the *same* spec the supervisor planned (worker processes
-/// re-derive the spec from the original CLI arguments; the fingerprint
-/// check turns any drift into a hard error instead of wrong rows).
+/// The plan file: what a worker reads at startup. The fingerprint proves
+/// the worker resolved the *same* spec the supervisor planned (workers
+/// re-derive the spec from the original CLI arguments; the check turns
+/// any drift into a hard error instead of wrong rows).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ShardPlan {
-    pub fingerprint: u64,
-    pub experiment: String,
-    pub total_cells: usize,
-    pub shards: Vec<ShardRange>,
-    /// The shared `--checkpoint` journal, when one is in use: workers skip
-    /// cells it already holds (supervisor splices them from the journal).
-    pub main_journal: Option<PathBuf>,
+struct Plan {
+    fingerprint: u64,
+    experiment: String,
+    total_cells: usize,
     /// `--cell-timeout`, forwarded so workers watchdog cells the same way.
-    pub cell_timeout_ms: Option<u64>,
-    /// Worker heartbeat rewrite interval.
-    pub heartbeat_ms: u64,
+    cell_timeout_ms: Option<u64>,
+    /// How often the worker's beat thread sends an empty frame.
+    beat_ms: u64,
 }
 
-impl ShardPlan {
+impl Plan {
     fn to_bytes(&self) -> Vec<u8> {
-        let shards: Vec<Value> = self
-            .shards
-            .iter()
-            .map(|r| {
-                Value::Object(vec![
-                    ("lo".into(), Value::UInt(r.lo as u64)),
-                    ("hi".into(), Value::UInt(r.hi as u64)),
-                ])
-            })
-            .collect();
-        let body = Value::Object(vec![
-            ("kind".into(), Value::Str("rvz-shard-plan".into())),
-            ("version".into(), Value::UInt(PLAN_VERSION)),
-            ("fingerprint".into(), Value::UInt(self.fingerprint)),
-            ("experiment".into(), Value::Str(self.experiment.clone())),
-            ("total_cells".into(), Value::UInt(self.total_cells as u64)),
-            ("shards".into(), Value::Array(shards)),
-            (
-                "main_journal".into(),
-                match &self.main_journal {
-                    Some(p) => Value::Str(p.display().to_string()),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "cell_timeout_ms".into(),
-                match self.cell_timeout_ms {
-                    Some(ms) => Value::UInt(ms),
-                    None => Value::Null,
-                },
-            ),
-            ("heartbeat_ms".into(), Value::UInt(self.heartbeat_ms)),
-        ]);
-        serde_json::to_string(&body).expect("serialize shard plan").into_bytes()
+        let mut w = JsonWriter::new(false);
+        w.begin_object();
+        w.field("kind", "rvz-shard-plan");
+        w.field("version", &PLAN_VERSION);
+        w.field("fingerprint", &self.fingerprint);
+        w.field("experiment", self.experiment.as_str());
+        w.field("total_cells", &self.total_cells);
+        w.field("cell_timeout_ms", &self.cell_timeout_ms);
+        w.field("beat_ms", &self.beat_ms);
+        w.end_object();
+        w.into_bytes()
     }
 
-    fn from_bytes(bytes: &[u8]) -> Option<ShardPlan> {
-        let Value::Object(f) = serde_json::from_str(std::str::from_utf8(bytes).ok()?).ok()? else {
-            return None;
-        };
-        if get_str(&f, "kind").as_deref() != Some("rvz-shard-plan")
-            || get_u64(&f, "version") != Some(PLAN_VERSION)
+    fn from_bytes(bytes: &[u8]) -> Option<Plan> {
+        let f = checkpoint::parse_object(bytes)?;
+        if req_str(&f, "kind").as_deref() != Some("rvz-shard-plan")
+            || req_u64(&f, "version") != Some(PLAN_VERSION)
         {
             return None;
         }
-        let Some(Value::Array(raw)) = get(&f, "shards") else { return None };
-        let mut shards = Vec::with_capacity(raw.len());
-        for v in raw {
-            let Value::Object(rf) = v else { return None };
-            shards.push(ShardRange {
-                lo: get_u64(rf, "lo")? as usize,
-                hi: get_u64(rf, "hi")? as usize,
-            });
-        }
-        Some(ShardPlan {
-            fingerprint: get_u64(&f, "fingerprint")?,
-            experiment: get_str(&f, "experiment")?,
-            total_cells: get_u64(&f, "total_cells")? as usize,
-            shards,
-            main_journal: match get(&f, "main_journal") {
-                None | Some(Value::Null) => None,
-                Some(Value::Str(s)) => Some(PathBuf::from(s)),
-                Some(_) => return None,
-            },
-            cell_timeout_ms: match get(&f, "cell_timeout_ms") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(match v {
-                    Value::Int(i) => u64::try_from(*i).ok()?,
-                    Value::UInt(u) => *u,
-                    _ => return None,
-                }),
-            },
-            heartbeat_ms: get_u64(&f, "heartbeat_ms")?,
+        Some(Plan {
+            fingerprint: req_u64(&f, "fingerprint")?,
+            experiment: req_str(&f, "experiment")?,
+            total_cells: req_u64(&f, "total_cells")? as usize,
+            cell_timeout_ms: opt_u64(&f, "cell_timeout_ms")?,
+            beat_ms: req_u64(&f, "beat_ms")?,
         })
     }
 }
 
-fn heartbeat_body(pid: u32, beat: u64) -> Vec<u8> {
-    let body = Value::Object(vec![
-        ("pid".into(), Value::UInt(pid as u64)),
-        ("beat".into(), Value::UInt(beat)),
-    ]);
-    serde_json::to_string(&body).expect("serialize heartbeat").into_bytes()
+/// An assignment frame's body: each `[lo, hi)` run as two little-endian
+/// `u64`s.
+fn encode_runs(runs: &[(usize, usize)]) -> Vec<u8> {
+    runs.iter().flat_map(|&(lo, hi)| [lo as u64, hi as u64]).flat_map(u64::to_le_bytes).collect()
 }
 
-fn parse_heartbeat(bytes: &[u8]) -> Option<(u32, u64)> {
-    let Value::Object(f) = serde_json::from_str(std::str::from_utf8(bytes).ok()?).ok()? else {
-        return None;
-    };
-    Some((u32::try_from(get_u64(&f, "pid")?).ok()?, get_u64(&f, "beat")?))
+/// Decodes an assignment body; `Err` on a torn run or one that is empty
+/// or leaves the `total`-cell grid.
+fn decode_runs(body: &[u8], total: usize) -> Result<Vec<(usize, usize)>, String> {
+    if !body.len().is_multiple_of(16) {
+        return Err(format!("assignment body of {} bytes is not whole runs", body.len()));
+    }
+    body.chunks_exact(16)
+        .map(|run| {
+            let lo = u64::from_le_bytes(run[..8].try_into().expect("a 16-byte run"));
+            let hi = u64::from_le_bytes(run[8..].try_into().expect("a 16-byte run"));
+            if lo < hi && hi <= total as u64 {
+                Ok((lo as usize, hi as usize))
+            } else {
+                Err(format!("assignment names cells {lo}..{hi} of a {total}-cell grid"))
+            }
+        })
+        .collect()
 }
 
-fn plan_path(workdir: &Path) -> PathBuf {
-    workdir.join("plan")
-}
+/// Instances built so far for cells computed outside the sweep engine
+/// (worker cells, the supervisor's fallback and poisoned rows) — same
+/// keying as `run_with_options`.
+type Instances = HashMap<(Family, usize, Option<u64>), Arc<SweepInstance>>;
 
-/// Which experiment a workdir's shard plan covers — how a freshly spawned
-/// worker (handed only the workdir and the supervisor's original CLI
-/// arguments) knows which of the invocation's specs it is serving.
-pub fn planned_experiment(workdir: &Path) -> Option<String> {
-    wire::read_framed(&plan_path(workdir))
-        .as_deref()
-        .and_then(ShardPlan::from_bytes)
-        .map(|p| p.experiment)
-}
-fn ready_path(workdir: &Path, s: usize) -> PathBuf {
-    workdir.join(format!("ready-{s}"))
-}
-fn lease_path(workdir: &Path, s: usize) -> PathBuf {
-    workdir.join(format!("lease-{s}"))
-}
-fn seg_path(workdir: &Path, s: usize) -> PathBuf {
-    workdir.join(format!("seg-{s}.ckpt"))
-}
-fn done_path(workdir: &Path, s: usize) -> PathBuf {
-    workdir.join(format!("done-{s}"))
+fn instance(instances: &mut Instances, cell: &Cell) -> Arc<SweepInstance> {
+    let key = (cell.family, cell.n, cell.tree_index);
+    instances.entry(key).or_insert_with(|| Arc::new(SweepInstance::for_cell(cell))).clone()
 }
 
 // ---------------------------------------------------------------------------
 // Supervisor side.
 
-#[derive(Debug, Clone, Copy)]
-enum ShardState {
-    /// Claimable (`ready-<s>` exists, or will momentarily).
-    Ready,
-    /// A worker owns it; `last` is the latest observed `(pid, beat)` and
-    /// `since` when it last advanced.
-    Leased {
-        last: Option<(u32, u64)>,
-        since: Instant,
-    },
-    /// Waiting out the reassignment backoff.
-    Backoff {
-        until: Instant,
-    },
-    Done,
-    Poisoned,
-}
-
 struct Shard {
     range: ShardRange,
-    state: ShardState,
+    /// Cells not received yet (journaled cells count as received).
+    missing: usize,
     attempts: u32,
+    /// End of the backoff after a failed attempt.
+    not_before: Instant,
+    poisoned: bool,
 }
 
-/// Lazily built instance cache for the supervisor's own (fallback /
-/// poisoned-row) cell work — same keying as `run_with_options`.
-struct InstanceCache {
-    map: HashMap<(Family, usize, Option<u64>), Arc<SweepInstance>>,
-}
-
-impl InstanceCache {
-    fn new() -> InstanceCache {
-        InstanceCache { map: HashMap::new() }
+impl Shard {
+    fn open(&self) -> bool {
+        self.missing > 0 && !self.poisoned
     }
-    fn get(&mut self, cell: &Cell) -> Arc<SweepInstance> {
-        self.map
-            .entry((cell.family, cell.n, cell.tree_index))
-            .or_insert_with(|| Arc::new(SweepInstance::for_cell(cell)))
-            .clone()
+}
+
+/// A live worker process and the cells it owes.
+struct Worker {
+    /// Spawned with piped stdin and stdout; its stdin stays in place.
+    child: Child,
+    /// Ends at EOF on the child's stdout, so once the child is reaped.
+    reader: JoinHandle<()>,
+    last_heard: Instant,
+    /// The shard it is computing, if any.
+    shard: Option<usize>,
+    /// Grid indices of the current assignment that have not arrived yet,
+    /// in the order the worker computes them.
+    owed: VecDeque<usize>,
+}
+
+impl Worker {
+    /// Spawns worker `id` with piped stdio, and a reader thread that
+    /// decodes its stdout frames into `events` until the stream ends or
+    /// breaks.
+    fn spawn(
+        spawn_worker: &mut dyn FnMut(&Path) -> Command,
+        workdir: &Path,
+        id: usize,
+        events: &mpsc::Sender<(usize, Event)>,
+    ) -> std::io::Result<Worker> {
+        let mut cmd = spawn_worker(workdir);
+        cmd.stdin(Stdio::piped()).stdout(Stdio::piped());
+        let mut child = cmd.spawn()?;
+        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        let events = events.clone();
+        let reader = std::thread::spawn(move || loop {
+            let event = match wire::read_frame(&mut stdout) {
+                Ok(Some(body)) if body.is_empty() => Event::Beat,
+                Ok(Some(body)) => match checkpoint::decode_record(&body) {
+                    Some(rec) => Event::Record(Box::new(rec)),
+                    None => Event::Gone("got an undecodable record from its worker".into()),
+                },
+                Ok(None) => Event::Gone("lost its worker".into()),
+                Err(e) => Event::Gone(format!("got a bad frame from its worker ({e})")),
+            };
+            let gone = matches!(event, Event::Gone(_));
+            if events.send((id, event)).is_err() || gone {
+                return;
+            }
+        });
+        Ok(Worker { child, reader, last_heard: Instant::now(), shard: None, owed: VecDeque::new() })
+    }
+
+    /// Kills and reaps the child, then joins its reader thread.
+    fn stop(mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        self.reader.join().expect("a worker's reader thread panicked");
+    }
+
+    /// Sends shard `s` the runs of its cells still missing (at most
+    /// `MAX_RUNS` of them).
+    fn assign(
+        &mut self,
+        s: usize,
+        range: ShardRange,
+        received: &[Option<CellRecord>],
+    ) -> std::io::Result<()> {
+        let mut runs = Vec::new();
+        let mut lo = range.lo;
+        for group in received[range.lo..range.hi].chunk_by(|a, b| a.is_some() == b.is_some()) {
+            if group[0].is_none() && runs.len() < MAX_RUNS {
+                runs.push((lo, lo + group.len()));
+            }
+            lo += group.len();
+        }
+        self.shard = Some(s);
+        self.owed = runs.iter().flat_map(|&(lo, hi)| lo..hi).collect();
+        let mut frame = Vec::new();
+        wire::frame_record(&mut frame, &encode_runs(&runs));
+        self.child.stdin.as_mut().expect("piped stdin").write_all(&frame)
+    }
+}
+
+/// What a worker's reader thread saw on its stdout.
+enum Event {
+    Beat,
+    Record(Box<CellRecord>),
+    /// End of stream, a bad frame or an undecodable record.
+    Gone(String),
+}
+
+/// Kills and reaps worker `w`. The cells it still owed stay missing in
+/// its shard, which is retried after backoff or, past the attempt cap,
+/// quarantined.
+fn retire(
+    workers: &mut [Option<Worker>],
+    shards: &mut [Shard],
+    w: usize,
+    why: &str,
+    cfg: &SupervisorConfig,
+) {
+    let Some(worker) = workers[w].take() else { return };
+    let shard = worker.shard;
+    worker.stop();
+    let Some(s) = shard else { return };
+    let shard = &mut shards[s];
+    shard.attempts += 1;
+    let failure = format!(
+        "shard {s} (cells {}..{}) {why} on attempt {}/{}",
+        shard.range.lo, shard.range.hi, shard.attempts, cfg.max_shard_attempts
+    );
+    if shard.attempts >= cfg.max_shard_attempts {
+        eprintln!(
+            "warning: --workers: {failure} — quarantining its remaining cells as poisoned rows"
+        );
+        shard.poisoned = true;
+    } else {
+        let backoff = cfg.backoff_base * 2u32.saturating_pow(shard.attempts - 1);
+        eprintln!("warning: --workers: {failure} — reassigning after {backoff:?}");
+        shard.not_before = Instant::now() + backoff;
     }
 }
 
@@ -360,19 +364,15 @@ pub fn run_supervised(
     spawn_worker: &mut dyn FnMut(&Path) -> Command,
 ) -> SweepReport {
     let grid = cells(spec);
-    let fingerprint = checkpoint::spec_fingerprint(&[spec]);
-    let plan = ShardPlan {
-        fingerprint,
+    let plan = Plan {
+        fingerprint: checkpoint::spec_fingerprint(&[spec]),
         experiment: spec.experiment.clone(),
         total_cells: grid.len(),
-        shards: plan_shards(grid.len(), cfg.workers),
-        main_journal: opts.journal.map(|j| j.path().to_path_buf()),
         cell_timeout_ms: opts.cell_timeout.map(|t| t.as_millis() as u64),
-        heartbeat_ms: cfg.heartbeat_interval.as_millis() as u64,
+        beat_ms: ((cfg.heartbeat_timeout / 20).as_millis() as u64).max(1),
     };
 
-    // Workdir: explicit (tests) > journal-derived (stable across --resume,
-    // which is what makes shard resumption possible) > temp (one-shot).
+    // Workdir: explicit (tests) > next to the journal > temp.
     let workdir = cfg.workdir.clone().unwrap_or_else(|| match opts.journal {
         Some(j) => {
             let mut name = j.path().file_name().unwrap_or_default().to_os_string();
@@ -385,7 +385,9 @@ pub fn run_supervised(
             spec.experiment
         )),
     });
-    if let Err(e) = prepare_workdir(&workdir, &plan, cfg.resume) {
+    if let Err(e) = std::fs::create_dir_all(&workdir)
+        .and_then(|()| wire::write_framed(&workdir.join("plan"), &plan.to_bytes()))
+    {
         eprintln!(
             "warning: --workers: cannot prepare workdir {}: {e}; running in-process",
             workdir.display()
@@ -393,279 +395,147 @@ pub fn run_supervised(
         return sweep::run_with_options(spec, opts);
     }
 
-    let mut shards: Vec<Shard> = plan
-        .shards
-        .iter()
-        .map(|&range| Shard { range, state: ShardState::Ready, attempts: 0 })
+    // Cells the journal already holds are never assigned.
+    let seeds: Vec<u64> = grid.iter().map(Cell::cell_seed).collect();
+    let mut received: Vec<Option<CellRecord>> =
+        seeds.iter().map(|&seed| opts.journal.and_then(|j| j.lookup(seed)).cloned()).collect();
+    let start = Instant::now();
+    let mut shards: Vec<Shard> = plan_shards(grid.len(), cfg.workers)
+        .into_iter()
+        .map(|range| Shard {
+            range,
+            missing: received[range.lo..range.hi].iter().filter(|r| r.is_none()).count(),
+            attempts: 0,
+            not_before: start,
+            poisoned: false,
+        })
         .collect();
-    // Shards already completed by a previous (resumed) supervised run.
-    for (s, shard) in shards.iter_mut().enumerate() {
-        if done_path(&workdir, s).exists() {
-            shard.state = ShardState::Done;
-        } else if let Err(e) = wire::write_framed(&ready_path(&workdir, s), &heartbeat_body(0, 0)) {
-            eprintln!(
-                "warning: --workers: cannot write {}: {e}",
-                ready_path(&workdir, s).display()
-            );
-        }
-    }
 
-    // Results harvested from worker segments, keyed by cell seed.
-    let mut merged: HashMap<u64, CellRecord> = HashMap::new();
-    let harvest = |merged: &mut HashMap<u64, CellRecord>, s: usize| {
-        let Ok(bytes) = std::fs::read(seg_path(&workdir, s)) else { return };
-        let snap = checkpoint::parse_journal(&bytes);
-        if snap.fingerprint == Some(fingerprint) {
-            for (seed, rec) in snap.cells {
-                // Append newly harvested cells to the main journal (the
-                // supervisor is its only writer in supervised mode).
-                merged.entry(seed).or_insert_with(|| {
-                    if let Some(journal) = opts.journal {
-                        if journal.lookup(seed).is_none() {
-                            journal.record(&rec);
-                        }
-                    }
-                    rec
-                });
-            }
-        }
-    };
-    for (s, shard) in shards.iter().enumerate() {
-        if matches!(shard.state, ShardState::Done) {
-            harvest(&mut merged, s);
-        }
-    }
-
-    let mut children: Vec<Child> = Vec::new();
+    let (events, inbox) = mpsc::channel();
+    let mut workers: Vec<Option<Worker>> = Vec::new();
     let mut spawn_broken = false;
-    let mut spawn_one = |children: &mut Vec<Child>, spawn_broken: &mut bool| {
-        if *spawn_broken {
-            return;
-        }
-        let mut cmd = spawn_worker(&workdir);
-        cmd.stdin(std::process::Stdio::null()).stdout(std::process::Stdio::null());
-        match cmd.spawn() {
-            Ok(child) => children.push(child),
-            Err(e) => {
-                *spawn_broken = true;
-                eprintln!(
-                    "warning: --workers: cannot spawn worker process ({e}); \
-                     degrading to in-process execution"
-                );
-            }
-        }
-    };
-
-    let live_shards = |shards: &[Shard]| {
-        shards.iter().any(|s| !matches!(s.state, ShardState::Done | ShardState::Poisoned))
-    };
-    let claimable = |shards: &[Shard]| shards.iter().any(|s| matches!(s.state, ShardState::Ready));
-
-    let want =
-        cfg.workers.min(shards.iter().filter(|s| !matches!(s.state, ShardState::Done)).count());
-    for _ in 0..want {
-        spawn_one(&mut children, &mut spawn_broken);
-    }
-
-    // Monitor loop. Every state is bounded — heartbeat timeout bounds
-    // Leased, the backoff clock bounds Backoff, the attempt cap bounds
-    // retries — so this loop terminates even if every worker dies on
-    // every cell.
-    while live_shards(&shards) {
-        // Reap exited workers; their leases expire immediately below.
-        let mut dead_pids: Vec<u32> = Vec::new();
-        children.retain_mut(|c| match c.try_wait() {
-            Ok(Some(_)) => {
-                dead_pids.push(c.id());
-                false
-            }
-            _ => true,
-        });
-
-        let now = Instant::now();
-        for s in 0..shards.len() {
-            let expire = |shards: &mut Vec<Shard>,
-                          merged: &mut HashMap<u64, CellRecord>,
-                          children: &mut Vec<Child>,
-                          s: usize,
-                          why: &str| {
-                // A wedged worker (heartbeat gone silent, process alive)
-                // must die before its shard is handed to someone else —
-                // two writers on one segment would tear it.
-                if let Some(body) = wire::read_framed(&lease_path(&workdir, s)) {
-                    if let Some((pid, _)) = parse_heartbeat(&body) {
-                        for child in children.iter_mut() {
-                            if child.id() == pid {
-                                let _ = child.kill();
-                                let _ = child.wait();
-                            }
-                        }
-                        children.retain_mut(|c| !matches!(c.try_wait(), Ok(Some(_))));
-                    }
-                }
-                let _ = std::fs::remove_file(lease_path(&workdir, s));
-                // Keep what the dead worker finished: its segment's clean
-                // prefix is real, completed cells.
-                harvest(merged, s);
-                let shard = &mut shards[s];
-                shard.attempts += 1;
-                if shard.attempts >= cfg.max_shard_attempts {
-                    eprintln!(
-                        "warning: --workers: shard {s} (cells {}..{}) {why} on attempt \
-                         {}/{} — quarantining its remaining cells as poisoned rows",
-                        shard.range.lo, shard.range.hi, shard.attempts, cfg.max_shard_attempts
-                    );
-                    shard.state = ShardState::Poisoned;
-                } else {
-                    let backoff = cfg.backoff_base * 2u32.saturating_pow(shard.attempts - 1);
-                    eprintln!(
-                        "warning: --workers: shard {s} (cells {}..{}) {why} on attempt \
-                         {}/{} — reassigning after {backoff:?}",
-                        shard.range.lo, shard.range.hi, shard.attempts, cfg.max_shard_attempts
-                    );
-                    shard.state = ShardState::Backoff { until: Instant::now() + backoff };
-                }
+    loop {
+        // Hand every shard that is due to an idle worker, spawning workers
+        // up to the pool size while none is idle.
+        loop {
+            let now = Instant::now();
+            let held = |s: usize| workers.iter().flatten().any(|w| w.shard == Some(s));
+            let Some(s) = (0..shards.len())
+                .find(|&s| shards[s].open() && shards[s].not_before <= now && !held(s))
+            else {
+                break;
             };
-
-            match shards[s].state {
-                ShardState::Done | ShardState::Poisoned => continue,
-                ShardState::Backoff { until } => {
-                    if now >= until {
-                        match wire::write_framed(&ready_path(&workdir, s), &heartbeat_body(0, 0)) {
-                            Ok(()) => shards[s].state = ShardState::Ready,
-                            Err(e) => {
-                                eprintln!("warning: --workers: cannot re-issue shard {s}: {e}")
-                            }
+            let w = match workers.iter().position(|w| w.as_ref().is_some_and(|w| w.shard.is_none()))
+            {
+                Some(w) => w,
+                None if !spawn_broken && workers.iter().flatten().count() < cfg.workers => {
+                    match Worker::spawn(spawn_worker, &workdir, workers.len(), &events) {
+                        Ok(worker) => {
+                            workers.push(Some(worker));
+                            workers.len() - 1
+                        }
+                        Err(e) => {
+                            spawn_broken = true;
+                            eprintln!(
+                                "warning: --workers: cannot spawn worker process ({e}); \
+                                 degrading to in-process execution"
+                            );
+                            continue;
                         }
                     }
                 }
-                ShardState::Ready | ShardState::Leased { .. } => {
-                    if wire::read_framed(&done_path(&workdir, s)).is_some() {
-                        harvest(&mut merged, s);
-                        let _ = std::fs::remove_file(lease_path(&workdir, s));
-                        let _ = std::fs::remove_file(ready_path(&workdir, s));
-                        shards[s].state = ShardState::Done;
-                        continue;
-                    }
-                    let beat = wire::read_framed(&lease_path(&workdir, s))
-                        .as_deref()
-                        .and_then(parse_heartbeat);
-                    match beat {
-                        Some((pid, beat)) => {
-                            if pid != 0 && dead_pids.contains(&pid) {
-                                expire(
-                                    &mut shards,
-                                    &mut merged,
-                                    &mut children,
-                                    s,
-                                    "lost its worker",
-                                );
-                                continue;
+                None => break,
+            };
+            let worker = workers[w].as_mut().expect("live worker");
+            if worker.assign(s, shards[s].range, &received).is_err() {
+                retire(&mut workers, &mut shards, w, "lost its worker", cfg);
+            }
+        }
+        if !shards.iter().any(Shard::open) {
+            break;
+        }
+
+        // Block until a frame arrives or the next heartbeat expiry or
+        // backoff end. With no live worker and no backoff to wait out
+        // (spawning failed), the rest is computed in-process below.
+        let now = Instant::now();
+        let expiries = workers.iter().flatten().map(|w| w.last_heard + cfg.heartbeat_timeout);
+        let backoffs =
+            shards.iter().filter(|sh| sh.open() && sh.not_before > now).map(|sh| sh.not_before);
+        let Some(deadline) = expiries.chain(backoffs).min() else { break };
+        match inbox.recv_timeout(deadline.saturating_duration_since(now)) {
+            Ok((w, event)) => {
+                // Frames a retired worker sent before it died are dropped.
+                let Some(worker) = workers[w].as_mut() else { continue };
+                worker.last_heard = Instant::now();
+                let fault = match event {
+                    Event::Beat => None,
+                    Event::Record(rec) => match (worker.shard, worker.owed.front()) {
+                        (Some(s), Some(&idx)) if seeds[idx] == rec.cell_seed => {
+                            if let Some(journal) = opts.journal {
+                                journal.record(&rec);
                             }
-                            let (last, since) = match shards[s].state {
-                                ShardState::Leased { last, since } => (last, since),
-                                _ => (None, now),
-                            };
-                            let (last, since) = if last == Some((pid, beat)) {
-                                (last, since)
-                            } else {
-                                (Some((pid, beat)), now)
-                            };
-                            if now.duration_since(since) > cfg.heartbeat_timeout {
-                                expire(
-                                    &mut shards,
-                                    &mut merged,
-                                    &mut children,
-                                    s,
-                                    "stopped heartbeating",
-                                );
-                            } else {
-                                shards[s].state = ShardState::Leased { last, since };
+                            received[idx] = Some(*rec);
+                            shards[s].missing -= 1;
+                            worker.owed.pop_front();
+                            if worker.owed.is_empty() {
+                                worker.shard = None;
                             }
+                            None
                         }
-                        None => {
-                            if ready_path(&workdir, s).exists() {
-                                shards[s].state = ShardState::Ready;
-                            } else if matches!(shards[s].state, ShardState::Leased { .. }) {
-                                // Neither ready nor a readable lease while
-                                // leased: the lease was stolen or torn.
-                                expire(
-                                    &mut shards,
-                                    &mut merged,
-                                    &mut children,
-                                    s,
-                                    "lost its lease",
-                                );
-                            } else {
-                                // Ready but no marker on disk (an earlier
-                                // write failed — claims are atomic renames,
-                                // so there is no in-flight window): re-issue.
-                                let _ = wire::write_framed(
-                                    &ready_path(&workdir, s),
-                                    &heartbeat_body(0, 0),
-                                );
-                            }
-                        }
+                        _ => Some("got a record it did not assign".to_string()),
+                    },
+                    Event::Gone(why) => Some(why),
+                };
+                if let Some(why) = fault {
+                    retire(&mut workers, &mut shards, w, &why, cfg);
+                }
+            }
+            Err(_) => {
+                // Timed out, so the inbox is drained and every
+                // `last_heard` is current.
+                let now = Instant::now();
+                for w in 0..workers.len() {
+                    if workers[w]
+                        .as_ref()
+                        .is_some_and(|w| now.duration_since(w.last_heard) >= cfg.heartbeat_timeout)
+                    {
+                        retire(&mut workers, &mut shards, w, "stopped heartbeating", cfg);
                     }
                 }
             }
         }
-
-        // Pool maintenance: workers exit when nothing is claimable, so a
-        // shard coming off backoff may find no one alive — spawn a
-        // replacement (only while claimable work exists, to avoid churn).
-        if claimable(&shards) && children.len() < cfg.workers {
-            spawn_one(&mut children, &mut spawn_broken);
-        }
-        if spawn_broken
-            && children.is_empty()
-            && !shards.iter().any(|s| matches!(s.state, ShardState::Leased { .. }))
-        {
-            break; // remaining shards are computed in-process below
-        }
-        if live_shards(&shards) {
-            std::thread::sleep(POLL);
-        }
     }
-    for mut child in children {
-        let _ = child.kill();
-        let _ = child.wait();
+    for worker in workers.into_iter().flatten() {
+        worker.stop();
     }
 
     // Final assembly, in grid order — this is where byte-identity to the
     // single-process run is decided. Poisoned shards yield explicit
-    // poisoned rows; any other hole (shouldn't happen: every shard ends
-    // Done or Poisoned) is computed in-process as a safety net.
-    let mut instances = InstanceCache::new();
+    // poisoned rows; any other hole (after a spawn failure, or as a
+    // safety net) is computed in-process.
+    let mut instances = Instances::new();
     let mut rows = Vec::with_capacity(grid.len());
     let mut certificates = Vec::new();
-    let shard_of = |idx: usize| shards.iter().find(|sh| sh.range.lo <= idx && idx < sh.range.hi);
-    for (idx, cell) in grid.iter().enumerate() {
-        let seed = cell.cell_seed();
-        let (row, cert) = if let Some(rec) = opts.journal.and_then(|j| j.lookup(seed)) {
-            (rec.row.clone(), rec.certificate.clone())
-        } else if let Some(rec) = merged.get(&seed) {
-            (rec.row.clone(), rec.certificate.clone())
-        } else if shard_of(idx).is_some_and(|sh| matches!(sh.state, ShardState::Poisoned)) {
-            let inst = instances.get(cell);
-            let out = (poisoned_row(cell, &inst), None);
-            if let Some(journal) = opts.journal {
-                journal.record(&CellRecord {
-                    cell_seed: seed,
-                    row: out.0.clone(),
-                    certificate: None,
-                });
-            }
-            out
+    for (idx, (cell, rec)) in grid.iter().zip(received).enumerate() {
+        let seed = seeds[idx];
+        let (row, cert) = if let Some(rec) = rec {
+            (rec.row, rec.certificate)
         } else {
-            if !spawn_broken {
+            let poisoned =
+                shards.iter().any(|sh| sh.poisoned && sh.range.lo <= idx && idx < sh.range.hi);
+            if !poisoned && !spawn_broken {
                 eprintln!(
-                    "warning: --workers: cell {seed:#018x} missing from every worker segment; \
+                    "warning: --workers: cell {seed:#018x} never arrived from a worker; \
                      computing it in-process"
                 );
             }
-            let inst = instances.get(cell);
-            let out = dispatch_cell(cell, &inst, spec.executor, opts.cell_timeout);
+            let inst = instance(&mut instances, cell);
+            let out = if poisoned {
+                (poisoned_row(cell, &inst), None)
+            } else {
+                dispatch_cell(cell, &inst, spec.executor, opts.cell_timeout)
+            };
             if let Some(journal) = opts.journal {
                 journal.record(&CellRecord {
                     cell_seed: seed,
@@ -682,9 +552,9 @@ pub fn run_supervised(
         journal.sync();
     }
 
-    // The workdir is scratch: remove it once fully harvested. Poisoned
-    // shards keep it (their segments and the plan are the evidence).
-    if shards.iter().all(|s| matches!(s.state, ShardState::Done)) {
+    // The workdir is scratch: remove it unless a shard was poisoned (its
+    // plan is then kept as evidence).
+    if !shards.iter().any(|sh| sh.poisoned) {
         let _ = std::fs::remove_dir_all(&workdir);
         if let Some(parent) = workdir.parent() {
             // The journal-derived parent (`<journal>.work/`) holds one
@@ -703,46 +573,36 @@ pub fn run_supervised(
     }
 }
 
-/// Creates/cleans the workdir and writes the plan. On `resume`, a
-/// matching existing plan keeps its segment journals and done markers
-/// (shard-lease resumption); anything else — mismatched plan, fresh run —
-/// starts clean. Stale leases and ready markers never survive a restart:
-/// the processes that owned them are gone.
-fn prepare_workdir(workdir: &Path, plan: &ShardPlan, resume: bool) -> std::io::Result<()> {
-    std::fs::create_dir_all(workdir)?;
-    let keep_segments = resume
-        && wire::read_framed(&plan_path(workdir))
-            .as_deref()
-            .and_then(ShardPlan::from_bytes)
-            .is_some_and(|old| old == *plan);
-    for entry in std::fs::read_dir(workdir)? {
-        let entry = entry?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let stale = name.starts_with("lease-")
-            || name.starts_with("ready-")
-            || (!keep_segments && (name.starts_with("seg-") || name.starts_with("done-")))
-            || name == "plan";
-        if stale {
-            let _ = std::fs::remove_file(entry.path());
-        }
-    }
-    wire::write_framed(&plan_path(workdir), &plan.to_bytes())
-}
-
 // ---------------------------------------------------------------------------
 // Worker side.
 
-/// Claims and executes shards until none are claimable. The caller
-/// supplies the spec it resolved from its own arguments; the plan's
-/// fingerprint must match the spec's, which proves both processes will
-/// enumerate the identical grid. Returns `Err` on protocol violations
-/// (missing/corrupt plan, fingerprint drift) — the supervisor treats the
-/// resulting nonzero exit like any other worker death.
-pub fn worker_main(workdir: &Path, spec: &SweepSpec) -> Result<(), String> {
-    let plan = wire::read_framed(&plan_path(workdir))
+/// Writes one frame to stdout, whole: the beat thread and the cell loop
+/// share the pipe.
+fn send(body: &[u8]) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(body.len() + 8);
+    wire::frame_record(&mut frame, body);
+    let mut out = std::io::stdout().lock();
+    out.write_all(&frame)?;
+    out.flush()
+}
+
+/// Serves assignments from stdin until it ends, answering each cell with
+/// a record frame on stdout while a beat thread sends empty frames. The
+/// caller supplies the specs it resolved from its own arguments; the
+/// plan names the one to serve, and its fingerprint must match the
+/// spec's, which proves both processes enumerate the identical grid.
+/// Returns `Err` on a protocol violation (missing or corrupt plan,
+/// fingerprint drift, a bad assignment frame) or a failed write — the
+/// supervisor treats the resulting nonzero exit like any other worker
+/// death.
+pub fn worker_main(workdir: &Path, specs: &[&SweepSpec]) -> Result<(), String> {
+    let plan = wire::read_framed(&workdir.join("plan"))
         .as_deref()
-        .and_then(ShardPlan::from_bytes)
+        .and_then(Plan::from_bytes)
         .ok_or_else(|| format!("no readable shard plan in {}", workdir.display()))?;
+    let spec = specs.iter().find(|s| s.experiment == plan.experiment).ok_or_else(|| {
+        format!("the shard plan is for `{}`, not one of this worker's experiments", plan.experiment)
+    })?;
     let fingerprint = checkpoint::spec_fingerprint(&[spec]);
     if plan.fingerprint != fingerprint {
         return Err(format!(
@@ -759,127 +619,42 @@ pub fn worker_main(workdir: &Path, spec: &SweepSpec) -> Result<(), String> {
             grid.len()
         ));
     }
-    // Cells the shared journal already holds are the supervisor's to
-    // splice; skip them (fingerprint already validated by the supervisor
-    // that opened the journal — it spans *all* experiments of the
-    // invocation, so it differs from this worker's per-spec one).
-    let journaled: std::collections::HashSet<u64> = match &plan.main_journal {
-        Some(path) => std::fs::read(path)
-            .map(|bytes| checkpoint::parse_journal(&bytes).cells.into_keys().collect())
-            .unwrap_or_default(),
-        None => Default::default(),
-    };
 
-    let mut instances = InstanceCache::new();
-    loop {
-        let mut claimed_any = false;
-        let mut all_done = true;
-        for (s, range) in plan.shards.iter().enumerate() {
-            if done_path(workdir, s).exists() {
-                continue;
-            }
-            all_done = false;
-            // The claim: exactly one renamer wins the ready marker.
-            if std::fs::rename(ready_path(workdir, s), lease_path(workdir, s)).is_err() {
-                continue;
-            }
-            claimed_any = true;
-            run_shard(workdir, &plan, spec, &grid, &journaled, &mut instances, s, *range)?;
+    // Detached on purpose: it beats for as long as this process lives.
+    let beat = Duration::from_millis(plan.beat_ms.max(1));
+    std::thread::spawn(move || loop {
+        if faults::check(faults::Site::HeartbeatDrop).is_some() {
+            // The wedged-worker simulation: stop beating, keep the
+            // process (and its cell loop) running.
+            return;
         }
-        if all_done || !claimed_any {
-            return Ok(());
+        if send(&[]).is_err() {
+            // The supervisor is gone; so is this worker.
+            std::process::exit(1);
         }
-    }
-}
-
-/// Executes one claimed shard: heartbeat thread + segment journal + the
-/// cells of `range` (skipping whatever the segment or the main journal
-/// already holds), then the `done` marker.
-#[allow(clippy::too_many_arguments)]
-fn run_shard(
-    workdir: &Path,
-    plan: &ShardPlan,
-    spec: &SweepSpec,
-    grid: &[Cell],
-    journaled: &std::collections::HashSet<u64>,
-    instances: &mut InstanceCache,
-    s: usize,
-    range: ShardRange,
-) -> Result<(), String> {
-    let lease = lease_path(workdir, s);
-    let pid = std::process::id();
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let beat_thread = {
-        let lease = lease.clone();
-        let stop = Arc::clone(&stop);
-        let interval = Duration::from_millis(plan.heartbeat_ms.max(1));
-        std::thread::spawn(move || {
-            let mut beat = 1u64;
-            loop {
-                if faults::check(faults::Site::HeartbeatDrop).is_some() {
-                    // The wedged-worker simulation: stop beating, keep the
-                    // process (and its cell loop) running.
-                    return;
-                }
-                if wire::write_framed(&lease, &heartbeat_body(pid, beat)).is_err() {
-                    return;
-                }
-                beat += 1;
-                let tick = Instant::now();
-                while tick.elapsed() < interval {
-                    if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
-        })
-    };
-    let finish_beat = |stop: &std::sync::atomic::AtomicBool| {
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    };
-
-    let seg = seg_path(workdir, s);
-    let resume = seg.exists();
-    let seg = match Journal::open(&seg, resume, plan.fingerprint) {
-        Ok(seg) => seg,
-        Err(_) => {
-            // A stale or torn segment from an unrelated run: start over.
-            let _ = std::fs::remove_file(&seg);
-            Journal::open(&seg, false, plan.fingerprint).map_err(|e| {
-                finish_beat(&stop);
-                format!("cannot open segment journal: {e}")
-            })?
-        }
-    };
+        std::thread::sleep(beat);
+    });
 
     let timeout = plan.cell_timeout_ms.map(Duration::from_millis);
-    for cell in &grid[range.lo..range.hi] {
-        let seed = cell.cell_seed();
-        if journaled.contains(&seed) || seg.lookup(seed).is_some() {
-            continue;
+    let mut instances = Instances::new();
+    let mut stdin = std::io::stdin().lock();
+    while let Some(body) =
+        wire::read_frame(&mut stdin).map_err(|e| format!("bad assignment frame: {e}"))?
+    {
+        for (lo, hi) in decode_runs(&body, grid.len())? {
+            for cell in &grid[lo..hi] {
+                if faults::check(faults::Site::WorkerKill).is_some() {
+                    // The kill -9 simulation: die hard, mid-shard.
+                    std::process::abort();
+                }
+                let inst = instance(&mut instances, cell);
+                let (row, certificate) = dispatch_cell(cell, &inst, spec.executor, timeout);
+                let rec = CellRecord { cell_seed: cell.cell_seed(), row, certificate };
+                send(&checkpoint::record_body(&rec))
+                    .map_err(|e| format!("cannot write to the supervisor: {e}"))?;
+            }
         }
-        if faults::check(faults::Site::WorkerKill).is_some() {
-            // The kill -9 simulation: die hard, mid-shard, no cleanup.
-            std::process::abort();
-        }
-        if faults::check(faults::Site::LeaseSteal).is_some() {
-            // The stolen-lease simulation: our lease vanishes under us.
-            finish_beat(&stop);
-            let _ = beat_thread.join();
-            let _ = std::fs::remove_file(&lease);
-            return Err(format!("lease for shard {s} was stolen (injected)"));
-        }
-        let inst = instances.get(cell);
-        let out = dispatch_cell(cell, &inst, spec.executor, timeout);
-        seg.record(&CellRecord { cell_seed: seed, row: out.0, certificate: out.1 });
     }
-    seg.sync();
-    wire::write_framed(&done_path(workdir, s), &heartbeat_body(pid, 0))
-        .map_err(|e| format!("cannot write done marker for shard {s}: {e}"))?;
-    finish_beat(&stop);
-    let _ = beat_thread.join();
-    let _ = std::fs::remove_file(&lease);
     Ok(())
 }
 
@@ -920,60 +695,26 @@ mod tests {
 
     #[test]
     fn plan_file_round_trips() {
-        let plan = ShardPlan {
+        let plan = Plan {
             fingerprint: 0xDEAD_BEEF_0BAD_F00D,
             experiment: "e8".into(),
             total_cells: 42,
-            shards: plan_shards(42, 2),
-            main_journal: Some(PathBuf::from("/tmp/sweep.ckpt")),
             cell_timeout_ms: Some(1500),
-            heartbeat_ms: 100,
+            beat_ms: 100,
         };
-        assert_eq!(ShardPlan::from_bytes(&plan.to_bytes()), Some(plan.clone()));
-        let bare = ShardPlan { main_journal: None, cell_timeout_ms: None, ..plan };
-        assert_eq!(ShardPlan::from_bytes(&bare.to_bytes()), Some(bare));
-        assert_eq!(ShardPlan::from_bytes(b"not json"), None);
-        assert_eq!(ShardPlan::from_bytes(b"{\"kind\":\"other\"}"), None);
+        assert_eq!(Plan::from_bytes(&plan.to_bytes()), Some(plan.clone()));
+        let bare = Plan { cell_timeout_ms: None, ..plan };
+        assert_eq!(Plan::from_bytes(&bare.to_bytes()), Some(bare));
+        assert_eq!(Plan::from_bytes(b"not json"), None);
+        assert_eq!(Plan::from_bytes(b"{\"kind\":\"other\"}"), None);
     }
 
     #[test]
-    fn heartbeats_round_trip() {
-        let body = heartbeat_body(4321, 17);
-        assert_eq!(parse_heartbeat(&body), Some((4321, 17)));
-        assert_eq!(parse_heartbeat(b"garbage"), None);
-    }
-
-    #[test]
-    fn workdir_preparation_respects_resume() {
-        let dir = std::env::temp_dir().join(format!("rvz-supervisor-prep-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let plan = ShardPlan {
-            fingerprint: 7,
-            experiment: "t".into(),
-            total_cells: 8,
-            shards: plan_shards(8, 1),
-            main_journal: None,
-            cell_timeout_ms: None,
-            heartbeat_ms: 100,
-        };
-        prepare_workdir(&dir, &plan, false).unwrap();
-        std::fs::write(seg_path(&dir, 0), b"segment").unwrap();
-        std::fs::write(done_path(&dir, 0), b"done").unwrap();
-        std::fs::write(lease_path(&dir, 1), b"lease").unwrap();
-        // Resume with the same plan: segments/done survive, leases never do.
-        prepare_workdir(&dir, &plan, true).unwrap();
-        assert!(seg_path(&dir, 0).exists());
-        assert!(done_path(&dir, 0).exists());
-        assert!(!lease_path(&dir, 1).exists());
-        // A changed plan (different fingerprint) clears everything.
-        let other = ShardPlan { fingerprint: 8, ..plan };
-        prepare_workdir(&dir, &other, true).unwrap();
-        assert!(!seg_path(&dir, 0).exists());
-        assert!(!done_path(&dir, 0).exists());
-        // A fresh (non-resume) run clears even a matching plan's segments.
-        std::fs::write(seg_path(&dir, 0), b"segment").unwrap();
-        prepare_workdir(&dir, &other, false).unwrap();
-        assert!(!seg_path(&dir, 0).exists());
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn assignments_round_trip_and_stay_in_the_grid() {
+        let runs = vec![(0, 3), (5, 6), (9, 12)];
+        assert_eq!(decode_runs(&encode_runs(&runs), 12), Ok(runs.clone()));
+        assert!(decode_runs(&encode_runs(&runs), 11).is_err(), "a cell outside the grid");
+        assert!(decode_runs(&encode_runs(&[(4, 4)]), 12).is_err(), "an empty run");
+        assert!(decode_runs(&encode_runs(&runs)[..20], 12).is_err(), "a torn run");
     }
 }

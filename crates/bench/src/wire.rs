@@ -17,9 +17,13 @@
 //! snapshots are written (or streamed) to a temporary sibling, fsynced,
 //! and renamed into place, so a kill during a write can never leave a
 //! half-written file under the real name.
+//!
+//! The same frame also carries the `--workers` pipe protocol
+//! ([`crate::supervisor`]): [`read_frame`] reads one frame at a time from
+//! a worker's stdin or stdout.
 
 use std::fs::File;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::Path;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the same
@@ -87,6 +91,39 @@ pub fn read_records(bytes: &[u8]) -> (Vec<&[u8]>, bool) {
     (records, true)
 }
 
+/// Reads the next framed record from a stream, such as a pipe: `Ok(None)`
+/// at a clean end of stream (EOF before the first header byte), the body
+/// otherwise. A frame cut short by EOF, an oversized length or a checksum
+/// mismatch is an error — a live stream has no clean prefix to fall back
+/// to. The body grows as bytes arrive, so a corrupted length cannot force
+/// a large allocation up front.
+pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    // Up to `n` bytes, fewer only at EOF.
+    let mut take = |n: usize| -> io::Result<Vec<u8>> {
+        let mut out = Vec::new();
+        r.by_ref().take(n as u64).read_to_end(&mut out)?;
+        Ok(out)
+    };
+    let header = take(8)?;
+    if header.is_empty() {
+        return Ok(None);
+    }
+    let cut_short = || io::Error::from(io::ErrorKind::UnexpectedEof);
+    let header: [u8; 8] = header.try_into().map_err(|_| cut_short())?;
+    let len = u32::from_le_bytes(header[..4].try_into().expect("an 8-byte header")) as usize;
+    if len > MAX_RECORD_BYTES {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame length over the cap"));
+    }
+    let body = take(len)?;
+    if body.len() < len {
+        return Err(cut_short());
+    }
+    if crc32(&body) != u32::from_le_bytes(header[4..].try_into().expect("an 8-byte header")) {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame checksum mismatch"));
+    }
+    Ok(Some(body))
+}
+
 /// Writes `bytes` to `path` atomically (see [`atomic_write_with`]).
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     atomic_write_with(path, |f| f.write_all(bytes))
@@ -125,9 +162,8 @@ pub fn atomic_write_with(
 }
 
 /// Writes a single framed record as the whole content of `path`,
-/// atomically — the supervisor/worker control files (shard plan, lease
-/// heartbeats) are all single-record files replaced wholesale, so a
-/// reader never observes a torn one.
+/// atomically — the `--workers` plan file is one record replaced
+/// wholesale, so a worker never reads a torn one.
 pub fn write_framed(path: &Path, body: &[u8]) -> io::Result<()> {
     let mut framed = Vec::with_capacity(body.len() + 8);
     frame_record(&mut framed, body);
@@ -136,7 +172,7 @@ pub fn write_framed(path: &Path, body: &[u8]) -> io::Result<()> {
 
 /// Reads a file written by [`write_framed`]: exactly one clean record, or
 /// `None` (missing file, torn frame, checksum failure, or trailing
-/// garbage — a control file that is not perfectly intact is ignored).
+/// garbage — a plan file that is not perfectly intact is ignored).
 pub fn read_framed(path: &Path) -> Option<Vec<u8>> {
     let bytes = std::fs::read(path).ok()?;
     match read_records(&bytes) {
@@ -192,6 +228,27 @@ mod tests {
                     assert!(r == b"first" || r == b"second", "forged record {r:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn stream_frames_round_trip_and_reject_damage() {
+        let mut buf = Vec::new();
+        frame_record(&mut buf, b"alpha");
+        frame_record(&mut buf, b"");
+        let mut r = buf.as_slice();
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(b"alpha".as_slice()));
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(b"".as_slice()));
+        assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF between frames");
+        // The first frame is 13 bytes. Cut anywhere after its first byte,
+        // or with any byte flipped, it is an error, never a shorter body.
+        for cut in 1..13 {
+            assert!(read_frame(&mut &buf[..cut]).is_err(), "cut at {cut}");
+        }
+        for byte in 0..13 {
+            let mut bad = buf.clone();
+            bad[byte] ^= 0x40;
+            assert!(read_frame(&mut bad.as_slice()).is_err(), "flipped byte {byte}");
         }
     }
 

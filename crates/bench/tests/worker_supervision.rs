@@ -1,27 +1,33 @@
 //! Multi-process supervision differential (requires the `rvz-faults`
 //! feature; see `[[test]]` in Cargo.toml): the supervised merged report
 //! must be byte-identical to the single-process run for every worker
-//! count, after an injected worker death mid-shard, and after a stolen
-//! lease; a shard that keeps killing its workers must be quarantined as
-//! explicit poisoned rows instead of hanging or fabricating data.
+//! count, after an injected worker death mid-shard, and after a silent
+//! worker is killed for its missed heartbeats; a shard that keeps killing
+//! its workers must be quarantined as explicit poisoned rows instead of
+//! hanging or fabricating data.
 //!
-//! Worker subprocesses are this same test binary re-invoked with
-//! `--exact worker_supervision_child_entry` and an env-selected role
-//! (the standard self-spawning pattern for abort-me tests, shared with
-//! `crash_resume.rs`). `RVZ_FAULTS` counters are per-process, so each
-//! worker gets its own fault budget.
+//! Worker subprocesses are this same test binary re-invoked with an
+//! env-selected role. Workers speak frames on stdout, and a libtest child
+//! prints its own lines there first, so this file has its own `main`
+//! (`harness = false`): it dispatches the child roles before anything is
+//! printed, and otherwise runs every leg. `RVZ_FAULTS` counters are
+//! per-process, so each worker gets its own fault budget.
 
 use rvz_bench::checkpoint::{self, Journal};
 use rvz_bench::supervisor::{self, SupervisorConfig};
 use rvz_bench::sweep::{self, Delay, Executor, Family, RunOptions, SweepSpec, Variant};
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+const ROLE_ENV: &str = "WORKER_SUP_ROLE";
 const DIR_ENV: &str = "WORKER_SUP_DIR";
 
+/// How long the silent role sleeps: far longer than any leg may take.
+const SILENCE: Duration = Duration::from_secs(60);
+
 /// The differential workload: small but multi-axis — fixed delays beside
-/// the ∀-delay quantifier, so certificates ride the worker segments too.
+/// the ∀-delay quantifier, so certificates ride the result frames too.
 fn spec(threads: usize) -> SweepSpec {
     SweepSpec {
         experiment: "worker-sup".into(),
@@ -49,36 +55,24 @@ fn serialized(report: &sweep::SweepReport) -> String {
     )
 }
 
-/// Worker role: claim and execute shards from the workdir in `DIR_ENV`.
-/// No-op unless spawned by a supervising test.
-#[test]
-fn worker_supervision_child_entry() {
-    let Ok(dir) = std::env::var(DIR_ENV) else { return };
-    if let Err(e) = supervisor::worker_main(Path::new(&dir), &spec(1)) {
-        eprintln!("worker child: {e}");
-        std::process::exit(1);
-    }
+/// A worker child: this test binary in the `worker` role, serving the
+/// workdir's plan, with no inherited fault plan (legs inject their own
+/// per child).
+fn worker_cmd(workdir: &Path) -> Command {
+    role_cmd("worker", workdir)
 }
 
-/// The worker command: this test binary, re-running only the child entry,
-/// with no inherited fault plan (legs inject their own per child).
-fn worker_cmd(workdir: &Path) -> Command {
+fn role_cmd(role: &str, workdir: &Path) -> Command {
     let exe = std::env::current_exe().expect("test binary path");
     let mut cmd = Command::new(exe);
-    cmd.arg("--exact")
-        .arg("worker_supervision_child_entry")
-        .arg("--nocapture")
-        .env(DIR_ENV, workdir)
-        .env_remove("RVZ_FAULTS");
+    cmd.env(ROLE_ENV, role).env(DIR_ENV, workdir).env_remove("RVZ_FAULTS");
     cmd
 }
 
-/// CI-speed supervision knobs: fast heartbeats, short backoff. The
-/// timeout stays generous — it only bounds the *undetectable* failure
-/// (a dead worker whose lease still shows the ready marker's pid 0).
+/// CI-speed supervision knobs: short backoff, and a timeout generous
+/// enough that a debug-build worker never misses it by accident.
 fn cfg(workers: usize, dir: &Path) -> SupervisorConfig {
     let mut cfg = SupervisorConfig::new(workers);
-    cfg.heartbeat_interval = Duration::from_millis(25);
     cfg.heartbeat_timeout = Duration::from_millis(1500);
     cfg.backoff_base = Duration::from_millis(20);
     cfg.workdir = Some(dir.to_path_buf());
@@ -92,35 +86,41 @@ fn temp_base(tag: &str) -> PathBuf {
     dir
 }
 
-#[test]
-fn supervised_reports_are_byte_identical_across_worker_counts() {
+/// Runs the supervised sweep and asserts its report is byte-identical to
+/// the single-process run's.
+fn assert_supervised_identical(
+    opts: &RunOptions<'_>,
+    config: &SupervisorConfig,
+    spawn: &mut dyn FnMut(&Path) -> Command,
+    what: &str,
+) -> sweep::SweepReport {
+    let report = supervisor::run_supervised(&spec(1), opts, config, spawn);
     let reference = serialized(&sweep::run(&spec(1)));
+    assert_eq!(serialized(&report), reference, "{what} must be byte-identical to single-process");
+    report
+}
+
+fn supervised_reports_are_byte_identical_across_worker_counts() {
     let base = temp_base("counts");
     for workers in [1usize, 2, 4] {
         let dir = base.join(format!("w{workers}"));
-        let report = supervisor::run_supervised(
-            &spec(1),
+        let what = format!("the supervised report (workers={workers})");
+        assert_supervised_identical(
             &RunOptions::default(),
             &cfg(workers, &dir),
             &mut worker_cmd,
-        );
-        assert_eq!(
-            serialized(&report),
-            reference,
-            "supervised report (workers={workers}) must be byte-identical to single-process"
+            &what,
         );
         assert!(!dir.exists(), "a fully harvested workdir is scratch and must be removed");
     }
     let _ = std::fs::remove_dir_all(&base);
 }
 
-#[test]
 fn killed_worker_is_reassigned_and_output_unchanged() {
-    let reference = serialized(&sweep::run(&spec(1)));
     let base = temp_base("kill");
     // Only the first spawned worker carries the kill plan: it completes
     // one cell, then dies hard (the kill -9 simulation) mid-shard. Its
-    // completed cell must be harvested, the rest of the shard reassigned.
+    // completed cell must be kept, the rest of the shard reassigned.
     let mut spawned = 0usize;
     let mut spawn = |workdir: &Path| {
         spawned += 1;
@@ -130,41 +130,31 @@ fn killed_worker_is_reassigned_and_output_unchanged() {
         }
         cmd
     };
-    let report =
-        supervisor::run_supervised(&spec(1), &RunOptions::default(), &cfg(2, &base), &mut spawn);
+    let what = "the report after a worker death mid-shard";
+    assert_supervised_identical(&RunOptions::default(), &cfg(2, &base), &mut spawn, what);
     assert!(spawned >= 2, "the dead worker must have been replaced (spawned {spawned})");
-    assert_eq!(
-        serialized(&report),
-        reference,
-        "report after a worker death mid-shard must be byte-identical to single-process"
-    );
     let _ = std::fs::remove_dir_all(&base);
 }
 
-#[test]
-fn stolen_lease_is_detected_and_reassigned() {
-    let reference = serialized(&sweep::run(&spec(1)));
-    let base = temp_base("steal");
+fn silent_worker_is_killed_and_its_shard_reassigned() {
+    let base = temp_base("silent");
+    // The first spawned worker neither reads its assignment nor writes a
+    // frame. Only the heartbeat timeout can free its shard: without it
+    // the run would wait out the whole SILENCE.
+    let mut config = cfg(2, &base);
+    config.heartbeat_timeout = Duration::from_millis(500);
     let mut spawned = 0usize;
     let mut spawn = |workdir: &Path| {
         spawned += 1;
-        let mut cmd = worker_cmd(workdir);
-        if spawned == 1 {
-            cmd.env("RVZ_FAULTS", "lease-steal=abort@1");
-        }
-        cmd
+        role_cmd(if spawned == 1 { "silent" } else { "worker" }, workdir)
     };
-    let report =
-        supervisor::run_supervised(&spec(1), &RunOptions::default(), &cfg(2, &base), &mut spawn);
-    assert_eq!(
-        serialized(&report),
-        reference,
-        "report after a stolen lease must be byte-identical to single-process"
-    );
+    let t = Instant::now();
+    let what = "the report after a silent worker's shard moved";
+    assert_supervised_identical(&RunOptions::default(), &config, &mut spawn, what);
+    assert!(t.elapsed() < SILENCE / 2, "the silent worker must be timed out, not waited for");
     let _ = std::fs::remove_dir_all(&base);
 }
 
-#[test]
 fn attempt_cap_quarantines_shards_as_poisoned() {
     let base = temp_base("poison");
     // EVERY worker dies before its first cell: every shard exhausts the
@@ -193,23 +183,16 @@ fn attempt_cap_quarantines_shards_as_poisoned() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
-#[test]
 fn supervised_runs_share_the_checkpoint_journal() {
-    let reference = serialized(&sweep::run(&spec(1)));
     let base = temp_base("journal");
     let journal_path = base.join("sweep.ckpt");
     let fingerprint = checkpoint::spec_fingerprint(&[&spec(1)]);
     let planned = {
         let journal = Journal::open(&journal_path, false, fingerprint).expect("journal open");
         let opts = RunOptions { journal: Some(&journal), cell_timeout: None };
-        let report = supervisor::run_supervised(
-            &spec(1),
-            &opts,
-            &cfg(2, &base.join("work")),
-            &mut worker_cmd,
-        );
-        assert_eq!(serialized(&report), reference);
-        report.planned_cells
+        let config = cfg(2, &base.join("work"));
+        let what = "the journaled supervised report";
+        assert_supervised_identical(&opts, &config, &mut worker_cmd, what).planned_cells
     };
     // Every cell the workers computed must have reached the shared
     // journal; a plain in-process resume replays it byte-identically.
@@ -217,6 +200,43 @@ fn supervised_runs_share_the_checkpoint_journal() {
     assert_eq!(journal.recovered_cells(), planned, "every cell must be journaled");
     let opts = RunOptions { journal: Some(&journal), cell_timeout: None };
     let resumed = sweep::run_with_options(&spec(1), &opts);
-    assert_eq!(serialized(&resumed), reference);
+    assert_eq!(serialized(&resumed), serialized(&sweep::run(&spec(1))));
     let _ = std::fs::remove_dir_all(&base);
+}
+
+fn main() {
+    match std::env::var(ROLE_ENV).as_deref() {
+        Ok("worker") => {
+            let dir = std::env::var(DIR_ENV).expect("worker role needs its workdir");
+            if let Err(e) = supervisor::worker_main(Path::new(&dir), &[&spec(1)]) {
+                eprintln!("worker child: {e}");
+                std::process::exit(1);
+            }
+            return;
+        }
+        Ok("silent") => {
+            std::thread::sleep(SILENCE);
+            return;
+        }
+        Ok(other) => panic!("unknown {ROLE_ENV} `{other}`"),
+        Err(_) => {}
+    }
+
+    // Each leg paired with its name, for the report.
+    macro_rules! legs {
+        ($($leg:ident),*) => { [$((stringify!($leg), $leg as fn())),*] };
+    }
+    let legs = legs!(
+        supervised_reports_are_byte_identical_across_worker_counts,
+        killed_worker_is_reassigned_and_output_unchanged,
+        silent_worker_is_killed_and_its_shard_reassigned,
+        attempt_cap_quarantines_shards_as_poisoned,
+        supervised_runs_share_the_checkpoint_journal
+    );
+    for (name, leg) in legs {
+        println!("test {name} ...");
+        leg();
+        println!("test {name} ... ok");
+    }
+    println!("\ntest result: ok. {} passed", legs.len());
 }

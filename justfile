@@ -157,8 +157,9 @@ crash-test:
 
 # The worker-supervision legs on their own: the self-spawning
 # supervision differential (byte-identity across --workers counts,
-# worker death mid-shard, stolen lease, poisoned-shard quarantine,
-# shared-journal interop) plus the watchdog thread-hygiene regression.
+# worker death mid-shard, a silent worker timed out, poisoned-shard
+# quarantine, shared-journal interop) plus the watchdog thread-hygiene
+# regression.
 # See docs/distributed.md.
 worker-crash-test:
     cargo test -p rvz-bench --features rvz-faults --test worker_supervision

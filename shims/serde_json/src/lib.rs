@@ -246,12 +246,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance over one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::new("invalid UTF-8", self.pos))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash whole.
+                    // Both are ASCII, so the run ends on a char boundary.
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |k| start + k);
+                    out.push_str(
+                        std::str::from_utf8(&self.bytes[start..run])
+                            .map_err(|_| Error::new("invalid UTF-8", start))?,
+                    );
+                    self.pos = run;
                 }
             }
         }
@@ -313,6 +318,18 @@ mod tests {
         let v = Value::Str("a\"b\\c\nd\te\u{0001}f".into());
         let s = to_string(&v).unwrap();
         assert_eq!(from_str(&s).unwrap(), v);
+    }
+
+    #[test]
+    fn long_multibyte_strings_round_trip() {
+        // Every escape the writer emits, between multi-byte runs, repeated
+        // long enough that a per-character rescan of the input would show.
+        let unit = "θ∀—\"\\\n\r\t\u{0}\u{1f}é😀 plain ascii ";
+        let v = Value::Str(unit.repeat(2000));
+        let s = to_string(&v).unwrap();
+        assert!(s.contains("\\u0000") && s.contains("\\u001f") && s.contains("\\\""));
+        assert_eq!(from_str(&s).unwrap(), v);
+        assert!(from_str("\"unterminated θ").is_err());
     }
 
     #[test]
