@@ -611,16 +611,10 @@ pub fn worker_main(workdir: &Path, specs: &[&SweepSpec]) -> Result<(), String> {
             plan.fingerprint
         ));
     }
-    let grid = cells(spec);
-    if grid.len() != plan.total_cells {
-        return Err(format!(
-            "shard plan covers {} cells but this worker enumerates {}",
-            plan.total_cells,
-            grid.len()
-        ));
-    }
 
-    // Detached on purpose: it beats for as long as this process lives.
+    // Beats start before the grid is enumerated, which can take a while,
+    // because the supervisor's timeout runs from the spawn. Detached on
+    // purpose: it beats for as long as this process lives.
     let beat = Duration::from_millis(plan.beat_ms.max(1));
     std::thread::spawn(move || loop {
         if faults::check(faults::Site::HeartbeatDrop).is_some() {
@@ -634,6 +628,15 @@ pub fn worker_main(workdir: &Path, specs: &[&SweepSpec]) -> Result<(), String> {
         }
         std::thread::sleep(beat);
     });
+
+    let grid = cells(spec);
+    if grid.len() != plan.total_cells {
+        return Err(format!(
+            "shard plan covers {} cells but this worker enumerates {}",
+            plan.total_cells,
+            grid.len()
+        ));
+    }
 
     let timeout = plan.cell_timeout_ms.map(Duration::from_millis);
     let mut instances = Instances::new();

@@ -55,13 +55,9 @@ fn serialized(report: &sweep::SweepReport) -> String {
     )
 }
 
-/// A worker child: this test binary in the `worker` role, serving the
-/// workdir's plan, with no inherited fault plan (legs inject their own
-/// per child).
-fn worker_cmd(workdir: &Path) -> Command {
-    role_cmd("worker", workdir)
-}
-
+/// A child: this test binary in `role` (`worker` serves the workdir's
+/// plan, `silent` only sleeps), with no inherited fault plan (legs inject
+/// their own per child).
 fn role_cmd(role: &str, workdir: &Path) -> Command {
     let exe = std::env::current_exe().expect("test binary path");
     let mut cmd = Command::new(exe);
@@ -108,7 +104,7 @@ fn supervised_reports_are_byte_identical_across_worker_counts() {
         assert_supervised_identical(
             &RunOptions::default(),
             &cfg(workers, &dir),
-            &mut worker_cmd,
+            &mut |d: &Path| role_cmd("worker", d),
             &what,
         );
         assert!(!dir.exists(), "a fully harvested workdir is scratch and must be removed");
@@ -124,7 +120,7 @@ fn killed_worker_is_reassigned_and_output_unchanged() {
     let mut spawned = 0usize;
     let mut spawn = |workdir: &Path| {
         spawned += 1;
-        let mut cmd = worker_cmd(workdir);
+        let mut cmd = role_cmd("worker", workdir);
         if spawned == 1 {
             cmd.env("RVZ_FAULTS", "worker-kill=abort@2");
         }
@@ -165,7 +161,7 @@ fn attempt_cap_quarantines_shards_as_poisoned() {
     config.heartbeat_timeout = Duration::from_millis(400);
     config.backoff_base = Duration::from_millis(10);
     let mut spawn = |workdir: &Path| {
-        let mut cmd = worker_cmd(workdir);
+        let mut cmd = role_cmd("worker", workdir);
         cmd.env("RVZ_FAULTS", "worker-kill=abort@1");
         cmd
     };
@@ -192,7 +188,8 @@ fn supervised_runs_share_the_checkpoint_journal() {
         let opts = RunOptions { journal: Some(&journal), cell_timeout: None };
         let config = cfg(2, &base.join("work"));
         let what = "the journaled supervised report";
-        assert_supervised_identical(&opts, &config, &mut worker_cmd, what).planned_cells
+        assert_supervised_identical(&opts, &config, &mut |d: &Path| role_cmd("worker", d), what)
+            .planned_cells
     };
     // Every cell the workers computed must have reached the shared
     // journal; a plain in-process resume replays it byte-identically.
