@@ -14,28 +14,37 @@
 //! by `crates/bench/tests/crash_resume.rs` and the CI `crash-resume` job.
 //!
 //! **Framing.** Records use the shared [`crate::wire`] frame
-//! (`len | crc32 | body`); bodies are compact JSON. The first record is a
-//! header carrying a fingerprint of everything that determines the rows
-//! (experiments, sizes, delays, variants, pairs, seed, executor — not
-//! `--threads`); resuming against a journal written for a different spec
-//! is a hard error, because equal cell seeds under a different spec would
-//! splice wrong rows into the output. Loading accepts the longest clean
-//! prefix: a torn tail (kill mid-append) or a corrupted record loses that
-//! record and everything after it — those cells simply recompute. On
+//! (`len | crc32 | body`); bodies are compact JSON, written and read by
+//! the serde shim's derives on the row and certificate structs. The first
+//! record is a header carrying a fingerprint of everything that determines
+//! the rows (experiments, sizes, delays, variants, pairs, seed, executor —
+//! not `--threads`); resuming against a journal written for a different
+//! spec is a hard error, because equal cell seeds under a different spec
+//! would splice wrong rows into the output. Loading accepts the longest
+//! clean prefix: a torn tail (kill mid-append) or a corrupted record loses
+//! that record and everything after it — those cells simply recompute. On
 //! resume the journal is compacted (rewritten atomically from the
 //! recovered records) so fresh appends never land after garbage.
+//!
+//! **Appends.** Records reach the file in batches: [`Journal::record`]
+//! frames a cell into a pending batch that is written in one `write` once
+//! it holds [`wire::BATCH_BYTES`], and at [`Journal::sync`];
+//! [`Journal::append`] writes frames a `--workers` worker already framed
+//! at once, without decoding them. A write that crosses a multiple of 64
+//! records is fsynced, and so is the end of the sweep. A process kill
+//! therefore loses at most the pending batch, and a power loss at most 64
+//! records plus one write.
 //!
 //! See docs/persistence.md for the crash model and format reference.
 
 use crate::sweep::{Certificate, SweepRow};
 use crate::{faults, wire};
-use serde::JsonWriter;
-use serde_json::Value;
+use serde::{Deserialize, JsonReader, JsonWriter, Serialize};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard};
 
 /// Journal format version (the header record's `version` field).
 pub const JOURNAL_VERSION: u64 = 1;
@@ -91,145 +100,18 @@ pub fn spec_fingerprint(specs: &[&crate::sweep::SweepSpec]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// JSON (de)serialization of records. The serde shim is serialize-only, so
-// rows and certificates are reconstructed from parsed `Value` trees by
-// hand; the structs are then re-serialized through the same derive path as
-// fresh rows, which is what makes resumed output byte-identical.
+// JSON (de)serialization of records. Rows and certificates are written and
+// read by their derives, so their schema is written down once, in
+// `crate::sweep`; a decoded record re-serializes through the same writer as
+// a fresh one, which is what makes resumed output byte-identical.
 
-fn get<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn as_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::Int(i) => u64::try_from(*i).ok(),
-        Value::UInt(u) => Some(*u),
-        _ => None,
-    }
-}
-
-pub(crate) fn req_u64(fields: &[(String, Value)], key: &str) -> Option<u64> {
-    get(fields, key).and_then(as_u64)
-}
-
-pub(crate) fn req_str(fields: &[(String, Value)], key: &str) -> Option<String> {
-    match get(fields, key)? {
-        Value::Str(s) => Some(s.clone()),
-        _ => None,
-    }
-}
-
-fn req_bool(fields: &[(String, Value)], key: &str) -> Option<bool> {
-    match get(fields, key)? {
-        Value::Bool(b) => Some(*b),
-        _ => None,
-    }
-}
-
-/// `null` or absent → `None`; present number → `Some` — matching how the
-/// derive serializes `Option<u64>` fields without `skip_serializing_if`.
-pub(crate) fn opt_u64(fields: &[(String, Value)], key: &str) -> Option<Option<u64>> {
-    match get(fields, key) {
-        None | Some(Value::Null) => Some(None),
-        Some(v) => as_u64(v).map(Some),
-    }
-}
-
-fn opt_str(fields: &[(String, Value)], key: &str) -> Option<Option<String>> {
-    match get(fields, key) {
-        None | Some(Value::Null) => Some(None),
-        Some(Value::Str(s)) => Some(Some(s.clone())),
-        Some(_) => None,
-    }
-}
-
-fn opt_bool(fields: &[(String, Value)], key: &str) -> Option<Option<bool>> {
-    match get(fields, key) {
-        None | Some(Value::Null) => Some(None),
-        Some(Value::Bool(b)) => Some(Some(*b)),
-        Some(_) => None,
-    }
-}
-
-/// Optional ensemble width (`--agents k > 2` rows/certificates): absent
-/// or `null` → `None`, a number → `Some`.
-fn opt_usize(fields: &[(String, Value)], key: &str) -> Option<Option<usize>> {
-    Some(opt_u64(fields, key)?.map(|v| v as usize))
-}
-
-/// Optional node-id list (the ensemble `start_rest` field): absent or
-/// `null` → `None`, an array of numbers → `Some`, anything else → parse
-/// failure.
-fn opt_nodes(fields: &[(String, Value)], key: &str) -> Option<Option<Vec<u32>>> {
-    match get(fields, key) {
-        None | Some(Value::Null) => Some(None),
-        Some(Value::Array(items)) => {
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                out.push(u32::try_from(as_u64(item)?).ok()?);
-            }
-            Some(Some(out))
-        }
-        Some(_) => None,
-    }
-}
-
-/// Rebuilds a [`SweepRow`] from its serialized JSON object; `None` on any
-/// missing or mistyped field (the caller drops the record).
-pub fn row_from_value(v: &Value) -> Option<SweepRow> {
-    let Value::Object(f) = v else { return None };
-    Some(SweepRow {
-        experiment: Arc::from(req_str(f, "experiment")?.as_str()),
-        family: req_str(f, "family")?,
-        size: req_u64(f, "size")? as usize,
-        n: req_u64(f, "n")? as usize,
-        leaves: req_u64(f, "leaves")? as usize,
-        variant: req_str(f, "variant")?,
-        delay: req_u64(f, "delay")?,
-        schedule: opt_str(f, "schedule")?,
-        start_a: u32::try_from(req_u64(f, "start_a")?).ok()?,
-        start_b: u32::try_from(req_u64(f, "start_b")?).ok()?,
-        met: req_bool(f, "met")?,
-        rounds: opt_u64(f, "rounds")?,
-        crossings: req_u64(f, "crossings")?,
-        budget: req_u64(f, "budget")?,
-        provisioned_bits: req_u64(f, "provisioned_bits")?,
-        measured_bits: req_u64(f, "measured_bits")?,
-        tree_seed: req_u64(f, "tree_seed")?,
-        pairs_seed: req_u64(f, "pairs_seed")?,
-        cell_seed: req_u64(f, "cell_seed")?,
-        certified: req_bool(f, "certified")?,
-        timed_out: opt_bool(f, "timed_out")?,
-        poisoned: opt_bool(f, "poisoned")?,
-        planned: None,
-        agents: opt_usize(f, "agents")?,
-        start_rest: opt_nodes(f, "start_rest")?,
-    })
-}
-
-/// Rebuilds a [`Certificate`] from its serialized JSON object.
-pub fn certificate_from_value(v: &Value) -> Option<Certificate> {
-    let Value::Object(f) = v else { return None };
-    Some(Certificate {
-        experiment: Arc::from(req_str(f, "experiment")?.as_str()),
-        family: req_str(f, "family")?,
-        size: req_u64(f, "size")? as usize,
-        n: req_u64(f, "n")? as usize,
-        tree_seed: req_u64(f, "tree_seed")?,
-        variant: req_str(f, "variant")?,
-        start_a: u32::try_from(req_u64(f, "start_a")?).ok()?,
-        start_b: u32::try_from(req_u64(f, "start_b")?).ok()?,
-        verdict: req_str(f, "verdict")?,
-        schedule: opt_str(f, "schedule")?,
-        delay: req_u64(f, "delay")?,
-        round: opt_u64(f, "round")?,
-        delays_checked: opt_u64(f, "delays_checked")?,
-        lasso_stem: opt_u64(f, "lasso_stem")?,
-        lasso_period: opt_u64(f, "lasso_period")?,
-        verified: opt_bool(f, "verified")?,
-        agents: opt_usize(f, "agents")?,
-        start_rest: opt_nodes(f, "start_rest")?,
-    })
+/// The journal's first record.
+#[derive(Serialize, Deserialize)]
+struct Header {
+    /// Always `"rvz-journal"`.
+    kind: String,
+    version: u64,
+    fingerprint: u64,
 }
 
 /// The compact JSON body of one cell record: a journal frame's body, and
@@ -250,11 +132,7 @@ pub fn record_body(rec: &CellRecord) -> Vec<u8> {
 
 fn header_body(fingerprint: u64) -> Vec<u8> {
     let mut w = JsonWriter::new(false);
-    w.begin_object();
-    w.field("kind", "rvz-journal");
-    w.field("version", &JOURNAL_VERSION);
-    w.field("fingerprint", &fingerprint);
-    w.end_object();
+    Header { kind: "rvz-journal".into(), version: JOURNAL_VERSION, fingerprint }.write_json(&mut w);
     w.into_bytes()
 }
 
@@ -288,29 +166,23 @@ pub struct JournalSnapshot {
     pub torn_tail: bool,
 }
 
-/// A record body parsed as a JSON object, or `None`.
-pub(crate) fn parse_object(body: &[u8]) -> Option<Vec<(String, Value)>> {
-    match serde_json::from_str(std::str::from_utf8(body).ok()?).ok()? {
-        Value::Object(fields) => Some(fields),
-        _ => None,
-    }
-}
-
-/// Decodes one [`record_body`]: `None` on a body that is not a JSON object
-/// or misses or mistypes any field. The journal counts such a record as
-/// bad; the supervisor treats it as its worker's death.
+/// Decodes one [`record_body`] straight into its structs: `None` on a
+/// body that is not one JSON object, or whose `cell`, `row` or
+/// `certificate` is missing where required, mistyped or malformed. The
+/// journal counts such a record as bad; the supervisor treats it as its
+/// worker's death.
 pub fn decode_record(body: &[u8]) -> Option<CellRecord> {
-    let fields = parse_object(body)?;
-    let cell_seed = req_u64(&fields, "cell")?;
-    let row = match get(&fields, "row") {
-        None => None,
-        Some(v) => Some(row_from_value(v)?),
-    };
-    let certificate = match get(&fields, "certificate") {
-        None => None,
-        Some(v) => Some(certificate_from_value(v)?),
-    };
-    Some(CellRecord { cell_seed, row, certificate })
+    let mut r = JsonReader::new(body);
+    let (mut cell, mut row, mut certificate) = (None, None, None);
+    r.object(|r, key| match key {
+        "cell" => r.field(&mut cell),
+        "row" => r.field(&mut row),
+        "certificate" => r.field(&mut certificate),
+        _ => r.skip(),
+    })
+    .ok()?;
+    r.end().ok()?;
+    Some(CellRecord { cell_seed: cell?, row, certificate })
 }
 
 /// Parses journal bytes into the recovered clean prefix. Never panics:
@@ -320,12 +192,9 @@ pub fn parse_journal(bytes: &[u8]) -> JournalSnapshot {
     let (records, clean) = wire::read_records(bytes);
     let mut snap = JournalSnapshot { torn_tail: !clean, ..Default::default() };
     let Some((header, records)) = records.split_first() else { return snap };
-    match parse_object(header) {
-        Some(fields)
-            if req_str(&fields, "kind").as_deref() == Some("rvz-journal")
-                && req_u64(&fields, "version") == Some(JOURNAL_VERSION) =>
-        {
-            snap.fingerprint = req_u64(&fields, "fingerprint");
+    match serde_json::from_slice::<Header>(header) {
+        Ok(h) if h.kind == "rvz-journal" && h.version == JOURNAL_VERSION => {
+            snap.fingerprint = Some(h.fingerprint);
         }
         _ => snap.bad_records += 1,
     }
@@ -340,31 +209,95 @@ pub fn parse_journal(bytes: &[u8]) -> JournalSnapshot {
     snap
 }
 
-/// How often appended records are fsynced (every N appends plus once at
-/// [`Journal::sync`]). Between fsyncs a record survives a process kill
-/// (the OS holds it) but not a power loss — in which case it is a torn
-/// tail, recovered from by recomputing that cell.
+/// How often written records are fsynced: after every write that crosses
+/// a multiple of this many records, and at [`Journal::sync`]. Between
+/// fsyncs a record survives a process kill (the OS holds it) but not a
+/// power loss — in which case it is a torn tail, recovered from by
+/// recomputing that cell.
 const SYNC_EVERY: u64 = 64;
 
 /// An open checkpoint journal: the recovered cells of a `--resume`, plus
-/// an append handle for cells computed this run. Appends are serialized
-/// by a mutex (cells finish on many threads); a failed append (e.g.
-/// injected ENOSPC) disables further checkpointing with a warning rather
-/// than failing the sweep — the journal degrades, the results do not.
+/// an append handle for cells computed this run. Records gather in a
+/// pending batch that is written in one `write` once it holds
+/// [`wire::BATCH_BYTES`], by [`Journal::append`] and by [`Journal::sync`];
+/// cells finish on many threads, so the batch sits behind a mutex. A
+/// failed write or fsync (e.g. injected ENOSPC) disables further
+/// checkpointing with a warning rather than failing the sweep — the
+/// journal degrades, the results do not.
 #[derive(Debug)]
 pub struct Journal {
-    file: Mutex<std::fs::File>,
+    appender: Mutex<Appender>,
     path: PathBuf,
     /// Outcomes recovered from the resumed file, keyed by cell seed.
     recovered: HashMap<u64, CellRecord>,
-    appended: AtomicU64,
-    dead: AtomicBool,
-    /// Appends that failed or were skipped because the journal was already
-    /// dead — surfaced as [`crate::sweep::SweepReport::append_failures`].
+    /// Records whose append failed or was skipped because the journal was
+    /// already dead — surfaced as [`crate::sweep::SweepReport::append_failures`].
     lost: AtomicU64,
     /// `--strict-checkpoint`: the first append failure exits the process
     /// instead of degrading to a dead journal.
     strict: AtomicBool,
+}
+
+/// The file side of a [`Journal`], behind its mutex.
+#[derive(Debug)]
+struct Appender {
+    file: std::fs::File,
+    /// Whole frames not written yet, and how many records they hold.
+    pending: Vec<u8>,
+    pending_records: u64,
+    /// Records written, and how many of them the last fsync covered.
+    written: u64,
+    synced: u64,
+    /// Set by the first failed write or fsync; nothing is written after.
+    dead: bool,
+}
+
+impl Appender {
+    /// Writes the pending batch in one `write` — the journal's one path to
+    /// its file — and fsyncs when that write crosses a multiple of
+    /// [`SYNC_EVERY`] records. The `journal-append` fault site fires once
+    /// per record, in order, so an injected fault lands on the same record
+    /// however the records were batched. On failure returns the error and
+    /// how many of the batch's records did not land. The batch is spent
+    /// either way.
+    fn write_pending(&mut self) -> Result<(), (std::io::Error, u64)> {
+        let records = std::mem::take(&mut self.pending_records);
+        let result = (|| {
+            let mut start = 0;
+            for k in 0..records {
+                let header = &self.pending[start..start + 4];
+                let end =
+                    start + 8 + u32::from_le_bytes(header.try_into().expect("4 bytes")) as usize;
+                match faults::mangle_write(
+                    faults::Site::JournalAppend,
+                    &mut self.pending[start..end],
+                ) {
+                    Ok(faults::WriteFate::Full) => start = end,
+                    Ok(faults::WriteFate::Short(half)) => {
+                        let torn = &self.pending[..start + half];
+                        let _ = self.file.write_all(torn).and_then(|()| self.file.sync_all());
+                        faults::finish_short_write();
+                    }
+                    Err(e) => {
+                        // The records before the failing one still land.
+                        self.file.write_all(&self.pending[..start]).map_err(|e| (e, records))?;
+                        self.written += k;
+                        return Err((e, records - k));
+                    }
+                }
+            }
+            self.file.write_all(&self.pending).map_err(|e| (e, records))?;
+            let before = self.written;
+            self.written += records;
+            if before / SYNC_EVERY != self.written / SYNC_EVERY {
+                self.file.sync_all().map_err(|e| (e, 1))?;
+                self.synced = self.written;
+            }
+            Ok(())
+        })();
+        self.pending.clear();
+        result
+    }
 }
 
 impl Journal {
@@ -430,11 +363,16 @@ impl Journal {
             .open(path)
             .map_err(|e| format!("cannot append to {}: {e}", path.display()))?;
         Ok(Journal {
-            file: Mutex::new(file),
+            appender: Mutex::new(Appender {
+                file,
+                pending: Vec::new(),
+                pending_records: 0,
+                written: 0,
+                synced: 0,
+                dead: false,
+            }),
             path: path.to_path_buf(),
             recovered,
-            appended: AtomicU64::new(0),
-            dead: AtomicBool::new(false),
             lost: AtomicU64::new(0),
             strict: AtomicBool::new(false),
         })
@@ -466,64 +404,89 @@ impl Journal {
         self.recovered.len()
     }
 
-    /// Appends one completed cell. Errors degrade: the first failure
-    /// disables the journal with a warning (the sweep's results are
-    /// unaffected; only crash coverage is lost from that point).
-    pub fn record(&self, rec: &CellRecord) {
-        if self.dead.load(Ordering::Relaxed) {
-            self.lost.fetch_add(1, Ordering::Relaxed);
-            return;
+    /// The appender, unless the journal is dead — then `records` more
+    /// appends are counted as lost.
+    fn live(&self, records: u64) -> Option<MutexGuard<'_, Appender>> {
+        let appender = self.appender.lock().expect("journal lock");
+        if appender.dead {
+            self.lost.fetch_add(records, Ordering::Relaxed);
+            return None;
         }
-        let mut framed = Vec::new();
-        wire::frame_record(&mut framed, &record_body(rec));
-        let result = (|| -> std::io::Result<()> {
-            let fate = faults::mangle_write(faults::Site::JournalAppend, &mut framed)?;
-            let mut file = self.file.lock().expect("journal lock");
-            match fate {
-                faults::WriteFate::Full => file.write_all(&framed)?,
-                faults::WriteFate::Short(k) => {
-                    file.write_all(&framed[..k])?;
-                    file.flush()?;
-                    let _ = file.sync_all();
-                    faults::finish_short_write();
-                }
-            }
-            file.flush()?;
-            if self.appended.fetch_add(1, Ordering::Relaxed) % SYNC_EVERY == SYNC_EVERY - 1 {
-                file.sync_all()?;
-            }
-            Ok(())
-        })();
-        if let Err(e) = result {
-            self.lost.fetch_add(1, Ordering::Relaxed);
-            if self.strict.load(Ordering::Relaxed) {
-                eprintln!(
-                    "error: --strict-checkpoint: journal {} append failed: {e}",
-                    self.path.display()
-                );
-                std::process::exit(1);
-            }
-            self.dead.store(true, Ordering::Relaxed);
-            eprintln!(
-                "warning: checkpoint journal {} disabled after append error: {e} \
-                 (the sweep continues without crash coverage)",
-                self.path.display()
-            );
+        Some(appender)
+    }
+
+    /// Adds one completed cell to the pending batch, writing the batch once
+    /// it holds [`wire::BATCH_BYTES`]; [`sync`](Self::sync) writes the
+    /// rest. A process kill loses what is still pending; those cells
+    /// recompute on `--resume`.
+    pub fn record(&self, rec: &CellRecord) {
+        let body = record_body(rec);
+        let Some(mut a) = self.live(1) else { return };
+        wire::frame_record(&mut a.pending, &body);
+        a.pending_records += 1;
+        if a.pending.len() >= wire::BATCH_BYTES {
+            self.write(&mut a);
         }
     }
 
-    /// Final fsync (end of sweep).
+    /// Appends `records` whole record frames — the exact bytes a `--workers`
+    /// worker framed — and writes them at once, behind anything
+    /// [`record`](Self::record) left pending, so the supervisor never
+    /// re-encodes a record and a process kill loses none it appended.
+    pub fn append(&self, frames: &[u8], records: u64) {
+        let Some(mut a) = self.live(records) else { return };
+        a.pending.extend_from_slice(frames);
+        a.pending_records += records;
+        self.write(&mut a);
+    }
+
+    /// End of sweep: writes the pending batch and fsyncs everything
+    /// written since the last fsync. A failure of either is an append
+    /// failure like any other.
     pub fn sync(&self) {
-        if let Ok(file) = self.file.lock() {
-            let _ = file.sync_all();
+        let Some(mut a) = self.live(0) else { return };
+        self.write(&mut a);
+        if !a.dead && a.synced < a.written {
+            match a.file.sync_all() {
+                Ok(()) => a.synced = a.written,
+                Err(e) => self.fail(&mut a, e, 1),
+            }
         }
+    }
+
+    fn write(&self, a: &mut Appender) {
+        if let Err((e, lost)) = a.write_pending() {
+            self.fail(a, e, lost);
+        }
+    }
+
+    /// A failed write or fsync that lost `lost` records: fatal under
+    /// `--strict-checkpoint`, otherwise the journal goes dead with a
+    /// warning (the sweep's results are unaffected; only crash coverage is
+    /// lost from that point).
+    fn fail(&self, a: &mut Appender, e: std::io::Error, lost: u64) {
+        self.lost.fetch_add(lost, Ordering::Relaxed);
+        if self.strict.load(Ordering::Relaxed) {
+            eprintln!(
+                "error: --strict-checkpoint: journal {} append failed: {e}",
+                self.path.display()
+            );
+            std::process::exit(1);
+        }
+        a.dead = true;
+        eprintln!(
+            "warning: checkpoint journal {} disabled after append error: {e} \
+             (the sweep continues without crash coverage)",
+            self.path.display()
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{cells, run_cell, SweepSpec};
+    use crate::sweep::SweepSpec;
+    use crate::sweep::{cells, preset, run_cell, run_cell_with_executor, Executor, SweepInstance};
 
     fn sample_records() -> Vec<CellRecord> {
         let spec = SweepSpec {
@@ -605,5 +568,68 @@ mod tests {
         // A different fingerprint is a hard error.
         assert!(Journal::open(&path, true, fp ^ 1).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn decoded_e9_e10_e11_records_re_encode_byte_identically() {
+        let mut seen = Vec::new();
+        for id in ["e9", "e10", "e11"] {
+            let mut spec = preset(id, &[2, 3, 4, 5], 1, 0x5EED_2010).expect("a preset");
+            spec.executor = Executor::ExactDecide;
+            for cell in cells(&spec) {
+                let inst = SweepInstance::for_cell(&cell);
+                let (row, certificate) = run_cell_with_executor(&cell, &inst, spec.executor);
+                let body =
+                    record_body(&CellRecord { cell_seed: cell.cell_seed(), row, certificate });
+                let back = decode_record(&body).expect("a record the writer wrote decodes");
+                assert_eq!(record_body(&back), body, "{id} cell {:#x}", cell.cell_seed());
+                seen.push(String::from_utf8(body).unwrap());
+            }
+        }
+        for field in ["\"certificate\":", "\"schedule\":", "\"start_rest\":", "\"lasso_stem\":"] {
+            assert!(seen.iter().any(|body| body.contains(field)), "no record carries {field}");
+        }
+    }
+
+    #[test]
+    fn decoder_skips_unknown_keys_and_rejects_bad_required_fields() {
+        let mut rec = sample_records().into_iter().find(|r| r.row.is_some()).unwrap();
+        let row = rec.row.as_mut().unwrap();
+        row.rounds = Some(17);
+        row.schedule = Some("intermittent(2,0)".into());
+        let n = format!("\"n\":{},", row.n);
+        let body = String::from_utf8(record_body(&rec)).unwrap();
+        assert!(body.contains("\"rounds\":17,") && body.contains(&n));
+        let decoded = |text: &str| decode_record(text.as_bytes()).map(|r| record_body(&r));
+
+        // Unknown keys are skipped, however deeply nested their values.
+        let noisy = body
+            .replacen("{\"cell\"", "{\"later\":[[{}],{\"a\":null}],\"cell\"", 1)
+            .replacen("\"rounds\"", "\"extra\":{\"b\":[1,-2.5e3,\"\\u00e9\"]},\"rounds\"", 1);
+        assert_eq!(decoded(&noisy), Some(body.clone().into_bytes()));
+
+        // `null` and absent optionals both decode to `None`.
+        let mut bare = rec.clone();
+        let bare_row = bare.row.as_mut().unwrap();
+        (bare_row.rounds, bare_row.schedule) = (None, None);
+        let want = Some(record_body(&bare));
+        let nulls = body.replace("17,", "null,").replace("\"intermittent(2,0)\"", "null");
+        assert_eq!(decoded(&nulls), want);
+        let absent =
+            body.replace("\"rounds\":17,", "").replace("\"schedule\":\"intermittent(2,0)\",", "");
+        assert_eq!(decoded(&absent), want);
+
+        // A missing, negative, fractional or mistyped required field, or a
+        // `null` row, rejects the whole record.
+        for bad in ["", "\"n\":-6,", "\"n\":6.5,", "\"n\":6e0,", "\"n\":\"6\",", "\"n\":null,"] {
+            assert_eq!(decoded(&body.replacen(&n, bad, 1)), None, "n as `{bad}`");
+        }
+        let met = format!("\"met\":{}", rec.row.as_ref().unwrap().met);
+        assert_eq!(decoded(&body.replacen(&met, "\"met\":0", 1)), None, "a number for a bool");
+        let cell = format!("{{\"cell\":{}}}", rec.cell_seed);
+        assert!(decoded(&cell).is_some(), "a dropped-cell marker");
+        assert_eq!(decoded(&format!("{{\"cell\":{},\"row\":null}}", rec.cell_seed)), None);
+        assert_eq!(decoded("{\"row\":{}}"), None, "no cell");
+        assert_eq!(decoded(&format!("{body} {{}}")), None, "trailing characters");
     }
 }

@@ -24,40 +24,55 @@
 //! | worker stdout | a [`checkpoint::record_body`] | one finished cell |
 //! | worker stdout | empty | a beat, sent by the worker's beat thread |
 //!
-//! One reader thread per worker decodes its frames into a shared channel.
-//! The supervisor blocks on that channel until the next heartbeat expiry
-//! or backoff end, and appends each record to the `--checkpoint` journal
-//! as it arrives, so a `--resume` after a supervisor kill skips every cell
-//! a worker delivered. Any frame counts as liveness. A worker whose stdout
-//! ends or carries a bad frame is dead; one that stays silent past the
-//! heartbeat timeout is killed. Either way the cells it still owed are
-//! requeued with exponential backoff, and a shard that exceeds the attempt
-//! cap is quarantined: its remaining cells become explicit `poisoned` rows
-//! ([`crate::sweep::SweepRow::poisoned`]), never fabricated measurements,
-//! mirroring the `timed_out` discipline. If workers cannot spawn at all
-//! the supervisor degrades to in-process execution with a warning.
+//! A worker batches its record frames: one `write` carries every frame
+//! finished since the last one, and goes out when the batch reaches
+//! [`wire::BATCH_BYTES`], when a beat interval has passed since the last
+//! write, and before the worker reads its next assignment. Its beat thread
+//! writes only after a beat interval without a write, and then sends the
+//! waiting batch, or a beat when none waits.
+//!
+//! One reader thread per worker reads its stdout through a
+//! [`wire::BATCH_BYTES`] buffer, checks and decodes each frame, and passes
+//! every burst of frames — each time the buffered bytes run out — as one
+//! event on a shared channel. The supervisor blocks on that channel until
+//! the next heartbeat expiry or backoff end. It accepts a burst's records
+//! in assignment order and appends the accepted frames, as the worker
+//! framed them, to the `--checkpoint` journal in one write, so a
+//! `--resume` after a supervisor kill skips every cell it accepted. Any
+//! event counts as liveness. A worker whose stdout ends, carries a bad
+//! frame or a record it was not assigned is dead; one that stays silent
+//! past the heartbeat timeout is killed. Either way the cells it still
+//! owed are requeued with exponential backoff, and a shard that exceeds
+//! the attempt cap is quarantined: its remaining cells become explicit
+//! `poisoned` rows ([`crate::sweep::SweepRow::poisoned`]), never
+//! fabricated measurements, mirroring the `timed_out` discipline. If
+//! workers cannot spawn at all the supervisor degrades to in-process
+//! execution with a warning.
 //!
 //! A worker exits when its stdin ends or a write to its stdout fails, so
 //! it never outlives its supervisor. See docs/distributed.md for the
 //! failure matrix.
 
-use crate::checkpoint::{self, opt_u64, req_str, req_u64, CellRecord};
+use crate::checkpoint::{self, CellRecord};
 use crate::sweep::{
     self, cells, dispatch_cell, poisoned_row, Cell, Family, RunOptions, SweepInstance, SweepReport,
     SweepSpec,
 };
 use crate::{faults, wire};
-use serde::JsonWriter;
+use serde::{Deserialize, JsonWriter, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Plan-file format version (the `plan` file's `version` field).
 pub const PLAN_VERSION: u64 = 2;
+
+/// The `plan` file's `kind` field.
+const PLAN_KIND: &str = "rvz-shard-plan";
 
 /// Shards per requested worker: small enough that assignments are rare
 /// events, large enough that a crashed worker forfeits only a fraction of
@@ -136,46 +151,32 @@ pub fn plan_shards(total: usize, workers: usize) -> Vec<ShardRange> {
 /// the worker resolved the *same* spec the supervisor planned (workers
 /// re-derive the spec from the original CLI arguments; the check turns
 /// any drift into a hard error instead of wrong rows).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Plan {
+    /// Always [`PLAN_KIND`].
+    kind: String,
+    /// Always [`PLAN_VERSION`].
+    version: u64,
     fingerprint: u64,
     experiment: String,
     total_cells: usize,
     /// `--cell-timeout`, forwarded so workers watchdog cells the same way.
     cell_timeout_ms: Option<u64>,
-    /// How often the worker's beat thread sends an empty frame.
+    /// How often the worker's beat thread checks for a silent beat interval.
     beat_ms: u64,
 }
 
 impl Plan {
     fn to_bytes(&self) -> Vec<u8> {
         let mut w = JsonWriter::new(false);
-        w.begin_object();
-        w.field("kind", "rvz-shard-plan");
-        w.field("version", &PLAN_VERSION);
-        w.field("fingerprint", &self.fingerprint);
-        w.field("experiment", self.experiment.as_str());
-        w.field("total_cells", &self.total_cells);
-        w.field("cell_timeout_ms", &self.cell_timeout_ms);
-        w.field("beat_ms", &self.beat_ms);
-        w.end_object();
+        self.write_json(&mut w);
         w.into_bytes()
     }
 
     fn from_bytes(bytes: &[u8]) -> Option<Plan> {
-        let f = checkpoint::parse_object(bytes)?;
-        if req_str(&f, "kind").as_deref() != Some("rvz-shard-plan")
-            || req_u64(&f, "version") != Some(PLAN_VERSION)
-        {
-            return None;
-        }
-        Some(Plan {
-            fingerprint: req_u64(&f, "fingerprint")?,
-            experiment: req_str(&f, "experiment")?,
-            total_cells: req_u64(&f, "total_cells")? as usize,
-            cell_timeout_ms: opt_u64(&f, "cell_timeout_ms")?,
-            beat_ms: req_u64(&f, "beat_ms")?,
-        })
+        serde_json::from_slice::<Plan>(bytes)
+            .ok()
+            .filter(|plan| plan.kind == PLAN_KIND && plan.version == PLAN_VERSION)
     }
 }
 
@@ -249,31 +250,45 @@ struct Worker {
 
 impl Worker {
     /// Spawns worker `id` with piped stdio, and a reader thread that
-    /// decodes its stdout frames into `events` until the stream ends or
-    /// breaks.
+    /// passes its stdout on to `events`, one [`Burst`] at a time, until
+    /// the stream ends or breaks.
     fn spawn(
         spawn_worker: &mut dyn FnMut(&Path) -> Command,
         workdir: &Path,
         id: usize,
-        events: &mpsc::Sender<(usize, Event)>,
+        events: &mpsc::Sender<(usize, Burst)>,
     ) -> std::io::Result<Worker> {
         let mut cmd = spawn_worker(workdir);
         cmd.stdin(Stdio::piped()).stdout(Stdio::piped());
         let mut child = cmd.spawn()?;
-        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        let stdout = child.stdout.take().expect("piped stdout");
+        let mut stdout = BufReader::with_capacity(wire::BATCH_BYTES, stdout);
         let events = events.clone();
         let reader = std::thread::spawn(move || loop {
-            let event = match wire::read_frame(&mut stdout) {
-                Ok(Some(body)) if body.is_empty() => Event::Beat,
-                Ok(Some(body)) => match checkpoint::decode_record(&body) {
-                    Some(rec) => Event::Record(Box::new(rec)),
-                    None => Event::Gone("got an undecodable record from its worker".into()),
-                },
-                Ok(None) => Event::Gone("lost its worker".into()),
-                Err(e) => Event::Gone(format!("got a bad frame from its worker ({e})")),
-            };
-            let gone = matches!(event, Event::Gone(_));
-            if events.send((id, event)).is_err() || gone {
+            // Whole frames until the buffered bytes run out (a batch's
+            // worth at most, so a reader that lags never withholds news).
+            let mut burst = Burst { frames: Vec::new(), records: Vec::new(), gone: None };
+            while burst.gone.is_none() && burst.frames.len() < wire::BATCH_BYTES {
+                let start = burst.frames.len();
+                match wire::read_frame(&mut stdout, &mut burst.frames) {
+                    // A beat: liveness only.
+                    Ok(true) if burst.frames.len() == start + 8 => burst.frames.truncate(start),
+                    Ok(true) => match checkpoint::decode_record(&burst.frames[start + 8..]) {
+                        Some(rec) => burst.records.push((rec, burst.frames.len())),
+                        None => {
+                            burst.frames.truncate(start);
+                            burst.gone = Some("got an undecodable record from its worker".into());
+                        }
+                    },
+                    Ok(false) => burst.gone = Some("lost its worker".into()),
+                    Err(e) => burst.gone = Some(format!("got a bad frame from its worker ({e})")),
+                }
+                if stdout.buffer().is_empty() {
+                    break;
+                }
+            }
+            let gone = burst.gone.is_some();
+            if events.send((id, burst)).is_err() || gone {
                 return;
             }
         });
@@ -311,12 +326,16 @@ impl Worker {
     }
 }
 
-/// What a worker's reader thread saw on its stdout.
-enum Event {
-    Beat,
-    Record(Box<CellRecord>),
-    /// End of stream, a bad frame or an undecodable record.
-    Gone(String),
+/// What a worker's reader thread read from its stdout in one go.
+struct Burst {
+    /// The record frames, header and body, back to back (beats left out):
+    /// journal bytes, exactly as the worker framed them.
+    frames: Vec<u8>,
+    /// Each decoded record, with the end of its frame in `frames`.
+    records: Vec<(CellRecord, usize)>,
+    /// Why the worker is gone, when its stream ended, broke or carried an
+    /// undecodable record after these frames.
+    gone: Option<String>,
 }
 
 /// Kills and reaps worker `w`. The cells it still owed stay missing in
@@ -365,6 +384,8 @@ pub fn run_supervised(
 ) -> SweepReport {
     let grid = cells(spec);
     let plan = Plan {
+        kind: PLAN_KIND.into(),
+        version: PLAN_VERSION,
         fingerprint: checkpoint::spec_fingerprint(&[spec]),
         experiment: spec.experiment.clone(),
         total_cells: grid.len(),
@@ -455,7 +476,7 @@ pub fn run_supervised(
             break;
         }
 
-        // Block until a frame arrives or the next heartbeat expiry or
+        // Block until a burst arrives or the next heartbeat expiry or
         // backoff end. With no live worker and no backoff to wait out
         // (spawning failed), the rest is computed in-process below.
         let now = Instant::now();
@@ -464,29 +485,34 @@ pub fn run_supervised(
             shards.iter().filter(|sh| sh.open() && sh.not_before > now).map(|sh| sh.not_before);
         let Some(deadline) = expiries.chain(backoffs).min() else { break };
         match inbox.recv_timeout(deadline.saturating_duration_since(now)) {
-            Ok((w, event)) => {
-                // Frames a retired worker sent before it died are dropped.
+            Ok((w, burst)) => {
+                // Bursts a retired worker sent before it died are dropped.
                 let Some(worker) = workers[w].as_mut() else { continue };
                 worker.last_heard = Instant::now();
-                let fault = match event {
-                    Event::Beat => None,
-                    Event::Record(rec) => match (worker.shard, worker.owed.front()) {
+                // Records are accepted in the order the worker owes them,
+                // up to the first it does not.
+                let mut fault = burst.gone;
+                let (mut accepted, mut accepted_bytes) = (0, 0);
+                for (rec, end) in burst.records {
+                    match (worker.shard, worker.owed.front()) {
                         (Some(s), Some(&idx)) if seeds[idx] == rec.cell_seed => {
-                            if let Some(journal) = opts.journal {
-                                journal.record(&rec);
-                            }
-                            received[idx] = Some(*rec);
+                            received[idx] = Some(rec);
                             shards[s].missing -= 1;
                             worker.owed.pop_front();
                             if worker.owed.is_empty() {
                                 worker.shard = None;
                             }
-                            None
+                            (accepted, accepted_bytes) = (accepted + 1, end);
                         }
-                        _ => Some("got a record it did not assign".to_string()),
-                    },
-                    Event::Gone(why) => Some(why),
-                };
+                        _ => {
+                            fault = Some("got a record it did not assign".to_string());
+                            break;
+                        }
+                    }
+                }
+                if let Some(journal) = opts.journal.filter(|_| accepted > 0) {
+                    journal.append(&burst.frames[..accepted_bytes], accepted);
+                }
                 if let Some(why) = fault {
                     retire(&mut workers, &mut shards, w, &why, cfg);
                 }
@@ -576,25 +602,45 @@ pub fn run_supervised(
 // ---------------------------------------------------------------------------
 // Worker side.
 
-/// Writes one frame to stdout, whole: the beat thread and the cell loop
-/// share the pipe.
-fn send(body: &[u8]) -> std::io::Result<()> {
-    let mut frame = Vec::with_capacity(body.len() + 8);
-    wire::frame_record(&mut frame, body);
-    let mut out = std::io::stdout().lock();
-    out.write_all(&frame)?;
-    out.flush()
+/// Record frames waiting for stdout. The cell loop and the beat thread
+/// share it, so each `write` carries whole frames in the order the cells
+/// finished.
+struct Outbox {
+    frames: Vec<u8>,
+    /// When stdout was last written (`None`: never).
+    last_write: Option<Instant>,
+}
+
+impl Outbox {
+    /// Whether a beat interval has passed since the last write.
+    fn due(&self, beat: Duration) -> bool {
+        self.last_write.is_none_or(|t| t.elapsed() >= beat)
+    }
+
+    /// Writes the waiting frames to stdout in one go — or, when none wait,
+    /// a beat.
+    fn send(&mut self) -> std::io::Result<()> {
+        if self.frames.is_empty() {
+            wire::frame_record(&mut self.frames, &[]);
+        }
+        let mut out = std::io::stdout().lock();
+        out.write_all(&self.frames)?;
+        out.flush()?;
+        self.frames.clear();
+        self.last_write = Some(Instant::now());
+        Ok(())
+    }
 }
 
 /// Serves assignments from stdin until it ends, answering each cell with
-/// a record frame on stdout while a beat thread sends empty frames. The
-/// caller supplies the specs it resolved from its own arguments; the
-/// plan names the one to serve, and its fingerprint must match the
-/// spec's, which proves both processes enumerate the identical grid.
-/// Returns `Err` on a protocol violation (missing or corrupt plan,
-/// fingerprint drift, a bad assignment frame) or a failed write — the
-/// supervisor treats the resulting nonzero exit like any other worker
-/// death.
+/// a record frame on stdout — batched as the module docs describe — while
+/// a beat thread keeps the supervisor hearing from it. The caller supplies
+/// the specs it resolved from its own arguments; the plan names the one to
+/// serve, and its fingerprint must match the spec's, which proves both
+/// processes enumerate the identical grid. Returns `Err` on a protocol
+/// violation (missing or corrupt plan, fingerprint drift, a bad assignment
+/// frame) or a failed write — the supervisor treats the resulting nonzero
+/// exit like any other worker death.
 pub fn worker_main(workdir: &Path, specs: &[&SweepSpec]) -> Result<(), String> {
     let plan = wire::read_framed(&workdir.join("plan"))
         .as_deref()
@@ -616,18 +662,25 @@ pub fn worker_main(workdir: &Path, specs: &[&SweepSpec]) -> Result<(), String> {
     // because the supervisor's timeout runs from the spawn. Detached on
     // purpose: it beats for as long as this process lives.
     let beat = Duration::from_millis(plan.beat_ms.max(1));
+    let outbox = Arc::new(Mutex::new(Outbox { frames: Vec::new(), last_write: None }));
+    let beats = Arc::clone(&outbox);
     std::thread::spawn(move || loop {
         if faults::check(faults::Site::HeartbeatDrop).is_some() {
             // The wedged-worker simulation: stop beating, keep the
             // process (and its cell loop) running.
             return;
         }
-        if send(&[]).is_err() {
+        let mut outbox = beats.lock().expect("outbox lock");
+        if outbox.due(beat) && outbox.send().is_err() {
             // The supervisor is gone; so is this worker.
             std::process::exit(1);
         }
+        drop(outbox);
         std::thread::sleep(beat);
     });
+    let sent = |result: std::io::Result<()>| {
+        result.map_err(|e| format!("cannot write to the supervisor: {e}"))
+    };
 
     let grid = cells(spec);
     if grid.len() != plan.total_cells {
@@ -641,10 +694,11 @@ pub fn worker_main(workdir: &Path, specs: &[&SweepSpec]) -> Result<(), String> {
     let timeout = plan.cell_timeout_ms.map(Duration::from_millis);
     let mut instances = Instances::new();
     let mut stdin = std::io::stdin().lock();
-    while let Some(body) =
-        wire::read_frame(&mut stdin).map_err(|e| format!("bad assignment frame: {e}"))?
+    let mut assignment = Vec::new();
+    while wire::read_frame(&mut stdin, &mut assignment)
+        .map_err(|e| format!("bad assignment frame: {e}"))?
     {
-        for (lo, hi) in decode_runs(&body, grid.len())? {
+        for (lo, hi) in decode_runs(&assignment[8..], grid.len())? {
             for cell in &grid[lo..hi] {
                 if faults::check(faults::Site::WorkerKill).is_some() {
                     // The kill -9 simulation: die hard, mid-shard.
@@ -653,9 +707,21 @@ pub fn worker_main(workdir: &Path, specs: &[&SweepSpec]) -> Result<(), String> {
                 let inst = instance(&mut instances, cell);
                 let (row, certificate) = dispatch_cell(cell, &inst, spec.executor, timeout);
                 let rec = CellRecord { cell_seed: cell.cell_seed(), row, certificate };
-                send(&checkpoint::record_body(&rec))
-                    .map_err(|e| format!("cannot write to the supervisor: {e}"))?;
+                let body = checkpoint::record_body(&rec);
+                let mut outbox = outbox.lock().expect("outbox lock");
+                wire::frame_record(&mut outbox.frames, &body);
+                // The time check is the cell loop's own, so results keep
+                // flowing when the beat thread is wedged.
+                if outbox.frames.len() >= wire::BATCH_BYTES || outbox.due(beat) {
+                    sent(outbox.send())?;
+                }
             }
+        }
+        assignment.clear();
+        // The whole assignment is answered before the next one is read.
+        let mut outbox = outbox.lock().expect("outbox lock");
+        if !outbox.frames.is_empty() {
+            sent(outbox.send())?;
         }
     }
     Ok(())
@@ -699,6 +765,8 @@ mod tests {
     #[test]
     fn plan_file_round_trips() {
         let plan = Plan {
+            kind: PLAN_KIND.into(),
+            version: PLAN_VERSION,
             fingerprint: 0xDEAD_BEEF_0BAD_F00D,
             experiment: "e8".into(),
             total_cells: 42,

@@ -50,7 +50,7 @@ use rvz_sim::{
 };
 use rvz_trees::symmetry::{pair_orbits, OrbitAction};
 use rvz_trees::{NodeId, Tree};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -487,7 +487,7 @@ pub struct Cell {
 /// One result row; the JSON schema of `--json` output (see docs/schemas.md).
 /// `experiment` shares the grid's interned label (serialized as a plain
 /// JSON string, exactly like the `String` it replaced).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepRow {
     pub experiment: Arc<str>,
     pub family: String,
@@ -562,7 +562,7 @@ pub struct SweepRow {
 
 /// The shape of the retired [`SweepRow::planned`] annotation; no executor
 /// builds one.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Planned {
     /// `"batch"` / `"replay"` / `"stepping"` / `"decide"`.
     pub choice: String,
@@ -578,7 +578,7 @@ pub struct Planned {
 /// replicate [`rvz_lowerbounds::decide::Lasso`] flattened for JSON; every
 /// lasso is re-verified by independent stepping
 /// ([`rvz_lowerbounds::verify_lasso`]) before it is emitted (`verified`).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Certificate {
     pub experiment: Arc<str>,
     pub family: String,

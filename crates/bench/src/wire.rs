@@ -19,32 +19,64 @@
 //! half-written file under the real name.
 //!
 //! The same frame also carries the `--workers` pipe protocol
-//! ([`crate::supervisor`]): [`read_frame`] reads one frame at a time from
-//! a worker's stdin or stdout.
+//! ([`crate::supervisor`]): [`read_frame`] reads one whole frame at a
+//! time from a worker's stdin or stdout, keeping its header, so result
+//! frames reach the journal as the bytes the worker framed.
 
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
+/// The slicing-by-8 tables of CRC-32: `TABLES[0]` is the classic
+/// byte-at-a-time table, and `TABLES[k][b]` advances the byte `b` through
+/// `k` further zero bytes, so eight lookups consume eight input bytes.
+static TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
+};
+
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the same
 /// checksum gzip/zip use, implemented locally because the offline build
-/// bakes in no checksum crate.
+/// bakes in no checksum crate. Eight bytes per step (slicing-by-8), then
+/// the tail byte by byte.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *entry = c;
-        }
-        table
-    });
+    let t = &TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -54,6 +86,11 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// runs) but finite, so a corrupted length prefix cannot drive a reader
 /// into a multi-gigabyte allocation.
 pub const MAX_RECORD_BYTES: usize = 1 << 28;
+
+/// How many bytes of frames are gathered into one `write`: a `--workers`
+/// worker's result batch, a reader's buffer and the journal's pending
+/// batch. 64 KiB is the default pipe capacity on Linux.
+pub const BATCH_BYTES: usize = 64 << 10;
 
 /// Appends one framed record — `len: u32 | crc32: u32 | body` — to `out`.
 pub fn frame_record(out: &mut Vec<u8>, body: &[u8]) {
@@ -91,37 +128,41 @@ pub fn read_records(bytes: &[u8]) -> (Vec<&[u8]>, bool) {
     (records, true)
 }
 
-/// Reads the next framed record from a stream, such as a pipe: `Ok(None)`
-/// at a clean end of stream (EOF before the first header byte), the body
-/// otherwise. A frame cut short by EOF, an oversized length or a checksum
-/// mismatch is an error — a live stream has no clean prefix to fall back
-/// to. The body grows as bytes arrive, so a corrupted length cannot force
-/// a large allocation up front.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    // Up to `n` bytes, fewer only at EOF.
-    let mut take = |n: usize| -> io::Result<Vec<u8>> {
-        let mut out = Vec::new();
-        r.by_ref().take(n as u64).read_to_end(&mut out)?;
-        Ok(out)
-    };
-    let header = take(8)?;
-    if header.is_empty() {
-        return Ok(None);
+/// Reads the next frame from a stream, such as a pipe, and appends it
+/// whole — header and body — to `out`: `Ok(false)` at a clean end of
+/// stream (EOF before the first header byte), `Ok(true)` otherwise, with
+/// the body at `out[start + 8..]` for the `start` the caller saw. A frame
+/// cut short by EOF, an oversized length or a checksum mismatch is an
+/// error and leaves `out` as it was — a live stream has no clean prefix
+/// to fall back to. The body grows as bytes arrive, so a corrupted length
+/// cannot force a large allocation up front.
+pub fn read_frame(r: &mut impl Read, out: &mut Vec<u8>) -> io::Result<bool> {
+    let start = out.len();
+    let result = (|| {
+        // Up to `n` more bytes into `out`, fewer only at EOF.
+        let mut take = |n: usize, out: &mut Vec<u8>| r.by_ref().take(n as u64).read_to_end(out);
+        if take(8, out)? == 0 {
+            return Ok(false);
+        }
+        let cut_short = || io::Error::from(io::ErrorKind::UnexpectedEof);
+        let header: [u8; 8] = out[start..].try_into().map_err(|_| cut_short())?;
+        let len = u32::from_le_bytes(header[..4].try_into().expect("an 8-byte header")) as usize;
+        if len > MAX_RECORD_BYTES {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, "frame length over the cap"));
+        }
+        if take(len, out)? < len {
+            return Err(cut_short());
+        }
+        if crc32(&out[start + 8..]) != u32::from_le_bytes(header[4..].try_into().expect("8 bytes"))
+        {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, "frame checksum mismatch"));
+        }
+        Ok(true)
+    })();
+    if result.is_err() {
+        out.truncate(start);
     }
-    let cut_short = || io::Error::from(io::ErrorKind::UnexpectedEof);
-    let header: [u8; 8] = header.try_into().map_err(|_| cut_short())?;
-    let len = u32::from_le_bytes(header[..4].try_into().expect("an 8-byte header")) as usize;
-    if len > MAX_RECORD_BYTES {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame length over the cap"));
-    }
-    let body = take(len)?;
-    if body.len() < len {
-        return Err(cut_short());
-    }
-    if crc32(&body) != u32::from_le_bytes(header[4..].try_into().expect("an 8-byte header")) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame checksum mismatch"));
-    }
-    Ok(Some(body))
+    result
 }
 
 /// Writes `bytes` to `path` atomically (see [`atomic_write_with`]).
@@ -185,11 +226,42 @@ pub fn read_framed(path: &Path) -> Option<Vec<u8>> {
 mod tests {
     use super::*;
 
+    /// CRC-32 one byte per table lookup: the reference the sliced loop
+    /// must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // The classic check value of CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_loop() {
+        // Random bytes (splitmix64), every length up to 2 KiB at every
+        // start offset modulo the 8-byte step.
+        let mut state = 0x5EED_C4C3_u64;
+        let bytes: Vec<u8> = (0..2048 + 8)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                (z ^ (z >> 27)) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=2048 {
+                let input = &bytes[start..start + len];
+                assert_eq!(crc32(input), crc32_bytewise(input), "start {start}, length {len}");
+            }
+        }
     }
 
     #[test]
@@ -237,18 +309,26 @@ mod tests {
         frame_record(&mut buf, b"alpha");
         frame_record(&mut buf, b"");
         let mut r = buf.as_slice();
-        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(b"alpha".as_slice()));
-        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(b"".as_slice()));
-        assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF between frames");
+        let mut out = b"kept".to_vec();
+        assert!(read_frame(&mut r, &mut out).unwrap());
+        assert!(read_frame(&mut r, &mut out).unwrap());
+        assert!(!read_frame(&mut r, &mut out).unwrap(), "clean EOF between frames");
+        assert_eq!(out[..4], *b"kept");
+        assert_eq!(out[4..], buf, "whole frames, headers included, appended as read");
         // The first frame is 13 bytes. Cut anywhere after its first byte,
-        // or with any byte flipped, it is an error, never a shorter body.
+        // or with any byte flipped, it is an error that appends nothing,
+        // never a shorter body.
         for cut in 1..13 {
-            assert!(read_frame(&mut &buf[..cut]).is_err(), "cut at {cut}");
+            let mut out = b"kept".to_vec();
+            assert!(read_frame(&mut &buf[..cut], &mut out).is_err(), "cut at {cut}");
+            assert_eq!(out, b"kept");
         }
         for byte in 0..13 {
             let mut bad = buf.clone();
             bad[byte] ^= 0x40;
-            assert!(read_frame(&mut bad.as_slice()).is_err(), "flipped byte {byte}");
+            let mut out = Vec::new();
+            assert!(read_frame(&mut bad.as_slice(), &mut out).is_err(), "flipped byte {byte}");
+            assert!(out.is_empty());
         }
     }
 

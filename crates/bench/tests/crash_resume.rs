@@ -12,13 +12,20 @@
 //! journaled sweep when `CRASH_RESUME_JOURNAL` is set (the standard
 //! self-spawning pattern for abort-me tests). `RVZ_FAULTS` counters are
 //! per-process, so each child gets its own kill depth.
+//!
+//! A second leg fails the journal's last append with an injected ENOSPC:
+//! the record only reaches the file in the final `Journal::sync`, whose
+//! failure must count and warn like any other — or, under
+//! `--strict-checkpoint`, end the process with exit code 1.
 
 use rvz_bench::checkpoint::{self, Journal};
 use rvz_bench::sweep::{self, Delay, Executor, Family, RunOptions, SweepSpec, Variant};
 use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
 const JOURNAL_ENV: &str = "CRASH_RESUME_JOURNAL";
 const THREADS_ENV: &str = "CRASH_RESUME_THREADS";
+const STRICT_ENV: &str = "CRASH_RESUME_STRICT";
 
 /// The differential workload: small but multi-axis — fixed delays beside
 /// the ∀-delay quantifier (so certificates ride the journal too) and two
@@ -55,33 +62,45 @@ fn serialized(report: &sweep::SweepReport) -> String {
 }
 
 /// Child role: resume whatever the journal already holds and keep
-/// sweeping. Under an injected `journal-append` fault the process aborts
-/// partway; without one it completes. No-op unless spawned by the parent.
+/// sweeping, then print the report's append failures. Under an injected
+/// `journal-append` fault the process aborts partway; without one it
+/// completes. No-op unless spawned by the parent.
 #[test]
 fn crash_resume_child_entry() {
     let Ok(journal_path) = std::env::var(JOURNAL_ENV) else { return };
     let threads: usize = std::env::var(THREADS_ENV).ok().and_then(|t| t.parse().ok()).unwrap_or(2);
     let journal =
         Journal::open(Path::new(&journal_path), true, fingerprint()).expect("child journal open");
+    journal.set_strict(std::env::var_os(STRICT_ENV).is_some());
     let opts = RunOptions { journal: Some(&journal), cell_timeout: None };
-    let _ = sweep::run_with_options(&spec(threads), &opts);
+    let report = sweep::run_with_options(&spec(threads), &opts);
+    println!("append_failures={}", report.append_failures);
 }
 
-fn spawn_child(journal: &Path, faults: Option<&str>) -> std::process::ExitStatus {
+/// The child on `journal` at `threads` threads, with the fault plan
+/// `faults` and no other inherited knob.
+fn child(journal: &Path, faults: Option<&str>, threads: usize) -> Command {
     let exe = std::env::current_exe().expect("test binary path");
-    let mut cmd = std::process::Command::new(exe);
+    let mut cmd = Command::new(exe);
     cmd.arg("--exact")
         .arg("crash_resume_child_entry")
         .arg("--nocapture")
         .env(JOURNAL_ENV, journal)
-        .env(THREADS_ENV, "2")
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null());
+        .env(THREADS_ENV, threads.to_string())
+        .env_remove(STRICT_ENV);
     match faults {
         Some(f) => cmd.env("RVZ_FAULTS", f),
         None => cmd.env_remove("RVZ_FAULTS"),
     };
-    cmd.status().expect("spawn child")
+    cmd
+}
+
+fn spawn_child(journal: &Path, faults: Option<&str>) -> std::process::ExitStatus {
+    child(journal, faults, 2)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("spawn child")
 }
 
 #[test]
@@ -135,6 +154,33 @@ fn killed_sweeps_resume_byte_identical() {
         Journal::open(&journal_path, true, checkpoint::spec_fingerprint(&[&other])).is_err(),
         "resuming under a different spec fingerprint must fail"
     );
+
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}
+
+#[test]
+fn enospc_in_the_final_sync_is_an_append_failure() {
+    let dir = std::env::temp_dir().join(format!("rvz-crash-enospc-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    // At one thread the last cell is the last append; the grid's records
+    // fit one batch, so they first reach the file in the final sync.
+    let cells = sweep::cells(&spec(1)).len();
+    let plan = format!("journal-append=enospc@{cells}");
+
+    let path = dir.join("degraded.ckpt");
+    let out = child(&path, Some(&plan), 1).output().expect("spawn child");
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert!(out.status.success(), "a failed append degrades, it does not fail the run: {stderr}");
+    assert!(stderr.contains("disabled after append error"), "no append-failure warning: {stderr}");
+    assert!(stdout.contains("append_failures=1\n"), "exactly the last record is lost: {stdout}");
+    let snap = checkpoint::parse_journal(&std::fs::read(&path).expect("read journal"));
+    assert!(!snap.torn_tail && snap.bad_records == 0, "the records before it landed whole");
+    assert_eq!(snap.cells.len(), cells - 1);
+
+    let path = dir.join("strict.ckpt");
+    let out = child(&path, Some(&plan), 1).env(STRICT_ENV, "1").output().expect("spawn child");
+    assert_eq!(out.status.code(), Some(1), "--strict-checkpoint makes the final failure fatal");
 
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }

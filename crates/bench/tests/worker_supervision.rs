@@ -1,10 +1,11 @@
 //! Multi-process supervision differential (requires the `rvz-faults`
 //! feature; see `[[test]]` in Cargo.toml): the supervised merged report
 //! must be byte-identical to the single-process run for every worker
-//! count, after an injected worker death mid-shard, and after a silent
-//! worker is killed for its missed heartbeats; a shard that keeps killing
-//! its workers must be quarantined as explicit poisoned rows instead of
-//! hanging or fabricating data.
+//! count, after an injected worker death mid-shard, after a silent
+//! worker is killed for its missed heartbeats, and after a worker's batch
+//! turns bad partway; a shard that keeps killing its workers must be
+//! quarantined as explicit poisoned rows instead of hanging or
+//! fabricating data.
 //!
 //! Worker subprocesses are this same test binary re-invoked with an
 //! env-selected role. Workers speak frames on stdout, and a libtest child
@@ -13,9 +14,13 @@
 //! printed, and otherwise runs every leg. `RVZ_FAULTS` counters are
 //! per-process, so each worker gets its own fault budget.
 
-use rvz_bench::checkpoint::{self, Journal};
+use rvz_bench::checkpoint::{self, CellRecord, Journal};
 use rvz_bench::supervisor::{self, SupervisorConfig};
-use rvz_bench::sweep::{self, Delay, Executor, Family, RunOptions, SweepSpec, Variant};
+use rvz_bench::sweep::{
+    self, Delay, Executor, Family, RunOptions, SweepInstance, SweepSpec, Variant,
+};
+use rvz_bench::wire;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -56,8 +61,9 @@ fn serialized(report: &sweep::SweepReport) -> String {
 }
 
 /// A child: this test binary in `role` (`worker` serves the workdir's
-/// plan, `silent` only sleeps), with no inherited fault plan (legs inject
-/// their own per child).
+/// plan, `silent` only sleeps, `partial` sends one good record and one
+/// foreign one), with no inherited fault plan (legs inject their own per
+/// child).
 fn role_cmd(role: &str, workdir: &Path) -> Command {
     let exe = std::env::current_exe().expect("test binary path");
     let mut cmd = Command::new(exe);
@@ -115,8 +121,8 @@ fn supervised_reports_are_byte_identical_across_worker_counts() {
 fn killed_worker_is_reassigned_and_output_unchanged() {
     let base = temp_base("kill");
     // Only the first spawned worker carries the kill plan: it completes
-    // one cell, then dies hard (the kill -9 simulation) mid-shard. Its
-    // completed cell must be kept, the rest of the shard reassigned.
+    // one cell, then dies hard (the kill -9 simulation) mid-shard, before
+    // its batch is due. Every cell it owed must be reassigned.
     let mut spawned = 0usize;
     let mut spawn = |workdir: &Path| {
         spawned += 1;
@@ -201,6 +207,73 @@ fn supervised_runs_share_the_checkpoint_journal() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
+/// The `partial` role: answers its first assignment with the record of
+/// its first cell and, in the same write, the record of a cell it was not
+/// given, then waits to be killed.
+fn partial_worker() {
+    let spec = spec(1);
+    let grid = sweep::cells(&spec);
+    let mut stdin = std::io::stdin().lock();
+    let mut frame = Vec::new();
+    assert!(wire::read_frame(&mut stdin, &mut frame).expect("an assignment frame"));
+    let runs: Vec<(usize, usize)> = frame[8..]
+        .chunks_exact(16)
+        .map(|run| {
+            let half = |at: usize| u64::from_le_bytes(run[at..at + 8].try_into().unwrap()) as usize;
+            (half(0), half(8))
+        })
+        .collect();
+    let foreign = (0..grid.len())
+        .find(|&i| !runs.iter().any(|&(lo, hi)| lo <= i && i < hi))
+        .expect("a cell outside the assignment");
+    let mut batch = Vec::new();
+    for idx in [runs[0].0, foreign] {
+        let cell = &grid[idx];
+        let inst = SweepInstance::for_cell(cell);
+        let (row, certificate) = sweep::run_cell_with_executor(cell, &inst, spec.executor);
+        let rec = CellRecord { cell_seed: cell.cell_seed(), row, certificate };
+        wire::frame_record(&mut batch, &checkpoint::record_body(&rec));
+    }
+    let mut stdout = std::io::stdout().lock();
+    stdout.write_all(&batch).and_then(|()| stdout.flush()).expect("write the batch");
+    let _ = std::io::copy(&mut stdin, &mut std::io::sink());
+}
+
+fn partial_batch_keeps_its_valid_prefix() {
+    let base = temp_base("partial");
+    let journal_path = base.join("sweep.ckpt");
+    let fingerprint = checkpoint::spec_fingerprint(&[&spec(1)]);
+    // One worker at a time: the first gets shard 0, whose first cell is
+    // grid cell 0, and its replacement starts on shard 1 while shard 0
+    // backs off. So the journal's first record tells whether the valid
+    // record was kept or recomputed.
+    let mut spawned = 0usize;
+    let mut spawn = |workdir: &Path| {
+        spawned += 1;
+        role_cmd(if spawned == 1 { "partial" } else { "worker" }, workdir)
+    };
+    let planned = {
+        let journal = Journal::open(&journal_path, false, fingerprint).expect("journal open");
+        let opts = RunOptions { journal: Some(&journal), cell_timeout: None };
+        let config = cfg(1, &base.join("work"));
+        let what = "the report after a batch that turned bad partway";
+        assert_supervised_identical(&opts, &config, &mut spawn, what).planned_cells
+    };
+    assert!(spawned >= 2, "the worker that sent a foreign record must be replaced");
+    let bytes = std::fs::read(&journal_path).expect("read journal");
+    let (frames, clean) = wire::read_records(&bytes);
+    assert!(clean);
+    assert_eq!(frames.len(), 1 + planned, "the header, then every cell exactly once");
+    assert_eq!(checkpoint::parse_journal(&bytes).cells.len(), planned);
+    let first = checkpoint::decode_record(frames[1]).expect("a record");
+    assert_eq!(
+        first.cell_seed,
+        sweep::cells(&spec(1))[0].cell_seed(),
+        "the valid record ahead of the foreign one is journaled as it arrived"
+    );
+    let _ = std::fs::remove_dir_all(&base);
+}
+
 fn main() {
     match std::env::var(ROLE_ENV).as_deref() {
         Ok("worker") => {
@@ -213,6 +286,10 @@ fn main() {
         }
         Ok("silent") => {
             std::thread::sleep(SILENCE);
+            return;
+        }
+        Ok("partial") => {
+            partial_worker();
             return;
         }
         Ok(other) => panic!("unknown {ROLE_ENV} `{other}`"),
@@ -228,7 +305,8 @@ fn main() {
         killed_worker_is_reassigned_and_output_unchanged,
         silent_worker_is_killed_and_its_shard_reassigned,
         attempt_cap_quarantines_shards_as_poisoned,
-        supervised_runs_share_the_checkpoint_journal
+        supervised_runs_share_the_checkpoint_journal,
+        partial_batch_keeps_its_valid_prefix
     );
     for (name, leg) in legs {
         println!("test {name} ...");

@@ -203,8 +203,9 @@ bench-json-check:
 # Compile benches, run each once (`--test` mode), emit BENCH_sweep.json,
 # plus the tiny deterministic sweep CI runs, the output-overhead gate
 # (e9 writing --json and --certificates within 2x the CPU of writing
-# nothing) and the thread-scaling gate (e11 replay at nproc threads no
-# slower than at one).
+# nothing), the thread-scaling gate (e11 replay at nproc threads no
+# slower than at one) and the durable-overhead gate (e10 under
+# --workers 2 --checkpoint within 3x the wall time of in process).
 bench-smoke:
     cargo bench --workspace --no-run
     cargo bench --workspace -- --test
@@ -217,6 +218,7 @@ bench-smoke:
     cmp bench-smoke/e6.json bench-smoke/e6-stepping.json
     scripts/output_overhead.sh bench-smoke
     scripts/thread_scaling.sh bench-smoke
+    scripts/durable_overhead.sh bench-smoke
 
 # Full-scale parallel sweep of every experiment grid.
 sweep:

@@ -4,15 +4,21 @@
 //! methods: [`Serialize::to_json_value`] converts a value into an owned
 //! JSON [`Value`] tree (for `json!` and code that inspects values), and
 //! [`Serialize::write_json`] streams it straight into a [`JsonWriter`],
-//! which is the one JSON renderer `serde_json` uses. `#[derive(Serialize)]`
-//! (from the sibling `serde_derive` shim) works on non-generic structs
+//! which is the one JSON renderer `serde_json` uses. Reading goes the
+//! other way without a visitor either: [`Deserialize::read_json`] pulls a
+//! value straight out of a [`JsonReader`], the one JSON parser
+//! `serde_json` uses. `#[derive(Serialize)]` and `#[derive(Deserialize)]`
+//! (from the sibling `serde_derive` shim) work on non-generic structs
 //! with named fields.
 
 // Let derive-generated `::serde::...` paths resolve inside this crate's
 // own tests.
 extern crate self as serde;
 
-pub use serde_derive::Serialize;
+mod de;
+
+pub use de::{Deserialize, JsonReader, ReadError};
+pub use serde_derive::{Deserialize, Serialize};
 use std::io::{self, Write};
 
 /// A JSON value tree.

@@ -1,8 +1,9 @@
 //! Offline shim for `serde_derive` (see `shims/README.md`).
 //!
 //! Hand-rolled token parsing (no `syn`/`quote` available offline): supports
-//! `#[derive(Serialize)]` on non-generic structs with named fields (both
-//! `Serialize` methods, `to_json_value` and `write_json`), plus
+//! `#[derive(Serialize)]` (both `Serialize` methods, `to_json_value` and
+//! `write_json`) and `#[derive(Deserialize)]` (`read_json`, over the
+//! shim's `JsonReader`) on non-generic structs with named fields, plus
 //! the field attribute `#[serde(skip_serializing_if = "path")]` (the one
 //! knob the workspace uses to add optional fields without disturbing the
 //! serialized shape of existing rows). Anything else is a compile error
@@ -12,48 +13,7 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let mut iter = input.into_iter().peekable();
-
-    // Skip outer attributes (`#[...]`) and visibility, find `struct Name`.
-    let mut name: Option<String> = None;
-    while let Some(tt) = iter.next() {
-        match tt {
-            TokenTree::Punct(p) if p.as_char() == '#' => {
-                iter.next(); // the bracketed attribute group
-            }
-            TokenTree::Ident(id) if id.to_string() == "enum" || id.to_string() == "union" => {
-                panic!("serde shim: derive(Serialize) supports structs only")
-            }
-            TokenTree::Ident(id) if id.to_string() == "struct" => {
-                match iter.next() {
-                    Some(TokenTree::Ident(n)) => name = Some(n.to_string()),
-                    _ => panic!("serde shim: expected struct name"),
-                }
-                break;
-            }
-            _ => {}
-        }
-    }
-    let name = name.expect("serde shim: no `struct` item found");
-
-    // The body must be a brace group of named fields; generics unsupported.
-    let mut fields: Option<Vec<(String, Option<String>)>> = None;
-    for tt in iter {
-        match tt {
-            TokenTree::Punct(p) if p.as_char() == '<' => {
-                panic!("serde shim: generic structs not supported")
-            }
-            TokenTree::Group(g) if g.delimiter() == Delimiter::Brace => {
-                fields = Some(parse_named_fields(g.stream()));
-                break;
-            }
-            TokenTree::Group(g) if g.delimiter() == Delimiter::Parenthesis => {
-                panic!("serde shim: tuple structs not supported")
-            }
-            _ => {}
-        }
-    }
-    let fields = fields.expect("serde shim: expected named-field struct body");
+    let (name, fields) = parse_struct(input, "Serialize");
 
     // Both methods emit the fields in declaration order and skip the same
     // ones, so they produce the same JSON.
@@ -89,6 +49,79 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
          }}"
     );
     out.parse().expect("serde shim: generated impl failed to parse")
+}
+
+/// The reader of what `derive(Serialize)` writes: one object, each known
+/// key read into a slot whose type the struct literal at the end infers,
+/// unknown keys skipped, and absent keys resolved by
+/// `Deserialize::absent` (`None` for `Option` fields, an error otherwise).
+#[proc_macro_derive(Deserialize, attributes(serde))]
+pub fn derive_deserialize(input: TokenStream) -> TokenStream {
+    let (name, fields) = parse_struct(input, "Deserialize");
+    let slots: String = fields
+        .iter()
+        .map(|(f, _)| format!("let mut __{f} = ::std::option::Option::None;"))
+        .collect();
+    let arms: String =
+        fields.iter().map(|(f, _)| format!("\"{f}\" => __r.field(&mut __{f}),")).collect();
+    let values: String =
+        fields.iter().map(|(f, _)| format!("{f}: __r.take(__{f}, \"{f}\")?,")).collect();
+    let out = format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+             fn read_json(__r: &mut ::serde::JsonReader<'_>) \
+                 -> ::std::result::Result<Self, ::serde::ReadError> {{\n\
+                 {slots}\n\
+                 __r.object(|__r, __key| match __key {{ {arms} _ => __r.skip() }})?;\n\
+                 ::std::result::Result::Ok({name} {{ {values} }})\n\
+             }}\n\
+         }}"
+    );
+    out.parse().expect("serde shim: generated impl failed to parse")
+}
+
+/// The name and `(field name, skip_serializing_if predicate)` pairs of
+/// the named-field struct `input` declares.
+fn parse_struct(input: TokenStream, derive: &str) -> (String, Vec<(String, Option<String>)>) {
+    let mut iter = input.into_iter().peekable();
+
+    // Skip outer attributes (`#[...]`) and visibility, find `struct Name`.
+    let mut name: Option<String> = None;
+    while let Some(tt) = iter.next() {
+        match tt {
+            TokenTree::Punct(p) if p.as_char() == '#' => {
+                iter.next(); // the bracketed attribute group
+            }
+            TokenTree::Ident(id) if id.to_string() == "enum" || id.to_string() == "union" => {
+                panic!("serde shim: derive({derive}) supports structs only")
+            }
+            TokenTree::Ident(id) if id.to_string() == "struct" => {
+                match iter.next() {
+                    Some(TokenTree::Ident(n)) => name = Some(n.to_string()),
+                    _ => panic!("serde shim: expected struct name"),
+                }
+                break;
+            }
+            _ => {}
+        }
+    }
+    let name = name.expect("serde shim: no `struct` item found");
+
+    // The body must be a brace group of named fields; generics unsupported.
+    for tt in iter {
+        match tt {
+            TokenTree::Punct(p) if p.as_char() == '<' => {
+                panic!("serde shim: generic structs not supported")
+            }
+            TokenTree::Group(g) if g.delimiter() == Delimiter::Brace => {
+                return (name, parse_named_fields(g.stream()));
+            }
+            TokenTree::Group(g) if g.delimiter() == Delimiter::Parenthesis => {
+                panic!("serde shim: tuple structs not supported")
+            }
+            _ => {}
+        }
+    }
+    panic!("serde shim: expected named-field struct body")
 }
 
 /// Reads a `#[serde(skip_serializing_if = "path")]` attribute body (the

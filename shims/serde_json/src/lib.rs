@@ -5,10 +5,11 @@
 //! for flat object / array literals (nested literals must themselves be
 //! wrapped in `json!`). Rendering streams through
 //! [`serde::Serialize::write_json`], so typed input never builds a
-//! [`Value`].
+//! [`Value`]; [`from_slice`] reads through [`serde::Deserialize`], so typed
+//! output never builds one either.
 
 pub use serde::Value;
-use serde::{JsonWriter, Serialize};
+use serde::{Deserialize, JsonReader, JsonWriter, ReadError, Serialize};
 use std::fmt;
 
 /// Parse / serialize error.
@@ -17,12 +18,6 @@ pub struct Error {
     msg: String,
     /// Byte offset of a parse error (`None` for a write error).
     pub offset: Option<usize>,
-}
-
-impl Error {
-    fn new(msg: impl Into<String>, offset: usize) -> Self {
-        Error { msg: msg.into(), offset: Some(offset) }
-    }
 }
 
 impl fmt::Display for Error {
@@ -35,6 +30,12 @@ impl fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
+
+impl From<ReadError> for Error {
+    fn from(e: ReadError) -> Self {
+        Error { msg: e.msg, offset: Some(e.offset) }
+    }
+}
 
 pub type Result<T> = std::result::Result<T, Error>;
 
@@ -71,14 +72,15 @@ pub fn to_writer_pretty<W: std::io::Write, T: Serialize + ?Sized>(
 
 /// Parses JSON text into a [`Value`].
 pub fn from_str(s: &str) -> Result<Value> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::new("trailing characters", p.pos));
-    }
-    Ok(v)
+    from_slice(s.as_bytes())
+}
+
+/// Reads one `T` from JSON bytes; nothing but whitespace may follow it.
+pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T> {
+    let mut r = JsonReader::new(bytes);
+    let value = T::read_json(&mut r)?;
+    r.end()?;
+    Ok(value)
 }
 
 /// Builds a [`Value`] from a flat literal.
@@ -98,200 +100,6 @@ macro_rules! json {
         ])
     };
     ($other:expr) => { $crate::to_value(&$other) };
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::new(format!("expected `{}`", b as char), self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(Error::new(format!("expected `{word}`"), self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value> {
-        match self.peek() {
-            None => Err(Error::new("unexpected end of input", self.pos)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => Err(Error::new(format!("unexpected byte `{}`", b as char), self.pos)),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(Error::new("expected `,` or `]`", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(Error::new("expected `,` or `}`", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            match self.peek() {
-                None => return Err(Error::new("unterminated string", self.pos)),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000C}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error::new("bad \\u escape", start))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::new("bad \\u escape", start))?,
-                                16,
-                            )
-                            .map_err(|_| Error::new("bad \\u escape", start))?;
-                            // Surrogate pairs unsupported (not produced by
-                            // our writer); map them to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(Error::new("bad escape", start)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the run up to the next quote or backslash whole.
-                    // Both are ASCII, so the run ends on a char boundary.
-                    let run = self.bytes[start..]
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .map_or(self.bytes.len(), |k| start + k);
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..run])
-                            .map_err(|_| Error::new("invalid UTF-8", start))?,
-                    );
-                    self.pos = run;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::new("invalid number", start))?;
-        if !is_float {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Int(i));
-            }
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::UInt(u));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| Error::new(format!("invalid number `{text}`"), start))
-    }
 }
 
 #[cfg(test)]
