@@ -429,10 +429,11 @@ impl Journal {
         }
     }
 
-    /// Appends `records` whole record frames — the exact bytes a `--workers`
-    /// worker framed — and writes them at once, behind anything
-    /// [`record`](Self::record) left pending, so the supervisor never
-    /// re-encodes a record and a process kill loses none it appended.
+    /// Appends `frames`, which must be exactly `records` whole record
+    /// frames — the bytes a `--workers` worker framed — and writes them at
+    /// once, behind anything [`record`](Self::record) left pending, so the
+    /// supervisor never re-encodes a record and a process kill loses none
+    /// it appended.
     pub fn append(&self, frames: &[u8], records: u64) {
         let Some(mut a) = self.live(records) else { return };
         a.pending.extend_from_slice(frames);

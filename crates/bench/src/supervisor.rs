@@ -162,7 +162,8 @@ struct Plan {
     total_cells: usize,
     /// `--cell-timeout`, forwarded so workers watchdog cells the same way.
     cell_timeout_ms: Option<u64>,
-    /// How often the worker's beat thread checks for a silent beat interval.
+    /// The beat interval: the longest a worker with news leaves its
+    /// stdout silent.
     beat_ms: u64,
 }
 

@@ -8,9 +8,9 @@
 //! accepts the longest *clean prefix* of a file: the first record whose
 //! frame is truncated, whose length is implausible, or whose checksum
 //! disagrees ends the parse, and everything before it is kept. That is the
-//! whole crash model — a killed writer loses at most its last in-flight
-//! record, and detected corruption degrades to recomputation, never to a
-//! wrong value ("degrade, never lie"; see docs/persistence.md).
+//! whole crash model — a killed writer loses at most what it had not yet
+//! written whole, and detected corruption degrades to recomputation, never
+//! to a wrong value ("degrade, never lie"; see docs/persistence.md).
 //!
 //! [`atomic_write`] / [`atomic_write_with`] are the other half: report
 //! files (`--json`, `--certificates`, `BENCH_sweep.json`) and store
