@@ -24,8 +24,8 @@
 //! | worker stdout | a [`checkpoint::record_body`] | one finished cell |
 //! | worker stdout | empty | a beat, sent by the worker's beat thread |
 //!
-//! A worker batches its record frames: one `write` carries every frame
-//! finished since the last one, and goes out when the batch reaches
+//! A worker batches its record frames: every frame finished since its
+//! last write goes to stdout together, when the batch reaches
 //! [`wire::BATCH_BYTES`], when a beat interval has passed since the last
 //! write, and before the worker reads its next assignment. Its beat thread
 //! writes only after a beat interval without a write, and then sends the

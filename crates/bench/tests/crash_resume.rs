@@ -20,6 +20,7 @@
 
 use rvz_bench::checkpoint::{self, Journal};
 use rvz_bench::sweep::{self, Delay, Executor, Family, RunOptions, SweepSpec, Variant};
+use rvz_bench::wire;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
@@ -174,7 +175,9 @@ fn enospc_in_the_final_sync_is_an_append_failure() {
     assert!(out.status.success(), "a failed append degrades, it does not fail the run: {stderr}");
     assert!(stderr.contains("disabled after append error"), "no append-failure warning: {stderr}");
     assert!(stdout.contains("append_failures=1\n"), "exactly the last record is lost: {stdout}");
-    let snap = checkpoint::parse_journal(&std::fs::read(&path).expect("read journal"));
+    let bytes = std::fs::read(&path).expect("read journal");
+    assert!(bytes.len() < wire::BATCH_BYTES, "one batch, so the final sync wrote every record");
+    let snap = checkpoint::parse_journal(&bytes);
     assert!(!snap.torn_tail && snap.bad_records == 0, "the records before it landed whole");
     assert_eq!(snap.cells.len(), cells - 1);
 
