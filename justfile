@@ -40,16 +40,16 @@ docs-check:
 # CI's differential job: three-executor agreement on e8 (replay ==
 # stepping to the byte; decide == replay modulo the `certified` flag),
 # the e9 exhaustive certification with thread-invariance and certificate
-# re-verification gates, the e9 n ≤ 11 lasso store flushed byte-identically
-# at --threads 1 and 2 with all 4391 lassos, the e10 activation-schedule
-# smoke (same three-executor + thread gates on the schedule grid), the e11
-# 3-agent ensemble leg (same gates on rvz-sweep/v7 triple rows for the
-# decider and the replayer, zero uncertified cells), the e10 grid at
-# --agents 3 (intermittent schedules at k = 3), the e1–e8 sweep grids on
-# the stepping executor, the classic e1–e8 tables and a one-thread e10
-# journal (golden bytes only), then the golden SHA-256 sums of every raw
-# output the legs wrote (the e10, e11 and e10k3 decide legs also write
-# their certificates).
+# re-verification gates, the e9 n ≤ 11 lasso store (all 4391 lassos),
+# rows and certificates byte-identical at --threads 1 and 2, the e10
+# activation-schedule smoke (same three-executor + thread gates on the
+# schedule grid), the e11 3-agent ensemble leg (same gates on
+# rvz-sweep/v7 triple rows for the decider and the replayer, zero
+# uncertified cells), the e10 grid at --agents 3 (intermittent schedules
+# at k = 3), the e1–e8 sweep grids on the stepping executor, the classic
+# e1–e8 tables and a one-thread e10 journal (golden bytes only), then the
+# golden SHA-256 sums of every raw output the legs wrote (the e10, e11
+# and e10k3 decide legs also write their certificates).
 differential:
     mkdir -p differential
     for ex in replay stepping decide; do \
@@ -78,9 +78,14 @@ differential:
       rm -rf "differential/e9-store-t$t"; \
       cargo run --release --bin experiments -- \
         --experiment e9 --executor decide --sizes 2,3,4,5,6,7,8,9,10,11 --threads "$t" \
-        --store "differential/e9-store-t$t" > /dev/null 2> "differential/e9-store-t$t.log"; \
+        --store "differential/e9-store-t$t" \
+        --json "differential/e9-store-t$t.json" \
+        --certificates "differential/e9-store-certificates-t$t.json" \
+        > /dev/null 2> "differential/e9-store-t$t.log"; \
     done
     cmp differential/e9-store-t1/solo.store differential/e9-store-t2/solo.store
+    cmp differential/e9-store-t1.json differential/e9-store-t2.json
+    cmp differential/e9-store-certificates-t1.json differential/e9-store-certificates-t2.json
     grep -q ' 4391 lassos flushed' differential/e9-store-t1.log
     grep -q ' 4391 lassos flushed' differential/e9-store-t2.log
     for ex in replay stepping decide; do \
@@ -200,14 +205,16 @@ bench-baseline:
 bench-json-check:
     jq -e '.sweep_cells.speedup and .sweep_cells_variants.speedup and .decide_cells.speedup and .ensemble_cells.speedup' BENCH_sweep.json > /dev/null
 
-# Compile benches, run each once (`--test` mode), emit BENCH_sweep.json,
-# plus the tiny deterministic sweep CI runs, the output-overhead gate
+# Compile benches and the benchmark tracer, run each bench once (`--test`
+# mode), emit BENCH_sweep.json, plus the tiny deterministic sweep CI
+# runs, the output-overhead gate
 # (e9 writing --json and --certificates within 2x the CPU of writing
 # nothing), the thread-scaling gate (e11 replay at nproc threads no
 # slower than at one) and the durable-overhead gate (e10 under
 # --workers 2 --checkpoint within 3x the wall time of in process).
 bench-smoke:
     cargo bench --workspace --no-run
+    cargo build --release --manifest-path perfbench/trace/Cargo.toml
     cargo bench --workspace -- --test
     mkdir -p bench-smoke
     cargo run --release -p rvz-bench --bin bench_baseline -- bench-smoke/BENCH_sweep.json
