@@ -18,8 +18,8 @@
 //! agent grid whose simulation time used to dominate — speeds up by less
 //! than 3× (the ISSUE-3 floor; the committed baseline records well above),
 //! if `decide_cells` — the exact decider against stepping — falls below
-//! 0.66× (the ISSUE-6 floor for the orbit-quotiented, memoized rebuild),
-//! or if `ensemble_cells` — the k-lane timeline merge against k-lane
+//! 0.66× (deciding every pair from the memoized solo lassos must stay
+//! within 1.5× of stepping), or if `ensemble_cells` — the k-lane timeline merge against k-lane
 //! stepping on the 3-agent gathering grid — falls below 1× (the ISSUE-10
 //! floor: the merge reuses solo recordings and must keep pace).
 //!
@@ -130,9 +130,9 @@ fn main() {
     let (secondary, variants_speedup) =
         measure_pair("sweep_cells_variants", &sweep::perf_grid_variants(), reps, STEPPING, REPLAY);
     // The decider is measured against stepping on the automaton grid — the
-    // workload it answers natively. Since the orbit-quotiented, memoized
-    // rebuild it is expected to at least keep pace with stepping while
-    // also certifying; the ISSUE-6 floor below holds it to ≥ 0.66x.
+    // workload it answers natively. It decides every pair directly from
+    // the instance's memoized solo lassos while also certifying; the floor
+    // below holds it to ≥ 0.66x of stepping.
     let (decide, decide_speedup) =
         measure_pair("decide_cells", &sweep::perf_grid_fsa_scan(), reps, STEPPING, DECIDE);
     // The ensemble leg: the e11 gathering workload at its top size (three
@@ -167,7 +167,7 @@ fn main() {
     if decide_speedup < 0.66 {
         eprintln!(
             "error: decide_cells speedup {decide_speedup:.2}x is below the 0.66x floor \
-             (the quotiented+memoized exact decider must stay within 1.5x of stepping)"
+             (the exact decider must stay within 1.5x of stepping)"
         );
         std::process::exit(1);
     }

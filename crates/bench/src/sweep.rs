@@ -48,11 +48,10 @@ use rvz_sim::{
     replay_ensemble, replay_pair, replay_pair_scheduled, run_ensemble_with, ActivationIndex,
     EnsembleReplay, EnsembleRun, EnsembleSchedule, Outcome, PairConfig,
 };
-use rvz_trees::symmetry::{pair_orbits, OrbitAction};
 use rvz_trees::{NodeId, Tree};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Tree families the sweep can grid over (names as in
 /// [`instances::FAMILY_NAMES`]).
@@ -800,7 +799,7 @@ pub fn prime_budget_for(m: usize) -> u64 {
 /// whole delay × variant × pair sub-grid — `feasible_pairs` alone costs
 /// hundreds of symmetrizability checks, which used to be repaid by *every*
 /// cell on the instance.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SweepInstance {
     pub tree: Tree,
     pub pairs: Vec<[NodeId; 2]>,
@@ -815,81 +814,10 @@ pub struct SweepInstance {
     /// built on first use (its table is a function of the tree's maximum
     /// degree only).
     bw_fsa: OnceLock<rvz_agent::Fsa>,
-    /// The tree's unique nontrivial port-preserving automorphism, if one
-    /// exists — the `flip` half of the start-pair orbit group (see
-    /// [`rvz_trees::symmetry::pair_orbits`]). Computed on first decide
-    /// cell.
-    flip: OnceLock<Option<Vec<NodeId>>>,
-    /// `pair index → (orbit representative index, action mapping the
-    /// representative pair onto this pair)` over `pairs`, one table per
-    /// swap-allowance (`[without swap, with swap]` — the swap is sound
-    /// only for lane-symmetric activation, so delay classes pick their
-    /// table).
-    orbit_lookups: [OnceLock<Vec<(usize, OrbitAction)>>; 2],
-    /// Decided orbit representatives, keyed `(delay code, rep index)` —
-    /// the decide executor answers each representative once per
-    /// `(instance, delay class)` and replicates the relabeled verdict to
-    /// the rest of the orbit. The per-key `OnceLock` makes racing orbit
-    /// members block on (rather than duplicate) the one decision.
-    decide_memo: Mutex<HashMap<(u64, usize), Arc<OnceLock<RepDecision>>>>,
     /// Solo recordings and lassos, fetched once from the process-wide
     /// registry and shared with every instance built at the same
     /// `(family, n, tree_seed)` (see [`crate::memo`]).
     pub(crate) memo: Arc<InstanceMemo>,
-}
-
-impl Clone for SweepInstance {
-    /// Clones the instance *data* plus whatever the pure-function caches
-    /// (`bw_fsa`, `flip`, `orbit_lookups`) already hold, and shares the
-    /// registry memo; the decision memo starts cold (every cache here is a
-    /// pure function of the data, so nothing observable changes either
-    /// way).
-    fn clone(&self) -> Self {
-        SweepInstance {
-            tree: self.tree.clone(),
-            pairs: self.pairs.clone(),
-            tuples: self.tuples.clone(),
-            tree_seed: self.tree_seed,
-            pairs_seed: self.pairs_seed,
-            bw_fsa: self.bw_fsa.clone(),
-            flip: self.flip.clone(),
-            orbit_lookups: self.orbit_lookups.clone(),
-            decide_memo: Mutex::default(),
-            memo: Arc::clone(&self.memo),
-        }
-    }
-}
-
-/// A decided cell, one flavor per delay-axis class: the fixed-delay
-/// closed form and the ∀θ quantifier (pairs only), or an ensemble decision
-/// (every schedule, and every delay at `k > 2`). For pairs it is an orbit
-/// representative's decision: the memo key includes [`Delay::code`], which
-/// separates the flavors, so a lookup always finds its own kind.
-#[derive(Debug, Clone)]
-enum RepDecision {
-    Fixed(Decision),
-    Universal(WorstCase),
-    Scheduled(EnsembleDecision),
-}
-
-impl RepDecision {
-    /// The decision for the orbit member reached from the representative
-    /// by `action` — delegates to the certified relabeling in
-    /// [`rvz_lowerbounds::decide`] (rounds/crossings invariant, lasso
-    /// configurations mapped).
-    fn relabel(&self, action: OrbitAction, flip: Option<&[NodeId]>) -> RepDecision {
-        let map = action.flip.then(|| flip.expect("flip action requires the flip map"));
-        match self {
-            RepDecision::Fixed(d) => RepDecision::Fixed(d.relabel(map, action.swap)),
-            RepDecision::Universal(wc) => {
-                debug_assert!(!action.swap, "the ∀-delay quantifier never admits the swap");
-                RepDecision::Universal(wc.relabel(map))
-            }
-            RepDecision::Scheduled(d) => {
-                RepDecision::Scheduled(d.relabel(map, action.swap.then_some(&[1, 0][..])))
-            }
-        }
-    }
 }
 
 impl SweepInstance {
@@ -922,18 +850,7 @@ impl SweepInstance {
             (pairs.into_iter().map(|(a, b)| [a, b]).collect(), Vec::new())
         };
         let memo = memo::memo(cell.family, cell.n, tree_seed, tree.num_nodes());
-        SweepInstance {
-            tree,
-            pairs,
-            tuples,
-            tree_seed,
-            pairs_seed,
-            bw_fsa: OnceLock::new(),
-            flip: OnceLock::new(),
-            orbit_lookups: [OnceLock::new(), OnceLock::new()],
-            decide_memo: Mutex::default(),
-            memo,
-        }
+        SweepInstance { tree, pairs, tuples, tree_seed, pairs_seed, bw_fsa: OnceLock::new(), memo }
     }
 
     /// The cell's start nodes, one per lane: its pair, or its tuple at
@@ -960,43 +877,6 @@ impl SweepInstance {
     /// The basic-walk solo lasso from `start`, tabulated on first use.
     pub(crate) fn solo_lasso(&self, start: NodeId) -> &SoloLasso {
         self.memo.lasso(start, || SoloLasso::tabulate(&self.tree, self.basic_walk_fsa(), start))
-    }
-
-    /// The tree's port-preserving flip, as a node-image table.
-    fn flip_map(&self) -> Option<&[NodeId]> {
-        self.flip.get_or_init(|| rvz_trees::symmetry::port_preserving_flip(&self.tree)).as_deref()
-    }
-
-    /// The orbit table for this swap-allowance: every pair index maps to
-    /// its orbit representative plus the action reaching it from there.
-    fn orbit_lookup(&self, allow_swap: bool) -> &[(usize, OrbitAction)] {
-        self.orbit_lookups[allow_swap as usize].get_or_init(|| {
-            // Force the flip first so both caches agree on it.
-            let _ = self.flip_map();
-            let mut lookup = vec![(0, OrbitAction::IDENTITY); self.pairs.len()];
-            for orbit in pair_orbits(&self.tree, &self.pairs, allow_swap) {
-                for (index, action) in orbit.members {
-                    lookup[index] = (orbit.rep, action);
-                }
-            }
-            lookup
-        })
-    }
-
-    /// The memoized decision of an orbit representative; `compute` runs at
-    /// most once per key per instance — concurrent orbit members block on
-    /// the `OnceLock` instead of re-deciding.
-    fn rep_decision(
-        &self,
-        key: (u64, usize),
-        compute: impl FnOnce() -> RepDecision,
-    ) -> Arc<OnceLock<RepDecision>> {
-        let slot = {
-            let mut memo = self.decide_memo.lock().expect("decide memo lock");
-            memo.entry(key).or_default().clone()
-        };
-        slot.get_or_init(compute);
-        slot
     }
 }
 
@@ -1442,6 +1322,14 @@ pub fn run_cell_decide(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
     run_cell_decide_certified(cell, inst).map(|(row, _)| row)
 }
 
+/// A decided cell at a fixed delay or schedule: the fixed-delay closed
+/// form (pairs), or an ensemble decision (every schedule, and every delay
+/// at `k > 2`).
+enum CellDecision {
+    Fixed(Decision),
+    Ensemble(EnsembleDecision),
+}
+
 /// Executes one cell by reachability over the joint configuration graph
 /// ([`rvz_lowerbounds::decide`]) — no round budget, for any lane count.
 /// Exact for the automaton variant; procedural-agent cells fall back to
@@ -1453,11 +1341,10 @@ pub fn run_cell_decide(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
 /// [`Certificate`] for never-meets (never-gathers) and universal-delay
 /// cells; every lasso is re-verified by independent stepping.
 ///
-/// Pairs keep two special cases, both pair-only by nature: the θ axis runs
-/// on the fixed-delay closed form, which the ∀θ quantifier folds over
-/// every delay, and pair cells are answered through the orbit quotient.
-/// At `k > 2` every cell is decided directly (the ensemble grids are
-/// capped at `n ≤ 7`, where deciding every tuple is affordable).
+/// Every cell is decided directly from the instance's memoized solo
+/// lassos, or by the product walk under a genuine schedule. Pairs keep one
+/// special case, pair-only by nature: the θ axis runs on the fixed-delay
+/// closed form, which the ∀θ quantifier folds over every delay.
 pub fn run_cell_decide_certified(
     cell: &Cell,
     inst: &SweepInstance,
@@ -1521,126 +1408,83 @@ pub fn run_cell_decide_certified(
     // from lanes 0 and 1 alone.
     let mode = (cell.delay != Delay::Adversarial).then(|| cell.mode(n));
     assert!(mode.is_some() || !ensemble, "the ∀θ quantifier is a pair axis");
+    // Feasible pairs have distinct starts, so the precomputed-lasso entry
+    // points apply; the per-lane solo lassos come from the instance memo,
+    // shared across every start tuple and delay class.
     let solo = |start| inst.solo_lasso(start);
-    let decide = |starts: &[NodeId]| match &mode {
-        None => RepDecision::Universal(worst_case_from_lassos(solo(starts[0]), solo(starts[1]))),
-        // Feasible pairs have distinct starts, so the precomputed-lasso
-        // entry points apply; the per-lane solo lassos come from the
-        // instance memo, shared across every start tuple and delay class.
-        Some(CellMode::Delay(theta)) if starts.len() == 2 => {
-            RepDecision::Fixed(decide_from_lassos(solo(starts[0]), solo(starts[1]), *theta))
-        }
-        Some(CellMode::Delay(theta)) => {
-            let lassos: Vec<&SoloLasso> = starts.iter().map(|&s| solo(s)).collect();
-            let delays = lane_delays(*theta, starts.len());
-            RepDecision::Scheduled(decide_ensemble_from_lassos(&lassos, &delays))
-        }
-        Some(CellMode::Scheduled(_, sched)) => {
-            RepDecision::Scheduled(decide_ensemble(tree, fsa, starts, sched))
-        }
-    };
-
-    // The orbit quotient (pairs): pick the orbit table whose group is
-    // sound for the cell's delay class, decide the orbit representative
-    // once per `(instance, delay class)` and replicate the relabeled
-    // verdict to the rest of the orbit. Replication is exact (see
-    // [`rvz_lowerbounds::decide::Decision::relabel`]): the row below is
-    // byte-identical to deciding the pair directly, and the certificate
-    // is re-verified against *this* pair's starts. The flip acts on space
-    // and is sound under every activation pattern; the swap exchanges the
-    // agents and is sound only when the schedule treats the lanes
-    // identically (θ = 0 / lane-symmetric schedules — never the ∀θ
-    // quantifier, whose θ axis is lane-asymmetric).
-    let (slot, relabeled, direct);
-    let decided: &RepDecision = if ensemble {
-        direct = decide(starts);
-        &direct
-    } else {
-        let allow_swap = match &mode {
-            None => false,
-            Some(CellMode::Delay(theta)) => *theta == 0,
-            Some(CellMode::Scheduled(_, sched)) => sched.lane_symmetric(),
-        };
-        let (rep, action) = inst.orbit_lookup(allow_swap)[cell.pair_index];
-        slot = inst.rep_decision((cell.delay.code(), rep), || decide(&inst.pairs[rep]));
-        let rep_decision = slot.get().expect("representative decided above");
-        if action == OrbitAction::IDENTITY {
-            rep_decision
-        } else {
-            relabeled = rep_decision.relabel(action, inst.flip_map());
-            &relabeled
-        }
-    };
-
-    Some(match (&mode, decided) {
-        (None, RepDecision::Universal(wc)) => match wc {
+    let Some(mode) = mode else {
+        return Some(match worst_case_from_lassos(solo(starts[0]), solo(starts[1])) {
             WorstCase::AllMeet { worst_delay, worst_round, delays_checked, decision } => {
-                let budget = basic_walk_budget_for(n, *worst_delay);
-                let crossings = decision.crossings_within(*worst_round);
+                let budget = basic_walk_budget_for(n, worst_delay);
+                let crossings = decision.crossings_within(worst_round);
                 let cert = certificate(
                     "all-delays-meet",
-                    *worst_delay,
-                    Some(*worst_round),
-                    Some(*delays_checked),
+                    worst_delay,
+                    Some(worst_round),
+                    Some(delays_checked),
                     None,
                 );
-                (
-                    row((*worst_delay, None), (true, Some(*worst_round), crossings), budget),
-                    Some(cert),
-                )
+                (row((worst_delay, None), (true, Some(worst_round), crossings), budget), Some(cert))
             }
             WorstCase::Defeated { delay, decision, delays_checked } => {
-                let budget = basic_walk_budget_for(n, *delay);
+                let budget = basic_walk_budget_for(n, delay);
                 let lasso = decision.lasso().expect("defeat carries a lasso");
                 let cert =
-                    certificate("delay-defeats", *delay, None, Some(*delays_checked), Some(lasso));
+                    certificate("delay-defeats", delay, None, Some(delays_checked), Some(lasso));
                 (
-                    row((*delay, None), (false, None, decision.crossings_within(budget)), budget),
+                    row((delay, None), (false, None, decision.crossings_within(budget)), budget),
                     Some(cert),
                 )
             }
-        },
-        (Some(mode), decided) => {
-            let budget = mode.bw_budget(n);
-            let fields = mode.row_fields(n);
-            let verdict = if ensemble { "never-gathers" } else { "never-meets" };
-            let (round, crossings, cert) = match decided {
-                RepDecision::Fixed(d) => {
-                    let cert =
-                        d.lasso().map(|l| certificate(verdict, fields.0, None, None, Some(l)));
-                    (d.round(), d.crossings_within(d.round().unwrap_or(budget)), cert)
-                }
-                RepDecision::Scheduled(d) => {
-                    let cert = d.lasso().map(|lasso| {
-                        let verified = match mode {
-                            CellMode::Delay(theta) => {
-                                let delays = lane_delays(*theta, starts.len());
-                                verify_delayed_ensemble_lasso(tree, fsa, starts, &delays, lasso)
-                            }
-                            CellMode::Scheduled(_, sched) => {
-                                verify_ensemble_lasso(tree, fsa, starts, sched, lasso)
-                            }
-                        };
-                        Certificate {
-                            schedule: fields.1.clone(),
-                            lasso_stem: Some(lasso.stem),
-                            lasso_period: Some(lasso.period),
-                            verified: Some(verified),
-                            ..base_certificate(verdict, fields.0)
-                        }
-                    });
-                    (d.round(), d.crossings_within(d.round().unwrap_or(budget)), cert)
-                }
-                RepDecision::Universal(_) => {
-                    unreachable!("the memo key separates decision flavors")
-                }
-            };
-            // `crossings_within(round)` == the simulator's count: it stops
-            // counting at the meeting round too.
-            (row(fields, (round.is_some(), round, crossings), budget), cert)
+        });
+    };
+    let decided = match &mode {
+        CellMode::Delay(theta) if !ensemble => {
+            CellDecision::Fixed(decide_from_lassos(solo(starts[0]), solo(starts[1]), *theta))
         }
-        _ => unreachable!("the memo key separates decision flavors"),
-    })
+        CellMode::Delay(theta) => {
+            let lassos: Vec<&SoloLasso> = starts.iter().map(|&s| solo(s)).collect();
+            let delays = lane_delays(*theta, starts.len());
+            CellDecision::Ensemble(decide_ensemble_from_lassos(&lassos, &delays))
+        }
+        CellMode::Scheduled(_, sched) => {
+            CellDecision::Ensemble(decide_ensemble(tree, fsa, starts, sched))
+        }
+    };
+
+    let budget = mode.bw_budget(n);
+    let fields = mode.row_fields(n);
+    let verdict = if ensemble { "never-gathers" } else { "never-meets" };
+    let (round, crossings, cert) = match decided {
+        CellDecision::Fixed(d) => {
+            let cert = d.lasso().map(|l| certificate(verdict, fields.0, None, None, Some(l)));
+            (d.round(), d.crossings_within(d.round().unwrap_or(budget)), cert)
+        }
+        CellDecision::Ensemble(d) => {
+            let cert = d.lasso().map(|lasso| {
+                let verified = match &mode {
+                    CellMode::Delay(theta) => {
+                        let delays = lane_delays(*theta, starts.len());
+                        verify_delayed_ensemble_lasso(tree, fsa, starts, &delays, lasso)
+                    }
+                    CellMode::Scheduled(_, sched) => {
+                        verify_ensemble_lasso(tree, fsa, starts, sched, lasso)
+                    }
+                };
+                Certificate {
+                    schedule: fields.1.clone(),
+                    lasso_stem: Some(lasso.stem),
+                    lasso_period: Some(lasso.period),
+                    verified: Some(verified),
+                    ..base_certificate(verdict, fields.0)
+                }
+            });
+            (d.round(), d.crossings_within(d.round().unwrap_or(budget)), cert)
+        }
+    };
+    // `crossings_within(round)` == the simulator's count: it stops
+    // counting at the meeting round too.
+    Some((row(fields, (round.is_some(), round, crossings), budget), cert))
 }
 
 /// What a sweep produced: the rows, plus how much of the planned grid they
@@ -2107,7 +1951,7 @@ pub const DEFAULT_SIZES: &[usize] = &[16, 32, 64, 128];
 
 /// The default size axis of the exhaustive `e9` sweep: every tree with
 /// `n ≤ 10` (201 free trees; the acceptance grid of the certification
-/// workload — the orbit-quotiented decider keeps it CI-sized). The
+/// workload — the solo-lasso closed form keeps it CI-sized). The
 /// `n = 11` axis (+235 trees) stays behind `just e9-full`; larger axes
 /// are capped at [`MAX_ENUM_SIZE`].
 pub const E9_DEFAULT_SIZES: &[usize] = &[2, 3, 4, 5, 6, 7, 8, 9, 10];
@@ -2387,17 +2231,15 @@ mod tests {
     }
 
     #[test]
-    fn orbit_quotient_is_invisible_cell_by_cell() {
-        // Quotiented vs unquotiented, per cell: every decide row must
-        // equal the *raw* decider's answer for that exact pair (the
-        // quotient decides only the orbit representative and replicates
-        // the relabeled verdict — invisibly, or it is wrong). Sampled
-        // families and the exhaustive family both run; the exhaustive
-        // pair pools are closed under swap, so multi-member orbits are
-        // guaranteed to exercise the replication path.
+    fn decide_rows_match_the_raw_deciders_cell_by_cell() {
+        // Per cell, every decide row must equal the raw decider's answer
+        // for that exact pair: `decide_pair` at a fixed delay and
+        // `worst_case_delay` under the ∀θ quantifier, each tabulating its
+        // own solo lassos instead of reading the instance memo. Sampled
+        // families and the exhaustive family both run.
         use rvz_lowerbounds::decide::{decide_pair, worst_case_delay};
         let spec = SweepSpec {
-            experiment: "orbit".into(),
+            experiment: "raw".into(),
             families: vec![Family::Line, Family::Random, Family::EnumFree],
             sizes: vec![6, 7],
             delays: vec![Delay::Zero, Delay::Fixed(2), Delay::Adversarial],
@@ -2409,16 +2251,11 @@ mod tests {
             agents: 2,
         };
         let grid = cells(&spec);
-        let mut replicated = 0usize;
         for cell in &grid {
             let inst = SweepInstance::for_cell(cell);
             let Some((row, cert)) = run_cell_decide_certified(cell, &inst) else {
                 continue;
             };
-            let allow_swap = cell.delay.is_always_zero();
-            if inst.orbit_lookup(allow_swap)[cell.pair_index].1 != OrbitAction::IDENTITY {
-                replicated += 1;
-            }
             let fsa = inst.basic_walk_fsa();
             let [a, b] = inst.pairs[cell.pair_index];
             match cell.delay {
@@ -2449,55 +2286,12 @@ mod tests {
                     );
                 }
             }
-            // Replicated certificates are re-verified against *this*
-            // pair's starts — the verification must actually pass.
+            // Certificates are re-verified against this pair's starts —
+            // the verification must actually pass.
             if let Some(cert) = cert {
                 assert_eq!(cert.start_a, a);
                 assert_eq!(cert.start_b, b);
                 assert_eq!(cert.verified, cert.lasso_stem.is_some().then_some(true), "{cert:?}");
-            }
-        }
-        assert!(replicated > 0, "the grid must contain orbit members answered by replication");
-    }
-
-    #[test]
-    fn orbit_quotient_matches_per_pair_verdicts_on_random_trees() {
-        // Proptest-style: on seeded random trees n ≤ 8, the orbit tables
-        // themselves must agree with brute force — every member's
-        // relabeled representative decision equals its direct decision,
-        // for both swap-allowances and all three delay classes.
-        use rvz_lowerbounds::decide::decide_pair;
-        for trial in 0..12u64 {
-            let n = 4 + (trial as usize) % 5;
-            let cell = Cell {
-                experiment: Arc::from("orbit-prop"),
-                family: Family::Random,
-                n,
-                delay: Delay::Zero,
-                variant: Variant::BasicWalkFsa,
-                pair_index: 0,
-                pairs_total: 8,
-                base_seed: 0xBEEF ^ trial,
-                tree_index: None,
-                agents: 2,
-            };
-            let inst = SweepInstance::for_cell(&cell);
-            let fsa = inst.basic_walk_fsa();
-            for allow_swap in [false, true] {
-                let theta = if allow_swap { 0 } else { 3 };
-                let lookup = inst.orbit_lookup(allow_swap).to_vec();
-                for (index, &(rep, action)) in lookup.iter().enumerate() {
-                    let [ra, rb] = inst.pairs[rep];
-                    let [a, b] = inst.pairs[index];
-                    let rep_dec = decide_pair(&inst.tree, fsa, ra, rb, theta);
-                    let direct = decide_pair(&inst.tree, fsa, a, b, theta);
-                    let map = action.flip.then(|| inst.flip_map().expect("flip map"));
-                    assert_eq!(
-                        rep_dec.relabel(map, action.swap),
-                        direct,
-                        "trial {trial} pair {index} via rep {rep} ({action:?})"
-                    );
-                }
             }
         }
     }

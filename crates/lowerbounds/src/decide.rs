@@ -89,16 +89,6 @@ pub struct AgentCfg {
     pub entry: Option<Port>,
 }
 
-impl AgentCfg {
-    /// The image of this configuration under a **port-preserving** tree
-    /// automorphism (`map[u]` = image of node `u`). Only the node moves:
-    /// the automaton state is spatial-label-free and the entry port is
-    /// preserved by definition of port-preserving.
-    fn relabel(self, map: &[NodeId]) -> AgentCfg {
-        AgentCfg { node: map[self.node as usize], ..self }
-    }
-}
-
 /// Applies state `s`'s action from `node`: the shared tail of the first
 /// and subsequent activation steps.
 #[inline]
@@ -401,32 +391,6 @@ impl Decision {
             }
         }
     }
-
-    /// The decision for the *image* pair under a port-preserving tree
-    /// automorphism (`map`, as from
-    /// [`rvz_trees::symmetry::port_preserving_flip`]) and/or an agent
-    /// exchange (`swap`): if this is `decide_pair(t, fsa, a, b, δ)`, the
-    /// result equals `decide_pair(t, fsa, map[a], map[b], δ)` (resp. the
-    /// swapped pair) — exactly, certificate included. The automorphism
-    /// commutes with the dynamics (it preserves degrees and ports, the
-    /// only spatial data the automaton reads), so rounds and crossing
-    /// times are invariant and only the certified configurations move.
-    /// The swap is sound only when both lanes see the same activation
-    /// pattern (here: `δ = 0`); the caller guarantees it.
-    pub fn relabel(&self, map: Option<&[NodeId]>, swap: bool) -> Decision {
-        let verdict = match self.verdict {
-            Verdict::Meets { round } => Verdict::Meets { round },
-            Verdict::NeverMeets { lasso } => {
-                let (a, b) = match map {
-                    Some(m) => (lasso.at_cycle.0.relabel(m), lasso.at_cycle.1.relabel(m)),
-                    None => lasso.at_cycle,
-                };
-                let at_cycle = if swap { (b, a) } else { (a, b) };
-                Verdict::NeverMeets { lasso: Lasso { at_cycle, ..lasso } }
-            }
-        };
-        Decision { verdict, crossing_rounds: self.crossing_rounds.clone() }
-    }
 }
 
 /// Crossings recorded at rounds `≤ limit` (the explored prefix).
@@ -469,14 +433,6 @@ fn lcm(a: u64, b: u64) -> u64 {
 /// not-yet-started region is answered from A's solo lasso.
 pub fn decide_pair(t: &Tree, fsa: &Fsa, a: NodeId, b: NodeId, delay: u64) -> Decision {
     decide_from_lassos(&SoloLasso::tabulate(t, fsa, a), &SoloLasso::tabulate(t, fsa, b), delay)
-}
-
-/// [`decide_pair`] with A's solo lasso precomputed (the quantifier layer
-/// shares one tabulation across every delay it checks). B's lasso is
-/// tabulated here; callers deciding many cells per tree should tabulate
-/// both once and use [`decide_from_lassos`] directly.
-pub fn decide_from(t: &Tree, fsa: &Fsa, solo: &SoloLasso, b: NodeId, delay: u64) -> Decision {
-    decide_from_lassos(solo, &SoloLasso::tabulate(t, fsa, b), delay)
 }
 
 /// The product-lasso core (module docs, "The product-lasso closed form"):
@@ -571,28 +527,6 @@ impl WorstCase {
     pub fn all_meet(&self) -> bool {
         matches!(self, WorstCase::AllMeet { .. })
     }
-
-    /// The universal verdict for the image pair under a port-preserving
-    /// automorphism — see [`Decision::relabel`]. No swap parameter: the
-    /// start delay is lane-asymmetric, so the ∀-delay quantifier never
-    /// admits the agent exchange.
-    pub fn relabel(&self, map: Option<&[NodeId]>) -> WorstCase {
-        match self {
-            WorstCase::AllMeet { worst_delay, worst_round, delays_checked, decision } => {
-                WorstCase::AllMeet {
-                    worst_delay: *worst_delay,
-                    worst_round: *worst_round,
-                    delays_checked: *delays_checked,
-                    decision: decision.relabel(map, false),
-                }
-            }
-            WorstCase::Defeated { delay, decision, delays_checked } => WorstCase::Defeated {
-                delay: *delay,
-                decision: decision.relabel(map, false),
-                delays_checked: *delays_checked,
-            },
-        }
-    }
 }
 
 /// Decides ∀-delay rendezvous for `(tree, pair, automaton)` in one
@@ -601,7 +535,7 @@ impl WorstCase {
 /// can behave distinctly — and if A's solo walk ever reaches B's home (at
 /// round `t`), every delay `≥ t` meets there, shrinking the quantified set
 /// further. Each surviving delay class is decided budget-free by
-/// [`decide_from`].
+/// [`decide_from_lassos`].
 pub fn worst_case_delay(t: &Tree, fsa: &Fsa, a: NodeId, b: NodeId) -> WorstCase {
     if a == b {
         let meets_now =
@@ -613,31 +547,17 @@ pub fn worst_case_delay(t: &Tree, fsa: &Fsa, a: NodeId, b: NodeId) -> WorstCase 
             decision: meets_now,
         };
     }
-    worst_case_from(t, fsa, &SoloLasso::tabulate(t, fsa, a), b)
+    worst_case_from_lassos(&SoloLasso::tabulate(t, fsa, a), &SoloLasso::tabulate(t, fsa, b))
 }
 
-/// [`worst_case_delay`] with A's solo lasso precomputed — the sweep's
-/// decide executor shares one tabulation per `(instance, start)` across
-/// the whole delay × pair sub-grid. `solo.start` must differ from `b`.
-pub fn worst_case_from(t: &Tree, fsa: &Fsa, solo: &SoloLasso, b: NodeId) -> WorstCase {
-    worst_case_from_lassos(solo, &SoloLasso::tabulate(t, fsa, b))
-}
-
-/// Past this many distinct delay classes the quantifier fans the classes
-/// out over rayon in fixed-size chunks; below it the sequential
-/// short-circuit scan wins. Small grids (the exhaustive e9/e10 trees)
-/// stay sequential; the n≈200 perf scans parallelize.
-const WORST_CASE_PAR_THRESHOLD: u64 = 32;
-const WORST_CASE_PAR_CHUNK: u64 = 64;
-
-/// [`worst_case_from`] from both solo lassos (same contract as
-/// [`decide_from_lassos`]); the starts must differ.
+/// [`worst_case_delay`] from both solo lassos (same contract as
+/// [`decide_from_lassos`]) — the sweep's decide executor shares one
+/// tabulation per `(instance, start)` across the whole delay × pair
+/// sub-grid. The starts must differ.
 ///
-/// The delay classes are decided in parallel (chunked, when there are
-/// enough of them) but folded strictly in delay order, so the result —
-/// defeat at the *smallest* defeating delay, worst round with ties broken
-/// toward the smallest delay, `delays_checked` counts — is identical to
-/// the sequential scan's, independent of thread count.
+/// The delay classes are decided in delay order, so the result is defeat
+/// at the *smallest* defeating delay, or the worst round with ties broken
+/// toward the smallest delay.
 pub fn worst_case_from_lassos(solo_a: &SoloLasso, solo_b: &SoloLasso) -> WorstCase {
     debug_assert_ne!(
         solo_a.start, solo_b.start,
@@ -649,45 +569,18 @@ pub fn worst_case_from_lassos(solo_a: &SoloLasso, solo_b: &SoloLasso) -> WorstCa
     let horizon = first_home.unwrap_or_else(|| solo_a.distinct_delays());
     let mut worst: Option<(u64, u64, Decision)> = None; // (round, delay, decision)
     let mut checked = 0u64;
-    let fold = |delay: u64,
-                decision: Decision,
-                worst: &mut Option<(u64, u64, Decision)>,
-                checked: &mut u64|
-     -> Option<WorstCase> {
-        *checked += 1;
+    for delay in 0..horizon {
+        let decision = decide_from_lassos(solo_a, solo_b, delay);
+        checked += 1;
         match decision.verdict {
             Verdict::Meets { round } => {
                 if worst.as_ref().is_none_or(|(r, _, _)| round > *r) {
-                    *worst = Some((round, delay, decision));
+                    worst = Some((round, delay, decision));
                 }
-                None
             }
             Verdict::NeverMeets { .. } => {
-                Some(WorstCase::Defeated { delay, decision, delays_checked: *checked })
+                return WorstCase::Defeated { delay, decision, delays_checked: checked };
             }
-        }
-    };
-    if horizon <= WORST_CASE_PAR_THRESHOLD {
-        for delay in 0..horizon {
-            let decision = decide_from_lassos(solo_a, solo_b, delay);
-            if let Some(defeated) = fold(delay, decision, &mut worst, &mut checked) {
-                return defeated;
-            }
-        }
-    } else {
-        use rayon::prelude::*;
-        let mut chunk_start = 0u64;
-        while chunk_start < horizon {
-            let chunk_end = (chunk_start + WORST_CASE_PAR_CHUNK).min(horizon);
-            let delays: Vec<u64> = (chunk_start..chunk_end).collect();
-            let decisions: Vec<Decision> =
-                delays.par_iter().map(|&d| decide_from_lassos(solo_a, solo_b, d)).collect();
-            for (delay, decision) in delays.into_iter().zip(decisions) {
-                if let Some(defeated) = fold(delay, decision, &mut worst, &mut checked) {
-                    return defeated;
-                }
-            }
-            chunk_start = chunk_end;
         }
     }
     if let Some(tv) = first_home {
@@ -989,54 +882,6 @@ impl EnsembleDecision {
             }
         }
     }
-
-    /// The decision for the image tuple under a port-preserving tree
-    /// automorphism and/or a lane permutation (`perm[i]` = lane that
-    /// receives old lane `i`'s start; `[1, 0]` swaps a pair) — the
-    /// schedule-axis sibling of [`Decision::relabel`]. The permutation is sound only for
-    /// [`EnsembleSchedule::lane_symmetric`] schedules; the caller
-    /// guarantees it. Rounds and crossing times are invariant; the
-    /// certified configurations and the pairwise-meeting slots move.
-    pub fn relabel(&self, map: Option<&[NodeId]>, perm: Option<&[usize]>) -> EnsembleDecision {
-        let move_cfg = |cfg: Option<AgentCfg>| match map {
-            Some(m) => cfg.map(|c| c.relabel(m)),
-            None => cfg,
-        };
-        let k = lanes_of(self.pair_meetings.len());
-        let mut pair_meetings = self.pair_meetings.clone();
-        if let Some(perm) = perm {
-            for i in 0..k {
-                for j in i + 1..k {
-                    let (pi, pj) = (perm[i].min(perm[j]), perm[i].max(perm[j]));
-                    pair_meetings[pair_index(k, pi, pj)] = self.pair_meetings[pair_index(k, i, j)];
-                }
-            }
-        }
-        let verdict = match &self.verdict {
-            EnsembleVerdict::Meets { round } => EnsembleVerdict::Meets { round: *round },
-            EnsembleVerdict::NeverMeets { lasso } => {
-                let mut at_cycle = vec![None; lasso.at_cycle.len()];
-                for (i, &cfg) in lasso.at_cycle.iter().enumerate() {
-                    let slot = perm.map_or(i, |p| p[i]);
-                    at_cycle[slot] = move_cfg(cfg);
-                }
-                EnsembleVerdict::NeverMeets {
-                    lasso: EnsembleLasso { stem: lasso.stem, period: lasso.period, at_cycle },
-                }
-            }
-        };
-        EnsembleDecision { verdict, crossing_rounds: self.crossing_rounds.clone(), pair_meetings }
-    }
-}
-
-/// Inverse of `k (k − 1) / 2`: the lane count whose unordered-pair table
-/// has `pairs` slots.
-fn lanes_of(pairs: usize) -> usize {
-    let mut k = 2;
-    while k * (k - 1) / 2 < pairs {
-        k += 1;
-    }
-    k
 }
 
 /// Records round-`round` co-locations of `nodes` into the unordered-pair
@@ -1389,64 +1234,6 @@ mod tests {
     }
 
     #[test]
-    fn relabeled_decisions_equal_direct_decisions_of_the_image_pair() {
-        // Soundness of the sweep's orbit quotient, pinned exactly:
-        // flipping through the port-preserving automorphism and/or (under
-        // a lane-symmetric schedule) swapping the agents commutes with
-        // every decider entry point — certificates included, not just
-        // verdicts.
-        let mut saw_flip = false;
-        for t in [line(7), line(8), spider(3, 2), colored_line(6, 1)] {
-            let flip = rvz_trees::symmetry::port_preserving_flip(&t);
-            saw_flip |= flip.is_some();
-            let fsa = bw(&t);
-            let n = t.num_nodes() as NodeId;
-            let lockstep =
-                EnsembleSchedule::new(2, Vec::new(), vec![vec![true, true], vec![false, false]]);
-            let intermittent = EnsembleSchedule::intermittent_last(2, 2, 0);
-            for a in 0..n {
-                for b in 0..n {
-                    if a == b {
-                        continue;
-                    }
-                    for delay in [0u64, 1, 5] {
-                        let d = decide_pair(&t, &fsa, a, b, delay);
-                        if let Some(f) = flip.as_deref() {
-                            let image = decide_pair(&t, &fsa, f[a as usize], f[b as usize], delay);
-                            assert_eq!(d.relabel(Some(f), false), image, "flip a={a} b={b}");
-                        }
-                        if delay == 0 {
-                            let swapped = decide_pair(&t, &fsa, b, a, 0);
-                            assert_eq!(d.relabel(None, true), swapped, "swap a={a} b={b}");
-                        }
-                    }
-                    if let Some(f) = flip.as_deref() {
-                        let wc = worst_case_delay(&t, &fsa, a, b);
-                        let image = worst_case_delay(&t, &fsa, f[a as usize], f[b as usize]);
-                        assert_eq!(wc.relabel(Some(f)), image, "∀-delay flip a={a} b={b}");
-                        let sd = decide_pair_scheduled(&t, &fsa, a, b, &intermittent);
-                        let s_image = decide_pair_scheduled(
-                            &t,
-                            &fsa,
-                            f[a as usize],
-                            f[b as usize],
-                            &intermittent,
-                        );
-                        assert_eq!(sd.relabel(Some(f), None), s_image, "sched flip a={a} b={b}");
-                    }
-                    // Lockstep is lane-symmetric, so the swap is sound on
-                    // the scheduled decider too.
-                    let ld = decide_pair_scheduled(&t, &fsa, a, b, &lockstep);
-                    let l_swapped = decide_pair_scheduled(&t, &fsa, b, a, &lockstep);
-                    let swap = Some(&[1, 0][..]);
-                    assert_eq!(ld.relabel(None, swap), l_swapped, "sched swap a={a} b={b}");
-                }
-            }
-        }
-        assert!(saw_flip, "at least one instance must exercise the flip");
-    }
-
-    #[test]
     fn meets_agree_with_simulation_across_delays() {
         for t in [line(9), spider(3, 3), star(5)] {
             let fsa = bw(&t);
@@ -1510,11 +1297,12 @@ mod tests {
                     // Brute force: every delay up to a horizon comfortably
                     // past the solo lasso.
                     let solo = SoloLasso::tabulate(&t, &fsa, a);
+                    let solo_b = SoloLasso::tabulate(&t, &fsa, b);
                     let horizon = solo.distinct_delays() + 2 * solo.period.max(1);
                     let mut brute_all_meet = true;
                     let mut brute_worst = 0u64;
                     for delay in 0..horizon {
-                        match decide_from(&t, &fsa, &solo, b, delay).verdict {
+                        match decide_from_lassos(&solo, &solo_b, delay).verdict {
                             Verdict::Meets { round } => brute_worst = brute_worst.max(round),
                             Verdict::NeverMeets { .. } => {
                                 brute_all_meet = false;
@@ -1791,10 +1579,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_quantifier_is_byte_identical_to_sequential() {
-        // line(40) from an endpoint: first_visit(39) = 39 > the parallel
-        // threshold, so the chunked rayon path runs; its result must equal
-        // a hand-rolled sequential scan exactly.
+    fn quantifier_matches_a_sequential_scan_on_a_long_line() {
+        // line(40) from an endpoint: first_visit(39) = 39 delay classes.
+        // The quantifier must equal a hand-rolled scan over every class
+        // exactly.
         let t = line(40);
         let fsa = bw(&t);
         for (a, b) in [(0u32, 39u32), (39, 0), (1, 39)] {
@@ -1802,8 +1590,7 @@ mod tests {
             let solo_b = SoloLasso::tabulate(&t, &fsa, b);
             let first_home = solo_a.first_visit(b);
             let horizon = first_home.unwrap_or_else(|| solo_a.distinct_delays());
-            assert!(horizon > WORST_CASE_PAR_THRESHOLD, "instance must exercise the parallel path");
-            let par = worst_case_from_lassos(&solo_a, &solo_b);
+            let quantified = worst_case_from_lassos(&solo_a, &solo_b);
             // Sequential oracle.
             let mut worst: Option<(u64, u64)> = None;
             let mut defeat: Option<(u64, u64)> = None; // (delay, checked)
@@ -1822,7 +1609,7 @@ mod tests {
                     }
                 }
             }
-            match (par, defeat) {
+            match (quantified, defeat) {
                 (WorstCase::Defeated { delay, delays_checked, .. }, Some((d, c))) => {
                     assert_eq!((delay, delays_checked), (d, c), "a={a} b={b}");
                 }
@@ -2037,40 +1824,6 @@ mod tests {
         let mut zero = good;
         zero.period = 0;
         assert!(!verify_ensemble_lasso(&t, &fsa, &starts, &sched, &zero));
-    }
-
-    #[test]
-    fn relabeled_ensemble_decisions_equal_direct_decisions_of_the_image_tuple() {
-        // The flip always commutes; lane permutations additionally need a
-        // lane-symmetric schedule — exactly the sweep's orbit rules.
-        let (t, flip) = [line(7), line(8), spider(3, 2), colored_line(6, 1)]
-            .into_iter()
-            .find_map(|t| rvz_trees::symmetry::port_preserving_flip(&t).map(|flip| (t, flip)))
-            .expect("at least one candidate tree must flip");
-        let fsa = bw(&t);
-        let n = t.num_nodes() as NodeId;
-        let sym = EnsembleSchedule::simultaneous(3);
-        let asym = EnsembleSchedule::start_delays(&[0, 0, 2]);
-        for starts in [[0u32, n / 2, n - 1], [1, n - 1, 2], [0, 1, 2]] {
-            let image: Vec<NodeId> = starts.iter().map(|&v| flip[v as usize]).collect();
-            for sched in [&sym, &asym] {
-                let d = decide_ensemble(&t, &fsa, &starts, sched);
-                let direct = decide_ensemble(&t, &fsa, &image, sched);
-                assert_eq!(d.relabel(Some(&flip[..]), None), direct, "flip {starts:?}");
-            }
-            // Rotate the lanes under the symmetric schedule.
-            let perm = [1usize, 2, 0];
-            let rotated: Vec<NodeId> = {
-                let mut v = vec![0; 3];
-                for i in 0..3 {
-                    v[perm[i]] = starts[i];
-                }
-                v
-            };
-            let d = decide_ensemble(&t, &fsa, &starts, &sym);
-            let direct = decide_ensemble(&t, &fsa, &rotated, &sym);
-            assert_eq!(d.relabel(None, Some(&perm)), direct, "perm {starts:?}");
-        }
     }
 
     #[test]

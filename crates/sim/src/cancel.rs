@@ -14,11 +14,11 @@
 //! **Cancellation escapes by panic, never by value.** [`checkpoint`]
 //! panics with the private [`Cancelled`] payload instead of returning a
 //! sentinel, so a cancelled attempt can never fabricate a result that
-//! the process-wide memo caches (`decide_memo`, the trace/solo stores)
-//! would keep: an unwound `OnceLock::get_or_init` leaves its slot
-//! uninitialized, and an unwound trace extension leaves the recording at
-//! the last *completed* round (checkpoints sit only at round
-//! boundaries). The watchdog thread catches the payload with
+//! the memo caches (the per-instance solo lassos and recordings, the
+//! trace/solo stores) would keep: an unwound `OnceLock::get_or_init`
+//! leaves its slot uninitialized, and an unwound trace extension leaves
+//! the recording at the last *completed* round (checkpoints sit only at
+//! round boundaries). The watchdog thread catches the payload with
 //! `catch_unwind` and exits silently; any other panic is resumed
 //! unchanged.
 //!

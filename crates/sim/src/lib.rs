@@ -22,10 +22,8 @@
 //! let theta = EnsembleSchedule::start_delays(&[0, 2]);
 //! assert_eq!(theta.active(2), &[true, false]);
 //! assert_eq!(theta.active(3), &[true, true]);
-//! // Only lane-symmetric schedules treat the agents interchangeably
-//! // (the sweep's orbit quotient may swap start pairs exactly then).
-//! assert!(EnsembleSchedule::simultaneous(2).lane_symmetric());
-//! assert!(!theta.lane_symmetric());
+//! // θ = 0 is the simultaneous start: both agents act from round 1.
+//! assert_eq!(EnsembleSchedule::simultaneous(2).active(1), &[true, true]);
 //! ```
 
 pub mod cancel;

@@ -171,13 +171,6 @@ impl EnsembleSchedule {
         }
     }
 
-    /// `true` when every lane sees identical flags every round — the
-    /// class on which permuting the agents merely relabels lanes, so the
-    /// sweep's orbit quotient may permute start tuples soundly.
-    pub fn lane_symmetric(&self) -> bool {
-        self.prefix.iter().chain(&self.cycle).all(|row| row.iter().all(|&f| f == row[0]))
-    }
-
     /// Activation arithmetic for lane `lane`.
     pub fn index(&self, lane: usize) -> ActivationIndex {
         assert!(lane < self.lanes, "lane {lane} out of range for {} lanes", self.lanes);
@@ -317,19 +310,6 @@ mod tests {
     /// Two-lane rows from `"ab"` bit strings (`a` = lane 0, `b` = lane 1).
     fn rows(bits: &[&str]) -> Vec<Vec<bool>> {
         bits.iter().map(|r| r.bytes().map(|b| b == b'1').collect()).collect()
-    }
-
-    #[test]
-    fn lane_symmetry_matches_the_flag_pattern() {
-        assert!(EnsembleSchedule::simultaneous(2).lane_symmetric());
-        assert!(EnsembleSchedule::new(2, Vec::new(), rows(&["11", "00"])).lane_symmetric());
-        assert!(!EnsembleSchedule::start_delays(&[0, 1]).lane_symmetric());
-        assert!(!EnsembleSchedule::intermittent_last(2, 2, 0).lane_symmetric());
-        assert!(!EnsembleSchedule::crash_last_after(2, 3).lane_symmetric());
-        assert!(!EnsembleSchedule::crash_last_after(3, 4).lane_symmetric());
-        assert!(EnsembleSchedule::simultaneous(3).lane_symmetric());
-        // θ = 0 start delay has an empty prefix and an all-on cycle.
-        assert!(EnsembleSchedule::start_delays(&[0, 0]).lane_symmetric());
     }
 
     /// Brute-force activation count straight off `EnsembleSchedule::active`.

@@ -26,16 +26,6 @@
 //! full port-preserving automorphism group has order 1 or 2. Likewise, an
 //! automorphism realizable by *some* labeling can be chosen to be an
 //! involution swapping the two central-edge halves.
-//!
-//! # Orbits of start pairs
-//!
-//! [`pair_orbits`] exploits that tiny group to quotient *ordered start
-//! pairs*: two pairs that differ by the flip (and, for schedules that treat
-//! the two agents identically, by exchanging the agents) produce the same
-//! rendezvous verdict, so an exact decider need only decide one
-//! representative per orbit and replicate the verdict — remapping any
-//! certificate through the flip — to the rest. See `docs/executors.md` for
-//! how the sweep engine applies this.
 
 use crate::canon::{canon_ports, canon_structural};
 use crate::center::{center, Center};
@@ -302,115 +292,6 @@ pub fn symmetrization_witness(t: &Tree, u: NodeId, v: NodeId) -> Option<(Tree, V
     }
 }
 
-/// How an orbit member is reached from its orbit representative: apply the
-/// central-edge flip to both coordinates (`flip`), then exchange the
-/// coordinates (`swap`). The two commute — the flip acts on nodes, the swap
-/// on positions — so the order is immaterial.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct OrbitAction {
-    /// Map both start nodes through the tree's port-preserving flip.
-    pub flip: bool,
-    /// Exchange the two agents: `[a, b] ↦ [b, a]`.
-    pub swap: bool,
-}
-
-impl OrbitAction {
-    /// The do-nothing action (every representative's own action).
-    pub const IDENTITY: OrbitAction = OrbitAction { flip: false, swap: false };
-
-    /// Apply this action to an ordered pair. `flip_map` must be `Some` when
-    /// `self.flip` is set (it is the table from [`port_preserving_flip`]).
-    pub fn apply(&self, [a, b]: [NodeId; 2], flip_map: Option<&[NodeId]>) -> [NodeId; 2] {
-        let (mut a, mut b) = (a, b);
-        if self.flip {
-            let f = flip_map.expect("flip action requires the flip map");
-            a = f[a as usize];
-            b = f[b as usize];
-        }
-        if self.swap {
-            [b, a]
-        } else {
-            [a, b]
-        }
-    }
-}
-
-/// One orbit of ordered start pairs under the group chosen in
-/// [`pair_orbits`].
-#[derive(Clone, Debug)]
-pub struct PairOrbit {
-    /// Index (into the input slice) of the representative — always the
-    /// smallest member index, so output order is deterministic.
-    pub rep: usize,
-    /// Every orbit member present in the input, as `(index, action)` with
-    /// `pairs[index] == action.apply(pairs[rep], flip)`. Sorted by index;
-    /// the representative appears first with [`OrbitAction::IDENTITY`].
-    pub members: Vec<(usize, OrbitAction)>,
-}
-
-/// Partition ordered start pairs into orbits under the group generated by
-/// the tree's port-preserving flip (when one exists) and — iff `allow_swap`
-/// — the agent exchange `[a, b] ↦ [b, a]`. The group has order at most 4.
-///
-/// Soundness: the flip acts on *space* and commutes with any deterministic
-/// agent reading only degrees and ports, so it preserves rendezvous verdicts
-/// under every activation schedule. The swap exchanges the two *agents* and
-/// is sound only when the schedule treats the lanes identically (all
-/// per-round activation flags equal); the caller decides and passes
-/// `allow_swap = false` otherwise.
-///
-/// A pair whose image under a group element is absent from `pairs` simply
-/// contributes no member (sampled pair pools are not closed under the
-/// action); the partition of the pairs that *are* present is still
-/// well-defined because "same orbit" remains an equivalence relation on
-/// them. Duplicate input pairs each get their own singleton orbit rather
-/// than aliasing.
-pub fn pair_orbits(t: &Tree, pairs: &[[NodeId; 2]], allow_swap: bool) -> Vec<PairOrbit> {
-    let flip = port_preserving_flip(t);
-    let mut index_of = std::collections::HashMap::with_capacity(pairs.len());
-    for (i, &p) in pairs.iter().enumerate() {
-        // First occurrence wins; later duplicates fall through to singleton
-        // orbits via the `assigned` scan below.
-        index_of.entry(p).or_insert(i);
-    }
-    let mut assigned = vec![false; pairs.len()];
-    let mut orbits = Vec::new();
-    for rep in 0..pairs.len() {
-        if assigned[rep] {
-            continue;
-        }
-        let mut members = Vec::new();
-        for swap in [false, true] {
-            if swap && !allow_swap {
-                continue;
-            }
-            for do_flip in [false, true] {
-                if do_flip && flip.is_none() {
-                    continue;
-                }
-                let action = OrbitAction { flip: do_flip, swap };
-                let image = action.apply(pairs[rep], flip.as_deref());
-                if let Some(&i) = index_of.get(&image) {
-                    if !assigned[i] {
-                        assigned[i] = true;
-                        members.push((i, action));
-                    }
-                }
-            }
-        }
-        if !assigned[rep] {
-            // A duplicate pair whose first occurrence already claimed the
-            // index map entry: decide it independently.
-            assigned[rep] = true;
-            members.push((rep, OrbitAction::IDENTITY));
-        }
-        members.sort_by_key(|&(i, _)| i);
-        debug_assert_eq!(members[0], (rep, OrbitAction::IDENTITY));
-        orbits.push(PairOrbit { rep, members });
-    }
-    orbits
-}
-
 /// The two port-labeled halves of the central edge are isomorphic (including
 /// ports): used to classify the Stage-2 branch of the Theorem 4.1 agent.
 pub fn halves_port_isomorphic(t: &Tree) -> bool {
@@ -587,76 +468,12 @@ mod tests {
         }
     }
 
-    /// All ordered pairs of distinct nodes, in lex order (the pair-pool
-    /// order `exhaustive_feasible_pairs` uses, minus the feasibility filter).
-    fn all_ordered_pairs(t: &Tree) -> Vec<[NodeId; 2]> {
-        let n = t.num_nodes() as NodeId;
-        (0..n).flat_map(|a| (0..n).filter(move |&b| b != a).map(move |b| [a, b])).collect()
-    }
-
-    fn check_orbit_invariants(t: &Tree, pairs: &[[NodeId; 2]], allow_swap: bool) {
-        let orbits = pair_orbits(t, pairs, allow_swap);
-        let flip = port_preserving_flip(t);
-        let mut covered = vec![false; pairs.len()];
-        for orbit in &orbits {
-            assert_eq!(orbit.members[0], (orbit.rep, OrbitAction::IDENTITY));
-            for &(i, action) in &orbit.members {
-                assert!(i >= orbit.rep, "rep must be the smallest index");
-                assert!(!covered[i], "pair index {i} in two orbits");
-                covered[i] = true;
-                assert!(!action.swap || allow_swap);
-                assert_eq!(
-                    pairs[i],
-                    action.apply(pairs[orbit.rep], flip.as_deref()),
-                    "member {i} does not match its action"
-                );
-            }
-        }
-        assert!(covered.iter().all(|&c| c), "orbits must partition the input");
-    }
-
     #[test]
-    fn orbits_on_the_odd_line_come_only_from_swap() {
-        // line(7) has a central node: no flip. Without swap every pair is
-        // its own orbit; with swap the 42 ordered pairs pair up into 21.
-        let t = line(7);
-        let pairs = all_ordered_pairs(&t);
-        assert_eq!(pairs.len(), 42);
-        assert_eq!(pair_orbits(&t, &pairs, false).len(), 42);
-        assert_eq!(pair_orbits(&t, &pairs, true).len(), 21);
-        check_orbit_invariants(&t, &pairs, true);
-    }
-
-    #[test]
-    fn orbits_on_the_mirror_labeled_even_line() {
-        // 6 nodes, flip = full reversal i ↦ 5-i. 30 ordered pairs.
-        // Flip alone is fixed-point-free on pairs: 15 orbits of size 2.
-        // Flip + swap: the 6 anti-diagonal pairs (a, 5-a) have
-        // flip == swap, giving 3 orbits of size 2; the other 24 pairs fall
-        // into 6 orbits of size 4. Total 9.
-        let t = colored_line_center_zero(5);
-        assert!(is_symmetric(&t));
-        let pairs = all_ordered_pairs(&t);
-        assert_eq!(pairs.len(), 30);
-        assert_eq!(pair_orbits(&t, &pairs, false).len(), 15);
-        let quotiented = pair_orbits(&t, &pairs, true);
-        assert_eq!(quotiented.len(), 9);
-        let mut sizes: Vec<usize> = quotiented.iter().map(|o| o.members.len()).collect();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![2, 2, 2, 4, 4, 4, 4, 4, 4]);
-        check_orbit_invariants(&t, &pairs, false);
-        check_orbit_invariants(&t, &pairs, true);
-    }
-
-    #[test]
-    fn orbits_on_star_and_spider_have_no_flip() {
-        // Stars and uniform odd spiders have a central node: swap is the
-        // only symmetry, so orbit count = pairs / 2 exactly.
+    fn star_and_spider_have_no_flip() {
+        // Stars and uniform odd spiders have a central node, so no
+        // port-preserving flip exists.
         for t in [crate::generators::star(4), spider(3, 4)] {
             assert!(port_preserving_flip(&t).is_none());
-            let pairs = all_ordered_pairs(&t);
-            assert_eq!(pair_orbits(&t, &pairs, true).len(), pairs.len() / 2);
-            check_orbit_invariants(&t, &pairs, true);
         }
     }
 
@@ -664,7 +481,7 @@ mod tests {
     fn asymmetric_n7_tree_with_central_edge_has_no_flip() {
         // Spider with legs 1, 2, 3 (7 nodes): the diameter path has odd
         // length, so the tree has a central *edge* {0, 4} — but the halves
-        // have 4 and 3 nodes, so no flip exists and only swap quotients.
+        // have 4 and 3 nodes, so no flip exists.
         use crate::tree::Edge;
         let t = Tree::from_edges(
             7,
@@ -680,49 +497,6 @@ mod tests {
         .unwrap();
         assert!(matches!(center(&t), Center::Edge(0, 4)));
         assert!(port_preserving_flip(&t).is_none());
-        let pairs = all_ordered_pairs(&t);
-        assert_eq!(pairs.len(), 42);
-        assert_eq!(pair_orbits(&t, &pairs, false).len(), 42);
-        assert_eq!(pair_orbits(&t, &pairs, true).len(), 21);
-    }
-
-    #[test]
-    fn orbits_on_sampled_pools_and_random_trees() {
-        // Sampled pools are not closed under the action; the partition must
-        // still be well-formed. Mirror-doubled trees guarantee a flip when
-        // the join ports match.
-        let mut rng = StdRng::seed_from_u64(77);
-        for round in 0..30 {
-            let n = 4 + (round % 7);
-            let t = random_relabel(&random_tree(n, &mut rng), &mut rng);
-            let mut pairs = all_ordered_pairs(&t);
-            // Drop a pseudo-random subset to simulate a sampled pool.
-            pairs.retain(|&[a, b]| !(a as usize * 31 + b as usize * 17 + round).is_multiple_of(3));
-            check_orbit_invariants(&t, &pairs, false);
-            check_orbit_invariants(&t, &pairs, true);
-        }
-    }
-
-    #[test]
-    fn orbit_partition_never_crosses_verdict_classes() {
-        // Perfect symmetrizability is invariant under both generators, so an
-        // orbit never mixes feasible and infeasible pairs — the invariant
-        // that lets the sweep engine decide one representative per orbit.
-        let mut rng = StdRng::seed_from_u64(99);
-        for _ in 0..20 {
-            let t = random_relabel(&random_tree(8, &mut rng), &mut rng);
-            let pairs = all_ordered_pairs(&t);
-            for orbit in pair_orbits(&t, &pairs, true) {
-                let rep_feasible = {
-                    let [a, b] = pairs[orbit.rep];
-                    !perfectly_symmetrizable(&t, a, b)
-                };
-                for &(i, _) in &orbit.members {
-                    let [a, b] = pairs[i];
-                    assert_eq!(!perfectly_symmetrizable(&t, a, b), rep_feasible);
-                }
-            }
-        }
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! port-preserving involution) for a perfectly symmetrizable pair.
 //!
 //! Claim demonstrated: **Definition 1.2 / Fact 1.1** — the feasibility
-//! predicate every sweep grid's start-pair pool is filtered by (and the
-//! symmetry the decide executor's orbit quotient exploits).
+//! predicate every sweep grid's start-pair pool is filtered by.
 
 use tree_rendezvous::trees::generators::{complete_binary, line};
 use tree_rendezvous::trees::symmetry::{

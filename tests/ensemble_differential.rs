@@ -168,7 +168,7 @@ fn three_lane_paths_agree_and_never_gathers_certificates_verify() {
         let fsa = Fsa::basic_walk(t.max_degree().max(1));
         let tuples = feasible_tuples(&t, 3);
         // The full tuple set is large; a lex-stride sample keeps the test
-        // fast while still crossing orbit boundaries.
+        // fast while still varying every lane's start.
         for tuple in tuples.iter().step_by(7) {
             for (si, sched) in schedule_classes(3, t.num_nodes()).into_iter().enumerate() {
                 let run = step_ensemble(&t, &fsa, tuple, &sched);
