@@ -54,6 +54,8 @@ pub struct GatheringSummary {
 /// Aggregates an E11 sweep report into its per-(size, schedule) table.
 /// Rows are grouped in grid order (sizes ascending, schedules in the
 /// spec's column order), so the table reads like the schedule axis.
+/// Quarantined rows keep their group in the table but count in no verdict
+/// column; one table note gives their number.
 pub fn summarize(report: &SweepReport) -> (Vec<GatheringSummary>, Table) {
     let mut out: Vec<GatheringSummary> = Vec::new();
     for row in &report.rows {
@@ -73,6 +75,9 @@ pub fn summarize(report: &SweepReport) -> (Vec<GatheringSummary>, Table) {
                 out.last_mut().expect("just pushed")
             }
         };
+        if row.quarantined() {
+            continue;
+        }
         entry.triples += 1;
         if row.met {
             entry.gathered += 1;
@@ -109,20 +114,52 @@ pub fn summarize(report: &SweepReport) -> (Vec<GatheringSummary>, Table) {
         report.certificates.len(),
         if bogus > 0 { " — VERIFICATION FAILURES PRESENT" } else { "" }
     ));
-    let uncertified = report.rows.iter().filter(|r| !r.certified).count();
-    if uncertified > 0 {
-        t.note(&format!(
-            "{uncertified} cells answered by bounded simulation, not certified — \
-             run with --executor decide for certified verdicts"
-        ));
-    }
+    crate::sweep::note_unverified_cells(&mut t, &report.rows);
     (out, t)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{self, Executor};
+    use crate::sweep::{self, poisoned_row, timed_out_row, Executor, Quarantine};
+
+    /// Every verdict column of a summary, keyed by its group.
+    fn verdicts(summary: &[GatheringSummary]) -> Vec<(usize, String, [u64; 5])> {
+        summary
+            .iter()
+            .map(|s| {
+                (
+                    s.n,
+                    s.schedule.clone(),
+                    [s.triples, s.gathered, s.never, s.worst_round, s.certified],
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn quarantined_rows_count_in_no_verdict_column() {
+        let mut spec = sweep::preset("e11", &[4, 5], 1, 3).expect("e11 preset");
+        spec.executor = Executor::ExactDecide;
+        // Every third cell poisoned and every third timed out, in every
+        // schedule column: the summary must equal the one of the report
+        // without those cells.
+        let quarantine: [Option<Quarantine>; 3] = [None, Some(poisoned_row), Some(timed_out_row)];
+        let (mixed, omitted) = sweep::quarantined_report(&spec, |i| quarantine[i % 3]);
+        let quarantined = mixed.rows.len() - omitted.rows.len();
+        let (summary, table) = summarize(&mixed);
+        let (expected, _) = summarize(&omitted);
+        assert!(expected.iter().any(|s| s.never > 0));
+        assert_eq!(verdicts(&summary), verdicts(&expected));
+        let rendered = table.render();
+        assert!(rendered.contains(&format!("{quarantined} cells quarantined")), "{rendered}");
+        assert!(!rendered.contains("bounded simulation"), "{rendered}");
+        // An all-poisoned run decided nothing: zero in every verdict column.
+        let (poisoned, _) = sweep::quarantined_report(&spec, |_| Some(poisoned_row));
+        let (summary, _) = summarize(&poisoned);
+        assert_eq!(summary.len(), expected.len());
+        assert!(verdicts(&summary).iter().all(|(_, _, v)| *v == [0; 5]), "{summary:?}");
+    }
 
     #[test]
     fn e11_certifies_that_the_crash_rescue_fails_for_gathering() {

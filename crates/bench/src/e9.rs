@@ -8,7 +8,9 @@
 //! universal "every finite delay" question through the quantifier layer
 //! ([`rvz_lowerbounds::decide::worst_case_delay`]). No cell can time out:
 //! the exact decider has no budget, so every `met == false` is a certified
-//! never-meets with a lasso in [`SweepReport::certificates`].
+//! never-meets with a lasso in [`SweepReport::certificates`] — except on a
+//! quarantined row (`timed_out` or `poisoned`), which records no run and
+//! which the summary counts in no verdict column.
 //!
 //! The interesting read-out is the split this certifies on every single
 //! instance: pairs the memoryless walk handles at simultaneous start
@@ -50,7 +52,8 @@ pub struct SizeSummary {
 /// (a report from another grid is summarized best-effort: its rows are
 /// counted as fixed-delay cells and its universal columns stay zero).
 /// Sizes whose every tree lacked a feasible pair (`n = 2`) contribute no
-/// rows and are omitted.
+/// rows and are omitted. Quarantined rows name their tree but count in no
+/// verdict column; one table note gives their number.
 pub fn summarize(report: &SweepReport) -> (Vec<SizeSummary>, Table) {
     // BTreeSet iteration is already size-ascending.
     let sizes: Vec<usize> = report
@@ -68,6 +71,7 @@ pub fn summarize(report: &SweepReport) -> (Vec<SizeSummary>, Table) {
         let feasible_trees =
             rows.iter().map(|r| r.tree_seed).collect::<std::collections::BTreeSet<_>>().len()
                 as u64;
+        let rows: Vec<_> = rows.into_iter().filter(|r| !r.quarantined()).collect();
         let forall_meet = certs.iter().filter(|c| c.verdict == "all-delays-meet").count() as u64;
         let forall_defeated = certs.iter().filter(|c| c.verdict == "delay-defeats").count() as u64;
         let universal = forall_meet + forall_defeated;
@@ -145,20 +149,54 @@ pub fn summarize(report: &SweepReport) -> (Vec<SizeSummary>, Table) {
         report.certificates.len(),
         if bogus > 0 { " — VERIFICATION FAILURES PRESENT" } else { "" }
     ));
-    let uncertified = report.rows.iter().filter(|r| !r.certified).count();
-    if uncertified > 0 {
-        t.note(&format!(
-            "{uncertified} cells answered by bounded simulation, not certified — \
-             run with --executor decide for certified verdicts"
-        ));
-    }
+    crate::sweep::note_unverified_cells(&mut t, &report.rows);
     (out, t)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{self, Executor};
+    use crate::sweep::{self, poisoned_row, timed_out_row, Executor, Quarantine};
+
+    #[test]
+    fn quarantined_rows_count_in_no_verdict_column() {
+        let mut spec = sweep::preset("e9", &[4, 5], 1, 77).expect("e9 preset");
+        spec.executor = Executor::ExactDecide;
+        let verdicts = |summary: &[SizeSummary]| -> Vec<[u64; 7]> {
+            summary
+                .iter()
+                .map(|s| {
+                    [
+                        s.pairs,
+                        s.zero_meets,
+                        s.zero_never,
+                        s.forall_meet,
+                        s.forall_defeated,
+                        s.worst_round,
+                        s.max_defeat_delay,
+                    ]
+                })
+                .collect()
+        };
+        // Every third cell poisoned and every third timed out, θ = 0 and
+        // ∀θ cells alike: the summary must equal the one of the report
+        // without those cells.
+        let quarantine: [Option<Quarantine>; 3] = [None, Some(poisoned_row), Some(timed_out_row)];
+        let (mixed, omitted) = sweep::quarantined_report(&spec, |i| quarantine[i % 3]);
+        let quarantined = mixed.rows.len() - omitted.rows.len();
+        let (summary, table) = summarize(&mixed);
+        let (expected, _) = summarize(&omitted);
+        assert!(expected.iter().any(|s| s.zero_never > 0 && s.forall_defeated > 0));
+        assert_eq!(verdicts(&summary), verdicts(&expected));
+        let rendered = table.render();
+        assert!(rendered.contains(&format!("{quarantined} cells quarantined")), "{rendered}");
+        assert!(!rendered.contains("bounded simulation"), "{rendered}");
+        // An all-poisoned run decided nothing: zero in every verdict column.
+        let (poisoned, _) = sweep::quarantined_report(&spec, |_| Some(poisoned_row));
+        let (summary, _) = summarize(&poisoned);
+        assert_eq!(summary.len(), 2);
+        assert!(verdicts(&summary).iter().all(|v| *v == [0; 7]), "{summary:?}");
+    }
 
     #[test]
     fn e9_summary_accounts_for_every_pair() {

@@ -559,6 +559,14 @@ pub struct SweepRow {
     pub start_rest: Option<Vec<NodeId>>,
 }
 
+impl SweepRow {
+    /// `true` for a quarantined row (`timed_out` or `poisoned`): no run
+    /// happened, so the row carries no verdict.
+    pub fn quarantined(&self) -> bool {
+        self.timed_out == Some(true) || self.poisoned == Some(true)
+    }
+}
+
 /// The shape of the retired [`SweepRow::planned`] annotation; no executor
 /// builds one.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -1599,7 +1607,7 @@ fn quarantine_row(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
 /// The explicit timeout row: a cell whose every attempt blew the wall
 /// budget, with `timed_out: true` so it can never be mistaken for a
 /// certified never-meets or an in-budget timeout.
-fn timed_out_row(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
+pub(crate) fn timed_out_row(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
     let mut row = quarantine_row(cell, inst)?;
     row.timed_out = Some(true);
     Some(row)
@@ -1772,6 +1780,26 @@ pub fn run_with_options(spec: &SweepSpec, opts: &RunOptions<'_>) -> SweepReport 
         rows,
         certificates,
         append_failures: opts.journal.map_or(0, |j| j.appends_lost()),
+    }
+}
+
+/// The closing notes of the e9, e10 and e11 summaries: cells answered by
+/// bounded simulation, and quarantined cells, which record no run and
+/// which no verdict column counts.
+pub(crate) fn note_unverified_cells(t: &mut Table, rows: &[SweepRow]) {
+    let uncertified = rows.iter().filter(|r| !r.certified && !r.quarantined()).count();
+    if uncertified > 0 {
+        t.note(&format!(
+            "{uncertified} cells answered by bounded simulation, not certified — \
+             run with --executor decide for certified verdicts"
+        ));
+    }
+    let quarantined = rows.iter().filter(|r| r.quarantined()).count();
+    if quarantined > 0 {
+        t.note(&format!(
+            "{quarantined} cells quarantined (timed out or poisoned): no run recorded, \
+             counted in no verdict column"
+        ));
     }
 }
 
@@ -2019,6 +2047,45 @@ pub fn perf_grid_ensemble() -> SweepSpec {
     let mut spec = perf_grid_fsa_scan();
     spec.agents = 3;
     spec
+}
+
+/// A quarantine path's row constructor: [`poisoned_row`] or
+/// [`timed_out_row`].
+#[cfg(test)]
+pub(crate) type Quarantine = fn(&Cell, &SweepInstance) -> Option<SweepRow>;
+
+/// Test support for the summarizers: `spec`'s report with each cell that
+/// `pick` names replaced the way a quarantine replaces it (its row from
+/// the given constructor, no certificate), plus the same report with
+/// those cells left out altogether.
+#[cfg(test)]
+pub(crate) fn quarantined_report(
+    spec: &SweepSpec,
+    pick: impl Fn(usize) -> Option<Quarantine>,
+) -> (SweepReport, SweepReport) {
+    let grid = cells(spec);
+    let mut mixed = SweepReport {
+        rows: Vec::new(),
+        planned_cells: grid.len(),
+        dropped_cells: 0,
+        certificates: Vec::new(),
+        append_failures: 0,
+    };
+    let mut omitted = mixed.clone();
+    for (i, cell) in grid.iter().enumerate() {
+        let inst = SweepInstance::for_cell(cell);
+        match pick(i) {
+            Some(quarantine) => mixed.rows.extend(quarantine(cell, &inst)),
+            None => {
+                let (row, cert) = run_cell_with_executor(cell, &inst, spec.executor);
+                for report in [&mut mixed, &mut omitted] {
+                    report.rows.extend(row.clone());
+                    report.certificates.extend(cert.clone());
+                }
+            }
+        }
+    }
+    (mixed, omitted)
 }
 
 #[cfg(test)]
