@@ -562,7 +562,7 @@ pub struct SweepRow {
 impl SweepRow {
     /// `true` for a quarantined row (`timed_out` or `poisoned`): no run
     /// happened, so the row carries no verdict.
-    pub fn quarantined(&self) -> bool {
+    pub(crate) fn quarantined(&self) -> bool {
         self.timed_out == Some(true) || self.poisoned == Some(true)
     }
 }
@@ -807,7 +807,7 @@ pub fn prime_budget_for(m: usize) -> u64 {
 /// whole delay × variant × pair sub-grid — `feasible_pairs` alone costs
 /// hundreds of symmetrizability checks, which used to be repaid by *every*
 /// cell on the instance.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SweepInstance {
     pub tree: Tree,
     pub pairs: Vec<[NodeId; 2]>,
