@@ -23,6 +23,7 @@ fmt-check:
 
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
+    cargo clippy --workspace --all-targets --features rvz-bench/rvz-faults -- -D warnings
 
 # CI's rustdoc gate: the API docs must build without warnings.
 docs:
