@@ -7,14 +7,15 @@
 //! `(tree, start, variant)` and a basic-walk solo lasso of `(tree, start)`;
 //! within a sweep the tree is a pure function of the instance coordinates
 //! `(family, n, tree_seed)`. The registry maps those coordinates to one
-//! [`InstanceMemo`]. [`SweepInstance::for_cell`] fetches it once, which is
-//! the only global lock a sweep takes; cells then reach recordings and
-//! lassos by start index, with no hashing and no shared map. Every `(delay,
-//! tuple)` cell of an instance shares its lanes' recordings, and because
-//! the registry outlives any one sweep, reruns of a grid (benchmark
-//! repetitions, overlapping experiments) replay warm recordings, and a
-//! store loaded by [`crate::stores::load_all`] is saved back whole by
-//! [`crate::stores::save_all`] with no sweep in between.
+//! [`InstanceMemo`]. Each [`SweepInstance`] fetches it once, when the plan
+//! ([`crate::sweep::instances()`]) or [`SweepInstance::for_cell`] builds it,
+//! which is the only global lock a sweep takes; cells then reach
+//! recordings and lassos by start index, with no hashing and no shared
+//! map. Every `(delay, tuple)` cell of an instance shares its lanes'
+//! recordings, and because the registry outlives any one sweep, reruns of
+//! a grid (benchmark repetitions, overlapping experiments) replay warm
+//! recordings, and a store loaded by [`crate::stores::load_all`] is saved
+//! back whole by [`crate::stores::save_all`] with no sweep in between.
 //!
 //! **Recordings: shared reads, exclusive growth.** Each recording sits in
 //! an `RwLock`. A replay cell read-locks its lanes in ascending start

@@ -55,12 +55,11 @@
 
 use crate::checkpoint::{self, CellRecord};
 use crate::sweep::{
-    self, cells, dispatch_cell, poisoned_row, Cell, Family, RunOptions, SweepInstance, SweepReport,
-    SweepSpec,
+    self, dispatch_cell, poisoned_row, Cell, RunOptions, SweepInstance, SweepReport, SweepSpec,
 };
 use crate::{faults, wire};
 use serde::{Deserialize, JsonWriter, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -206,14 +205,17 @@ fn decode_runs(body: &[u8], total: usize) -> Result<Vec<(usize, usize)>, String>
         .collect()
 }
 
-/// Instances built so far for cells computed outside the sweep engine
-/// (worker cells, the supervisor's fallback and poisoned rows) — same
-/// keying as `run_with_options`.
-type Instances = HashMap<(Family, usize, Option<u64>), Arc<SweepInstance>>;
-
-fn instance(instances: &mut Instances, cell: &Cell) -> Arc<SweepInstance> {
-    let key = (cell.family, cell.n, cell.tree_index);
-    instances.entry(key).or_insert_with(|| Arc::new(SweepInstance::for_cell(cell))).clone()
+/// The flattened plan: every grid cell in grid order, beside the instance
+/// it runs on, so a grid index names one cell.
+fn grid<'a>(
+    spec: &SweepSpec,
+    instances: &'a [Arc<SweepInstance>],
+) -> Vec<(Cell, &'a Arc<SweepInstance>)> {
+    let experiment = Arc::from(spec.experiment.as_str());
+    instances
+        .iter()
+        .flat_map(|inst| inst.cells(spec, &experiment).into_iter().map(move |c| (c, inst)))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -383,7 +385,8 @@ pub fn run_supervised(
     cfg: &SupervisorConfig,
     spawn_worker: &mut dyn FnMut(&Path) -> Command,
 ) -> SweepReport {
-    let grid = cells(spec);
+    let instances = sweep::instances(spec);
+    let grid = grid(spec, &instances);
     let plan = Plan {
         kind: PLAN_KIND.into(),
         version: PLAN_VERSION,
@@ -418,7 +421,7 @@ pub fn run_supervised(
     }
 
     // Cells the journal already holds are never assigned.
-    let seeds: Vec<u64> = grid.iter().map(Cell::cell_seed).collect();
+    let seeds: Vec<u64> = grid.iter().map(|(cell, _)| cell.cell_seed()).collect();
     let mut received: Vec<Option<CellRecord>> =
         seeds.iter().map(|&seed| opts.journal.and_then(|j| j.lookup(seed)).cloned()).collect();
     let start = Instant::now();
@@ -541,10 +544,9 @@ pub fn run_supervised(
     // single-process run is decided. Poisoned shards yield explicit
     // poisoned rows; any other hole (after a spawn failure, or as a
     // safety net) is computed in-process.
-    let mut instances = Instances::new();
     let mut rows = Vec::with_capacity(grid.len());
     let mut certificates = Vec::new();
-    for (idx, (cell, rec)) in grid.iter().zip(received).enumerate() {
+    for (idx, ((cell, inst), rec)) in grid.iter().zip(received).enumerate() {
         let seed = seeds[idx];
         let (row, cert) = if let Some(rec) = rec {
             (rec.row, rec.certificate)
@@ -557,11 +559,10 @@ pub fn run_supervised(
                      computing it in-process"
                 );
             }
-            let inst = instance(&mut instances, cell);
             let out = if poisoned {
-                (poisoned_row(cell, &inst), None)
+                (poisoned_row(cell, inst), None)
             } else {
-                dispatch_cell(cell, &inst, spec.executor, opts.cell_timeout)
+                dispatch_cell(cell, inst, spec.executor, opts.cell_timeout)
             };
             if let Some(journal) = opts.journal {
                 journal.record(&CellRecord {
@@ -659,7 +660,7 @@ pub fn worker_main(workdir: &Path, specs: &[&SweepSpec]) -> Result<(), String> {
         ));
     }
 
-    // Beats start before the grid is enumerated, which can take a while,
+    // Beats start before the grid is planned, which can take a while,
     // because the supervisor's timeout runs from the spawn. Detached on
     // purpose: it beats for as long as this process lives.
     let beat = Duration::from_millis(plan.beat_ms.max(1));
@@ -683,7 +684,8 @@ pub fn worker_main(workdir: &Path, specs: &[&SweepSpec]) -> Result<(), String> {
         result.map_err(|e| format!("cannot write to the supervisor: {e}"))
     };
 
-    let grid = cells(spec);
+    let instances = sweep::instances(spec);
+    let grid = grid(spec, &instances);
     if grid.len() != plan.total_cells {
         return Err(format!(
             "shard plan covers {} cells but this worker enumerates {}",
@@ -693,20 +695,18 @@ pub fn worker_main(workdir: &Path, specs: &[&SweepSpec]) -> Result<(), String> {
     }
 
     let timeout = plan.cell_timeout_ms.map(Duration::from_millis);
-    let mut instances = Instances::new();
     let mut stdin = std::io::stdin().lock();
     let mut assignment = Vec::new();
     while wire::read_frame(&mut stdin, &mut assignment)
         .map_err(|e| format!("bad assignment frame: {e}"))?
     {
         for (lo, hi) in decode_runs(&assignment[8..], grid.len())? {
-            for cell in &grid[lo..hi] {
+            for (cell, inst) in &grid[lo..hi] {
                 if faults::check(faults::Site::WorkerKill).is_some() {
                     // The kill -9 simulation: die hard, mid-shard.
                     std::process::abort();
                 }
-                let inst = instance(&mut instances, cell);
-                let (row, certificate) = dispatch_cell(cell, &inst, spec.executor, timeout);
+                let (row, certificate) = dispatch_cell(cell, inst, spec.executor, timeout);
                 let rec = CellRecord { cell_seed: cell.cell_seed(), row, certificate };
                 let body = checkpoint::record_body(&rec);
                 let mut outbox = outbox.lock().expect("outbox lock");

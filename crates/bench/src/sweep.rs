@@ -2,14 +2,21 @@
 //!
 //! A *sweep* fans an experiment's instance grid — tree family × size ×
 //! start delay × agent variant × start pair — across threads and collects
-//! one typed [`SweepRow`] per grid cell. Three properties are load-bearing:
+//! one typed [`SweepRow`] per grid cell. The unit of work is the
+//! *instance*: [`instances()`] plans the grid as one [`SweepInstance`] per
+//! (family, size) or per enumerated free tree, each holding its tree and
+//! start pool, and each instance expands its own cells
+//! ([`SweepInstance::cells`]) — delay × variant × start. The in-process
+//! sweep ([`run_with_options`]), the `--workers` supervisor and its workers
+//! all run on this plan. Four properties are load-bearing:
 //!
 //! 1. **Deterministic per-cell seeding.** Every cell derives its seeds from
 //!    the grid coordinates alone (never from execution order or thread
 //!    identity), so a cell's result is a pure function of the spec.
-//! 2. **Order-preserving fan-out.** Cells run under `rayon` but results are
-//!    collected in grid order, so the output — including its JSON
-//!    serialization — is byte-identical for any `--threads` value.
+//! 2. **Order-preserving fan-out.** Instances run under `rayon`, one task
+//!    each, and their blocks of rows are concatenated in grid order, so
+//!    the output — including its JSON serialization — is byte-identical
+//!    for any `--threads` value.
 //! 3. **Reproducible rows.** Each row carries the resolved instance
 //!    (family, `n`, starts, delay, budget), so any cell can be replayed
 //!    with a direct [`rvz_sim::run_pair`] call; the integration smoke test
@@ -50,7 +57,6 @@ use rvz_sim::{
 };
 use rvz_trees::{NodeId, Tree};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Tree families the sweep can grid over (names as in
@@ -654,25 +660,6 @@ pub(crate) fn mix(base: u64, tokens: &[u64]) -> u64 {
 }
 
 impl Cell {
-    /// The tree is a function of (family, size) only — every delay/variant/
-    /// pair cell on the same instance sees the identical tree. For the
-    /// enumerated family the "seed" is the enumeration index itself.
-    pub fn tree_seed(&self) -> u64 {
-        if let Some(index) = self.tree_index {
-            return index;
-        }
-        mix(self.base_seed, &[fnv("tree"), fnv(self.family.name()), self.n as u64])
-    }
-
-    /// Likewise the start-pair pool (the enumerated family's pair axis is
-    /// exhaustive and deterministic — no seed enters it).
-    pub fn pairs_seed(&self) -> u64 {
-        if self.tree_index.is_some() {
-            return 0;
-        }
-        mix(self.base_seed, &[fnv("pairs"), fnv(self.family.name()), self.n as u64])
-    }
-
     /// Full-coordinate seed recorded in the row. Sampled-family cells mix
     /// exactly the pre-enumeration token list, so their seeds — and hence
     /// every historical row — are unchanged by the tree-index axis.
@@ -706,58 +693,21 @@ impl Cell {
 /// a cell. 11 keeps the exhaustive grid in the hundreds of trees.
 pub const MAX_ENUM_SIZE: usize = 11;
 
-/// Enumerates the grid in deterministic (family, size, \[tree,\] delay,
-/// variant, pair) lexicographic order, dropping unsupported combinations.
-///
-/// For [`Family::EnumFree`] the tree axis is *exhaustive*: one sub-grid
-/// per free tree at each size, and the pair axis is every ordered feasible
-/// pair of that tree (so `pairs_per_cell` is ignored and the planned cell
-/// count is exact — nothing is dropped at run time).
-pub fn cells(spec: &SweepSpec) -> Vec<Cell> {
+/// The spec's `--threads` pool: every parallel map of a sweep, the plan's
+/// included, runs on it.
+fn pool(spec: &SweepSpec) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new().num_threads(spec.threads).build().expect("thread pool")
+}
+
+/// Plans the grid: every instance of `spec` once, in grid order — one per
+/// (family, size), and for [`Family::EnumFree`] one per free tree, built
+/// from the tree the enumeration yields. The trees are enumerated on the
+/// calling thread; the instances, start pools included, are built in
+/// parallel on the spec's pool. [`SweepInstance::cells`] expands each
+/// instance into its cells.
+pub fn instances(spec: &SweepSpec) -> Vec<Arc<SweepInstance>> {
     assert!(spec.agents >= 2, "a sweep runs at least two agents (--agents {})", spec.agents);
-    let experiment: Arc<str> = Arc::from(spec.experiment.as_str());
-    let mut out = Vec::new();
-    // The ∀-delay quantifier and the seeded adversarial schedules are
-    // pair adversaries (the quantifier's θ axis delays one of two lanes;
-    // the sampler draws two-lane rows) — the ensemble grid drops them
-    // rather than silently reinterpreting them.
-    let ensemble_supports = |delay: Delay| {
-        spec.agents == 2
-            || !matches!(
-                delay,
-                Delay::Adversarial | Delay::Schedule(ScheduleSpec::Adversarial { .. })
-            )
-    };
-    let push_subgrid = |family: Family,
-                        n: usize,
-                        tree_index: Option<u64>,
-                        pairs_total: usize,
-                        out: &mut Vec<Cell>| {
-        for &delay in &spec.delays {
-            if !ensemble_supports(delay) {
-                continue;
-            }
-            for &variant in &spec.variants {
-                if !variant.supports(family, delay) {
-                    continue;
-                }
-                for pair_index in 0..pairs_total {
-                    out.push(Cell {
-                        experiment: experiment.clone(),
-                        family,
-                        n,
-                        delay,
-                        variant,
-                        pair_index,
-                        pairs_total,
-                        base_seed: spec.seed,
-                        tree_index,
-                        agents: spec.agents,
-                    });
-                }
-            }
-        }
-    };
+    let mut coords: Vec<(Family, usize, Option<(u64, Tree)>)> = Vec::new();
     for &family in &spec.families {
         for &n in &spec.sizes {
             if family == Family::EnumFree {
@@ -765,20 +715,36 @@ pub fn cells(spec: &SweepSpec) -> Vec<Cell> {
                     n <= MAX_ENUM_SIZE,
                     "enum-free at n = {n} would enumerate millions of trees (cap {MAX_ENUM_SIZE})"
                 );
-                for (index, tree) in rvz_trees::enumerate::free_trees(n).enumerate() {
-                    let starts_total = if spec.agents > 2 {
-                        instances::exhaustive_feasible_tuples(&tree, spec.agents).len()
-                    } else {
-                        instances::exhaustive_feasible_pairs(&tree).len()
-                    };
-                    push_subgrid(family, n, Some(index as u64), starts_total, &mut out);
-                }
+                let trees = rvz_trees::enumerate::free_trees(n).enumerate();
+                coords.extend(trees.map(|(index, tree)| (family, n, Some((index as u64, tree)))));
             } else {
-                push_subgrid(family, n, None, spec.pairs_per_cell, &mut out);
+                coords.push((family, n, None));
             }
         }
     }
-    out
+    pool(spec).install(|| {
+        coords
+            .par_iter()
+            .map(|&(family, n, ref enumerated)| {
+                let (tree_index, tree) = enumerated.clone().unzip();
+                let (seed, starts, agents) = (spec.seed, spec.pairs_per_cell, spec.agents);
+                Arc::new(SweepInstance::new(family, n, tree_index, tree, seed, starts, agents))
+            })
+            .collect()
+    })
+}
+
+/// Enumerates the grid in deterministic (family, size, \[tree,\] delay,
+/// variant, pair) lexicographic order, dropping unsupported combinations:
+/// the flattened [`instances()`] plan.
+///
+/// For [`Family::EnumFree`] the tree axis is *exhaustive*: one sub-grid
+/// per free tree at each size, and the pair axis is every ordered feasible
+/// pair of that tree (so `pairs_per_cell` is ignored and the planned cell
+/// count is exact — nothing is dropped at run time).
+pub fn cells(spec: &SweepSpec) -> Vec<Cell> {
+    let experiment: Arc<str> = Arc::from(spec.experiment.as_str());
+    instances(spec).iter().flat_map(|inst| inst.cells(spec, &experiment)).collect()
 }
 
 /// Round budget for the general tree algorithms (as E6 provisions).
@@ -803,10 +769,11 @@ pub fn prime_budget_for(m: usize) -> u64 {
 
 /// The shared immutable per-instance state: the tree and its feasible
 /// start-pair pool, a pure function of `(family, n, tree_seed, pairs_seed)`.
-/// The executor builds each one once and shares it (via `Arc`) across the
-/// whole delay × variant × pair sub-grid — `feasible_pairs` alone costs
-/// hundreds of symmetrizability checks, which used to be repaid by *every*
-/// cell on the instance.
+/// The executor builds each one once ([`instances()`]) and shares it across
+/// the whole delay × variant × pair sub-grid it expands into
+/// ([`SweepInstance::cells`]) — `feasible_pairs` alone costs hundreds of
+/// symmetrizability checks, which used to be repaid by *every* cell on the
+/// instance.
 #[derive(Debug)]
 pub struct SweepInstance {
     pub tree: Tree,
@@ -818,6 +785,11 @@ pub struct SweepInstance {
     pub tuples: Vec<Vec<NodeId>>,
     pub tree_seed: u64,
     pub pairs_seed: u64,
+    /// The instance coordinates its cells share: family, requested size,
+    /// and for the enumerated family the tree's enumeration index.
+    family: Family,
+    n: usize,
+    tree_index: Option<u64>,
     /// Shared basic-walk automaton for [`Variant::BasicWalkFsa`] cells,
     /// built on first use (its table is a function of the tree's maximum
     /// degree only).
@@ -829,36 +801,107 @@ pub struct SweepInstance {
 }
 
 impl SweepInstance {
-    /// Builds the instance a cell runs on. Depends only on the cell's
-    /// instance coordinates (`family`, `n`, `base_seed`, `pairs_total`,
-    /// and for the enumerated family `tree_index`) — every cell of the
-    /// same sub-grid builds the identical value.
-    pub fn for_cell(cell: &Cell) -> Self {
-        let tree_seed = cell.tree_seed();
-        let pairs_seed = cell.pairs_seed();
-        let tree = cell.family.build(cell.n, tree_seed);
-        // For the enumerated family this repeats work `cells()` did while
-        // planning (`nth_free_tree` re-walks the WROM succession, the pair
-        // scan re-runs) — quadratic in the tree count, accepted because
-        // [`MAX_ENUM_SIZE`] caps it in the hundreds of trees and it keeps
-        // `Cell` a plain coordinate (any cell rebuilds standalone).
-        let (pairs, tuples) = if cell.agents > 2 {
-            let tuples = if cell.tree_index.is_some() {
-                instances::exhaustive_feasible_tuples(&tree, cell.agents)
+    /// Builds the instance at `(family, n, tree_index)` of a grid seeded
+    /// with `base_seed`: its tree (`tree`, when the enumeration already
+    /// yielded it), its start pool (every feasible start for the
+    /// enumerated family, else `starts` sampled ones) and its memo.
+    fn new(
+        family: Family,
+        n: usize,
+        tree_index: Option<u64>,
+        tree: Option<Tree>,
+        base_seed: u64,
+        starts: usize,
+        agents: usize,
+    ) -> Self {
+        // The seeds are functions of the instance coordinates only, so
+        // every delay/variant/pair cell on the instance sees the identical
+        // tree and pool. For the enumerated family the tree "seed" is the
+        // enumeration index, and no seed enters its exhaustive start axis.
+        let seed = |axis| mix(base_seed, &[fnv(axis), fnv(family.name()), n as u64]);
+        let tree_seed = tree_index.unwrap_or_else(|| seed("tree"));
+        let pairs_seed = if tree_index.is_some() { 0 } else { seed("pairs") };
+        let tree = tree.unwrap_or_else(|| family.build(n, tree_seed));
+        let (pairs, tuples) = if agents > 2 {
+            let tuples = if tree_index.is_some() {
+                instances::exhaustive_feasible_tuples(&tree, agents)
             } else {
-                instances::feasible_tuples(&tree, cell.agents, cell.pairs_total, pairs_seed)
+                instances::feasible_tuples(&tree, agents, starts, pairs_seed)
             };
             (Vec::new(), tuples)
         } else {
-            let pairs = if cell.tree_index.is_some() {
+            let pairs = if tree_index.is_some() {
                 instances::exhaustive_feasible_pairs(&tree)
             } else {
-                instances::feasible_pairs(&tree, cell.pairs_total, pairs_seed)
+                instances::feasible_pairs(&tree, starts, pairs_seed)
             };
             (pairs.into_iter().map(|(a, b)| [a, b]).collect(), Vec::new())
         };
-        let memo = memo::memo(cell.family, cell.n, tree_seed, tree.num_nodes());
-        SweepInstance { tree, pairs, tuples, tree_seed, pairs_seed, bw_fsa: OnceLock::new(), memo }
+        let memo = memo::memo(family, n, tree_seed, tree.num_nodes());
+        SweepInstance {
+            tree,
+            pairs,
+            tuples,
+            tree_seed,
+            pairs_seed,
+            family,
+            n,
+            tree_index,
+            bw_fsa: OnceLock::new(),
+            memo,
+        }
+    }
+
+    /// Builds the instance a cell runs on, standalone: the same value the
+    /// plan ([`instances()`]) holds for the cell. An enumerated tree is
+    /// rebuilt from its index ([`Family::build`]), so any cell rebuilds
+    /// from its coordinates alone.
+    pub fn for_cell(c: &Cell) -> Self {
+        Self::new(c.family, c.n, c.tree_index, None, c.base_seed, c.pairs_total, c.agents)
+    }
+
+    /// This instance's cells of `spec`'s grid, in grid order (delay,
+    /// variant, start), dropping unsupported combinations. `experiment` is
+    /// the grid's interned label.
+    pub fn cells(&self, spec: &SweepSpec, experiment: &Arc<str>) -> Vec<Cell> {
+        // The enumerated start axis is exhaustive; a sampled one plans
+        // `pairs_per_cell` cells whether or not the pool has that many.
+        let pairs_total = match self.tree_index {
+            Some(_) => self.pairs.len() + self.tuples.len(),
+            None => spec.pairs_per_cell,
+        };
+        let mut out = Vec::new();
+        for &delay in &spec.delays {
+            // The ∀-delay quantifier and the seeded adversarial schedules
+            // are pair adversaries (the quantifier's θ axis delays one of
+            // two lanes; the sampler draws two-lane rows) — the ensemble
+            // grid drops them rather than silently reinterpreting them.
+            let pair_adversary = matches!(
+                delay,
+                Delay::Adversarial | Delay::Schedule(ScheduleSpec::Adversarial { .. })
+            );
+            if spec.agents > 2 && pair_adversary {
+                continue;
+            }
+            for &variant in &spec.variants {
+                if !variant.supports(self.family, delay) {
+                    continue;
+                }
+                out.extend((0..pairs_total).map(|pair_index| Cell {
+                    experiment: experiment.clone(),
+                    family: self.family,
+                    n: self.n,
+                    delay,
+                    variant,
+                    pair_index,
+                    pairs_total,
+                    base_seed: spec.seed,
+                    tree_index: self.tree_index,
+                    agents: spec.agents,
+                }));
+            }
+        }
+        out
     }
 
     /// The cell's start nodes, one per lane: its pair, or its tuple at
@@ -1071,9 +1114,8 @@ fn step_bank<A: Agent>(
 /// Executes one cell on a prebuilt instance by *stepping* every agent
 /// (the [`Executor::DynStepping`] path; also the replay fallback), for
 /// any lane count. `inst` must be (equal to) `SweepInstance::for_cell(cell)`
-/// — the executor guarantees this by keying instances on
-/// `(family, n, tree_index)` within one spec (the enumerated family keys
-/// each tree individually).
+/// — the executor guarantees this by running each cell on the instance
+/// that expanded it ([`SweepInstance::cells`]).
 pub fn run_cell_on(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
     if cell.delay == Delay::Adversarial {
         // Only the quantifier layer can answer "every delay".
@@ -1708,11 +1750,11 @@ pub struct RunOptions<'a> {
 /// Runs the whole grid. Rows come back in grid order whatever the thread
 /// count — see the module docs for why that matters.
 ///
-/// Instances are built once per `(family, n)` key — in parallel, since
-/// each is a pure function of its coordinates — and shared immutably
-/// across the delay × variant × pair sub-grid. Cell results are unchanged
-/// (same seeds, same trees, same pairs), so the output stays byte-identical
-/// to the per-cell-rebuild executor for every `--threads` value.
+/// Each instance of the plan ([`instances()`]) is built once and shared
+/// immutably across its delay × variant × pair sub-grid. Cell results are
+/// unchanged (same seeds, same trees, same pairs), so the output stays
+/// byte-identical to the per-cell-rebuild executor for every `--threads`
+/// value.
 pub fn run(spec: &SweepSpec) -> SweepReport {
     run_with_options(spec, &RunOptions::default())
 }
@@ -1724,22 +1766,13 @@ pub fn run(spec: &SweepSpec) -> SweepReport {
 /// are collected in grid order, a resumed sweep's report — and its JSON —
 /// is byte-identical to an uninterrupted run's, for any thread count
 /// (pinned by `tests/crash_resume.rs` and the CI `crash-resume` job).
+///
+/// One task per instance: it expands the instance's cells, looks each up
+/// in the journal or dispatches and journals it, and returns its block —
+/// planned cell count, rows and certificates. The blocks are concatenated
+/// in grid order.
 pub fn run_with_options(spec: &SweepSpec, opts: &RunOptions<'_>) -> SweepReport {
-    let grid = cells(spec);
-    let pool =
-        rayon::ThreadPoolBuilder::new().num_threads(spec.threads).build().expect("thread pool");
-
-    // One representative cell per instance key, in first-appearance order
-    // (the enumerated family keys each tree individually).
-    type InstanceKey = (Family, usize, Option<u64>);
-    let key = |c: &Cell| -> InstanceKey { (c.family, c.n, c.tree_index) };
-    let mut reps: Vec<&Cell> = Vec::new();
-    let mut seen: std::collections::HashSet<InstanceKey> = std::collections::HashSet::new();
-    for cell in &grid {
-        if seen.insert(key(cell)) {
-            reps.push(cell);
-        }
-    }
+    let experiment: Arc<str> = Arc::from(spec.experiment.as_str());
     let run_one = |c: &Cell, inst: &Arc<SweepInstance>| {
         let cell_seed = c.cell_seed();
         if let Some(journal) = opts.journal {
@@ -1757,22 +1790,30 @@ pub fn run_with_options(spec: &SweepSpec, opts: &RunOptions<'_>) -> SweepReport 
         }
         out
     };
-    let results: Vec<(Option<SweepRow>, Option<Certificate>)> = pool.install(|| {
-        let built: Vec<Arc<SweepInstance>> =
-            reps.par_iter().map(|c| Arc::new(SweepInstance::for_cell(c))).collect();
-        let by_key: HashMap<InstanceKey, Arc<SweepInstance>> =
-            reps.iter().zip(built).map(|(c, inst)| (key(c), inst)).collect();
-        grid.par_iter().map(|c| run_one(c, &by_key[&key(c)])).collect()
+    let plan = instances(spec);
+    let blocks: Vec<(usize, Vec<SweepRow>, Vec<Certificate>)> = pool(spec).install(|| {
+        plan.par_iter()
+            .map(|inst| {
+                let cells = inst.cells(spec, &experiment);
+                let (mut rows, mut certificates) = (Vec::with_capacity(cells.len()), Vec::new());
+                for c in &cells {
+                    let (row, cert) = run_one(c, inst);
+                    rows.extend(row);
+                    certificates.extend(cert);
+                }
+                (cells.len(), rows, certificates)
+            })
+            .collect()
     });
     if let Some(journal) = opts.journal {
         journal.sync();
     }
-    let planned_cells = results.len();
-    let mut rows = Vec::with_capacity(planned_cells);
-    let mut certificates = Vec::new();
-    for (row, cert) in results {
-        rows.extend(row);
-        certificates.extend(cert);
+    let planned_cells = blocks.iter().map(|b| b.0).sum();
+    let mut rows = Vec::with_capacity(blocks.iter().map(|b| b.1.len()).sum());
+    let mut certificates = Vec::with_capacity(blocks.iter().map(|b| b.2.len()).sum());
+    for (_, block_rows, block_certificates) in blocks {
+        rows.extend(block_rows);
+        certificates.extend(block_certificates);
     }
     SweepReport {
         dropped_cells: planned_cells - rows.len(),
@@ -2184,29 +2225,42 @@ mod tests {
         dedup.dedup();
         assert_eq!(dedup.len(), seeds.len(), "cell seeds must be distinct");
         // Same instance ⇒ same tree seed, across delays/variants/pairs.
+        let instance_seeds = |c: &Cell| {
+            let inst = SweepInstance::for_cell(c);
+            (inst.tree_seed, inst.pairs_seed)
+        };
         for c in &grid {
-            for d in &grid {
-                if c.family == d.family && c.n == d.n {
-                    assert_eq!(c.tree_seed(), d.tree_seed());
-                    assert_eq!(c.pairs_seed(), d.pairs_seed());
-                }
+            for d in grid.iter().filter(|d| c.family == d.family && c.n == d.n) {
+                assert_eq!(instance_seeds(c), instance_seeds(d));
             }
         }
     }
 
     #[test]
     fn cached_executor_matches_per_cell_rebuild() {
-        // The instance cache is an executor optimization only: running every
+        // The instance plan is an executor optimization only: running every
         // cell standalone (rebuilding tree + pair pool from its coordinates)
-        // must produce the identical row stream.
-        let spec = small_spec(2);
-        let report = run(&spec);
-        let rebuilt: Vec<SweepRow> = cells(&spec).iter().filter_map(run_cell).collect();
-        assert_eq!(
-            serde_json::to_string(&report.rows).unwrap(),
-            serde_json::to_string(&rebuilt).unwrap(),
-            "cached executor must match the rebuild-per-cell path byte-for-byte"
-        );
+        // must produce the identical row stream. The plan takes enumerated
+        // trees from the enumeration, a standalone cell from its index, so
+        // the e9, e10 and e11 (k = 3) grids run too.
+        let enumerated = |id, sizes: &[usize]| preset(id, sizes, 2, 0x5EED_2010).expect("preset");
+        let specs = [
+            small_spec(2),
+            enumerated("e9", &[2, 3, 4, 5, 6]),
+            enumerated("e10", &[2, 3, 4, 5]),
+            enumerated("e11", &[3, 4, 5]),
+        ];
+        for spec in specs {
+            let report = run(&spec);
+            assert!(!report.rows.is_empty(), "{}", spec.experiment);
+            let rebuilt: Vec<SweepRow> = cells(&spec).iter().filter_map(run_cell).collect();
+            assert_eq!(
+                serde_json::to_string(&report.rows).unwrap(),
+                serde_json::to_string(&rebuilt).unwrap(),
+                "{}: cached executor must match the rebuild-per-cell path byte-for-byte",
+                spec.experiment
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Offline API-subset shim for `rayon` (see `shims/README.md`).
 //!
-//! Fans work across `std::thread::scope` workers that claim fixed-size
-//! chunks of indices from a shared atomic counter and write each result
+//! Fans work across `std::thread::scope` workers that claim indices one
+//! at a time from a shared atomic counter and write each result
 //! straight into its slot of the pre-sized output, so
 //! `par_iter().map(f).collect::<Vec<_>>()` is ordered exactly like the
 //! sequential map regardless of scheduling — the property the sweep
@@ -87,10 +87,10 @@ impl ThreadPool {
     }
 }
 
-/// Indices a worker claims at a time: enough that claiming costs nothing
-/// next to a sweep cell, few enough that short maps (the sweep's instance
-/// builds, the decider's delay chunks) still spread over every thread.
-const CHUNK: usize = 8;
+/// Indices a worker claims at a time. The sweep maps over instances, each
+/// a whole sub-grid of cells and instances differ widely in cost, so one
+/// claim per item balances best and costs nothing next to the item.
+const CHUNK: usize = 1;
 
 /// The output buffer's base pointer, shared by the workers of one map.
 struct Slots<R>(*mut R);
