@@ -144,7 +144,9 @@ fn parse_sizes(s: &str) -> Result<(Vec<usize>, usize), String> {
 /// (resuming under a different grid must be a hard error, not a silent
 /// row splice). Shared with worker mode ([`run_worker_mode`]), which must
 /// re-resolve the *identical* specs from the forwarded arguments — the
-/// plan's per-spec fingerprint turns any drift into a hard error.
+/// plan's per-spec fingerprint turns any drift into a hard error. A
+/// repeated experiment id runs once, with a warning; a list with no id is
+/// an error.
 fn resolve_sweep(args: &[String], ids: &str) -> (u64, Vec<(String, Vec<usize>, sweep::SweepSpec)>) {
     let explicit_sizes = flag_value(args, "--sizes").map(|s| {
         let (sizes, dropped) = parse_sizes(&s).unwrap_or_else(|e| {
@@ -198,8 +200,15 @@ fn resolve_sweep(args: &[String], ids: &str) -> (u64, Vec<(String, Vec<usize>, s
         }
     };
     let mut planned: Vec<(String, Vec<usize>, sweep::SweepSpec)> = Vec::new();
+    let mut duplicates = 0;
     for id in ids.split(',').filter(|t| !t.is_empty()) {
         let id = id.trim().to_lowercase();
+        // A repeated id would run its grid twice and write every row and
+        // certificate twice; the first occurrence is kept.
+        if planned.iter().any(|(planned_id, _, _)| *planned_id == id) {
+            duplicates += 1;
+            continue;
+        }
         // e9/e10/e11 enumerate *all* free trees per size: their own
         // default axes, and a hard cap where the tree count explodes.
         let enumerated = id == "e9" || id == "e10" || id == "e11";
@@ -240,6 +249,18 @@ fn resolve_sweep(args: &[String], ids: &str) -> (u64, Vec<(String, Vec<usize>, s
             sweep::Executor::TraceReplay
         });
         planned.push((id, sizes, spec));
+    }
+    if planned.is_empty() {
+        eprintln!("error: --experiment lists no experiment (e.g. --experiment e6 or e9,e10)");
+        exit(2);
+    }
+    if duplicates > 0 {
+        let kept: Vec<&str> = planned.iter().map(|(id, _, _)| id.as_str()).collect();
+        eprintln!(
+            "warning: --experiment listed {duplicates} duplicate id(s); running {} once each \
+             (duplicates would duplicate every row)",
+            kept.join(",")
+        );
     }
     (seed, planned)
 }

@@ -1,7 +1,8 @@
 //! The `experiments` binary's report files, end to end: the streamed
 //! `--json` / `--certificates` envelopes are byte-identical to the
-//! rendering of the same payload built as a `Value` tree, and a `--json`
-//! directory that cannot be created is a clean exit-2 error, not a panic.
+//! rendering of the same payload built as a `Value` tree, a `--json`
+//! directory that cannot be created is a clean exit-2 error, not a panic,
+//! and `--experiment` runs each listed id once and refuses an empty list.
 
 use rvz_bench::{e11, sweep};
 use serde_json::json;
@@ -93,5 +94,39 @@ fn e11_report_files_match_their_value_tree_rendering() {
         let got = std::fs::read_to_string(dir.join(file)).expect("read report");
         assert!(got == want, "{file} differs from the Value-tree rendering");
     }
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
+#[test]
+fn repeated_experiment_id_runs_once() {
+    let outputs = ["--json", "rows.json", "--certificates", "certs.json"];
+    let run = |name: &str, ids: &str| {
+        let dir = scratch(name);
+        let out =
+            experiments(&dir, &[&["--experiment", ids, "--sizes", "3"][..], &outputs].concat());
+        assert!(out.status.success(), "{ids}: stderr {}", String::from_utf8_lossy(&out.stderr));
+        let read = |file: &str| std::fs::read(dir.join(file)).expect("read report");
+        let files = (read("rows.json"), read("certs.json"));
+        std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+        (out, files)
+    };
+    let (once, once_files) = run("e9-once", "e9");
+    let (twice, twice_files) = run("e9-twice", "e9,E9");
+    assert_eq!(twice.stdout, once.stdout, "the e9 table prints once");
+    assert!(twice_files == once_files, "rows and certificates are written once");
+    let stderr = String::from_utf8_lossy(&twice.stderr);
+    let warnings: Vec<&str> = stderr.lines().filter(|l| l.starts_with("warning:")).collect();
+    assert_eq!(warnings.len(), 1, "{stderr}");
+    assert!(warnings[0].contains("--experiment listed 1 duplicate id"), "{stderr}");
+}
+
+#[test]
+fn empty_experiment_list_is_a_clean_error() {
+    let dir = scratch("no-ids");
+    let out = experiments(&dir, &["--experiment", ",", "--sizes", "3", "--json", "rows.json"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr was {stderr}");
+    assert!(stderr.contains("error: --experiment lists no experiment"), "{stderr}");
+    assert!(!dir.join("rows.json").exists(), "no report for an empty list");
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
