@@ -684,56 +684,6 @@ pub fn decide_pair_scheduled(
     decide_ensemble(t, fsa, &[a, b], sched)
 }
 
-/// The universal verdict over a finite *class* of schedules — the
-/// schedule-axis sibling of [`worst_case_delay`]: where that quantifier
-/// folds the infinitely many delays onto finitely many residue classes,
-/// this one takes the class extensionally (schedules are already the
-/// general object; callers pick the family to quantify over, e.g. every
-/// `intermittent(p, φ)` with `p ≤ P`).
-#[derive(Debug, Clone)]
-pub enum ScheduleWorstCase {
-    /// Rendezvous under every schedule in the class; `worst_index` /
-    /// `worst_round` locate the slowest one (its full decision carried
-    /// for crossing bookkeeping).
-    AllMeet { worst_index: usize, worst_round: u64, decision: EnsembleDecision },
-    /// `class[index]` defeats the pair; `decision` carries the
-    /// certificate for the first defeating schedule.
-    Defeated { index: usize, decision: EnsembleDecision },
-}
-
-impl ScheduleWorstCase {
-    pub fn all_meet(&self) -> bool {
-        matches!(self, ScheduleWorstCase::AllMeet { .. })
-    }
-}
-
-/// Decides every schedule in `class` for `(tree, pair, automaton)`; the
-/// first `NeverMeets` short-circuits as a defeat. The class must be
-/// non-empty.
-pub fn worst_case_schedule(
-    t: &Tree,
-    fsa: &Fsa,
-    a: NodeId,
-    b: NodeId,
-    class: &[EnsembleSchedule],
-) -> ScheduleWorstCase {
-    assert!(!class.is_empty(), "schedule class must be non-empty");
-    let mut worst: Option<(u64, usize, EnsembleDecision)> = None;
-    for (index, sched) in class.iter().enumerate() {
-        let decision = decide_pair_scheduled(t, fsa, a, b, sched);
-        match decision.round() {
-            Some(round) => {
-                if worst.as_ref().is_none_or(|(r, _, _)| round > *r) {
-                    worst = Some((round, index, decision));
-                }
-            }
-            None => return ScheduleWorstCase::Defeated { index, decision },
-        }
-    }
-    let (worst_round, worst_index, decision) = worst.expect("non-empty class");
-    ScheduleWorstCase::AllMeet { worst_index, worst_round, decision }
-}
-
 /// Independently re-checks a pair's never-meets certificate under a
 /// two-lane schedule — [`verify_ensemble_lasso`] at `k = 2`.
 pub fn verify_schedule_lasso(
@@ -1464,32 +1414,23 @@ mod tests {
     }
 
     #[test]
-    fn worst_case_schedule_quantifies_over_the_class() {
+    fn scheduled_decisions_certify_defeats_and_time_meetings() {
         let t = line(9);
         let fsa = bw(&t);
-        // θ = 1 defeats the basic walk on every feasible pair (the e9
-        // certified result), so a class containing it is always defeated…
+        // θ ≤ 1 defeats the basic walk on every feasible pair (the e9
+        // certified result), and the defeat carries a lasso that verifies…
         let class = [EnsembleSchedule::simultaneous(2), EnsembleSchedule::start_delays(&[0, 1])];
-        match worst_case_schedule(&t, &fsa, 0, 5, &class) {
-            ScheduleWorstCase::Defeated { index, decision } => {
-                assert!(index <= 1);
-                let lasso = decision.lasso().expect("defeat carries a lasso");
-                assert!(verify_schedule_lasso(&t, &fsa, 0, 5, &class[index], lasso));
-            }
-            ScheduleWorstCase::AllMeet { .. } => panic!("θ=1 must defeat the basic walk"),
-        }
-        // …while a class of meeting scenarios reports the slowest one:
-        // with B crashed at its start, A's endpoint walk needs exactly 5
-        // rounds to step onto node 5.
-        let class = [EnsembleSchedule::crash_last_after(2, 0)];
-        match worst_case_schedule(&t, &fsa, 0, 5, &class) {
-            ScheduleWorstCase::AllMeet { worst_index, worst_round, ref decision } => {
-                assert_eq!(worst_index, 0);
-                assert_eq!(worst_round, 5);
-                assert_eq!(decision.round(), Some(5));
-            }
-            ScheduleWorstCase::Defeated { .. } => panic!("a parked agent is met at home"),
-        }
+        let (sched, decision) = class
+            .iter()
+            .map(|sched| (sched, decide_pair_scheduled(&t, &fsa, 0, 5, sched)))
+            .find(|(_, decision)| !decision.met())
+            .expect("θ ≤ 1 must defeat the basic walk");
+        let lasso = decision.lasso().expect("defeat carries a lasso");
+        assert!(verify_schedule_lasso(&t, &fsa, 0, 5, sched, lasso));
+        // …while with B crashed at its start, A's endpoint walk needs
+        // exactly 5 rounds to step onto node 5.
+        let crashed = EnsembleSchedule::crash_last_after(2, 0);
+        assert_eq!(decide_pair_scheduled(&t, &fsa, 0, 5, &crashed).round(), Some(5));
     }
 
     /// The historical decider: the explicit joint-configuration walk with a

@@ -22,8 +22,7 @@
 //!   [`decide::worst_case_delay`], and the activation-schedule extension
 //!   over `k` lanes ([`decide::decide_ensemble`] — the product
 //!   configuration grows the schedule's cycle position; a pair is
-//!   [`decide::decide_pair_scheduled`], and [`decide::worst_case_schedule`]
-//!   quantifies over a schedule class).
+//!   [`decide::decide_pair_scheduled`]).
 //!
 //! Combined with [`rvz_agent::compile`], the Theorem 3.1 adversary can be
 //! pointed at *our own* (capped) upper-bound agents — the end-to-end
@@ -55,8 +54,8 @@ pub mod sync_attack;
 pub use decide::{
     decide_ensemble, decide_ensemble_from_lassos, decide_pair, decide_pair_scheduled,
     verify_delayed_ensemble_lasso, verify_ensemble_lasso, verify_lasso, verify_schedule_lasso,
-    worst_case_delay, worst_case_schedule, Decision, EnsembleDecision, EnsembleLasso,
-    EnsembleVerdict, Lasso, ScheduleWorstCase, Verdict, WorstCase,
+    worst_case_delay, Decision, EnsembleDecision, EnsembleLasso, EnsembleVerdict, Lasso, Verdict,
+    WorstCase,
 };
 pub use delay_attack::{delay_attack, Attack, AttackError, AttackKind};
 pub use side_trees::{side_tree_attack, SideTreeAttack, SideTreeError};

@@ -37,6 +37,6 @@ pub use runner::{
 };
 pub use schedule::{ActivationIndex, EnsembleSchedule};
 pub use trace::{
-    delay_scan, gathering_scan, replay_ensemble, replay_pair, replay_pair_scheduled, schedule_scan,
-    EnsembleReplay, Replay, TraceRecorder, Trajectory,
+    replay_ensemble, replay_pair, replay_pair_scheduled, EnsembleReplay, Replay, TraceRecorder,
+    Trajectory,
 };

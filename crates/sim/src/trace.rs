@@ -8,8 +8,8 @@
 //! B's timeline by θ rounds. So a `(delay, pair)` question never needs the
 //! agents stepped again: record each trajectory once ([`TraceRecorder`]),
 //! then decide meeting/crossing by a two-pointer merge over the two
-//! run-length–encoded timelines ([`replay_pair`]), or sweep a whole delay
-//! column in one call ([`delay_scan`]).
+//! run-length–encoded timelines ([`replay_pair`]); the same two recordings
+//! answer every delay of a column.
 //!
 //! Three properties make the merge cheap:
 //!
@@ -519,32 +519,6 @@ pub fn replay_pair(t: &Tree, ta: &Trajectory, tb: &Trajectory, cfg: PairConfig) 
     Replay::Decided(run)
 }
 
-/// Answers an entire delay column for one recorded pair: one
-/// [`replay_pair`] verdict per `(delay, max_rounds)` entry, in order.
-///
-/// Each delay is one diagonal of the joint `(round_a, round_b)` offset
-/// lattice, and each diagonal is merged independently over the shared run
-/// lists — a column costs one merge *per delay* (each O(runs overlapping
-/// its decided range)), with the agents never stepped: the two recordings
-/// are shared across all offsets, which is where the win over per-cell
-/// stepping comes from. The sweep executor reaches the same sharing
-/// through its trace store (one [`replay_pair`] per cell against cached
-/// recordings); this entry point is the column-at-once convenience API.
-pub fn delay_scan(
-    t: &Tree,
-    ta: &Trajectory,
-    tb: &Trajectory,
-    columns: &[(u64, u64)],
-) -> Vec<Replay> {
-    columns
-        .iter()
-        .map(|&(delay, max_rounds)| {
-            let cfg = PairConfig { delay, max_rounds, record_traces: false };
-            replay_pair(t, ta, tb, cfg)
-        })
-        .collect()
-}
-
 /// A trajectory viewed through one lane of an [`EnsembleSchedule`]: the
 /// recording is indexed
 /// by *activation count* (the frozen semantics makes an agent's k-th
@@ -883,46 +857,6 @@ pub fn replay_ensemble(
     finish(Outcome::Timeout { rounds: max_rounds }, max_rounds, crossings, pair_meetings)
 }
 
-/// Answers an entire per-lane delay column for one recorded ensemble:
-/// one [`replay_ensemble`] verdict per `(delays, max_rounds)` entry, in
-/// order — the k-lane sibling of [`delay_scan`], sharing the same `k`
-/// recordings across every delay vector in the column. Each delay vector
-/// is the start-delay schedule freezing lane `i` through round
-/// `delays[i]`.
-pub fn gathering_scan(
-    t: &Tree,
-    trajs: &[&Trajectory],
-    columns: &[(Vec<u64>, u64)],
-) -> Vec<EnsembleReplay> {
-    columns
-        .iter()
-        .map(|(delays, max_rounds)| {
-            assert_eq!(delays.len(), trajs.len(), "one delay per lane");
-            let indices: Vec<ActivationIndex> =
-                delays.iter().map(|&d| ActivationIndex::start_delay(d)).collect();
-            replay_ensemble(t, trajs, &indices, *max_rounds, false)
-        })
-        .collect()
-}
-
-/// Answers an entire schedule column for one recorded pair: one
-/// [`replay_pair_scheduled`] verdict per `(schedule, max_rounds)` entry,
-/// in order — the schedule-axis sibling of [`delay_scan`], sharing the
-/// same two recordings across every schedule in the column.
-pub fn schedule_scan(
-    t: &Tree,
-    ta: &Trajectory,
-    tb: &Trajectory,
-    columns: &[(EnsembleSchedule, u64)],
-) -> Vec<Replay> {
-    columns
-        .iter()
-        .map(|(schedule, max_rounds)| {
-            replay_pair_scheduled(t, ta, tb, schedule, *max_rounds, false)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1062,9 +996,9 @@ mod tests {
         let t = line(9);
         let ta = record(&t, 0, BasicWalker, 100);
         let tb = record(&t, 6, BasicWalker, 100);
-        let verdicts = delay_scan(&t, &ta, &tb, &[(0, 100), (1_000, 100)]);
-        for v in verdicts {
-            let Replay::Decided(run) = v else { panic!("recorded horizon decides") };
+        for delay in [0, 1_000] {
+            let verdict = replay_pair(&t, &ta, &tb, PairConfig::delayed(delay, 100));
+            let Replay::Decided(run) = verdict else { panic!("recorded horizon decides") };
             assert!(run.outcome.met());
         }
     }
@@ -1175,7 +1109,7 @@ mod tests {
     }
 
     #[test]
-    fn schedule_scan_shares_one_recording_across_the_column() {
+    fn scheduled_replay_shares_one_recording_across_the_column() {
         let t = line(9);
         let ta = record(&t, 0, BasicWalker, 120);
         let tb = record(&t, 6, BasicWalker, 120);
@@ -1185,10 +1119,9 @@ mod tests {
             (EnsembleSchedule::intermittent_last(2, 2, 0), 100),
             (EnsembleSchedule::crash_last_after(2, 1), 100),
         ];
-        let verdicts = schedule_scan(&t, &ta, &tb, &columns);
-        assert_eq!(verdicts.len(), columns.len());
-        for (v, (sched, budget)) in verdicts.iter().zip(&columns) {
-            let Replay::Decided(run) = v else { panic!("recorded horizon decides") };
+        for (sched, budget) in &columns {
+            let verdict = replay_pair_scheduled(&t, &ta, &tb, sched, *budget, false);
+            let Replay::Decided(run) = verdict else { panic!("recorded horizon decides") };
             let direct = step_pair(&t, 0, 6, sched, *budget);
             assert_eq!(run.outcome, direct.outcome, "{sched:?}");
         }
@@ -1320,7 +1253,7 @@ mod tests {
     }
 
     #[test]
-    fn gathering_scan_answers_delay_columns_for_k_lanes() {
+    fn delayed_ensemble_replay_answers_delay_columns_for_k_lanes() {
         use crate::runner::run_ensemble_with;
         let t = line(9);
         let recs: Vec<Trajectory> =
@@ -1328,10 +1261,12 @@ mod tests {
         let refs: Vec<&Trajectory> = recs.iter().collect();
         let columns: Vec<(Vec<u64>, u64)> =
             vec![(vec![0, 0, 0], 100), (vec![0, 3, 0], 100), (vec![5, 0, 2], 100)];
-        let verdicts = gathering_scan(&t, &refs, &columns);
-        assert_eq!(verdicts.len(), columns.len());
-        for (v, (delays, budget)) in verdicts.iter().zip(&columns) {
-            let EnsembleReplay::Decided(run) = v else { panic!("recorded horizon decides") };
+        for (delays, budget) in &columns {
+            // Each lane's start delay is its own activation index.
+            let indices: Vec<ActivationIndex> =
+                delays.iter().map(|&d| ActivationIndex::start_delay(d)).collect();
+            let verdict = replay_ensemble(&t, &refs, &indices, *budget, false);
+            let EnsembleReplay::Decided(run) = verdict else { panic!("recorded horizon decides") };
             let mut agents = [BasicWalker, BasicWalker, BasicWalker];
             // The stepper takes each delay as an integer activation rule.
             let direct = run_ensemble_with(

@@ -1,6 +1,6 @@
 //! Cross-checks between the three answer paths for a `(pair, delay)`
 //! question — bounded stepping (`run_pair`), trace replay
-//! (`delay_scan`/`replay_pair`) and the exact decider
+//! (`replay_pair`) and the exact decider
 //! (`rvz_lowerbounds::decide`) — focused on the delay-axis edge cases:
 //! delay 0, delays past both fixed-point tails, and the fully symmetric
 //! pair whose trajectories mirror each other forever.
@@ -10,8 +10,8 @@ use tree_rendezvous::agent::Fsa;
 use tree_rendezvous::lowerbounds::decide::{
     decide_pair, verify_lasso, worst_case_delay, WorstCase,
 };
-use tree_rendezvous::sim::trace::{delay_scan, Replay, Trajectory};
-use tree_rendezvous::sim::{run_pair, Outcome, PairConfig, TraceRecorder};
+use tree_rendezvous::sim::trace::{Replay, Trajectory};
+use tree_rendezvous::sim::{replay_pair, run_pair, Outcome, PairConfig, TraceRecorder};
 use tree_rendezvous::trees::generators::{colored_line, line, spider};
 use tree_rendezvous::trees::{NodeId, Tree};
 
@@ -63,8 +63,8 @@ fn delay_zero_column_matches_the_decider() {
             }
             let ta = record_fsa(&t, &fsa, a, budget);
             let tb = record_fsa(&t, &fsa, b, budget);
-            let verdicts = delay_scan(&t, &ta, &tb, &[(0, budget)]);
-            let Replay::Decided(run) = &verdicts[0] else {
+            let Replay::Decided(run) = replay_pair(&t, &ta, &tb, PairConfig::delayed(0, budget))
+            else {
                 panic!("recorded horizon must decide θ=0")
             };
             let decision = decide_pair(&t, &fsa, a, b, 0);
@@ -93,8 +93,8 @@ fn delay_past_both_fixed_point_tails_matches_the_decider() {
         let ta = record_fsa(&t, &fsa, a, budget);
         let tb = record_fsa(&t, &fsa, b, budget);
         for delay in [100u64, 5_000, 9_000] {
-            let verdicts = delay_scan(&t, &ta, &tb, &[(delay, budget)]);
-            let Replay::Decided(run) = &verdicts[0] else {
+            let verdict = replay_pair(&t, &ta, &tb, PairConfig::delayed(delay, budget));
+            let Replay::Decided(run) = verdict else {
                 panic!("recorded horizon must decide θ={delay}")
             };
             let decision = decide_pair(&t, &fsa, a, b, delay);
@@ -174,9 +174,9 @@ fn fixed_tails_settle_huge_budgets_and_the_decider_agrees() {
         // Budgets in the billions, delays at/beyond both tails: the merge
         // must decide instantly, and agree with the budget-free decider.
         for delay in [2u64, 50, 1_000_000_000] {
-            let verdicts =
-                delay_scan(&t, rec_a.trajectory(), rec_b.trajectory(), &[(delay, u64::MAX / 4)]);
-            let Replay::Decided(run) = &verdicts[0] else { panic!("fixed tails must decide") };
+            let cfg = PairConfig::delayed(delay, u64::MAX / 4);
+            let verdict = replay_pair(&t, rec_a.trajectory(), rec_b.trajectory(), cfg);
+            let Replay::Decided(run) = verdict else { panic!("fixed tails must decide") };
             let decision = decide_pair(&t, &fsa, a, b, delay);
             assert_eq!(run.outcome.met(), decision.met(), "a={a} b={b} θ={delay}");
             assert_eq!(run.outcome.round(), decision.round(), "a={a} b={b} θ={delay}");
@@ -198,11 +198,10 @@ fn mirror_symmetric_pair_is_certified_for_every_delay() {
         assert_ne!(ta.position(r), tb.position(r), "round {r}");
     }
     let delays = [0u64, 1, 7];
-    let columns: Vec<(u64, u64)> = delays.iter().map(|&d| (d, 64)).collect();
-    let verdicts = delay_scan(&t, &ta, &tb, &columns);
     let decisions: Vec<_> = delays.iter().map(|&d| decide_pair(&t, &fsa, 0, 1, d)).collect();
-    for ((v, d), &delay) in verdicts.iter().zip(&decisions).zip(&delays) {
-        let Replay::Decided(run) = v else { panic!("horizon decides") };
+    for (d, &delay) in decisions.iter().zip(&delays) {
+        let verdict = replay_pair(&t, &ta, &tb, PairConfig::delayed(delay, 64));
+        let Replay::Decided(run) = verdict else { panic!("horizon decides") };
         assert_eq!(run.outcome.met(), d.met(), "θ={delay}");
         assert_eq!(run.outcome.round(), d.round(), "θ={delay}");
         if let Some(lasso) = d.lasso() {

@@ -1,17 +1,17 @@
 //! End-to-end activation-schedule scenarios across all four execution
 //! layers, on two-lane schedules: the k-lane simulator
 //! (`rvz_sim::run_ensemble`), the schedule-aware trace replay
-//! (`rvz_sim::schedule_scan`), the cycle-position exact decider
-//! (`rvz_lowerbounds::decide_pair_scheduled` / `worst_case_schedule`),
-//! and the sweep engine's `Delay::Schedule` axis (e10).
+//! (`rvz_sim::replay_pair_scheduled`), the cycle-position exact decider
+//! (`rvz_lowerbounds::decide_pair_scheduled`), and the sweep engine's
+//! `Delay::Schedule` axis (e10).
 
 use rvz_bench::sweep::{self, Delay, Executor, Family, ScheduleSpec, SweepSpec, Variant};
 use tree_rendezvous::agent::Fsa;
-use tree_rendezvous::lowerbounds::decide::{
-    decide_pair_scheduled, verify_schedule_lasso, worst_case_schedule, ScheduleWorstCase,
-};
+use tree_rendezvous::lowerbounds::decide::{decide_pair_scheduled, verify_schedule_lasso};
 use tree_rendezvous::sim::trace::Replay;
-use tree_rendezvous::sim::{run_ensemble_fsa, schedule_scan, EnsembleSchedule, TraceRecorder};
+use tree_rendezvous::sim::{
+    replay_pair_scheduled, run_ensemble_fsa, EnsembleSchedule, TraceRecorder,
+};
 use tree_rendezvous::trees::generators::line;
 
 /// The basic walk on a 9-line, pair (0, 6): the e9 story told through
@@ -33,8 +33,11 @@ fn schedule_column_is_answered_from_two_recordings() {
         (EnsembleSchedule::intermittent_last(2, 3, 0), 200),
         (EnsembleSchedule::crash_last_after(2, 0), 200),
     ];
-    let verdicts = schedule_scan(&t, rec_a.trajectory(), rec_b.trajectory(), &columns);
-    assert_eq!(verdicts.len(), 5);
+    let (ta, tb) = (rec_a.trajectory(), rec_b.trajectory());
+    let verdicts: Vec<Replay> = columns
+        .iter()
+        .map(|(sched, budget)| replay_pair_scheduled(&t, ta, tb, sched, *budget, false))
+        .collect();
     for ((sched, _), verdict) in columns.iter().zip(&verdicts) {
         let Replay::Decided(run) = verdict else {
             panic!("200 recorded rounds decide every column: {sched:?}")
@@ -59,27 +62,24 @@ fn schedule_column_is_answered_from_two_recordings() {
 fn worst_case_schedule_certifies_class_defeats_end_to_end() {
     let t = line(9);
     let fsa = Fsa::basic_walk(t.max_degree().max(1));
-    // A class with only meeting scenarios vs one containing a defeat.
+    // A class with only meeting scenarios vs one containing a defeat,
+    // each schedule of the class decided on its own.
     let benign =
         [EnsembleSchedule::crash_last_after(2, 0), EnsembleSchedule::crash_last_after(2, 1)];
-    let wc = worst_case_schedule(&t, &fsa, 0, 6, &benign);
-    assert!(wc.all_meet(), "a crashed agent is met at home");
-    let with_lockstep = [
-        EnsembleSchedule::crash_last_after(2, 0),
-        // Global stalls dilate the simultaneous scenario: pair (0, 5) is
-        // at odd distance, so the dilated shuttle never meets.
-        EnsembleSchedule::new(2, Vec::new(), vec![vec![true, true], vec![false, false]]),
-    ];
-    match worst_case_schedule(&t, &fsa, 0, 5, &with_lockstep) {
-        ScheduleWorstCase::Defeated { index, decision } => {
-            assert_eq!(index, 1);
-            let lasso = decision.lasso().expect("defeat carries a lasso");
-            assert!(verify_schedule_lasso(&t, &fsa, 0, 5, &with_lockstep[index], lasso));
-            // The lasso's period respects the 2-round cycle.
-            assert!(lasso.period.is_multiple_of(2));
-        }
-        ScheduleWorstCase::AllMeet { .. } => panic!("the dilated shuttle never meets"),
+    for sched in &benign {
+        let decision = decide_pair_scheduled(&t, &fsa, 0, 6, sched);
+        assert!(decision.met(), "a crashed agent is met at home: {sched:?}");
     }
+    let crashed = EnsembleSchedule::crash_last_after(2, 0);
+    assert!(decide_pair_scheduled(&t, &fsa, 0, 5, &crashed).met(), "met at home");
+    // Global stalls dilate the simultaneous scenario: pair (0, 5) is at
+    // odd distance, so the dilated shuttle never meets.
+    let lockstep = EnsembleSchedule::new(2, Vec::new(), vec![vec![true, true], vec![false, false]]);
+    let decision = decide_pair_scheduled(&t, &fsa, 0, 5, &lockstep);
+    let lasso = decision.lasso().expect("the dilated shuttle never meets");
+    assert!(verify_schedule_lasso(&t, &fsa, 0, 5, &lockstep, lasso));
+    // The lasso's period respects the 2-round cycle.
+    assert!(lasso.period.is_multiple_of(2));
 }
 
 /// The sweep engine's schedule axis, end to end: an e10-shaped grid run
