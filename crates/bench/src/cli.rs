@@ -146,18 +146,24 @@ fn parse_sizes(s: &str) -> Result<(Vec<usize>, usize), String> {
 /// re-resolve the *identical* specs from the forwarded arguments — the
 /// plan's per-spec fingerprint turns any drift into a hard error. A
 /// repeated experiment id runs once, with a warning; a list with no id is
-/// an error.
-fn resolve_sweep(args: &[String], ids: &str) -> (u64, Vec<(String, Vec<usize>, sweep::SweepSpec)>) {
+/// an error. Errors exit 2 here; warnings are returned, not printed, so
+/// that the workers, which share the supervisor's stderr, do not repeat
+/// them.
+fn resolve_sweep(
+    args: &[String],
+    ids: &str,
+) -> (u64, Vec<(String, Vec<usize>, sweep::SweepSpec)>, Vec<String>) {
+    let mut warnings = Vec::new();
     let explicit_sizes = flag_value(args, "--sizes").map(|s| {
         let (sizes, dropped) = parse_sizes(&s).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             exit(2);
         });
         if dropped > 0 {
-            eprintln!(
+            warnings.push(format!(
                 "warning: --sizes listed {dropped} duplicate size(s); \
                  deduplicated to {sizes:?} (duplicates would duplicate every row)"
-            );
+            ));
         }
         sizes
     });
@@ -256,13 +262,13 @@ fn resolve_sweep(args: &[String], ids: &str) -> (u64, Vec<(String, Vec<usize>, s
     }
     if duplicates > 0 {
         let kept: Vec<&str> = planned.iter().map(|(id, _, _)| id.as_str()).collect();
-        eprintln!(
+        warnings.push(format!(
             "warning: --experiment listed {duplicates} duplicate id(s); running {} once each \
              (duplicates would duplicate every row)",
             kept.join(",")
-        );
+        ));
     }
-    (seed, planned)
+    (seed, planned, warnings)
 }
 
 /// Executes a supervised worker subprocess: re-resolves the sweep specs
@@ -275,7 +281,8 @@ fn run_worker_mode(args: &[String], dir: &str) {
         eprintln!("error: --worker needs --experiment (the supervisor forwards its arguments)");
         exit(2);
     };
-    let (_, planned) = resolve_sweep(args, &ids);
+    // The supervisor already printed the warnings.
+    let (_, planned, _) = resolve_sweep(args, &ids);
     let specs: Vec<&sweep::SweepSpec> = planned.iter().map(|(_, _, s)| s).collect();
     if let Err(e) = supervisor::worker_main(std::path::Path::new(dir), &specs) {
         eprintln!("error: --worker: {e}");
@@ -284,7 +291,10 @@ fn run_worker_mode(args: &[String], dir: &str) {
 }
 
 fn run_sweep_mode(args: &[String], ids: &str, json: Option<String>) {
-    let (seed, planned) = resolve_sweep(args, ids);
+    let (seed, planned, warnings) = resolve_sweep(args, ids);
+    for warning in &warnings {
+        eprintln!("{warning}");
+    }
     let certificates_path = flag_value(args, "--certificates");
     let checkpoint_path = flag_value(args, "--checkpoint");
     let resume = has_flag(args, "--resume");

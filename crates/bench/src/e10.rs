@@ -62,6 +62,26 @@ pub fn row_schedule(row: &SweepRow) -> String {
 /// Quarantined rows keep their group in the table but count in no verdict
 /// column; one table note gives their number.
 pub fn summarize(report: &SweepReport) -> (Vec<ScheduleSummary>, Table) {
+    let t = Table::new(
+        "E10",
+        "activation schedules: all free trees, all ordered feasible pairs, basic walk",
+        &["n", "schedule", "pairs", "met", "never", "worst-round", "certified"],
+    );
+    fold_schedules(report, t, "never-meets", "scheduled stepping")
+}
+
+/// The per-(size, schedule) fold E10 and E11 share: groups `report`'s rows
+/// as [`summarize`] describes, counts each group's cells (start pairs or
+/// tuples), meetings (gatherings at `k > 2`), never-meets, worst round and
+/// certified cells, and renders one row per group into `t`. The note
+/// names the certificates `verdict` and the independent `checker` that
+/// re-verified them.
+pub(crate) fn fold_schedules(
+    report: &SweepReport,
+    mut t: Table,
+    verdict: &str,
+    checker: &str,
+) -> (Vec<ScheduleSummary>, Table) {
     let mut out: Vec<ScheduleSummary> = Vec::new();
     for row in &report.rows {
         let label = row_schedule(row);
@@ -95,11 +115,6 @@ pub fn summarize(report: &SweepReport) -> (Vec<ScheduleSummary>, Table) {
         }
     }
     out.sort_by_key(|s| s.n);
-    let mut t = Table::new(
-        "E10",
-        "activation schedules: all free trees, all ordered feasible pairs, basic walk",
-        &["n", "schedule", "pairs", "met", "never", "worst-round", "certified"],
-    );
     for s in &out {
         t.row(vec![
             s.n.to_string(),
@@ -114,8 +129,8 @@ pub fn summarize(report: &SweepReport) -> (Vec<ScheduleSummary>, Table) {
     let lassos = report.certificates.iter().filter(|c| c.lasso_stem.is_some()).count();
     let bogus = report.certificates.iter().filter(|c| c.verified == Some(false)).count();
     t.note(&format!(
-        "{} never-meets certificates ({lassos} lassos, every one re-verified by independent \
-         scheduled stepping{})",
+        "{} {verdict} certificates ({lassos} lassos, every one re-verified by independent \
+         {checker}{})",
         report.certificates.len(),
         if bogus > 0 { " — VERIFICATION FAILURES PRESENT" } else { "" }
     ));

@@ -57,64 +57,25 @@ pub struct GatheringSummary {
 /// Quarantined rows keep their group in the table but count in no verdict
 /// column; one table note gives their number.
 pub fn summarize(report: &SweepReport) -> (Vec<GatheringSummary>, Table) {
-    let mut out: Vec<GatheringSummary> = Vec::new();
-    for row in &report.rows {
-        let label = crate::e10::row_schedule(row);
-        let entry = match out.iter_mut().find(|s| s.n == row.size && s.schedule == label) {
-            Some(entry) => entry,
-            None => {
-                out.push(GatheringSummary {
-                    n: row.size,
-                    schedule: label,
-                    triples: 0,
-                    gathered: 0,
-                    never: 0,
-                    worst_round: 0,
-                    certified: 0,
-                });
-                out.last_mut().expect("just pushed")
-            }
-        };
-        if row.quarantined() {
-            continue;
-        }
-        entry.triples += 1;
-        if row.met {
-            entry.gathered += 1;
-            entry.worst_round = entry.worst_round.max(row.rounds.unwrap_or(0));
-        } else {
-            entry.never += 1;
-        }
-        if row.certified {
-            entry.certified += 1;
-        }
-    }
-    out.sort_by_key(|s| s.n);
-    let mut t = Table::new(
+    let t = Table::new(
         "E11",
         "3-agent gathering: all free trees, all ordered feasible triples, basic walk",
         &["n", "schedule", "triples", "gathered", "never", "worst-round", "certified"],
     );
-    for s in &out {
-        t.row(vec![
-            s.n.to_string(),
-            s.schedule.clone(),
-            s.triples.to_string(),
-            s.gathered.to_string(),
-            s.never.to_string(),
-            s.worst_round.to_string(),
-            s.certified.to_string(),
-        ]);
-    }
-    let lassos = report.certificates.iter().filter(|c| c.lasso_stem.is_some()).count();
-    let bogus = report.certificates.iter().filter(|c| c.verified == Some(false)).count();
-    t.note(&format!(
-        "{} never-gathers certificates ({lassos} lassos, every one re-verified by independent \
-         k-lane scheduled stepping{})",
-        report.certificates.len(),
-        if bogus > 0 { " — VERIFICATION FAILURES PRESENT" } else { "" }
-    ));
-    crate::sweep::note_unverified_cells(&mut t, &report.rows);
+    let (groups, t) =
+        crate::e10::fold_schedules(report, t, "never-gathers", "k-lane scheduled stepping");
+    let out = groups
+        .into_iter()
+        .map(|s| GatheringSummary {
+            n: s.n,
+            schedule: s.schedule,
+            triples: s.pairs,
+            gathered: s.met,
+            never: s.never,
+            worst_round: s.worst_round,
+            certified: s.certified,
+        })
+        .collect();
     (out, t)
 }
 

@@ -5,7 +5,7 @@
 //! predicts: success on *every* feasible instance, with charged memory
 //! bounded by `c₁·log ℓ + c₂·log log n + c₃`.
 
-use crate::instances::{families, feasible_pairs};
+use crate::instances::{families, feasible_tuples};
 use crate::table::{f, Table};
 use rvz_agent::bits_for;
 use rvz_core::TreeRendezvousAgent;
@@ -37,8 +37,9 @@ pub fn run(scale: usize, pairs_per_tree: usize, seed: u64) -> (Vec<E2Row>, Table
         let mut rounds = Vec::new();
         let mut bits_charged: u64 = 0;
         let mut bits_measured: u64 = 0;
-        let pairs = feasible_pairs(&inst.tree, pairs_per_tree, seed ^ 0xE2);
-        for &(a, b) in &pairs {
+        let pairs = feasible_tuples(&inst.tree, 2, pairs_per_tree, seed ^ 0xE2);
+        for pair in &pairs {
+            let (a, b) = (pair[0], pair[1]);
             let mut x = TreeRendezvousAgent::new();
             let mut y = TreeRendezvousAgent::new();
             let run = run_pair(&inst.tree, a, b, &mut x, &mut y, PairConfig::simultaneous(budget));

@@ -11,7 +11,7 @@
 //!   (whose necessity is Theorem 3.1, regenerated as E1);
 //! * the yardsticks `log ℓ + log log n` and `log n`.
 
-use crate::instances::feasible_pairs;
+use crate::instances::feasible_tuples;
 use crate::table::{f, Table};
 use rvz_core::{DelayRobustAgent, TreeRendezvousAgent};
 use rvz_sim::{run_pair, PairConfig};
@@ -48,7 +48,8 @@ pub fn run(sizes: &[usize], seed: u64) -> (Vec<E6Row>, Table) {
 fn measure(family: &str, tree: &Tree, seed: u64) -> E6Row {
     let n = tree.num_nodes();
     let leaves = tree.num_leaves();
-    let (a, b) = feasible_pairs(tree, 1, seed ^ 0xE6)[0];
+    let pair = &feasible_tuples(tree, 2, 1, seed ^ 0xE6)[0];
+    let (a, b) = (pair[0], pair[1]);
     let budget = crate::sweep::budget_for(n);
 
     let mut x = TreeRendezvousAgent::new();

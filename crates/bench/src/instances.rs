@@ -1,5 +1,6 @@
 //! Instance generation shared by the experiments: tree families and
-//! feasible (non-perfectly-symmetrizable) start pairs.
+//! feasible (non-perfectly-symmetrizable) start tuples — pairs are the
+//! `k = 2` tuples.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -79,47 +80,14 @@ pub fn families(scale: usize, seed: u64) -> Vec<Instance> {
     out
 }
 
-/// Up to `count` distinct feasible (non-perfectly-symmetrizable, distinct)
-/// start pairs, sampled deterministically.
-pub fn feasible_pairs(tree: &Tree, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = tree.num_nodes() as NodeId;
-    let mut pairs = Vec::new();
-    let mut attempts = 0;
-    while pairs.len() < count && attempts < 200 {
-        attempts += 1;
-        let a = rng.gen_range(0..n);
-        let b = rng.gen_range(0..n);
-        if a == b || pairs.contains(&(a, b)) {
-            continue;
-        }
-        if !perfectly_symmetrizable(tree, a, b) {
-            pairs.push((a, b));
-        }
-    }
-    // Deterministic fallback for tiny trees.
-    if pairs.is_empty() {
-        'outer: for a in 0..n {
-            for b in 0..n {
-                if a != b && !perfectly_symmetrizable(tree, a, b) {
-                    pairs.push((a, b));
-                    break 'outer;
-                }
-            }
-        }
-    }
-    pairs.shuffle(&mut rng);
-    pairs.truncate(count);
-    pairs
-}
-
 /// Up to `count` distinct feasible start `k`-tuples (pairwise distinct,
 /// no pairwise perfectly-symmetrizable entries — see
 /// [`exhaustive_feasible_tuples`] for why that is the right feasibility
-/// notion), sampled deterministically — the k-lane generalization of
-/// [`feasible_pairs`], sharing its seed discipline and shuffle-truncate
-/// shape so a sampled-family ensemble sweep draws its start axis the way
-/// the pair sweep always has.
+/// notion), sampled deterministically from `seed`: up to 200 draws of `k`
+/// uniform nodes, the lexicographically first feasible tuple when no draw
+/// is feasible (tiny trees), then a seeded shuffle. Every sampled start
+/// axis draws here — at `k = 2`, the start pairs of the pair grids and of
+/// the classic experiments.
 pub fn feasible_tuples(tree: &Tree, k: usize, count: usize, seed: u64) -> Vec<Vec<NodeId>> {
     assert!(k >= 2, "an ensemble has at least two lanes");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -155,32 +123,16 @@ pub fn feasible_tuples(tree: &Tree, k: usize, count: usize, seed: u64) -> Vec<Ve
     tuples
 }
 
-/// *Every* ordered feasible start pair of a tree, in lexicographic order:
-/// the exhaustive-certification axis (`e9`) quantifies over all of them,
-/// so no rng and no sampling are involved. Ordered, because under start
-/// delays "delay B at `b`" and "delay B at `a`" are different adversaries.
-pub fn exhaustive_feasible_pairs(tree: &Tree) -> Vec<(NodeId, NodeId)> {
-    let n = tree.num_nodes() as NodeId;
-    let mut out = Vec::new();
-    for a in 0..n {
-        for b in 0..n {
-            if a != b && !perfectly_symmetrizable(tree, a, b) {
-                out.push((a, b));
-            }
-        }
-    }
-    out
-}
-
 /// *Every* ordered feasible start `k`-tuple of a tree, in lexicographic
-/// order — the ensemble generalization of [`exhaustive_feasible_pairs`]
-/// (`k = 2` yields exactly that list). A tuple is feasible when its
-/// entries are pairwise distinct and **no pair** of them is perfectly
-/// symmetrizable: a symmetrizable pair can never meet, so a tuple
-/// containing one can never gather — quantifying over it would blame the
-/// instance, not the automaton. Ordered, because lane-asymmetric
-/// ensemble schedules (delay or crash on a specific lane) make "delay
-/// the copy at `c`" and "delay the copy at `a`" different adversaries.
+/// order: the exhaustive-certification axis (e9 at `k = 2`, e11 at
+/// `k = 3`) quantifies over all of them, so no rng and no sampling are
+/// involved. A tuple is feasible when its entries are pairwise distinct
+/// and **no pair** of them is perfectly symmetrizable: a symmetrizable
+/// pair can never meet, so a tuple containing one can never gather —
+/// quantifying over it would blame the instance, not the automaton.
+/// Ordered, because lane-asymmetric schedules (delay or crash on a
+/// specific lane) make "delay the copy at `b`" and "delay the copy at
+/// `a`" different adversaries.
 pub fn exhaustive_feasible_tuples(tree: &Tree, k: usize) -> Vec<Vec<NodeId>> {
     assert!(k >= 2, "an ensemble has at least two lanes");
     let n = tree.num_nodes() as NodeId;
@@ -243,32 +195,33 @@ mod tests {
         // a line with a central EDGE symmetrizes exactly the mirror pairs
         // (a, n-1-a), which must all be excluded.
         let odd = generators::line(5);
-        let pairs = exhaustive_feasible_pairs(&odd);
+        let pairs = exhaustive_feasible_tuples(&odd, 2);
         assert!(pairs.windows(2).all(|w| w[0] < w[1]), "lexicographic order");
         assert_eq!(pairs.len(), 5 * 4, "all 20 ordered pairs of line(5) are feasible");
 
         let even = generators::line(6);
-        let pairs = exhaustive_feasible_pairs(&even);
+        let pairs = exhaustive_feasible_tuples(&even, 2);
         assert_eq!(pairs.len(), 6 * 5 - 6, "exactly the 6 mirror pairs of line(6) are excluded");
         for a in 0..6u32 {
-            assert!(!pairs.contains(&(a, 5 - a)), "mirror pair ({a}, {}) is infeasible", 5 - a);
+            assert!(!pairs.contains(&vec![a, 5 - a]), "mirror pair ({a}, {}) is infeasible", 5 - a);
         }
-        for &(a, b) in &pairs {
-            assert_ne!(a, b);
-            assert!(!perfectly_symmetrizable(&even, a, b));
+        for pair in &pairs {
+            assert_ne!(pair[0], pair[1]);
+            assert!(!perfectly_symmetrizable(&even, pair[0], pair[1]));
         }
     }
 
     #[test]
     fn exhaustive_tuples_generalize_the_pairs() {
         for t in [generators::line(5), generators::line(6), generators::spider(3, 2)] {
-            // k = 2 is byte-identical to the pair enumeration.
-            let tuples = exhaustive_feasible_tuples(&t, 2);
-            let pairs = exhaustive_feasible_pairs(&t);
-            assert_eq!(tuples.len(), pairs.len());
-            for (tu, (a, b)) in tuples.iter().zip(&pairs) {
-                assert_eq!(tu.as_slice(), &[*a, *b]);
-            }
+            // k = 2 is the plain pair enumeration: every ordered pair of
+            // distinct, non-symmetrizable nodes, lexicographically.
+            let n = t.num_nodes() as NodeId;
+            let pairs: Vec<Vec<NodeId>> = (0..n)
+                .flat_map(|a| (0..n).map(move |b| vec![a, b]))
+                .filter(|p| p[0] != p[1] && !perfectly_symmetrizable(&t, p[0], p[1]))
+                .collect();
+            assert_eq!(exhaustive_feasible_tuples(&t, 2), pairs);
             // k = 3: lexicographic, pairwise distinct, pairwise feasible.
             let triples = exhaustive_feasible_tuples(&t, 3);
             assert!(triples.windows(2).all(|w| w[0] < w[1]), "lexicographic order");
@@ -295,9 +248,9 @@ mod tests {
     #[test]
     fn pairs_are_feasible() {
         for inst in families(24, 3) {
-            for (a, b) in feasible_pairs(&inst.tree, 3, 11) {
-                assert_ne!(a, b);
-                assert!(!perfectly_symmetrizable(&inst.tree, a, b), "{}", inst.family);
+            for pair in feasible_tuples(&inst.tree, 2, 3, 11) {
+                assert_ne!(pair[0], pair[1]);
+                assert!(!perfectly_symmetrizable(&inst.tree, pair[0], pair[1]), "{}", inst.family);
             }
         }
     }

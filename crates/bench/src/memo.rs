@@ -18,11 +18,12 @@
 //! back whole by [`crate::stores::save_all`] with no sweep in between.
 //!
 //! **Recordings: shared reads, exclusive growth.** Each recording sits in
-//! an `RwLock`. A replay cell read-locks its lanes in ascending start
-//! order and merges. When the merge needs more rounds, the cell drops
-//! every guard, grows each short lane under that lane's write lock alone
-//! ([`grow`] re-checks the horizon first: another thread may have grown
-//! it), and retries. Writers never hold two locks and readers acquire in
+//! an `RwLock`, and one function takes those locks:
+//! [`crate::sweep::run_cell_replay`], for every merge. A replay cell
+//! read-locks its lanes in ascending start order and merges. When the
+//! merge needs more rounds, the cell drops every guard, grows each short
+//! lane under that lane's write lock alone ([`grow`] re-checks the horizon
+//! first: another thread may have grown it), and retries. Writers never hold two locks and readers acquire in
 //! one global order, so no wait cycle can form. Growth extends the
 //! recorded prefix in place and never changes it ([`VariantRecorder::record_to`]
 //! never re-steps it), so no row depends on which thread grew a lane.

@@ -189,9 +189,41 @@ fn verify_trajectory(tree: &Tree, variant: Variant, start: NodeId, traj: &Trajec
 /// corrupt input; every reject is counted (and the file-level caller
 /// reports them).
 pub fn load_trace_store_bytes(bytes: &[u8]) -> LoadStats {
+    load_store_bytes(bytes, TRACE_MAGIC, |(family, n, tree_seed, start, variant), tree, payload| {
+        let traj = Trajectory::from_bytes(payload).ok()?;
+        verify_trajectory(tree, variant, start, &traj)
+            .then(|| memo::install_recording(family, n, tree_seed, tree, start, variant, traj))
+    })
+}
+
+/// Parses + verifies + installs solo-store bytes. Every restored lasso is
+/// *fully* re-verified by independent stepping before installation.
+pub fn load_solo_store_bytes(bytes: &[u8]) -> LoadStats {
+    load_store_bytes(bytes, SOLO_MAGIC, |(family, n, tree_seed, start, variant), tree, payload| {
+        // Only the automaton variant has an exported configuration space.
+        if variant != Variant::BasicWalkFsa {
+            return None;
+        }
+        let lasso = SoloLasso::from_bytes(payload).ok()?;
+        let fsa = rvz_agent::Fsa::basic_walk(tree.max_degree().max(1));
+        (lasso.position(0) == start && lasso.verify_solo(tree, &fsa))
+            .then(|| memo::install_lasso(family, n, tree_seed, tree, start, lasso))
+    })
+}
+
+/// The loader both store files share: frame parse, header check (a wrong
+/// magic or version drops the whole file), torn-tail count, key decode and
+/// one tree per instance key. `install` decodes, verifies and installs one
+/// record's payload on the tree its key names: `None` drops the record,
+/// `Some(false)` skips it (its key is already live).
+fn load_store_bytes(
+    bytes: &[u8],
+    magic: &[u8],
+    install: impl Fn((Family, usize, u64, NodeId, Variant), &Tree, &[u8]) -> Option<bool>,
+) -> LoadStats {
     let (records, clean) = wire::read_records(bytes);
     let mut stats = LoadStats::default();
-    if records.first().map(|r| *r != header(TRACE_MAGIC)).unwrap_or(true) {
+    if records.first().map(|r| *r != header(magic)).unwrap_or(true) {
         // Wrong magic or version: a whole-file reject, not a prefix.
         stats.dropped = records.len().max(1);
         return stats;
@@ -201,71 +233,15 @@ pub fn load_trace_store_bytes(bytes: &[u8]) -> LoadStats {
     }
     let mut trees: HashMap<(Family, usize, u64), Option<Tree>> = HashMap::new();
     for body in &records[1..] {
-        let Some((family, n, tree_seed, start, variant, payload)) = decode_key(body) else {
-            stats.dropped += 1;
-            continue;
-        };
-        let Ok(traj) = Trajectory::from_bytes(payload) else {
-            stats.dropped += 1;
-            continue;
-        };
-        let Some(tree) = tree_for(&mut trees, family, n, tree_seed) else {
-            stats.dropped += 1;
-            continue;
-        };
-        if !verify_trajectory(tree, variant, start, &traj) {
-            stats.dropped += 1;
-            continue;
-        }
-        if memo::install_recording(family, n, tree_seed, tree, start, variant, traj) {
-            stats.loaded += 1;
-        } else {
-            stats.skipped += 1;
-        }
-    }
-    stats
-}
-
-/// Parses + verifies + installs solo-store bytes. Every restored lasso is
-/// *fully* re-verified by independent stepping before installation.
-pub fn load_solo_store_bytes(bytes: &[u8]) -> LoadStats {
-    let (records, clean) = wire::read_records(bytes);
-    let mut stats = LoadStats::default();
-    if records.first().map(|r| *r != header(SOLO_MAGIC)).unwrap_or(true) {
-        stats.dropped = records.len().max(1);
-        return stats;
-    }
-    if !clean {
-        stats.dropped += 1;
-    }
-    let mut trees: HashMap<(Family, usize, u64), Option<Tree>> = HashMap::new();
-    for body in &records[1..] {
-        let Some((family, n, tree_seed, start, variant, payload)) = decode_key(body) else {
-            stats.dropped += 1;
-            continue;
-        };
-        // Only the automaton variant has an exported configuration space.
-        if variant != Variant::BasicWalkFsa {
-            stats.dropped += 1;
-            continue;
-        }
-        let Ok(lasso) = SoloLasso::from_bytes(payload) else {
-            stats.dropped += 1;
-            continue;
-        };
-        let Some(tree) = tree_for(&mut trees, family, n, tree_seed) else {
-            stats.dropped += 1;
-            continue;
-        };
-        let fsa = rvz_agent::Fsa::basic_walk(tree.max_degree().max(1));
-        if lasso.position(0) != start || !lasso.verify_solo(tree, &fsa) {
-            stats.dropped += 1;
-            continue;
-        }
-        if memo::install_lasso(family, n, tree_seed, tree, start, lasso) {
-            stats.loaded += 1;
-        } else {
-            stats.skipped += 1;
+        let installed =
+            decode_key(body).and_then(|(family, n, tree_seed, start, variant, payload)| {
+                let tree = tree_for(&mut trees, family, n, tree_seed)?;
+                install((family, n, tree_seed, start, variant), tree, payload)
+            });
+        match installed {
+            Some(true) => stats.loaded += 1,
+            Some(false) => stats.skipped += 1,
+            None => stats.dropped += 1,
         }
     }
     stats

@@ -52,8 +52,8 @@ use rvz_lowerbounds::decide::{
 };
 use rvz_sim::trace::Replay;
 use rvz_sim::{
-    replay_ensemble, replay_pair, replay_pair_scheduled, run_ensemble_with, ActivationIndex,
-    EnsembleReplay, EnsembleRun, EnsembleSchedule, Outcome, PairConfig,
+    replay_ensemble, replay_pair, run_ensemble_with, ActivationIndex, EnsembleReplay, EnsembleRun,
+    EnsembleSchedule, Outcome, PairConfig,
 };
 use rvz_trees::{NodeId, Tree};
 use serde::{Deserialize, Serialize};
@@ -771,17 +771,19 @@ pub fn prime_budget_for(m: usize) -> u64 {
 /// start-pair pool, a pure function of `(family, n, tree_seed, pairs_seed)`.
 /// The executor builds each one once ([`instances()`]) and shares it across
 /// the whole delay × variant × pair sub-grid it expands into
-/// ([`SweepInstance::cells`]) — `feasible_pairs` alone costs hundreds of
+/// ([`SweepInstance::cells`]) — drawing the pool alone costs hundreds of
 /// symmetrizability checks, which used to be repaid by *every* cell on the
 /// instance.
 #[derive(Debug)]
 pub struct SweepInstance {
     pub tree: Tree,
+    /// Feasible start pairs of a two-agent instance: the `k = 2` tuples of
+    /// [`instances::feasible_tuples`] (exhaustive for the enumerated
+    /// family), stored as arrays.
     pub pairs: Vec<[NodeId; 2]>,
     /// Feasible start `k`-tuples for `--agents k > 2` cells (empty on
-    /// pair instances; `pairs` is empty in turn on ensemble instances).
-    /// Drawn from the same `pairs_seed` stream, exhaustive for the
-    /// enumerated family — the k-lane generalization of `pairs`.
+    /// pair instances; `pairs` is empty in turn on ensemble instances),
+    /// drawn by the same generators from the same `pairs_seed` stream.
     pub tuples: Vec<Vec<NodeId>>,
     pub tree_seed: u64,
     pub pairs_seed: u64,
@@ -822,20 +824,15 @@ impl SweepInstance {
         let tree_seed = tree_index.unwrap_or_else(|| seed("tree"));
         let pairs_seed = if tree_index.is_some() { 0 } else { seed("pairs") };
         let tree = tree.unwrap_or_else(|| family.build(n, tree_seed));
+        let tuples = if tree_index.is_some() {
+            instances::exhaustive_feasible_tuples(&tree, agents)
+        } else {
+            instances::feasible_tuples(&tree, agents, starts, pairs_seed)
+        };
         let (pairs, tuples) = if agents > 2 {
-            let tuples = if tree_index.is_some() {
-                instances::exhaustive_feasible_tuples(&tree, agents)
-            } else {
-                instances::feasible_tuples(&tree, agents, starts, pairs_seed)
-            };
             (Vec::new(), tuples)
         } else {
-            let pairs = if tree_index.is_some() {
-                instances::exhaustive_feasible_pairs(&tree)
-            } else {
-                instances::feasible_pairs(&tree, starts, pairs_seed)
-            };
-            (pairs.into_iter().map(|(a, b)| [a, b]).collect(), Vec::new())
+            (tuples.iter().map(|t| [t[0], t[1]]).collect(), Vec::new())
         };
         let memo = memo::memo(family, n, tree_seed, tree.num_nodes());
         SweepInstance {
@@ -944,8 +941,8 @@ pub fn run_cell(cell: &Cell) -> Option<SweepRow> {
 /// How a cell's delay axis executes at a resolved instance size. A start
 /// delay θ — every delay flavor, including start-delay-shaped schedule
 /// specs, which thereby emit byte-identical legacy rows — freezes the last
-/// lane (agent B of a pair) through round θ and stays an integer, so the
-/// stepping and decide paths run any θ without materializing prefix rows.
+/// lane (agent B of a pair) through round θ and stays an integer, so
+/// every executor runs any θ without materializing prefix rows.
 /// A genuine schedule is resolved at the cell's lane count.
 pub(crate) enum CellMode {
     Delay(u64),
@@ -1170,121 +1167,25 @@ pub fn run_cell_on(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
 }
 
 /// Executes one cell from recorded trajectories (the
-/// [`Executor::TraceReplay`] path): both timelines are lanes of the
-/// instance's memo, read under shared locks and grown on demand, and the
-/// cell is decided by `rvz_sim::trace::replay_pair` — no agent stepping
-/// on warm lanes. Rows are byte-identical to [`run_cell_on`]; cells that
-/// would need recordings past the cap fall back to it.
+/// [`Executor::TraceReplay`] path), for any lane count: every timeline is
+/// a lane of the instance's memo, the *same* recording whatever the
+/// schedule or the width (a solo trajectory is a pure function of its
+/// activation count), and no agent is stepped on warm lanes. A start
+/// delay on two lanes merges by constant shift
+/// ([`rvz_sim::replay_pair`]); every other cell runs the k-cursor merge
+/// ([`rvz_sim::replay_ensemble`]) on per-lane activation indices, which
+/// take θ as an integer. Rows are byte-identical to [`run_cell_on`]'s.
+///
+/// This is the one place the memo's lock order lives: the cell read-locks
+/// its lanes in ascending start order and merges; when the merge asks for
+/// more rounds, it drops every guard, grows only the lanes the merge
+/// flagged, each under its own write lock, and retries. A cell that would
+/// grow a lane past the recording cap (2²³ rounds) is stepped instead.
 pub fn run_cell_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
-    if cell.agents > 2 {
-        return run_cell_ensemble_replay(cell, inst);
-    }
     if cell.delay == Delay::Adversarial {
         // Only the quantifier layer can answer "every delay".
         return run_cell_decide(cell, inst);
     }
-    let tree = &inst.tree;
-    let n = tree.num_nodes();
-    let leaves = tree.num_leaves();
-    let starts = inst.starts(cell)?;
-    let (start_a, start_b) = (starts[0], starts[1]);
-
-    // Genuinely scheduled cells replay against the *same* recordings as
-    // every θ cell (a lane has no schedule axis): the frozen semantics
-    // makes a solo trajectory a pure function of activation count, so the
-    // schedule only re-times the merge.
-    let mode = cell.mode(n);
-    let (budget, provisioned_bits) = budget_and_provisioned(cell, inst, n, leaves, &mode);
-
-    let lane_a = inst.lane(cell.variant, start_a);
-    let lane_b = inst.lane(cell.variant, start_b);
-    loop {
-        rvz_sim::cancel::checkpoint();
-        // Feasible pairs have distinct starts, so the lanes differ;
-        // read-lock them in start order (see [`crate::memo`]).
-        let (ga, gb);
-        if start_a <= start_b {
-            ga = memo::read(lane_a);
-            gb = memo::read(lane_b);
-        } else {
-            gb = memo::read(lane_b);
-            ga = memo::read(lane_a);
-        }
-        let (ta, tb) = (ga.trajectory(), gb.trajectory());
-        let verdict = match &mode {
-            CellMode::Delay(theta) => {
-                replay_pair(tree, ta, tb, PairConfig::delayed(*theta, budget))
-            }
-            CellMode::Scheduled(_, sched) => {
-                replay_pair_scheduled(tree, ta, tb, sched, budget, false)
-            }
-        };
-        match verdict {
-            Replay::Decided(run) => {
-                // The stepping path reports the meters after exactly as
-                // many activations as each agent got by the final round;
-                // read the same points off the recorded mark lists (the
-                // θ path's counts are `round` and `round − θ`, the
-                // scheduled path's come from the activation index).
-                let end = run.outcome.round().unwrap_or(budget);
-                let (acts_a, acts_b) = match &mode {
-                    CellMode::Delay(theta) => (end, end.saturating_sub(*theta)),
-                    CellMode::Scheduled(_, sched) => {
-                        (sched.index(0).acts_at(end), sched.index(1).acts_at(end))
-                    }
-                };
-                let measured_bits = ta.bits_at(acts_a).max(tb.bits_at(acts_b));
-                return Some(make_row(
-                    cell,
-                    inst,
-                    n,
-                    leaves,
-                    mode.row_fields(n),
-                    bounded_outcome(run.outcome, run.crossings),
-                    budget,
-                    provisioned_bits,
-                    measured_bits,
-                    starts,
-                    false,
-                ));
-            }
-            Replay::NeedMore { a_rounds, b_rounds } => {
-                if a_rounds > memo::MAX_RECORD_ROUNDS || b_rounds > memo::MAX_RECORD_ROUNDS {
-                    drop(ga);
-                    drop(gb);
-                    return run_cell_on(cell, inst);
-                }
-                // Grow only the lane(s) the verdict flagged (`0` / already
-                // decided means "long enough"): a warm recording is never
-                // write-locked, let alone re-stepped, because its partner
-                // was short. Both verdict flavors report *solo recording
-                // rounds*, i.e. activation counts.
-                let short_a = !ta.decided_to(a_rounds);
-                let short_b = !tb.decided_to(b_rounds);
-                drop(ga);
-                drop(gb);
-                if short_a {
-                    memo::grow(lane_a, tree, a_rounds, budget);
-                }
-                if short_b {
-                    memo::grow(lane_b, tree, b_rounds, budget);
-                }
-            }
-        }
-    }
-}
-
-/// Executes one `--agents k > 2` cell from recorded solo trajectories
-/// (the k-lane [`Executor::TraceReplay`] path): all `k` timelines are the
-/// instance memo's lanes, the *same* recordings pair replay uses (a
-/// solo trajectory is a pure function of activation count, so the memo
-/// needs no ensemble axis), and the cell is decided by
-/// [`rvz_sim::replay_ensemble`]'s k-cursor merge under shared read locks.
-/// Rows are bit-for-bit [`run_cell_on`]'s; cells needing recordings past
-/// the cap fall back to it. The merge runs on per-lane activation
-/// indices, which hold one count per frozen round, so θ cells here are
-/// capped at [`EnsembleSchedule::MAX_MATERIALIZED_PREFIX`].
-fn run_cell_ensemble_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
     let tree = &inst.tree;
     let n = tree.num_nodes();
     let leaves = tree.num_leaves();
@@ -1300,26 +1201,46 @@ fn run_cell_ensemble_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRo
             .collect(),
         CellMode::Scheduled(_, sched) => sched.indices(),
     };
+    // The pair merge stays for θ pairs: on e2's long merges and the
+    // n ≈ 200 delay scan, routing them through the k-lane merge was
+    // measurably slower.
+    let pair_delay = match (&mode, starts) {
+        (CellMode::Delay(theta), [_, _]) => Some(*theta),
+        _ => None,
+    };
 
-    let lanes: Vec<&memo::Lane> = starts.iter().map(|&s| inst.lane(cell.variant, s)).collect();
-    // Feasible tuples have pairwise-distinct starts, so the lanes differ;
-    // read-lock them in ascending start order (see [`crate::memo`]).
-    let mut order: Vec<usize> = (0..starts.len()).collect();
-    order.sort_by_key(|&i| starts[i]);
+    // Each lane's (start, slot), in lock order. Feasible starts are
+    // pairwise distinct, so the lanes differ.
+    let mut order: Vec<(NodeId, usize)> = starts.iter().copied().zip(0..).collect();
+    order.sort_unstable();
+    let lane = |start| inst.lane(cell.variant, start);
     loop {
         rvz_sim::cancel::checkpoint();
-        let mut guards: Vec<Option<std::sync::RwLockReadGuard<'_, VariantRecorder>>> =
-            (0..starts.len()).map(|_| None).collect();
-        for &i in &order {
-            guards[i] = Some(memo::read(lanes[i]));
+        let guards: Vec<_> = order.iter().map(|&(start, _)| memo::read(lane(start))).collect();
+        // The locked recordings in slot order, as the merge reads them.
+        let mut trajs = vec![guards[0].trajectory(); starts.len()];
+        for (guard, &(_, slot)) in guards.iter().zip(&order) {
+            trajs[slot] = guard.trajectory();
         }
-        let trajs: Vec<&rvz_sim::Trajectory> =
-            guards.iter().map(|g| g.as_ref().expect("locked above").trajectory()).collect();
-        match replay_ensemble(tree, &trajs, &indices, budget, false) {
-            EnsembleReplay::Decided(run) => {
+        // The decided run's (outcome, crossings), or each lane's request
+        // in recorded activations (0 = long enough).
+        let verdict = match pair_delay {
+            Some(theta) => {
+                match replay_pair(tree, trajs[0], trajs[1], PairConfig::delayed(theta, budget)) {
+                    Replay::Decided(run) => Ok((run.outcome, run.crossings)),
+                    Replay::NeedMore { a_rounds, b_rounds } => Err(vec![a_rounds, b_rounds]),
+                }
+            }
+            None => match replay_ensemble(tree, &trajs, &indices, budget, false) {
+                EnsembleReplay::Decided(run) => Ok((run.outcome, run.crossings)),
+                EnsembleReplay::NeedMore { rounds } => Err(rounds),
+            },
+        };
+        match verdict {
+            Ok((outcome, crossings)) => {
                 // Meters read at each lane's activation count by the final
                 // round, exactly as the stepping bank reports them.
-                let end = run.outcome.round().unwrap_or(budget);
+                let end = outcome.round().unwrap_or(budget);
                 let measured_bits = trajs
                     .iter()
                     .zip(&indices)
@@ -1332,7 +1253,7 @@ fn run_cell_ensemble_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRo
                     n,
                     leaves,
                     mode.row_fields(n),
-                    bounded_outcome(run.outcome, run.crossings),
+                    bounded_outcome(outcome, crossings),
                     budget,
                     provisioned_bits,
                     measured_bits,
@@ -1340,24 +1261,20 @@ fn run_cell_ensemble_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRo
                     false,
                 ));
             }
-            EnsembleReplay::NeedMore { rounds } => {
+            Err(rounds) => {
                 if rounds.iter().any(|&need| need > memo::MAX_RECORD_ROUNDS) {
                     drop(guards);
                     return run_cell_on(cell, inst);
                 }
-                // Grow only the lanes the verdict flagged (0 / already
-                // decided = long enough): a warm recording is never
-                // write-locked, let alone re-stepped, because a partner
-                // lane was short.
-                let short: Vec<bool> = rounds
-                    .iter()
-                    .zip(&trajs)
-                    .map(|(&need, traj)| need > 0 && !traj.decided_to(need))
-                    .collect();
+                // Grow only the lanes the merge flagged: a warm recording
+                // is never write-locked, let alone re-stepped, because a
+                // partner lane was short.
+                let short: Vec<bool> =
+                    rounds.iter().zip(&trajs).map(|(&need, traj)| !traj.decided_to(need)).collect();
                 drop(guards);
-                for ((lane, &need), short) in lanes.iter().zip(&rounds).zip(short) {
+                for ((&start, &need), short) in starts.iter().zip(&rounds).zip(short) {
                     if short {
-                        memo::grow(lane, tree, need, budget);
+                        memo::grow(lane(start), tree, need, budget);
                     }
                 }
             }
@@ -2532,9 +2449,10 @@ mod tests {
 
     #[test]
     fn delays_past_the_schedule_cap_step_and_decide_at_every_width() {
-        // θ is an integer on the stepping and decide paths: a delay just
-        // past the materialization cap runs at k = 2 and k = 3 alike, and
-        // the two executors agree on every field but `certified`.
+        // θ is an integer on every path: a delay just past the
+        // materialization cap runs at k = 2 and k = 3 alike, replay equals
+        // stepping to the byte, and decide agrees on every field but
+        // `certified`.
         let theta = EnsembleSchedule::MAX_MATERIALIZED_PREFIX + 1;
         for agents in [2usize, 3] {
             let spec = |executor| SweepSpec {
@@ -2550,8 +2468,14 @@ mod tests {
                 agents,
             };
             let stepped = run(&spec(Executor::DynStepping));
+            let replayed = run(&spec(Executor::TraceReplay));
             let decided = run(&spec(Executor::ExactDecide));
             assert_eq!(stepped.rows.len(), 2, "k = {agents}");
+            assert_eq!(
+                serde_json::to_string(&replayed.rows).unwrap(),
+                serde_json::to_string(&stepped.rows).unwrap(),
+                "k = {agents}"
+            );
             assert!(stepped.rows.iter().all(|r| r.delay == theta && !r.certified));
             let strip = |rows: &[SweepRow]| {
                 let mut rows = rows.to_vec();
@@ -2703,7 +2627,7 @@ mod tests {
         // contributes zero cells — correctly, not silently).
         for n in [2usize, 3, 4, 5, 6] {
             let expect = rvz_trees::enumerate::free_trees(n)
-                .filter(|t| !instances::exhaustive_feasible_pairs(t).is_empty())
+                .filter(|t| !instances::exhaustive_feasible_tuples(t, 2).is_empty())
                 .count();
             let seen: std::collections::HashSet<u64> =
                 report1.rows.iter().filter(|r| r.size == n).map(|r| r.tree_seed).collect();

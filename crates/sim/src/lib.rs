@@ -12,7 +12,9 @@
 //! instrumentation. Gathering (all `k` co-located at a round boundary,
 //! [`run_ensemble`]) is the k-agent generalization; rendezvous is its
 //! `k = 2` case, and [`run_pair`] is the classic two-agent API over the
-//! same round loop.
+//! same round loop. The [`trace`] module answers the same runs from solo
+//! recordings: [`replay_ensemble`] for any schedule at any `k ≥ 2`, and
+//! [`replay_pair`] for the start-delayed pair, by constant shift.
 //!
 //! ```
 //! use rvz_sim::EnsembleSchedule;
@@ -36,7 +38,4 @@ pub use runner::{
     EnsembleRun, Outcome, PairConfig, PairRun, SingleRun,
 };
 pub use schedule::{ActivationIndex, EnsembleSchedule};
-pub use trace::{
-    replay_ensemble, replay_pair, replay_pair_scheduled, EnsembleReplay, Replay, TraceRecorder,
-    Trajectory,
-};
+pub use trace::{replay_ensemble, replay_pair, EnsembleReplay, Replay, TraceRecorder, Trajectory};

@@ -25,7 +25,9 @@
 //! ([`ActivationIndex`] maps global rounds to activation counts and
 //! back), and it makes [`EnsembleSchedule::start_delays`]`(&[0, θ])`
 //! literally the legacy scenario: a prefix of `[true, false]` rounds, then
-//! both agents forever.
+//! both agents forever. A start delay needs no rows at all:
+//! [`ActivationIndex::start_delay`] counts θ frozen rounds as one integer,
+//! so the k-lane replay merge runs any θ at any lane count.
 //!
 //! Round indices are 1-based throughout, matching the simulator: round 0
 //! is the initial placement (before any activation), and
@@ -51,11 +53,11 @@ pub struct EnsembleSchedule {
 impl EnsembleSchedule {
     /// Materialization cap for the constructors that unroll a round count
     /// into explicit prefix rows ([`EnsembleSchedule::start_delays`],
-    /// [`EnsembleSchedule::crash_last_after`]) or per-round counts
-    /// ([`ActivationIndex::start_delay`]). Delays beyond it have no
-    /// schedule form — the simulator and the decider take θ as an integer
-    /// instead (`PairConfig::delayed`, `run_ensemble_with`'s activation
-    /// rule, `decide_ensemble_from_lassos`).
+    /// [`EnsembleSchedule::crash_last_after`]). Delays beyond it have no
+    /// schedule form — the simulator, the trace merge and the decider take
+    /// θ as an integer instead (`PairConfig::delayed`, `run_ensemble_with`'s
+    /// activation rule, [`ActivationIndex::start_delay`],
+    /// `decide_ensemble_from_lassos`).
     pub const MAX_MATERIALIZED_PREFIX: u64 = 1 << 22;
 
     /// A schedule from explicit rows. The cycle must be non-empty and
@@ -196,7 +198,12 @@ impl EnsembleSchedule {
 /// merge's global clock is rounds.
 #[derive(Debug, Clone)]
 pub struct ActivationIndex {
-    /// `prefix_cum[i]` = activations in rounds `1..=i`; length `p + 1`.
+    /// Leading rounds `1..=frozen` in which the lane is never activated,
+    /// counted rather than materialized: a start delay θ of any size costs
+    /// one integer. The prefix and the cycle below start after them.
+    frozen: u64,
+    /// `prefix_cum[i]` = activations in the first `i` prefix rounds;
+    /// length `p + 1`.
     prefix_cum: Vec<u64>,
     /// `cycle_cum[i]` = activations in the first `i` cycle slots; length
     /// `c + 1`.
@@ -207,14 +214,9 @@ impl ActivationIndex {
     /// Activation arithmetic of a lane frozen through round `theta` and
     /// active every round after: lane `i` of
     /// [`EnsembleSchedule::start_delays`] with `delays[i] = theta`, built
-    /// without materializing any schedule row. Capped like the schedule
-    /// (one count per frozen round).
+    /// in O(1) for any `theta` — no schedule row and no per-round count.
     pub fn start_delay(theta: u64) -> Self {
-        assert!(
-            theta <= EnsembleSchedule::MAX_MATERIALIZED_PREFIX,
-            "start_delay would materialize a {theta}-entry prefix"
-        );
-        ActivationIndex { prefix_cum: vec![0; theta as usize + 1], cycle_cum: vec![0, 1] }
+        ActivationIndex { frozen: theta, prefix_cum: vec![0], cycle_cum: vec![0, 1] }
     }
 
     /// Activation arithmetic from one lane's raw flag streams.
@@ -227,7 +229,7 @@ impl ActivationIndex {
             }
             v
         }
-        ActivationIndex { prefix_cum: cum(prefix), cycle_cum: cum(cycle) }
+        ActivationIndex { frozen: 0, prefix_cum: cum(prefix), cycle_cum: cum(cycle) }
     }
 
     /// Activations per full cycle.
@@ -237,6 +239,7 @@ impl ActivationIndex {
 
     /// Number of activations in rounds `1..=round` (0 at round 0).
     pub fn acts_at(&self, round: u64) -> u64 {
+        let Some(round) = round.checked_sub(self.frozen) else { return 0 };
         let p = (self.prefix_cum.len() - 1) as u64;
         if round <= p {
             return self.prefix_cum[round as usize];
@@ -256,7 +259,8 @@ impl ActivationIndex {
         let p = (self.prefix_cum.len() - 1) as u64;
         let in_prefix = self.prefix_cum[p as usize];
         if k <= in_prefix {
-            return Some(self.prefix_cum.partition_point(|&v| v < k) as u64);
+            let round = self.prefix_cum.partition_point(|&v| v < k) as u64;
+            return Some(self.frozen.saturating_add(round));
         }
         let per = self.per_cycle();
         if per == 0 {
@@ -267,7 +271,8 @@ impl ActivationIndex {
         let full = (rem - 1) / per;
         let within = rem - full * per; // 1..=per
         let slot = self.cycle_cum.partition_point(|&v| v < within) as u64;
-        Some(p.saturating_add(full.saturating_mul(c)).saturating_add(slot))
+        let round = p.saturating_add(full.saturating_mul(c)).saturating_add(slot);
+        Some(self.frozen.saturating_add(round))
     }
 
     /// Last global round at which the activation count is still below
@@ -299,7 +304,7 @@ impl ActivationIndex {
                 return None;
             }
         }
-        Some(shift)
+        Some(self.frozen.saturating_add(shift))
     }
 }
 
@@ -404,6 +409,18 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn start_delays_past_the_prefix_cap_cost_one_integer() {
+        let theta = EnsembleSchedule::MAX_MATERIALIZED_PREFIX << 10;
+        let idx = ActivationIndex::start_delay(theta);
+        assert_eq!(idx.as_pure_shift(), Some(theta));
+        assert_eq!(idx.acts_at(theta), 0);
+        assert_eq!(idx.acts_at(theta + 5), 5);
+        assert_eq!(idx.round_of_act(1), Some(theta + 1));
+        assert_eq!(idx.frozen_through(0), theta);
+        assert_eq!(idx.frozen_through(4), theta + 4);
     }
 
     #[test]

@@ -36,9 +36,18 @@
 //! `entry = None` iff the last action was a stay) and optional traces. The
 //! differential property test in `tests/property_tests.rs` pins this
 //! equivalence across random trees, starts, delays and agent variants.
+//!
+//! Two merges share these properties. [`replay_pair`] is the start-delay
+//! pair: agent B's timeline shifted by θ, on two fixed lanes. Everything
+//! else — any activation [`EnsembleSchedule`](crate::EnsembleSchedule)
+//! and any lane count, a two-lane schedule included — goes through
+//! [`replay_ensemble`], which re-times each lane through its
+//! [`ActivationIndex`] and returns exactly what [`crate::run_ensemble`]
+//! returns. The pair merge stays because it is measurably faster on the
+//! sweep's θ pair cells, the bulk of the e1–e8 grids.
 
 use crate::runner::{Cursor, EnsembleRun, Outcome, PairConfig, PairRun};
-use crate::schedule::{ActivationIndex, EnsembleSchedule};
+use crate::schedule::ActivationIndex;
 use rvz_agent::model::Agent;
 use rvz_trees::{NodeId, Port, Tree};
 
@@ -519,8 +528,8 @@ pub fn replay_pair(t: &Tree, ta: &Trajectory, tb: &Trajectory, cfg: PairConfig) 
     Replay::Decided(run)
 }
 
-/// A trajectory viewed through one lane of an [`EnsembleSchedule`]: the
-/// recording is indexed
+/// A trajectory viewed through one lane of an
+/// [`EnsembleSchedule`](crate::EnsembleSchedule): the recording is indexed
 /// by *activation count* (the frozen semantics makes an agent's k-th
 /// activation schedule-independent), and the [`ActivationIndex`] converts
 /// the merge's global round clock into local activation counts — the
@@ -611,119 +620,6 @@ fn cursor_at_scheduled(t: &Tree, traj: &Trajectory, idx: &ActivationIndex, r: u6
     Cursor { node, entry }
 }
 
-/// Builds the [`PairRun`] for a decided scheduled merge ending at global
-/// round `r`.
-#[allow(clippy::too_many_arguments)]
-fn finish_scheduled(
-    t: &Tree,
-    ta: &Trajectory,
-    tb: &Trajectory,
-    (idx_a, idx_b): (&ActivationIndex, &ActivationIndex),
-    record_traces: bool,
-    outcome: Outcome,
-    r: u64,
-    crossings: u64,
-) -> PairRun {
-    let materialize = |traj: &Trajectory, idx: &ActivationIndex| {
-        (0..=r).map(|g| traj.position(idx.acts_at(g)).expect("decided range")).collect()
-    };
-    PairRun {
-        outcome,
-        crossings,
-        final_a: cursor_at_scheduled(t, ta, idx_a, r),
-        final_b: cursor_at_scheduled(t, tb, idx_b, r),
-        trace_a: record_traces.then(|| materialize(ta, idx_a)),
-        trace_b: record_traces.then(|| materialize(tb, idx_b)),
-    }
-}
-
-/// Decides a two-agent run under an arbitrary two-lane activation
-/// [`EnsembleSchedule`] from recorded trajectories alone — no agent is
-/// stepped. Returns exactly what stepping the pair under the schedule
-/// returns ([`crate::run_ensemble`] at `k = 2`, lane 0 as A and lane 1 as
-/// B), or [`Replay::NeedMore`] when a recording is too short
-/// (the reported counts are *activation* counts — exactly what
-/// [`TraceRecorder::record_to`] takes, since a solo recording advances
-/// one activation per recorded round).
-///
-/// This is why schedules ride on the unchanged trace store: the frozen
-/// semantics makes a solo trajectory a pure function of `(tree, start,
-/// agent)` indexed by activation count, so one recording answers every
-/// schedule — the merge only re-times it through the
-/// [`ActivationIndex`]es.
-pub fn replay_pair_scheduled(
-    t: &Tree,
-    ta: &Trajectory,
-    tb: &Trajectory,
-    schedule: &EnsembleSchedule,
-    max_rounds: u64,
-    record_traces: bool,
-) -> Replay {
-    assert_eq!(schedule.lanes(), 2, "a pair replays under a two-lane schedule");
-    let idx_a = schedule.index(0);
-    let idx_b = schedule.index(1);
-    let idx = (&idx_a, &idx_b);
-    if ta.start == tb.start {
-        let outcome = Outcome::Met { round: 0, node: ta.start };
-        return Replay::Decided(finish_scheduled(t, ta, tb, idx, record_traces, outcome, 0, 0));
-    }
-    let mut lane_a = SchedLane::new(ta, &idx_a);
-    let mut lane_b = SchedLane::new(tb, &idx_b);
-    let mut prev_a = ta.start;
-    let mut prev_b = tb.start;
-    let mut crossings = 0u64;
-    let mut r = 0u64;
-    while r < max_rounds {
-        r += 1;
-        if r & 0xFFF == 0 {
-            crate::cancel::checkpoint();
-        }
-        // As in [`replay_pair`]: a lane already decided through round r
-        // reports 0 — the caller must not re-step a sufficient recording.
-        let need = |r: u64| {
-            let lane = |idx: &ActivationIndex, traj: &Trajectory| {
-                let l = idx.acts_at(r);
-                if traj.decided_to(l) {
-                    0
-                } else {
-                    l
-                }
-            };
-            Replay::NeedMore { a_rounds: lane(&idx_a, ta), b_rounds: lane(&idx_b, tb) }
-        };
-        let Some((na, ea)) = lane_a.locate(r) else {
-            return need(r);
-        };
-        let Some((nb, eb)) = lane_b.locate(r) else {
-            return need(r);
-        };
-        if na == prev_b && nb == prev_a && na != nb {
-            crossings += 1;
-        }
-        if na == nb {
-            let outcome = Outcome::Met { round: r, node: na };
-            return Replay::Decided(finish_scheduled(
-                t,
-                ta,
-                tb,
-                idx,
-                record_traces,
-                outcome,
-                r,
-                crossings,
-            ));
-        }
-        prev_a = na;
-        prev_b = nb;
-        // Neither cursor changes through min(ea, eb): frozen agents and
-        // stay-runs alike produce no moves, hence no crossing and no
-        // meeting (unequal constant positions) — jump.
-        r = r.max(ea.min(eb).min(max_rounds));
-    }
-    let outcome = Outcome::Timeout { rounds: max_rounds };
-    Replay::Decided(finish_scheduled(t, ta, tb, idx, record_traces, outcome, max_rounds, crossings))
-}
-
 /// Ensemble replay verdict: either the full [`EnsembleRun`] (bit-for-bit
 /// what [`crate::run_ensemble`] returns), or a per-lane request for
 /// longer recordings (activation counts; 0 = that lane is long enough).
@@ -733,18 +629,18 @@ pub enum EnsembleReplay {
     NeedMore { rounds: Vec<u64> },
 }
 
-/// Decides a k-agent gathering run from recorded solo trajectories alone
-/// — no agent is stepped. Lane `i` runs on `indices[i]`, its activation
-/// arithmetic: [`EnsembleSchedule::indices`] for a schedule, or
-/// [`ActivationIndex::start_delay`] per lane for start delays, which
-/// materializes no schedule row. The store
-/// keys stay per-agent: trajectories are pure functions of `(tree,
-/// start, agent)` indexed by activation count, so the same recordings
-/// that answer every two-agent schedule answer every k-lane ensemble —
-/// the merge re-times each through its lane's [`ActivationIndex`] and
-/// generalizes the O(1) joint-stay span jump to k cursors (inside a span
-/// no lane moves, so no crossing, no new pair co-location, and no
-/// gathering can first occur there).
+/// Decides a k-agent run (`k ≥ 2`; rendezvous is `k = 2`) from recorded
+/// solo trajectories alone — no agent is stepped. Lane `i` runs on
+/// `indices[i]`, its activation arithmetic:
+/// [`EnsembleSchedule::indices`](crate::EnsembleSchedule::indices) for a
+/// schedule, or [`ActivationIndex::start_delay`] per lane for start
+/// delays, which materializes nothing for any θ. The store keys stay
+/// per-agent: trajectories are pure functions of `(tree, start, agent)`
+/// indexed by activation count, so the same recordings answer every
+/// schedule at every width — the merge re-times each through its lane's
+/// [`ActivationIndex`] and generalizes [`replay_pair`]'s O(1) joint-stay
+/// span jump to k cursors (inside a span no lane moves, so no crossing,
+/// no new pair co-location, and no gathering can first occur there).
 ///
 /// Returns exactly what [`crate::run_ensemble`] returns on the same
 /// instance — outcome, crossings, pair meetings, final cursors and
@@ -805,16 +701,15 @@ pub fn replay_ensemble(
         EnsembleReplay::Decided(EnsembleRun { outcome, crossings, finals, traces, pair_meetings })
     };
 
-    let starts: Vec<NodeId> = trajs.iter().map(|tr| tr.start()).collect();
+    let mut prev: Vec<NodeId> = trajs.iter().map(|tr| tr.start()).collect();
     let mut crossings = 0u64;
-    if scan(&starts, &starts, 0, &mut pair_meetings, &mut crossings) {
-        let node = starts[0];
+    if scan(&prev, &prev, 0, &mut pair_meetings, &mut crossings) {
+        let node = prev[0];
         return finish(Outcome::Met { round: 0, node }, 0, 0, pair_meetings);
     }
 
     let mut lanes: Vec<MergeLane> =
         trajs.iter().zip(indices).map(|(tr, idx)| MergeLane::new(tr, idx)).collect();
-    let mut prev = starts.clone();
     let mut nodes: Vec<NodeId> = vec![0; k];
     let mut r = 0u64;
     while r < max_rounds {
@@ -861,6 +756,7 @@ pub fn replay_ensemble(
 mod tests {
     use super::*;
     use crate::runner::{run_ensemble_fsa, run_pair};
+    use crate::schedule::EnsembleSchedule;
     use rvz_agent::model::{bw_exit, Action, Obs};
     use rvz_trees::generators::{line, spider, star};
 
@@ -1049,19 +945,16 @@ mod tests {
                     let budget = 64u64;
                     let ta = record(&t, a, BasicWalker, budget);
                     let tb = record(&t, b, BasicWalker, budget);
-                    let Replay::Decided(replayed) =
-                        replay_pair_scheduled(&t, &ta, &tb, sched, budget, true)
+                    let EnsembleReplay::Decided(replayed) =
+                        replay_ensemble(&t, &[&ta, &tb], &sched.indices(), budget, true)
                     else {
                         panic!("a full-budget recording must decide");
                     };
                     let direct = step_pair(&t, a, b, sched, budget);
-                    let traces = direct.traces.as_ref().expect("recorded");
                     assert_eq!(replayed.outcome, direct.outcome, "{sched:?} ({a},{b})");
                     assert_eq!(replayed.crossings, direct.crossings, "{sched:?} ({a},{b})");
-                    assert_eq!(replayed.final_a, direct.finals[0], "{sched:?} ({a},{b})");
-                    assert_eq!(replayed.final_b, direct.finals[1], "{sched:?} ({a},{b})");
-                    assert_eq!(replayed.trace_a.as_ref(), Some(&traces[0]), "{sched:?} ({a},{b})");
-                    assert_eq!(replayed.trace_b.as_ref(), Some(&traces[1]), "{sched:?} ({a},{b})");
+                    assert_eq!(replayed.finals, direct.finals, "{sched:?} ({a},{b})");
+                    assert_eq!(replayed.traces, direct.traces, "{sched:?} ({a},{b})");
                 }
             }
         }
@@ -1076,12 +969,12 @@ mod tests {
         let sched = EnsembleSchedule::intermittent_last(2, 4, 0);
         let ta = record(&t, 0, BasicWalker, 200);
         let tb = record(&t, 29, BasicWalker, 2);
-        match replay_pair_scheduled(&t, &ta, &tb, &sched, 200, false) {
-            Replay::NeedMore { a_rounds, b_rounds } => {
-                assert_eq!(a_rounds, 0, "A's recording is long enough");
-                assert!(b_rounds > 2 && b_rounds <= 50, "B grows by activations: {b_rounds}");
+        match replay_ensemble(&t, &[&ta, &tb], &sched.indices(), 200, false) {
+            EnsembleReplay::NeedMore { rounds } => {
+                assert_eq!(rounds[0], 0, "A's recording is long enough");
+                assert!(rounds[1] > 2 && rounds[1] <= 50, "B grows by activations: {rounds:?}");
             }
-            Replay::Decided(run) => {
+            EnsembleReplay::Decided(run) => {
                 panic!("2 recorded activations cannot decide 200 rounds: {:?}", run.outcome)
             }
         }
@@ -1097,13 +990,13 @@ mod tests {
         let tb = record(&t, 9, BasicWalker, 8);
         assert!(ta.is_fixed() && !tb.is_fixed());
         let sched = EnsembleSchedule::crash_last_after(2, 5);
-        match replay_pair_scheduled(&t, &ta, &tb, &sched, 3_000_000_000, false) {
-            Replay::Decided(run) => match run.outcome {
+        match replay_ensemble(&t, &[&ta, &tb], &sched.indices(), 3_000_000_000, false) {
+            EnsembleReplay::Decided(run) => match run.outcome {
                 Outcome::Met { .. } => {}
                 Outcome::Timeout { rounds } => assert_eq!(rounds, 3_000_000_000),
             },
-            Replay::NeedMore { a_rounds, b_rounds } => {
-                panic!("crashed lane must decide, asked for ({a_rounds}, {b_rounds})")
+            EnsembleReplay::NeedMore { rounds } => {
+                panic!("crashed lane must decide, asked for {rounds:?}")
             }
         }
     }
@@ -1120,8 +1013,8 @@ mod tests {
             (EnsembleSchedule::crash_last_after(2, 1), 100),
         ];
         for (sched, budget) in &columns {
-            let verdict = replay_pair_scheduled(&t, &ta, &tb, sched, *budget, false);
-            let Replay::Decided(run) = verdict else { panic!("recorded horizon decides") };
+            let verdict = replay_ensemble(&t, &[&ta, &tb], &sched.indices(), *budget, false);
+            let EnsembleReplay::Decided(run) = verdict else { panic!("recorded horizon decides") };
             let direct = step_pair(&t, 0, 6, sched, *budget);
             assert_eq!(run.outcome, direct.outcome, "{sched:?}");
         }
@@ -1185,6 +1078,9 @@ mod tests {
 
     #[test]
     fn ensemble_replay_at_k2_matches_the_pair_merge() {
+        // At k = 2 the k-lane merge is rendezvous: it must equal direct
+        // pair stepping on every schedule, and on the start-delay
+        // schedule also the constant-shift pair merge.
         let t = line(11);
         let schedules = [
             EnsembleSchedule::simultaneous(2),
@@ -1192,25 +1088,34 @@ mod tests {
             EnsembleSchedule::intermittent_last(2, 3, 1),
             EnsembleSchedule::crash_last_after(2, 2),
         ];
+        let ta = record(&t, 0, BasicWalker, 80);
+        let tb = record(&t, 9, BasicWalker, 80);
         for sched in &schedules {
-            let ta = record(&t, 0, BasicWalker, 80);
-            let tb = record(&t, 9, BasicWalker, 80);
             let EnsembleReplay::Decided(kr) =
                 replay_ensemble(&t, &[&ta, &tb], &sched.indices(), 80, true)
             else {
                 panic!("decided");
             };
-            let Replay::Decided(pr) = replay_pair_scheduled(&t, &ta, &tb, sched, 80, true) else {
-                panic!("decided");
-            };
-            assert_eq!(kr.outcome, pr.outcome, "{sched:?}");
-            assert_eq!(kr.crossings, pr.crossings);
-            assert_eq!(kr.finals[0], pr.final_a);
-            assert_eq!(kr.finals[1], pr.final_b);
-            let traces = kr.traces.expect("recorded");
-            assert_eq!(Some(&traces[0]), pr.trace_a.as_ref());
-            assert_eq!(Some(&traces[1]), pr.trace_b.as_ref());
+            let direct = step_pair(&t, 0, 9, sched, 80);
+            assert_eq!(kr.outcome, direct.outcome, "{sched:?}");
+            assert_eq!(kr.crossings, direct.crossings);
+            assert_eq!(kr.pair_meetings, direct.pair_meetings);
+            assert_eq!(kr.finals, direct.finals);
+            assert_eq!(kr.traces, direct.traces);
         }
+        let cfg = PairConfig { delay: 3, max_rounds: 80, record_traces: true };
+        let Replay::Decided(pr) = replay_pair(&t, &ta, &tb, cfg) else { panic!("decided") };
+        let EnsembleReplay::Decided(kr) =
+            replay_ensemble(&t, &[&ta, &tb], &schedules[1].indices(), 80, true)
+        else {
+            panic!("decided");
+        };
+        assert_eq!(kr.outcome, pr.outcome);
+        assert_eq!(kr.crossings, pr.crossings);
+        assert_eq!(kr.finals, [pr.final_a, pr.final_b]);
+        let traces = kr.traces.expect("recorded");
+        assert_eq!(Some(&traces[0]), pr.trace_a.as_ref());
+        assert_eq!(Some(&traces[1]), pr.trace_b.as_ref());
     }
 
     #[test]

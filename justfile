@@ -47,10 +47,11 @@ docs-check:
 # schedule grid), the e11 3-agent ensemble leg (same gates on
 # rvz-sweep/v7 triple rows for the decider and the replayer, zero
 # uncertified cells), the e10 grid at --agents 3 (intermittent schedules
-# at k = 3), the e1–e8 sweep grids on the stepping executor, the classic
-# e1–e8 tables and a one-thread e10 journal (golden bytes only), then the
-# golden SHA-256 sums of every raw output the legs wrote (the e10, e11
-# and e10k3 decide legs also write their certificates).
+# at k = 3), the e1–e8 sweep grids on the stepping executor (golden
+# bytes) and on the replay executor (byte-compared with stepping), the
+# classic e1–e8 tables and a one-thread e10 journal (golden bytes only),
+# then the golden SHA-256 sums of every raw output the legs wrote (the
+# e10, e11 and e10k3 decide legs also write their certificates).
 differential:
     mkdir -p differential
     for ex in replay stepping decide; do \
@@ -146,6 +147,10 @@ differential:
     cargo run --release --bin experiments -- \
       --experiment e1,e2,e3,e4,e5,e6,e7,e8 --executor stepping --threads 2 \
       --json differential/e1-e8-stepping.json
+    cargo run --release --bin experiments -- \
+      --experiment e1,e2,e3,e4,e5,e6,e7,e8 --executor replay --threads 2 \
+      --json differential/e1-e8-replay.json
+    cmp differential/e1-e8-replay.json differential/e1-e8-stepping.json
     cargo run --release --bin experiments -- all --json differential/classic
     cargo run --release --bin experiments -- \
       --experiment e10 --sizes 5,6 --threads 1 \

@@ -100,24 +100,33 @@ fn e11_report_files_match_their_value_tree_rendering() {
 #[test]
 fn repeated_experiment_id_runs_once() {
     let outputs = ["--json", "rows.json", "--certificates", "certs.json"];
-    let run = |name: &str, ids: &str| {
-        let dir = scratch(name);
-        let out =
-            experiments(&dir, &[&["--experiment", ids, "--sizes", "3"][..], &outputs].concat());
-        assert!(out.status.success(), "{ids}: stderr {}", String::from_utf8_lossy(&out.stderr));
-        let read = |file: &str| std::fs::read(dir.join(file)).expect("read report");
-        let files = (read("rows.json"), read("certs.json"));
-        std::fs::remove_dir_all(&dir).expect("remove scratch dir");
-        (out, files)
-    };
-    let (once, once_files) = run("e9-once", "e9");
-    let (twice, twice_files) = run("e9-twice", "e9,E9");
-    assert_eq!(twice.stdout, once.stdout, "the e9 table prints once");
-    assert!(twice_files == once_files, "rows and certificates are written once");
-    let stderr = String::from_utf8_lossy(&twice.stderr);
-    let warnings: Vec<&str> = stderr.lines().filter(|l| l.starts_with("warning:")).collect();
-    assert_eq!(warnings.len(), 1, "{stderr}");
-    assert!(warnings[0].contains("--experiment listed 1 duplicate id"), "{stderr}");
+    // In process, and under supervised workers, which re-resolve the
+    // forwarded arguments and must not repeat the warning.
+    let modes: [&[&str]; 2] = [&[], &["--workers", "2", "--threads", "1"]];
+    for mode in modes {
+        let run = |name: &str, ids: &str| {
+            let dir = scratch(name);
+            let args = [&["--experiment", ids, "--sizes", "3"][..], &outputs, mode].concat();
+            let out = experiments(&dir, &args);
+            assert!(
+                out.status.success(),
+                "{args:?}: stderr {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let read = |file: &str| std::fs::read(dir.join(file)).expect("read report");
+            let files = (read("rows.json"), read("certs.json"));
+            std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+            (out, files)
+        };
+        let (once, once_files) = run("e9-once", "e9");
+        let (twice, twice_files) = run("e9-twice", "e9,E9");
+        assert_eq!(twice.stdout, once.stdout, "the e9 table prints once ({mode:?})");
+        assert!(twice_files == once_files, "rows and certificates are written once ({mode:?})");
+        let stderr = String::from_utf8_lossy(&twice.stderr);
+        let warnings: Vec<&str> = stderr.lines().filter(|l| l.starts_with("warning:")).collect();
+        assert_eq!(warnings.len(), 1, "{mode:?}: {stderr}");
+        assert!(warnings[0].contains("--experiment listed 1 duplicate id"), "{stderr}");
+    }
 }
 
 #[test]

@@ -434,8 +434,8 @@ proptest! {
         use tree_rendezvous::lowerbounds::decide::{decide_pair, decide_pair_scheduled};
         use tree_rendezvous::sim::trace::Replay;
         use tree_rendezvous::sim::{
-            replay_pair, replay_pair_scheduled, run_ensemble_fsa, run_pair, EnsembleSchedule,
-            PairConfig, TraceRecorder,
+            replay_ensemble, replay_pair, run_ensemble_fsa, run_pair, EnsembleReplay,
+            EnsembleSchedule, PairConfig, TraceRecorder,
         };
 
         let n = t.num_nodes() as u32;
@@ -464,17 +464,18 @@ proptest! {
         let mut rec_b = TraceRecorder::new(b, fsa.runner_owned(), Agent::memory_bits);
         rec_a.record_to(&t, budget);
         rec_b.record_to(&t, budget);
-        let legacy_replay = replay_pair(&t, rec_a.trajectory(), rec_b.trajectory(), cfg);
-        let sched_replay =
-            replay_pair_scheduled(&t, rec_a.trajectory(), rec_b.trajectory(), &sched, budget, true);
+        let trajs = [rec_a.trajectory(), rec_b.trajectory()];
+        let legacy_replay = replay_pair(&t, trajs[0], trajs[1], cfg);
+        let sched_replay = replay_ensemble(&t, &trajs, &sched.indices(), budget, true);
         match (legacy_replay, sched_replay) {
-            (Replay::Decided(l), Replay::Decided(s)) => {
+            (Replay::Decided(l), EnsembleReplay::Decided(s)) => {
+                let traces = s.traces.as_ref().expect("recorded");
                 prop_assert_eq!(&s.outcome, &l.outcome);
                 prop_assert_eq!(s.crossings, l.crossings);
-                prop_assert_eq!(s.final_a, l.final_a);
-                prop_assert_eq!(s.final_b, l.final_b);
-                prop_assert_eq!(&s.trace_a, &l.trace_a);
-                prop_assert_eq!(&s.trace_b, &l.trace_b);
+                prop_assert_eq!(s.finals[0], l.final_a);
+                prop_assert_eq!(s.finals[1], l.final_b);
+                prop_assert_eq!(Some(&traces[0]), l.trace_a.as_ref());
+                prop_assert_eq!(Some(&traces[1]), l.trace_b.as_ref());
             }
             (l, s) => prop_assert!(false, "full recordings must decide: {:?} vs {:?}", l, s),
         }
@@ -509,9 +510,8 @@ proptest! {
         use tree_rendezvous::lowerbounds::decide::{
             decide_pair_scheduled, verify_schedule_lasso,
         };
-        use tree_rendezvous::sim::trace::Replay;
         use tree_rendezvous::sim::{
-            replay_pair_scheduled, run_ensemble_fsa, EnsembleSchedule, TraceRecorder,
+            replay_ensemble, run_ensemble_fsa, EnsembleReplay, EnsembleSchedule, TraceRecorder,
         };
 
         let n = t.num_nodes() as u32;
@@ -536,14 +536,14 @@ proptest! {
 
         let mut rec_a = TraceRecorder::new(a, fsa.runner_owned(), Agent::memory_bits);
         let mut rec_b = TraceRecorder::new(b, fsa.runner_owned(), Agent::memory_bits);
+        let indices = sched.indices();
         let replayed = loop {
-            match replay_pair_scheduled(
-                &t, rec_a.trajectory(), rec_b.trajectory(), &sched, budget, false,
-            ) {
-                Replay::Decided(run) => break run,
-                Replay::NeedMore { a_rounds, b_rounds } => {
-                    rec_a.record_to(&t, a_rounds.max(2 * rec_a.trajectory().rounds()));
-                    rec_b.record_to(&t, b_rounds.max(2 * rec_b.trajectory().rounds()));
+            let trajs = [rec_a.trajectory(), rec_b.trajectory()];
+            match replay_ensemble(&t, &trajs, &indices, budget, false) {
+                EnsembleReplay::Decided(run) => break run,
+                EnsembleReplay::NeedMore { rounds } => {
+                    rec_a.record_to(&t, rounds[0].max(2 * rec_a.trajectory().rounds()));
+                    rec_b.record_to(&t, rounds[1].max(2 * rec_b.trajectory().rounds()));
                 }
             }
         };

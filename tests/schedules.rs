@@ -1,16 +1,15 @@
 //! End-to-end activation-schedule scenarios across all four execution
 //! layers, on two-lane schedules: the k-lane simulator
-//! (`rvz_sim::run_ensemble`), the schedule-aware trace replay
-//! (`rvz_sim::replay_pair_scheduled`), the cycle-position exact decider
+//! (`rvz_sim::run_ensemble`), the k-lane trace replay at k = 2
+//! (`rvz_sim::replay_ensemble`), the cycle-position exact decider
 //! (`rvz_lowerbounds::decide_pair_scheduled`), and the sweep engine's
 //! `Delay::Schedule` axis (e10).
 
 use rvz_bench::sweep::{self, Delay, Executor, Family, ScheduleSpec, SweepSpec, Variant};
 use tree_rendezvous::agent::Fsa;
 use tree_rendezvous::lowerbounds::decide::{decide_pair_scheduled, verify_schedule_lasso};
-use tree_rendezvous::sim::trace::Replay;
 use tree_rendezvous::sim::{
-    replay_pair_scheduled, run_ensemble_fsa, EnsembleSchedule, TraceRecorder,
+    replay_ensemble, run_ensemble_fsa, EnsembleReplay, EnsembleSchedule, TraceRecorder,
 };
 use tree_rendezvous::trees::generators::line;
 
@@ -33,13 +32,13 @@ fn schedule_column_is_answered_from_two_recordings() {
         (EnsembleSchedule::intermittent_last(2, 3, 0), 200),
         (EnsembleSchedule::crash_last_after(2, 0), 200),
     ];
-    let (ta, tb) = (rec_a.trajectory(), rec_b.trajectory());
-    let verdicts: Vec<Replay> = columns
+    let trajs = [rec_a.trajectory(), rec_b.trajectory()];
+    let verdicts: Vec<EnsembleReplay> = columns
         .iter()
-        .map(|(sched, budget)| replay_pair_scheduled(&t, ta, tb, sched, *budget, false))
+        .map(|(sched, budget)| replay_ensemble(&t, &trajs, &sched.indices(), *budget, false))
         .collect();
     for ((sched, _), verdict) in columns.iter().zip(&verdicts) {
-        let Replay::Decided(run) = verdict else {
+        let EnsembleReplay::Decided(run) = verdict else {
             panic!("200 recorded rounds decide every column: {sched:?}")
         };
         // Replay must agree with the budget-free decider and with direct
@@ -54,7 +53,7 @@ fn schedule_column_is_answered_from_two_recordings() {
     }
     // The crash column: B parked at 6 from the start, A's endpoint walk
     // arrives at round 6.
-    let Replay::Decided(crash) = &verdicts[4] else { panic!() };
+    let EnsembleReplay::Decided(crash) = &verdicts[4] else { panic!() };
     assert_eq!(crash.outcome.round(), Some(6));
 }
 
