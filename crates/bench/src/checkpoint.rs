@@ -58,16 +58,6 @@ pub struct CellRecord {
     pub certificate: Option<Certificate>,
 }
 
-/// FNV-1a, the journal's fingerprint hash.
-fn fnv64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Fingerprint of everything that determines a batch of sweeps' rows —
 /// the experiment grids minus `threads` (thread count never changes rows).
 /// The CLI opens one journal per invocation covering all `--experiment`
@@ -96,7 +86,7 @@ pub fn spec_fingerprint(specs: &[&crate::sweep::SweepSpec]) -> u64 {
             d
         })
         .collect();
-    fnv64(&desc.join("\n"))
+    crate::sweep::fnv(&desc.join("\n"))
 }
 
 // ---------------------------------------------------------------------------

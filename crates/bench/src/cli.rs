@@ -32,6 +32,10 @@ use serde::JsonWriter;
 use std::io::Write;
 use std::process::exit;
 
+/// The base seed of every sweep without `--seed`, and of classic mode.
+/// `--help` prints it in decimal, the only form `--seed` parses.
+const DEFAULT_SEED: u64 = 0x5EED_2010;
+
 struct Cfg {
     full: bool,
     json: Option<String>,
@@ -176,7 +180,7 @@ fn resolve_sweep(
                 exit(2);
             })
         })
-        .unwrap_or(0x5EED_2010);
+        .unwrap_or(DEFAULT_SEED);
     let pairs: usize = positive_flag(args, "--pairs", "omit the flag for the preset's default")
         .unwrap_or(0) as usize;
     // `--agents 1` parses but is rejected with its own message: a solo
@@ -380,14 +384,16 @@ fn run_sweep_mode(args: &[String], ids: &str, json: Option<String>) {
                 let (schedules, table) = e11::summarize(&report);
                 (table, Some(Summary { key: "schedules", rows: Box::new(schedules) }))
             }
-            _ => (sweep::to_table(&id, &report), None),
+            _ => (sweep::to_table(&spec, &report), None),
         };
         println!("{}", table.render());
         if report.dropped_cells > 0 {
             eprintln!(
-                "warning: {id}: {} of {} planned cells dropped (fewer feasible start pairs \
+                "warning: {id}: {} of {} planned cells dropped (fewer feasible start {} \
                  than --pairs on some instances)",
-                report.dropped_cells, report.planned_cells
+                report.dropped_cells,
+                report.planned_cells,
+                sweep::Lanes::new(spec.agents).tuples
             );
         }
         let timed_out = report.rows.iter().filter(|r| r.timed_out == Some(true)).count();
@@ -601,7 +607,7 @@ fn run_classic_mode(args: &[String], json_dir: Option<String>) {
     let all = wanted.is_empty() || args.iter().any(|a| a == "all");
     let want = |id: &str| all || wanted.iter().any(|w| w == id);
 
-    let seed = 0x5EED_2010;
+    let seed = DEFAULT_SEED;
 
     if want("e1") {
         let samples = if cfg.full { 40 } else { 12 };
@@ -687,7 +693,7 @@ Sweep mode (parallel batch engine):
                     gather (default 2 — the pair sweep, byte-identical
                     rows; K > 2 bumps the row schema to rvz-sweep/v7
                     with `agents`/`start_rest` fields; e11 defaults to 3)
-    --seed S        base seed (default 0x5EED2010)
+    --seed S        base seed (default {})
     --executor X    replay (trace-record/replay; default for e1..e8),
                     stepping (k-lane round loop per cell), or decide (exact
                     decider, budget-free, certifies never-meets; default
@@ -730,7 +736,8 @@ Classic mode (paper tables):
         sweep::E9_DEFAULT_SIZES,
         sweep::E10_DEFAULT_SIZES,
         sweep::E11_DEFAULT_SIZES,
-        sweep::MAX_ENUM_SIZE
+        sweep::MAX_ENUM_SIZE,
+        DEFAULT_SEED
     );
 }
 

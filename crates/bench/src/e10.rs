@@ -19,7 +19,7 @@
 //! the parity argument behind the shuttle lassos, so some pairs that
 //! never meet simultaneously *do* meet at half speed.
 
-use crate::sweep::{SweepReport, SweepRow};
+use crate::sweep::{Lanes, SweepReport, SweepRow};
 use crate::table::Table;
 use serde::Serialize;
 
@@ -31,9 +31,10 @@ pub struct ScheduleSummary {
     /// Schedule label (legacy start scenarios reconstructed from the
     /// `delay` field: `"simultaneous"` / `"start-delay(θ)"`).
     pub schedule: String,
-    /// Ordered feasible pairs decided under this schedule.
+    /// Ordered feasible pairs decided under this schedule (start tuples
+    /// at `--agents k > 2`).
     pub pairs: u64,
-    /// Pairs meeting under this schedule.
+    /// Pairs meeting under this schedule (tuples gathering at `k > 2`).
     pub met: u64,
     /// Pairs certified never-meets (carrying a verified lasso under the
     /// decide executor).
@@ -60,28 +61,34 @@ pub fn row_schedule(row: &SweepRow) -> String {
 /// Rows are grouped in grid order (sizes ascending, schedules in the
 /// spec's column order), so the table reads like the delay axis.
 /// Quarantined rows keep their group in the table but count in no verdict
-/// column; one table note gives their number.
+/// column; one table note gives their number. The table names its cells
+/// after the rows' width: pairs that meet at two agents, tuples that
+/// gather at `--agents k > 2`.
 pub fn summarize(report: &SweepReport) -> (Vec<ScheduleSummary>, Table) {
-    let t = Table::new(
-        "E10",
-        "activation schedules: all free trees, all ordered feasible pairs, basic walk",
-        &["n", "schedule", "pairs", "met", "never", "worst-round", "certified"],
+    let lanes = Lanes::of(report, "e10");
+    let title = format!(
+        "activation schedules: all free trees, all ordered feasible {}, basic walk",
+        lanes.tuples
     );
-    fold_schedules(report, t, "never-meets", "scheduled stepping")
+    fold_schedules(report, "E10", &title, &lanes)
 }
 
 /// The per-(size, schedule) fold E10 and E11 share: groups `report`'s rows
 /// as [`summarize`] describes, counts each group's cells (start pairs or
 /// tuples), meetings (gatherings at `k > 2`), never-meets, worst round and
-/// certified cells, and renders one row per group into `t`. The note
-/// names the certificates `verdict` and the independent `checker` that
-/// re-verified them.
+/// certified cells, and renders one row per group into a table `id` with
+/// `title`, whose columns and certificate note use the words of `lanes`.
 pub(crate) fn fold_schedules(
     report: &SweepReport,
-    mut t: Table,
-    verdict: &str,
-    checker: &str,
+    id: &str,
+    title: &str,
+    lanes: &Lanes,
 ) -> (Vec<ScheduleSummary>, Table) {
+    let mut t = Table::new(
+        id,
+        title,
+        &["n", "schedule", &lanes.tuples, lanes.met, "never", "worst-round", "certified"],
+    );
     let mut out: Vec<ScheduleSummary> = Vec::new();
     for row in &report.rows {
         let label = row_schedule(row);
@@ -129,9 +136,11 @@ pub(crate) fn fold_schedules(
     let lassos = report.certificates.iter().filter(|c| c.lasso_stem.is_some()).count();
     let bogus = report.certificates.iter().filter(|c| c.verified == Some(false)).count();
     t.note(&format!(
-        "{} {verdict} certificates ({lassos} lassos, every one re-verified by independent \
-         {checker}{})",
+        "{} {} certificates ({lassos} lassos, every one re-verified by independent \
+         {}scheduled stepping{})",
         report.certificates.len(),
+        lanes.never,
+        if lanes.agents > 2 { "k-lane " } else { "" },
         if bogus > 0 { " — VERIFICATION FAILURES PRESENT" } else { "" }
     ));
     crate::sweep::note_unverified_cells(&mut t, &report.rows);
@@ -151,6 +160,28 @@ mod tests {
                 (s.n, s.schedule.clone(), [s.pairs, s.met, s.never, s.worst_round, s.certified])
             })
             .collect()
+    }
+
+    #[test]
+    fn a_gathering_grid_is_labelled_by_its_width() {
+        // At --agents 3 the rows are start triples that gather or never
+        // gather, and their certificates say so.
+        let mut spec = sweep::preset("e10", &[4, 5], 1, 3).expect("e10 preset");
+        spec.executor = Executor::ExactDecide;
+        spec.agents = 3;
+        let report = sweep::run(&spec);
+        assert!(report.certificates.iter().all(|c| c.verdict == "never-gathers"));
+        let rendered = summarize(&report).1.render();
+        let header: Vec<&str> =
+            rendered.lines().nth(1).expect("header").split_whitespace().collect();
+        assert_eq!(
+            header,
+            ["n", "schedule", "triples", "gathered", "never", "worst-round", "certified"],
+            "{rendered}"
+        );
+        assert!(rendered.contains("all ordered feasible triples"), "{rendered}");
+        assert!(rendered.contains("never-gathers certificates"), "{rendered}");
+        assert!(!rendered.contains("never-meets"), "{rendered}");
     }
 
     #[test]

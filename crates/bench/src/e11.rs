@@ -24,7 +24,7 @@
 //! both survivors sit on the crash site together. The crash rescue does
 //! not survive gathering.
 
-use crate::sweep::SweepReport;
+use crate::sweep::{Lanes, SweepReport};
 use crate::table::Table;
 use serde::Serialize;
 
@@ -55,15 +55,18 @@ pub struct GatheringSummary {
 /// Rows are grouped in grid order (sizes ascending, schedules in the
 /// spec's column order), so the table reads like the schedule axis.
 /// Quarantined rows keep their group in the table but count in no verdict
-/// column; one table note gives their number.
+/// column; one table note gives their number. The table names its cells
+/// after the rows' width: at `--agents 2` they are pairs that meet, and
+/// the struct's `triples` and `gathered` count pairs and meetings.
 pub fn summarize(report: &SweepReport) -> (Vec<GatheringSummary>, Table) {
-    let t = Table::new(
-        "E11",
-        "3-agent gathering: all free trees, all ordered feasible triples, basic walk",
-        &["n", "schedule", "triples", "gathered", "never", "worst-round", "certified"],
-    );
-    let (groups, t) =
-        crate::e10::fold_schedules(report, t, "never-gathers", "k-lane scheduled stepping");
+    let lanes = Lanes::of(report, "e11");
+    let goal = match lanes.agents {
+        2 => "rendezvous".to_string(),
+        k => format!("{k}-agent gathering"),
+    };
+    let title =
+        format!("{goal}: all free trees, all ordered feasible {}, basic walk", lanes.tuples);
+    let (groups, t) = crate::e10::fold_schedules(report, "E11", &title, &lanes);
     let out = groups
         .into_iter()
         .map(|s| GatheringSummary {
@@ -96,6 +99,37 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn a_pair_grid_is_labelled_by_its_width() {
+        // At --agents 2 the rows are start pairs that meet or never meet,
+        // and their certificates say so.
+        let mut spec = sweep::preset("e11", &[4, 5], 1, 3).expect("e11 preset");
+        spec.executor = Executor::ExactDecide;
+        spec.agents = 2;
+        let report = sweep::run(&spec);
+        assert!(report.certificates.iter().all(|c| c.verdict == "never-meets"));
+        let rendered = summarize(&report).1.render();
+        let header: Vec<&str> =
+            rendered.lines().nth(1).expect("header").split_whitespace().collect();
+        assert_eq!(
+            header,
+            ["n", "schedule", "pairs", "met", "never", "worst-round", "certified"],
+            "{rendered}"
+        );
+        assert!(rendered.contains("rendezvous: all free trees, all ordered feasible pairs"));
+        assert!(rendered.contains("never-meets certificates"), "{rendered}");
+        assert!(!rendered.contains("gather") && !rendered.contains("k-lane"), "{rendered}");
+        // A report with no rows takes the preset's width: three agents.
+        let empty = sweep::SweepReport {
+            rows: Vec::new(),
+            planned_cells: 0,
+            dropped_cells: 0,
+            certificates: Vec::new(),
+            append_failures: 0,
+        };
+        assert!(summarize(&empty).1.render().contains("3-agent gathering"));
     }
 
     #[test]

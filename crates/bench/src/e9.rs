@@ -18,7 +18,7 @@
 //! rendezvous needs more memory, here as a theorem about all trees `≤ n`
 //! rather than an observation about sampled ones.
 
-use crate::sweep::SweepReport;
+use crate::sweep::{Lanes, SweepReport};
 use crate::table::Table;
 use serde::Serialize;
 
@@ -53,8 +53,12 @@ pub struct SizeSummary {
 /// counted as fixed-delay cells and its universal columns stay zero).
 /// Sizes whose every tree lacked a feasible pair (`n = 2`) contribute no
 /// rows and are omitted. Quarantined rows name their tree but count in no
-/// verdict column; one table note gives their number.
+/// verdict column; one table note gives their number. The table names its
+/// start tuples after the rows' width, and a note says when no ∀-delay
+/// verdict exists: that axis delays one of two lanes, so an `--agents
+/// k > 2` grid drops it.
 pub fn summarize(report: &SweepReport) -> (Vec<SizeSummary>, Table) {
+    let lanes = Lanes::of(report, "e9");
     // BTreeSet iteration is already size-ascending.
     let sizes: Vec<usize> = report
         .rows
@@ -114,13 +118,16 @@ pub fn summarize(report: &SweepReport) -> (Vec<SizeSummary>, Table) {
     }
     let mut t = Table::new(
         "E9",
-        "exhaustive certification: all free trees, all ordered feasible pairs, basic walk",
+        &format!(
+            "exhaustive certification: all free trees, all ordered feasible {}, basic walk",
+            lanes.tuples
+        ),
         &[
             "n",
             "trees",
             "feasible",
-            "pairs",
-            "met@0",
+            &lanes.tuples,
+            &format!("{}@0", lanes.met),
             "never@0",
             "∀-meet",
             "∀-defeated",
@@ -149,6 +156,16 @@ pub fn summarize(report: &SweepReport) -> (Vec<SizeSummary>, Table) {
         report.certificates.len(),
         if bogus > 0 { " — VERIFICATION FAILURES PRESENT" } else { "" }
     ));
+    if !out.is_empty() && out.iter().all(|s| s.forall_meet + s.forall_defeated == 0) {
+        let why = match lanes.agents {
+            2 => String::new(),
+            k => format!(" (a pair axis, which --agents {k} drops)"),
+        };
+        t.note(&format!(
+            "the ∀-delay axis did not run{why}: ∀-meet, ∀-defeated, worst-round and max-θ* \
+             count nothing"
+        ));
+    }
     crate::sweep::note_unverified_cells(&mut t, &report.rows);
     (out, t)
 }
@@ -196,6 +213,27 @@ mod tests {
         let (summary, _) = summarize(&poisoned);
         assert_eq!(summary.len(), 2);
         assert!(verdicts(&summary).iter().all(|v| *v == [0; 7]), "{summary:?}");
+    }
+
+    #[test]
+    fn a_gathering_grid_is_labelled_by_its_width() {
+        // At --agents 3 the start axis holds triples, and the grid drops
+        // the ∀-delay axis, which delays one of two lanes: the table must
+        // say both instead of counting zero ∀ verdicts over "pairs".
+        let mut spec = sweep::preset("e9", &[4, 5], 1, 77).expect("e9 preset");
+        spec.executor = Executor::ExactDecide;
+        spec.agents = 3;
+        let (summary, table) = summarize(&sweep::run(&spec));
+        assert!(summary.iter().all(|s| s.pairs > 0 && s.forall_meet + s.forall_defeated == 0));
+        let rendered = table.render();
+        let header: Vec<&str> =
+            rendered.lines().nth(1).expect("header").split_whitespace().collect();
+        assert_eq!(header[..5], ["n", "trees", "feasible", "triples", "gathered@0"], "{rendered}");
+        assert!(rendered.contains("all ordered feasible triples"), "{rendered}");
+        assert!(
+            rendered.contains("the ∀-delay axis did not run (a pair axis, which --agents 3 drops)"),
+            "{rendered}"
+        );
     }
 
     #[test]

@@ -15,19 +15,6 @@ pub struct Instance {
     pub tree: Tree,
 }
 
-/// Canonical family names accepted by [`build_family`], in grid order.
-pub const FAMILY_NAMES: &[&str] = &[
-    "line",
-    "line-rnd",
-    "spider3",
-    "caterpillar",
-    "random",
-    "random-deg3",
-    "complete-binary",
-    "binomial",
-    "star",
-];
-
 /// Builds the member of a named family at target size `n` (randomized
 /// families draw from `rng`). Returns `None` for an unknown family name.
 ///

@@ -59,8 +59,7 @@ use rvz_trees::{NodeId, Tree};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
-/// Tree families the sweep can grid over (names as in
-/// [`instances::FAMILY_NAMES`]).
+/// Tree families the sweep can grid over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {
     Line,
@@ -640,6 +639,8 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// FNV-1a: hashes the grid's names into seed tokens, and the spec
+/// description into the journal fingerprint.
 pub(crate) fn fnv(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.bytes() {
@@ -1741,6 +1742,44 @@ pub fn run_with_options(spec: &SweepSpec, opts: &RunOptions<'_>) -> SweepReport 
     }
 }
 
+/// The words a table uses for cells of one ensemble width: a start pair
+/// that meets or never meets at two agents, a start tuple whose copies
+/// gather or never gather at `k > 2`.
+pub(crate) struct Lanes {
+    /// The ensemble width `k`.
+    pub agents: usize,
+    /// The start tuples' noun: `pairs`, `triples`, `4-tuples`, ….
+    pub tuples: String,
+    /// The verb of a cell whose copies co-locate: `met` or `gathered`.
+    pub met: &'static str,
+    /// The verdict of a certified negative cell: `never-meets` or
+    /// `never-gathers`.
+    pub never: &'static str,
+}
+
+impl Lanes {
+    pub(crate) fn new(agents: usize) -> Lanes {
+        let (met, never) =
+            if agents > 2 { ("gathered", "never-gathers") } else { ("met", "never-meets") };
+        let tuples = match agents {
+            2 => "pairs".to_string(),
+            3 => "triples".to_string(),
+            k => format!("{k}-tuples"),
+        };
+        Lanes { agents, tuples, met, never }
+    }
+
+    /// The width of `report`'s rows ([`SweepRow::agents`], absent on pair
+    /// rows); for a report with no rows, the width of `experiment`'s
+    /// preset.
+    pub(crate) fn of(report: &SweepReport, experiment: &str) -> Lanes {
+        Lanes::new(match report.rows.first() {
+            Some(row) => row.agents.unwrap_or(2),
+            None => preset(experiment, &[], 1, 0).map_or(2, |spec| spec.agents),
+        })
+    }
+}
+
 /// The closing notes of the e9, e10 and e11 summaries: cells answered by
 /// bounded simulation, and quarantined cells, which record no run and
 /// which no verdict column counts.
@@ -1761,49 +1800,58 @@ pub(crate) fn note_unverified_cells(t: &mut Table, rows: &[SweepRow]) {
     }
 }
 
-/// Renders a sweep report as the same kind of aligned table the classic
-/// experiment drivers print.
-pub fn to_table(experiment: &str, report: &SweepReport) -> Table {
+/// Renders the report of `spec`'s sweep as the same kind of aligned table
+/// the classic experiment drivers print. Its words follow the spec's
+/// ensemble width: pair rows show their starts as columns `a` and `b`,
+/// rows of `k > 2` agents every lane's start in one `starts` column.
+pub fn to_table(spec: &SweepSpec, report: &SweepReport) -> Table {
     let rows = &report.rows;
+    let lanes = Lanes::new(spec.agents);
+    let starts: &[&str] = if lanes.agents > 2 { &["starts"] } else { &["a", "b"] };
+    let headers = [
+        &["family", "n", "ℓ", "variant", "delay"][..],
+        starts,
+        &[lanes.met, "rounds", "prov-bits", "meas-bits"],
+    ]
+    .concat();
     let mut t = Table::new(
-        &experiment.to_uppercase(),
+        &spec.experiment.to_uppercase(),
         &format!("sweep grid ({} rows)", rows.len()),
-        &[
-            "family",
-            "n",
-            "ℓ",
-            "variant",
-            "delay",
-            "a",
-            "b",
-            "met",
-            "rounds",
-            "prov-bits",
-            "meas-bits",
-        ],
+        &headers,
     );
     for r in rows {
-        t.row(vec![
+        let mut cells = vec![
             r.family.clone(),
             r.n.to_string(),
             r.leaves.to_string(),
             r.variant.clone(),
             r.schedule.clone().unwrap_or_else(|| r.delay.to_string()),
-            r.start_a.to_string(),
-            r.start_b.to_string(),
+        ];
+        if lanes.agents > 2 {
+            let rest = r.start_rest.iter().flatten();
+            let all: Vec<String> =
+                [r.start_a, r.start_b].iter().chain(rest).map(|s| s.to_string()).collect();
+            cells.push(all.join(","));
+        } else {
+            cells.push(r.start_a.to_string());
+            cells.push(r.start_b.to_string());
+        }
+        cells.extend([
             if r.met { "y" } else { "N" }.to_string(),
             r.rounds.map(|x| x.to_string()).unwrap_or_else(|| "-".into()),
             r.provisioned_bits.to_string(),
             r.measured_bits.to_string(),
         ]);
+        t.row(cells);
     }
     let met = rows.iter().filter(|r| r.met).count();
-    t.note(&format!("{met}/{} cells met within budget", rows.len()));
+    t.note(&format!("{met}/{} cells {} within budget", rows.len(), lanes.met));
     let certified = rows.iter().filter(|r| r.certified).count();
     if certified > 0 {
         let never = rows.iter().filter(|r| r.certified && !r.met).count();
         t.note(&format!(
-            "{certified} cells exactly decided ({never} certified never-meets, no timeouts)"
+            "{certified} cells exactly decided ({never} certified {}, no timeouts)",
+            lanes.never
         ));
     }
     let timed_out = rows.iter().filter(|r| r.timed_out == Some(true)).count();
@@ -1828,8 +1876,8 @@ pub fn to_table(experiment: &str, report: &SweepReport) -> Table {
     }
     if report.dropped_cells > 0 {
         t.note(&format!(
-            "{} of {} planned cells dropped (instance had fewer feasible start pairs than --pairs)",
-            report.dropped_cells, report.planned_cells
+            "{} of {} planned cells dropped (instance had fewer feasible start {} than --pairs)",
+            report.dropped_cells, report.planned_cells, lanes.tuples
         ));
     }
     t
@@ -2250,8 +2298,30 @@ mod tests {
         assert_eq!(report.planned_cells, 50);
         assert_eq!(report.rows.len() + report.dropped_cells, report.planned_cells);
         assert!(report.dropped_cells > 0, "star(4) cannot have 50 distinct feasible pairs");
-        let table = to_table("drop", &report);
+        let table = to_table(&spec, &report);
         assert!(table.render().contains("planned cells dropped"));
+    }
+
+    #[test]
+    fn a_gathering_grid_is_labelled_by_its_width() {
+        // At --agents 3 the table shows every lane's start, and its
+        // verbs and its dropped-cells note speak of triples that gather.
+        let mut spec = preset("e8", &[5], 1, 3).expect("e8 preset");
+        spec.agents = 3;
+        spec.pairs_per_cell = 50;
+        let report = run(&spec);
+        assert!(report.dropped_cells > 0 && !report.rows.is_empty());
+        let rendered = to_table(&spec, &report).render();
+        let mut lines = rendered.lines().skip(1);
+        let header: Vec<&str> = lines.next().expect("header").split_whitespace().collect();
+        assert_eq!(header[5..7], ["starts", "gathered"], "{rendered}");
+        for (row, line) in report.rows.iter().zip(lines.skip(1)) {
+            let rest = row.start_rest.as_ref().expect("a triple row");
+            let starts = format!("{},{},{}", row.start_a, row.start_b, rest[0]);
+            assert_eq!(line.split_whitespace().nth(5), Some(starts.as_str()), "{rendered}");
+        }
+        assert!(rendered.contains("cells gathered within budget"), "{rendered}");
+        assert!(rendered.contains("fewer feasible start triples than --pairs"), "{rendered}");
     }
 
     #[test]

@@ -1,94 +1,78 @@
 #!/usr/bin/env bash
-# CI <-> justfile parity gate — CI's lint leg and `just ci-parity-check`.
+# CI/justfile parity, run by scripts/lint.sh: `just ci` runs every command
+# .github/workflows/ci.yml runs.
 #
-# The justfile's header promises that local targets mirror
-# .github/workflows/ci.yml. This script makes that promise a build gate:
+#  1. Every script ci.yml runs is an executable file, and a recipe that
+#     `just ci` reaches runs it.
+#  2. Every other command ci.yml runs appears verbatim in such a recipe.
 #
-#  1. Every CI job maps (via the explicit table below) to the just
-#     targets that reproduce it locally, and the table names no CI job
-#     that does not exist — adding or renaming a job without updating
-#     the mapping fails the build.
-#  2. Every mapped just target exists in the justfile.
-#  3. Every mapped just target is reachable from the `ci:` aggregate, so
-#     `just ci` really is the full CI-equivalent pass.
-#  4. Every helper script ci.yml invokes exists, is executable, and is
-#     also reachable from a just target (no CI-only shell logic).
+# Each `run:` step is one line: a multi-line step fails, because its
+# commands belong in a script under scripts/.
+#
+# A recipe reaches its dependencies and the recipes its lines run with
+# `just NAME`.
 #
 # Usage: scripts/check_ci_parity.sh   (from the repo root)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-workflow=.github/workflows/ci.yml
-status=0
+python3 - <<'PY'
+import os, re, sys
 
-# ---- the one source of truth: CI job -> just targets -------------------
-declare -A JOB_TARGETS=(
-    [build-test]="build test"
-    [lint]="fmt-check clippy docs doctest docs-check ci-parity-check"
-    [differential]="differential"
-    [crash-resume]="crash-test worker-crash-test"
-    [bench-smoke]="bench-json-check bench-smoke"
-)
+def words(line):
+    return " ".join(line.split())
 
-# CI job ids: two-space-indented `name:` keys inside the workflow's
-# `jobs:` block (steps and `with:` maps sit deeper).
-ci_jobs=$(awk '/^jobs:/{injobs=1; next} injobs && /^  [a-z0-9-]+:/{sub(/^  /,""); sub(/:.*/,""); print}' "$workflow")
+# The command of each of ci.yml's `run:` steps.
+runs = []
+for line in open(".github/workflows/ci.yml", encoding="utf-8"):
+    m = re.match(r"\s*(?:- )?run:(.*)", line)
+    if m:
+        runs.append(words(m.group(1)))
 
-# Just targets: unindented `name:` definition lines (skip comments and
-# the aggregate's dependency list is still a definition line).
-just_targets=$(grep -oE '^[a-z0-9-]+:' justfile | tr -d ':')
-ci_aggregate=$(grep -E '^ci:' justfile)
-
-echo "== CI jobs -> just targets =="
-while read -r job; do
-    if [[ ! -v JOB_TARGETS[$job] ]]; then
-        echo "error: CI job '$job' has no just-target mapping in scripts/check_ci_parity.sh"
-        status=1
+# The justfile's recipes: name -> (dependencies, command lines), with a
+# line continued by `\` joined to the next.
+recipes, current = {}, None
+for line in open("justfile", encoding="utf-8").read().replace("\\\n", " ").splitlines():
+    if not line.strip() or line.lstrip().startswith("#"):
         continue
-    fi
-    echo "  $job -> ${JOB_TARGETS[$job]}"
-done <<<"$ci_jobs"
+    if not line[0].isspace():
+        m = re.match(r"([\w-]+)[^:=]*:(?!=)(.*)", line)
+        current = m and m.group(1)
+        if current:
+            recipes[current] = (m.group(2).split(), [])
+    elif current:
+        recipes[current][1].append(words(line))
 
-echo "== mapped jobs exist in CI =="
-for job in "${!JOB_TARGETS[@]}"; do
-    if ! grep -qxF -- "$job" <<<"$ci_jobs"; then
-        echo "error: mapping names CI job '$job' but $workflow does not define it"
-        status=1
-    fi
-done
+bad, reached, todo = [], set(), ["ci"]
+while todo:
+    name = todo.pop()
+    if name in reached:
+        continue
+    if name not in recipes:
+        bad.append(f"`just ci` reaches recipe '{name}', which the justfile does not define")
+        continue
+    reached.add(name)
+    deps, commands = recipes[name]
+    todo += deps + [c.split()[1] for c in commands if c.startswith("just ")]
+commands = [c for name in reached for c in recipes[name][1]]
 
-echo "== mapped targets exist and sit in 'just ci' =="
-for targets in "${JOB_TARGETS[@]}"; do
-    for t in $targets; do
-        if ! grep -qxF -- "$t" <<<"$just_targets"; then
-            echo "error: mapping names just target '$t' but the justfile does not define it"
-            status=1
-            continue
-        fi
-        # worker-crash-test is reached through crash-test; everything
-        # else must be a direct dependency of the `ci:` aggregate.
-        if [[ "$t" == worker-crash-test ]]; then
-            grep -qE '(^|\s)just worker-crash-test(\s|$)' justfile || {
-                echo "error: crash-test no longer chains to worker-crash-test"
-                status=1
-            }
-        elif ! grep -qE "(^|\s)$t(\s|$)" <<<"$ci_aggregate"; then
-            echo "error: just target '$t' is not in the 'ci:' aggregate"
-            status=1
-        fi
-    done
-done
+if not runs:
+    bad.append("found no `run:` step in ci.yml")
+for cmd in runs:
+    script = cmd.split()[0]
+    if script[0] in "|>":
+        bad.append("ci.yml has a multi-line `run:` step: put its commands in a script")
+    elif re.fullmatch(r"scripts/[\w.-]+\.sh", script):
+        if not (os.path.isfile(script) and os.access(script, os.X_OK)):
+            bad.append(f"ci.yml runs {script}, which is not an executable file")
+        if not any(c.split()[0] == script for c in commands):
+            bad.append(f"ci.yml runs {script}, but no recipe that `just ci` reaches runs it")
+    elif cmd not in commands:
+        bad.append(f"ci.yml runs `{cmd}`, but no recipe that `just ci` reaches runs it verbatim")
 
-echo "== helper scripts used by CI are shared with just =="
-ci_scripts=$(grep -oE 'scripts/[a-z_]+\.sh\b' "$workflow" | sort -u)
-while read -r s; do
-    [[ -f "$s" ]] || { echo "error: CI invokes $s but it does not exist"; status=1; continue; }
-    [[ -x "$s" ]] || { echo "error: $s is not executable"; status=1; }
-    grep -qF -- "$s" justfile || {
-        echo "error: CI invokes $s but no just target references it"
-        status=1
-    }
-done <<<"$ci_scripts"
-
-[ "$status" -eq 0 ] && echo "ci parity checks passed"
-exit "$status"
+for b in bad:
+    print(f"error: {b}")
+if not bad:
+    print(f"ci parity checks passed: `just ci` runs all {len(runs)} commands of ci.yml")
+sys.exit(1 if bad else 0)
+PY

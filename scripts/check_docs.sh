@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Doc health checks, fully offline — CI's docs leg and `just docs-check`.
+# Doc health checks, fully offline, run by scripts/lint.sh.
 #
 #  1. Intra-repo markdown link check: every relative link (and same-file
 #     or cross-file #anchor) in README.md and docs/*.md must resolve.

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Kill–resume differential on a journaled e9 — CI's crash-resume leg and
-# `just crash-test`.
+# Crash-resume job: the kill–resume differential on a journaled e9, then
+# the self-spawning integration tests.
 #
 #  1. Uninterrupted reference run (no journal, no store).
 #  2. Fault-injected run (`rvz-faults` build, RVZ_FAULTS hard abort at the
@@ -19,6 +19,12 @@
 #     run stays identical; and when *every* worker dies on its first cell
 #     (the worker-kill fault + a low attempt cap) the run must terminate
 #     with explicit poisoned rows, never fabricated data.
+#  8. The self-spawning integration tests: kill–resume and worker
+#     supervision (byte-identity across --workers 1/2/4, a worker killed
+#     mid-shard, a silent worker timed out, the poisoned-shard quarantine,
+#     shared-journal interop), both on the rvz-faults build, and the
+#     watchdog regression: many --cell-timeout quarantines must not
+#     accumulate live threads.
 #
 # Usage: scripts/crash_test.sh [OUTDIR]   (from the repo root)
 set -euo pipefail
@@ -150,5 +156,10 @@ for fault in worker-kill; do
     exit 1
   fi
 done
+
+echo "== integration tests: kill-resume, worker supervision, watchdog threads =="
+cargo test -p rvz-bench --features rvz-faults --test crash_resume
+cargo test -p rvz-bench --features rvz-faults --test worker_supervision
+cargo test -p rvz-bench --test watchdog_threads
 
 echo "crash-test passed: resumed, store-restored and worker-merged outputs are byte-identical"

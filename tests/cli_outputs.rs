@@ -1,6 +1,7 @@
 //! The `experiments` binary's report files, end to end: the streamed
 //! `--json` / `--certificates` envelopes are byte-identical to the
 //! rendering of the same payload built as a `Value` tree, a `--json`
+//! directory holds each experiment's single-file report, a `--json`
 //! directory that cannot be created is a clean exit-2 error, not a panic,
 //! and `--experiment` runs each listed id once and refuses an empty list.
 
@@ -43,6 +44,25 @@ fn uncreatable_json_directory_is_a_clean_error() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: stderr was {stderr}");
         assert!(stderr.contains("error: cannot create `afile/sub"), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
+#[test]
+fn json_directory_holds_each_experiment_report() {
+    let dir = scratch("json-dir");
+    let sweep = |ids: &str, json: &str| {
+        let out = experiments(&dir, &["--experiment", ids, "--sizes", "3,4", "--json", json]);
+        assert!(out.status.success(), "{ids}: stderr {}", String::from_utf8_lossy(&out.stderr));
+    };
+    sweep("e9,e10", "outdir");
+    for (id, schema) in [("e9", "rvz-sweep/v2"), ("e10", "rvz-sweep/v3")] {
+        let alone = format!("{id}.json");
+        sweep(id, &alone);
+        let got = std::fs::read(dir.join("outdir").join(&alone)).expect("read directory report");
+        assert!(got == std::fs::read(dir.join(&alone)).expect("read report"), "{id} differs");
+        let tag = format!("\"schema\": \"{schema}\"");
+        assert!(String::from_utf8_lossy(&got).contains(&tag), "{id} is not {schema}");
     }
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
