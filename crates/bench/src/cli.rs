@@ -25,6 +25,7 @@
 //! experiments [e1 e2 ... e8 | all] [--full] [--json DIR]
 //! ```
 
+use crate::reports::{Buffers, CertificatesBlock, CertificatesFile, RowsBlock, RowsFile, Summary};
 use crate::{
     checkpoint, e1, e10, e11, e2, e3, e4, e5, e6, e7, e8, e9, stores, supervisor, sweep, Table,
 };
@@ -349,10 +350,72 @@ fn run_sweep_mode(args: &[String], ids: &str, json: Option<String>) {
         }
     }
 
-    let mut reports: Vec<Finished> = Vec::new();
-    for (id, sizes, spec) in planned {
+    // The report files fill while the sweeps run, so a path that cannot be
+    // created fails here, before the first cell. A single `--json` file
+    // holds every experiment's rows; deliberately, no file records
+    // --threads, so outputs are comparable byte-for-byte across thread
+    // counts.
+    let ids: Vec<&str> = planned.iter().map(|(id, _, _)| id.as_str()).collect();
+    let shared_rows = json.as_deref().is_some_and(|path| path.ends_with(".json"));
+    let mut rows_files: Vec<(String, RowsFile)> = match &json {
+        None => Vec::new(),
+        Some(path) if shared_rows => {
+            let mut sizes: Vec<usize> =
+                planned.iter().flat_map(|(_, sizes, _)| sizes.iter().copied()).collect();
+            sizes.sort_unstable();
+            sizes.dedup();
+            vec![(path.clone(), create_report(path, |p| RowsFile::create(p, &ids, seed, &sizes)))]
+        }
+        Some(dir) => {
+            // Directory: one file per experiment, like classic mode.
+            create_dir(std::path::Path::new(dir));
+            planned
+                .iter()
+                .map(|(id, sizes, _)| {
+                    let file = format!("{dir}/{id}.json");
+                    let rows = create_report(&file, |p| RowsFile::create(p, &[id], seed, sizes));
+                    (file, rows)
+                })
+                .collect()
+        }
+    };
+    // The exact decider's machine-checkable evidence: lasso certificates
+    // for every never-meets verdict plus the universal (∀-delay) verdicts,
+    // and the exhaustive summaries for e9/e10/e11.
+    let mut certificates =
+        certificates_path.map(|path| (create_report(&path, CertificatesFile::create), path));
+
+    let mut summaries: Vec<Summary> = Vec::new();
+    for (i, (id, _, spec)) in planned.iter().enumerate() {
         let opts = sweep::RunOptions { journal: journal.as_ref(), cell_timeout };
-        let report = if workers > 0 {
+        let mut rows_file = rows_files.get_mut(if shared_rows { 0 } else { i }).map(|(_, f)| f);
+        let mut certificates_file = certificates.as_mut().map(|(f, _)| f);
+        let (render_rows, render_certificates) = (rows_file.is_some(), certificates_file.is_some());
+        // Each block is rendered and folded on the worker that computed it,
+        // which also drops its rows; the sink only appends bytes and merges
+        // the folds, in grid order.
+        let buffers = Buffers::default();
+        let prepare = |block: sweep::Block| Prepared {
+            rows: render_rows.then(|| RowsBlock::render(&block.rows, &buffers)),
+            certificates: render_certificates
+                .then(|| CertificatesBlock::render(&block.certificates, &buffers)),
+            tally: Tally::of(&block),
+            readout: Readout::of(id, block),
+        };
+        let (mut tally, mut readout) = (Tally::default(), Readout::new(id));
+        let sink = |block: Prepared| {
+            tally.merge(block.tally);
+            if let (Some(file), Some(rows)) = (rows_file.as_mut(), block.rows) {
+                file.write(rows, &buffers);
+            }
+            if let (Some(file), Some(certificates)) =
+                (certificates_file.as_mut(), block.certificates)
+            {
+                file.write(certificates, &buffers);
+            }
+            readout.merge(block.readout);
+        };
+        if workers > 0 {
             let cfg = supervisor::SupervisorConfig::new(workers);
             // A worker gets the supervisor's own arguments plus `--worker
             // DIR` (worker mode ignores `--workers`), so it re-resolves the
@@ -364,60 +427,43 @@ fn run_sweep_mode(args: &[String], ids: &str, json: Option<String>) {
                 cmd.args(args).arg("--worker").arg(workdir);
                 cmd
             };
-            supervisor::run_supervised(&spec, &opts, &cfg, &mut spawn)
+            supervisor::run_supervised_into(spec, &opts, &cfg, &mut spawn, prepare, sink);
         } else {
-            sweep::run_with_options(&spec, &opts)
-        };
-        // The exhaustive sweeps print their summary instead of their
-        // thousands of raw rows (the rows still go to --json); the same
-        // summary goes into the --certificates file, under `key`.
-        let (table, summary) = match id.as_str() {
-            "e9" => {
-                let (sizes, table) = e9::summarize(&report);
-                (table, Some(Summary { key: "sizes", rows: Box::new(sizes) }))
-            }
-            "e10" => {
-                let (schedules, table) = e10::summarize(&report);
-                (table, Some(Summary { key: "schedules", rows: Box::new(schedules) }))
-            }
-            "e11" => {
-                let (schedules, table) = e11::summarize(&report);
-                (table, Some(Summary { key: "schedules", rows: Box::new(schedules) }))
-            }
-            _ => (sweep::to_table(&spec, &report), None),
-        };
+            sweep::run_into(spec, &opts, prepare, sink);
+        }
+        let append_failures = journal.as_ref().map_or(0, |j| j.appends_lost());
+        let (table, summary) = readout.finish(id, spec, append_failures);
         println!("{}", table.render());
-        if report.dropped_cells > 0 {
+        if tally.planned > tally.rows {
             eprintln!(
                 "warning: {id}: {} of {} planned cells dropped (fewer feasible start {} \
                  than --pairs on some instances)",
-                report.dropped_cells,
-                report.planned_cells,
+                tally.planned - tally.rows,
+                tally.planned,
                 sweep::Lanes::new(spec.agents).tuples
             );
         }
-        let timed_out = report.rows.iter().filter(|r| r.timed_out == Some(true)).count();
-        if timed_out > 0 {
+        if tally.timed_out > 0 {
             eprintln!(
-                "warning: {id}: {timed_out} cell(s) quarantined by --cell-timeout \
-                 (explicit timed_out rows; no run recorded for them)"
+                "warning: {id}: {} cell(s) quarantined by --cell-timeout \
+                 (explicit timed_out rows; no run recorded for them)",
+                tally.timed_out
             );
         }
-        let poisoned = report.rows.iter().filter(|r| r.poisoned == Some(true)).count();
-        if poisoned > 0 {
+        if tally.poisoned > 0 {
             eprintln!(
-                "warning: {id}: {poisoned} cell(s) quarantined as poisoned (their shard \
-                 exceeded the worker attempt cap; explicit poisoned rows, no run recorded)"
+                "warning: {id}: {} cell(s) quarantined as poisoned (their shard \
+                 exceeded the worker attempt cap; explicit poisoned rows, no run recorded)",
+                tally.poisoned
             );
         }
-        if report.append_failures > 0 {
+        if append_failures > 0 {
             eprintln!(
-                "warning: {id}: {} checkpoint journal append(s) failed — the journal on \
-                 disk is incomplete (use --strict-checkpoint to make this fatal)",
-                report.append_failures
+                "warning: {id}: {append_failures} checkpoint journal append(s) failed — the \
+                 journal on disk is incomplete (use --strict-checkpoint to make this fatal)"
             );
         }
-        reports.push(Finished { id, sizes, report, summary });
+        summaries.extend(summary);
     }
 
     if let Some(dir) = &store_dir {
@@ -430,152 +476,179 @@ fn run_sweep_mode(args: &[String], ids: &str, json: Option<String>) {
         }
     }
 
-    let ids: Vec<&str> = reports.iter().map(|f| f.id.as_str()).collect();
-    if let Some(path) = json {
-        if path.ends_with(".json") {
-            // Single file: all requested experiments' rows, flattened.
-            // Deliberately excludes --threads so outputs are comparable
-            // byte-for-byte across thread counts.
-            let all_rows: Vec<&sweep::SweepRow> =
-                reports.iter().flat_map(|f| &f.report.rows).collect();
-            let mut all_sizes: Vec<usize> =
-                reports.iter().flat_map(|f| f.sizes.iter().copied()).collect();
-            all_sizes.sort_unstable();
-            all_sizes.dedup();
-            write_json(&path, |w| {
-                w.field("schema", sweep_schema(all_rows.iter().copied()));
-                w.field("experiments", &ids);
-                w.field("seed", &seed);
-                w.field("sizes", &all_sizes);
-                w.field("rows", &all_rows);
-            });
-            println!("  (raw rows written to {path})");
-        } else {
-            // Directory: one file per experiment, like classic mode.
-            create_dir(std::path::Path::new(&path));
-            for f in &reports {
-                let file = format!("{path}/{}.json", f.id);
-                write_json(&file, |w| {
-                    w.field("schema", sweep_schema(&f.report.rows));
-                    w.field("experiments", &[&f.id]);
-                    w.field("seed", &seed);
-                    w.field("sizes", &f.sizes);
-                    w.field("rows", &f.report.rows);
-                });
-                println!("  (raw rows written to {file})");
-            }
-        }
+    for (path, rows) in rows_files {
+        published(&path, rows.publish());
+        println!("  (raw rows written to {path})");
     }
-
-    if let Some(path) = certificates_path {
-        // The exact decider's machine-checkable evidence: lasso
-        // certificates for every never-meets verdict plus the universal
-        // (∀-delay) verdicts, and the exhaustive summaries for e9/e10/e11.
-        let all_certs: Vec<&sweep::Certificate> =
-            reports.iter().flat_map(|f| &f.report.certificates).collect();
-        // Same gating as the row schema: v3 = v2 plus the optional
-        // per-certificate `agents`/`start_rest` fields (ensemble
-        // never-gathers lassos — checked first), v2 = v1 plus the
-        // optional `schedule` field, each tagged only when present.
-        let schema = if all_certs.iter().any(|c| c.agents.is_some()) {
-            "rvz-certificates/v3"
-        } else if all_certs.iter().any(|c| c.schedule.is_some()) {
-            "rvz-certificates/v2"
-        } else {
-            "rvz-certificates/v1"
-        };
-        write_json(&path, |w| {
-            w.field("schema", schema);
-            w.field("experiments", &ids);
-            w.field("seed", &seed);
-            w.key("summary");
-            w.begin_array();
-            for f in &reports {
-                if let Some(summary) = &f.summary {
-                    w.element();
-                    w.begin_object();
-                    w.field("experiment", &f.id);
-                    w.field(summary.key, summary.rows.as_ref());
-                    w.end_object();
-                }
-            }
-            w.end_array();
-            w.field("certificates", &all_certs);
-        });
+    if let Some((file, path)) = certificates {
+        published(&path, file.publish(&ids, seed, &summaries));
         println!("  (certificates written to {path})");
     }
 }
 
-/// One experiment's finished sweep, as the output files need it.
-struct Finished {
-    id: String,
-    sizes: Vec<usize>,
-    report: sweep::SweepReport,
-    summary: Option<Summary>,
+/// One block as the sink takes it: rendered and folded on the worker that
+/// computed it.
+struct Prepared {
+    rows: Option<RowsBlock>,
+    certificates: Option<CertificatesBlock>,
+    tally: Tally,
+    readout: Readout,
 }
 
-/// The `summary` entry an exhaustive sweep (e9/e10/e11) contributes to
-/// the --certificates file: its summary rows under `key`.
-struct Summary {
-    key: &'static str,
-    rows: Box<dyn serde::Serialize>,
+/// What an experiment prints, folded block by block: the e9/e10/e11
+/// summary, or for e1–e8 every row, because the per-row table aligns its
+/// columns over all of them. The e1–e8 grids are small (at most 20
+/// instances at the default sizes), the e9/e10/e11 grids the ones to
+/// bound.
+enum Readout {
+    E9(e9::Fold),
+    E10(e10::Fold),
+    E11(e11::Fold),
+    Rows(sweep::SweepReport),
 }
 
-/// Schema tag of a sweep payload, gated on what the rows actually carry
-/// so legacy payloads stay byte-identical (see docs/schemas.md):
-/// `rvz-sweep/v7` once any row has the optional `agents` field (an
-/// ensemble sweep ran with `--agents` k > 2 — checked first, so an
-/// ensemble payload is v7 whatever else it carries), `rvz-sweep/v5` once
-/// any row has the optional `poisoned` field (a `--workers` shard hit the
-/// attempt cap), `rvz-sweep/v4` once any row has the optional `timed_out`
-/// field (the `--cell-timeout` watchdog fired), `rvz-sweep/v3` once any
-/// row has the optional `schedule` field, the legacy `rvz-sweep/v2`
-/// otherwise. (v6 is retired: no row carries its `planned` field.)
-fn sweep_schema<'a, I: IntoIterator<Item = &'a sweep::SweepRow>>(rows: I) -> &'static str {
-    let mut has_poisoned = false;
-    let mut has_timed_out = false;
-    let mut has_schedule = false;
-    for r in rows {
-        if r.agents.is_some() {
-            return "rvz-sweep/v7";
+impl Readout {
+    fn new(id: &str) -> Readout {
+        match id {
+            "e9" => Readout::E9(e9::Fold::default()),
+            "e10" => Readout::E10(e10::Fold::default()),
+            "e11" => Readout::E11(e11::Fold::default()),
+            _ => Readout::Rows(sweep::SweepReport::default()),
         }
-        has_poisoned |= r.poisoned.is_some();
-        has_timed_out |= r.timed_out.is_some();
-        has_schedule |= r.schedule.is_some();
     }
-    if has_poisoned {
-        "rvz-sweep/v5"
-    } else if has_timed_out {
-        "rvz-sweep/v4"
-    } else if has_schedule {
-        "rvz-sweep/v3"
-    } else {
-        "rvz-sweep/v2"
+
+    /// The readout of experiment `id`'s `block` alone.
+    fn of(id: &str, block: sweep::Block) -> Readout {
+        let mut readout = Readout::new(id);
+        match &mut readout {
+            Readout::E9(fold) => fold.add(&block.rows, &block.certificates),
+            Readout::E10(fold) => fold.add(&block.rows, &block.certificates),
+            Readout::E11(fold) => fold.add(&block.rows, &block.certificates),
+            // The per-row table reads no certificate.
+            Readout::Rows(report) => {
+                report.push(sweep::Block { certificates: Vec::new(), ..block })
+            }
+        }
+        readout
+    }
+
+    /// Folds in `other`, the readout of the blocks after these.
+    fn merge(&mut self, other: Readout) {
+        match (self, other) {
+            (Readout::E9(fold), Readout::E9(other)) => fold.merge(other),
+            (Readout::E10(fold), Readout::E10(other)) => fold.merge(other),
+            (Readout::E11(fold), Readout::E11(other)) => fold.merge(other),
+            (Readout::Rows(report), Readout::Rows(other)) => report.push(sweep::Block {
+                planned: other.planned_cells,
+                rows: other.rows,
+                certificates: Vec::new(),
+            }),
+            _ => unreachable!("the blocks of one experiment share its readout"),
+        }
+    }
+
+    /// The table to print; the exhaustive sweeps print their summary
+    /// instead of their thousands of raw rows (the rows still go to
+    /// --json), and the same summary goes into the --certificates file.
+    fn finish(
+        self,
+        id: &str,
+        spec: &sweep::SweepSpec,
+        append_failures: u64,
+    ) -> (Table, Option<Summary>) {
+        let summary = |key, rows: Box<dyn serde::Serialize>| Summary {
+            experiment: id.to_string(),
+            key,
+            rows,
+        };
+        match self {
+            Readout::E9(fold) => {
+                let (sizes, table) = fold.finish();
+                (table, Some(summary("sizes", Box::new(sizes))))
+            }
+            Readout::E10(fold) => {
+                let (schedules, table) = fold.finish();
+                (table, Some(summary("schedules", Box::new(schedules))))
+            }
+            Readout::E11(fold) => {
+                let (schedules, table) = fold.finish();
+                (table, Some(summary("schedules", Box::new(schedules))))
+            }
+            Readout::Rows(mut report) => {
+                report.append_failures = append_failures;
+                (sweep::to_table(spec, &report), None)
+            }
+        }
     }
 }
 
-/// Writes a report file: one pretty-printed JSON object whose members
-/// `fields` writes, plus a trailing newline. The object streams into the
-/// temp sibling of [`crate::wire::atomic_write_with`] (→ fsync → rename),
-/// so the report is never held whole in memory, and a kill mid-write can
-/// never leave a torn half-payload under the real name.
-fn write_json(path: &str, fields: impl FnOnce(&mut JsonWriter<'_>)) {
+/// The counts behind an experiment's warnings.
+#[derive(Debug, Default)]
+struct Tally {
+    planned: usize,
+    rows: usize,
+    timed_out: usize,
+    poisoned: usize,
+}
+
+impl Tally {
+    fn of(block: &sweep::Block) -> Tally {
+        let rows = &block.rows;
+        Tally {
+            planned: block.planned,
+            rows: rows.len(),
+            timed_out: rows.iter().filter(|r| r.timed_out == Some(true)).count(),
+            poisoned: rows.iter().filter(|r| r.poisoned == Some(true)).count(),
+        }
+    }
+
+    fn merge(&mut self, other: Tally) {
+        self.planned += other.planned;
+        self.rows += other.rows;
+        self.timed_out += other.timed_out;
+        self.poisoned += other.poisoned;
+    }
+}
+
+/// Creates the report file at `path` with `create` (its temp sibling or
+/// spool), after its parent directory; either failure is the CLI's exit-2
+/// error.
+fn create_report<F>(path: &str, create: impl FnOnce(&std::path::Path) -> std::io::Result<F>) -> F {
     if let Some(parent) = std::path::Path::new(path).parent() {
         if !parent.as_os_str().is_empty() {
             create_dir(parent);
         }
     }
-    crate::wire::atomic_write_with(std::path::Path::new(path), |file| {
-        let mut w = JsonWriter::with_sink(file, true);
-        w.begin_object();
-        fields(&mut w);
-        w.end_object();
-        w.finish()?;
-        file.write_all(b"\n")
-    })
-    .unwrap_or_else(|e| {
+    create(std::path::Path::new(path)).unwrap_or_else(|e| {
         eprintln!("error: cannot write `{path}`: {e}");
         exit(2);
+    })
+}
+
+/// The outcome of publishing the report at `path`; an error is the CLI's
+/// exit-2 error.
+fn published(path: &str, result: std::io::Result<()>) {
+    if let Err(e) = result {
+        eprintln!("error: cannot write `{path}`: {e}");
+        exit(2);
+    }
+}
+
+/// Writes a classic-mode report file: one pretty-printed JSON object whose
+/// members `fields` writes, plus a trailing newline. The object streams
+/// into the temp sibling of [`crate::wire::atomic_write_with`] (→ fsync →
+/// rename), so the report is never held whole in memory, and a kill
+/// mid-write can never leave a torn half-payload under the real name.
+fn write_json(path: &str, fields: impl FnOnce(&mut JsonWriter<'_>)) {
+    create_report(path, |path| {
+        crate::wire::atomic_write_with(path, |file| {
+            let mut w = JsonWriter::with_sink(file, true);
+            w.begin_object();
+            fields(&mut w);
+            w.end_object();
+            w.finish()?;
+            file.write_all(b"\n")
+        })
     });
 }
 

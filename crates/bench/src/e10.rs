@@ -19,7 +19,7 @@
 //! the parity argument behind the shuttle lassos, so some pairs that
 //! never meet simultaneously *do* meet at half speed.
 
-use crate::sweep::{Lanes, SweepReport, SweepRow};
+use crate::sweep::{Certificate, Checks, Lanes, SweepReport, SweepRow};
 use crate::table::Table;
 use serde::Serialize;
 
@@ -57,7 +57,8 @@ pub fn row_schedule(row: &SweepRow) -> String {
     })
 }
 
-/// Aggregates an E10 sweep report into its per-(size, schedule) table.
+/// Aggregates an E10 sweep report into its per-(size, schedule) table, the
+/// fold of the whole report as one block.
 /// Rows are grouped in grid order (sizes ascending, schedules in the
 /// spec's column order), so the table reads like the delay axis.
 /// Quarantined rows keep their group in the table but count in no verdict
@@ -65,86 +66,131 @@ pub fn row_schedule(row: &SweepRow) -> String {
 /// after the rows' width: pairs that meet at two agents, tuples that
 /// gather at `--agents k > 2`.
 pub fn summarize(report: &SweepReport) -> (Vec<ScheduleSummary>, Table) {
-    let lanes = Lanes::of(report, "e10");
-    let title = format!(
-        "activation schedules: all free trees, all ordered feasible {}, basic walk",
-        lanes.tuples
-    );
-    fold_schedules(report, "E10", &title, &lanes)
+    let mut fold = Fold::default();
+    fold.add(&report.rows, &report.certificates);
+    fold.finish()
 }
 
-/// The per-(size, schedule) fold E10 and E11 share: groups `report`'s rows
-/// as [`summarize`] describes, counts each group's cells (start pairs or
-/// tuples), meetings (gatherings at `k > 2`), never-meets, worst round and
-/// certified cells, and renders one row per group into a table `id` with
-/// `title`, whose columns and certificate note use the words of `lanes`.
-pub(crate) fn fold_schedules(
-    report: &SweepReport,
-    id: &str,
-    title: &str,
-    lanes: &Lanes,
-) -> (Vec<ScheduleSummary>, Table) {
-    let mut t = Table::new(
-        id,
-        title,
-        &["n", "schedule", &lanes.tuples, lanes.met, "never", "worst-round", "certified"],
-    );
-    let mut out: Vec<ScheduleSummary> = Vec::new();
-    for row in &report.rows {
-        let label = row_schedule(row);
-        let entry = match out.iter_mut().find(|s| s.n == row.size && s.schedule == label) {
-            Some(entry) => entry,
+/// The per-(size, schedule) fold E10 and E11 share, one block at a time
+/// (the CLI folds each block on the worker that computed it and merges
+/// the folds in grid order, [`crate::sweep::run_into`]): groups rows as
+/// [`summarize`] describes and counts each group's cells (start pairs or
+/// tuples), meetings (gatherings at `k > 2`), never-meets, worst round
+/// and certified cells.
+#[derive(Debug, Default)]
+pub(crate) struct Fold {
+    /// The groups, in the order their first rows arrived.
+    groups: Vec<ScheduleSummary>,
+    checks: Checks,
+}
+
+impl Fold {
+    /// Folds in the next block's rows and certificates.
+    pub(crate) fn add(&mut self, rows: &[SweepRow], certificates: &[Certificate]) {
+        self.checks.add(rows, certificates);
+        for row in rows {
+            let entry = self.group(row.size, row_schedule(row));
+            if row.quarantined() {
+                continue;
+            }
+            entry.pairs += 1;
+            if row.met {
+                entry.met += 1;
+                entry.worst_round = entry.worst_round.max(row.rounds.unwrap_or(0));
+            } else {
+                entry.never += 1;
+            }
+            if row.certified {
+                entry.certified += 1;
+            }
+        }
+    }
+
+    /// Folds in `other`, the fold of the blocks after these: its groups
+    /// join theirs, or follow them in the order they first arrived.
+    pub(crate) fn merge(&mut self, other: Fold) {
+        self.checks.merge(other.checks);
+        for group in other.groups {
+            let entry = self.group(group.n, group.schedule);
+            entry.pairs += group.pairs;
+            entry.met += group.met;
+            entry.never += group.never;
+            entry.worst_round = entry.worst_round.max(group.worst_round);
+            entry.certified += group.certified;
+        }
+    }
+
+    /// The group of size `n` under `schedule`; a new one, counting
+    /// nothing yet, follows the groups already there.
+    fn group(&mut self, n: usize, schedule: String) -> &mut ScheduleSummary {
+        let groups = &mut self.groups;
+        match groups.iter().position(|s| s.n == n && s.schedule == schedule) {
+            Some(i) => &mut groups[i],
             None => {
-                out.push(ScheduleSummary {
-                    n: row.size,
-                    schedule: label,
+                groups.push(ScheduleSummary {
+                    n,
+                    schedule,
                     pairs: 0,
                     met: 0,
                     never: 0,
                     worst_round: 0,
                     certified: 0,
                 });
-                out.last_mut().expect("just pushed")
+                groups.last_mut().expect("just pushed")
             }
-        };
-        if row.quarantined() {
-            continue;
-        }
-        entry.pairs += 1;
-        if row.met {
-            entry.met += 1;
-            entry.worst_round = entry.worst_round.max(row.rounds.unwrap_or(0));
-        } else {
-            entry.never += 1;
-        }
-        if row.certified {
-            entry.certified += 1;
         }
     }
-    out.sort_by_key(|s| s.n);
-    for s in &out {
-        t.row(vec![
-            s.n.to_string(),
-            s.schedule.clone(),
-            s.pairs.to_string(),
-            s.met.to_string(),
-            s.never.to_string(),
-            s.worst_round.to_string(),
-            s.certified.to_string(),
-        ]);
+
+    /// The E10 summary rows and the rendered table.
+    pub(crate) fn finish(self) -> (Vec<ScheduleSummary>, Table) {
+        self.finish_as("E10", |lanes| {
+            format!(
+                "activation schedules: all free trees, all ordered feasible {}, basic walk",
+                lanes.tuples
+            )
+        })
     }
-    let lassos = report.certificates.iter().filter(|c| c.lasso_stem.is_some()).count();
-    let bogus = report.certificates.iter().filter(|c| c.verified == Some(false)).count();
-    t.note(&format!(
-        "{} {} certificates ({lassos} lassos, every one re-verified by independent \
-         {}scheduled stepping{})",
-        report.certificates.len(),
-        lanes.never,
-        if lanes.agents > 2 { "k-lane " } else { "" },
-        if bogus > 0 { " — VERIFICATION FAILURES PRESENT" } else { "" }
-    ));
-    crate::sweep::note_unverified_cells(&mut t, &report.rows);
-    (out, t)
+
+    /// The summary rows, sorted by size, and the table `id` rendering one
+    /// row per group under the title `title` gives for the rows' width;
+    /// its columns and certificate note use the words of that width.
+    pub(crate) fn finish_as(
+        self,
+        id: &str,
+        title: impl FnOnce(&Lanes) -> String,
+    ) -> (Vec<ScheduleSummary>, Table) {
+        let lanes = self.checks.lanes(&id.to_lowercase());
+        let mut t = Table::new(
+            id,
+            &title(&lanes),
+            &["n", "schedule", &lanes.tuples, lanes.met, "never", "worst-round", "certified"],
+        );
+        let mut out = self.groups;
+        out.sort_by_key(|s| s.n);
+        for s in &out {
+            t.row(vec![
+                s.n.to_string(),
+                s.schedule.clone(),
+                s.pairs.to_string(),
+                s.met.to_string(),
+                s.never.to_string(),
+                s.worst_round.to_string(),
+                s.certified.to_string(),
+            ]);
+        }
+        let checks = &self.checks;
+        t.note(&format!(
+            "{} {} certificates ({} lassos, every one re-verified by independent \
+             {}scheduled stepping{})",
+            checks.certificates,
+            lanes.never,
+            checks.lassos,
+            if lanes.agents > 2 { "k-lane " } else { "" },
+            if checks.failed > 0 { " — VERIFICATION FAILURES PRESENT" } else { "" }
+        ));
+        checks.note_unverified_cells(&mut t);
+        (out, t)
+    }
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 //! both survivors sit on the crash site together. The crash rescue does
 //! not survive gathering.
 
-use crate::sweep::{Lanes, SweepReport};
+use crate::sweep::{Certificate, SweepReport, SweepRow};
 use crate::table::Table;
 use serde::Serialize;
 
@@ -51,7 +51,8 @@ pub struct GatheringSummary {
     pub certified: u64,
 }
 
-/// Aggregates an E11 sweep report into its per-(size, schedule) table.
+/// Aggregates an E11 sweep report into its per-(size, schedule) table, the
+/// fold of the whole report as one block.
 /// Rows are grouped in grid order (sizes ascending, schedules in the
 /// spec's column order), so the table reads like the schedule axis.
 /// Quarantined rows keep their group in the table but count in no verdict
@@ -59,27 +60,50 @@ pub struct GatheringSummary {
 /// after the rows' width: at `--agents 2` they are pairs that meet, and
 /// the struct's `triples` and `gathered` count pairs and meetings.
 pub fn summarize(report: &SweepReport) -> (Vec<GatheringSummary>, Table) {
-    let lanes = Lanes::of(report, "e11");
-    let goal = match lanes.agents {
-        2 => "rendezvous".to_string(),
-        k => format!("{k}-agent gathering"),
-    };
-    let title =
-        format!("{goal}: all free trees, all ordered feasible {}, basic walk", lanes.tuples);
-    let (groups, t) = crate::e10::fold_schedules(report, "E11", &title, &lanes);
-    let out = groups
-        .into_iter()
-        .map(|s| GatheringSummary {
-            n: s.n,
-            schedule: s.schedule,
-            triples: s.pairs,
-            gathered: s.met,
-            never: s.never,
-            worst_round: s.worst_round,
-            certified: s.certified,
-        })
-        .collect();
-    (out, t)
+    let mut fold = Fold::default();
+    fold.add(&report.rows, &report.certificates);
+    fold.finish()
+}
+
+/// The E11 summary folded one block at a time: E10's per-(size, schedule)
+/// fold, read out as gathering rows.
+#[derive(Debug, Default)]
+pub(crate) struct Fold(crate::e10::Fold);
+
+impl Fold {
+    /// Folds in the next block's rows and certificates.
+    pub(crate) fn add(&mut self, rows: &[SweepRow], certificates: &[Certificate]) {
+        self.0.add(rows, certificates);
+    }
+
+    /// Folds in `other`, the fold of the blocks after these.
+    pub(crate) fn merge(&mut self, other: Fold) {
+        self.0.merge(other.0);
+    }
+
+    /// The E11 summary rows and the rendered table.
+    pub(crate) fn finish(self) -> (Vec<GatheringSummary>, Table) {
+        let (groups, t) = self.0.finish_as("E11", |lanes| {
+            let goal = match lanes.agents {
+                2 => "rendezvous".to_string(),
+                k => format!("{k}-agent gathering"),
+            };
+            format!("{goal}: all free trees, all ordered feasible {}, basic walk", lanes.tuples)
+        });
+        let out = groups
+            .into_iter()
+            .map(|s| GatheringSummary {
+                n: s.n,
+                schedule: s.schedule,
+                triples: s.pairs,
+                gathered: s.met,
+                never: s.never,
+                worst_round: s.worst_round,
+                certified: s.certified,
+            })
+            .collect();
+        (out, t)
+    }
 }
 
 #[cfg(test)]

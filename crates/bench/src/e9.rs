@@ -18,9 +18,10 @@
 //! rendezvous needs more memory, here as a theorem about all trees `≤ n`
 //! rather than an observation about sampled ones.
 
-use crate::sweep::{Lanes, SweepReport};
+use crate::sweep::{Certificate, Checks, SweepReport, SweepRow};
 use crate::table::Table;
 use serde::Serialize;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-size aggregate of an E9 report (one row of the exhaustive table).
 #[derive(Debug, Clone, Serialize)]
@@ -47,7 +48,8 @@ pub struct SizeSummary {
     pub max_defeat_delay: u64,
 }
 
-/// Aggregates an E9 sweep report into its per-size exhaustive table.
+/// Aggregates an E9 sweep report into its per-size exhaustive table, the
+/// fold of the whole report as one block.
 /// Defined for reports over the enumerated family with the e9 delay axes
 /// (a report from another grid is summarized best-effort: its rows are
 /// counted as fixed-delay cells and its universal columns stay zero).
@@ -58,116 +60,163 @@ pub struct SizeSummary {
 /// verdict exists: that axis delays one of two lanes, so an `--agents
 /// k > 2` grid drops it.
 pub fn summarize(report: &SweepReport) -> (Vec<SizeSummary>, Table) {
-    let lanes = Lanes::of(report, "e9");
-    // BTreeSet iteration is already size-ascending.
-    let sizes: Vec<usize> = report
-        .rows
-        .iter()
-        .map(|r| r.size)
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    let mut out = Vec::new();
-    for &n in &sizes {
-        let rows: Vec<_> = report.rows.iter().filter(|r| r.size == n).collect();
-        let certs: Vec<_> = report.certificates.iter().filter(|c| c.size == n).collect();
-        let trees = rvz_trees::enumerate::free_tree_count(n);
-        let feasible_trees =
-            rows.iter().map(|r| r.tree_seed).collect::<std::collections::BTreeSet<_>>().len()
-                as u64;
-        let rows: Vec<_> = rows.into_iter().filter(|r| !r.quarantined()).collect();
-        let forall_meet = certs.iter().filter(|c| c.verdict == "all-delays-meet").count() as u64;
-        let forall_defeated = certs.iter().filter(|c| c.verdict == "delay-defeats").count() as u64;
-        let universal = forall_meet + forall_defeated;
-        // The fixed-delay axis is counted from the *rows*: universal cells
-        // carry a certificate under every executor (run() routes them
-        // through the certified path), so the remaining rows are the
-        // fixed-delay cells, and among the non-meeting rows exactly
-        // `forall_defeated` are universal verdicts. This stays correct for
-        // bounded executors (whose θ=0 cells are unverified but exact —
-        // the bw budget is a decision horizon) and for single-axis specs.
-        let zero_cells = rows.len() as u64 - universal;
-        let met_false = rows.iter().filter(|r| !r.met).count() as u64;
-        let zero_never = met_false - forall_defeated;
-        let zero_meets = zero_cells - zero_never;
-        let pairs = if universal > 0 { universal } else { zero_cells };
-        let worst_round = certs
-            .iter()
-            .filter(|c| c.verdict == "all-delays-meet")
-            .filter_map(|c| c.round)
-            .max()
-            .unwrap_or(0);
-        let max_defeat_delay = certs
-            .iter()
-            .filter(|c| c.verdict == "delay-defeats")
-            .map(|c| c.delay)
-            .max()
-            .unwrap_or(0);
-        out.push(SizeSummary {
-            n,
-            trees,
-            feasible_trees,
-            pairs,
-            zero_meets,
-            zero_never,
-            forall_meet,
-            forall_defeated,
-            worst_round,
-            max_defeat_delay,
-        });
+    let mut fold = Fold::default();
+    fold.add(&report.rows, &report.certificates);
+    fold.finish()
+}
+
+/// The E9 summary folded one block at a time: the CLI folds each block on
+/// the worker that computed it and merges the folds in grid order
+/// ([`crate::sweep::run_into`]); [`summarize`] is the fold of a whole
+/// report.
+#[derive(Debug, Default)]
+pub(crate) struct Fold {
+    /// Per requested size, in ascending order.
+    sizes: BTreeMap<usize, SizeFold>,
+    checks: Checks,
+}
+
+/// What [`Fold`] counts at one size.
+#[derive(Debug, Default)]
+struct SizeFold {
+    /// The trees any row names (quarantined rows included); empty when
+    /// the size has no row.
+    trees: BTreeSet<u64>,
+    /// Rows with a verdict (not quarantined).
+    decided: u64,
+    /// Of those, the rows that did not meet.
+    unmet: u64,
+    forall_meet: u64,
+    forall_defeated: u64,
+    worst_round: u64,
+    max_defeat_delay: u64,
+}
+
+impl Fold {
+    /// Folds in the next block's rows and certificates.
+    pub(crate) fn add(&mut self, rows: &[SweepRow], certificates: &[Certificate]) {
+        self.checks.add(rows, certificates);
+        for r in rows {
+            let size = self.sizes.entry(r.size).or_default();
+            size.trees.insert(r.tree_seed);
+            if !r.quarantined() {
+                size.decided += 1;
+                size.unmet += u64::from(!r.met);
+            }
+        }
+        for c in certificates {
+            let size = self.sizes.entry(c.size).or_default();
+            match c.verdict.as_str() {
+                "all-delays-meet" => {
+                    size.forall_meet += 1;
+                    size.worst_round = size.worst_round.max(c.round.unwrap_or(0));
+                }
+                "delay-defeats" => {
+                    size.forall_defeated += 1;
+                    size.max_defeat_delay = size.max_defeat_delay.max(c.delay);
+                }
+                _ => {}
+            }
+        }
     }
-    let mut t = Table::new(
-        "E9",
-        &format!(
-            "exhaustive certification: all free trees, all ordered feasible {}, basic walk",
-            lanes.tuples
-        ),
-        &[
-            "n",
-            "trees",
-            "feasible",
-            &lanes.tuples,
-            &format!("{}@0", lanes.met),
-            "never@0",
-            "∀-meet",
-            "∀-defeated",
-            "worst-round",
-            "max-θ*",
-        ],
-    );
-    for s in &out {
-        t.row(vec![
-            s.n.to_string(),
-            s.trees.to_string(),
-            s.feasible_trees.to_string(),
-            s.pairs.to_string(),
-            s.zero_meets.to_string(),
-            s.zero_never.to_string(),
-            s.forall_meet.to_string(),
-            s.forall_defeated.to_string(),
-            s.worst_round.to_string(),
-            s.max_defeat_delay.to_string(),
-        ]);
+
+    /// Folds in `other`, the fold of the blocks after these.
+    pub(crate) fn merge(&mut self, other: Fold) {
+        self.checks.merge(other.checks);
+        for (n, s) in other.sizes {
+            let size = self.sizes.entry(n).or_default();
+            size.trees.extend(s.trees);
+            size.decided += s.decided;
+            size.unmet += s.unmet;
+            size.forall_meet += s.forall_meet;
+            size.forall_defeated += s.forall_defeated;
+            size.worst_round = size.worst_round.max(s.worst_round);
+            size.max_defeat_delay = size.max_defeat_delay.max(s.max_defeat_delay);
+        }
     }
-    let verified = report.certificates.iter().filter(|c| c.lasso_stem.is_some()).count();
-    let bogus = report.certificates.iter().filter(|c| c.verified == Some(false)).count();
-    t.note(&format!(
-        "{} certificates ({verified} lassos, every one re-verified by independent stepping{})",
-        report.certificates.len(),
-        if bogus > 0 { " — VERIFICATION FAILURES PRESENT" } else { "" }
-    ));
-    if !out.is_empty() && out.iter().all(|s| s.forall_meet + s.forall_defeated == 0) {
-        let why = match lanes.agents {
-            2 => String::new(),
-            k => format!(" (a pair axis, which --agents {k} drops)"),
-        };
+
+    /// The per-size summary rows and the rendered table.
+    pub(crate) fn finish(self) -> (Vec<SizeSummary>, Table) {
+        let lanes = self.checks.lanes("e9");
+        let mut out = Vec::new();
+        for (n, s) in self.sizes.into_iter().filter(|(_, s)| !s.trees.is_empty()) {
+            let universal = s.forall_meet + s.forall_defeated;
+            // The fixed-delay axis is counted from the *rows*: universal
+            // cells carry a certificate under every executor (run() routes
+            // them through the certified path), so the remaining rows are
+            // the fixed-delay cells, and among the non-meeting rows exactly
+            // `forall_defeated` are universal verdicts. This stays correct
+            // for bounded executors (whose θ=0 cells are unverified but
+            // exact — the bw budget is a decision horizon) and for
+            // single-axis specs.
+            let zero_cells = s.decided - universal;
+            let zero_never = s.unmet - s.forall_defeated;
+            out.push(SizeSummary {
+                n,
+                trees: rvz_trees::enumerate::free_tree_count(n),
+                feasible_trees: s.trees.len() as u64,
+                pairs: if universal > 0 { universal } else { zero_cells },
+                zero_meets: zero_cells - zero_never,
+                zero_never,
+                forall_meet: s.forall_meet,
+                forall_defeated: s.forall_defeated,
+                worst_round: s.worst_round,
+                max_defeat_delay: s.max_defeat_delay,
+            });
+        }
+        let mut t = Table::new(
+            "E9",
+            &format!(
+                "exhaustive certification: all free trees, all ordered feasible {}, basic walk",
+                lanes.tuples
+            ),
+            &[
+                "n",
+                "trees",
+                "feasible",
+                &lanes.tuples,
+                &format!("{}@0", lanes.met),
+                "never@0",
+                "∀-meet",
+                "∀-defeated",
+                "worst-round",
+                "max-θ*",
+            ],
+        );
+        for s in &out {
+            t.row(vec![
+                s.n.to_string(),
+                s.trees.to_string(),
+                s.feasible_trees.to_string(),
+                s.pairs.to_string(),
+                s.zero_meets.to_string(),
+                s.zero_never.to_string(),
+                s.forall_meet.to_string(),
+                s.forall_defeated.to_string(),
+                s.worst_round.to_string(),
+                s.max_defeat_delay.to_string(),
+            ]);
+        }
+        let checks = &self.checks;
         t.note(&format!(
-            "the ∀-delay axis did not run{why}: ∀-meet, ∀-defeated, worst-round and max-θ* \
-             count nothing"
+            "{} certificates ({} lassos, every one re-verified by independent stepping{})",
+            checks.certificates,
+            checks.lassos,
+            if checks.failed > 0 { " — VERIFICATION FAILURES PRESENT" } else { "" }
         ));
+        if !out.is_empty() && out.iter().all(|s| s.forall_meet + s.forall_defeated == 0) {
+            let why = match lanes.agents {
+                2 => String::new(),
+                k => format!(" (a pair axis, which --agents {k} drops)"),
+            };
+            t.note(&format!(
+                "the ∀-delay axis did not run{why}: ∀-meet, ∀-defeated, worst-round and max-θ* \
+                 count nothing"
+            ));
+        }
+        checks.note_unverified_cells(&mut t);
+        (out, t)
     }
-    crate::sweep::note_unverified_cells(&mut t, &report.rows);
-    (out, t)
 }
 
 #[cfg(test)]

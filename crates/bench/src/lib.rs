@@ -58,11 +58,13 @@ pub mod e9;
 pub mod faults;
 pub mod instances;
 mod memo;
+mod reports;
 pub mod stats;
 pub mod stores;
 pub mod supervisor;
 pub mod sweep;
 pub mod table;
+mod window;
 pub mod wire;
 
 pub use sweep::{Executor, SweepRow, SweepSpec};

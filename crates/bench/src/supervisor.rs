@@ -55,7 +55,8 @@
 
 use crate::checkpoint::{self, CellRecord};
 use crate::sweep::{
-    self, dispatch_cell, poisoned_row, Cell, RunOptions, SweepInstance, SweepReport, SweepSpec,
+    self, dispatch_cell, poisoned_row, Block, Cell, RunOptions, SweepInstance, SweepReport,
+    SweepSpec,
 };
 use crate::{faults, wire};
 use serde::{Deserialize, JsonWriter, Serialize};
@@ -374,17 +375,35 @@ fn retire(
 }
 
 /// Runs `spec` through `cfg.workers` subprocesses and returns the merged
-/// report. `spawn_worker` builds the worker command for a given workdir
-/// (the CLI re-invokes itself with `--worker <dir>`; tests re-invoke the
-/// test binary); the supervisor owns stdio, spawning, killing and
-/// reaping. Falls back to in-process execution (with a warning) when no
-/// worker can be spawned.
+/// report: the collector over [`run_supervised_into`].
 pub fn run_supervised(
     spec: &SweepSpec,
     opts: &RunOptions<'_>,
     cfg: &SupervisorConfig,
     spawn_worker: &mut dyn FnMut(&Path) -> Command,
 ) -> SweepReport {
+    let mut report = SweepReport::default();
+    run_supervised_into(spec, opts, cfg, spawn_worker, |block| block, |block| report.push(block));
+    report.append_failures = opts.journal.map_or(0, |j| j.appends_lost());
+    report
+}
+
+/// Runs `spec` through `cfg.workers` subprocesses and hands the merged
+/// result to `sink`, one instance [`Block`] at a time in grid order, each
+/// passed through `prepare` first, as [`sweep::run_into`] does in
+/// process. `spawn_worker` builds the worker command for a given workdir
+/// (the CLI re-invokes itself with `--worker <dir>`; tests re-invoke the
+/// test binary); the supervisor owns stdio, spawning, killing and
+/// reaping. Falls back to in-process execution (with a warning) when no
+/// worker can be spawned.
+pub fn run_supervised_into<T: Send>(
+    spec: &SweepSpec,
+    opts: &RunOptions<'_>,
+    cfg: &SupervisorConfig,
+    spawn_worker: &mut dyn FnMut(&Path) -> Command,
+    prepare: impl Fn(Block) -> T + Sync,
+    mut sink: impl FnMut(T) + Send,
+) {
     let instances = sweep::instances(spec);
     let grid = grid(spec, &instances);
     let plan = Plan {
@@ -417,7 +436,7 @@ pub fn run_supervised(
             "warning: --workers: cannot prepare workdir {}: {e}; running in-process",
             workdir.display()
         );
-        return sweep::run_with_options(spec, opts);
+        return sweep::run_into(spec, opts, prepare, sink);
     }
 
     // Cells the journal already holds are never assigned.
@@ -541,40 +560,47 @@ pub fn run_supervised(
     }
 
     // Final assembly, in grid order — this is where byte-identity to the
-    // single-process run is decided. Poisoned shards yield explicit
-    // poisoned rows; any other hole (after a spawn failure, or as a
-    // safety net) is computed in-process.
-    let mut rows = Vec::with_capacity(grid.len());
-    let mut certificates = Vec::new();
-    for (idx, ((cell, inst), rec)) in grid.iter().zip(received).enumerate() {
-        let seed = seeds[idx];
-        let (row, cert) = if let Some(rec) = rec {
-            (rec.row, rec.certificate)
-        } else {
-            let poisoned =
-                shards.iter().any(|sh| sh.poisoned && sh.range.lo <= idx && idx < sh.range.hi);
-            if !poisoned && !spawn_broken {
-                eprintln!(
-                    "warning: --workers: cell {seed:#018x} never arrived from a worker; \
-                     computing it in-process"
-                );
-            }
-            let out = if poisoned {
-                (poisoned_row(cell, inst), None)
+    // single-process run is decided. Each instance's cells become its
+    // block, handed to the sink before the next instance's. Poisoned
+    // shards yield explicit poisoned rows; any other hole (after a spawn
+    // failure, or as a safety net) is computed in-process.
+    let mut cells = grid.iter().zip(received).enumerate().peekable();
+    for inst in &instances {
+        let mut block = Block::default();
+        while let Some((idx, ((cell, _), rec))) =
+            cells.next_if(|(_, ((_, owner), _))| Arc::ptr_eq(owner, inst))
+        {
+            let seed = seeds[idx];
+            let (row, cert) = if let Some(rec) = rec {
+                (rec.row, rec.certificate)
             } else {
-                dispatch_cell(cell, inst, spec.executor, opts.cell_timeout)
+                let poisoned =
+                    shards.iter().any(|sh| sh.poisoned && sh.range.lo <= idx && idx < sh.range.hi);
+                if !poisoned && !spawn_broken {
+                    eprintln!(
+                        "warning: --workers: cell {seed:#018x} never arrived from a worker; \
+                         computing it in-process"
+                    );
+                }
+                let out = if poisoned {
+                    (poisoned_row(cell, inst), None)
+                } else {
+                    dispatch_cell(cell, inst, spec.executor, opts.cell_timeout)
+                };
+                if let Some(journal) = opts.journal {
+                    journal.record(&CellRecord {
+                        cell_seed: seed,
+                        row: out.0.clone(),
+                        certificate: out.1.clone(),
+                    });
+                }
+                out
             };
-            if let Some(journal) = opts.journal {
-                journal.record(&CellRecord {
-                    cell_seed: seed,
-                    row: out.0.clone(),
-                    certificate: out.1.clone(),
-                });
-            }
-            out
-        };
-        rows.extend(row);
-        certificates.extend(cert);
+            block.planned += 1;
+            block.rows.extend(row);
+            block.certificates.extend(cert);
+        }
+        sink(prepare(block));
     }
     if let Some(journal) = opts.journal {
         journal.sync();
@@ -589,15 +615,6 @@ pub fn run_supervised(
             // workdir per experiment; reap it once the last one is gone.
             let _ = std::fs::remove_dir(parent);
         }
-    }
-
-    let planned_cells = grid.len();
-    SweepReport {
-        dropped_cells: planned_cells - rows.len(),
-        planned_cells,
-        rows,
-        certificates,
-        append_failures: opts.journal.map_or(0, |j| j.appends_lost()),
     }
 }
 

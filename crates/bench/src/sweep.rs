@@ -7,16 +7,16 @@
 //! (family, size) or per enumerated free tree, each holding its tree and
 //! start pool, and each instance expands its own cells
 //! ([`SweepInstance::cells`]) — delay × variant × start. The in-process
-//! sweep ([`run_with_options`]), the `--workers` supervisor and its workers
-//! all run on this plan. Four properties are load-bearing:
+//! sweep ([`run_into`]), the `--workers` supervisor and its workers all
+//! run on this plan. Four properties are load-bearing:
 //!
 //! 1. **Deterministic per-cell seeding.** Every cell derives its seeds from
 //!    the grid coordinates alone (never from execution order or thread
 //!    identity), so a cell's result is a pure function of the spec.
 //! 2. **Order-preserving fan-out.** Instances run under `rayon`, one task
-//!    each, and their blocks of rows are concatenated in grid order, so
-//!    the output — including its JSON serialization — is byte-identical
-//!    for any `--threads` value.
+//!    each, and their blocks of rows leave the sweep in grid order
+//!    ([`run_into`]), so the output — including its JSON serialization —
+//!    is byte-identical for any `--threads` value.
 //! 3. **Reproducible rows.** Each row carries the resolved instance
 //!    (family, `n`, starts, delay, budget), so any cell can be replayed
 //!    with a direct [`rvz_sim::run_pair`] call; the integration smoke test
@@ -1460,8 +1460,10 @@ pub fn run_cell_decide_certified(
 /// pairs than `pairs_per_cell` — those cells never ran, and pretending
 /// otherwise would make row counts silently incomparable across sizes.
 /// `certificates` carries the exact decider's machine-checkable evidence
-/// (empty under the bounded executors), in grid order.
-#[derive(Debug, Clone)]
+/// (empty under the bounded executors), in grid order. A report is the
+/// collector of a sweep's [`Block`]s ([`SweepReport::push`]); the CLI
+/// never builds one for e9/e10/e11, whose grids it folds block by block.
+#[derive(Debug, Clone, Default)]
 pub struct SweepReport {
     pub rows: Vec<SweepRow>,
     pub planned_cells: usize,
@@ -1473,6 +1475,27 @@ pub struct SweepReport {
     /// not; `--strict-checkpoint` turns the first such failure into a
     /// hard error instead.
     pub append_failures: u64,
+}
+
+impl SweepReport {
+    /// Appends `block`, the next instance's share of the grid.
+    pub fn push(&mut self, block: Block) {
+        self.planned_cells += block.planned;
+        self.dropped_cells += block.planned - block.rows.len();
+        self.rows.extend(block.rows);
+        self.certificates.extend(block.certificates);
+    }
+}
+
+/// One instance's share of a sweep, and the unit that leaves it: the
+/// cells the instance planned, and the rows and certificates of those that
+/// ran, in grid order. A cell past the end of its instance's start pool
+/// counts in `planned` and yields no row.
+#[derive(Debug, Default)]
+pub struct Block {
+    pub planned: usize,
+    pub rows: Vec<SweepRow>,
+    pub certificates: Vec<Certificate>,
 }
 
 /// Dispatches one cell to `executor` — the single dispatch shared by
@@ -1685,11 +1708,31 @@ pub fn run(spec: &SweepSpec) -> SweepReport {
 /// is byte-identical to an uninterrupted run's, for any thread count
 /// (pinned by `tests/crash_resume.rs` and the CI `crash-resume` job).
 ///
-/// One task per instance: it expands the instance's cells, looks each up
-/// in the journal or dispatches and journals it, and returns its block —
-/// planned cell count, rows and certificates. The blocks are concatenated
-/// in grid order.
+/// The collector over [`run_into`]: every block is pushed onto one report.
 pub fn run_with_options(spec: &SweepSpec, opts: &RunOptions<'_>) -> SweepReport {
+    let mut report = SweepReport::default();
+    run_into(spec, opts, |block| block, |block| report.push(block));
+    report.append_failures = opts.journal.map_or(0, |j| j.appends_lost());
+    report
+}
+
+/// The sweep itself, which [`run_with_options`] collects: one task per
+/// instance of the plan, each of which expands the instance's cells, looks
+/// each up in the journal or dispatches and journals it, and passes its
+/// [`Block`] through `prepare` on the same thread (the CLI renders the
+/// block's report bytes and folds its summary there, so the rows are
+/// dropped where they were allocated). The prepared blocks reach `sink` in
+/// grid order while the sweep runs, through an ordered window of 64
+/// blocks (`rvz-bench/src/window.rs`): the worker that finishes the oldest
+/// block not yet handed on hands on every finished block behind it, and
+/// no worker starts an instance 64 or more blocks past that one, so a
+/// sweep holds a bounded number of blocks whatever its grid.
+pub fn run_into<T: Send>(
+    spec: &SweepSpec,
+    opts: &RunOptions<'_>,
+    prepare: impl Fn(Block) -> T + Sync,
+    sink: impl FnMut(T) + Send,
+) {
     let experiment: Arc<str> = Arc::from(spec.experiment.as_str());
     let run_one = |c: &Cell, inst: &Arc<SweepInstance>| {
         let cell_seed = c.cell_seed();
@@ -1709,36 +1752,23 @@ pub fn run_with_options(spec: &SweepSpec, opts: &RunOptions<'_>) -> SweepReport 
         out
     };
     let plan = instances(spec);
-    let blocks: Vec<(usize, Vec<SweepRow>, Vec<Certificate>)> = pool(spec).install(|| {
-        plan.par_iter()
-            .map(|inst| {
-                let cells = inst.cells(spec, &experiment);
-                let (mut rows, mut certificates) = (Vec::with_capacity(cells.len()), Vec::new());
-                for c in &cells {
-                    let (row, cert) = run_one(c, inst);
-                    rows.extend(row);
-                    certificates.extend(cert);
-                }
-                (cells.len(), rows, certificates)
-            })
-            .collect()
-    });
+    let block = |inst: &Arc<SweepInstance>| {
+        let cells = inst.cells(spec, &experiment);
+        let mut block = Block {
+            planned: cells.len(),
+            rows: Vec::with_capacity(cells.len()),
+            ..Block::default()
+        };
+        for c in &cells {
+            let (row, cert) = run_one(c, inst);
+            block.rows.extend(row);
+            block.certificates.extend(cert);
+        }
+        block
+    };
+    pool(spec).install(|| crate::window::ordered(&plan, |inst| prepare(block(inst)), sink));
     if let Some(journal) = opts.journal {
         journal.sync();
-    }
-    let planned_cells = blocks.iter().map(|b| b.0).sum();
-    let mut rows = Vec::with_capacity(blocks.iter().map(|b| b.1.len()).sum());
-    let mut certificates = Vec::with_capacity(blocks.iter().map(|b| b.2.len()).sum());
-    for (_, block_rows, block_certificates) in blocks {
-        rows.extend(block_rows);
-        certificates.extend(block_certificates);
-    }
-    SweepReport {
-        dropped_cells: planned_cells - rows.len(),
-        planned_cells,
-        rows,
-        certificates,
-        append_failures: opts.journal.map_or(0, |j| j.appends_lost()),
     }
 }
 
@@ -1768,35 +1798,77 @@ impl Lanes {
         };
         Lanes { agents, tuples, met, never }
     }
-
-    /// The width of `report`'s rows ([`SweepRow::agents`], absent on pair
-    /// rows); for a report with no rows, the width of `experiment`'s
-    /// preset.
-    pub(crate) fn of(report: &SweepReport, experiment: &str) -> Lanes {
-        Lanes::new(match report.rows.first() {
-            Some(row) => row.agents.unwrap_or(2),
-            None => preset(experiment, &[], 1, 0).map_or(2, |spec| spec.agents),
-        })
-    }
 }
 
-/// The closing notes of the e9, e10 and e11 summaries: cells answered by
-/// bounded simulation, and quarantined cells, which record no run and
-/// which no verdict column counts.
-pub(crate) fn note_unverified_cells(t: &mut Table, rows: &[SweepRow]) {
-    let uncertified = rows.iter().filter(|r| !r.certified && !r.quarantined()).count();
-    if uncertified > 0 {
-        t.note(&format!(
-            "{uncertified} cells answered by bounded simulation, not certified — \
-             run with --executor decide for certified verdicts"
-        ));
+/// What the closing notes of the e9, e10 and e11 summaries count, folded
+/// one block at a time: the rows' ensemble width, the certificates and
+/// their lassos, and the cells no verdict column counts.
+#[derive(Debug, Default)]
+pub(crate) struct Checks {
+    /// The width of the first row ([`SweepRow::agents`], 2 when absent);
+    /// `None` before any row.
+    width: Option<usize>,
+    pub certificates: usize,
+    /// Certificates that carry a lasso.
+    pub lassos: usize,
+    /// Certificates whose lasso failed re-verification.
+    pub failed: usize,
+    /// Cells answered by bounded simulation: neither certified nor
+    /// quarantined.
+    uncertified: usize,
+    /// Quarantined cells (timed out or poisoned).
+    quarantined: usize,
+}
+
+impl Checks {
+    pub(crate) fn add(&mut self, rows: &[SweepRow], certificates: &[Certificate]) {
+        if let Some(row) = rows.first() {
+            self.width.get_or_insert(row.agents.unwrap_or(2));
+        }
+        self.certificates += certificates.len();
+        self.lassos += certificates.iter().filter(|c| c.lasso_stem.is_some()).count();
+        self.failed += certificates.iter().filter(|c| c.verified == Some(false)).count();
+        self.uncertified += rows.iter().filter(|r| !r.certified && !r.quarantined()).count();
+        self.quarantined += rows.iter().filter(|r| r.quarantined()).count();
     }
-    let quarantined = rows.iter().filter(|r| r.quarantined()).count();
-    if quarantined > 0 {
-        t.note(&format!(
-            "{quarantined} cells quarantined (timed out or poisoned): no run recorded, \
-             counted in no verdict column"
-        ));
+
+    /// Folds in `other`, the counts of the blocks after these.
+    pub(crate) fn merge(&mut self, other: Checks) {
+        self.width = self.width.or(other.width);
+        self.certificates += other.certificates;
+        self.lassos += other.lassos;
+        self.failed += other.failed;
+        self.uncertified += other.uncertified;
+        self.quarantined += other.quarantined;
+    }
+
+    /// The words of the rows' width; for a sweep with no rows, of the
+    /// width of `experiment`'s preset.
+    pub(crate) fn lanes(&self, experiment: &str) -> Lanes {
+        Lanes::new(
+            self.width
+                .unwrap_or_else(|| preset(experiment, &[], 1, 0).map_or(2, |spec| spec.agents)),
+        )
+    }
+
+    /// The closing notes of the e9, e10 and e11 summaries: cells answered
+    /// by bounded simulation, and quarantined cells, which record no run
+    /// and which no verdict column counts.
+    pub(crate) fn note_unverified_cells(&self, t: &mut Table) {
+        if self.uncertified > 0 {
+            t.note(&format!(
+                "{} cells answered by bounded simulation, not certified — \
+                 run with --executor decide for certified verdicts",
+                self.uncertified
+            ));
+        }
+        if self.quarantined > 0 {
+            t.note(&format!(
+                "{} cells quarantined (timed out or poisoned): no run recorded, \
+                 counted in no verdict column",
+                self.quarantined
+            ));
+        }
     }
 }
 
@@ -2120,6 +2192,38 @@ mod tests {
         assert!(grid.iter().all(|c| c.variant != Variant::TreeRvz || c.delay == Delay::Zero));
         // 2 families × 2 sizes × (delay0×3 variants + delay3×2 variants) × 2 pairs
         assert_eq!(grid.len(), 2 * 2 * 5 * 2);
+    }
+
+    #[test]
+    fn blocks_leave_one_per_instance_in_grid_order() {
+        let spec = small_spec(2);
+        let experiment: Arc<str> = Arc::from(spec.experiment.as_str());
+        let mut blocks = Vec::new();
+        run_into(&spec, &RunOptions::default(), |block| block, |block| blocks.push(block));
+        let plan = instances(&spec);
+        assert_eq!(blocks.len(), plan.len());
+        for (block, inst) in blocks.iter().zip(&plan) {
+            let cells = inst.cells(&spec, &experiment);
+            assert_eq!(block.planned, cells.len());
+            let seeds: Vec<u64> = cells.iter().map(Cell::cell_seed).collect();
+            let rows: Vec<u64> = block.rows.iter().map(|r| r.cell_seed).collect();
+            assert_eq!(rows, seeds[..rows.len()], "a block holds its instance's rows in order");
+        }
+    }
+
+    #[test]
+    fn no_e1_e8_preset_fills_the_window() {
+        // The ordered window holds at most WINDOW blocks; an e1–e8 preset
+        // at its default sizes plans fewer instances, so its workers never
+        // wait on it, however slow one instance is.
+        let ids = ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8"];
+        let most = ids
+            .iter()
+            .map(|id| instances(&preset(id, DEFAULT_SIZES, 1, 0).expect("preset")).len())
+            .max()
+            .expect("eight presets");
+        assert_eq!(most, 20, "e2: five families × four sizes");
+        assert!(most < crate::window::WINDOW);
     }
 
     #[test]

@@ -180,26 +180,52 @@ pub fn atomic_write_with(
     path: &Path,
     write: impl FnOnce(&mut File) -> io::Result<()>,
 ) -> io::Result<()> {
-    let dir = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => std::path::PathBuf::from("."),
-    };
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = dir.join(tmp_name);
-    let mut f = File::create(&tmp)?;
-    write(&mut f)?;
-    f.flush()?;
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(&tmp, path)?;
-    if let Ok(d) = File::open(&dir) {
-        let _ = d.sync_all();
+    let mut pending = Pending::create(path)?;
+    write(&mut pending.file)?;
+    pending.publish()
+}
+
+/// A file being filled under its temp sibling (`NAME.tmp`), for as long
+/// as its writer needs: [`atomic_write_with`] fills one in a single call,
+/// and a sweep's report files fill theirs block by block while the sweep
+/// runs. Nothing appears under the real name until [`Pending::publish`].
+#[derive(Debug)]
+pub struct Pending {
+    /// The temp sibling, created (or truncated) empty.
+    pub file: File,
+    path: std::path::PathBuf,
+    tmp: std::path::PathBuf,
+}
+
+impl Pending {
+    /// Creates `path`'s temp sibling, empty.
+    pub fn create(path: &Path) -> io::Result<Pending> {
+        let file_name = path
+            .file_name()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
+        let mut tmp_name = file_name.to_os_string();
+        tmp_name.push(".tmp");
+        let tmp = path.with_file_name(tmp_name);
+        Ok(Pending { file: File::create(&tmp)?, path: path.to_path_buf(), tmp })
     }
-    Ok(())
+
+    /// Flushes and fsyncs the temp sibling and renames it over the real
+    /// path (then a best-effort directory fsync, so the rename itself is
+    /// durable).
+    pub fn publish(mut self) -> io::Result<()> {
+        self.file.flush()?;
+        self.file.sync_all()?;
+        drop(self.file);
+        std::fs::rename(&self.tmp, &self.path)?;
+        let dir = match self.path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        if let Ok(d) = File::open(dir) {
+            let _ = d.sync_all();
+        }
+        Ok(())
+    }
 }
 
 /// Writes a single framed record as the whole content of `path`,

@@ -2,7 +2,8 @@
 # Bench-smoke job: the criterion benches compile and run once, the
 # benchmark harness passes its self-test, the committed BENCH_sweep.json
 # keeps every section, bench_baseline holds its floors, a tiny e6 sweep is
-# deterministic, and the three cold-ratio gates hold.
+# deterministic, the three cold-ratio gates hold, and e9 over every free
+# tree n ≤ 11 with both report files peaks within the memory gate.
 #
 # Usage: scripts/bench_smoke.sh   (from the repo root; writes bench-smoke/)
 # The harness self-test builds perfbench/trace, which rewrites
@@ -45,3 +46,4 @@ cmp "$out/e6.json" "$out/e6-stepping.json"
 scripts/output_overhead.sh "$out"
 scripts/thread_scaling.sh "$out"
 scripts/durable_overhead.sh "$out"
+scripts/peak_memory.sh "$out"

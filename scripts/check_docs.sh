@@ -4,8 +4,9 @@
 #  1. Intra-repo markdown link check: every relative link (and same-file
 #     or cross-file #anchor) in README.md and docs/*.md must resolve.
 #  2. CLI drift check: the flag table in README.md and the `experiments
-#     --help` output must document the same set of `--flags` — a flag
-#     added to one without the other fails the build.
+#     --help` output must document the same set of `--flags`, each flag
+#     taken whole, hyphens and all (`--cell-timeout`, not `--cell`) — a
+#     flag added to or renamed in one without the other fails the build.
 #
 # Usage: scripts/check_docs.sh   (from the repo root)
 set -euo pipefail
@@ -56,13 +57,13 @@ echo "== CLI drift check (README flag table vs experiments --help) =="
 help_out=$(cargo run --quiet --release --bin experiments -- --help)
 
 # Flags the README's sweep-mode table documents (| `--flag ...` | rows).
-readme_flags=$(grep -oE '^\| `--[a-z]+' README.md | grep -oE '\-\-[a-z]+' | sort -u)
+readme_flags=$(grep -oE '^\| `--[a-z][a-z0-9-]*' README.md | grep -oE '\-\-[a-z][a-z0-9-]*' | sort -u)
 # Flags --help advertises (both modes).
-help_flags=$(grep -oE '\-\-[a-z]+' <<<"$help_out" | sort -u)
+help_flags=$(grep -oE '\-\-[a-z][a-z0-9-]*' <<<"$help_out" | sort -u)
 
 status=0
 while read -r flag; do
-    if ! grep -qF -- "$flag" <<<"$help_flags"; then
+    if ! grep -qxF -- "$flag" <<<"$help_flags"; then
         echo "error: README documents $flag but 'experiments --help' does not mention it"
         status=1
     fi

@@ -20,14 +20,18 @@
 #     every row an rvz-sweep/v7 triple row, and zero uncertified cells.
 #  6. e10 at --agents 3, the only gate on intermittent schedules at k = 3:
 #     three-executor agreement, rvz-sweep/v7 rows, zero uncertified cells.
-#  7. e1–e8 on the stepping executor (golden bytes), and replayed,
+#  7. e9 and e11 in one report pair: the second experiment's rows and
+#     certificates decide both files' schema tags (rvz-sweep/v7,
+#     rvz-certificates/v3), and both summaries precede the certificates
+#     (golden bytes only).
+#  8. e1–e8 on the stepping executor (golden bytes), and replayed,
 #     byte-compared with stepping. Replay is the e1–e8 default; one e7
 #     cell outgrows the recording cap and takes the replay loop's
 #     fall-back to stepping.
-#  8. The classic e1–e8 tables, the only outputs with raw f64 fields, and
+#  9. The classic e1–e8 tables, the only outputs with raw f64 fields, and
 #     a one-thread e10 journal, which pins the compact record encoding: at
 #     one thread its records land in grid order, so its bytes repeat.
-#  9. The SHA-256 of every raw --json/--certificates/--checkpoint file the
+# 10. The SHA-256 of every raw --json/--certificates/--checkpoint file the
 #     legs wrote, recorded from an earlier binary: a change that alters any
 #     output byte fails here, not only one that breaks agreement between
 #     executors or thread counts.
@@ -131,6 +135,10 @@ agree e10k3 differential/e10k3-certificates.json \
 require '.schema == "rvz-sweep/v7"' differential/e10k3-decide.json \
   "the --agents 3 run did not report the rvz-sweep/v7 schema"
 all_certified differential/e10k3-decide.json "e10 --agents 3"
+
+echo "== e9 and e11 in one report =="
+"$exp" --experiment e9,e11 --sizes 4,5,6 --threads 2 \
+  --json differential/e9-e11.json --certificates differential/e9-e11-certificates.json
 
 echo "== e1–e8: stepping and replay =="
 "$exp" --experiment e1,e2,e3,e4,e5,e6,e7,e8 --executor stepping --threads 2 \

@@ -183,6 +183,18 @@ impl<'a> JsonWriter<'a> {
         JsonWriter { sink: Some(sink), ..Self::new(pretty) }
     }
 
+    /// An in-memory writer, rendering into `buf` (cleared first, its
+    /// capacity reused), that continues a document whose writer left off
+    /// `depth` containers deep; `empty` says the innermost of them has no
+    /// member yet. Its members, and the brackets that close those
+    /// containers, render as that writer would have rendered them, so a
+    /// long array can be rendered a few elements at a time, each batch by
+    /// a fresh writer, on any thread.
+    pub fn resume(mut buf: Vec<u8>, pretty: bool, depth: usize, empty: bool) -> JsonWriter<'a> {
+        buf.clear();
+        JsonWriter { buf, depth, empty, ..Self::new(pretty) }
+    }
+
     /// The rendered bytes of an in-memory writer (with a sink: whatever
     /// has not been flushed yet).
     pub fn into_bytes(self) -> Vec<u8> {
@@ -714,6 +726,40 @@ mod tests {
             rows.write_json(&mut w);
             w.finish().unwrap();
             assert_eq!(sink, memory);
+        }
+    }
+
+    #[test]
+    fn resumed_writers_continue_the_document() {
+        // `{"rows": [...], }` written as a head, then batches of elements
+        // and the closing brackets, each by a fresh writer, for zero, one
+        // and several elements, in both styles.
+        for pretty in [false, true] {
+            for len in [0, 1, 5] {
+                let rows: Vec<Vec<u64>> = (0..len).map(|i| vec![i; i as usize]).collect();
+                let mut whole = JsonWriter::new(pretty);
+                whole.begin_object();
+                whole.field("rows", &rows);
+                whole.end_object();
+                let mut head = JsonWriter::new(pretty);
+                head.begin_object();
+                head.key("rows");
+                head.begin_array();
+                let mut out = head.into_bytes();
+                for (i, batch) in rows.chunks(2).enumerate() {
+                    let mut w = JsonWriter::resume(Vec::new(), pretty, 2, i == 0);
+                    for row in batch {
+                        w.element();
+                        row.write_json(&mut w);
+                    }
+                    out.extend(w.into_bytes());
+                }
+                let mut tail = JsonWriter::resume(b"stale".to_vec(), pretty, 2, rows.is_empty());
+                tail.end_array();
+                tail.end_object();
+                out.extend(tail.into_bytes());
+                assert_eq!(out, whole.into_bytes(), "pretty {pretty}, {len} rows");
+            }
         }
     }
 

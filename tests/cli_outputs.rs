@@ -3,7 +3,8 @@
 //! rendering of the same payload built as a `Value` tree, a `--json`
 //! directory holds each experiment's single-file report, a `--json`
 //! directory that cannot be created is a clean exit-2 error, not a panic,
-//! and `--experiment` runs each listed id once and refuses an empty list.
+//! a grid with no cell writes empty arrays, and `--experiment` runs each
+//! listed id once and refuses an empty list.
 
 use rvz_bench::{e11, sweep};
 use serde_json::json;
@@ -114,6 +115,43 @@ fn e11_report_files_match_their_value_tree_rendering() {
         let got = std::fs::read_to_string(dir.join(file)).expect("read report");
         assert!(got == want, "{file} differs from the Value-tree rendering");
     }
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
+#[test]
+fn zero_row_report_files_match_their_value_tree_rendering() {
+    // No tree on two nodes has a feasible start pair, so the grid plans no
+    // cell: the rows file closes an array it never wrote into, and the
+    // certificates file holds an empty summary and no certificate.
+    let dir = scratch("zero-rows");
+    let args = ["--experiment", "e9", "--sizes", "2"];
+    let outputs = ["--json", "rows.json", "--certificates", "certs.json"];
+    let out = experiments(&dir, &[&args[..], &outputs].concat());
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let seed = 0x5EED_2010u64;
+    let empty: Vec<u64> = Vec::new();
+    let rows = json!({
+        "schema": "rvz-sweep/v2",
+        "experiments": vec!["e9"],
+        "seed": seed,
+        "sizes": vec![2usize],
+        "rows": empty
+    });
+    let certificates = json!({
+        "schema": "rvz-certificates/v1",
+        "experiments": vec!["e9"],
+        "seed": seed,
+        "summary": vec![json!({"experiment": "e9", "sizes": empty})],
+        "certificates": empty
+    });
+    for (file, payload) in [("rows.json", rows), ("certs.json", certificates)] {
+        let want = serde_json::to_string_pretty(&payload).expect("render") + "\n";
+        let got = std::fs::read_to_string(dir.join(file)).expect("read report");
+        assert!(got == want, "{file} differs from the Value-tree rendering:\n{got}");
+    }
+    let left: Vec<_> =
+        std::fs::read_dir(&dir).expect("list").map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(left.len(), 2, "only the two reports remain: {left:?}");
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
 
