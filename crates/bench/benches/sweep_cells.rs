@@ -25,7 +25,7 @@ fn bench_grid(c: &mut Criterion, name: &str, spec: &SweepSpec) {
     let grid = sweep::cells(spec);
     let mut group = c.benchmark_group(name);
     group.throughput(Throughput::Elements(grid.len() as u64));
-    // The trace-replay executor (the default since the trace store).
+    // The trace-replay executor (`--executor replay`).
     let mut replay = spec.clone();
     replay.executor = Executor::TraceReplay;
     group.bench_function("replay", |b| b.iter(|| black_box(sweep::run(&replay).rows.len())));

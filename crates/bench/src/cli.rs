@@ -253,11 +253,11 @@ fn resolve_sweep(
             spec.agents = k;
         }
         // The certification workloads default to the exact decider; the
-        // sampled grids default to trace replay.
+        // sampled grids default to stepping.
         spec.executor = executor.unwrap_or(if enumerated {
             sweep::Executor::ExactDecide
         } else {
-            sweep::Executor::TraceReplay
+            sweep::Executor::DynStepping
         });
         planned.push((id, sizes, spec));
     }
@@ -767,11 +767,11 @@ Sweep mode (parallel batch engine):
                     rows; K > 2 bumps the row schema to rvz-sweep/v7
                     with `agents`/`start_rest` fields; e11 defaults to 3)
     --seed S        base seed (default {})
-    --executor X    replay (trace-record/replay; default for e1..e8),
-                    stepping (k-lane round loop per cell), or decide (exact
-                    decider, budget-free, certifies never-meets; default
-                    for e9/e10/e11) — rows are byte-identical across
-                    executors except for decide's `certified` flag
+    --executor X    stepping (k-lane round loop per cell; default for
+                    e1..e8), replay (trace-record/replay), or decide
+                    (exact decider, budget-free, certifies never-meets;
+                    default for e9/e10/e11) — rows are byte-identical
+                    across executors except for decide's `certified` flag
     --checkpoint F  append-only crash-safe journal of completed cells
                     (length-prefixed, per-record checksummed)
     --resume        skip cells already journaled in --checkpoint F; the
@@ -780,9 +780,9 @@ Sweep mode (parallel batch engine):
                     re-verified record by record) before the sweep,
                     flushed atomically after it; does nothing under
                     --workers (workers neither load nor add to it)
-    --cell-timeout MS  per-cell wall budget: a cell exceeding it retries on
-                    the next-cheaper executor, then is quarantined as an
-                    explicit timed_out row (machine-dependent — breaks
+    --cell-timeout MS  per-cell wall budget: a cell exceeding it retries
+                    once on the stepping executor, then is quarantined as
+                    an explicit timed_out row (machine-dependent — breaks
                     cross-run byte-identity, so off by default)
     --workers N     fork N worker subprocesses fed grid shards over their
                     stdin and stdout; crashed/hung workers are detected by
@@ -816,7 +816,22 @@ Classic mode (paper tables):
 
 #[cfg(test)]
 mod tests {
-    use super::parse_sizes;
+    use super::{parse_sizes, resolve_sweep};
+    use crate::sweep::Executor;
+
+    #[test]
+    fn sampled_grids_default_to_stepping_and_certified_ones_to_decide() {
+        let executors = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let ids = "e1,e2,e3,e4,e5,e6,e7,e8,e9,e10,e11";
+            let (_, planned, _) = resolve_sweep(&args, ids);
+            planned.into_iter().map(|(_, _, spec)| spec.executor).collect::<Vec<_>>()
+        };
+        let mut defaults = vec![Executor::DynStepping; 8];
+        defaults.extend([Executor::ExactDecide; 3]);
+        assert_eq!(executors(&[]), defaults);
+        assert_eq!(executors(&["--executor", "replay"]), vec![Executor::TraceReplay; 11]);
+    }
 
     #[test]
     fn parse_sizes_sorts_and_deduplicates() {

@@ -23,8 +23,8 @@
 //! family × size × delay/schedule × variant and fans the cells across
 //! threads with deterministic per-cell seeding
 //! (`experiments --experiment <id>`, `--agents k` for k-agent
-//! gathering). Three executors share the grid:
-//! trace replay (default), dyn stepping, and the exact decider
+//! gathering). Three executors share the grid: dyn stepping (the
+//! default), trace replay (`--executor replay`), and the exact decider
 //! (`--executor decide`, budget-free verdicts with lasso certificates).
 //! See `docs/executors.md` for the executor guide and `docs/schemas.md`
 //! for the JSON row/certificate schemas.

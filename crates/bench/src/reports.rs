@@ -1,5 +1,6 @@
 //! A sweep's report files (`--json` rows, `--certificates`), filled block
-//! by block while the sweep runs, so no run holds all of its rows.
+//! by block while the sweep runs, so no in-process run holds all of its
+//! rows.
 //!
 //! The worker that computed a block renders it ([`RowsBlock`],
 //! [`CertificatesBlock`]): each row or certificate as the element of its

@@ -21,15 +21,15 @@
 //!    (family, `n`, starts, delay, budget), so any cell can be replayed
 //!    with a direct [`rvz_sim::run_pair`] call; the integration smoke test
 //!    does exactly that.
-//! 4. **Trace-replay execution.** The paper's agents are deterministic and
-//!    oblivious, so by default ([`Executor::TraceReplay`]) the executor
-//!    records each `(family, n, start, variant)` trajectory once — in the
-//!    per-instance memo its shared [`SweepInstance`]s carry — and
-//!    answers every `(delay, pair)` cell by timeline merge
-//!    (`rvz_sim::trace`), falling back to per-cell stepping
-//!    ([`Executor::DynStepping`], still available behind the flag) only
-//!    when a recording would exceed the cap. Both executors are
-//!    byte-identical by test.
+//! 4. **Stepping is the reference path.** The paper's agents are automata
+//!    that move in synchronous rounds; by default ([`Executor::DynStepping`])
+//!    every bounded cell steps its agents through that model's k-lane round
+//!    loop ([`rvz_sim::run_ensemble_with`]), as do the exact decider's
+//!    procedural-agent cells and the watchdog's retry. Trace replay
+//!    ([`Executor::TraceReplay`]) runs only when asked for: it records each
+//!    `(family, n, start, variant)` trajectory once in the per-instance
+//!    memo and answers every `(delay, pair)` cell by timeline merge
+//!    (`rvz_sim::trace`). The executors are byte-identical by test.
 //!
 //! The per-experiment presets in [`preset`] translate E1–E8 (see the
 //! sibling `e1`..`e8` modules and README.md) into grids over the shared
@@ -57,7 +57,7 @@ use rvz_sim::{
 };
 use rvz_trees::{NodeId, Tree};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Tree families the sweep can grid over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -420,20 +420,20 @@ pub enum Executor {
     /// Record each `(family, n, start, variant)` trajectory once in the
     /// per-instance memo and decide every cell by timeline merge
     /// (`rvz_sim::trace`) — no agent stepping on cache hits.
-    #[default]
     TraceReplay,
     /// Step every agent per cell through the k-lane round loop
-    /// ([`rvz_sim::run_ensemble_with`]; the pre-trace executor). Kept
-    /// behind this flag for differential testing; it is
-    /// also the replay path's fallback for cells whose trajectories would
-    /// exceed the recording cap. Output is byte-identical to
-    /// [`Executor::TraceReplay`] by construction (and by test).
+    /// ([`rvz_sim::run_ensemble_with`]): the default, and the path of
+    /// every bounded cell no other executor answers — the decider's
+    /// procedural-agent cells, the watchdog's retry, and replay cells
+    /// whose trajectories would exceed the recording cap. Output is
+    /// byte-identical to [`Executor::TraceReplay`] (by test).
+    #[default]
     DynStepping,
     /// Answer each cell by the exact decider over the joint configuration
     /// graph ([`rvz_lowerbounds::decide`]): no round budget, `NeverMeets`
     /// certified by lasso instead of reported as timeout. Exact for the
-    /// automaton variant (`bw-fsa`); procedural-agent cells fall back to
-    /// [`Executor::TraceReplay`]. Rows are byte-identical to the other
+    /// automaton variant (`bw-fsa`); procedural-agent cells are stepped
+    /// ([`Executor::DynStepping`]). Rows are byte-identical to the other
     /// executors except for the `certified` flag (by test).
     ExactDecide,
 }
@@ -452,7 +452,7 @@ pub struct SweepSpec {
     pub seed: u64,
     /// Worker threads; `0` = all cores.
     pub threads: usize,
-    /// Cell execution strategy (replay by default).
+    /// Cell execution strategy (stepping by default).
     pub executor: Executor,
     /// Ensemble width: how many agent copies run per cell (`--agents k`).
     /// `2` is the classic pair sweep and emits byte-identical legacy rows
@@ -793,10 +793,10 @@ pub struct SweepInstance {
     family: Family,
     n: usize,
     tree_index: Option<u64>,
-    /// Shared basic-walk automaton for [`Variant::BasicWalkFsa`] cells,
-    /// built on first use (its table is a function of the tree's maximum
-    /// degree only).
-    bw_fsa: OnceLock<rvz_agent::Fsa>,
+    /// Shared basic-walk automaton for [`Variant::BasicWalkFsa`] cells
+    /// (its table is a function of the tree's maximum degree only), built
+    /// with the instance, so an instance serves every variant's cells.
+    bw_fsa: rvz_agent::Fsa,
     /// Solo recordings and lassos, fetched once from the process-wide
     /// registry and shared with every instance built at the same
     /// `(family, n, tree_seed)` (see [`crate::memo`]).
@@ -836,6 +836,7 @@ impl SweepInstance {
             (tuples.iter().map(|t| [t[0], t[1]]).collect(), Vec::new())
         };
         let memo = memo::memo(family, n, tree_seed, tree.num_nodes());
+        let bw_fsa = rvz_agent::Fsa::basic_walk(tree.max_degree().max(1));
         SweepInstance {
             tree,
             pairs,
@@ -845,7 +846,7 @@ impl SweepInstance {
             family,
             n,
             tree_index,
-            bw_fsa: OnceLock::new(),
+            bw_fsa,
             memo,
         }
     }
@@ -915,7 +916,7 @@ impl SweepInstance {
     /// The basic-walk automaton matched to this instance's degree bound;
     /// every `bw-fsa` cell on the instance borrows the same table.
     pub fn basic_walk_fsa(&self) -> &rvz_agent::Fsa {
-        self.bw_fsa.get_or_init(|| rvz_agent::Fsa::basic_walk(self.tree.max_degree().max(1)))
+        &self.bw_fsa
     }
 
     /// The shared solo recording of `variant` from `start`.
@@ -1110,10 +1111,10 @@ fn step_bank<A: Agent>(
 }
 
 /// Executes one cell on a prebuilt instance by *stepping* every agent
-/// (the [`Executor::DynStepping`] path; also the replay fallback), for
-/// any lane count. `inst` must be (equal to) `SweepInstance::for_cell(cell)`
-/// — the executor guarantees this by running each cell on the instance
-/// that expanded it ([`SweepInstance::cells`]).
+/// (the [`Executor::DynStepping`] path, and every bounded cell's unless
+/// replay is asked for), for any lane count. `inst` must be (equal to)
+/// `SweepInstance::for_cell(cell)` — the executor guarantees this by
+/// running each cell on the instance that expanded it ([`SweepInstance::cells`]).
 pub fn run_cell_on(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
     if cell.delay == Delay::Adversarial {
         // Only the quantifier layer can answer "every delay".
@@ -1300,8 +1301,8 @@ enum CellDecision {
 
 /// Executes one cell by reachability over the joint configuration graph
 /// ([`rvz_lowerbounds::decide`]) — no round budget, for any lane count.
-/// Exact for the automaton variant; procedural-agent cells fall back to
-/// the replay executor (their configuration spaces are not exported).
+/// Exact for the automaton variant; procedural-agent cells are stepped
+/// ([`run_cell_on`]; their configuration spaces are not exported).
 /// Rows are byte-identical to the bounded executors' except for
 /// `certified: true`: the meeting round, the crossing count *at the
 /// bounded executors' budget* (closed-form along the certified cycle) and
@@ -1319,9 +1320,9 @@ pub fn run_cell_decide_certified(
 ) -> Option<(SweepRow, Option<Certificate>)> {
     if cell.variant != Variant::BasicWalkFsa {
         // The grid filter keeps adversarial delays off procedural agents;
-        // guard against hand-built cells re-entering the replay path.
+        // guard against a hand-built one bouncing back here from stepping.
         assert!(cell.delay != Delay::Adversarial, "adversarial delay needs the automaton variant");
-        return run_cell_replay(cell, inst).map(|row| (row, None));
+        return run_cell_on(cell, inst).map(|row| (row, None));
     }
     let tree = &inst.tree;
     let n = tree.num_nodes();
@@ -1499,7 +1500,7 @@ pub struct Block {
 }
 
 /// Dispatches one cell to `executor` — the single dispatch shared by
-/// [`run_with_options`] and the watchdog's downgrade chain. Adversarial
+/// [`run_with_options`] and the watchdog's attempts. Adversarial
 /// cells are answered by the quantifier layer under *every* executor,
 /// routed through the certified entry point so the universal verdict's
 /// evidence (the per-cell [`Certificate`], lassos included) is kept in
@@ -1534,21 +1535,6 @@ pub(crate) fn dispatch_cell(
     match timeout {
         Some(timeout) => run_cell_watchdogged(cell, inst, executor, timeout),
         None => run_cell_with_executor(cell, inst, executor),
-    }
-}
-
-/// The watchdog's retry ladder: a timed-out attempt moves to the
-/// next-cheaper executor before the cell is given up as [`timed_out_row`].
-/// "Cheaper" here is per-cell marginal cost — the decider explores a joint
-/// configuration graph, replay decides from (possibly warm) recordings,
-/// and plain stepping does the minimum: one bounded run, no shared state.
-fn downgrade_chain(executor: Executor) -> &'static [Executor] {
-    match executor {
-        Executor::ExactDecide => {
-            &[Executor::ExactDecide, Executor::TraceReplay, Executor::DynStepping]
-        }
-        Executor::TraceReplay => &[Executor::TraceReplay, Executor::DynStepping],
-        Executor::DynStepping => &[Executor::DynStepping],
     }
 }
 
@@ -1610,14 +1596,13 @@ pub(crate) fn poisoned_row(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow
 /// *cancelled* — the watchdog sets the attempt's cooperative cancellation
 /// flag ([`rvz_sim::cancel`]), the executor loops observe it at their next
 /// poll point and unwind, and the thread exits — while the cell retries
-/// down [`downgrade_chain`]. (The thread is still detached rather than
+/// once, on stepping. (The thread is still detached rather than
 /// joined so one unresponsive attempt cannot wedge the sweep, but unlike
 /// the old detach-and-forget scheme it terminates promptly instead of
 /// stepping to the end of a possibly astronomical budget; pinned by
-/// `tests/watchdog_threads.rs`.) A cell that exhausts the chain is
-/// quarantined as an explicit [`timed_out_row`]. Adversarial cells get a
-/// single attempt: every executor routes them through the same quantifier
-/// layer, so a "downgrade" would re-run the identical computation.
+/// `tests/watchdog_threads.rs`.) A cell whose every attempt times out is
+/// quarantined as an explicit [`timed_out_row`]. Stepping and adversarial
+/// cells get one attempt: a retry would re-run the same computation.
 fn run_cell_watchdogged(
     cell: &Cell,
     inst: &Arc<SweepInstance>,
@@ -1626,11 +1611,8 @@ fn run_cell_watchdogged(
 ) -> (Option<SweepRow>, Option<Certificate>) {
     use rvz_sim::cancel;
     cancel::silence_cancelled_panics();
-    let chain: &[Executor] = if cell.delay == Delay::Adversarial {
-        &[Executor::ExactDecide]
-    } else {
-        downgrade_chain(executor)
-    };
+    let retry = executor != Executor::DynStepping && cell.delay != Delay::Adversarial;
+    let chain = &[executor, Executor::DynStepping][..1 + retry as usize];
     for (step, &attempt) in chain.iter().enumerate() {
         let (tx, rx) = std::sync::mpsc::channel();
         let cancel_flag = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -1661,7 +1643,7 @@ fn run_cell_watchdogged(
                     cell.variant.name(),
                     cell.pair_index,
                     if step + 1 < chain.len() {
-                        "retrying on the next-cheaper executor"
+                        "retrying on the stepping executor"
                     } else {
                         "quarantining as a timed_out row"
                     },
@@ -2171,6 +2153,8 @@ mod tests {
     use super::*;
     use rvz_sim::run_pair;
 
+    /// Replay, whose shared memo is what thread counts could disturb, and
+    /// which the rebuild-per-cell test compares with stepping.
     fn small_spec(threads: usize) -> SweepSpec {
         SweepSpec {
             experiment: "test".into(),
@@ -2181,7 +2165,7 @@ mod tests {
             pairs_per_cell: 2,
             seed: 0xC0FFEE,
             threads,
-            executor: Executor::default(),
+            executor: Executor::TraceReplay,
             agents: 2,
         }
     }
@@ -2513,8 +2497,8 @@ mod tests {
         // The exact decider must agree with the bounded executors on every
         // field of every row — meeting rounds, crossings at the budget,
         // provenance — differing only in the `certified` flag on the cells
-        // it answers natively. (Procedural-agent cells fall back to replay
-        // and stay bit-identical outright.)
+        // it answers natively. (Procedural-agent cells are stepped and stay
+        // bit-identical outright.)
         let mut spec = small_spec(2);
         spec.executor = Executor::ExactDecide;
         let decided = run(&spec);

@@ -83,7 +83,9 @@ fn sweep_is_byte_identical_across_thread_counts() {
 fn replay_and_stepping_executors_are_byte_identical() {
     // The trace-replay executor is an optimization only: its JSON must
     // match the dyn-stepping executor byte for byte, at every thread count.
-    let replay = serde_json::to_string_pretty(&sweep::run(&grid_2x2(1)).rows).unwrap();
+    let mut replay_spec = grid_2x2(1);
+    replay_spec.executor = Executor::TraceReplay;
+    let replay = serde_json::to_string_pretty(&sweep::run(&replay_spec).rows).unwrap();
     for threads in [1usize, 2, 8] {
         let mut spec = grid_2x2(threads);
         spec.executor = Executor::DynStepping;

@@ -73,10 +73,10 @@
 //! Certificates are checkable by independent re-simulation
 //! ([`verify_lasso`]).
 
-use rvz_agent::fsa::Fsa;
+use rvz_agent::fsa::{Fsa, FsaRunner};
 use rvz_agent::line_fsa::StateId;
-use rvz_agent::model::{Action, Obs};
-use rvz_sim::{pair_index, EnsembleSchedule};
+use rvz_agent::model::{Action, Agent, Obs};
+use rvz_sim::{pair_index, Cursor, EnsembleSchedule};
 use rvz_trees::{NodeId, Port, Tree};
 
 /// One agent's situation between rounds: the automaton state that emitted
@@ -209,14 +209,16 @@ impl SoloLasso {
         self.cfgs.len() as u64 + 1
     }
 
-    /// Independently re-checks this lasso against `(t, fsa)` by naive
-    /// stepping: every tabulated configuration must match the solo run,
-    /// and the configuration after round `stem + period + 1` must wrap
-    /// back to the stem entry. `O(stem + period)` — a fresh tabulation
-    /// minus its visited table — so the persistent solo store can afford
-    /// to run it on *every* restored lasso before trusting one
-    /// (docs/persistence.md: "degrade, never lie"). Never panics on a
-    /// hostile lasso: out-of-range starts/nodes just fail the check.
+    /// Independently re-checks this lasso against `(t, fsa)` through the
+    /// certificate checkers' own stepping loop, an [`FsaRunner`] over a
+    /// [`Cursor`] that shares nothing with the decider's tabulation: every
+    /// tabulated configuration must match the solo run, and the
+    /// configuration after round `stem + period + 1` must wrap back to the
+    /// stem entry. `O(stem + period)` — a fresh tabulation minus its
+    /// visited table — so the persistent solo store can afford to run it
+    /// on *every* restored lasso before trusting one (docs/persistence.md:
+    /// "degrade, never lie"). Never panics on a hostile lasso:
+    /// out-of-range starts/nodes just fail the check.
     pub fn verify_solo(&self, t: &Tree, fsa: &Fsa) -> bool {
         let n = t.num_nodes();
         if fsa.max_degree < t.max_degree().max(1)
@@ -226,14 +228,16 @@ impl SoloLasso {
         {
             return false;
         }
-        let mut cur = step_first(t, fsa, self.start);
-        for cfg in &self.cfgs {
-            if *cfg != cur {
-                return false;
-            }
-            cur = step(t, fsa, cur);
-        }
-        cur == self.config_at(self.stem + 1)
+        // Round `r` is `config_at(r)`: the tabulated rounds, then the wrap.
+        let rounds = self.cfgs.len() as u64 + 1;
+        check_steps(
+            t,
+            fsa,
+            &[self.start],
+            |_, _| true,
+            rounds,
+            |round, lanes| lanes[0].cfg == Some(self.config_at(round)),
+        )
     }
 
     /// Wire-format version tag of [`SoloLasso::to_bytes`].
@@ -697,50 +701,19 @@ pub fn verify_schedule_lasso(
     verify_ensemble_lasso(t, fsa, &[a, b], sched, lasso)
 }
 
-/// Independently re-checks a [`Lasso`] certificate by naive stepping:
-/// simulates `stem + period` rounds under start delay `delay`, asserting
-/// (1) no co-location at any round `0..=stem + period`, (2) the joint
-/// configuration after round `stem` equals `at_cycle`, and (3) it recurs
-/// after round `stem + period`, with `period ≥ 1` (a zero period claims
-/// no recurrence at all). Linear in `stem + period` — meant for
-/// certificates over the moderate absolute rounds the grids produce.
+/// Independently re-checks a [`Lasso`] certificate: the two-lane case of
+/// [`verify_delayed_ensemble_lasso`], with lane delays `[0, delay]`. It
+/// steps `stem + period` rounds, asserting (1) no co-location at any
+/// round `0..=stem + period`, (2) the joint configuration after round
+/// `stem` (past the delay) equals `at_cycle`, and (3) it recurs after
+/// round `stem + period`, with `period ≥ 1` (a zero period claims no
+/// recurrence at all). Linear in `stem + period` — meant for certificates
+/// over the moderate absolute rounds the grids produce.
 pub fn verify_lasso(t: &Tree, fsa: &Fsa, a: NodeId, b: NodeId, delay: u64, lasso: &Lasso) -> bool {
-    if a == b || lasso.period == 0 {
-        return false;
-    }
-    let mut cfg_a: Option<AgentCfg> = None;
-    let mut cfg_b: Option<AgentCfg> = None;
-    let mut pos_b = b;
-    let mut at_stem: Option<(AgentCfg, AgentCfg)> = None;
-    for round in 1..=lasso.stem + lasso.period {
-        let stepped = match cfg_a {
-            None => step_first(t, fsa, a),
-            Some(c) => step(t, fsa, c),
-        };
-        cfg_a = Some(stepped);
-        let pos_a = stepped.node;
-        if round > delay {
-            cfg_b = Some(match cfg_b {
-                None => step_first(t, fsa, b),
-                Some(c) => step(t, fsa, c),
-            });
-            pos_b = cfg_b.expect("just set").node;
-        }
-        if pos_a == pos_b {
-            return false; // they meet — the certificate is bogus
-        }
-        if round == lasso.stem {
-            match (cfg_a, cfg_b) {
-                (Some(ca), Some(cb)) => at_stem = Some((ca, cb)),
-                _ => return false, // cycle cannot start before both act
-            }
-        }
-    }
-    let end = match (cfg_a, cfg_b) {
-        (Some(ca), Some(cb)) => (ca, cb),
-        _ => return false,
-    };
-    at_stem == Some(lasso.at_cycle) && end == lasso.at_cycle
+    let delays = [0, delay];
+    let at_cycle = [Some(lasso.at_cycle.0), Some(lasso.at_cycle.1)];
+    let claim = (lasso.stem, lasso.period, &at_cycle[..]);
+    verify_lanes(t, fsa, &[a, b], |round, lane| round > delays[lane], (delay, 1), claim)
 }
 
 /// A machine-checkable "never gathers" certificate — at `k = 2`, "never
@@ -1022,12 +995,14 @@ pub fn decide_ensemble(
     }
 }
 
-/// Independently re-checks an [`EnsembleLasso`] certificate by naive
-/// k-lane scheduled stepping: (1) the structural claims (stem past the
-/// prefix, period a positive multiple of the cycle length); (2) no round
-/// in `0..=stem + period` co-locates *all* `k` agents; (3) the joint
-/// configuration after round `stem` equals `at_cycle` and recurs after
-/// round `stem + period`. Never panics on a hostile certificate.
+/// Independently re-checks an [`EnsembleLasso`] certificate by k-lane
+/// scheduled stepping in the checkers' own loop — one [`FsaRunner`] over
+/// a [`Cursor`] per lane, never the decider's step helpers: (1) the
+/// structural claims (stem past the prefix, period a positive multiple of
+/// the cycle length); (2) no round in `0..=stem + period` co-locates
+/// *all* `k` agents; (3) the joint configuration after round `stem`
+/// equals `at_cycle` and recurs after round `stem + period`. Never panics
+/// on a hostile certificate.
 pub fn verify_ensemble_lasso(
     t: &Tree,
     fsa: &Fsa,
@@ -1042,7 +1017,7 @@ pub fn verify_ensemble_lasso(
             starts,
             |round, lane| sched.active(round)[lane],
             (sched.prefix_len(), sched.cycle_len()),
-            lasso,
+            (lasso.stem, lasso.period, &lasso.at_cycle),
         )
 }
 
@@ -1057,52 +1032,84 @@ pub fn verify_delayed_ensemble_lasso(
     lasso: &EnsembleLasso,
 ) -> bool {
     let prefix = delays.iter().copied().max().unwrap_or(0);
+    let claim = (lasso.stem, lasso.period, &lasso.at_cycle[..]);
     starts.len() == delays.len()
-        && verify_lanes(t, fsa, starts, |round, lane| round > delays[lane], (prefix, 1), lasso)
+        && verify_lanes(t, fsa, starts, |round, lane| round > delays[lane], (prefix, 1), claim)
 }
 
-/// The shared re-check: `active(round, lane)` is the activation rule, and
-/// `(prefix, cycle)` its prefix and cycle lengths.
+/// The shared re-check of every lasso certificate: `active(round, lane)`
+/// is the activation rule, `(prefix, cycle)` its prefix and cycle lengths,
+/// and `(stem, period, at_cycle)` the lasso's claim. A gathering in any
+/// round `0..=stem + period` makes the certificate bogus.
 fn verify_lanes(
     t: &Tree,
     fsa: &Fsa,
     starts: &[NodeId],
     active: impl Fn(u64, usize) -> bool,
     (prefix, cycle): (u64, u64),
-    lasso: &EnsembleLasso,
+    (stem, period, at_cycle): (u64, u64, &[Option<AgentCfg>]),
 ) -> bool {
-    let k = starts.len();
-    if lasso.at_cycle.len() != k || lasso.period == 0 {
+    if at_cycle.len() != starts.len()
+        || period == 0
+        || stem <= prefix
+        || !period.is_multiple_of(cycle)
+        || starts.iter().all(|&s| s == starts[0])
+    {
         return false;
     }
-    if starts.iter().all(|&s| s == starts[0]) {
-        return false; // gathered at round 0 — the certificate is bogus
-    }
-    if lasso.stem <= prefix || !lasso.period.is_multiple_of(cycle) {
-        return false;
-    }
-    let mut cfgs: Vec<Option<AgentCfg>> = vec![None; k];
-    let mut nodes = starts.to_vec();
-    let mut at_stem: Option<Vec<Option<AgentCfg>>> = None;
-    for round in 1..=lasso.stem + lasso.period {
+    let end = stem + period;
+    check_steps(t, fsa, starts, active, end, |round, lanes| {
+        let gathered = lanes.iter().all(|lane| lane.cursor.node == lanes[0].cursor.node);
+        let claim_holds = round != stem && round != end
+            || lanes.iter().map(|lane| lane.cfg).eq(at_cycle.iter().copied());
+        !gathered && claim_holds
+    })
+}
+
+/// One lane of [`check_steps`].
+struct CheckLane<'a> {
+    runner: FsaRunner<'a>,
+    cursor: Cursor,
+    /// The configuration after the lane's last activation, `None` before
+    /// its first.
+    cfg: Option<AgentCfg>,
+}
+
+/// The checkers' one stepping loop, sharing nothing with the decider but
+/// the tree and the automaton table: each lane is an [`FsaRunner`] over a
+/// [`Cursor`], and lane `i` acts in round `r` iff `active(r, i)`. After
+/// each round `1..=rounds`, `visit` sees the lanes, whose configurations
+/// are read back as [`AgentCfg`] only to be compared with a lasso; the
+/// loop stops, returning `false`, at the first round `visit` rejects.
+fn check_steps(
+    t: &Tree,
+    fsa: &Fsa,
+    starts: &[NodeId],
+    active: impl Fn(u64, usize) -> bool,
+    rounds: u64,
+    visit: impl Fn(u64, &[CheckLane<'_>]) -> bool,
+) -> bool {
+    let mut lanes: Vec<CheckLane<'_>> = starts
+        .iter()
+        .map(|&start| CheckLane { runner: fsa.runner(), cursor: Cursor::new(start), cfg: None })
+        .collect();
+    for round in 1..=rounds {
         if round & 0xFFF == 0 {
             rvz_sim::cancel::checkpoint();
         }
-        for i in 0..k {
+        for (i, lane) in lanes.iter_mut().enumerate() {
             if active(round, i) {
-                let next = step_opt(t, fsa, starts[i], cfgs[i]);
-                cfgs[i] = Some(next);
-                nodes[i] = next.node;
+                let action = lane.runner.act(lane.cursor.obs(t));
+                lane.cursor.apply(t, action);
+                let Cursor { node, entry } = lane.cursor;
+                lane.cfg = Some(AgentCfg { state: lane.runner.state(), node, entry });
             }
         }
-        if nodes.iter().all(|&v| v == nodes[0]) {
-            return false; // they gather — the certificate is bogus
-        }
-        if round == lasso.stem {
-            at_stem = Some(cfgs.clone());
+        if !visit(round, &lanes) {
+            return false;
         }
     }
-    at_stem.as_deref() == Some(&lasso.at_cycle) && cfgs == lasso.at_cycle
+    true
 }
 
 #[cfg(test)]

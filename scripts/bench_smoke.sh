@@ -37,8 +37,8 @@ cargo run --release -p rvz-bench --bin bench_baseline -- "$out/BENCH_sweep.json"
 # reproduce the two-thread replay rows byte for byte.
 cargo build --release --bin experiments
 exp=target/release/experiments
-"$exp" --experiment e6 --sizes 8,16 --threads 2 --json "$out/e6.json"
-"$exp" --experiment e6 --sizes 8,16 --threads 1 --json "$out/e6-t1.json"
+"$exp" --experiment e6 --sizes 8,16 --threads 2 --executor replay --json "$out/e6.json"
+"$exp" --experiment e6 --sizes 8,16 --threads 1 --executor replay --json "$out/e6-t1.json"
 cmp "$out/e6.json" "$out/e6-t1.json"
 "$exp" --experiment e6 --sizes 8,16 --threads 2 --executor stepping --json "$out/e6-stepping.json"
 cmp "$out/e6.json" "$out/e6-stepping.json"

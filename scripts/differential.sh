@@ -25,9 +25,9 @@
 #     rvz-certificates/v3), and both summaries precede the certificates
 #     (golden bytes only).
 #  8. e1–e8 on the stepping executor (golden bytes), and replayed,
-#     byte-compared with stepping. Replay is the e1–e8 default; one e7
-#     cell outgrows the recording cap and takes the replay loop's
-#     fall-back to stepping.
+#     byte-compared with stepping. Stepping is the e1–e8 default; replay
+#     runs only under --executor replay, and one e7 cell outgrows the
+#     recording cap and takes the replay loop's fall-back to stepping.
 #  9. The classic e1–e8 tables, the only outputs with raw f64 fields, and
 #     a one-thread e10 journal, which pins the compact record encoding: at
 #     one thread its records land in grid order, so its bytes repeat.

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Thread-scaling gate, run by scripts/bench_smoke.sh.
 #
-# More threads must never make a run slower. The script makes five cold
-# runs of e11's 3-agent trace-replay grid (every free tree n ≤ 9) at
-# --threads 1, interleaved with five at --threads $(nproc), and fails when
-# the median wall time at nproc threads exceeds 1.0 times the median at one
-# thread. With a single core there is nothing to compare, and the script
-# exits 0.
+# More threads must make a run faster. The script makes five cold runs of
+# e11's 3-agent trace-replay grid (every free tree n ≤ 9) at --threads 1,
+# interleaved with five at --threads $(nproc), and fails when the median
+# wall time at nproc threads exceeds 0.8 times the median at one thread.
+# On two cores it has read 0.53–0.71x, so 0.8 keeps headroom for a noisy
+# shared host. With a single core there is nothing to compare, and the
+# script exits 0.
 #
 # Usage: scripts/thread_scaling.sh [OUTDIR]   (from the repo root)
 # Writes each run's "label cpu_s wall_s" to OUTDIR/thread-scaling.txt.
@@ -28,4 +29,4 @@ for _ in $(seq 5); do
   measure threads=1 "${grid[@]}" --threads 1
   measure "threads=$threads" "${grid[@]}" --threads "$threads"
 done
-check_ratio wall 1.0 "threads=$threads" threads=1 "more threads made the run slower"
+check_ratio wall 0.8 "threads=$threads" threads=1 "more threads cut the wall time by less than a fifth"
