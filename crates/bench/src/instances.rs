@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rvz_trees::generators;
-use rvz_trees::{perfectly_symmetrizable, NodeId, Tree};
+use rvz_trees::{perfectly_symmetrizable, perfectly_symmetrizable_matrix, NodeId, Tree};
 
 /// A named tree family member.
 #[derive(Debug, Clone)]
@@ -123,22 +123,16 @@ pub fn feasible_tuples(tree: &Tree, k: usize, count: usize, seed: u64) -> Vec<Ve
 pub fn exhaustive_feasible_tuples(tree: &Tree, k: usize) -> Vec<Vec<NodeId>> {
     assert!(k >= 2, "an ensemble has at least two lanes");
     let n = tree.num_nodes() as NodeId;
-    // Memoize the symmetric pair predicate once; the tuple walk below
-    // re-reads each unordered pair many times.
-    let feasible_pair = |a: NodeId, b: NodeId| !perfectly_symmetrizable(tree, a, b);
-    let mut ok = vec![true; (n * n) as usize];
-    for a in 0..n {
-        for b in 0..n {
-            ok[(a * n + b) as usize] = a != b && feasible_pair(a, b);
-        }
-    }
+    // The tuple walk below re-reads each pair many times. The matrix's
+    // diagonal is set, so it also keeps the entries distinct.
+    let symmetrizable = perfectly_symmetrizable_matrix(tree);
     let mut out = Vec::new();
     let mut tuple: Vec<NodeId> = Vec::with_capacity(k);
     // Iterative lexicographic DFS over ordered tuples without repetition.
     fn extend(
         tuple: &mut Vec<NodeId>,
         out: &mut Vec<Vec<NodeId>>,
-        ok: &[bool],
+        symmetrizable: &[bool],
         n: NodeId,
         k: usize,
     ) {
@@ -148,16 +142,16 @@ pub fn exhaustive_feasible_tuples(tree: &Tree, k: usize) -> Vec<Vec<NodeId>> {
         }
         'candidate: for v in 0..n {
             for &u in tuple.iter() {
-                if !ok[(u * n + v) as usize] {
+                if symmetrizable[(u * n + v) as usize] {
                     continue 'candidate;
                 }
             }
             tuple.push(v);
-            extend(tuple, out, ok, n, k);
+            extend(tuple, out, symmetrizable, n, k);
             tuple.pop();
         }
     }
-    extend(&mut tuple, &mut out, &ok, n, k);
+    extend(&mut tuple, &mut out, &symmetrizable, n, k);
     out
 }
 

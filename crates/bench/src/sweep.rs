@@ -723,13 +723,16 @@ pub fn instances(spec: &SweepSpec) -> Vec<Arc<SweepInstance>> {
             }
         }
     }
+    let basic_walk = spec.variants.contains(&Variant::BasicWalkFsa);
     pool(spec).install(|| {
         coords
             .par_iter()
             .map(|&(family, n, ref enumerated)| {
                 let (tree_index, tree) = enumerated.clone().unzip();
                 let (seed, starts, agents) = (spec.seed, spec.pairs_per_cell, spec.agents);
-                Arc::new(SweepInstance::new(family, n, tree_index, tree, seed, starts, agents))
+                Arc::new(SweepInstance::new(
+                    family, n, tree_index, tree, seed, starts, agents, basic_walk,
+                ))
             })
             .collect()
     })
@@ -794,9 +797,11 @@ pub struct SweepInstance {
     n: usize,
     tree_index: Option<u64>,
     /// Shared basic-walk automaton for [`Variant::BasicWalkFsa`] cells
-    /// (its table is a function of the tree's maximum degree only), built
-    /// with the instance, so an instance serves every variant's cells.
-    bw_fsa: rvz_agent::Fsa,
+    /// (its table is a function of the tree's maximum degree only). Built
+    /// only for an instance that runs bw-fsa cells: the table is dense,
+    /// Θ(Δ³) entries, which a high-degree tree of a procedural grid would
+    /// pay for and never read.
+    bw_fsa: Option<rvz_agent::Fsa>,
     /// Solo recordings and lassos, fetched once from the process-wide
     /// registry and shared with every instance built at the same
     /// `(family, n, tree_seed)` (see [`crate::memo`]).
@@ -807,7 +812,8 @@ impl SweepInstance {
     /// Builds the instance at `(family, n, tree_index)` of a grid seeded
     /// with `base_seed`: its tree (`tree`, when the enumeration already
     /// yielded it), its start pool (every feasible start for the
-    /// enumerated family, else `starts` sampled ones) and its memo.
+    /// enumerated family, else `starts` sampled ones), its memo, and its
+    /// basic-walk table when `basic_walk` says it runs bw-fsa cells.
     fn new(
         family: Family,
         n: usize,
@@ -816,6 +822,7 @@ impl SweepInstance {
         base_seed: u64,
         starts: usize,
         agents: usize,
+        basic_walk: bool,
     ) -> Self {
         // The seeds are functions of the instance coordinates only, so
         // every delay/variant/pair cell on the instance sees the identical
@@ -836,7 +843,7 @@ impl SweepInstance {
             (tuples.iter().map(|t| [t[0], t[1]]).collect(), Vec::new())
         };
         let memo = memo::memo(family, n, tree_seed, tree.num_nodes());
-        let bw_fsa = rvz_agent::Fsa::basic_walk(tree.max_degree().max(1));
+        let bw_fsa = basic_walk.then(|| rvz_agent::Fsa::basic_walk(tree.max_degree().max(1)));
         SweepInstance {
             tree,
             pairs,
@@ -851,12 +858,23 @@ impl SweepInstance {
         }
     }
 
-    /// Builds the instance a cell runs on, standalone: the same value the
-    /// plan ([`instances()`]) holds for the cell. An enumerated tree is
-    /// rebuilt from its index ([`Family::build`]), so any cell rebuilds
-    /// from its coordinates alone.
+    /// Builds the instance a cell runs on, standalone: the same tree,
+    /// start pool and memo the plan ([`instances()`]) holds for the cell,
+    /// with the basic-walk table only for a bw-fsa cell. An enumerated
+    /// tree is rebuilt from its index ([`Family::build`]), so any cell
+    /// rebuilds from its coordinates alone.
     pub fn for_cell(c: &Cell) -> Self {
-        Self::new(c.family, c.n, c.tree_index, None, c.base_seed, c.pairs_total, c.agents)
+        let basic_walk = c.variant == Variant::BasicWalkFsa;
+        Self::new(
+            c.family,
+            c.n,
+            c.tree_index,
+            None,
+            c.base_seed,
+            c.pairs_total,
+            c.agents,
+            basic_walk,
+        )
     }
 
     /// This instance's cells of `spec`'s grid, in grid order (delay,
@@ -915,8 +933,16 @@ impl SweepInstance {
 
     /// The basic-walk automaton matched to this instance's degree bound;
     /// every `bw-fsa` cell on the instance borrows the same table.
+    ///
+    /// # Panics
+    ///
+    /// On an instance built for a grid or a cell without bw-fsa cells,
+    /// which holds no table.
     pub fn basic_walk_fsa(&self) -> &rvz_agent::Fsa {
-        &self.bw_fsa
+        self.bw_fsa.as_ref().expect(
+            "this instance holds no basic-walk table: it was built for a grid or a cell \
+             without bw-fsa cells",
+        )
     }
 
     /// The shared solo recording of `variant` from `start`.
@@ -2208,6 +2234,33 @@ mod tests {
             .expect("eight presets");
         assert_eq!(most, 20, "e2: five families × four sizes");
         assert!(most < crate::window::WINDOW);
+    }
+
+    #[test]
+    fn only_bw_fsa_grids_and_cells_build_the_basic_walk_table() {
+        // The table is dense, Θ(Δ³) entries: e7 runs procedural agents
+        // only, up to star(128) at its default sizes, and must not pay for
+        // one. e8 and e9 run bw-fsa cells on every instance.
+        let tables = |id: &str, sizes: &[usize]| {
+            let plan = instances(&preset(id, sizes, 1, 0).expect("preset"));
+            assert!(!plan.is_empty(), "{id}");
+            plan.iter().map(|inst| inst.bw_fsa.is_some()).collect::<Vec<bool>>()
+        };
+        assert!(tables("e7", DEFAULT_SIZES).iter().all(|&held| !held), "e7 holds a table");
+        assert!(tables("e8", &[8]).iter().all(|&held| held), "an e8 instance lacks its table");
+        assert!(tables("e9", &[4, 5]).iter().all(|&held| held), "an e9 instance lacks its table");
+        // A standalone instance holds the table exactly for a bw-fsa cell.
+        for cell in cells(&small_spec(1)) {
+            let held = SweepInstance::for_cell(&cell).bw_fsa.is_some();
+            assert_eq!(held, cell.variant == Variant::BasicWalkFsa, "{cell:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "holds no basic-walk table")]
+    fn a_procedural_instance_refuses_the_basic_walk_table() {
+        let spec = preset("e7", &[8], 1, 0).expect("preset");
+        instances(&spec)[0].basic_walk_fsa();
     }
 
     #[test]

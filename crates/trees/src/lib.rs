@@ -42,5 +42,8 @@ pub mod tree;
 
 pub use center::{center, Center};
 pub use contraction::{contract, Contraction};
-pub use symmetry::{perfectly_symmetrizable, symmetric_wrt_labeling, topologically_symmetric};
+pub use symmetry::{
+    perfectly_symmetrizable, perfectly_symmetrizable_matrix, symmetric_wrt_labeling,
+    topologically_symmetric,
+};
 pub use tree::{Edge, NodeId, Port, Tree, TreeError};

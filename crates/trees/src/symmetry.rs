@@ -27,7 +27,7 @@
 //! automorphism realizable by *some* labeling can be chosen to be an
 //! involution swapping the two central-edge halves.
 
-use crate::canon::{canon_ports, canon_structural};
+use crate::canon::{canon_ports, canon_structural, Canon};
 use crate::center::{center, Center};
 use crate::tree::{NodeId, Port, Tree};
 
@@ -156,26 +156,7 @@ pub fn perfectly_symmetrizable(t: &Tree, u: NodeId, v: NodeId) -> bool {
     let Center::Edge(x, y) = center(t) else {
         return false;
     };
-    // Which half is each node in? The half of x is the component of x after
-    // removing {x,y}.
-    let in_x_half = {
-        let mut seen = vec![false; t.num_nodes()];
-        seen[x as usize] = true;
-        let mut stack = vec![x];
-        while let Some(a) = stack.pop() {
-            for p in 0..t.degree(a) {
-                let b = t.neighbor(a, p);
-                if (a, b) == (x, y) || (a, b) == (y, x) {
-                    continue;
-                }
-                if !seen[b as usize] {
-                    seen[b as usize] = true;
-                    stack.push(b);
-                }
-            }
-        }
-        seen
-    };
+    let in_x_half = x_half(t, x, y);
     let (a, b) = if in_x_half[u as usize] && !in_x_half[v as usize] {
         (u, v)
     } else if in_x_half[v as usize] && !in_x_half[u as usize] {
@@ -184,6 +165,64 @@ pub fn perfectly_symmetrizable(t: &Tree, u: NodeId, v: NodeId) -> bool {
         return false;
     };
     canon_structural(t, x, Some(y), Some(a)) == canon_structural(t, y, Some(x), Some(b))
+}
+
+/// Definition 1.2 for every ordered pair at once: the row-major `n × n`
+/// matrix whose entry `u * n + v` is [`perfectly_symmetrizable`]`(t, u, v)`.
+///
+/// The same procedure, with the per-tree work done once: the center and
+/// the halves, then one marked canon per node — its own half's, marked at
+/// the node — where the single-pair call computes all of it per pair. A
+/// pair is symmetrizable iff its nodes are equal, or lie in different
+/// halves and have equal canons. Halves of different sizes carry no mark
+/// onto each other, so then only the diagonal is set.
+pub fn perfectly_symmetrizable_matrix(t: &Tree) -> Vec<bool> {
+    let n = t.num_nodes();
+    let mut matrix = vec![false; n * n];
+    for u in 0..n {
+        matrix[u * n + u] = true;
+    }
+    let Center::Edge(x, y) = center(t) else {
+        return matrix;
+    };
+    let in_x_half = x_half(t, x, y);
+    if 2 * in_x_half.iter().filter(|&&side| side).count() != n {
+        return matrix;
+    }
+    let canons: Vec<Canon> = (0..n as NodeId)
+        .map(|a| match in_x_half[a as usize] {
+            true => canon_structural(t, x, Some(y), Some(a)),
+            false => canon_structural(t, y, Some(x), Some(a)),
+        })
+        .collect();
+    for u in (0..n).filter(|&u| in_x_half[u]) {
+        for v in (0..n).filter(|&v| !in_x_half[v]) {
+            if canons[u] == canons[v] {
+                matrix[u * n + v] = true;
+                matrix[v * n + u] = true;
+            }
+        }
+    }
+    matrix
+}
+
+/// Which nodes lie in `x`'s half: the component of `x` once the central
+/// edge `{x, y}` is removed.
+fn x_half(t: &Tree, x: NodeId, y: NodeId) -> Vec<bool> {
+    let mut seen = vec![false; t.num_nodes()];
+    seen[x as usize] = true;
+    seen[y as usize] = true;
+    let mut stack = vec![x];
+    while let Some(a) = stack.pop() {
+        for (_, b, _) in t.neighbors(a) {
+            if !seen[b as usize] {
+                seen[b as usize] = true;
+                stack.push(b);
+            }
+        }
+    }
+    seen[y as usize] = false;
+    seen
 }
 
 /// For a perfectly symmetrizable pair, constructs an explicit witness: a
@@ -196,31 +235,9 @@ pub fn symmetrization_witness(t: &Tree, u: NodeId, v: NodeId) -> Option<(Tree, V
         return None;
     }
     let Center::Edge(x, y) = center(t) else { unreachable!("checked above") };
-    // Orient: u in the x-half.
-    let (u, v, x, y) = {
-        let mut seen = vec![false; t.num_nodes()];
-        seen[x as usize] = true;
-        let mut stack = vec![x];
-        while let Some(a) = stack.pop() {
-            for p in 0..t.degree(a) {
-                let b = t.neighbor(a, p);
-                if (a, b) == (x, y) || (a, b) == (y, x) {
-                    continue;
-                }
-                if !seen[b as usize] {
-                    seen[b as usize] = true;
-                    stack.push(b);
-                }
-            }
-        }
-        // Orient the marks so u sits in x's half (the halves themselves
-        // stay put — swapping both would de-synchronize marks and halves).
-        if seen[u as usize] {
-            (u, v, x, y)
-        } else {
-            (v, u, x, y)
-        }
-    };
+    // Orient the marks so u sits in x's half (the halves themselves stay
+    // put — swapping both would de-synchronize marks and halves).
+    let (u, v) = if x_half(t, x, y)[u as usize] { (u, v) } else { (v, u) };
     // Build the structural marked isomorphism (T_x, x, u) → (T_y, y, v) by
     // pairing children in canonical order.
     let n = t.num_nodes();
@@ -382,12 +399,10 @@ mod tests {
         assert!(symmetrization_witness(&t, 0, 4).is_none());
     }
 
-    #[test]
-    fn witness_on_bigger_trees() {
-        let mut rng = StdRng::seed_from_u64(21);
-        // Mirror-double a random tree: two copies joined by an edge; mirror
-        // nodes are perfectly symmetrizable.
-        let half = random_tree(9, &mut rng);
+    /// Two copies of `half` (nodes `w` and `w + n`) joined by an edge
+    /// between their roots 0 and `n`: the copies of a node are perfectly
+    /// symmetrizable.
+    fn mirror_double(half: &Tree) -> Tree {
         let n = half.num_nodes();
         let mut edges = Vec::new();
         for e in half.edges() {
@@ -400,7 +415,15 @@ mod tests {
         // Join roots 0 and n with a fresh port at each (degree extension).
         let d0 = half.degree(0);
         edges.push(crate::tree::Edge { u: 0, port_u: d0, v: n as NodeId, port_v: d0 });
-        let doubled = Tree::from_edges(2 * n, &edges).unwrap();
+        Tree::from_edges(2 * n, &edges).unwrap()
+    }
+
+    #[test]
+    fn witness_on_bigger_trees() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let half = random_tree(9, &mut rng);
+        let n = half.num_nodes();
+        let doubled = mirror_double(&half);
         for w in 0..n as NodeId {
             assert!(
                 perfectly_symmetrizable(&doubled, w, w + n as NodeId),
@@ -412,6 +435,51 @@ mod tests {
         }
         // Distinct non-mirror nodes in the same half: not symmetrizable.
         assert!(!perfectly_symmetrizable(&doubled, 0, 1));
+    }
+
+    /// The matrix entry of every ordered pair of `t` is the single-pair
+    /// procedure's verdict; returns how many distinct pairs it sets.
+    fn matrix_matches_the_pairs(t: &Tree) -> usize {
+        let n = t.num_nodes();
+        let matrix = perfectly_symmetrizable_matrix(t);
+        assert_eq!(matrix.len(), n * n);
+        for u in 0..n as NodeId {
+            for v in 0..n as NodeId {
+                assert_eq!(
+                    matrix[u as usize * n + v as usize],
+                    perfectly_symmetrizable(t, u, v),
+                    "({u},{v}) in {t:?}"
+                );
+            }
+        }
+        matrix.iter().filter(|&&set| set).count() - n
+    }
+
+    #[test]
+    fn matrix_matches_the_pair_procedure_on_every_free_tree_up_to_11() {
+        let mut pairs = 0;
+        for n in 1..=11 {
+            for t in crate::enumerate::free_trees(n) {
+                pairs += matrix_matches_the_pairs(&t);
+            }
+        }
+        assert!(pairs > 0, "some free tree has a symmetrizable pair");
+    }
+
+    #[test]
+    fn matrix_matches_the_pair_procedure_on_random_relabeled_trees() {
+        let mut rng = StdRng::seed_from_u64(0x3A7);
+        for n in 12..=40 {
+            let t = random_relabel(&random_tree(n, &mut rng), &mut rng);
+            matrix_matches_the_pairs(&t);
+            // Random trees rarely have isomorphic halves, so mirror-doubled
+            // ones exercise the pairs the matrix sets.
+            if n % 2 == 0 {
+                let doubled =
+                    random_relabel(&mirror_double(&random_tree(n / 2, &mut rng)), &mut rng);
+                assert!(matrix_matches_the_pairs(&doubled) >= n, "every mirror pair, both orders");
+            }
+        }
     }
 
     #[test]
@@ -522,13 +590,18 @@ mod tests {
             crate::generators::caterpillar(2, &[1, 1])
         }];
         for t in trees {
-            for u in 0..t.num_nodes() as NodeId {
-                for v in 0..t.num_nodes() as NodeId {
+            let n = t.num_nodes();
+            let matrix = perfectly_symmetrizable_matrix(&t);
+            for u in 0..n as NodeId {
+                for v in 0..n as NodeId {
+                    let truth = ground_truth(&t, u, v);
                     assert_eq!(
                         perfectly_symmetrizable(&t, u, v),
-                        ground_truth(&t, u, v),
+                        truth,
                         "mismatch at ({u},{v}) in {t:?}"
                     );
+                    let entry = matrix[u as usize * n + v as usize];
+                    assert_eq!(entry, truth, "matrix mismatch at ({u},{v}) in {t:?}");
                 }
             }
         }

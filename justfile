@@ -33,8 +33,9 @@ e9:
       --experiment e9 --executor decide \
       --json e9.json --certificates e9-certificates.json
 
-# e9 pushed one size past the CI default: every free tree with n ≤ 11
-# (+235 trees over the default axis) — minutes, not CI material.
+# e9 pushed one size past its default sizes: every free tree with n ≤ 11
+# (+235 trees over the default axis). CI's differential job certifies
+# the same grid in its lasso store leg.
 e9-full:
     cargo run --release --bin experiments -- \
       --experiment e9 --executor decide --sizes 2,3,4,5,6,7,8,9,10,11 \

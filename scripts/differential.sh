@@ -6,12 +6,13 @@
 #     decider answers natively: three-executor agreement.
 #  2. e9 certification (every free tree n ≤ 10): zero timeout cells (every
 #     row exactly decided), byte-identical across --threads 1/2/8, and
-#     every lasso certificate re-verified. The n = 11 axis stays behind
-#     `just e9-full`.
+#     every lasso certificate re-verified.
 #  3. e9 lasso store flush: a --store flush saves every key in canonical
 #     order, so the n ≤ 11 lasso store is the same file at --threads 1 and
 #     2 and holds all 4391 lassos. The same runs write the n ≤ 11 rows and
-#     certificates, which must not depend on the thread count either.
+#     certificates, which must not depend on the thread count either, and
+#     are checked as the n ≤ 10 ones are: every row exactly decided, every
+#     lasso certificate re-verified.
 #  4. e10, the activation-schedule axis: three-executor agreement, thread
 #     invariance and zero uncertified cells on the decide run.
 #  5. e11, the k-agent axis: the ensemble replayer and the k-lane stepper
@@ -106,6 +107,9 @@ for t in 1 2; do
   grep -q ' 4391 lassos flushed' "differential/e9-store-t$t.log" \
     || { echo "the --threads $t flush did not save all 4391 lassos" >&2; exit 1; }
 done
+all_certified differential/e9-store-t1.json "e9 n ≤ 11"
+require '[.certificates[] | select(.verified == false)] | length == 0' \
+  differential/e9-store-certificates-t1.json "an n ≤ 11 lasso certificate failed re-verification"
 
 echo "== e10: three executors and --threads 1 =="
 agree e10 differential/e10-certificates.json --experiment e10 --sizes 5,6,7 --threads 2

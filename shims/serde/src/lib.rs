@@ -143,6 +143,29 @@ impl std::ops::Index<usize> for Value {
 /// The writer flushes its buffer into the sink once it holds this much.
 const FLUSH_AT: usize = 64 * 1024;
 
+/// Nesting levels whose line break and indentation [`INDENT`] holds.
+const INDENT_LEVELS: usize = 16;
+
+/// A line break and two spaces per level, for the first [`INDENT_LEVELS`]
+/// levels: a pretty member's break and indentation is a prefix of it.
+const INDENT: [u8; 1 + 2 * INDENT_LEVELS] = {
+    let mut line = [b' '; 1 + 2 * INDENT_LEVELS];
+    line[0] = b'\n';
+    line
+};
+
+/// `00`, `01`, …, `99`: the two digits of every number below 100.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
 /// Streaming JSON renderer: compact, or serde_json's two-space pretty
 /// style.
 ///
@@ -154,7 +177,8 @@ const FLUSH_AT: usize = 64 * 1024;
 /// [`JsonWriter::finish`] returns the error.
 ///
 /// Containers are written with [`begin_object`](JsonWriter::begin_object)
-/// / [`key`](JsonWriter::key) (or [`field`](JsonWriter::field)) /
+/// / [`key`](JsonWriter::key) (or [`field`](JsonWriter::field), or
+/// [`quoted_field`](JsonWriter::quoted_field)) /
 /// [`end_object`](JsonWriter::end_object), and
 /// [`begin_array`](JsonWriter::begin_array) /
 /// [`element`](JsonWriter::element) / [`end_array`](JsonWriter::end_array);
@@ -223,9 +247,14 @@ impl<'a> JsonWriter<'a> {
 
     fn newline_indent(&mut self) {
         if self.pretty {
-            self.buf.push(b'\n');
-            let width = self.buf.len() + 2 * self.depth;
-            self.buf.resize(width, b' ');
+            match INDENT.get(..1 + 2 * self.depth) {
+                Some(line) => self.buf.extend_from_slice(line),
+                None => {
+                    self.buf.push(b'\n');
+                    let width = self.buf.len() + 2 * self.depth;
+                    self.buf.resize(width, b' ');
+                }
+            }
         }
     }
 
@@ -260,6 +289,10 @@ impl<'a> JsonWriter<'a> {
     pub fn key(&mut self, key: &str) {
         self.member();
         self.write_str(key);
+        self.colon();
+    }
+
+    fn colon(&mut self) {
         self.buf.push(b':');
         if self.pretty {
             self.buf.push(b' ');
@@ -269,6 +302,18 @@ impl<'a> JsonWriter<'a> {
     /// One object member: `key` and `value`.
     pub fn field<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
         self.key(key);
+        value.write_json(self);
+    }
+
+    /// One object member whose key is given already quoted and escaped
+    /// (`"\"n\""`), so it is copied, not escaped: `#[derive(Serialize)]`
+    /// writes every field through it, since a Rust field name never needs
+    /// an escape. The bytes are those of [`field`](JsonWriter::field)
+    /// with the unquoted key.
+    pub fn quoted_field<T: Serialize + ?Sized>(&mut self, quoted_key: &str, value: &T) {
+        self.member();
+        self.buf.extend_from_slice(quoted_key.as_bytes());
+        self.colon();
         value.write_json(self);
     }
 
@@ -299,16 +344,23 @@ impl<'a> JsonWriter<'a> {
         self.buf.extend_from_slice(if b { b"true" } else { b"false" });
     }
 
+    /// Decimal digits, two per step from [`DIGIT_PAIRS`], lowest first.
     fn write_u64(&mut self, mut n: u64) {
         let mut digits = [0u8; 20];
         let mut i = digits.len();
-        loop {
+        while n >= 100 {
+            let pair = 2 * (n % 100) as usize;
+            n /= 100;
+            i -= 2;
+            digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        }
+        if n >= 10 {
+            let pair = 2 * n as usize;
+            i -= 2;
+            digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        } else {
             i -= 1;
-            digits[i] = b'0' + (n % 10) as u8;
-            n /= 10;
-            if n == 0 {
-                break;
-            }
+            digits[i] = b'0' + n as u8;
         }
         self.buf.extend_from_slice(&digits[i..]);
     }
@@ -709,6 +761,113 @@ mod tests {
             render(&ints, true),
             "[\n  -9223372036854775808,\n  0,\n  -7,\n  18446744073709551615\n]"
         );
+    }
+
+    #[derive(Serialize)]
+    struct Leaf {
+        id: u64,
+        #[serde(skip_serializing_if = "Option::is_none")]
+        note: Option<String>,
+    }
+
+    #[derive(Serialize)]
+    struct Node {
+        depth: i64,
+        #[serde(skip_serializing_if = "Option::is_none")]
+        leaf: Option<Leaf>,
+        children: Vec<Node>,
+    }
+
+    /// What the derive writes for `Node`, through `field` and `key`.
+    fn node_by_hand(node: &Node, w: &mut JsonWriter<'_>) {
+        w.begin_object();
+        w.field("depth", &node.depth);
+        if let Some(leaf) = &node.leaf {
+            w.key("leaf");
+            w.begin_object();
+            w.field("id", &leaf.id);
+            if let Some(note) = &leaf.note {
+                w.field("note", note);
+            }
+            w.end_object();
+        }
+        w.key("children");
+        w.begin_array();
+        for child in &node.children {
+            w.element();
+            node_by_hand(child, w);
+        }
+        w.end_array();
+        w.end_object();
+    }
+
+    #[test]
+    fn derived_keys_render_as_field_calls_and_value_trees_do() {
+        // Each level nests two containers, so the chain runs deeper than
+        // the indentation slice; every level has a childless sibling and
+        // skips a different subset of the optional fields.
+        let mut node = Node { depth: 12, leaf: None, children: Vec::new() };
+        for depth in (0..12).rev() {
+            let note = (depth % 3 == 0).then(|| format!("level {depth}"));
+            let leaf = (depth % 2 == 0).then_some(Leaf { id: depth as u64 * 1_000_003, note });
+            let sibling = Node { depth: -depth, leaf: None, children: Vec::new() };
+            node = Node { depth, leaf, children: vec![node, sibling] };
+        }
+        for pretty in [false, true] {
+            let text = |write: &dyn Fn(&mut JsonWriter<'_>)| {
+                let mut w = JsonWriter::new(pretty);
+                write(&mut w);
+                String::from_utf8(w.into_bytes()).unwrap()
+            };
+            let derived = text(&|w| node.write_json(w));
+            assert_eq!(derived, text(&|w| node_by_hand(&node, w)), "pretty {pretty}");
+            assert_eq!(derived, text(&|w| node.to_json_value().write_json(w)), "pretty {pretty}");
+            if pretty {
+                // Every line is indented two spaces per container open
+                // before it, less one for a line that closes one.
+                let (mut depth, mut deepest) = (0usize, 0);
+                for line in derived.lines() {
+                    let body = line.trim_start_matches(' ');
+                    let closes = body.starts_with(['}', ']']);
+                    assert_eq!(line.len() - body.len(), 2 * (depth - usize::from(closes)));
+                    depth += body.matches(['{', '[']).count();
+                    depth -= body.matches(['}', ']']).count();
+                    deepest = deepest.max(depth);
+                }
+                assert!(deepest > INDENT_LEVELS, "nesting reaches {deepest} levels");
+            }
+        }
+    }
+
+    #[test]
+    fn integers_print_as_to_string_does() {
+        // As `i64`, u64::MAX and the next two are -1, i64::MIN and i64::MAX.
+        let mut unsigned = vec![0, 9, 10, 99, 100, u64::MAX, i64::MIN as u64, i64::MAX as u64];
+        for k in 1..=19 {
+            let power = 10u64.pow(k);
+            unsigned.extend([power - 1, power, power + 1]);
+        }
+        // A seeded splitmix64 sweep, shifted so every digit count occurs.
+        let mut state = 0x5EED_u64;
+        for _ in 0..20_000 {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            unsigned.push(z >> (z % 64));
+        }
+        let text = |write: &dyn Fn(&mut JsonWriter<'_>)| {
+            let mut w = JsonWriter::new(false);
+            write(&mut w);
+            String::from_utf8(w.into_bytes()).unwrap()
+        };
+        for &n in &unsigned {
+            assert_eq!(text(&|w| w.write_u64(n)), n.to_string());
+            for m in [n as i64, (n as i64).wrapping_neg()] {
+                assert_eq!(text(&|w| w.write_i64(m)), m.to_string());
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,8 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
              ::serde::Serialize::to_json_value(&self.{f})));"
         )
     });
-    let writer_entries = each_field(&|f| format!("w.field(\"{f}\", &self.{f});"));
+    // A field name never needs an escape: each key is emitted quoted.
+    let writer_entries = each_field(&|f| format!("w.quoted_field(\"\\\"{f}\\\"\", &self.{f});"));
     let out = format!(
         "impl ::serde::Serialize for {name} {{\n\
              fn to_json_value(&self) -> ::serde::Value {{\n\
