@@ -190,9 +190,12 @@ pub fn perfectly_symmetrizable_matrix(t: &Tree) -> Vec<bool> {
         return matrix;
     }
     let canons: Vec<Canon> = (0..n as NodeId)
-        .map(|a| match in_x_half[a as usize] {
-            true => canon_structural(t, x, Some(y), Some(a)),
-            false => canon_structural(t, y, Some(x), Some(a)),
+        .map(|a| {
+            if in_x_half[a as usize] {
+                canon_structural(t, x, Some(y), Some(a))
+            } else {
+                canon_structural(t, y, Some(x), Some(a))
+            }
         })
         .collect();
     for u in (0..n).filter(|&u| in_x_half[u]) {
@@ -211,6 +214,7 @@ pub fn perfectly_symmetrizable_matrix(t: &Tree) -> Vec<bool> {
 fn x_half(t: &Tree, x: NodeId, y: NodeId) -> Vec<bool> {
     let mut seen = vec![false; t.num_nodes()];
     seen[x as usize] = true;
+    // Marked while the walk runs, `y` keeps it from crossing the edge.
     seen[y as usize] = true;
     let mut stack = vec![x];
     while let Some(a) = stack.pop() {
@@ -438,7 +442,8 @@ mod tests {
     }
 
     /// The matrix entry of every ordered pair of `t` is the single-pair
-    /// procedure's verdict; returns how many distinct pairs it sets.
+    /// procedure's verdict; returns how many ordered pairs of distinct
+    /// nodes it sets.
     fn matrix_matches_the_pairs(t: &Tree) -> usize {
         let n = t.num_nodes();
         let matrix = perfectly_symmetrizable_matrix(t);
