@@ -196,7 +196,7 @@ impl Fold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{self, poisoned_row, timed_out_row, Executor, Quarantine};
+    use crate::sweep::{self, Executor, QuarantineKind};
 
     /// Every verdict column of a summary, keyed by its group.
     fn verdicts(summary: &[ScheduleSummary]) -> Vec<(usize, String, [u64; 5])> {
@@ -237,7 +237,7 @@ mod tests {
         // Every third cell poisoned and every third timed out, in every
         // schedule column: the summary must equal the one of the report
         // without those cells.
-        let quarantine: [Option<Quarantine>; 3] = [None, Some(poisoned_row), Some(timed_out_row)];
+        let quarantine = [None, Some(QuarantineKind::Poisoned), Some(QuarantineKind::TimedOut)];
         let (mixed, omitted) = sweep::quarantined_report(&spec, |i| quarantine[i % 3]);
         let quarantined = mixed.rows.len() - omitted.rows.len();
         let (summary, table) = summarize(&mixed);
@@ -248,7 +248,7 @@ mod tests {
         assert!(rendered.contains(&format!("{quarantined} cells quarantined")), "{rendered}");
         assert!(!rendered.contains("bounded simulation"), "{rendered}");
         // An all-poisoned run decided nothing: zero in every verdict column.
-        let (poisoned, _) = sweep::quarantined_report(&spec, |_| Some(poisoned_row));
+        let (poisoned, _) = sweep::quarantined_report(&spec, |_| Some(QuarantineKind::Poisoned));
         let (summary, _) = summarize(&poisoned);
         assert_eq!(summary.len(), expected.len());
         assert!(verdicts(&summary).iter().all(|(_, _, v)| *v == [0; 5]), "{summary:?}");

@@ -1,12 +1,12 @@
 //! A sweep's report files (`--json` rows, `--certificates`), filled block
-//! by block while the sweep runs, so no in-process run holds all of its
-//! rows.
+//! by block while the sweep runs, in process or under `--workers`, so no
+//! run holds all of its rows.
 //!
-//! The worker that computed a block renders it ([`RowsBlock`],
-//! [`CertificatesBlock`]): each row or certificate as the element of its
-//! file's array it will be, so the rows it renders are dropped on the
-//! thread that allocated them, and only bytes reach the sink. The sink
-//! appends each rendered block to its file.
+//! Whoever built a block (a sweep thread, or the supervisor) renders it
+//! ([`RowsBlock`], [`CertificatesBlock`]): each row or certificate as the
+//! element of its file's array it will be, so the rows are dropped where
+//! they were allocated, and only bytes reach the sink. The sink appends
+//! each rendered block to its file.
 //!
 //! A [`RowsFile`] streams into its temp sibling ([`wire::Pending`]) from
 //! the first block on: every member before the rows, then each block's
@@ -355,7 +355,7 @@ impl CertificatesFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{self, poisoned_row, timed_out_row, Block, Executor, Quarantine};
+    use crate::sweep::{self, Block, CellOutcome, Executor, QuarantineKind};
     use serde_json::json;
     use std::sync::Arc;
 
@@ -385,8 +385,8 @@ mod tests {
         let last = plan.last().expect("an instance");
         let cell = last.cells(&spec, &Arc::from("e9")).pop().expect("a cell");
         let dir = scratch("quarantine");
-        for (quarantine, tag) in
-            [(timed_out_row as Quarantine, "rvz-sweep/v4"), (poisoned_row, "rvz-sweep/v5")]
+        for (kind, tag) in
+            [(QuarantineKind::TimedOut, "rvz-sweep/v4"), (QuarantineKind::Poisoned, "rvz-sweep/v5")]
         {
             let path = dir.join("rows.json");
             let mut file = RowsFile::create(&path, &["e9"], 77, &[4, 5]).expect("create");
@@ -395,8 +395,9 @@ mod tests {
             for (i, block) in blocks.iter().enumerate() {
                 let mut block_rows = block.rows.clone();
                 if i + 1 == blocks.len() {
+                    let outcome = CellOutcome::quarantined(&cell, last, kind);
                     *block_rows.last_mut().expect("a row") =
-                        quarantine(&cell, last).expect("a quarantine row");
+                        sweep::render(&cell, last, outcome).0.expect("a quarantine row");
                 }
                 file.write(RowsBlock::render(&block_rows, &buffers), &buffers);
                 rows.extend(block_rows);

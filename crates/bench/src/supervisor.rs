@@ -7,8 +7,9 @@
 //! bytes — only *whether* it gets computed. The supervisor therefore
 //! plans the grid into contiguous shards, hands them one at a time to the
 //! workers it spawned, collects the finished cells from their stdout, and
-//! assembles the final report **in grid order** from whatever process
-//! happened to compute each cell. The result is byte-identical to a
+//! hands each instance's block on **in grid order** as soon as it and every
+//! block before it are in, from whatever process happened to compute each
+//! cell. The result is byte-identical to a
 //! single-process run for every `--workers` count and after any worker
 //! death (pinned by `tests/worker_supervision.rs` and the
 //! `scripts/crash_test.sh` worker legs).
@@ -54,13 +55,10 @@
 //! failure matrix.
 
 use crate::checkpoint::{self, CellRecord};
-use crate::sweep::{
-    self, dispatch_cell, poisoned_row, Block, Cell, RunOptions, SweepInstance, SweepReport,
-    SweepSpec,
-};
+use crate::sweep::{self, Block, Cell, RunOptions, SweepInstance, SweepReport, SweepSpec};
 use crate::{faults, wire};
 use serde::{Deserialize, JsonWriter, Serialize};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -206,17 +204,43 @@ fn decode_runs(body: &[u8], total: usize) -> Result<Vec<(usize, usize)>, String>
         .collect()
 }
 
-/// The flattened plan: every grid cell in grid order, beside the instance
-/// it runs on, so a grid index names one cell.
-fn grid<'a>(
-    spec: &SweepSpec,
-    instances: &'a [Arc<SweepInstance>],
-) -> Vec<(Cell, &'a Arc<SweepInstance>)> {
-    let experiment = Arc::from(spec.experiment.as_str());
-    instances
-        .iter()
-        .flat_map(|inst| inst.cells(spec, &experiment).into_iter().map(move |c| (c, inst)))
-        .collect()
+/// The plan's cells by grid index, without a flattened copy of the grid:
+/// every instance of the plan beside the grid index of its first cell.
+/// The supervisor and every worker build the same one, so a grid index
+/// names one cell in every process.
+struct Grid<'a> {
+    spec: &'a SweepSpec,
+    experiment: Arc<str>,
+    instances: Vec<Arc<SweepInstance>>,
+    /// Instance `i` holds grid indices `offsets[i]..offsets[i + 1]`.
+    offsets: Vec<usize>,
+}
+
+impl Grid<'_> {
+    fn new(spec: &SweepSpec) -> Grid<'_> {
+        let experiment = Arc::from(spec.experiment.as_str());
+        let instances = sweep::instances(spec);
+        let mut offsets = vec![0];
+        for inst in &instances {
+            offsets.push(offsets[offsets.len() - 1] + inst.cells(spec, &experiment).len());
+        }
+        Grid { spec, experiment, instances, offsets }
+    }
+
+    fn len(&self) -> usize {
+        self.offsets[self.instances.len()]
+    }
+
+    /// The cells of grid indices `lo..hi`, each beside its instance, in
+    /// grid order.
+    fn run(&self, lo: usize, hi: usize) -> impl Iterator<Item = (Cell, &Arc<SweepInstance>)> {
+        let overlaps = move |&i: &usize| self.offsets[i] < hi && lo < self.offsets[i + 1];
+        (0..self.instances.len()).filter(overlaps).flat_map(move |i| {
+            let (first, inst) = (self.offsets[i], &self.instances[i]);
+            let cells = inst.cells(self.spec, &self.experiment).into_iter();
+            cells.skip(lo.saturating_sub(first)).take(hi - first.max(lo)).map(move |c| (c, inst))
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -224,7 +248,7 @@ fn grid<'a>(
 
 struct Shard {
     range: ShardRange,
-    /// Cells not received yet (journaled cells count as received).
+    /// Cells not in yet (journaled cells count as in).
     missing: usize,
     attempts: u32,
     /// End of the backoff after a failed attempt.
@@ -235,6 +259,60 @@ struct Shard {
 impl Shard {
     fn open(&self) -> bool {
         self.missing > 0 && !self.poisoned
+    }
+}
+
+/// The cells that are in: journaled, sent by a worker, or of a poisoned
+/// shard. A block is complete once its cells and all before them are in.
+struct Arrivals {
+    /// Per grid index: the journal holds the cell, or a worker sent it.
+    arrived: Vec<bool>,
+    /// The records workers sent for blocks not handed on yet, by grid index.
+    pending: BTreeMap<usize, CellRecord>,
+    /// The first instance not handed on yet.
+    head: usize,
+    /// The first grid index not in yet.
+    frontier: usize,
+}
+
+impl Arrivals {
+    /// The head instance's block once it is complete, in grid order: each
+    /// cell from the record its worker sent, else through
+    /// [`sweep::cell_result`] — its journaled record, a poisoned row, or,
+    /// for a cell that never arrived, the cell computed in process (with a
+    /// warning unless `quiet`).
+    fn next_block(
+        &mut self,
+        grid: &Grid,
+        shards: &[Shard],
+        opts: &RunOptions,
+        quiet: bool,
+    ) -> Option<Block> {
+        let poisoned =
+            |idx| shards.iter().any(|sh| sh.poisoned && (sh.range.lo..sh.range.hi).contains(&idx));
+        while self.arrived.get(self.frontier).is_some_and(|&a| a || poisoned(self.frontier)) {
+            self.frontier += 1;
+        }
+        let i = self.head;
+        let (lo, hi) = (*grid.offsets.get(i)?, *grid.offsets.get(i + 1)?);
+        if hi > self.frontier {
+            return None;
+        }
+        self.head += 1;
+        let block = grid.run(lo, hi).zip(lo..).map(|((cell, inst), idx)| {
+            if let Some(rec) = self.pending.remove(&idx) {
+                return (rec.row, rec.certificate);
+            }
+            if !self.arrived[idx] && !poisoned(idx) && !quiet {
+                eprintln!(
+                    "warning: --workers: cell {:#018x} never arrived from a worker; \
+                     computing it in-process",
+                    cell.cell_seed()
+                );
+            }
+            sweep::cell_result(&cell, inst, grid.spec.executor, opts, poisoned(idx))
+        });
+        Some(block.collect())
     }
 }
 
@@ -308,16 +386,11 @@ impl Worker {
 
     /// Sends shard `s` the runs of its cells still missing (at most
     /// `MAX_RUNS` of them).
-    fn assign(
-        &mut self,
-        s: usize,
-        range: ShardRange,
-        received: &[Option<CellRecord>],
-    ) -> std::io::Result<()> {
+    fn assign(&mut self, s: usize, range: ShardRange, arrived: &[bool]) -> std::io::Result<()> {
         let mut runs = Vec::new();
         let mut lo = range.lo;
-        for group in received[range.lo..range.hi].chunk_by(|a, b| a.is_some() == b.is_some()) {
-            if group[0].is_none() && runs.len() < MAX_RUNS {
+        for group in arrived[range.lo..range.hi].chunk_by(|a, b| a == b) {
+            if !group[0] && runs.len() < MAX_RUNS {
                 runs.push((lo, lo + group.len()));
             }
             lo += group.len();
@@ -391,11 +464,12 @@ pub fn run_supervised(
 /// Runs `spec` through `cfg.workers` subprocesses and hands the merged
 /// result to `sink`, one instance [`Block`] at a time in grid order, each
 /// passed through `prepare` first, as [`sweep::run_into`] does in
-/// process. `spawn_worker` builds the worker command for a given workdir
-/// (the CLI re-invokes itself with `--worker <dir>`; tests re-invoke the
-/// test binary); the supervisor owns stdio, spawning, killing and
-/// reaping. Falls back to in-process execution (with a warning) when no
-/// worker can be spawned.
+/// process. A block leaves as soon as its cells and those of every block
+/// before it are in. `spawn_worker` builds the worker command for a given
+/// workdir (the CLI re-invokes itself with `--worker <dir>`; tests
+/// re-invoke the test binary); the supervisor owns stdio, spawning,
+/// killing and reaping. Falls back to in-process execution (with a
+/// warning) when no worker can be spawned.
 pub fn run_supervised_into<T: Send>(
     spec: &SweepSpec,
     opts: &RunOptions<'_>,
@@ -404,8 +478,7 @@ pub fn run_supervised_into<T: Send>(
     prepare: impl Fn(Block) -> T + Sync,
     mut sink: impl FnMut(T) + Send,
 ) {
-    let instances = sweep::instances(spec);
-    let grid = grid(spec, &instances);
+    let grid = Grid::new(spec);
     let plan = Plan {
         kind: PLAN_KIND.into(),
         version: PLAN_VERSION,
@@ -439,16 +512,18 @@ pub fn run_supervised_into<T: Send>(
         return sweep::run_into(spec, opts, prepare, sink);
     }
 
-    // Cells the journal already holds are never assigned.
-    let seeds: Vec<u64> = grid.iter().map(|(cell, _)| cell.cell_seed()).collect();
-    let mut received: Vec<Option<CellRecord>> =
-        seeds.iter().map(|&seed| opts.journal.and_then(|j| j.lookup(seed)).cloned()).collect();
+    // Cells the journal already holds are in from the start, and never
+    // assigned.
+    let seeds: Vec<u64> = grid.run(0, grid.len()).map(|(c, _)| c.cell_seed()).collect();
+    let journaled = |&seed: &u64| opts.journal.is_some_and(|j| j.lookup(seed).is_some());
+    let arrived = seeds.iter().map(journaled).collect();
+    let mut arrivals = Arrivals { arrived, pending: BTreeMap::new(), head: 0, frontier: 0 };
     let start = Instant::now();
     let mut shards: Vec<Shard> = plan_shards(grid.len(), cfg.workers)
         .into_iter()
         .map(|range| Shard {
             range,
-            missing: received[range.lo..range.hi].iter().filter(|r| r.is_none()).count(),
+            missing: arrivals.arrived[range.lo..range.hi].iter().filter(|&&a| !a).count(),
             attempts: 0,
             not_before: start,
             poisoned: false,
@@ -459,6 +534,10 @@ pub fn run_supervised_into<T: Send>(
     let mut workers: Vec<Option<Worker>> = Vec::new();
     let mut spawn_broken = false;
     loop {
+        // Hand on every block that is complete, in grid order.
+        while let Some(block) = arrivals.next_block(&grid, &shards, opts, spawn_broken) {
+            sink(prepare(block));
+        }
         // Hand every shard that is due to an idle worker, spawning workers
         // up to the pool size while none is idle.
         loop {
@@ -491,7 +570,7 @@ pub fn run_supervised_into<T: Send>(
                 None => break,
             };
             let worker = workers[w].as_mut().expect("live worker");
-            if worker.assign(s, shards[s].range, &received).is_err() {
+            if worker.assign(s, shards[s].range, &arrivals.arrived).is_err() {
                 retire(&mut workers, &mut shards, w, "lost its worker", cfg);
             }
         }
@@ -519,7 +598,8 @@ pub fn run_supervised_into<T: Send>(
                 for (rec, end) in burst.records {
                     match (worker.shard, worker.owed.front()) {
                         (Some(s), Some(&idx)) if seeds[idx] == rec.cell_seed => {
-                            received[idx] = Some(rec);
+                            arrivals.arrived[idx] = true;
+                            arrivals.pending.insert(idx, rec);
                             shards[s].missing -= 1;
                             worker.owed.pop_front();
                             if worker.owed.is_empty() {
@@ -559,47 +639,11 @@ pub fn run_supervised_into<T: Send>(
         worker.stop();
     }
 
-    // Final assembly, in grid order — this is where byte-identity to the
-    // single-process run is decided. Each instance's cells become its
-    // block, handed to the sink before the next instance's. Poisoned
-    // shards yield explicit poisoned rows; any other hole (after a spawn
-    // failure, or as a safety net) is computed in-process.
-    let mut cells = grid.iter().zip(received).enumerate().peekable();
-    for inst in &instances {
-        let mut block = Block::default();
-        while let Some((idx, ((cell, _), rec))) =
-            cells.next_if(|(_, ((_, owner), _))| Arc::ptr_eq(owner, inst))
-        {
-            let seed = seeds[idx];
-            let (row, cert) = if let Some(rec) = rec {
-                (rec.row, rec.certificate)
-            } else {
-                let poisoned =
-                    shards.iter().any(|sh| sh.poisoned && sh.range.lo <= idx && idx < sh.range.hi);
-                if !poisoned && !spawn_broken {
-                    eprintln!(
-                        "warning: --workers: cell {seed:#018x} never arrived from a worker; \
-                         computing it in-process"
-                    );
-                }
-                let out = if poisoned {
-                    (poisoned_row(cell, inst), None)
-                } else {
-                    dispatch_cell(cell, inst, spec.executor, opts.cell_timeout)
-                };
-                if let Some(journal) = opts.journal {
-                    journal.record(&CellRecord {
-                        cell_seed: seed,
-                        row: out.0.clone(),
-                        certificate: out.1.clone(),
-                    });
-                }
-                out
-            };
-            block.planned += 1;
-            block.rows.extend(row);
-            block.certificates.extend(cert);
-        }
+    // The blocks left, in grid order. Poisoned shards yield explicit
+    // poisoned rows; any other hole (after a spawn failure, or as a safety
+    // net) is computed in-process.
+    arrivals.frontier = grid.len();
+    while let Some(block) = arrivals.next_block(&grid, &shards, opts, spawn_broken) {
         sink(prepare(block));
     }
     if let Some(journal) = opts.journal {
@@ -701,8 +745,7 @@ pub fn worker_main(workdir: &Path, specs: &[&SweepSpec]) -> Result<(), String> {
         result.map_err(|e| format!("cannot write to the supervisor: {e}"))
     };
 
-    let instances = sweep::instances(spec);
-    let grid = grid(spec, &instances);
+    let grid = Grid::new(spec);
     if grid.len() != plan.total_cells {
         return Err(format!(
             "shard plan covers {} cells but this worker enumerates {}",
@@ -711,19 +754,21 @@ pub fn worker_main(workdir: &Path, specs: &[&SweepSpec]) -> Result<(), String> {
         ));
     }
 
-    let timeout = plan.cell_timeout_ms.map(Duration::from_millis);
+    let cell_timeout = plan.cell_timeout_ms.map(Duration::from_millis);
+    let opts = RunOptions { journal: None, cell_timeout };
     let mut stdin = std::io::stdin().lock();
     let mut assignment = Vec::new();
     while wire::read_frame(&mut stdin, &mut assignment)
         .map_err(|e| format!("bad assignment frame: {e}"))?
     {
         for (lo, hi) in decode_runs(&assignment[8..], grid.len())? {
-            for (cell, inst) in &grid[lo..hi] {
+            for (cell, inst) in grid.run(lo, hi) {
                 if faults::check(faults::Site::WorkerKill).is_some() {
                     // The kill -9 simulation: die hard, mid-shard.
                     std::process::abort();
                 }
-                let (row, certificate) = dispatch_cell(cell, inst, spec.executor, timeout);
+                let (row, certificate) =
+                    sweep::cell_result(&cell, inst, spec.executor, &opts, false);
                 let rec = CellRecord { cell_seed: cell.cell_seed(), row, certificate };
                 let body = checkpoint::record_body(&rec);
                 let mut outbox = outbox.lock().expect("outbox lock");

@@ -53,7 +53,7 @@ use rvz_lowerbounds::decide::{
 use rvz_sim::trace::Replay;
 use rvz_sim::{
     replay_ensemble, replay_pair, run_ensemble_with, ActivationIndex, EnsembleReplay, EnsembleRun,
-    EnsembleSchedule, Outcome, PairConfig,
+    EnsembleSchedule, PairConfig,
 };
 use rvz_trees::{NodeId, Tree};
 use serde::{Deserialize, Serialize};
@@ -963,7 +963,8 @@ impl SweepInstance {
 /// by sharing a [`SweepInstance`] across the sub-grid via
 /// [`run_cell_on`].
 pub fn run_cell(cell: &Cell) -> Option<SweepRow> {
-    run_cell_on(cell, &SweepInstance::for_cell(cell))
+    let inst = SweepInstance::for_cell(cell);
+    render(cell, &inst, run_cell_on(cell, &inst)).0
 }
 
 /// How a cell's delay axis executes at a resolved instance size. A start
@@ -974,27 +975,7 @@ pub fn run_cell(cell: &Cell) -> Option<SweepRow> {
 /// A genuine schedule is resolved at the cell's lane count.
 pub(crate) enum CellMode {
     Delay(u64),
-    Scheduled(ScheduleSpec, EnsembleSchedule),
-}
-
-impl CellMode {
-    /// The row's delay-axis fields: θ (0 for a genuine schedule) and the
-    /// schedule label (genuine schedules only).
-    fn row_fields(&self, n: usize) -> (u64, Option<String>) {
-        match self {
-            CellMode::Delay(theta) => (*theta, None),
-            CellMode::Scheduled(spec, _) => (0, Some(spec.label(n))),
-        }
-    }
-
-    /// The exact basic-walk decision horizon ([`schedule_budget_for`],
-    /// which is [`basic_walk_budget_for`] on a start delay).
-    fn bw_budget(&self, n: usize) -> u64 {
-        match self {
-            CellMode::Delay(theta) => basic_walk_budget_for(n, *theta),
-            CellMode::Scheduled(_, sched) => schedule_budget_for(n, sched),
-        }
-    }
+    Scheduled(EnsembleSchedule),
 }
 
 /// Per-lane start delays of a θ cell: the last lane is delayed.
@@ -1011,90 +992,189 @@ impl Cell {
         match self.delay {
             Delay::Schedule(spec) => match spec.as_start_delay() {
                 Some(theta) => CellMode::Delay(theta),
-                None => CellMode::Scheduled(spec, spec.resolve_ensemble(n, self.agents)),
+                None => CellMode::Scheduled(spec.resolve_ensemble(n, self.agents)),
             },
             delay => CellMode::Delay(delay.resolve(n)),
         }
     }
-}
 
-/// Round budget and provisioned automaton size for a cell's variant at
-/// this instance (shared by every executor). Procedural budgets are
-/// per-instance and lane-count-free (the provisioning argument bounds
-/// *each* copy); the basic-walk budget is the mode's exact horizon.
-pub(crate) fn budget_and_provisioned(
-    cell: &Cell,
-    inst: &SweepInstance,
-    n: usize,
-    leaves: usize,
-    mode: &CellMode,
-) -> (u64, u64) {
-    match cell.variant {
-        Variant::TreeRvz => {
-            (budget_for(n), TreeRendezvousAgent::provisioned_bits(n as u64, leaves as u64))
+    /// The round budget of the cell's variant at instance size `n`, shared
+    /// by every executor. Procedural budgets are per-instance and
+    /// lane-count-free (the provisioning argument bounds *each* copy); the
+    /// basic-walk budget is the mode's exact horizon
+    /// ([`schedule_budget_for`], which is [`basic_walk_budget_for`] on a
+    /// start delay).
+    fn budget(&self, n: usize, mode: &CellMode) -> u64 {
+        match (self.variant, mode) {
+            (Variant::TreeRvz | Variant::DelayRobust, _) => budget_for(n),
+            (Variant::PrimePath, _) => prime_budget_for(n),
+            (Variant::BasicWalkFsa, CellMode::Delay(theta)) => basic_walk_budget_for(n, *theta),
+            (Variant::BasicWalkFsa, CellMode::Scheduled(s)) => schedule_budget_for(n, s),
         }
-        Variant::DelayRobust => (budget_for(n), DelayRobustAgent::provisioned_bits(n as u64)),
-        Variant::PrimePath => (prime_budget_for(n), 0),
-        Variant::BasicWalkFsa => (mode.bw_budget(n), inst.basic_walk_fsa().memory_bits()),
     }
 }
 
-/// Assembles the result row — the single place the row shape lives,
-/// shared by all three executors (stepping and replay pass the bounded
-/// run's outcome with `certified: false`; the decide path passes its exact
-/// verdict with `certified: true`). Byte-identity across executors is
-/// maintained here, not per call site. Lanes 0/1 land in
-/// `start_a`/`start_b`; a `k > 2` row also carries `agents` and lanes 2..
-/// in `start_rest`, so every pair row keeps its exact serialized shape.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn make_row(
+/// Why a cell records no run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QuarantineKind {
+    /// Every attempt exceeded `--cell-timeout` ([`SweepRow::timed_out`]).
+    TimedOut,
+    /// Every worker sent to its shard died ([`SweepRow::poisoned`]).
+    Poisoned,
+}
+
+/// What an executor computed for one cell, with the delay and budget it
+/// ran under: every field of its row and certificate that `render` does
+/// not read off the cell and its instance. Every executor, the watchdog
+/// and the supervisor's quarantine produce one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CellOutcome {
+    /// The meeting round — of *gathering* at `k > 2`: all copies on one
+    /// node at a round boundary. The row's `met` is whether there is one.
+    pub rounds: Option<u64>,
+    pub crossings: u64,
+    /// The largest memory reading of the cell's agents after the run.
+    pub measured_bits: u64,
+    /// Exactly decided: no round is then a certified never-meets.
+    pub certified: bool,
+    /// The resolved start delay θ (0 under a genuine schedule); on a ∀θ
+    /// cell, the decisive delay (0 when no run reached one).
+    pub delay: u64,
+    /// The round budget the cell ran under: on a ∀θ cell, the decisive
+    /// delay's horizon (0 when no run reached one).
+    pub budget: u64,
+    /// `Some` when no run happened: the outcome then records none.
+    pub quarantine: Option<QuarantineKind>,
+    /// The evidence of a certified verdict, for the cell's [`Certificate`].
+    pub certificate: Option<Evidence>,
+}
+
+/// What a [`Certificate`] adds to its cell's row; its decisive delay and
+/// round are the outcome's `delay` and `rounds` on every path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Evidence {
+    /// `"never-meets"` / `"never-gathers"` at a fixed delay or schedule;
+    /// `"all-delays-meet"` / `"delay-defeats"` on a ∀θ cell.
+    pub verdict: &'static str,
+    /// Distinct delay classes the ∀θ quantifier decided.
+    pub delays_checked: Option<u64>,
+    /// The never-meets lasso: its stem, its period, and whether
+    /// independent stepping re-verified it.
+    pub lasso: Option<(u64, u64, bool)>,
+}
+
+impl CellOutcome {
+    /// A run's uncertified outcome.
+    fn ran(rounds: Option<u64>, crossings: u64, bits: u64, (delay, budget): (u64, u64)) -> Self {
+        CellOutcome {
+            rounds,
+            crossings,
+            measured_bits: bits,
+            certified: false,
+            delay,
+            budget,
+            quarantine: None,
+            certificate: None,
+        }
+    }
+
+    /// A quarantined cell: "no run happened" — no round, zero crossings and
+    /// measured bits, uncertified — whose row still names the skipped
+    /// computation (θ, schedule, budget, provisioned bits); a ∀θ cell never
+    /// reached a decisive delay, so it reports θ 0 and budget 0. `None` past
+    /// the end of the start pool (a dropped cell).
+    pub(crate) fn quarantined(
+        cell: &Cell,
+        inst: &SweepInstance,
+        kind: QuarantineKind,
+    ) -> Option<Self> {
+        inst.starts(cell)?;
+        let n = inst.tree.num_nodes();
+        let horizon = match cell.delay {
+            Delay::Adversarial => (0, 0),
+            delay => (delay.resolve(n), cell.budget(n, &cell.mode(n))),
+        };
+        Some(CellOutcome { quarantine: Some(kind), ..Self::ran(None, 0, 0, horizon) })
+    }
+}
+
+/// Renders a cell's outcome as its row and, for a certified verdict, its
+/// certificate: the single place either shape lives, so byte-identity
+/// across executors, the watchdog and the supervisor is kept here. Lanes
+/// 0/1 land in `start_a`/`start_b`; at `k > 2` `agents` and `start_rest`
+/// join, so every pair row keeps its exact shape. A dropped cell (no
+/// outcome) renders as nothing.
+pub(crate) fn render(
     cell: &Cell,
     inst: &SweepInstance,
-    n: usize,
-    leaves: usize,
-    (delay, schedule): (u64, Option<String>),
-    (met, rounds, crossings): (bool, Option<u64>, u64),
-    budget: u64,
-    provisioned_bits: u64,
-    measured_bits: u64,
-    starts: &[NodeId],
-    certified: bool,
-) -> SweepRow {
+    outcome: Option<CellOutcome>,
+) -> (Option<SweepRow>, Option<Certificate>) {
+    let Some(o) = outcome else { return (None, None) };
+    let tree = &inst.tree;
+    let (n, leaves) = (tree.num_nodes(), tree.num_leaves());
+    let starts = inst.starts(cell).expect("a cell with an outcome has its starts");
+    // Start-delay-shaped schedule specs emit legacy rows, with no label.
+    let schedule = match cell.delay {
+        Delay::Schedule(spec) if spec.as_start_delay().is_none() => Some(spec.label(n)),
+        _ => None,
+    };
+    let provisioned_bits = match cell.variant {
+        Variant::TreeRvz => TreeRendezvousAgent::provisioned_bits(n as u64, leaves as u64),
+        Variant::DelayRobust => DelayRobustAgent::provisioned_bits(n as u64),
+        Variant::PrimePath => 0,
+        Variant::BasicWalkFsa => inst.basic_walk_fsa().memory_bits(),
+    };
     let ensemble = starts.len() > 2;
-    SweepRow {
+    let agents = ensemble.then_some(starts.len());
+    let start_rest = || ensemble.then(|| starts[2..].to_vec());
+    let certificate = o.certificate.map(|e| Certificate {
+        experiment: cell.experiment.clone(),
+        family: cell.family.name().to_string(),
+        size: cell.n,
+        n,
+        tree_seed: inst.tree_seed,
+        variant: cell.variant.name().to_string(),
+        start_a: starts[0],
+        start_b: starts[1],
+        verdict: e.verdict.to_string(),
+        schedule: schedule.clone(),
+        delay: o.delay,
+        round: o.rounds,
+        delays_checked: e.delays_checked,
+        lasso_stem: e.lasso.map(|(stem, _, _)| stem),
+        lasso_period: e.lasso.map(|(_, period, _)| period),
+        verified: e.lasso.map(|(_, _, verified)| verified),
+        agents,
+        start_rest: start_rest(),
+    });
+    let row = SweepRow {
         experiment: cell.experiment.clone(),
         family: cell.family.name().to_string(),
         size: cell.n,
         n,
         leaves,
         variant: cell.variant.name().to_string(),
-        delay,
+        delay: o.delay,
         schedule,
         start_a: starts[0],
         start_b: starts[1],
-        met,
-        rounds,
-        crossings,
-        budget,
+        met: o.rounds.is_some(),
+        rounds: o.rounds,
+        crossings: o.crossings,
+        budget: o.budget,
         provisioned_bits,
-        measured_bits,
+        measured_bits: o.measured_bits,
         tree_seed: inst.tree_seed,
         pairs_seed: inst.pairs_seed,
         cell_seed: cell.cell_seed(),
-        certified,
-        timed_out: None,
-        poisoned: None,
+        certified: o.certified,
+        timed_out: (o.quarantine == Some(QuarantineKind::TimedOut)).then_some(true),
+        poisoned: (o.quarantine == Some(QuarantineKind::Poisoned)).then_some(true),
         planned: None,
-        agents: ensemble.then_some(starts.len()),
-        start_rest: ensemble.then(|| starts[2..].to_vec()),
-    }
-}
-
-/// The `(met, rounds, crossings)` triple of a bounded run, as [`make_row`]
-/// consumes it — `met` is *gathering* at `k > 2`: all copies on one node
-/// at a round boundary.
-fn bounded_outcome(outcome: Outcome, crossings: u64) -> (bool, Option<u64>, u64) {
-    (outcome.met(), outcome.round(), crossings)
+        agents,
+        start_rest: start_rest(),
+    };
+    (Some(row), certificate)
 }
 
 /// Steps a bank of fresh agents, one per start built by `spawn`, through
@@ -1129,7 +1209,7 @@ fn step_bank<A: Agent>(
             budget,
             false,
         ),
-        (CellMode::Scheduled(_, sched), _) => {
+        (CellMode::Scheduled(sched), _) => {
             run_ensemble_with(tree, starts, act, |r, lane| sched.active(r)[lane], budget, false)
         }
     };
@@ -1141,19 +1221,18 @@ fn step_bank<A: Agent>(
 /// replay is asked for), for any lane count. `inst` must be (equal to)
 /// `SweepInstance::for_cell(cell)` — the executor guarantees this by
 /// running each cell on the instance that expanded it ([`SweepInstance::cells`]).
-pub fn run_cell_on(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
+pub fn run_cell_on(cell: &Cell, inst: &SweepInstance) -> Option<CellOutcome> {
     if cell.delay == Delay::Adversarial {
         // Only the quantifier layer can answer "every delay".
-        return run_cell_decide(cell, inst);
+        return run_cell_decide_certified(cell, inst);
     }
     let tree = &inst.tree;
     let n = tree.num_nodes();
-    let leaves = tree.num_leaves();
     let starts = inst.starts(cell)?;
     let mode = cell.mode(n);
-    let (budget, provisioned_bits) = budget_and_provisioned(cell, inst, n, leaves, &mode);
 
     // One concrete bank per variant, so each variant's meter stays readable.
+    let budget = cell.budget(n, &mode);
     let step = (&mode, budget);
     let (run, measured_bits) = match cell.variant {
         Variant::TreeRvz => step_bank(
@@ -1178,20 +1257,8 @@ pub fn run_cell_on(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
             step_bank(tree, starts, step, || fsa.runner(), Agent::memory_bits)
         }
     };
-
-    Some(make_row(
-        cell,
-        inst,
-        n,
-        leaves,
-        mode.row_fields(n),
-        bounded_outcome(run.outcome, run.crossings),
-        budget,
-        provisioned_bits,
-        measured_bits,
-        starts,
-        false,
-    ))
+    let theta = cell.delay.resolve(n);
+    Some(CellOutcome::ran(run.outcome.round(), run.crossings, measured_bits, (theta, budget)))
 }
 
 /// Executes one cell from recorded trajectories (the
@@ -1202,24 +1269,23 @@ pub fn run_cell_on(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
 /// delay on two lanes merges by constant shift
 /// ([`rvz_sim::replay_pair`]); every other cell runs the k-cursor merge
 /// ([`rvz_sim::replay_ensemble`]) on per-lane activation indices, which
-/// take θ as an integer. Rows are byte-identical to [`run_cell_on`]'s.
+/// take θ as an integer. Outcomes equal [`run_cell_on`]'s.
 ///
 /// This is the one place the memo's lock order lives: the cell read-locks
 /// its lanes in ascending start order and merges; when the merge asks for
 /// more rounds, it drops every guard, grows only the lanes the merge
 /// flagged, each under its own write lock, and retries. A cell that would
 /// grow a lane past the recording cap (2²³ rounds) is stepped instead.
-pub fn run_cell_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
+pub fn run_cell_replay(cell: &Cell, inst: &SweepInstance) -> Option<CellOutcome> {
     if cell.delay == Delay::Adversarial {
         // Only the quantifier layer can answer "every delay".
-        return run_cell_decide(cell, inst);
+        return run_cell_decide_certified(cell, inst);
     }
     let tree = &inst.tree;
     let n = tree.num_nodes();
-    let leaves = tree.num_leaves();
     let starts = inst.starts(cell)?;
     let mode = cell.mode(n);
-    let (budget, provisioned_bits) = budget_and_provisioned(cell, inst, n, leaves, &mode);
+    let budget = cell.budget(n, &mode);
     // Built once per cell for the merge and the meters; a θ cell's lanes
     // come straight from the integer delays, with no schedule rows.
     let indices: Vec<ActivationIndex> = match &mode {
@@ -1227,7 +1293,7 @@ pub fn run_cell_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
             .into_iter()
             .map(ActivationIndex::start_delay)
             .collect(),
-        CellMode::Scheduled(_, sched) => sched.indices(),
+        CellMode::Scheduled(sched) => sched.indices(),
     };
     // The pair merge stays for θ pairs: on e2's long merges and the
     // n ≈ 200 delay scan, routing them through the k-lane merge was
@@ -1275,19 +1341,8 @@ pub fn run_cell_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
                     .map(|(traj, idx)| traj.bits_at(idx.acts_at(end)))
                     .max()
                     .unwrap_or(0);
-                return Some(make_row(
-                    cell,
-                    inst,
-                    n,
-                    leaves,
-                    mode.row_fields(n),
-                    bounded_outcome(outcome, crossings),
-                    budget,
-                    provisioned_bits,
-                    measured_bits,
-                    starts,
-                    false,
-                ));
+                let horizon = (cell.delay.resolve(n), budget);
+                return Some(CellOutcome::ran(outcome.round(), crossings, measured_bits, horizon));
             }
             Err(rounds) => {
                 if rounds.iter().any(|&need| need > memo::MAX_RECORD_ROUNDS) {
@@ -1310,13 +1365,6 @@ pub fn run_cell_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
     }
 }
 
-/// Executes one cell through the exact decider (the
-/// [`Executor::ExactDecide`] path); see [`run_cell_decide_certified`] for
-/// the certificate-carrying form.
-pub fn run_cell_decide(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
-    run_cell_decide_certified(cell, inst).map(|(row, _)| row)
-}
-
 /// A decided cell at a fixed delay or schedule: the fixed-delay closed
 /// form (pairs), or an ensemble decision (every schedule, and every delay
 /// at `k > 2`).
@@ -1326,76 +1374,37 @@ enum CellDecision {
 }
 
 /// Executes one cell by reachability over the joint configuration graph
-/// ([`rvz_lowerbounds::decide`]) — no round budget, for any lane count.
-/// Exact for the automaton variant; procedural-agent cells are stepped
-/// ([`run_cell_on`]; their configuration spaces are not exported).
-/// Rows are byte-identical to the bounded executors' except for
-/// `certified: true`: the meeting round, the crossing count *at the
-/// bounded executors' budget* (closed-form along the certified cycle) and
-/// every provenance field coincide. Returns the row plus a
-/// [`Certificate`] for never-meets (never-gathers) and universal-delay
-/// cells; every lasso is re-verified by independent stepping.
+/// (the [`Executor::ExactDecide`] path, [`rvz_lowerbounds::decide`]) — no
+/// round budget, for any lane count. Exact for the automaton variant;
+/// procedural-agent cells are stepped ([`run_cell_on`]; their
+/// configuration spaces are not exported). Outcomes equal the bounded
+/// executors' except for `certified: true`: the meeting round and the
+/// crossing count *at the bounded executors' budget* (closed-form along
+/// the certified cycle) coincide. Never-meets (never-gathers) and
+/// universal-delay cells carry the [`Evidence`] of their certificate;
+/// every lasso is re-verified by independent stepping.
 ///
 /// Every cell is decided directly from the instance's memoized solo
 /// lassos, or by the product walk under a genuine schedule. Pairs keep one
 /// special case, pair-only by nature: the θ axis runs on the fixed-delay
 /// closed form, which the ∀θ quantifier folds over every delay.
-pub fn run_cell_decide_certified(
-    cell: &Cell,
-    inst: &SweepInstance,
-) -> Option<(SweepRow, Option<Certificate>)> {
+pub fn run_cell_decide_certified(cell: &Cell, inst: &SweepInstance) -> Option<CellOutcome> {
     if cell.variant != Variant::BasicWalkFsa {
         // The grid filter keeps adversarial delays off procedural agents;
         // guard against a hand-built one bouncing back here from stepping.
         assert!(cell.delay != Delay::Adversarial, "adversarial delay needs the automaton variant");
-        return run_cell_on(cell, inst).map(|row| (row, None));
+        return run_cell_on(cell, inst);
     }
     let tree = &inst.tree;
     let n = tree.num_nodes();
-    let leaves = tree.num_leaves();
     let starts = inst.starts(cell)?;
     let fsa = inst.basic_walk_fsa();
-    let bits = fsa.memory_bits();
     let ensemble = starts.len() > 2;
-
-    let base_certificate = |verdict: &str, delay: u64| Certificate {
-        experiment: cell.experiment.clone(),
-        family: cell.family.name().to_string(),
-        size: cell.n,
-        n,
-        tree_seed: inst.tree_seed,
-        variant: cell.variant.name().to_string(),
-        start_a: starts[0],
-        start_b: starts[1],
-        verdict: verdict.to_string(),
-        schedule: None,
-        delay,
-        round: None,
-        delays_checked: None,
-        lasso_stem: None,
-        lasso_period: None,
-        verified: None,
-        agents: ensemble.then_some(starts.len()),
-        start_rest: ensemble.then(|| starts[2..].to_vec()),
-    };
-    let certificate = |verdict: &str,
-                       delay: u64,
-                       round: Option<u64>,
-                       delays_checked: Option<u64>,
-                       lasso: Option<&rvz_lowerbounds::Lasso>| {
-        Certificate {
-            round,
-            delays_checked,
-            lasso_stem: lasso.map(|l| l.stem),
-            lasso_period: lasso.map(|l| l.period),
-            verified: lasso.map(|l| verify_lasso(tree, fsa, starts[0], starts[1], delay, l)),
-            ..base_certificate(verdict, delay)
-        }
-    };
-    // The one certified-row assembler: shares [`make_row`] with the
-    // bounded executors, so the row shape lives in one place.
-    let row = |fields: (u64, Option<String>), outcome: (bool, Option<u64>, u64), budget: u64| {
-        make_row(cell, inst, n, leaves, fields, outcome, budget, bits, bits, starts, true)
+    // The automaton's memory is fixed, so it is also every measured bit.
+    let decided = |horizon, round, crossings, certificate| CellOutcome {
+        certified: true,
+        certificate,
+        ..CellOutcome::ran(round, crossings, fsa.memory_bits(), horizon)
     };
 
     // `None` is the ∀θ quantifier. The grid filter keeps it off ensemble
@@ -1408,32 +1417,27 @@ pub fn run_cell_decide_certified(
     // shared across every start tuple and delay class.
     let solo = |start| inst.solo_lasso(start);
     let Some(mode) = mode else {
+        let forall = |verdict, delays_checked, lasso| {
+            Some(Evidence { verdict, delays_checked: Some(delays_checked), lasso })
+        };
         return Some(match worst_case_from_lassos(solo(starts[0]), solo(starts[1])) {
             WorstCase::AllMeet { worst_delay, worst_round, delays_checked, decision } => {
-                let budget = basic_walk_budget_for(n, worst_delay);
                 let crossings = decision.crossings_within(worst_round);
-                let cert = certificate(
-                    "all-delays-meet",
-                    worst_delay,
-                    Some(worst_round),
-                    Some(delays_checked),
-                    None,
-                );
-                (row((worst_delay, None), (true, Some(worst_round), crossings), budget), Some(cert))
+                let evidence = forall("all-delays-meet", delays_checked, None);
+                let horizon = (worst_delay, basic_walk_budget_for(n, worst_delay));
+                decided(horizon, Some(worst_round), crossings, evidence)
             }
             WorstCase::Defeated { delay, decision, delays_checked } => {
-                let budget = basic_walk_budget_for(n, delay);
-                let lasso = decision.lasso().expect("defeat carries a lasso");
-                let cert =
-                    certificate("delay-defeats", delay, None, Some(delays_checked), Some(lasso));
-                (
-                    row((delay, None), (false, None, decision.crossings_within(budget)), budget),
-                    Some(cert),
-                )
+                let l = decision.lasso().expect("defeat carries a lasso");
+                let verified = verify_lasso(tree, fsa, starts[0], starts[1], delay, l);
+                let evidence =
+                    forall("delay-defeats", delays_checked, Some((l.stem, l.period, verified)));
+                let horizon = (delay, basic_walk_budget_for(n, delay));
+                decided(horizon, None, decision.crossings_within(horizon.1), evidence)
             }
         });
     };
-    let decided = match &mode {
+    let decision = match &mode {
         CellMode::Delay(theta) if !ensemble => {
             CellDecision::Fixed(decide_from_lassos(solo(starts[0]), solo(starts[1]), *theta))
         }
@@ -1442,44 +1446,42 @@ pub fn run_cell_decide_certified(
             let delays = lane_delays(*theta, starts.len());
             CellDecision::Ensemble(decide_ensemble_from_lassos(&lassos, &delays))
         }
-        CellMode::Scheduled(_, sched) => {
+        CellMode::Scheduled(sched) => {
             CellDecision::Ensemble(decide_ensemble(tree, fsa, starts, sched))
         }
     };
 
-    let budget = mode.bw_budget(n);
-    let fields = mode.row_fields(n);
-    let verdict = if ensemble { "never-gathers" } else { "never-meets" };
-    let (round, crossings, cert) = match decided {
+    let budget = cell.budget(n, &mode);
+    let theta = cell.delay.resolve(n);
+    // Each never-meets lasso, re-verified by independent stepping.
+    let (round, crossings, lasso) = match decision {
         CellDecision::Fixed(d) => {
-            let cert = d.lasso().map(|l| certificate(verdict, fields.0, None, None, Some(l)));
-            (d.round(), d.crossings_within(d.round().unwrap_or(budget)), cert)
+            let lasso = d.lasso().map(|l| {
+                (l.stem, l.period, verify_lasso(tree, fsa, starts[0], starts[1], theta, l))
+            });
+            (d.round(), d.crossings_within(d.round().unwrap_or(budget)), lasso)
         }
         CellDecision::Ensemble(d) => {
-            let cert = d.lasso().map(|lasso| {
+            let lasso = d.lasso().map(|lasso| {
                 let verified = match &mode {
                     CellMode::Delay(theta) => {
                         let delays = lane_delays(*theta, starts.len());
                         verify_delayed_ensemble_lasso(tree, fsa, starts, &delays, lasso)
                     }
-                    CellMode::Scheduled(_, sched) => {
+                    CellMode::Scheduled(sched) => {
                         verify_ensemble_lasso(tree, fsa, starts, sched, lasso)
                     }
                 };
-                Certificate {
-                    schedule: fields.1.clone(),
-                    lasso_stem: Some(lasso.stem),
-                    lasso_period: Some(lasso.period),
-                    verified: Some(verified),
-                    ..base_certificate(verdict, fields.0)
-                }
+                (lasso.stem, lasso.period, verified)
             });
-            (d.round(), d.crossings_within(d.round().unwrap_or(budget)), cert)
+            (d.round(), d.crossings_within(d.round().unwrap_or(budget)), lasso)
         }
     };
+    let verdict = if ensemble { "never-gathers" } else { "never-meets" };
+    let evidence = lasso.map(|l| Evidence { verdict, delays_checked: None, lasso: Some(l) });
     // `crossings_within(round)` == the simulator's count: it stops
     // counting at the meeting round too.
-    Some((row(fields, (round.is_some(), round, crossings), budget), cert))
+    Some(decided((theta, budget), round, crossings, evidence))
 }
 
 /// What a sweep produced: the rows, plus how much of the planned grid they
@@ -1525,96 +1527,40 @@ pub struct Block {
     pub certificates: Vec<Certificate>,
 }
 
-/// Dispatches one cell to `executor` — the single dispatch shared by
-/// [`run_with_options`] and the watchdog's attempts. Adversarial
-/// cells are answered by the quantifier layer under *every* executor,
-/// routed through the certified entry point so the universal verdict's
-/// evidence (the per-cell [`Certificate`], lassos included) is kept in
-/// the report instead of being computed and dropped inside the bounded
-/// executors' delegation.
+/// A block from its cells' rows and certificates, in grid order.
+impl FromIterator<(Option<SweepRow>, Option<Certificate>)> for Block {
+    fn from_iter<I: IntoIterator<Item = (Option<SweepRow>, Option<Certificate>)>>(
+        cells: I,
+    ) -> Block {
+        let cells = cells.into_iter();
+        let mut block = Block { rows: Vec::with_capacity(cells.size_hint().0), ..Block::default() };
+        for (row, certificate) in cells {
+            block.planned += 1;
+            block.rows.extend(row);
+            block.certificates.extend(certificate);
+        }
+        block
+    }
+}
+
+/// Runs one cell on a prebuilt instance on `executor` and renders its
+/// outcome. A ∀θ cell keeps its [`Certificate`] under every executor.
 pub fn run_cell_with_executor(
     cell: &Cell,
     inst: &SweepInstance,
     executor: Executor,
 ) -> (Option<SweepRow>, Option<Certificate>) {
-    let decide_certified = || match run_cell_decide_certified(cell, inst) {
-        Some((row, cert)) => (Some(row), cert),
-        None => (None, None),
-    };
+    render(cell, inst, dispatch(cell, inst, executor))
+}
+
+/// The outcome of one cell on `executor`: the single dispatch the sweep,
+/// the `--workers` workers and the watchdog's attempts share.
+fn dispatch(cell: &Cell, inst: &SweepInstance, executor: Executor) -> Option<CellOutcome> {
     match executor {
-        _ if cell.delay == Delay::Adversarial => decide_certified(),
-        Executor::TraceReplay => (run_cell_replay(cell, inst), None),
-        Executor::DynStepping => (run_cell_on(cell, inst), None),
-        Executor::ExactDecide => decide_certified(),
+        Executor::TraceReplay => run_cell_replay(cell, inst),
+        Executor::DynStepping => run_cell_on(cell, inst),
+        Executor::ExactDecide => run_cell_decide_certified(cell, inst),
     }
-}
-
-/// One cell under `executor`, on the per-cell watchdog when `timeout` is
-/// set — the dispatch [`run_with_options`] and the `--workers` supervisor
-/// share.
-pub(crate) fn dispatch_cell(
-    cell: &Cell,
-    inst: &Arc<SweepInstance>,
-    executor: Executor,
-    timeout: Option<std::time::Duration>,
-) -> (Option<SweepRow>, Option<Certificate>) {
-    match timeout {
-        Some(timeout) => run_cell_watchdogged(cell, inst, executor, timeout),
-        None => run_cell_with_executor(cell, inst, executor),
-    }
-}
-
-/// The shared shape of a quarantine row: "no run happened" — `met: false`,
-/// `rounds: null`, zero crossings and measured bits, `certified: false`.
-/// The caller stamps the reason flag (`timed_out` or `poisoned`); provenance
-/// (budget, provisioned bits, θ/schedule) is still reported so the row
-/// names exactly which computation was skipped. `None` when the pair index
-/// is out of range (the ordinary dropped-cell case).
-fn quarantine_row(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
-    let tree = &inst.tree;
-    let n = tree.num_nodes();
-    let leaves = tree.num_leaves();
-    let starts = inst.starts(cell)?;
-    let (fields, budget, provisioned_bits) = if cell.delay == Delay::Adversarial {
-        // The quantifier never reached a decisive delay; there is no θ or
-        // budget to report, only the provisioned automaton size.
-        ((0, None), 0, inst.basic_walk_fsa().memory_bits())
-    } else {
-        let mode = cell.mode(n);
-        let (budget, provisioned) = budget_and_provisioned(cell, inst, n, leaves, &mode);
-        (mode.row_fields(n), budget, provisioned)
-    };
-    Some(make_row(
-        cell,
-        inst,
-        n,
-        leaves,
-        fields,
-        (false, None, 0),
-        budget,
-        provisioned_bits,
-        0,
-        starts,
-        false,
-    ))
-}
-
-/// The explicit timeout row: a cell whose every attempt blew the wall
-/// budget, with `timed_out: true` so it can never be mistaken for a
-/// certified never-meets or an in-budget timeout.
-pub(crate) fn timed_out_row(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
-    let mut row = quarantine_row(cell, inst)?;
-    row.timed_out = Some(true);
-    Some(row)
-}
-
-/// The explicit poisoned-shard row: a cell whose shard killed every worker
-/// sent to it (supervisor attempt cap exceeded), with `poisoned: true` —
-/// same "no fabricated measurements" discipline as [`timed_out_row`].
-pub(crate) fn poisoned_row(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
-    let mut row = quarantine_row(cell, inst)?;
-    row.poisoned = Some(true);
-    Some(row)
 }
 
 /// Runs one cell under a wall-clock budget per attempt: the cell executes
@@ -1627,14 +1573,14 @@ pub(crate) fn poisoned_row(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow
 /// the old detach-and-forget scheme it terminates promptly instead of
 /// stepping to the end of a possibly astronomical budget; pinned by
 /// `tests/watchdog_threads.rs`.) A cell whose every attempt times out is
-/// quarantined as an explicit [`timed_out_row`]. Stepping and adversarial
+/// quarantined ([`QuarantineKind::TimedOut`]). Stepping and adversarial
 /// cells get one attempt: a retry would re-run the same computation.
 fn run_cell_watchdogged(
     cell: &Cell,
     inst: &Arc<SweepInstance>,
     executor: Executor,
     timeout: std::time::Duration,
-) -> (Option<SweepRow>, Option<Certificate>) {
+) -> Option<CellOutcome> {
     use rvz_sim::cancel;
     cancel::silence_cancelled_panics();
     let retry = executor != Executor::DynStepping && cell.delay != Delay::Adversarial;
@@ -1648,7 +1594,7 @@ fn run_cell_watchdogged(
         std::thread::spawn(move || {
             let _guard = cancel::CancelGuard::install(flag);
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_cell_with_executor(&c, &i, attempt)
+                dispatch(&c, &i, attempt)
             })) {
                 // The receiver may be long gone (timeout) — a dead send is fine.
                 Ok(out) => drop(tx.send(out)),
@@ -1677,7 +1623,36 @@ fn run_cell_watchdogged(
             }
         }
     }
-    (timed_out_row(cell, inst), None)
+    CellOutcome::quarantined(cell, inst, QuarantineKind::TimedOut)
+}
+
+/// A sweep's one path for a cell, which [`run_into`], the `--workers`
+/// workers and the supervisor's fill-in share: the cell's record when the
+/// journal holds one, else its outcome — a poisoned quarantine when
+/// `poisoned` says its shard killed every worker sent to it, or the cell
+/// run on `executor`, on the per-cell watchdog when `opts` sets a timeout —
+/// rendered and journaled.
+pub(crate) fn cell_result(
+    cell: &Cell,
+    inst: &Arc<SweepInstance>,
+    executor: Executor,
+    opts: &RunOptions<'_>,
+    poisoned: bool,
+) -> (Option<SweepRow>, Option<Certificate>) {
+    let journal = opts.journal.map(|j| (j, cell.cell_seed()));
+    if let Some(rec) = journal.and_then(|(j, cell_seed)| j.lookup(cell_seed)) {
+        return (rec.row.clone(), rec.certificate.clone());
+    }
+    let outcome = match opts.cell_timeout {
+        _ if poisoned => CellOutcome::quarantined(cell, inst, QuarantineKind::Poisoned),
+        Some(timeout) => run_cell_watchdogged(cell, inst, executor, timeout),
+        None => dispatch(cell, inst, executor),
+    };
+    let (row, certificate) = render(cell, inst, outcome);
+    let Some((journal, cell_seed)) = journal else { return (row, certificate) };
+    let rec = crate::checkpoint::CellRecord { cell_seed, row, certificate };
+    journal.record(&rec);
+    (rec.row, rec.certificate)
 }
 
 /// Crash-safety and robustness options for [`run_with_options`]; the
@@ -1725,15 +1700,15 @@ pub fn run_with_options(spec: &SweepSpec, opts: &RunOptions<'_>) -> SweepReport 
 }
 
 /// The sweep itself, which [`run_with_options`] collects: one task per
-/// instance of the plan, each of which expands the instance's cells, looks
-/// each up in the journal or dispatches and journals it, and passes its
-/// [`Block`] through `prepare` on the same thread (the CLI renders the
-/// block's report bytes and folds its summary there, so the rows are
-/// dropped where they were allocated). The prepared blocks reach `sink` in
-/// grid order while the sweep runs, through an ordered window of 64
-/// blocks (`rvz-bench/src/window.rs`): the worker that finishes the oldest
-/// block not yet handed on hands on every finished block behind it, and
-/// no worker starts an instance 64 or more blocks past that one, so a
+/// instance of the plan, each of which runs the instance's cells through
+/// `cell_result` (journal lookup, or dispatch, render and journal) and
+/// passes its [`Block`] through `prepare` on the same thread (the CLI
+/// renders the block's report bytes and folds its summary there, so the
+/// rows are dropped where they were allocated). The prepared blocks reach
+/// `sink` in grid order while the sweep runs, through an ordered window of
+/// 64 blocks (`rvz-bench/src/window.rs`): the worker that finishes the
+/// oldest block not yet handed on hands on every finished block behind it,
+/// and no worker starts an instance 64 or more blocks past that one, so a
 /// sweep holds a bounded number of blocks whatever its grid.
 pub fn run_into<T: Send>(
     spec: &SweepSpec,
@@ -1742,37 +1717,10 @@ pub fn run_into<T: Send>(
     sink: impl FnMut(T) + Send,
 ) {
     let experiment: Arc<str> = Arc::from(spec.experiment.as_str());
-    let run_one = |c: &Cell, inst: &Arc<SweepInstance>| {
-        let cell_seed = c.cell_seed();
-        if let Some(journal) = opts.journal {
-            if let Some(rec) = journal.lookup(cell_seed) {
-                return (rec.row.clone(), rec.certificate.clone());
-            }
-        }
-        let out = dispatch_cell(c, inst, spec.executor, opts.cell_timeout);
-        if let Some(journal) = opts.journal {
-            journal.record(&crate::checkpoint::CellRecord {
-                cell_seed,
-                row: out.0.clone(),
-                certificate: out.1.clone(),
-            });
-        }
-        out
-    };
     let plan = instances(spec);
-    let block = |inst: &Arc<SweepInstance>| {
+    let block = |inst: &Arc<SweepInstance>| -> Block {
         let cells = inst.cells(spec, &experiment);
-        let mut block = Block {
-            planned: cells.len(),
-            rows: Vec::with_capacity(cells.len()),
-            ..Block::default()
-        };
-        for c in &cells {
-            let (row, cert) = run_one(c, inst);
-            block.rows.extend(row);
-            block.certificates.extend(cert);
-        }
-        block
+        cells.iter().map(|c| cell_result(c, inst, spec.executor, opts, false)).collect()
     };
     pool(spec).install(|| crate::window::ordered(&plan, |inst| prepare(block(inst)), sink));
     if let Some(journal) = opts.journal {
@@ -2135,33 +2083,25 @@ pub fn perf_grid_ensemble() -> SweepSpec {
     spec
 }
 
-/// A quarantine path's row constructor: [`poisoned_row`] or
-/// [`timed_out_row`].
-#[cfg(test)]
-pub(crate) type Quarantine = fn(&Cell, &SweepInstance) -> Option<SweepRow>;
-
 /// Test support for the summarizers: `spec`'s report with each cell that
-/// `pick` names replaced the way a quarantine replaces it (its row from
-/// the given constructor, no certificate), plus the same report with
-/// those cells left out altogether.
+/// `pick` names replaced the way a quarantine of that kind replaces it
+/// (its row, no certificate), plus the same report with those cells left
+/// out altogether.
 #[cfg(test)]
 pub(crate) fn quarantined_report(
     spec: &SweepSpec,
-    pick: impl Fn(usize) -> Option<Quarantine>,
+    pick: impl Fn(usize) -> Option<QuarantineKind>,
 ) -> (SweepReport, SweepReport) {
     let grid = cells(spec);
-    let mut mixed = SweepReport {
-        rows: Vec::new(),
-        planned_cells: grid.len(),
-        dropped_cells: 0,
-        certificates: Vec::new(),
-        append_failures: 0,
-    };
+    let mut mixed = SweepReport { planned_cells: grid.len(), ..SweepReport::default() };
     let mut omitted = mixed.clone();
     for (i, cell) in grid.iter().enumerate() {
         let inst = SweepInstance::for_cell(cell);
         match pick(i) {
-            Some(quarantine) => mixed.rows.extend(quarantine(cell, &inst)),
+            Some(kind) => {
+                let outcome = CellOutcome::quarantined(cell, &inst, kind);
+                mixed.rows.extend(render(cell, &inst, outcome).0);
+            }
             None => {
                 let (row, cert) = run_cell_with_executor(cell, &inst, spec.executor);
                 for report in [&mut mixed, &mut omitted] {
@@ -2502,7 +2442,8 @@ mod tests {
         let grid = cells(&spec);
         for cell in &grid {
             let inst = SweepInstance::for_cell(cell);
-            let Some((row, cert)) = run_cell_decide_certified(cell, &inst) else {
+            let (Some(row), cert) = render(cell, &inst, run_cell_decide_certified(cell, &inst))
+            else {
                 continue;
             };
             let fsa = inst.basic_walk_fsa();
@@ -2847,6 +2788,49 @@ mod tests {
         // Universal-delay cells carry a certificate each.
         let universal = cells(&spec).iter().filter(|c| c.delay == Delay::Adversarial).count();
         assert!(report1.certificates.len() >= universal);
+    }
+
+    #[test]
+    fn quarantine_rows_keep_their_exact_bytes() {
+        // No report of the golden set holds a timed-out or poisoned row, so
+        // their bytes are pinned here: a θ cell of a procedural agent, a
+        // genuine-schedule cell, a ∀θ cell (no decisive delay: θ 0, budget
+        // 0) and a k = 3 cell. A poisoned row differs from a timed-out one
+        // only in its flag.
+        let pick = |id: &str, delay: Delay| {
+            let spec = preset(id, &[if id == "e8" { 8 } else { 5 }], 1, 0x5EED_2010).expect(id);
+            cells(&spec).into_iter().find(|c| c.delay == delay).expect("a cell at that delay")
+        };
+        let intermittent = Delay::Schedule(ScheduleSpec::Intermittent { period: 2, phase: 0 });
+        let crash = Delay::Schedule(ScheduleSpec::CrashAfterHalfN);
+        let cases = [
+            (
+                pick("e8", Delay::Fixed(3)),
+                r#"{"experiment":"e8","family":"random","size":8,"n":8,"leaves":4,"variant":"delay-robust","delay":3,"start_a":1,"start_b":3,"met":false,"rounds":null,"crossings":0,"budget":5840000,"provisioned_bits":40,"measured_bits":0,"tree_seed":1939342828413452798,"pairs_seed":5459251404685026218,"cell_seed":14680528331052076760,"certified":false,"timed_out":true}"#,
+            ),
+            (
+                pick("e10", intermittent),
+                r#"{"experiment":"e10","family":"enum-free","size":5,"n":5,"leaves":2,"variant":"bw-fsa","delay":0,"schedule":"intermittent(2,0)","start_a":0,"start_b":1,"met":false,"rounds":null,"crossings":0,"budget":36,"provisioned_bits":1,"measured_bits":0,"tree_seed":0,"pairs_seed":0,"cell_seed":17151841798014775040,"certified":false,"timed_out":true}"#,
+            ),
+            (
+                pick("e9", Delay::Adversarial),
+                r#"{"experiment":"e9","family":"enum-free","size":5,"n":5,"leaves":2,"variant":"bw-fsa","delay":0,"start_a":0,"start_b":1,"met":false,"rounds":null,"crossings":0,"budget":0,"provisioned_bits":1,"measured_bits":0,"tree_seed":0,"pairs_seed":0,"cell_seed":1649681529165413200,"certified":false,"timed_out":true}"#,
+            ),
+            (
+                pick("e11", crash),
+                r#"{"experiment":"e11","family":"enum-free","size":5,"n":5,"leaves":2,"variant":"bw-fsa","delay":0,"schedule":"crash-after(3)","start_a":0,"start_b":1,"met":false,"rounds":null,"crossings":0,"budget":21,"provisioned_bits":1,"measured_bits":0,"tree_seed":0,"pairs_seed":0,"cell_seed":14163752875501389738,"certified":false,"timed_out":true,"agents":3,"start_rest":[2]}"#,
+            ),
+        ];
+        for (cell, timed_out) in cases {
+            let inst = SweepInstance::for_cell(&cell);
+            let poisoned = timed_out.replace(r#""timed_out":true"#, r#""poisoned":true"#);
+            let json = |kind| {
+                let row = render(&cell, &inst, CellOutcome::quarantined(&cell, &inst, kind)).0;
+                serde_json::to_string(&row.expect("a row")).unwrap()
+            };
+            assert_eq!(json(QuarantineKind::TimedOut), timed_out);
+            assert_eq!(json(QuarantineKind::Poisoned), poisoned);
+        }
     }
 
     #[test]

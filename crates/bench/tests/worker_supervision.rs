@@ -3,9 +3,9 @@
 //! must be byte-identical to the single-process run for every worker
 //! count, after an injected worker death mid-shard, after a silent
 //! worker is killed for its missed heartbeats, and after a worker's batch
-//! turns bad partway; a shard that keeps killing its workers must be
-//! quarantined as explicit poisoned rows instead of hanging or
-//! fabricating data.
+//! turns bad partway; blocks must leave the supervisor while workers
+//! still run; a shard that keeps killing its workers must be quarantined
+//! as explicit poisoned rows instead of hanging or fabricating data.
 //!
 //! Worker subprocesses are this same test binary re-invoked with an
 //! env-selected role. Workers speak frames on stdout, and a libtest child
@@ -23,6 +23,7 @@ use rvz_bench::wire;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 const ROLE_ENV: &str = "WORKER_SUP_ROLE";
@@ -135,6 +136,45 @@ fn killed_worker_is_reassigned_and_output_unchanged() {
     let what = "the report after a worker death mid-shard";
     assert_supervised_identical(&RunOptions::default(), &cfg(2, &base), &mut spawn, what);
     assert!(spawned >= 2, "the dead worker must have been replaced (spawned {spawned})");
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+fn blocks_stream_out_while_workers_run() {
+    let base = temp_base("stream");
+    // One worker at a time, on four shards of one instance each. The
+    // first worker answers its whole first shard, then dies on the second
+    // cell of its next one. The supervisor hands a block to the sink as
+    // soon as its instance is in, so the first block is out before the
+    // replacement is spawned.
+    let blocks = AtomicUsize::new(0);
+    let (mut spawned, mut before_replacement) = (0usize, None);
+    let mut spawn = |workdir: &Path| {
+        spawned += 1;
+        let mut cmd = role_cmd("worker", workdir);
+        match spawned {
+            1 => drop(cmd.env("RVZ_FAULTS", "worker-kill=abort@8")),
+            2 => before_replacement = Some(blocks.load(Ordering::SeqCst)),
+            _ => {}
+        }
+        cmd
+    };
+    let mut report = sweep::SweepReport::default();
+    let sink = |block| {
+        blocks.fetch_add(1, Ordering::SeqCst);
+        report.push(block);
+    };
+    let config = cfg(1, &base);
+    supervisor::run_supervised_into(
+        &spec(1),
+        &RunOptions::default(),
+        &config,
+        &mut spawn,
+        |b| b,
+        sink,
+    );
+    assert_eq!(serialized(&report), serialized(&sweep::run(&spec(1))));
+    let streamed = before_replacement.expect("the dead worker must have been replaced");
+    assert!(streamed > 0, "no block left the supervisor before the replacement was spawned");
     let _ = std::fs::remove_dir_all(&base);
 }
 
@@ -303,6 +343,7 @@ fn main() {
     let legs = legs!(
         supervised_reports_are_byte_identical_across_worker_counts,
         killed_worker_is_reassigned_and_output_unchanged,
+        blocks_stream_out_while_workers_run,
         silent_worker_is_killed_and_its_shard_reassigned,
         attempt_cap_quarantines_shards_as_poisoned,
         supervised_runs_share_the_checkpoint_journal,

@@ -25,14 +25,17 @@ median() {
     awk '{ v[NR] = $1 } END { print (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
 }
 
-# Prints the medians of the runs labelled $3 and $4, and fails with the
-# message $5 when the median $1 time (cpu or wall) of the $3 runs exceeds
-# $2 times the median of the $4 runs.
+# Prints the medians of the runs labelled $3 and $4, and each run's
+# CPU/wall (a multi-threaded run that lost its cores to the host reads
+# about 1.0), and fails with the message $5 when the median $1 time (cpu
+# or wall) of the $3 runs exceeds $2 times the median of the $4 runs.
 check_ratio() {
   local metric=$1 max=$2 top=$3 base=$4 col=3 label
   if [ "$metric" = cpu ]; then col=2; fi
   for label in "$top" "$base"; do
-    echo "$label: median cpu $(median "$label" 2)s, wall $(median "$label" 3)s"
+    echo "$label: median cpu $(median "$label" 2)s, wall $(median "$label" 3)s;" \
+      "cpu/wall per run: $(awk -v l="$label" '$1 == l {
+        printf "%s%.2f", sep, ($3 > 0 ? $2 / $3 : 0); sep = " " }' "$results")"
   done
   awk -v a="$(median "$top" "$col")" -v b="$(median "$base" "$col")" -v max="$max" \
     -v m="$metric" -v top="$top" -v base="$base" -v fail="$5" 'BEGIN {
