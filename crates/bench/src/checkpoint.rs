@@ -4,53 +4,66 @@
 //! **Model.** Every grid cell's result is a pure function of the spec
 //! (deterministic per-cell seeding, see [`crate::sweep`]), and every cell
 //! owns a unique [`crate::sweep::Cell::cell_seed`]. The journal maps that
-//! seed to the cell's outcome — its [`SweepRow`] plus optional
-//! [`Certificate`], or an explicit "dropped" marker for cells whose
-//! instance had too few feasible start pairs. A resumed sweep
-//! ([`crate::sweep::run_with_options`]) skips journaled cells and recomputes
-//! the rest; because rows are collected in grid order either way, the final
-//! report — and its JSON serialization — is byte-identical to an
-//! uninterrupted run, for any `--threads` value. That identity is asserted
-//! by `crates/bench/tests/crash_resume.rs` and the CI `crash-resume` job.
+//! seed to what the cell computed — its [`CellOutcome`], or an explicit
+//! "dropped" marker for a cell past the end of its instance's start pool —
+//! and nothing else: every other field of the cell's row and certificate
+//! follows from the grid coordinates. A resumed sweep
+//! ([`crate::sweep::run_with_options`]) renders each journaled outcome
+//! through the same [`crate::sweep`] renderer a fresh one goes through,
+//! on its own instance plan, and recomputes the rest; because rows are
+//! collected in grid order either way, the final report — and its JSON
+//! serialization — is byte-identical to an uninterrupted run, for any
+//! `--threads` value. That identity is asserted by
+//! `crates/bench/tests/crash_resume.rs` and the CI `crash-resume` job.
 //!
 //! **Framing.** Records use the shared [`crate::wire`] frame
-//! (`len | crc32 | body`); bodies are compact JSON, written and read by
-//! the serde shim's derives on the row and certificate structs. The first
-//! record is a header carrying a fingerprint of everything that determines
-//! the rows (experiments, sizes, delays, variants, pairs, seed, executor —
-//! not `--threads`); resuming against a journal written for a different
-//! spec is a hard error, because equal cell seeds under a different spec
-//! would splice wrong rows into the output. Loading accepts the longest
-//! clean prefix: a torn tail (kill mid-append) or a corrupted record loses
-//! that record and everything after it — those cells simply recompute. On
-//! resume the journal is compacted (rewritten atomically from the
-//! recovered records) so fresh appends never land after garbage.
+//! (`len | crc32 | body`). The first record is a JSON header carrying the
+//! format version and a fingerprint of everything that determines the rows
+//! (experiments, sizes, delays, variants, pairs, seed, executor — not
+//! `--threads`); resuming against a journal written for a different spec
+//! is a hard error, because equal cell seeds under a different spec would
+//! splice wrong rows into the output, and so is resuming one of another
+//! version. Every other body is binary ([`encode_record`]): the cell seed
+//! as 8 little-endian bytes, then, unless the cell was dropped, a `u16`
+//! flags word and the outcome's numbers as LEB128 varints — about 15
+//! bytes. The decoder is strict ([`decode_record`]): a body the encoder
+//! would not write is a bad record, never a guess. Loading accepts the
+//! longest clean prefix: a torn tail (kill mid-append) or a corrupted
+//! record loses that record and everything after it — those cells simply
+//! recompute, as does a cell whose record does not fit it
+//! ([`Journal::lookup`]). On resume the journal is compacted (rewritten
+//! atomically from the recovered records) so fresh appends never land
+//! after garbage.
 //!
-//! **Appends.** Records reach the file in batches: [`Journal::record`]
-//! frames a cell into a pending batch that is written in one `write` once
-//! it holds [`wire::BATCH_BYTES`], and at [`Journal::sync`];
-//! [`Journal::append`] writes frames a `--workers` worker already framed
-//! at once, without decoding them. A write that crosses a multiple of 64
-//! records is fsynced, and so is the end of the sweep. A process kill
-//! therefore loses at most the pending batch, and a power loss at most 64
-//! records plus one write.
+//! **Appends.** Records reach the file in batches:
+//! [`Journal::record_outcome`] frames a cell into a pending batch that is
+//! written in one `write` once it holds [`wire::BATCH_BYTES`], and at
+//! [`Journal::sync`]; [`Journal::append`] writes frames a `--workers`
+//! worker already framed at once, without decoding them. A write that
+//! crosses a multiple of 64 records is fsynced, and so is the end of the
+//! sweep. A process kill therefore loses at most the pending batch, and a
+//! power loss at most 64 records plus one write.
 //!
 //! See docs/persistence.md for the crash model and format reference.
 
-use crate::sweep::{Certificate, SweepRow};
+use crate::sweep::{CellOutcome, Certificate, Evidence, QuarantineKind, SweepRow, VERDICTS};
 use crate::{faults, wire};
-use serde::{Deserialize, JsonReader, JsonWriter, Serialize};
+use serde::{Deserialize, JsonWriter, Serialize};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// Journal format version (the header record's `version` field).
-pub const JOURNAL_VERSION: u64 = 1;
+/// Journal format version (the header record's `version` field): 2 since
+/// records carry outcomes, not rendered rows.
+pub const JOURNAL_VERSION: u64 = 2;
 
-/// One journaled cell outcome. `row: None` is the explicit "dropped cell"
-/// marker (the instance had fewer feasible pairs than the cell's index).
+/// A cell's rendered row and certificate beside its seed. `row: None` is
+/// the dropped-cell marker. Kept, with [`Journal::record`], for
+/// `perfbench/trace`, which renders rows itself, until the benchmark is
+/// re-anchored on the CLI (ROADMAP item 1); the journal stores the outcome
+/// behind them.
 #[derive(Debug, Clone)]
 pub struct CellRecord {
     pub cell_seed: u64,
@@ -89,13 +102,7 @@ pub fn spec_fingerprint(specs: &[&crate::sweep::SweepSpec]) -> u64 {
     crate::sweep::fnv(&desc.join("\n"))
 }
 
-// ---------------------------------------------------------------------------
-// JSON (de)serialization of records. Rows and certificates are written and
-// read by their derives, so their schema is written down once, in
-// `crate::sweep`; a decoded record re-serializes through the same writer as
-// a fresh one, which is what makes resumed output byte-identical.
-
-/// The journal's first record.
+/// The journal's first record, in JSON.
 #[derive(Serialize, Deserialize)]
 struct Header {
     /// Always `"rvz-journal"`.
@@ -104,38 +111,181 @@ struct Header {
     fingerprint: u64,
 }
 
-/// The compact JSON body of one cell record: a journal frame's body, and
-/// the body of a `--workers` result frame ([`crate::supervisor`]).
-pub fn record_body(rec: &CellRecord) -> Vec<u8> {
-    let mut w = JsonWriter::new(false);
-    w.begin_object();
-    w.field("cell", &rec.cell_seed);
-    if let Some(row) = &rec.row {
-        w.field("row", row);
-    }
-    if let Some(cert) = &rec.certificate {
-        w.field("certificate", cert);
-    }
-    w.end_object();
-    w.into_bytes()
-}
-
 fn header_body(fingerprint: u64) -> Vec<u8> {
     let mut w = JsonWriter::new(false);
     Header { kind: "rvz-journal".into(), version: JOURNAL_VERSION, fingerprint }.write_json(&mut w);
     w.into_bytes()
 }
 
+// ---------------------------------------------------------------------------
+// The binary body of a cell record: the body of a journal frame, and of a
+// `--workers` result frame ([`crate::supervisor`]).
+
+// The flags word: which optional numbers follow, and the outcome's bits.
+const HAS_ROUNDS: u16 = 1;
+const CERTIFIED: u16 = 1 << 1;
+const TIMED_OUT: u16 = 1 << 2;
+const POISONED: u16 = 1 << 3;
+const HAS_EVIDENCE: u16 = 1 << 4;
+/// Two bits: the index of the evidence's verdict in [`VERDICTS`].
+const VERDICT_SHIFT: u32 = 5;
+const VERDICT: u16 = 0b11 << VERDICT_SHIFT;
+const HAS_DELAYS_CHECKED: u16 = 1 << 7;
+const HAS_LASSO: u16 = 1 << 8;
+const LASSO_VERIFIED: u16 = 1 << 9;
+/// Every bit a body may set.
+const KNOWN: u16 = (1 << 10) - 1;
+
+/// Appends the body of one cell record to `out`: `cell_seed` as 8
+/// little-endian bytes, and nothing more for a dropped cell (`None`).
+/// Otherwise a little-endian `u16` of flags follows — has-rounds,
+/// certified, timed-out, poisoned, has-evidence, the verdict's 2-bit index,
+/// has-`delays_checked`, has-lasso, lasso-verified, from bit 0 up — then
+/// LEB128 varints in this order: rounds (if any), crossings, measured
+/// bits, delay, budget, `delays_checked` (if any), the lasso's stem and
+/// period (if any).
+///
+/// # Panics
+///
+/// On evidence whose verdict is not one of [`VERDICTS`].
+pub fn encode_record(out: &mut Vec<u8>, cell_seed: u64, outcome: Option<&CellOutcome>) {
+    out.extend_from_slice(&cell_seed.to_le_bytes());
+    let Some(o) = outcome else { return };
+    let flag = |set: bool, bit: u16| if set { bit } else { 0 };
+    let mut flags = flag(o.rounds.is_some(), HAS_ROUNDS)
+        | flag(o.certified, CERTIFIED)
+        | flag(o.quarantine == Some(QuarantineKind::TimedOut), TIMED_OUT)
+        | flag(o.quarantine == Some(QuarantineKind::Poisoned), POISONED);
+    if let Some(e) = &o.certificate {
+        let verdict = VERDICTS.iter().position(|&v| v == e.verdict).unwrap_or_else(|| {
+            panic!("the verdict `{}` has no index in a journal record", e.verdict)
+        });
+        flags |= HAS_EVIDENCE
+            | (verdict as u16) << VERDICT_SHIFT
+            | flag(e.delays_checked.is_some(), HAS_DELAYS_CHECKED)
+            | flag(e.lasso.is_some(), HAS_LASSO)
+            | flag(e.lasso.is_some_and(|(_, _, verified)| verified), LASSO_VERIFIED);
+    }
+    out.extend_from_slice(&flags.to_le_bytes());
+    let evidence = o.certificate.as_ref();
+    let lasso = evidence.and_then(|e| e.lasso);
+    let numbers = [
+        o.rounds,
+        Some(o.crossings),
+        Some(o.measured_bits),
+        Some(o.delay),
+        Some(o.budget),
+        evidence.and_then(|e| e.delays_checked),
+        lasso.map(|(stem, _, _)| stem),
+        lasso.map(|(_, period, _)| period),
+    ];
+    for mut v in numbers.into_iter().flatten() {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+}
+
+/// The varints of a record body, read front to back.
+struct Varints<'a>(&'a [u8]);
+
+impl Varints<'_> {
+    /// The next LEB128 varint: `None` when the bytes run out first, or on
+    /// an encoding [`encode_record`] never writes — overlong (a zero final
+    /// byte after the first) or over 64 bits.
+    fn next(&mut self) -> Option<u64> {
+        let mut value = 0;
+        for (i, &byte) in self.0.iter().enumerate().take(10) {
+            if i > 0 && byte == 0 || i == 9 && byte > 1 {
+                return None;
+            }
+            value |= u64::from(byte & 0x7F) << (7 * i);
+            if byte & 0x80 == 0 {
+                self.0 = &self.0[i + 1..];
+                return Some(value);
+            }
+        }
+        None
+    }
+
+    /// The next varint when `present`; `Some(None)` when not.
+    fn next_if(&mut self, present: bool) -> Option<Option<u64>> {
+        if present {
+            self.next().map(Some)
+        } else {
+            Some(None)
+        }
+    }
+}
+
+/// Decodes one [`encode_record`] body: the cell seed and its outcome
+/// (`None`: the dropped-cell marker). `None` on any body the encoder would
+/// not write: a missing or trailing byte, an unknown flag bit, both
+/// quarantine bits, verdict or lasso bits without evidence, the verified
+/// bit without a lasso, or an overlong or overflowing varint. The journal
+/// counts such a record as bad; the supervisor treats it as its worker's
+/// death.
+pub fn decode_record(body: &[u8]) -> Option<(u64, Option<CellOutcome>)> {
+    let (seed, rest) = body.split_first_chunk::<8>()?;
+    let cell_seed = u64::from_le_bytes(*seed);
+    if rest.is_empty() {
+        return Some((cell_seed, None));
+    }
+    let (flags, rest) = rest.split_first_chunk::<2>()?;
+    let flags = u16::from_le_bytes(*flags);
+    let has = |bit: u16| flags & bit != 0;
+    let evidence_bits = VERDICT | HAS_DELAYS_CHECKED | HAS_LASSO | LASSO_VERIFIED;
+    if flags & !KNOWN != 0
+        || has(TIMED_OUT) && has(POISONED)
+        || !has(HAS_EVIDENCE) && flags & evidence_bits != 0
+        || has(LASSO_VERIFIED) && !has(HAS_LASSO)
+    {
+        return None;
+    }
+    let mut v = Varints(rest);
+    let rounds = v.next_if(has(HAS_ROUNDS))?;
+    let (crossings, measured_bits, delay, budget) = (v.next()?, v.next()?, v.next()?, v.next()?);
+    let delays_checked = v.next_if(has(HAS_DELAYS_CHECKED))?;
+    let lasso =
+        if has(HAS_LASSO) { Some((v.next()?, v.next()?, has(LASSO_VERIFIED))) } else { None };
+    if !v.0.is_empty() {
+        return None;
+    }
+    let quarantine = match (has(TIMED_OUT), has(POISONED)) {
+        (true, _) => Some(QuarantineKind::TimedOut),
+        (_, true) => Some(QuarantineKind::Poisoned),
+        _ => None,
+    };
+    let certificate = has(HAS_EVIDENCE).then(|| Evidence {
+        verdict: VERDICTS[usize::from((flags & VERDICT) >> VERDICT_SHIFT)],
+        delays_checked,
+        lasso,
+    });
+    let outcome = CellOutcome {
+        rounds,
+        crossings,
+        measured_bits,
+        certified: has(CERTIFIED),
+        delay,
+        budget,
+        quarantine,
+        certificate,
+    };
+    Some((cell_seed, Some(outcome)))
+}
+
 /// Serializes a whole journal (header + records) — the compaction writer,
 /// also handy for tests that build journals without touching disk.
 pub fn encode_journal<'a>(
     fingerprint: u64,
-    records: impl IntoIterator<Item = &'a CellRecord>,
+    records: impl IntoIterator<Item = (u64, Option<&'a CellOutcome>)>,
 ) -> Vec<u8> {
     let mut out = Vec::new();
     wire::frame_record(&mut out, &header_body(fingerprint));
-    for rec in records {
-        wire::frame_record(&mut out, &record_body(rec));
+    for (cell_seed, outcome) in records {
+        wire::frame_with(&mut out, |body| encode_record(body, cell_seed, outcome));
     }
     out
 }
@@ -145,34 +295,18 @@ pub fn encode_journal<'a>(
 /// crash overlap), plus damage counters for reporting.
 #[derive(Debug, Default)]
 pub struct JournalSnapshot {
-    /// Fingerprint from the header record, when one parsed.
+    /// The header record's format version, when a journal header parsed.
+    pub version: Option<u64>,
+    /// Fingerprint from the header record, when one of
+    /// [`JOURNAL_VERSION`] parsed.
     pub fingerprint: Option<u64>,
-    /// Recovered outcomes keyed by cell seed.
-    pub cells: HashMap<u64, CellRecord>,
-    /// Frame-valid records whose JSON failed to parse or validate.
+    /// Recovered outcomes keyed by cell seed (`None`: dropped).
+    pub cells: HashMap<u64, Option<CellOutcome>>,
+    /// Frame-valid records that failed to decode.
     pub bad_records: usize,
     /// `true` when the byte stream ended mid-frame or failed a checksum —
     /// the torn tail was dropped.
     pub torn_tail: bool,
-}
-
-/// Decodes one [`record_body`] straight into its structs: `None` on a
-/// body that is not one JSON object, or whose `cell`, `row` or
-/// `certificate` is missing where required, mistyped or malformed. The
-/// journal counts such a record as bad; the supervisor treats it as its
-/// worker's death.
-pub fn decode_record(body: &[u8]) -> Option<CellRecord> {
-    let mut r = JsonReader::new(body);
-    let (mut cell, mut row, mut certificate) = (None, None, None);
-    r.object(|r, key| match key {
-        "cell" => r.field(&mut cell),
-        "row" => r.field(&mut row),
-        "certificate" => r.field(&mut certificate),
-        _ => r.skip(),
-    })
-    .ok()?;
-    r.end().ok()?;
-    Some(CellRecord { cell_seed: cell?, row, certificate })
 }
 
 /// Parses journal bytes into the recovered clean prefix. Never panics:
@@ -183,15 +317,16 @@ pub fn parse_journal(bytes: &[u8]) -> JournalSnapshot {
     let mut snap = JournalSnapshot { torn_tail: !clean, ..Default::default() };
     let Some((header, records)) = records.split_first() else { return snap };
     match serde_json::from_slice::<Header>(header) {
-        Ok(h) if h.kind == "rvz-journal" && h.version == JOURNAL_VERSION => {
-            snap.fingerprint = Some(h.fingerprint);
+        Ok(h) if h.kind == "rvz-journal" => {
+            snap.version = Some(h.version);
+            snap.fingerprint = (h.version == JOURNAL_VERSION).then_some(h.fingerprint);
         }
         _ => snap.bad_records += 1,
     }
     for body in records {
         match decode_record(body) {
-            Some(rec) => {
-                snap.cells.insert(rec.cell_seed, rec);
+            Some((cell_seed, outcome)) => {
+                snap.cells.insert(cell_seed, outcome);
             }
             None => snap.bad_records += 1,
         }
@@ -218,8 +353,9 @@ const SYNC_EVERY: u64 = 64;
 pub struct Journal {
     appender: Mutex<Appender>,
     path: PathBuf,
-    /// Outcomes recovered from the resumed file, keyed by cell seed.
-    recovered: HashMap<u64, CellRecord>,
+    /// Outcomes recovered from the resumed file, keyed by cell seed
+    /// (`None`: dropped).
+    recovered: HashMap<u64, Option<CellOutcome>>,
     /// Records whose append failed or was skipped because the journal was
     /// already dead — surfaced as [`crate::sweep::SweepReport::append_failures`].
     lost: AtomicU64,
@@ -293,18 +429,28 @@ impl Appender {
 impl Journal {
     /// Opens (or resumes) the journal at `path`. Fresh open truncates and
     /// writes the header; resume parses the existing file, verifies the
-    /// fingerprint, compacts the clean prefix back to disk atomically, and
-    /// reopens for append. A `--resume` against a missing file starts
-    /// fresh (nothing to skip) with a warning.
+    /// format version and the fingerprint, compacts the clean prefix back
+    /// to disk atomically, and reopens for append. A `--resume` against a
+    /// missing file starts fresh (nothing to skip) with a warning; one
+    /// against a journal of another version is refused and leaves it as it
+    /// was.
     pub fn open(path: &Path, resume: bool, fingerprint: u64) -> Result<Journal, String> {
         let mut recovered = HashMap::new();
         if resume {
             match std::fs::read(path) {
                 Ok(bytes) => {
                     let snap = parse_journal(&bytes);
-                    match snap.fingerprint {
-                        Some(fp) if fp == fingerprint => {}
-                        Some(fp) => {
+                    match (snap.version, snap.fingerprint) {
+                        (Some(version), _) if version != JOURNAL_VERSION => {
+                            return Err(format!(
+                                "{} is a version {version} journal, and this binary reads \
+                                 version {JOURNAL_VERSION} only; use a fresh --checkpoint path \
+                                 or drop --resume",
+                                path.display()
+                            ));
+                        }
+                        (_, Some(fp)) if fp == fingerprint => {}
+                        (_, Some(fp)) => {
                             return Err(format!(
                                 "{} was written for a different sweep configuration \
                                  (fingerprint {fp:#018x}, this run is {fingerprint:#018x}); \
@@ -313,7 +459,7 @@ impl Journal {
                                 path.display()
                             ));
                         }
-                        None => {
+                        (_, None) => {
                             return Err(format!(
                                 "{} has no readable journal header; use a fresh --checkpoint \
                                  path or drop --resume",
@@ -344,8 +490,8 @@ impl Journal {
         }
         // Compact (or initialize): header + recovered records, written
         // atomically so appends never land after a torn tail.
-        let mut records: Vec<&CellRecord> = recovered.values().collect();
-        records.sort_by_key(|r| r.cell_seed);
+        let mut records: Vec<_> = recovered.iter().map(|(&s, o)| (s, o.as_ref())).collect();
+        records.sort_unstable_by_key(|&(cell_seed, _)| cell_seed);
         wire::atomic_write(path, &encode_journal(fingerprint, records))
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         let file = std::fs::OpenOptions::new()
@@ -384,9 +530,13 @@ impl Journal {
         self.lost.load(Ordering::Relaxed)
     }
 
-    /// The recovered outcome for a cell seed, if the journal has one.
-    pub fn lookup(&self, cell_seed: u64) -> Option<&CellRecord> {
-        self.recovered.get(&cell_seed)
+    /// The recovered outcome of the cell with seed `cell_seed` (`Some(None)`:
+    /// dropped), if the journal holds one that fits the cell: an outcome
+    /// exactly when the cell has starts (`has_starts`). A record that does
+    /// not fit is a bad record, and the cell recomputes.
+    pub fn lookup(&self, cell_seed: u64, has_starts: bool) -> Option<Option<CellOutcome>> {
+        let outcome = self.recovered.get(&cell_seed)?;
+        (outcome.is_some() == has_starts).then(|| outcome.clone())
     }
 
     /// Number of cells the resume recovered.
@@ -405,23 +555,32 @@ impl Journal {
         Some(appender)
     }
 
-    /// Adds one completed cell to the pending batch, writing the batch once
-    /// it holds [`wire::BATCH_BYTES`]; [`sync`](Self::sync) writes the
-    /// rest. A process kill loses what is still pending; those cells
-    /// recompute on `--resume`.
-    pub fn record(&self, rec: &CellRecord) {
-        let body = record_body(rec);
+    /// Adds one completed cell's outcome (`None`: dropped) to the pending
+    /// batch, writing the batch once it holds [`wire::BATCH_BYTES`];
+    /// [`sync`](Self::sync) writes the rest. A process kill loses what is
+    /// still pending; those cells recompute on `--resume`.
+    pub fn record_outcome(&self, cell_seed: u64, outcome: Option<&CellOutcome>) {
         let Some(mut a) = self.live(1) else { return };
-        wire::frame_record(&mut a.pending, &body);
+        wire::frame_with(&mut a.pending, |body| encode_record(body, cell_seed, outcome));
         a.pending_records += 1;
         if a.pending.len() >= wire::BATCH_BYTES {
             self.write(&mut a);
         }
     }
 
+    /// [`record_outcome`](Self::record_outcome) for a rendered cell: the
+    /// same bytes, from the outcome its row and certificate render
+    /// ([`CellOutcome::of_rendered`]). Kept for `perfbench/trace` with
+    /// [`CellRecord`].
+    pub fn record(&self, rec: &CellRecord) {
+        let outcome = CellOutcome::of_rendered(rec.row.as_ref(), rec.certificate.as_ref());
+        self.record_outcome(rec.cell_seed, outcome.as_ref());
+    }
+
     /// Appends `frames`, which must be exactly `records` whole record
     /// frames — the bytes a `--workers` worker framed — and writes them at
-    /// once, behind anything [`record`](Self::record) left pending, so the
+    /// once, behind anything [`record_outcome`](Self::record_outcome) left
+    /// pending, so the
     /// supervisor never re-encodes a record and a process kill loses none
     /// it appended.
     pub fn append(&self, frames: &[u8], records: u64) {
@@ -476,80 +635,258 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::SweepSpec;
-    use crate::sweep::{cells, preset, run_cell, run_cell_with_executor, Executor, SweepInstance};
+    use crate::sweep::{
+        instances, preset, run_cell_decide_certified, Cell, Executor, SweepInstance,
+    };
+    use std::sync::Arc;
 
-    fn sample_records() -> Vec<CellRecord> {
-        let spec = SweepSpec {
-            experiment: "journal-test".into(),
-            families: vec![crate::sweep::Family::Line],
-            sizes: vec![6],
-            delays: vec![crate::sweep::Delay::Zero, crate::sweep::Delay::Fixed(2)],
-            variants: vec![crate::sweep::Variant::BasicWalkFsa],
-            pairs_per_cell: 2,
-            seed: 0x1A,
-            threads: 1,
-            executor: crate::sweep::Executor::TraceReplay,
-            agents: 2,
-        };
-        cells(&spec)
-            .iter()
-            .map(|c| CellRecord { cell_seed: c.cell_seed(), row: run_cell(c), certificate: None })
-            .collect()
-    }
-
-    #[test]
-    fn journal_round_trips_rows_byte_identically() {
-        let records = sample_records();
-        assert!(records.iter().any(|r| r.row.is_some()));
-        let bytes = encode_journal(7, &records);
-        let snap = parse_journal(&bytes);
-        assert_eq!(snap.fingerprint, Some(7));
-        assert_eq!(snap.cells.len(), records.len());
-        assert!(!snap.torn_tail);
-        assert_eq!(snap.bad_records, 0);
-        for rec in &records {
-            let back = &snap.cells[&rec.cell_seed];
-            assert_eq!(
-                serde_json::to_string(&back.row).unwrap(),
-                serde_json::to_string(&rec.row).unwrap(),
-                "recovered row must re-serialize byte-identically"
-            );
+    /// Every e9, e10 and e11 cell at n ≤ 6 on the decider, beside its
+    /// instance, with its outcome.
+    fn decided_cells() -> Vec<(Cell, Arc<SweepInstance>, Option<CellOutcome>)> {
+        let mut out = Vec::new();
+        for id in ["e9", "e10", "e11"] {
+            let mut spec = preset(id, &[2, 3, 4, 5, 6], 1, 0x5EED_2010).expect("a preset");
+            spec.executor = Executor::ExactDecide;
+            let experiment: Arc<str> = Arc::from(id);
+            for inst in instances(&spec) {
+                for cell in inst.cells(&spec, &experiment) {
+                    let outcome = run_cell_decide_certified(&cell, &inst);
+                    out.push((cell, Arc::clone(&inst), outcome));
+                }
+            }
         }
+        out
+    }
+
+    /// What a journal can hold: every decided cell's outcome, each cell
+    /// timed out and poisoned, a dropped cell, and hand-made outcomes that
+    /// reach what the small grids do not — every verdict, an unverified
+    /// lasso, and numbers of every varint width.
+    fn sample_records() -> Vec<(u64, Option<CellOutcome>)> {
+        let mut records = Vec::new();
+        for (cell, inst, outcome) in decided_cells() {
+            let seed = cell.cell_seed();
+            records.push((seed, outcome));
+            for (k, kind) in
+                [QuarantineKind::TimedOut, QuarantineKind::Poisoned].into_iter().enumerate()
+            {
+                let outcome = CellOutcome::quarantined(&cell, &inst, kind);
+                records.push((seed.rotate_left(k as u32 + 1), outcome));
+            }
+        }
+        records.push((0xD50F, None));
+        for (k, verdict) in VERDICTS.into_iter().enumerate() {
+            let k = k as u64;
+            let outcome = CellOutcome {
+                rounds: k.is_multiple_of(2).then_some(u64::MAX - k),
+                crossings: 1 << (63 - k),
+                measured_bits: 127 + k,
+                certified: true,
+                delay: 128 << (7 * k),
+                budget: u64::MAX >> k,
+                quarantine: None,
+                certificate: Some(Evidence {
+                    verdict,
+                    delays_checked: (k > 1).then_some(k * 16_383),
+                    lasso: (k != 2).then_some((16_383 * k, 16_384, k == 3)),
+                }),
+            };
+            records.push((u64::MAX - k, Some(outcome)));
+        }
+        records
+    }
+
+    fn body(cell_seed: u64, outcome: Option<&CellOutcome>) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_record(&mut out, cell_seed, outcome);
+        out
     }
 
     #[test]
-    fn journal_survives_truncation_anywhere() {
+    fn records_round_trip_through_their_bodies() {
         let records = sample_records();
-        let bytes = encode_journal(3, &records);
-        for cut in 0..bytes.len() {
-            let snap = parse_journal(&bytes[..cut]);
-            assert!(snap.cells.len() <= records.len());
-            // Every recovered cell must be one we wrote, with the row intact.
-            for (seed, rec) in &snap.cells {
-                let original = records.iter().find(|r| r.cell_seed == *seed).expect("known cell");
-                assert_eq!(
-                    serde_json::to_string(&rec.row).unwrap(),
-                    serde_json::to_string(&original.row).unwrap()
-                );
+        let verdicts: Vec<&str> =
+            records.iter().filter_map(|(_, o)| Some(o.as_ref()?.certificate?.verdict)).collect();
+        for verdict in VERDICTS {
+            assert!(verdicts.contains(&verdict), "no cell carries the verdict {verdict}");
+        }
+        for (seed, outcome) in &records {
+            let bytes = body(*seed, outcome.as_ref());
+            assert_eq!(decode_record(&bytes).as_ref(), Some(&(*seed, outcome.clone())));
+        }
+        // Outcome bodies stay small: a seed, the flags and a few varints.
+        let longest = records.iter().map(|(s, o)| body(*s, o.as_ref()).len()).max().unwrap();
+        assert!(longest <= 8 + 2 + 8 * 10, "{longest} bytes");
+    }
+
+    #[test]
+    fn render_then_its_inverse_is_the_identity() {
+        for (cell, inst, outcome) in decided_cells() {
+            let mut outcomes = vec![outcome];
+            for kind in [QuarantineKind::TimedOut, QuarantineKind::Poisoned] {
+                outcomes.push(CellOutcome::quarantined(&cell, &inst, kind));
+            }
+            for outcome in outcomes {
+                let (row, certificate) = crate::sweep::render(&cell, &inst, outcome.clone());
+                assert_eq!(CellOutcome::of_rendered(row.as_ref(), certificate.as_ref()), outcome);
+            }
+        }
+        assert_eq!(CellOutcome::of_rendered(None, None), None, "a dropped cell");
+    }
+
+    #[test]
+    fn the_decoder_rejects_every_body_the_encoder_would_not_write() {
+        for (seed, outcome) in sample_records() {
+            let bytes = body(seed, outcome.as_ref());
+            // Every truncation is rejected, except the one that leaves the
+            // seed alone: a dropped marker, which `lookup` refuses for a
+            // cell with starts.
+            for cut in 0..bytes.len() {
+                let want = (cut == 8).then_some((seed, None));
+                assert_eq!(decode_record(&bytes[..cut]), want, "{seed:#x} cut at {cut}");
+            }
+            for extra in 0..=u8::MAX {
+                let mut longer = bytes.clone();
+                longer.push(extra);
+                assert_eq!(decode_record(&longer), None, "{seed:#x} with {extra} appended");
+            }
+            if outcome.is_none() {
+                continue;
+            }
+            let flags = u16::from_le_bytes([bytes[8], bytes[9]]);
+            let with_flags = |flags: u16| {
+                let mut bad = bytes.clone();
+                bad[8..10].copy_from_slice(&flags.to_le_bytes());
+                decode_record(&bad)
+            };
+            for bit in 10..16 {
+                assert_eq!(with_flags(flags | 1 << bit), None, "unknown flag bit {bit}");
+            }
+            assert_eq!(with_flags(flags | TIMED_OUT | POISONED), None, "both quarantines");
+            if flags & HAS_EVIDENCE == 0 {
+                for bit in [VERDICT, HAS_DELAYS_CHECKED, HAS_LASSO, LASSO_VERIFIED] {
+                    assert_eq!(with_flags(flags | bit), None, "{bit:#x} without evidence");
+                }
+            }
+            if flags & HAS_LASSO == 0 {
+                assert_eq!(with_flags(flags | LASSO_VERIFIED), None, "verified without a lasso");
             }
         }
     }
 
     #[test]
-    fn journal_open_resume_compacts_and_verifies_fingerprint() {
+    fn varints_reject_overlong_and_overflowing_encodings() {
+        let read = |bytes: &[u8]| {
+            let mut v = Varints(bytes);
+            v.next().filter(|_| v.0.is_empty())
+        };
+        let written = |value: u64| {
+            let outcome = CellOutcome {
+                rounds: None,
+                crossings: value,
+                measured_bits: 0,
+                certified: false,
+                delay: 0,
+                budget: 0,
+                quarantine: None,
+                certificate: None,
+            };
+            body(0, Some(&outcome))[10..].to_vec()
+        };
+        for value in [0, 1, 127, 128, 300, 1 << 35, u64::MAX / 3, u64::MAX] {
+            let mut bytes = written(value);
+            bytes.truncate(bytes.len() - 3);
+            assert_eq!(read(&bytes), Some(value), "{value}");
+        }
+        assert_eq!(read(&[0x80, 0x00]), None, "0 in two bytes");
+        assert_eq!(read(&[0xAC, 0x82, 0x00]), None, "300 in three bytes");
+        let max = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        assert_eq!(read(&max), Some(u64::MAX));
+        let mut over = max;
+        over[9] = 0x02;
+        assert_eq!(read(&over), None, "bit 64");
+        assert_eq!(read(&[0xFF; 10]), None, "an eleventh byte");
+        assert_eq!(read(&[0x80]), None, "cut short");
+    }
+
+    #[test]
+    fn journal_round_trips_outcomes() {
+        let records = sample_records();
+        let bytes = encode_journal(7, records.iter().map(|(s, o)| (*s, o.as_ref())));
+        let snap = parse_journal(&bytes);
+        assert_eq!((snap.version, snap.fingerprint), (Some(JOURNAL_VERSION), Some(7)));
+        assert!(!snap.torn_tail);
+        assert_eq!(snap.bad_records, 0);
+        let want: HashMap<u64, Option<CellOutcome>> = records.into_iter().collect();
+        assert_eq!(snap.cells, want);
+    }
+
+    #[test]
+    fn journal_survives_truncation_anywhere() {
+        let records: Vec<_> = sample_records().into_iter().take(40).collect();
+        let bytes = encode_journal(3, records.iter().map(|(s, o)| (*s, o.as_ref())));
+        let want: HashMap<u64, Option<CellOutcome>> = records.into_iter().collect();
+        for cut in 0..bytes.len() {
+            let snap = parse_journal(&bytes[..cut]);
+            assert_eq!(snap.bad_records, 0, "a clean prefix holds no bad record");
+            // Every recovered cell must be one we wrote, with its outcome.
+            for (seed, outcome) in &snap.cells {
+                assert_eq!(Some(outcome), want.get(seed), "cell {seed:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn lookup_returns_only_records_that_fit_their_cell() {
+        let dir = std::env::temp_dir().join(format!("rvz-journal-fit-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("j.ckpt");
+        let outcome = sample_records().into_iter().find_map(|(_, o)| o).unwrap();
+        let records = [(1, Some(&outcome)), (2, None)];
+        std::fs::write(&path, encode_journal(9, records)).unwrap();
+        let journal = Journal::open(&path, true, 9).expect("resume");
+        assert_eq!(journal.lookup(1, true), Some(Some(outcome)));
+        assert_eq!(journal.lookup(1, false), None, "an outcome for a cell with no starts");
+        assert_eq!(journal.lookup(2, false), Some(None));
+        assert_eq!(journal.lookup(2, true), None, "a dropped marker for a cell with starts");
+        assert_eq!(journal.lookup(3, true), None, "a cell the journal does not hold");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rendered_records_journal_the_bytes_of_their_outcomes() {
+        let dir = std::env::temp_dir().join(format!("rvz-journal-rendered-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (by_row, by_outcome) = (dir.join("rows.ckpt"), dir.join("outcomes.ckpt"));
+        let rows = Journal::open(&by_row, false, 5).unwrap();
+        let outcomes = Journal::open(&by_outcome, false, 5).unwrap();
+        for (cell, inst, outcome) in decided_cells() {
+            let (row, certificate) = crate::sweep::render(&cell, &inst, outcome.clone());
+            rows.record(&CellRecord { cell_seed: cell.cell_seed(), row, certificate });
+            outcomes.record_outcome(cell.cell_seed(), outcome.as_ref());
+        }
+        rows.record(&CellRecord { cell_seed: 11, row: None, certificate: None });
+        outcomes.record_outcome(11, None);
+        rows.sync();
+        outcomes.sync();
+        assert_eq!(std::fs::read(&by_row).unwrap(), std::fs::read(&by_outcome).unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn journal_open_resume_compacts_and_verifies_its_header() {
         let dir = std::env::temp_dir().join(format!("rvz-journal-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("j.ckpt");
         let records = sample_records();
         let fp = 0xABCD;
         // Simulate a crashed run: full journal plus a torn trailing frame.
-        let mut bytes = encode_journal(fp, &records[..2]);
+        let mut bytes = encode_journal(fp, records[..2].iter().map(|(s, o)| (*s, o.as_ref())));
         bytes.extend_from_slice(&[9, 0, 0, 0, 1, 2]);
         std::fs::write(&path, &bytes).unwrap();
         let journal = Journal::open(&path, true, fp).expect("resume");
         assert_eq!(journal.recovered_cells(), 2);
-        journal.record(&records[2]);
+        journal.record_outcome(records[2].0, records[2].1.as_ref());
         journal.sync();
         drop(journal);
         // The compacted file now parses cleanly with all three records.
@@ -558,69 +895,22 @@ mod tests {
         assert_eq!(snap.cells.len(), 3);
         // A different fingerprint is a hard error.
         assert!(Journal::open(&path, true, fp ^ 1).is_err());
+
+        // So is another version, named beside this one, and the journal is
+        // left as it was.
+        let mut old = Vec::new();
+        wire::frame_record(
+            &mut old,
+            b"{\"kind\":\"rvz-journal\",\"version\":1,\"fingerprint\":43981}",
+        );
+        wire::frame_record(&mut old, b"{\"cell\":7}");
+        std::fs::write(&path, &old).unwrap();
+        let snap = parse_journal(&old);
+        assert_eq!((snap.version, snap.fingerprint), (Some(1), None));
+        let err = Journal::open(&path, true, fp).expect_err("a version 1 journal");
+        assert!(err.contains("version 1 journal") && err.contains("version 2"), "{err}");
+        assert!(err.contains("fresh --checkpoint path"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), old);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn decoded_e9_e10_e11_records_re_encode_byte_identically() {
-        let mut seen = Vec::new();
-        for id in ["e9", "e10", "e11"] {
-            let mut spec = preset(id, &[2, 3, 4, 5], 1, 0x5EED_2010).expect("a preset");
-            spec.executor = Executor::ExactDecide;
-            for cell in cells(&spec) {
-                let inst = SweepInstance::for_cell(&cell);
-                let (row, certificate) = run_cell_with_executor(&cell, &inst, spec.executor);
-                let body =
-                    record_body(&CellRecord { cell_seed: cell.cell_seed(), row, certificate });
-                let back = decode_record(&body).expect("a record the writer wrote decodes");
-                assert_eq!(record_body(&back), body, "{id} cell {:#x}", cell.cell_seed());
-                seen.push(String::from_utf8(body).unwrap());
-            }
-        }
-        for field in ["\"certificate\":", "\"schedule\":", "\"start_rest\":", "\"lasso_stem\":"] {
-            assert!(seen.iter().any(|body| body.contains(field)), "no record carries {field}");
-        }
-    }
-
-    #[test]
-    fn decoder_skips_unknown_keys_and_rejects_bad_required_fields() {
-        let mut rec = sample_records().into_iter().find(|r| r.row.is_some()).unwrap();
-        let row = rec.row.as_mut().unwrap();
-        row.rounds = Some(17);
-        row.schedule = Some("intermittent(2,0)".into());
-        let n = format!("\"n\":{},", row.n);
-        let body = String::from_utf8(record_body(&rec)).unwrap();
-        assert!(body.contains("\"rounds\":17,") && body.contains(&n));
-        let decoded = |text: &str| decode_record(text.as_bytes()).map(|r| record_body(&r));
-
-        // Unknown keys are skipped, however deeply nested their values.
-        let noisy = body
-            .replacen("{\"cell\"", "{\"later\":[[{}],{\"a\":null}],\"cell\"", 1)
-            .replacen("\"rounds\"", "\"extra\":{\"b\":[1,-2.5e3,\"\\u00e9\"]},\"rounds\"", 1);
-        assert_eq!(decoded(&noisy), Some(body.clone().into_bytes()));
-
-        // `null` and absent optionals both decode to `None`.
-        let mut bare = rec.clone();
-        let bare_row = bare.row.as_mut().unwrap();
-        (bare_row.rounds, bare_row.schedule) = (None, None);
-        let want = Some(record_body(&bare));
-        let nulls = body.replace("17,", "null,").replace("\"intermittent(2,0)\"", "null");
-        assert_eq!(decoded(&nulls), want);
-        let absent =
-            body.replace("\"rounds\":17,", "").replace("\"schedule\":\"intermittent(2,0)\",", "");
-        assert_eq!(decoded(&absent), want);
-
-        // A missing, negative, fractional or mistyped required field, or a
-        // `null` row, rejects the whole record.
-        for bad in ["", "\"n\":-6,", "\"n\":6.5,", "\"n\":6e0,", "\"n\":\"6\",", "\"n\":null,"] {
-            assert_eq!(decoded(&body.replacen(&n, bad, 1)), None, "n as `{bad}`");
-        }
-        let met = format!("\"met\":{}", rec.row.as_ref().unwrap().met);
-        assert_eq!(decoded(&body.replacen(&met, "\"met\":0", 1)), None, "a number for a bool");
-        let cell = format!("{{\"cell\":{}}}", rec.cell_seed);
-        assert!(decoded(&cell).is_some(), "a dropped-cell marker");
-        assert_eq!(decoded(&format!("{{\"cell\":{},\"row\":null}}", rec.cell_seed)), None);
-        assert_eq!(decoded("{\"row\":{}}"), None, "no cell");
-        assert_eq!(decoded(&format!("{body} {{}}")), None, "trailing characters");
     }
 }

@@ -22,8 +22,12 @@
 //! | pipe | frame body | meaning |
 //! |---|---|---|
 //! | worker stdin | `[lo, hi)` grid-index runs | one shard's cells still missing |
-//! | worker stdout | a [`checkpoint::record_body`] | one finished cell |
+//! | worker stdout | a journal record ([`checkpoint::encode_record`]): the cell seed and its outcome | one finished cell |
 //! | worker stdout | empty | a beat, sent by the worker's beat thread |
+//!
+//! A worker sends what it computed and nothing else: it renders no row.
+//! The supervisor renders each cell's row and certificate from the
+//! outcome, on its own instance plan, when the cell's block leaves.
 //!
 //! A worker batches its record frames: every frame finished since its
 //! last write goes to stdout together, when the batch reaches
@@ -33,19 +37,22 @@
 //! waiting batch, or a beat when none waits.
 //!
 //! One reader thread per worker reads its stdout through a
-//! [`wire::BATCH_BYTES`] buffer, checks and decodes each frame, and passes
-//! every burst of frames — each time the buffered bytes run out — as one
-//! event on a shared channel. The supervisor blocks on that channel until
-//! the next heartbeat expiry or backoff end. It accepts a burst's records
-//! in assignment order and appends the accepted frames, as the worker
-//! framed them, to the `--checkpoint` journal in one write, so a
-//! `--resume` after a supervisor kill skips every cell it accepted. Any
-//! event counts as liveness. A worker whose stdout ends, carries a bad
-//! frame or a record it was not assigned is dead; one that stays silent
-//! past the heartbeat timeout is killed. Either way the cells it still
-//! owed are requeued with exponential backoff, and a shard that exceeds
-//! the attempt cap is quarantined: its remaining cells become explicit
-//! `poisoned` rows ([`crate::sweep::SweepRow::poisoned`]), never
+//! [`wire::BATCH_BYTES`] buffer, checks and decodes each frame
+//! ([`checkpoint::decode_record`], which rejects any body the encoder
+//! would not write), and passes every burst of frames — each time the
+//! buffered bytes run out — as one event on a shared channel. The
+//! supervisor blocks on that channel until the next heartbeat expiry or
+//! backoff end. It accepts a burst's records in assignment order and
+//! appends the accepted frames, as the worker framed them, to the
+//! `--checkpoint` journal in one write, so a `--resume` after a supervisor
+//! kill skips every cell it accepted. Any event counts as liveness. A
+//! worker whose stdout ends, carries a bad frame, a record it was not
+//! assigned, or one that does not fit its cell (an outcome for a cell with
+//! no starts, or a dropped marker for one with starts) is dead; one that
+//! stays silent past the heartbeat timeout is killed. Either way the cells
+//! it still owed are requeued with exponential backoff, and a shard that
+//! exceeds the attempt cap is quarantined: its remaining cells become
+//! explicit `poisoned` rows ([`crate::sweep::SweepRow::poisoned`]), never
 //! fabricated measurements, mirroring the `timed_out` discipline. If
 //! workers cannot spawn at all the supervisor degrades to in-process
 //! execution with a warning.
@@ -54,8 +61,10 @@
 //! it never outlives its supervisor. See docs/distributed.md for the
 //! failure matrix.
 
-use crate::checkpoint::{self, CellRecord};
-use crate::sweep::{self, Block, Cell, RunOptions, SweepInstance, SweepReport, SweepSpec};
+use crate::checkpoint;
+use crate::sweep::{
+    self, Block, Cell, CellOutcome, RunOptions, SweepInstance, SweepReport, SweepSpec,
+};
 use crate::{faults, wire};
 use serde::{Deserialize, JsonWriter, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -267,8 +276,9 @@ impl Shard {
 struct Arrivals {
     /// Per grid index: the journal holds the cell, or a worker sent it.
     arrived: Vec<bool>,
-    /// The records workers sent for blocks not handed on yet, by grid index.
-    pending: BTreeMap<usize, CellRecord>,
+    /// The outcomes workers sent for blocks not handed on yet, by grid
+    /// index (`None`: dropped).
+    pending: BTreeMap<usize, Option<CellOutcome>>,
     /// The first instance not handed on yet.
     head: usize,
     /// The first grid index not in yet.
@@ -277,8 +287,8 @@ struct Arrivals {
 
 impl Arrivals {
     /// The head instance's block once it is complete, in grid order: each
-    /// cell from the record its worker sent, else through
-    /// [`sweep::cell_result`] — its journaled record, a poisoned row, or,
+    /// cell rendered from the outcome its worker sent, else through
+    /// [`sweep::cell_result`] — its journaled outcome, a poisoned row, or,
     /// for a cell that never arrived, the cell computed in process (with a
     /// warning unless `quiet`).
     fn next_block(
@@ -300,8 +310,8 @@ impl Arrivals {
         }
         self.head += 1;
         let block = grid.run(lo, hi).zip(lo..).map(|((cell, inst), idx)| {
-            if let Some(rec) = self.pending.remove(&idx) {
-                return (rec.row, rec.certificate);
+            if let Some(outcome) = self.pending.remove(&idx) {
+                return sweep::render(&cell, inst, outcome);
             }
             if !self.arrived[idx] && !poisoned(idx) && !quiet {
                 eprintln!(
@@ -349,14 +359,16 @@ impl Worker {
         let reader = std::thread::spawn(move || loop {
             // Whole frames until the buffered bytes run out (a batch's
             // worth at most, so a reader that lags never withholds news).
-            let mut burst = Burst { frames: Vec::new(), records: Vec::new(), gone: None };
+            let mut burst = Burst { frames: Vec::new(), outcomes: Vec::new(), gone: None };
             while burst.gone.is_none() && burst.frames.len() < wire::BATCH_BYTES {
                 let start = burst.frames.len();
                 match wire::read_frame(&mut stdout, &mut burst.frames) {
                     // A beat: liveness only.
                     Ok(true) if burst.frames.len() == start + 8 => burst.frames.truncate(start),
                     Ok(true) => match checkpoint::decode_record(&burst.frames[start + 8..]) {
-                        Some(rec) => burst.records.push((rec, burst.frames.len())),
+                        Some((seed, outcome)) => {
+                            burst.outcomes.push((seed, outcome, burst.frames.len()));
+                        }
                         None => {
                             burst.frames.truncate(start);
                             burst.gone = Some("got an undecodable record from its worker".into());
@@ -408,8 +420,9 @@ struct Burst {
     /// The record frames, header and body, back to back (beats left out):
     /// journal bytes, exactly as the worker framed them.
     frames: Vec<u8>,
-    /// Each decoded record, with the end of its frame in `frames`.
-    records: Vec<(CellRecord, usize)>,
+    /// Each decoded record — cell seed and outcome — with the end of its
+    /// frame in `frames`.
+    outcomes: Vec<(u64, Option<CellOutcome>, usize)>,
     /// Why the worker is gone, when its stream ended, broke or carried an
     /// undecodable record after these frames.
     gone: Option<String>,
@@ -512,10 +525,16 @@ pub fn run_supervised_into<T: Send>(
         return sweep::run_into(spec, opts, prepare, sink);
     }
 
-    // Cells the journal already holds are in from the start, and never
-    // assigned.
-    let seeds: Vec<u64> = grid.run(0, grid.len()).map(|(c, _)| c.cell_seed()).collect();
-    let journaled = |&seed: &u64| opts.journal.is_some_and(|j| j.lookup(seed).is_some());
+    // Each cell's seed, and whether it has starts (an outcome, not a
+    // dropped marker, fits it). Cells the journal already holds are in from
+    // the start, and never assigned.
+    let seeds: Vec<(u64, bool)> = grid
+        .run(0, grid.len())
+        .map(|(c, inst)| (c.cell_seed(), inst.starts(&c).is_some()))
+        .collect();
+    let journaled = |&(seed, has_starts): &(u64, bool)| {
+        opts.journal.is_some_and(|j| j.lookup(seed, has_starts).is_some())
+    };
     let arrived = seeds.iter().map(journaled).collect();
     let mut arrivals = Arrivals { arrived, pending: BTreeMap::new(), head: 0, frontier: 0 };
     let start = Instant::now();
@@ -595,17 +614,21 @@ pub fn run_supervised_into<T: Send>(
                 // up to the first it does not.
                 let mut fault = burst.gone;
                 let (mut accepted, mut accepted_bytes) = (0, 0);
-                for (rec, end) in burst.records {
+                for (seed, outcome, end) in burst.outcomes {
                     match (worker.shard, worker.owed.front()) {
-                        (Some(s), Some(&idx)) if seeds[idx] == rec.cell_seed => {
+                        (Some(s), Some(&idx)) if seeds[idx] == (seed, outcome.is_some()) => {
                             arrivals.arrived[idx] = true;
-                            arrivals.pending.insert(idx, rec);
+                            arrivals.pending.insert(idx, outcome);
                             shards[s].missing -= 1;
                             worker.owed.pop_front();
                             if worker.owed.is_empty() {
                                 worker.shard = None;
                             }
                             (accepted, accepted_bytes) = (accepted + 1, end);
+                        }
+                        (Some(_), Some(&idx)) if seeds[idx].0 == seed => {
+                            fault = Some("got a record that does not fit its cell".to_string());
+                            break;
                         }
                         _ => {
                             fault = Some("got a record it did not assign".to_string());
@@ -695,15 +718,15 @@ impl Outbox {
     }
 }
 
-/// Serves assignments from stdin until it ends, answering each cell with
-/// a record frame on stdout — batched as the module docs describe — while
-/// a beat thread keeps the supervisor hearing from it. The caller supplies
-/// the specs it resolved from its own arguments; the plan names the one to
-/// serve, and its fingerprint must match the spec's, which proves both
-/// processes enumerate the identical grid. Returns `Err` on a protocol
-/// violation (missing or corrupt plan, fingerprint drift, a bad assignment
-/// frame) or a failed write — the supervisor treats the resulting nonzero
-/// exit like any other worker death.
+/// Serves assignments from stdin until it ends, answering each cell with a
+/// record frame of its outcome on stdout — batched as the module docs
+/// describe — while a beat thread keeps the supervisor hearing from it.
+/// The caller supplies the specs it resolved from its own arguments; the
+/// plan names the one to serve, and its fingerprint must match the spec's,
+/// which proves both processes enumerate the identical grid. Returns `Err`
+/// on a protocol violation (missing or corrupt plan, fingerprint drift, a
+/// bad assignment frame) or a failed write — the supervisor treats the
+/// resulting nonzero exit like any other worker death.
 pub fn worker_main(workdir: &Path, specs: &[&SweepSpec]) -> Result<(), String> {
     let plan = wire::read_framed(&workdir.join("plan"))
         .as_deref()
@@ -767,12 +790,12 @@ pub fn worker_main(workdir: &Path, specs: &[&SweepSpec]) -> Result<(), String> {
                     // The kill -9 simulation: die hard, mid-shard.
                     std::process::abort();
                 }
-                let (row, certificate) =
-                    sweep::cell_result(&cell, inst, spec.executor, &opts, false);
-                let rec = CellRecord { cell_seed: cell.cell_seed(), row, certificate };
-                let body = checkpoint::record_body(&rec);
+                let outcome = sweep::cell_outcome(&cell, inst, spec.executor, &opts, false);
+                let seed = cell.cell_seed();
                 let mut outbox = outbox.lock().expect("outbox lock");
-                wire::frame_record(&mut outbox.frames, &body);
+                wire::frame_with(&mut outbox.frames, |body| {
+                    checkpoint::encode_record(body, seed, outcome.as_ref());
+                });
                 // The time check is the cell loop's own, so results keep
                 // flowing when the beat thread is wedged.
                 if outbox.frames.len() >= wire::BATCH_BYTES || outbox.due(beat) {

@@ -56,7 +56,7 @@ use rvz_sim::{
     EnsembleSchedule, PairConfig,
 };
 use rvz_trees::{NodeId, Tree};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Tree families the sweep can grid over.
@@ -491,7 +491,7 @@ pub struct Cell {
 /// One result row; the JSON schema of `--json` output (see docs/schemas.md).
 /// `experiment` shares the grid's interned label (serialized as a plain
 /// JSON string, exactly like the `String` it replaced).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SweepRow {
     pub experiment: Arc<str>,
     pub family: String,
@@ -574,7 +574,7 @@ impl SweepRow {
 
 /// The shape of the retired [`SweepRow::planned`] annotation; no executor
 /// builds one.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Planned {
     /// `"batch"` / `"replay"` / `"stepping"` / `"decide"`.
     pub choice: String,
@@ -590,7 +590,7 @@ pub struct Planned {
 /// replicate [`rvz_lowerbounds::decide::Lasso`] flattened for JSON; every
 /// lasso is re-verified by independent stepping
 /// ([`rvz_lowerbounds::verify_lasso`]) before it is emitted (`verified`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Certificate {
     pub experiment: Arc<str>,
     pub family: String,
@@ -1063,6 +1063,11 @@ pub struct Evidence {
     pub lasso: Option<(u64, u64, bool)>,
 }
 
+/// Every [`Evidence::verdict`]; a journal record names one by its index
+/// ([`crate::checkpoint`]).
+pub const VERDICTS: [&str; 4] =
+    ["never-meets", "never-gathers", "all-delays-meet", "delay-defeats"];
+
 impl CellOutcome {
     /// A run's uncertified outcome.
     fn ran(rounds: Option<u64>, crossings: u64, bits: u64, (delay, budget): (u64, u64)) -> Self {
@@ -1095,6 +1100,45 @@ impl CellOutcome {
             delay => (delay.resolve(n), cell.budget(n, &cell.mode(n))),
         };
         Some(CellOutcome { quarantine: Some(kind), ..Self::ran(None, 0, 0, horizon) })
+    }
+
+    /// The outcome the renderer (`render`) rendered as `row` and
+    /// `certificate`: its inverse, for callers that hold rendered rows,
+    /// such as [`crate::checkpoint::Journal::record`]. `None` for a
+    /// dropped cell, which renders no row.
+    ///
+    /// # Panics
+    ///
+    /// On a certificate whose verdict is not one of [`VERDICTS`], which
+    /// `render` never writes.
+    pub fn of_rendered(
+        row: Option<&SweepRow>,
+        certificate: Option<&Certificate>,
+    ) -> Option<CellOutcome> {
+        let row = row?;
+        let quarantine = match (row.timed_out, row.poisoned) {
+            (Some(true), _) => Some(QuarantineKind::TimedOut),
+            (_, Some(true)) => Some(QuarantineKind::Poisoned),
+            _ => None,
+        };
+        let certificate = certificate.map(|c| Evidence {
+            verdict: VERDICTS
+                .into_iter()
+                .find(|&v| v == c.verdict)
+                .unwrap_or_else(|| panic!("no outcome renders the verdict `{}`", c.verdict)),
+            delays_checked: c.delays_checked,
+            lasso: c.lasso_stem.zip(c.lasso_period).zip(c.verified).map(|((s, p), v)| (s, p, v)),
+        });
+        Some(CellOutcome {
+            rounds: row.rounds,
+            crossings: row.crossings,
+            measured_bits: row.measured_bits,
+            certified: row.certified,
+            delay: row.delay,
+            budget: row.budget,
+            quarantine,
+            certificate,
+        })
     }
 }
 
@@ -1626,12 +1670,35 @@ fn run_cell_watchdogged(
     CellOutcome::quarantined(cell, inst, QuarantineKind::TimedOut)
 }
 
-/// A sweep's one path for a cell, which [`run_into`], the `--workers`
-/// workers and the supervisor's fill-in share: the cell's record when the
-/// journal holds one, else its outcome — a poisoned quarantine when
-/// `poisoned` says its shard killed every worker sent to it, or the cell
-/// run on `executor`, on the per-cell watchdog when `opts` sets a timeout —
-/// rendered and journaled.
+/// A sweep's one path to a cell's outcome, which [`run_into`], the
+/// `--workers` workers and the supervisor's fill-in share: the journaled
+/// outcome when the journal holds one that fits the cell, else a poisoned
+/// quarantine when `poisoned` says its shard killed every worker sent to
+/// it, or the cell run on `executor`, on the per-cell watchdog when `opts`
+/// sets a timeout — journaled.
+pub(crate) fn cell_outcome(
+    cell: &Cell,
+    inst: &Arc<SweepInstance>,
+    executor: Executor,
+    opts: &RunOptions<'_>,
+    poisoned: bool,
+) -> Option<CellOutcome> {
+    let run = || match opts.cell_timeout {
+        _ if poisoned => CellOutcome::quarantined(cell, inst, QuarantineKind::Poisoned),
+        Some(timeout) => run_cell_watchdogged(cell, inst, executor, timeout),
+        None => dispatch(cell, inst, executor),
+    };
+    let Some(journal) = opts.journal else { return run() };
+    let cell_seed = cell.cell_seed();
+    if let Some(outcome) = journal.lookup(cell_seed, inst.starts(cell).is_some()) {
+        return outcome;
+    }
+    let outcome = run();
+    journal.record_outcome(cell_seed, outcome.as_ref());
+    outcome
+}
+
+/// [`cell_outcome`], rendered: the cell's row and certificate.
 pub(crate) fn cell_result(
     cell: &Cell,
     inst: &Arc<SweepInstance>,
@@ -1639,20 +1706,7 @@ pub(crate) fn cell_result(
     opts: &RunOptions<'_>,
     poisoned: bool,
 ) -> (Option<SweepRow>, Option<Certificate>) {
-    let journal = opts.journal.map(|j| (j, cell.cell_seed()));
-    if let Some(rec) = journal.and_then(|(j, cell_seed)| j.lookup(cell_seed)) {
-        return (rec.row.clone(), rec.certificate.clone());
-    }
-    let outcome = match opts.cell_timeout {
-        _ if poisoned => CellOutcome::quarantined(cell, inst, QuarantineKind::Poisoned),
-        Some(timeout) => run_cell_watchdogged(cell, inst, executor, timeout),
-        None => dispatch(cell, inst, executor),
-    };
-    let (row, certificate) = render(cell, inst, outcome);
-    let Some((journal, cell_seed)) = journal else { return (row, certificate) };
-    let rec = crate::checkpoint::CellRecord { cell_seed, row, certificate };
-    journal.record(&rec);
-    (rec.row, rec.certificate)
+    render(cell, inst, cell_outcome(cell, inst, executor, opts, poisoned))
 }
 
 /// Crash-safety and robustness options for [`run_with_options`]; the
@@ -1660,8 +1714,8 @@ pub(crate) fn cell_result(
 #[derive(Debug, Default)]
 pub struct RunOptions<'a> {
     /// Checkpoint journal: cells already journaled are skipped (their
-    /// recorded outcome is spliced into the report unchanged), cells
-    /// computed this run are appended as they complete.
+    /// recorded outcome is rendered into the report), cells computed this
+    /// run are appended as they complete.
     pub journal: Option<&'a crate::checkpoint::Journal>,
     /// Per-cell wall budget (`run_cell_watchdogged`). **Opt-in and
     /// determinism-breaking across runs**: whether a cell times out
@@ -1701,7 +1755,7 @@ pub fn run_with_options(spec: &SweepSpec, opts: &RunOptions<'_>) -> SweepReport 
 
 /// The sweep itself, which [`run_with_options`] collects: one task per
 /// instance of the plan, each of which runs the instance's cells through
-/// `cell_result` (journal lookup, or dispatch, render and journal) and
+/// `cell_result` (journal lookup, or dispatch and journal; then render) and
 /// passes its [`Block`] through `prepare` on the same thread (the CLI
 /// renders the block's report bytes and folds its summary there, so the
 /// rows are dropped where they were allocated). The prepared blocks reach
@@ -2387,9 +2441,12 @@ mod tests {
     fn a_gathering_grid_is_labelled_by_its_width() {
         // At --agents 3 the table shows every lane's start, and its
         // verbs and its dropped-cells note speak of triples that gather.
+        // The automaton alone: procedural triples that never gather step
+        // through budgets of millions of rounds.
         let mut spec = preset("e8", &[5], 1, 3).expect("e8 preset");
         spec.agents = 3;
         spec.pairs_per_cell = 50;
+        spec.variants = vec![Variant::BasicWalkFsa];
         let report = run(&spec);
         assert!(report.dropped_cells > 0 && !report.rows.is_empty());
         let rendered = to_table(&spec, &report).render();

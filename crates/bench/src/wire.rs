@@ -94,10 +94,21 @@ pub const BATCH_BYTES: usize = 64 << 10;
 
 /// Appends one framed record — `len: u32 | crc32: u32 | body` — to `out`.
 pub fn frame_record(out: &mut Vec<u8>, body: &[u8]) {
-    assert!(body.len() <= MAX_RECORD_BYTES, "record body over the frame cap");
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out.extend_from_slice(body);
+    frame_with(out, |out| out.extend_from_slice(body));
+}
+
+/// Appends one framed record whose body `body` writes straight into
+/// `out`, behind a header that is filled in once the body is known, so a
+/// small body needs no buffer of its own.
+pub fn frame_with(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    body(out);
+    let len = out.len() - start - 8;
+    assert!(len <= MAX_RECORD_BYTES, "record body over the frame cap");
+    let crc = crc32(&out[start + 8..]);
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Reads the framed records of `bytes` as a clean prefix: every record up

@@ -14,7 +14,7 @@
 //! printed, and otherwise runs every leg. `RVZ_FAULTS` counters are
 //! per-process, so each worker gets its own fault budget.
 
-use rvz_bench::checkpoint::{self, CellRecord, Journal};
+use rvz_bench::checkpoint::{self, Journal};
 use rvz_bench::supervisor::{self, SupervisorConfig};
 use rvz_bench::sweep::{
     self, Delay, Executor, Family, RunOptions, SweepInstance, SweepSpec, Variant,
@@ -266,13 +266,16 @@ fn partial_worker() {
     let foreign = (0..grid.len())
         .find(|&i| !runs.iter().any(|&(lo, hi)| lo <= i && i < hi))
         .expect("a cell outside the assignment");
+    // The spec runs on the decider, so each record carries its outcome.
+    assert_eq!(spec.executor, Executor::ExactDecide);
     let mut batch = Vec::new();
     for idx in [runs[0].0, foreign] {
         let cell = &grid[idx];
         let inst = SweepInstance::for_cell(cell);
-        let (row, certificate) = sweep::run_cell_with_executor(cell, &inst, spec.executor);
-        let rec = CellRecord { cell_seed: cell.cell_seed(), row, certificate };
-        wire::frame_record(&mut batch, &checkpoint::record_body(&rec));
+        let outcome = sweep::run_cell_decide_certified(cell, &inst);
+        wire::frame_with(&mut batch, |body| {
+            checkpoint::encode_record(body, cell.cell_seed(), outcome.as_ref());
+        });
     }
     let mut stdout = std::io::stdout().lock();
     stdout.write_all(&batch).and_then(|()| stdout.flush()).expect("write the batch");
@@ -305,9 +308,9 @@ fn partial_batch_keeps_its_valid_prefix() {
     assert!(clean);
     assert_eq!(frames.len(), 1 + planned, "the header, then every cell exactly once");
     assert_eq!(checkpoint::parse_journal(&bytes).cells.len(), planned);
-    let first = checkpoint::decode_record(frames[1]).expect("a record");
+    let (first, _) = checkpoint::decode_record(frames[1]).expect("a record");
     assert_eq!(
-        first.cell_seed,
+        first,
         sweep::cells(&spec(1))[0].cell_seed(),
         "the valid record ahead of the foreign one is journaled as it arrived"
     );

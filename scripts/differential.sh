@@ -30,9 +30,14 @@
 #     runs only under --executor replay, and one e7 cell outgrows the
 #     recording cap and takes the replay loop's fall-back to stepping.
 #  9. The classic e1–e8 tables, the only outputs with raw f64 fields, and
-#     a one-thread e10 journal, which pins the compact record encoding: at
+#     a one-thread e10 journal, which pins the binary outcome records: at
 #     one thread its records land in grid order, so its bytes repeat.
-# 10. The SHA-256 of every raw --json/--certificates/--checkpoint file the
+# 10. Resume: that e10 journal and a one-thread e11 (k = 3) journal, each
+#     cut at half its length, resume with both report files, which must
+#     match a fresh run's to the byte. The resumed rows and certificates
+#     are rendered from journaled outcomes, schedule labels and e11's
+#     start_rest included.
+# 11. The SHA-256 of every raw --json/--certificates/--checkpoint file the
 #     legs wrote, recorded from an earlier binary: a change that alters any
 #     output byte fails here, not only one that breaks agreement between
 #     executors or thread counts.
@@ -154,6 +159,30 @@ cmp differential/e1-e8-replay.json differential/e1-e8-stepping.json
 echo "== classic tables and a one-thread journal =="
 "$exp" all --json differential/classic
 "$exp" --experiment e10 --sizes 5,6 --threads 1 --checkpoint differential/e10-journal-t1.ckpt
+
+echo "== half-cut e10 and e11 journals resume =="
+# Cuts the journal $1 at half its length, resumes `experiments ARGS...`
+# ($4...) from the cut copy with both report files, and compares them with
+# a fresh run's rows $2 and certificates $3.
+resume_half() {
+  local journal=$1 rows=$2 certs=$3
+  shift 3
+  local cut="${journal%.ckpt}-half"
+  head -c $(( $(wc -c < "$journal") / 2 )) "$journal" > "$cut.ckpt"
+  "$exp" "$@" --checkpoint "$cut.ckpt" --resume \
+    --json "$cut.json" --certificates "$cut-certificates.json"
+  cmp "$rows" "$cut.json"
+  cmp "$certs" "$cut-certificates.json"
+}
+"$exp" --experiment e10 --sizes 5,6 --threads 2 \
+  --json differential/e10-fresh.json --certificates differential/e10-fresh-certificates.json
+resume_half differential/e10-journal-t1.ckpt \
+  differential/e10-fresh.json differential/e10-fresh-certificates.json \
+  --experiment e10 --sizes 5,6 --threads 1
+"$exp" --experiment e11 --sizes 5,6,7 --threads 1 --checkpoint differential/e11-journal-t1.ckpt
+resume_half differential/e11-journal-t1.ckpt \
+  differential/e11-decide.json differential/e11-certificates.json \
+  --experiment e11 --sizes 5,6,7 --threads 1
 
 echo "== golden output hashes =="
 sha256sum -c scripts/differential.sha256

@@ -3,10 +3,12 @@
 //! rendering of the same payload built as a `Value` tree, a `--json`
 //! directory holds each experiment's single-file report, a `--json`
 //! directory that cannot be created is a clean exit-2 error, not a panic,
-//! a grid with no cell writes empty arrays, and `--experiment` runs each
-//! listed id once and refuses an empty list.
+//! a grid with no cell writes empty arrays, `--experiment` runs each
+//! listed id once and refuses an empty list, and a `--resume` of a journal
+//! of another format version is refused by name, leaving it untouched.
 
-use rvz_bench::{e11, sweep};
+use rvz_bench::checkpoint::JOURNAL_VERSION;
+use rvz_bench::{e11, sweep, wire};
 use serde_json::json;
 use std::path::PathBuf;
 use std::process::Command;
@@ -195,5 +197,28 @@ fn empty_experiment_list_is_a_clean_error() {
     assert_eq!(out.status.code(), Some(2), "stderr was {stderr}");
     assert!(stderr.contains("error: --experiment lists no experiment"), "{stderr}");
     assert!(!dir.join("rows.json").exists(), "no report for an empty list");
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
+#[test]
+fn resuming_a_version_1_journal_names_both_versions() {
+    let dir = scratch("v1-journal");
+    // A version 1 journal: a JSON header, then JSON records (this one is a
+    // dropped-cell marker).
+    let mut journal = Vec::new();
+    wire::frame_record(&mut journal, br#"{"kind":"rvz-journal","version":1,"fingerprint":7}"#);
+    wire::frame_record(&mut journal, br#"{"cell":1}"#);
+    std::fs::write(dir.join("old.ckpt"), &journal).expect("write the journal");
+    let args = ["--experiment", "e9", "--sizes", "3", "--json", "rows.json"];
+    let out = experiments(&dir, &[&args[..], &["--checkpoint", "old.ckpt", "--resume"]].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr was {stderr}");
+    assert!(stderr.contains("error: old.ckpt is a version 1 journal"), "{stderr}");
+    assert!(stderr.contains(&format!("reads version {JOURNAL_VERSION} only")), "{stderr}");
+    assert!(stderr.contains("use a fresh --checkpoint path"), "{stderr}");
+    assert!(!stderr.contains("no readable journal header"), "{stderr}");
+    let kept = std::fs::read(dir.join("old.ckpt")).expect("read the journal");
+    assert_eq!(kept, journal, "a refused journal is left as it was");
+    assert!(!dir.join("rows.json").exists(), "no report from a refused resume");
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }

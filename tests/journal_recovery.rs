@@ -1,32 +1,28 @@
-//! Property tests for checkpoint-journal recovery (PR-7's crash model):
-//! a journal truncated at *any* byte offset, or hit by *any* single-bit
-//! flip, parses to a clean prefix of the original records — never a
-//! panic, never a wrong or mutated row. CRC-32 detects every single-bit
-//! error, so a flipped record can only be dropped, not misread.
+//! Property tests for checkpoint-journal recovery (the crash model of
+//! docs/persistence.md): a journal truncated at *any* byte offset, or hit
+//! by *any* single-bit flip, parses to a clean prefix of the original
+//! records — never a panic, never a wrong or mutated row. A journal
+//! record holds a cell's outcome, from which its row and certificate are
+//! rendered, so an outcome equal to the one journaled is the row that was
+//! journaled. CRC-32 detects every single-bit error, so a flipped record
+//! can only be dropped, not misread.
 
 use proptest::prelude::*;
-use rvz_bench::checkpoint::{encode_journal, parse_journal, CellRecord};
-use rvz_bench::sweep::{self, Delay, Executor, Family, SweepInstance, SweepSpec, Variant};
+use rvz_bench::checkpoint::{encode_journal, parse_journal};
+use rvz_bench::sweep::{
+    self, CellOutcome, Delay, Executor, Family, SweepInstance, SweepSpec, Variant,
+};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 const FINGERPRINT: u64 = 0xFEED_FACE_CAFE_F00D;
 
-/// Canonical form of a journaled outcome: the serde byte-stream of the
-/// row and certificate (the same bytes the journal stores), so "never a
-/// wrong row" is byte-level, not structural.
-fn canonical(rec: &CellRecord) -> (Option<String>, Option<String>) {
-    (
-        rec.row.as_ref().map(|r| serde_json::to_string(r).expect("row")),
-        rec.certificate.as_ref().map(|c| serde_json::to_string(c).expect("cert")),
-    )
-}
+type Outcomes = HashMap<u64, Option<CellOutcome>>;
 
 /// Genuine sweep outcomes (rows *and* ∀-delay certificates) journaled
 /// once; every property mutates the same encoded byte-stream.
-fn fixture() -> &'static (Vec<u8>, HashMap<u64, (Option<String>, Option<String>)>) {
-    static FIXTURE: OnceLock<(Vec<u8>, HashMap<u64, (Option<String>, Option<String>)>)> =
-        OnceLock::new();
+fn fixture() -> &'static (Vec<u8>, Outcomes) {
+    static FIXTURE: OnceLock<(Vec<u8>, Outcomes)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let spec = SweepSpec {
             experiment: "journal-recovery".into(),
@@ -40,31 +36,30 @@ fn fixture() -> &'static (Vec<u8>, HashMap<u64, (Option<String>, Option<String>)
             executor: Executor::ExactDecide,
             agents: 2,
         };
-        let records: Vec<CellRecord> = sweep::cells(&spec)
+        let records: Vec<(u64, Option<CellOutcome>)> = sweep::cells(&spec)
             .iter()
             .map(|cell| {
                 let inst = SweepInstance::for_cell(cell);
-                let (row, certificate) = sweep::run_cell_with_executor(cell, &inst, spec.executor);
-                CellRecord { cell_seed: cell.cell_seed(), row, certificate }
+                (cell.cell_seed(), sweep::run_cell_decide_certified(cell, &inst))
             })
             .collect();
-        let canon = records.iter().map(|r| (r.cell_seed, canonical(r))).collect();
-        (encode_journal(FINGERPRINT, &records), canon)
+        assert!(records.iter().any(|(_, o)| o.as_ref().is_some_and(|o| o.certificate.is_some())));
+        let journal = encode_journal(FINGERPRINT, records.iter().map(|(s, o)| (*s, o.as_ref())));
+        (journal, records.into_iter().collect())
     })
 }
 
-/// Every recovered cell must be one of the originals, byte-identical.
-fn assert_clean_subset(bytes: &[u8], canon: &HashMap<u64, (Option<String>, Option<String>)>) {
+/// Every recovered cell must be one of the originals, with its outcome.
+fn assert_clean_subset(bytes: &[u8], canon: &Outcomes) {
     let snap = parse_journal(bytes);
     if let Some(fp) = snap.fingerprint {
         assert_eq!(fp, FINGERPRINT, "a surviving header must carry the true fingerprint");
     }
-    for (seed, rec) in &snap.cells {
-        assert_eq!(*seed, rec.cell_seed);
+    for (seed, outcome) in &snap.cells {
         let original = canon
             .get(seed)
             .unwrap_or_else(|| panic!("recovered cell {seed:#x} was never journaled"));
-        assert_eq!(&canonical(rec), original, "recovered cell {seed:#x} mutated");
+        assert_eq!(outcome, original, "recovered cell {seed:#x} mutated");
     }
 }
 
