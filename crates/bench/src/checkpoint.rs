@@ -647,9 +647,8 @@ mod tests {
         for id in ["e9", "e10", "e11"] {
             let mut spec = preset(id, &[2, 3, 4, 5, 6], 1, 0x5EED_2010).expect("a preset");
             spec.executor = Executor::ExactDecide;
-            let experiment: Arc<str> = Arc::from(id);
             for inst in instances(&spec) {
-                for cell in inst.cells(&spec, &experiment) {
+                for cell in inst.cells(&spec) {
                     let outcome = run_cell_decide_certified(&cell, &inst);
                     out.push((cell, Arc::clone(&inst), outcome));
                 }
@@ -727,7 +726,8 @@ mod tests {
                 outcomes.push(CellOutcome::quarantined(&cell, &inst, kind));
             }
             for outcome in outcomes {
-                let (row, certificate) = crate::sweep::render(&cell, &inst, outcome.clone());
+                let seed = cell.cell_seed();
+                let (row, certificate) = crate::sweep::render(&cell, &inst, seed, outcome.clone());
                 assert_eq!(CellOutcome::of_rendered(row.as_ref(), certificate.as_ref()), outcome);
             }
         }
@@ -861,9 +861,10 @@ mod tests {
         let rows = Journal::open(&by_row, false, 5).unwrap();
         let outcomes = Journal::open(&by_outcome, false, 5).unwrap();
         for (cell, inst, outcome) in decided_cells() {
-            let (row, certificate) = crate::sweep::render(&cell, &inst, outcome.clone());
-            rows.record(&CellRecord { cell_seed: cell.cell_seed(), row, certificate });
-            outcomes.record_outcome(cell.cell_seed(), outcome.as_ref());
+            let seed = cell.cell_seed();
+            let (row, certificate) = crate::sweep::render(&cell, &inst, seed, outcome.clone());
+            rows.record(&CellRecord { cell_seed: seed, row, certificate });
+            outcomes.record_outcome(seed, outcome.as_ref());
         }
         rows.record(&CellRecord { cell_seed: 11, row: None, certificate: None });
         outcomes.record_outcome(11, None);

@@ -22,6 +22,7 @@
 use crate::sweep::{Certificate, Checks, Lanes, SweepReport, SweepRow};
 use crate::table::Table;
 use serde::Serialize;
+use std::io::Write;
 
 /// Per-(size, schedule) aggregate of an E10 report.
 #[derive(Debug, Clone, Serialize)]
@@ -45,16 +46,25 @@ pub struct ScheduleSummary {
     pub certified: u64,
 }
 
+/// Room for the longest legacy label, `start-delay(` and `)` around the
+/// 20 digits of `u64::MAX`.
+const LEGACY_LABEL_BYTES: usize = 33;
+
 /// The schedule label of a row: the `schedule` field when present, else
-/// the legacy start scenario the `delay` field encodes.
-pub fn row_schedule(row: &SweepRow) -> String {
-    row.schedule.clone().unwrap_or_else(|| {
-        if row.delay == 0 {
-            "simultaneous".into()
-        } else {
-            format!("start-delay({})", row.delay)
+/// the legacy start scenario the `delay` field encodes, written into
+/// `buf` for a nonzero delay. Borrowed, so reading a row's label allocates
+/// nothing.
+fn row_schedule<'a>(row: &'a SweepRow, buf: &'a mut [u8; LEGACY_LABEL_BYTES]) -> &'a str {
+    match &row.schedule {
+        Some(label) => label,
+        None if row.delay == 0 => "simultaneous",
+        None => {
+            let mut rest = &mut buf[..];
+            write!(rest, "start-delay({})", row.delay).expect("a u64 label fits its buffer");
+            let len = LEGACY_LABEL_BYTES - rest.len();
+            std::str::from_utf8(&buf[..len]).expect("an ASCII label")
         }
-    })
+    }
 }
 
 /// Aggregates an E10 sweep report into its per-(size, schedule) table, the
@@ -85,11 +95,13 @@ pub(crate) struct Fold {
 }
 
 impl Fold {
-    /// Folds in the next block's rows and certificates.
+    /// Folds in the next block's rows and certificates. A row's label is
+    /// copied only when it opens a group.
     pub(crate) fn add(&mut self, rows: &[SweepRow], certificates: &[Certificate]) {
         self.checks.add(rows, certificates);
+        let mut buf = [0; LEGACY_LABEL_BYTES];
         for row in rows {
-            let entry = self.group(row.size, row_schedule(row));
+            let entry = self.group(row.size, row_schedule(row, &mut buf));
             if row.quarantined() {
                 continue;
             }
@@ -111,7 +123,11 @@ impl Fold {
     pub(crate) fn merge(&mut self, other: Fold) {
         self.checks.merge(other.checks);
         for group in other.groups {
-            let entry = self.group(group.n, group.schedule);
+            let Some(i) = self.position(group.n, &group.schedule) else {
+                self.groups.push(group);
+                continue;
+            };
+            let entry = &mut self.groups[i];
             entry.pairs += group.pairs;
             entry.met += group.met;
             entry.never += group.never;
@@ -120,25 +136,28 @@ impl Fold {
         }
     }
 
+    /// Where the group of size `n` under `schedule` is, if there is one.
+    fn position(&self, n: usize, schedule: &str) -> Option<usize> {
+        self.groups.iter().position(|s| s.n == n && s.schedule == schedule)
+    }
+
     /// The group of size `n` under `schedule`; a new one, counting
-    /// nothing yet, follows the groups already there.
-    fn group(&mut self, n: usize, schedule: String) -> &mut ScheduleSummary {
-        let groups = &mut self.groups;
-        match groups.iter().position(|s| s.n == n && s.schedule == schedule) {
-            Some(i) => &mut groups[i],
-            None => {
-                groups.push(ScheduleSummary {
-                    n,
-                    schedule,
-                    pairs: 0,
-                    met: 0,
-                    never: 0,
-                    worst_round: 0,
-                    certified: 0,
-                });
-                groups.last_mut().expect("just pushed")
-            }
-        }
+    /// nothing yet and holding its own copy of the label, follows the
+    /// groups already there.
+    fn group(&mut self, n: usize, schedule: &str) -> &mut ScheduleSummary {
+        let i = self.position(n, schedule).unwrap_or_else(|| {
+            self.groups.push(ScheduleSummary {
+                n,
+                schedule: schedule.to_string(),
+                pairs: 0,
+                met: 0,
+                never: 0,
+                worst_round: 0,
+                certified: 0,
+            });
+            self.groups.len() - 1
+        });
+        &mut self.groups[i]
     }
 
     /// The E10 summary rows and the rendered table.
@@ -206,6 +225,25 @@ mod tests {
                 (s.n, s.schedule.clone(), [s.pairs, s.met, s.never, s.worst_round, s.certified])
             })
             .collect()
+    }
+
+    #[test]
+    fn borrowed_row_labels_are_the_formatted_ones() {
+        // The fold reads labels without allocating; each must be the
+        // string a formatted label would be, up to the widest delay.
+        let spec = sweep::preset("e10", &[4], 1, 3).expect("e10 preset");
+        let mut row = sweep::run(&spec).rows.swap_remove(0);
+        let mut buf = [0; LEGACY_LABEL_BYTES];
+        let cases = [
+            (None, 0, "simultaneous".to_string()),
+            (None, 1, "start-delay(1)".to_string()),
+            (None, u64::MAX, format!("start-delay({})", u64::MAX)),
+            (Some("crash-after(3)"), 7, "crash-after(3)".to_string()),
+        ];
+        for (schedule, delay, label) in cases {
+            (row.schedule, row.delay) = (schedule.map(String::from), delay);
+            assert_eq!(row_schedule(&row, &mut buf), label);
+        }
     }
 
     #[test]

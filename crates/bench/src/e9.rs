@@ -106,7 +106,7 @@ impl Fold {
         }
         for c in certificates {
             let size = self.sizes.entry(c.size).or_default();
-            match c.verdict.as_str() {
+            match c.verdict {
                 "all-delays-meet" => {
                     size.forall_meet += 1;
                     size.worst_round = size.worst_round.max(c.round.unwrap_or(0));

@@ -337,7 +337,7 @@ mod tests {
 
     fn line_cell(seed: u64) -> Cell {
         Cell {
-            experiment: Arc::from("memo-test"),
+            experiment: "memo-test",
             family: Family::Line,
             n: 8,
             delay: Delay::Zero,

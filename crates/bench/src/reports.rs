@@ -357,7 +357,6 @@ mod tests {
     use super::*;
     use crate::sweep::{self, Block, CellOutcome, Executor, QuarantineKind};
     use serde_json::json;
-    use std::sync::Arc;
 
     #[test]
     fn every_row_tag_has_the_placeholders_length() {
@@ -383,7 +382,7 @@ mod tests {
         sweep::run_into(&spec, &Default::default(), |block| block, |block| blocks.push(block));
         let plan = sweep::instances(&spec);
         let last = plan.last().expect("an instance");
-        let cell = last.cells(&spec, &Arc::from("e9")).pop().expect("a cell");
+        let cell = last.cells(&spec).pop().expect("a cell");
         let dir = scratch("quarantine");
         for (kind, tag) in
             [(QuarantineKind::TimedOut, "rvz-sweep/v4"), (QuarantineKind::Poisoned, "rvz-sweep/v5")]
@@ -397,7 +396,9 @@ mod tests {
                 if i + 1 == blocks.len() {
                     let outcome = CellOutcome::quarantined(&cell, last, kind);
                     *block_rows.last_mut().expect("a row") =
-                        sweep::render(&cell, last, outcome).0.expect("a quarantine row");
+                        sweep::render(&cell, last, cell.cell_seed(), outcome)
+                            .0
+                            .expect("a quarantine row");
                 }
                 file.write(RowsBlock::render(&block_rows, &buffers), &buffers);
                 rows.extend(block_rows);

@@ -341,7 +341,7 @@ mod tests {
     /// Runs a tiny sweep so both stores hold entries keyed by `seed`.
     fn warm_stores(seed: u64) -> sweep::SweepReport {
         let spec = SweepSpec {
-            experiment: "stores-test".into(),
+            experiment: "stores-test",
             families: vec![sweep::Family::Line, sweep::Family::Spider3],
             sizes: vec![6, 7],
             delays: vec![Delay::Zero, Delay::Fixed(2)],
@@ -412,7 +412,7 @@ mod tests {
         let mut warmed = Vec::new();
         for seed in 0..260u64 {
             let cell = sweep::Cell {
-                experiment: "stores-flush-test".into(),
+                experiment: "stores-flush-test",
                 family: Family::Line,
                 n: 8,
                 delay: Delay::Zero,

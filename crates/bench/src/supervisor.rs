@@ -219,7 +219,6 @@ fn decode_runs(body: &[u8], total: usize) -> Result<Vec<(usize, usize)>, String>
 /// names one cell in every process.
 struct Grid<'a> {
     spec: &'a SweepSpec,
-    experiment: Arc<str>,
     instances: Vec<Arc<SweepInstance>>,
     /// Instance `i` holds grid indices `offsets[i]..offsets[i + 1]`.
     offsets: Vec<usize>,
@@ -227,13 +226,12 @@ struct Grid<'a> {
 
 impl Grid<'_> {
     fn new(spec: &SweepSpec) -> Grid<'_> {
-        let experiment = Arc::from(spec.experiment.as_str());
         let instances = sweep::instances(spec);
         let mut offsets = vec![0];
         for inst in &instances {
-            offsets.push(offsets[offsets.len() - 1] + inst.cells(spec, &experiment).len());
+            offsets.push(offsets[offsets.len() - 1] + inst.cells(spec).len());
         }
-        Grid { spec, experiment, instances, offsets }
+        Grid { spec, instances, offsets }
     }
 
     fn len(&self) -> usize {
@@ -246,7 +244,7 @@ impl Grid<'_> {
         let overlaps = move |&i: &usize| self.offsets[i] < hi && lo < self.offsets[i + 1];
         (0..self.instances.len()).filter(overlaps).flat_map(move |i| {
             let (first, inst) = (self.offsets[i], &self.instances[i]);
-            let cells = inst.cells(self.spec, &self.experiment).into_iter();
+            let cells = inst.cells(self.spec).into_iter();
             cells.skip(lo.saturating_sub(first)).take(hi - first.max(lo)).map(move |c| (c, inst))
         })
     }
@@ -311,7 +309,7 @@ impl Arrivals {
         self.head += 1;
         let block = grid.run(lo, hi).zip(lo..).map(|((cell, inst), idx)| {
             if let Some(outcome) = self.pending.remove(&idx) {
-                return sweep::render(&cell, inst, outcome);
+                return sweep::render(&cell, inst, cell.cell_seed(), outcome);
             }
             if !self.arrived[idx] && !poisoned(idx) && !quiet {
                 eprintln!(
@@ -496,7 +494,7 @@ pub fn run_supervised_into<T: Send>(
         kind: PLAN_KIND.into(),
         version: PLAN_VERSION,
         fingerprint: checkpoint::spec_fingerprint(&[spec]),
-        experiment: spec.experiment.clone(),
+        experiment: spec.experiment.to_string(),
         total_cells: grid.len(),
         cell_timeout_ms: opts.cell_timeout.map(|t| t.as_millis() as u64),
         beat_ms: ((cfg.heartbeat_timeout / 20).as_millis() as u64).max(1),
@@ -507,7 +505,7 @@ pub fn run_supervised_into<T: Send>(
         Some(j) => {
             let mut name = j.path().file_name().unwrap_or_default().to_os_string();
             name.push(".work");
-            j.path().with_file_name(name).join(&spec.experiment)
+            j.path().with_file_name(name).join(spec.experiment)
         }
         None => std::env::temp_dir().join(format!(
             "rvz-workers-{}-{}",
@@ -790,8 +788,8 @@ pub fn worker_main(workdir: &Path, specs: &[&SweepSpec]) -> Result<(), String> {
                     // The kill -9 simulation: die hard, mid-shard.
                     std::process::abort();
                 }
-                let outcome = sweep::cell_outcome(&cell, inst, spec.executor, &opts, false);
                 let seed = cell.cell_seed();
+                let outcome = sweep::cell_outcome(&cell, inst, seed, spec.executor, &opts, false);
                 let mut outbox = outbox.lock().expect("outbox lock");
                 wire::frame_with(&mut outbox.frames, |body| {
                     checkpoint::encode_record(body, seed, outcome.as_ref());

@@ -441,8 +441,9 @@ pub enum Executor {
 /// A full grid specification; [`run`] executes it.
 #[derive(Debug, Clone)]
 pub struct SweepSpec {
-    /// Tag recorded in every row (e.g. `"e6"`).
-    pub experiment: String,
+    /// Tag recorded in every cell, row and certificate (e.g. `"e6"`):
+    /// a preset's own id, or a literal, so every copy shares its bytes.
+    pub experiment: &'static str,
     pub families: Vec<Family>,
     pub sizes: Vec<usize>,
     pub delays: Vec<Delay>,
@@ -465,12 +466,12 @@ pub struct SweepSpec {
 }
 
 /// One grid cell: everything [`run_cell`] needs, and nothing that depends
-/// on execution order. The experiment label is interned (`Arc<str>`): the
-/// whole grid shares one allocation instead of cloning a `String` per
-/// cell.
+/// on execution order. The experiment label is the spec's
+/// ([`SweepSpec::experiment`]): every cell of the grid points at the same
+/// static bytes, so copying it allocates nothing and counts no reference.
 #[derive(Debug, Clone)]
 pub struct Cell {
-    pub experiment: Arc<str>,
+    pub experiment: &'static str,
     pub family: Family,
     pub n: usize,
     pub delay: Delay,
@@ -489,17 +490,18 @@ pub struct Cell {
 }
 
 /// One result row; the JSON schema of `--json` output (see docs/schemas.md).
-/// `experiment` shares the grid's interned label (serialized as a plain
-/// JSON string, exactly like the `String` it replaced).
+/// Its labels are static strings — the spec's experiment label,
+/// [`Family::name`] and [`Variant::name`] — so rendering a row without a
+/// schedule label or extra lanes allocates nothing.
 #[derive(Debug, Clone, Serialize)]
 pub struct SweepRow {
-    pub experiment: Arc<str>,
-    pub family: String,
+    pub experiment: &'static str,
+    pub family: &'static str,
     /// Requested size; `n` is the realized node count.
     pub size: usize,
     pub n: usize,
     pub leaves: usize,
-    pub variant: String,
+    pub variant: &'static str,
     pub delay: u64,
     /// Resolved activation-schedule label for genuine schedule cells
     /// (e.g. `"intermittent(2,0)"`); absent — not `null` — on every
@@ -592,17 +594,18 @@ pub struct Planned {
 /// ([`rvz_lowerbounds::verify_lasso`]) before it is emitted (`verified`).
 #[derive(Debug, Clone, Serialize)]
 pub struct Certificate {
-    pub experiment: Arc<str>,
-    pub family: String,
+    pub experiment: &'static str,
+    pub family: &'static str,
     pub size: usize,
     pub n: usize,
     pub tree_seed: u64,
-    pub variant: String,
+    pub variant: &'static str,
     pub start_a: NodeId,
     pub start_b: NodeId,
-    /// `"meets"` / `"never-meets"` for fixed-delay cells;
-    /// `"all-delays-meet"` / `"delay-defeats"` for universal cells.
-    pub verdict: String,
+    /// One of [`VERDICTS`]: `"never-meets"` (`"never-gathers"` at
+    /// `k > 2`) for fixed-delay cells; `"all-delays-meet"` /
+    /// `"delay-defeats"` for universal cells.
+    pub verdict: &'static str,
     /// Resolved schedule label for scheduled never-meets certificates;
     /// absent on delay-axis certificates (schema `rvz-certificates/v2` =
     /// v1 plus this optional field).
@@ -665,27 +668,33 @@ impl Cell {
     /// exactly the pre-enumeration token list, so their seeds — and hence
     /// every historical row — are unchanged by the tree-index axis.
     pub fn cell_seed(&self) -> u64 {
-        let mut tokens = vec![
-            fnv(&self.experiment),
+        // Six coordinates, then at most two optional token pairs: a fixed
+        // array, so a seed costs no allocation.
+        let mut tokens = [0; 10];
+        tokens[..6].copy_from_slice(&[
+            fnv(self.experiment),
             fnv(self.family.name()),
             self.n as u64,
             self.delay.code(),
             fnv(self.variant.name()),
             self.pair_index as u64,
-        ];
+        ]);
+        let mut len = 6;
+        let mut push = |pair: [u64; 2]| {
+            tokens[len..len + 2].copy_from_slice(&pair);
+            len += 2;
+        };
         if let Some(index) = self.tree_index {
-            tokens.push(fnv("tree-index"));
-            tokens.push(index);
+            push([fnv("tree-index"), index]);
         }
         // Pair cells mix exactly the historical token list: the ensemble
         // axis enters the seed only when it actually widens the cell, so
         // every `--agents 2` row is byte-identical to its pre-ensemble
         // ancestor.
         if self.agents > 2 {
-            tokens.push(fnv("agents"));
-            tokens.push(self.agents as u64);
+            push([fnv("agents"), self.agents as u64]);
         }
-        mix(self.base_seed, &tokens)
+        mix(self.base_seed, &tokens[..len])
     }
 }
 
@@ -747,8 +756,7 @@ pub fn instances(spec: &SweepSpec) -> Vec<Arc<SweepInstance>> {
 /// pair of that tree (so `pairs_per_cell` is ignored and the planned cell
 /// count is exact — nothing is dropped at run time).
 pub fn cells(spec: &SweepSpec) -> Vec<Cell> {
-    let experiment: Arc<str> = Arc::from(spec.experiment.as_str());
-    instances(spec).iter().flat_map(|inst| inst.cells(spec, &experiment)).collect()
+    instances(spec).iter().flat_map(|inst| inst.cells(spec)).collect()
 }
 
 /// Round budget for the general tree algorithms (as E6 provisions).
@@ -878,9 +886,9 @@ impl SweepInstance {
     }
 
     /// This instance's cells of `spec`'s grid, in grid order (delay,
-    /// variant, start), dropping unsupported combinations. `experiment` is
-    /// the grid's interned label.
-    pub fn cells(&self, spec: &SweepSpec, experiment: &Arc<str>) -> Vec<Cell> {
+    /// variant, start), dropping unsupported combinations. Every cell
+    /// carries the spec's static experiment label.
+    pub fn cells(&self, spec: &SweepSpec) -> Vec<Cell> {
         // The enumerated start axis is exhaustive; a sampled one plans
         // `pairs_per_cell` cells whether or not the pool has that many.
         let pairs_total = match self.tree_index {
@@ -905,7 +913,7 @@ impl SweepInstance {
                     continue;
                 }
                 out.extend((0..pairs_total).map(|pair_index| Cell {
-                    experiment: experiment.clone(),
+                    experiment: spec.experiment,
                     family: self.family,
                     n: self.n,
                     delay,
@@ -964,7 +972,7 @@ impl SweepInstance {
 /// [`run_cell_on`].
 pub fn run_cell(cell: &Cell) -> Option<SweepRow> {
     let inst = SweepInstance::for_cell(cell);
-    render(cell, &inst, run_cell_on(cell, &inst)).0
+    render(cell, &inst, cell.cell_seed(), run_cell_on(cell, &inst)).0
 }
 
 /// How a cell's delay axis executes at a resolved instance size. A start
@@ -1147,10 +1155,14 @@ impl CellOutcome {
 /// across executors, the watchdog and the supervisor is kept here. Lanes
 /// 0/1 land in `start_a`/`start_b`; at `k > 2` `agents` and `start_rest`
 /// join, so every pair row keeps its exact shape. A dropped cell (no
-/// outcome) renders as nothing.
+/// outcome) renders as nothing. `cell_seed` is the cell's
+/// [`Cell::cell_seed`], which the caller computes once for the journal
+/// and the row alike. Every label is static, so a row or certificate with
+/// no schedule label and no lanes past the second allocates nothing.
 pub(crate) fn render(
     cell: &Cell,
     inst: &SweepInstance,
+    cell_seed: u64,
     outcome: Option<CellOutcome>,
 ) -> (Option<SweepRow>, Option<Certificate>) {
     let Some(o) = outcome else { return (None, None) };
@@ -1172,15 +1184,15 @@ pub(crate) fn render(
     let agents = ensemble.then_some(starts.len());
     let start_rest = || ensemble.then(|| starts[2..].to_vec());
     let certificate = o.certificate.map(|e| Certificate {
-        experiment: cell.experiment.clone(),
-        family: cell.family.name().to_string(),
+        experiment: cell.experiment,
+        family: cell.family.name(),
         size: cell.n,
         n,
         tree_seed: inst.tree_seed,
-        variant: cell.variant.name().to_string(),
+        variant: cell.variant.name(),
         start_a: starts[0],
         start_b: starts[1],
-        verdict: e.verdict.to_string(),
+        verdict: e.verdict,
         schedule: schedule.clone(),
         delay: o.delay,
         round: o.rounds,
@@ -1192,12 +1204,12 @@ pub(crate) fn render(
         start_rest: start_rest(),
     });
     let row = SweepRow {
-        experiment: cell.experiment.clone(),
-        family: cell.family.name().to_string(),
+        experiment: cell.experiment,
+        family: cell.family.name(),
         size: cell.n,
         n,
         leaves,
-        variant: cell.variant.name().to_string(),
+        variant: cell.variant.name(),
         delay: o.delay,
         schedule,
         start_a: starts[0],
@@ -1210,7 +1222,7 @@ pub(crate) fn render(
         measured_bits: o.measured_bits,
         tree_seed: inst.tree_seed,
         pairs_seed: inst.pairs_seed,
-        cell_seed: cell.cell_seed(),
+        cell_seed,
         certified: o.certified,
         timed_out: (o.quarantine == Some(QuarantineKind::TimedOut)).then_some(true),
         poisoned: (o.quarantine == Some(QuarantineKind::Poisoned)).then_some(true),
@@ -1594,7 +1606,7 @@ pub fn run_cell_with_executor(
     inst: &SweepInstance,
     executor: Executor,
 ) -> (Option<SweepRow>, Option<Certificate>) {
-    render(cell, inst, dispatch(cell, inst, executor))
+    render(cell, inst, cell.cell_seed(), dispatch(cell, inst, executor))
 }
 
 /// The outcome of one cell on `executor`: the single dispatch the sweep,
@@ -1675,10 +1687,12 @@ fn run_cell_watchdogged(
 /// outcome when the journal holds one that fits the cell, else a poisoned
 /// quarantine when `poisoned` says its shard killed every worker sent to
 /// it, or the cell run on `executor`, on the per-cell watchdog when `opts`
-/// sets a timeout — journaled.
+/// sets a timeout — journaled. `cell_seed` is the cell's
+/// [`Cell::cell_seed`], the journal's key.
 pub(crate) fn cell_outcome(
     cell: &Cell,
     inst: &Arc<SweepInstance>,
+    cell_seed: u64,
     executor: Executor,
     opts: &RunOptions<'_>,
     poisoned: bool,
@@ -1689,7 +1703,6 @@ pub(crate) fn cell_outcome(
         None => dispatch(cell, inst, executor),
     };
     let Some(journal) = opts.journal else { return run() };
-    let cell_seed = cell.cell_seed();
     if let Some(outcome) = journal.lookup(cell_seed, inst.starts(cell).is_some()) {
         return outcome;
     }
@@ -1698,7 +1711,8 @@ pub(crate) fn cell_outcome(
     outcome
 }
 
-/// [`cell_outcome`], rendered: the cell's row and certificate.
+/// [`cell_outcome`], rendered: the cell's row and certificate, with its
+/// seed computed once for both.
 pub(crate) fn cell_result(
     cell: &Cell,
     inst: &Arc<SweepInstance>,
@@ -1706,7 +1720,8 @@ pub(crate) fn cell_result(
     opts: &RunOptions<'_>,
     poisoned: bool,
 ) -> (Option<SweepRow>, Option<Certificate>) {
-    render(cell, inst, cell_outcome(cell, inst, executor, opts, poisoned))
+    let seed = cell.cell_seed();
+    render(cell, inst, seed, cell_outcome(cell, inst, seed, executor, opts, poisoned))
 }
 
 /// Crash-safety and robustness options for [`run_with_options`]; the
@@ -1770,10 +1785,9 @@ pub fn run_into<T: Send>(
     prepare: impl Fn(Block) -> T + Sync,
     sink: impl FnMut(T) + Send,
 ) {
-    let experiment: Arc<str> = Arc::from(spec.experiment.as_str());
     let plan = instances(spec);
     let block = |inst: &Arc<SweepInstance>| -> Block {
-        let cells = inst.cells(spec, &experiment);
+        let cells = inst.cells(spec);
         cells.iter().map(|c| cell_result(c, inst, spec.executor, opts, false)).collect()
     };
     pool(spec).install(|| crate::window::ordered(&plan, |inst| prepare(block(inst)), sink));
@@ -1903,10 +1917,10 @@ pub fn to_table(spec: &SweepSpec, report: &SweepReport) -> Table {
     );
     for r in rows {
         let mut cells = vec![
-            r.family.clone(),
+            r.family.to_string(),
             r.n.to_string(),
             r.leaves.to_string(),
-            r.variant.clone(),
+            r.variant.to_string(),
             r.schedule.clone().unwrap_or_else(|| r.delay.to_string()),
         ];
         if lanes.agents > 2 {
@@ -1965,14 +1979,19 @@ pub fn to_table(spec: &SweepSpec, report: &SweepReport) -> Table {
     t
 }
 
-/// Default grid for each experiment id (`e1`..`e9`); `None` for unknown
-/// ids. `sizes`/`threads`/`seed` come from the caller (CLI).
+/// Every experiment id [`preset`] knows, in order.
+const PRESET_IDS: [&str; 11] = ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11"];
+
+/// Default grid for each experiment id (`e1`..`e11`); `None` for unknown
+/// ids. `sizes`/`threads`/`seed` come from the caller (CLI). The spec's
+/// label is the preset's own static id, never a copy of `id`.
 pub fn preset(id: &str, sizes: &[usize], threads: usize, seed: u64) -> Option<SweepSpec> {
     use Delay::*;
     use Family::*;
     use Variant::*;
+    let id = PRESET_IDS.into_iter().find(|&known| known == id)?;
     let spec = |families: Vec<Family>, delays: Vec<Delay>, variants: Vec<Variant>| SweepSpec {
-        experiment: id.to_string(),
+        experiment: id,
         families,
         sizes: sizes.to_vec(),
         delays,
@@ -2085,7 +2104,7 @@ pub const E11_DEFAULT_SIZES: &[usize] = &[3, 4, 5, 6, 7];
 
 fn perf_grid(families: Vec<Family>, delays: Vec<Delay>, variants: Vec<Variant>) -> SweepSpec {
     SweepSpec {
-        experiment: "bench".into(),
+        experiment: "bench",
         families,
         sizes: vec![200],
         delays,
@@ -2154,7 +2173,7 @@ pub(crate) fn quarantined_report(
         match pick(i) {
             Some(kind) => {
                 let outcome = CellOutcome::quarantined(cell, &inst, kind);
-                mixed.rows.extend(render(cell, &inst, outcome).0);
+                mixed.rows.extend(render(cell, &inst, cell.cell_seed(), outcome).0);
             }
             None => {
                 let (row, cert) = run_cell_with_executor(cell, &inst, spec.executor);
@@ -2177,7 +2196,7 @@ mod tests {
     /// which the rebuild-per-cell test compares with stepping.
     fn small_spec(threads: usize) -> SweepSpec {
         SweepSpec {
-            experiment: "test".into(),
+            experiment: "test",
             families: vec![Family::Line, Family::Spider3],
             sizes: vec![8, 16],
             delays: vec![Delay::Zero, Delay::Fixed(3)],
@@ -2201,13 +2220,12 @@ mod tests {
     #[test]
     fn blocks_leave_one_per_instance_in_grid_order() {
         let spec = small_spec(2);
-        let experiment: Arc<str> = Arc::from(spec.experiment.as_str());
         let mut blocks = Vec::new();
         run_into(&spec, &RunOptions::default(), |block| block, |block| blocks.push(block));
         let plan = instances(&spec);
         assert_eq!(blocks.len(), plan.len());
         for (block, inst) in blocks.iter().zip(&plan) {
-            let cells = inst.cells(&spec, &experiment);
+            let cells = inst.cells(&spec);
             assert_eq!(block.planned, cells.len());
             let seeds: Vec<u64> = cells.iter().map(Cell::cell_seed).collect();
             let rows: Vec<u64> = block.rows.iter().map(|r| r.cell_seed).collect();
@@ -2262,7 +2280,7 @@ mod tests {
         // The bw-fsa budget claims to *decide* the meeting question: running
         // the same cell with a 4× budget must not change any outcome.
         let spec = SweepSpec {
-            experiment: "bw".into(),
+            experiment: "bw",
             families: vec![Family::Line, Family::Spider3, Family::Random],
             sizes: vec![9, 16],
             delays: vec![Delay::Zero, Delay::Fixed(2), Delay::LinearN],
@@ -2301,7 +2319,7 @@ mod tests {
         // Delay::Fixed(0) and Delay::Zero resolve identically; grid filters
         // must not silently drop simultaneous-start variants over spelling.
         let spec = SweepSpec {
-            experiment: "zero".into(),
+            experiment: "zero",
             families: vec![Family::Line],
             sizes: vec![8],
             delays: vec![Delay::Fixed(0)],
@@ -2382,7 +2400,7 @@ mod tests {
         // Finding-driven: a row from a randomized family must carry enough
         // provenance to rebuild the exact instance and rerun the cell.
         let spec = SweepSpec {
-            experiment: "replay".into(),
+            experiment: "replay",
             families: vec![Family::Random],
             sizes: vec![12],
             delays: vec![Delay::Fixed(2)],
@@ -2418,7 +2436,7 @@ mod tests {
         // A 4-node star has very few feasible pairs; asking for an absurd
         // pairs_per_cell must surface as dropped cells, not silence.
         let spec = SweepSpec {
-            experiment: "drop".into(),
+            experiment: "drop",
             families: vec![Family::Star],
             sizes: vec![4],
             delays: vec![Delay::Zero],
@@ -2464,14 +2482,14 @@ mod tests {
 
     #[test]
     fn experiment_label_is_interned_across_cells_and_rows() {
-        // ISSUE 3 satellite: the grid shares ONE `Arc<str>` label — no
-        // per-cell / per-row `String` clone — and it serializes as a plain
-        // JSON string.
+        // The grid shares ONE label, the spec's static one — no per-cell
+        // or per-row copy — and it serializes as a plain JSON string.
         let spec = small_spec(1);
         let grid = cells(&spec);
-        assert!(grid.windows(2).all(|w| Arc::ptr_eq(&w[0].experiment, &w[1].experiment)));
+        let label = spec.experiment;
+        assert!(grid.iter().all(|c| std::ptr::eq(c.experiment, label)));
         let report = run(&spec);
-        assert!(report.rows.windows(2).all(|w| Arc::ptr_eq(&w[0].experiment, &w[1].experiment)));
+        assert!(report.rows.iter().all(|r| std::ptr::eq(r.experiment, label)));
         let json = serde_json::to_string(&report.rows[0]).unwrap();
         assert!(json.contains("\"experiment\":\"test\""), "{json}");
     }
@@ -2485,7 +2503,7 @@ mod tests {
         // families and the exhaustive family both run.
         use rvz_lowerbounds::decide::{decide_pair, worst_case_delay};
         let spec = SweepSpec {
-            experiment: "raw".into(),
+            experiment: "raw",
             families: vec![Family::Line, Family::Random, Family::EnumFree],
             sizes: vec![6, 7],
             delays: vec![Delay::Zero, Delay::Fixed(2), Delay::Adversarial],
@@ -2499,8 +2517,8 @@ mod tests {
         let grid = cells(&spec);
         for cell in &grid {
             let inst = SweepInstance::for_cell(cell);
-            let (Some(row), cert) = render(cell, &inst, run_cell_decide_certified(cell, &inst))
-            else {
+            let outcome = run_cell_decide_certified(cell, &inst);
+            let (Some(row), cert) = render(cell, &inst, cell.cell_seed(), outcome) else {
                 continue;
             };
             let fsa = inst.basic_walk_fsa();
@@ -2665,7 +2683,7 @@ mod tests {
         let theta = EnsembleSchedule::MAX_MATERIALIZED_PREFIX + 1;
         for agents in [2usize, 3] {
             let spec = |executor| SweepSpec {
-                experiment: "huge-theta".into(),
+                experiment: "huge-theta",
                 families: vec![Family::Line],
                 sizes: vec![6],
                 delays: vec![Delay::Fixed(theta)],
@@ -2716,7 +2734,7 @@ mod tests {
         // identical modulo `certified` on the automaton cells, with every
         // bw timeout a certified never-meets.
         let spec = |executor| SweepSpec {
-            experiment: "sched".into(),
+            experiment: "sched",
             families: vec![Family::Line, Family::Spider3, Family::Random],
             sizes: vec![8, 13],
             delays: vec![
@@ -2882,7 +2900,8 @@ mod tests {
             let inst = SweepInstance::for_cell(&cell);
             let poisoned = timed_out.replace(r#""timed_out":true"#, r#""poisoned":true"#);
             let json = |kind| {
-                let row = render(&cell, &inst, CellOutcome::quarantined(&cell, &inst, kind)).0;
+                let outcome = CellOutcome::quarantined(&cell, &inst, kind);
+                let row = render(&cell, &inst, cell.cell_seed(), outcome).0;
                 serde_json::to_string(&row.expect("a row")).unwrap()
             };
             assert_eq!(json(QuarantineKind::TimedOut), timed_out);

@@ -33,7 +33,7 @@ const STRICT_ENV: &str = "CRASH_RESUME_STRICT";
 /// families under the exact decider.
 fn spec(threads: usize) -> SweepSpec {
     SweepSpec {
-        experiment: "crash-resume".into(),
+        experiment: "crash-resume",
         families: vec![Family::Line, Family::Spider3],
         sizes: vec![5, 6, 7],
         delays: vec![Delay::Zero, Delay::Fixed(1), Delay::Adversarial],

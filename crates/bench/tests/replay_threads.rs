@@ -22,7 +22,7 @@ fn spec(agents: usize, seed: u64, threads: usize, executor: Executor) -> SweepSp
         _ => (Variant::TreeRvz, vec![16, 24], 4),
     };
     SweepSpec {
-        experiment: "replay-threads".into(),
+        experiment: "replay-threads",
         families: vec![Family::Line, Family::Spider3],
         sizes,
         delays: vec![Delay::Zero, Delay::LinearN],

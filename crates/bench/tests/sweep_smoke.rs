@@ -11,7 +11,7 @@ use rvz_sim::{run_pair, PairConfig};
 
 fn grid_2x2(threads: usize) -> SweepSpec {
     SweepSpec {
-        experiment: "smoke".into(),
+        experiment: "smoke",
         families: vec![Family::Line],
         sizes: vec![4, 8],
         delays: vec![Delay::Fixed(0), Delay::Fixed(3)],

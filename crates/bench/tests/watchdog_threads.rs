@@ -17,7 +17,7 @@ use std::time::Duration;
 /// test is dominated by `cells × timeout`, not by the dilation.
 fn slow_spec() -> SweepSpec {
     SweepSpec {
-        experiment: "watchdog-threads".into(),
+        experiment: "watchdog-threads",
         families: vec![Family::Line],
         sizes: vec![8, 10, 12],
         delays: vec![Delay::Schedule(ScheduleSpec::Lockstep { period: 1 << 20 })],

@@ -36,7 +36,7 @@ const SILENCE: Duration = Duration::from_secs(60);
 /// the ∀-delay quantifier, so certificates ride the result frames too.
 fn spec(threads: usize) -> SweepSpec {
     SweepSpec {
-        experiment: "worker-sup".into(),
+        experiment: "worker-sup",
         families: vec![Family::Line, Family::Spider3],
         sizes: vec![5, 6],
         delays: vec![Delay::Zero, Delay::Fixed(1), Delay::Adversarial],

@@ -348,12 +348,6 @@ impl Deserialize for String {
     }
 }
 
-impl Deserialize for std::sync::Arc<str> {
-    fn read_json(r: &mut JsonReader<'_>) -> Result<std::sync::Arc<str>> {
-        r.string().map(|s| std::sync::Arc::from(s.as_ref()))
-    }
-}
-
 impl<T: Deserialize> Deserialize for Option<T> {
     fn read_json(r: &mut JsonReader<'_>) -> Result<Option<T>> {
         if r.null()? {

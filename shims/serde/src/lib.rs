@@ -457,27 +457,6 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
-/// Shared ownership serializes transparently (`Arc<str>` interned labels,
-/// `Arc<T>` shared rows) — same JSON as the inner value, like serde's `rc`
-/// feature.
-impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
-    fn to_json_value(&self) -> Value {
-        (**self).to_json_value()
-    }
-    fn write_json(&self, w: &mut JsonWriter<'_>) {
-        (**self).write_json(w)
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for std::rc::Rc<T> {
-    fn to_json_value(&self) -> Value {
-        (**self).to_json_value()
-    }
-    fn write_json(&self, w: &mut JsonWriter<'_>) {
-        (**self).write_json(w)
-    }
-}
-
 macro_rules! impl_serialize_signed {
     ($($t:ty),* $(,)?) => {$(
         impl Serialize for $t {

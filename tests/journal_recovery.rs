@@ -25,7 +25,7 @@ fn fixture() -> &'static (Vec<u8>, Outcomes) {
     static FIXTURE: OnceLock<(Vec<u8>, Outcomes)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let spec = SweepSpec {
-            experiment: "journal-recovery".into(),
+            experiment: "journal-recovery",
             families: vec![Family::Line, Family::Spider3],
             sizes: vec![5, 6],
             delays: vec![Delay::Zero, Delay::Adversarial],

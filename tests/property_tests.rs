@@ -650,7 +650,7 @@ proptest! {
             _ => vec![Delay::Adversarial, Delay::Zero],
         };
         let spec = |executor| sweep::SweepSpec {
-            experiment: "executor-prop".into(),
+            experiment: "executor-prop",
             families: vec![family],
             sizes: vec![size],
             delays: delays.clone(),
@@ -708,19 +708,19 @@ proptest! {
         const LABELS: [&str; 5] =
             ["line", "intermittent(2,0)", "quote\" back\\slash", "tab\tnl\n\u{1}", "θ ∀ é 😀"];
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut label = || LABELS[rng.gen_range(0..LABELS.len())].to_string();
+        let mut label = || LABELS[rng.gen_range(0..LABELS.len())];
         let bit = |i: u32| mask >> i & 1 == 1;
         let mut rng = StdRng::seed_from_u64(!seed);
         let mut num = || rng.next_u64() >> rng.gen_range(0..64u32);
         let row = SweepRow {
-            experiment: label().as_str().into(),
+            experiment: label(),
             family: label(),
             size: num() as usize,
             n: num() as usize,
             leaves: num() as usize,
             variant: label(),
             delay: num(),
-            schedule: bit(0).then(&mut label),
+            schedule: bit(0).then(|| label().to_string()),
             start_a: num() as u32,
             start_b: num() as u32,
             met: bit(1),
@@ -735,20 +735,20 @@ proptest! {
             certified: bit(3),
             timed_out: bit(4).then_some(bit(5)),
             poisoned: bit(6).then_some(bit(7)),
-            planned: bit(8).then(|| Planned { choice: label(), predicted: num(), actual: 0 }),
+            planned: bit(8).then(|| Planned { choice: label().into(), predicted: num(), actual: 0 }),
             agents: bit(9).then(|| num() as usize),
             start_rest: bit(10).then(|| (0..num() % 4).map(|v| v as u32).collect()),
         };
         let certificate = Certificate {
-            experiment: row.experiment.clone(),
-            family: row.family.clone(),
+            experiment: row.experiment,
+            family: row.family,
             size: row.size,
             n: row.n,
             tree_seed: row.tree_seed,
-            variant: row.variant.clone(),
+            variant: row.variant,
             start_a: row.start_a,
             start_b: row.start_b,
-            verdict: row.family.clone(),
+            verdict: row.family,
             schedule: row.schedule.clone(),
             delay: row.delay,
             round: row.rounds,

@@ -87,7 +87,7 @@ fn worst_case_schedule_certifies_class_defeats_end_to_end() {
 #[test]
 fn sweep_schedule_axis_runs_certified_end_to_end() {
     let spec = |executor| SweepSpec {
-        experiment: "sched-e2e".into(),
+        experiment: "sched-e2e",
         families: vec![Family::EnumFree],
         sizes: vec![5, 6],
         delays: vec![
